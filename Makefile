@@ -13,7 +13,7 @@ GATE    ?= 200
 # FUZZTIME is the per-target budget for fuzz-smoke.
 FUZZTIME ?= 30s
 
-.PHONY: build test race lint bench-smoke bench-hotpath bench-hotpath-smoke profile trace-smoke metrics-smoke fuzz-smoke chaos-smoke cover results-sim results-sim-diff clean
+.PHONY: build test race lint bench-smoke bench-e2e bench-test bench-hotpath bench-hotpath-smoke profile trace-smoke metrics-smoke fuzz-smoke chaos-smoke cover results-sim results-sim-diff clean
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,19 @@ bench-smoke: build
 	grep -q ' computed=0 ' $(SMOKE)/run2.log || { \
 		echo "second run recomputed cells:"; cat $(SMOKE)/run2.log; exit 1; }
 	@echo "bench-smoke ok: warm-cache run skipped 100% of cells, tables byte-identical"
+
+# bench-e2e runs the repository benchmark BENCHMARK.json declares: host
+# wall-clock of results regeneration on four workloads (bench/README.md).
+# Arguments pass through BENCH_ARGS, e.g. BENCH_ARGS='--workload
+# engine_serial --trace 1'.
+bench-e2e:
+	bash bench/run.sh $(BENCH_ARGS)
+
+# bench-test runs the benchmark program's own tests. bench/ is a nested
+# module, so `go test ./...` at the root does not reach them; -short skips
+# the end-to-end smoke.
+bench-test:
+	cd bench && $(GO) test -short ./...
 
 # bench-hotpath measures the engine hot-path microbenchmarks (see
 # internal/htm/hotpath_bench_test.go) and rewrites BENCH_hotpath.json. When

@@ -390,5 +390,6 @@ func runCLQOnce(opts CLQOptions, mode CLQMode, threads int) (float64, error) {
 	if got := q.Len(e.Thread(0)); got != want {
 		return 0, fmt.Errorf("clq %v/%d threads: queue length %d, want %d", mode, threads, got, want)
 	}
+	e.Release()
 	return secs, nil
 }

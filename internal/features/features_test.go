@@ -1,6 +1,7 @@
 package features
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -91,9 +92,15 @@ func TestRunCLQShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLQ experiment in -short mode")
 	}
-	results, err := RunCLQ(CLQOptions{OpsPerThread: 400, Threads: []int{1, 4}})
+	opts := CLQOptions{OpsPerThread: 400, Threads: []int{1, 4}}
+	results, err := RunCLQ(opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every run releases its engine, so the rerun executes on recycled
+	// arenas and line tables and must not be able to tell.
+	if again, err := RunCLQ(opts); err != nil || !reflect.DeepEqual(results, again) {
+		t.Errorf("rerun on recycled memory diverged (err %v):\nfirst:  %+v\nsecond: %+v", err, results, again)
 	}
 	rel := map[CLQMode]map[int]float64{}
 	for _, r := range results {
@@ -160,9 +167,13 @@ func TestRunTLSSpeedupShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TLS experiment in -short mode")
 	}
-	results, err := RunTLS(TLSOptions{Iterations: 512, Threads: []int{1, 4}})
+	opts := TLSOptions{Iterations: 512, Threads: []int{1, 4}}
+	results, err := RunTLS(opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if again, err := RunTLS(opts); err != nil || !reflect.DeepEqual(results, again) {
+		t.Errorf("rerun on recycled memory diverged (err %v):\nfirst:  %+v\nsecond: %+v", err, results, again)
 	}
 	get := func(k TLSKernel, threads int, sr bool) TLSResult {
 		for _, r := range results {

@@ -190,7 +190,12 @@ func runTLSSequential(opts TLSOptions, kernel TLSKernel) (float64, error) {
 		}
 	}()
 	<-done
-	return float64(e.MaxClock()), s.validate(t)
+	secs := float64(e.MaxClock()) // read before validate, whose loads advance the clock
+	if err := s.validate(t); err != nil {
+		return 0, err
+	}
+	e.Release()
+	return secs, nil
 }
 
 func (s *tlsState) validate(t *htm.Thread) error {
@@ -235,6 +240,7 @@ func runTLSParallel(opts TLSOptions, kernel TLSKernel, threads int, suspendResum
 		return 0, 0, fmt.Errorf("tls: NextIterToCommit = %d, want %d", got, s.iters)
 	}
 	st := e.Stats()
+	e.Release()
 	return secs, st.AbortRatio(), nil
 }
 

@@ -216,13 +216,13 @@ func (s RunSpec) traceName(rep int) string {
 // runSeqOnce runs one sequential (non-HTM) execution and returns the region
 // duration in virtual cycles.
 func (s RunSpec) runSeqOnce(seed uint64) (float64, error) {
-	cfg := s.engineConfig(1, seed)
-	cfg.Space = acquireSpace(cfg.SpaceSize)
-	e := htm.New(s.platformSpec(), cfg)
+	// Benchmark before engine: a rejected name must not strand a leased
+	// arena and line table outside the pool.
 	b, err := stamp.New(s.Benchmark, s.benchConfig(seed))
 	if err != nil {
 		return 0, err
 	}
+	e := htm.New(s.platformSpec(), s.engineConfig(1, seed))
 	b.Setup(e.Thread(0))
 	e.ResetClocks()
 	b.Run([]stamp.Runner{stamp.SeqRunner{T: e.Thread(0)}})
@@ -232,17 +232,18 @@ func (s RunSpec) runSeqOnce(seed uint64) (float64, error) {
 	}
 	// Recycle the engine's big allocations. Error/panic paths above skip
 	// this and fall back to the GC.
-	sp := e.Space()
 	e.Release()
-	releaseSpace(sp)
 	return elapsed, nil
 }
 
 // runParOnce runs one parallel execution, returning the region duration in
 // virtual cycles and the accumulated runtime/engine statistics.
 func (s RunSpec) runParOnce(seed uint64, rep int) (float64, tm.Stats, htm.Stats, error) {
+	b, err := stamp.New(s.Benchmark, s.benchConfig(seed))
+	if err != nil {
+		return 0, tm.Stats{}, htm.Stats{}, err
+	}
 	cfg := s.engineConfig(s.Threads, seed)
-	cfg.Space = acquireSpace(cfg.SpaceSize)
 	cfg.Faults = s.Faults
 	var tracer *obs.Tracer
 	if s.TraceDir != "" {
@@ -260,10 +261,6 @@ func (s RunSpec) runParOnce(seed uint64, rep int) (float64, tm.Stats, htm.Stats,
 		}
 	}
 	e := htm.New(s.platformSpec(), cfg)
-	b, err := stamp.New(s.Benchmark, s.benchConfig(seed))
-	if err != nil {
-		return 0, tm.Stats{}, htm.Stats{}, err
-	}
 	b.Setup(e.Thread(0))
 	lock := tm.NewGlobalLock(e)
 	pol := s.policy()
@@ -312,9 +309,7 @@ func (s RunSpec) runParOnce(seed uint64, rep int) (float64, tm.Stats, htm.Stats,
 		}
 	}
 	engStats := e.Stats()
-	sp := e.Space()
 	e.Release()
-	releaseSpace(sp)
 	return elapsed, agg, engStats, nil
 }
 

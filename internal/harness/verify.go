@@ -59,16 +59,15 @@ func Verify(spec RunSpec) error {
 // units after a successful Validate, plus whether the benchmark declares
 // its unit count interleaving-dependent (stamp.DynamicWork).
 func (s RunSpec) runVerifyOnce(mode string) (int, bool, error) {
-	cfg := s.engineConfig(s.Threads, s.Seed)
-	cfg.Space = acquireSpace(cfg.SpaceSize)
-	// Chaos rides into the verification runs too: the differential modes
-	// must agree under injected aborts, not only on clean executions.
-	cfg.Faults = s.Faults
-	e := htm.New(s.platformSpec(), cfg)
 	b, err := stamp.New(s.Benchmark, s.benchConfig(s.Seed))
 	if err != nil {
 		return 0, false, err
 	}
+	cfg := s.engineConfig(s.Threads, s.Seed)
+	// Chaos rides into the verification runs too: the differential modes
+	// must agree under injected aborts, not only on clean executions.
+	cfg.Faults = s.Faults
+	e := htm.New(s.platformSpec(), cfg)
 	b.Setup(e.Thread(0))
 	lock := tm.NewGlobalLock(e)
 	pol := s.policy()
@@ -92,8 +91,6 @@ func (s RunSpec) runVerifyOnce(mode string) (int, bool, error) {
 	}
 	dyn, _ := b.(stamp.DynamicWork)
 	units := b.Units()
-	sp := e.Space()
 	e.Release()
-	releaseSpace(sp)
 	return units, dyn != nil && dyn.UnitsDynamic(), nil
 }

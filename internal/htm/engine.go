@@ -65,9 +65,12 @@ const numShards = 4096
 // lineRec is the ownership record of one conflict-detection line: the
 // writing transaction (thread slot, or -1) and a bitmap of reading threads.
 // It is the software analogue of tx-read/tx-dirty cache-line bits (zEC12,
-// Section 2.2) or a TMCAM entry (POWER8, Section 2.4).
+// Section 2.2) or a TMCAM entry (POWER8, Section 2.4). epoch (in what was
+// padding) names the engine that last wrote the record; under any other
+// engine the record reads as quiescent — always go through Thread.rec.
 type lineRec struct {
 	writer  int32
+	epoch   uint32
 	readers [maxThreads / 64]uint64
 }
 
@@ -97,9 +100,9 @@ type Config struct {
 	Threads int
 	// SpaceSize is the simulated arena size in bytes (default 64 MiB).
 	SpaceSize int
-	// Space, when non-nil, is a pre-allocated (fresh or Reset) arena the
-	// engine adopts instead of allocating its own — the sweep harness pools
-	// multi-MB Spaces across cells this way. It must be in its
+	// Space, when non-nil, is a caller-owned arena the engine adopts instead
+	// of leasing one from the package pool (see pool.go); Release detaches
+	// it and the caller recycles it with Reset. It must be in its
 	// post-NewSpace/post-Reset state and its size must match SpaceSize
 	// (after defaulting); New panics otherwise. The caller must not touch
 	// the Space while the engine runs and must not hand it to two engines.
@@ -208,14 +211,14 @@ func (c Config) withDefaults() Config {
 // transactions through the internal/tm runtime (or Thread.TryTx directly).
 type Engine struct {
 	plat  *platform.Spec
-	space *mem.Space
+	space *mem.Space // cfg.Space, or leased from the pool until Release
 	cfg   Config
 
 	lineShift uint
 	lineSize  int
 	nLines    int
-	lines     []lineRec
-	shards    []padMutex
+	table     *lineTable
+	shards    []padMutex // real-concurrency mode only
 
 	cores    []coreState
 	activeTx atomic.Int32 // engine-wide live transactions (strong-isolation fast path)
@@ -254,18 +257,22 @@ type Engine struct {
 }
 
 // New creates an Engine for the given platform model over a fresh memory
-// space. The returned engine has cfg.Threads thread contexts; index them
-// with Thread(i).
+// space — cfg.Space if given, otherwise a fresh-or-Reset arena leased from
+// the package pool until Release. The returned engine has cfg.Threads
+// thread contexts; index them with Thread(i).
 func New(spec *platform.Spec, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	if cfg.Threads > maxThreads {
 		panic(fmt.Sprintf("htm: %d threads exceeds engine maximum %d", cfg.Threads, maxThreads))
 	}
 	space := cfg.Space
-	if space == nil {
-		space = mem.NewSpace(cfg.SpaceSize)
-	} else if space.Size() != alignedSpaceSize(cfg.SpaceSize) {
-		panic(fmt.Sprintf("htm: pooled space is %d bytes, config wants %d", space.Size(), cfg.SpaceSize))
+	switch {
+	case space == nil:
+		space = getSpace(alignedSpaceSize(cfg.SpaceSize))
+	case space.Size() != alignedSpaceSize(cfg.SpaceSize):
+		panic(fmt.Sprintf("htm: supplied space is %d bytes, config wants %d", space.Size(), cfg.SpaceSize))
+	case space.Used() != 0:
+		panic(fmt.Sprintf("htm: supplied space has %d bytes allocated; it must be fresh or Reset", space.Used()))
 	}
 	e := &Engine{
 		plat:  spec,
@@ -282,8 +289,10 @@ func New(spec *platform.Spec, cfg Config) *Engine {
 	}
 	e.lineShift = uint(log2(e.lineSize))
 	e.nLines = (e.space.Size() + e.lineSize - 1) / e.lineSize
-	e.lines = getLineTable(e.nLines)
-	e.shards = make([]padMutex, numShards)
+	e.table = getLineTable(e.nLines)
+	if !cfg.Virtual {
+		e.shards = make([]padMutex, numShards)
+	}
 	e.cores = make([]coreState, spec.Cores)
 	if spec.SpecIDs > 0 {
 		e.specPool = newSpecIDPool(spec.SpecIDs, e.scaledCost(spec.Costs.SpecIDHold))

@@ -226,6 +226,19 @@ func BenchmarkHotpathSTM(b *testing.B) {
 	}
 }
 
+// BenchmarkHotpathEngineLifecycle measures what every simulated run pays
+// before and after its work: New plus Release at the harness's sizes (64 MiB
+// arena, 64-byte lines, so a one-million-record line table), both recycled
+// through the package pool.
+func BenchmarkHotpathEngineLifecycle(b *testing.B) {
+	spec := platform.New(platform.IntelCore)
+	for i := 0; i < b.N; i++ {
+		htm.New(spec, htm.Config{
+			Threads: 4, SpaceSize: 64 << 20, Seed: 99, Virtual: true, CostScale: 1,
+		}).Release()
+	}
+}
+
 // BenchmarkHotpathSweepSmall runs one full harness sweep cell (kmeans-low on
 // Intel, 4 threads, test scale) per iteration: the end-to-end number the
 // figure sweeps are made of.

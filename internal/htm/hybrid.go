@@ -137,7 +137,7 @@ func (t *Thread) hybridSeqRelease() {
 func (t *Thread) doomHybridGateReaders() {
 	line := t.lineOf(t.eng.hybridGate)
 	sh := t.lockLine(line)
-	rec := &t.eng.lines[line]
+	rec := t.rec(line)
 	if w := rec.writer; w >= 0 && w != int32(t.slot) {
 		if t.doomTagged(line, w, ReasonConflict) {
 			rec.writer = -1

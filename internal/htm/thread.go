@@ -144,14 +144,16 @@ type Thread struct {
 	cacheFetchProb float64
 
 	// Hot-path caches of engine-invariant state: the line-index shift and
-	// size, the flat line-ownership table, and the raw arena bytes. They
-	// turn every per-access lookup into one pointer chase instead of two
-	// (t.lines[i] vs going through t.eng) and stay valid for the engine's
-	// lifetime — mem.Space.Reset never reallocates the backing array, and
-	// Engine.Release nils them out along with the engine's own references.
+	// size, the flat line-ownership table with its epoch (read through
+	// rec), and the raw arena bytes. They turn every per-access lookup into
+	// one pointer chase instead of two (t.lines[i] vs going through t.eng)
+	// and stay valid for the engine's lifetime — mem.Space.Reset never
+	// reallocates the backing array, and Engine.Release nils them out along
+	// with the engine's own references.
 	lineShift uint
 	lineSize  uint64
 	lines     []lineRec
+	epoch     uint32
 	data      []byte
 }
 
@@ -167,7 +169,8 @@ func newThread(e *Engine, slot int) *Thread {
 
 		lineShift: e.lineShift,
 		lineSize:  uint64(e.lineSize),
-		lines:     e.lines,
+		lines:     e.table.recs,
+		epoch:     e.table.epoch,
 		data:      e.space.Data(),
 	}
 	if e.cfg.Tracer != nil {
@@ -484,7 +487,7 @@ func (t *Thread) commit() {
 			end = uint64(len(data))
 		}
 		copy(data[base:end], buf)
-		rec := &t.lines[line]
+		rec := t.rec(line)
 		rec.writer = -1
 		rec.clearReader(t.slot)
 		if t.wit != nil {
@@ -510,7 +513,7 @@ func (t *Thread) commit() {
 			continue // released above
 		}
 		sh := t.lockLine(line)
-		t.lines[line].clearReader(t.slot)
+		t.rec(line).clearReader(t.slot)
 		unlockLine(sh)
 	}
 	if s := t.eng.cfg.FootprintSampler; s != nil {
@@ -565,7 +568,7 @@ func (t *Thread) rollback() {
 	for _, line := range t.writeOrder {
 		buf, _ := t.ws.get(line)
 		sh := t.lockLine(line)
-		rec := &t.lines[line]
+		rec := t.rec(line)
 		if rec.writer == int32(t.slot) {
 			rec.writer = -1
 		}
@@ -578,7 +581,7 @@ func (t *Thread) rollback() {
 			continue
 		}
 		sh := t.lockLine(line)
-		t.lines[line].clearReader(t.slot)
+		t.rec(line).clearReader(t.slot)
 		unlockLine(sh)
 	}
 	t.finishTx()
@@ -775,12 +778,24 @@ func unlockLine(sh *padMutex) {
 	}
 }
 
+// rec returns line's ownership record, the only way to reach one: a record
+// last written under another engine's epoch (or never — a fresh table is
+// all zeroes) is reset to quiescent first, which is what lets getLineTable
+// recycle tables without wiping them. Call with the line locked.
+func (t *Thread) rec(line uint32) *lineRec {
+	r := &t.lines[line]
+	if r.epoch != t.epoch {
+		*r = lineRec{writer: -1, epoch: t.epoch}
+	}
+	return r
+}
+
 // resolveAsReader registers the line for reading, resolving conflicts with a
 // current writer. Requester-wins: the writer is doomed; if it is committing
 // (immune) the requester aborts instead.
 func (t *Thread) resolveAsReader(line uint32, counted bool) {
 	sh := t.lockLine(line)
-	rec := &t.lines[line]
+	rec := t.rec(line)
 	if w := rec.writer; w >= 0 && w != int32(t.slot) {
 		if t.eng.cfg.ResponderWins && !t.hardened {
 			unlockLine(sh)
@@ -806,7 +821,7 @@ func (t *Thread) resolveAsReader(line uint32, counted bool) {
 // buf (copied under the shard lock so the snapshot is untorn).
 func (t *Thread) resolveAsWriter(line uint32, buf []byte) {
 	sh := t.lockLine(line)
-	rec := &t.lines[line]
+	rec := t.rec(line)
 	if w := rec.writer; w >= 0 && w != int32(t.slot) {
 		if t.eng.cfg.ResponderWins && !t.hardened {
 			unlockLine(sh)
@@ -957,7 +972,7 @@ func (t *Thread) maybePrefetch(line uint32) {
 			continue
 		}
 		sh := t.lockLine(next)
-		rec := &t.lines[next]
+		rec := t.rec(next)
 		if rec.writer >= 0 && rec.writer != int32(t.slot) {
 			if !t.doomTagged(next, rec.writer, ReasonConflict) {
 				unlockLine(sh)
@@ -1133,7 +1148,7 @@ func (t *Thread) nonTxLoad(a mem.Addr, n int) []byte {
 	line := t.lineOf(a)
 	for {
 		sh := t.lockLine(line)
-		rec := &t.lines[line]
+		rec := t.rec(line)
 		if rec.writer >= 0 && rec.writer != int32(t.slot) {
 			if !t.doomTagged(line, rec.writer, ReasonNonTxConflict) {
 				unlockLine(sh)
@@ -1178,7 +1193,7 @@ func (t *Thread) nonTxStore(a mem.Addr, n int, src []byte) {
 	line := t.lineOf(a)
 	for {
 		sh := t.lockLine(line)
-		rec := &t.lines[line]
+		rec := t.rec(line)
 		if rec.writer >= 0 && rec.writer != int32(t.slot) {
 			if !t.doomTagged(line, rec.writer, ReasonNonTxConflict) {
 				unlockLine(sh)
@@ -1405,7 +1420,7 @@ func (t *Thread) CompareAndSwap64(a mem.Addr, old, new uint64) bool {
 	line := t.lineOf(a)
 	for {
 		sh := t.lockLine(line)
-		rec := &t.lines[line]
+		rec := t.rec(line)
 		if rec.writer >= 0 && rec.writer != int32(t.slot) {
 			if !t.doomTagged(line, rec.writer, ReasonNonTxConflict) {
 				unlockLine(sh)

@@ -80,6 +80,10 @@ func (o Options) withDefaults() Options {
 // but with one thread every transaction commits.
 func Collect(bench string, k platform.Kind, opts Options) (Footprint, error) {
 	opts = opts.withDefaults()
+	b, err := stamp.New(bench, stamp.Config{Scale: opts.Scale, Seed: opts.Seed})
+	if err != nil {
+		return Footprint{}, err
+	}
 	var mu sync.Mutex
 	var loads, stores []int
 	var tracer *obs.Tracer
@@ -104,10 +108,6 @@ func Collect(bench string, k platform.Kind, opts Options) (Footprint, error) {
 			mu.Unlock()
 		},
 	})
-	b, err := stamp.New(bench, stamp.Config{Scale: opts.Scale, Seed: opts.Seed})
-	if err != nil {
-		return Footprint{}, err
-	}
 	b.Setup(e.Thread(0))
 	lock := tm.NewGlobalLock(e)
 	x := tm.NewExecutor(e.Thread(0), lock, tm.DefaultPolicy(k))
@@ -136,6 +136,7 @@ func Collect(bench string, k platform.Kind, opts Options) (Footprint, error) {
 			return Footprint{}, err
 		}
 	}
+	e.Release()
 	return fp, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -20,6 +21,11 @@ func TestCollectKmeansFootprints(t *testing.T) {
 	}
 	if fp.Transactions == 0 {
 		t.Fatal("no transactions sampled")
+	}
+	// Collect releases its engine, so a second collection runs on the
+	// recycled arena and line table and must not be able to tell.
+	if again, err := Collect("kmeans-low", platform.ZEC12, Options{Scale: stamp.ScaleTest}); err != nil || !reflect.DeepEqual(fp, again) {
+		t.Errorf("collection on recycled memory diverged (err %v):\nfirst:  %+v\nsecond: %+v", err, fp, again)
 	}
 	// A kmeans transaction updates one cluster record: tiny footprints.
 	if fp.P90StoreKB > 1 {
