@@ -25,8 +25,12 @@ test:
 	$(GO) test ./...
 
 # racecheck also compiles in the debug assertions (quiescent-only Stats).
+# The second run repeats the tests of the one place where a goroutine acts
+# on another's thread state — SpinUntil predicates polled by the elector —
+# often enough for the detector to see different interleavings.
 race:
 	$(GO) test -race -tags racecheck ./internal/...
+	$(GO) test -race -count=10 -run 'SpinUntil|TestVirtualLivelockDetection' ./internal/htm
 
 # lint runs go vet, the gofmt gate, and htmlint — the repo's own
 # invariant checkers (internal/lint): determinism of the simulated core,

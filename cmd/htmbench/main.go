@@ -125,10 +125,7 @@ func main() {
 		Seed:    *seed,
 	}
 
-	names := []string{*exp}
-	if *exp == "all" {
-		names = []string{"table1", "fig2+3", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10", "fig11", "prefetch", "stm", "capacity", "adaptive"}
-	}
+	names := expandExp(*exp)
 
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
@@ -198,20 +195,10 @@ func main() {
 		Faults:    faults,
 	})
 
-	// Planning pass: record every cell the selected experiments will
-	// request. Tables are rendered against zero results and discarded;
-	// experiments without sweep cells (table1, fig6, fig9) are skipped.
-	plan := sweep.NewPlan()
-	planOpts := opts
-	planOpts.Exec = plan
-	for _, n := range names {
-		if !hasCells(n) {
-			continue
-		}
-		if err := runExperiment(n, planOpts, plan, io.Discard, *csv); err != nil {
-			fmt.Fprintf(os.Stderr, "htmbench: planning %s: %v\n", n, err)
-			os.Exit(1)
-		}
+	plan, err := planCells(names, opts, *csv)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "htmbench: %v\n", err)
+		os.Exit(1)
 	}
 
 	// Verification pass (optional): every distinct measured configuration
@@ -229,30 +216,61 @@ func main() {
 	// Execution pass: the worker pool computes (or loads) every cell.
 	sum := sched.Prewarm(plan.Cells())
 
-	// Render pass: the experiments re-run serially, now satisfied from
-	// the precomputed results, so tables come out byte-identical to a
-	// fully serial run.
-	renderOpts := opts
-	renderOpts.Exec = sched
 	if *verbose {
-		renderOpts.Log = os.Stderr
+		opts.Log = os.Stderr
 	}
-	for _, n := range names {
-		if err := runExperiment(n, renderOpts, sched, os.Stdout, *csv); err != nil {
-			fmt.Fprintf(os.Stderr, "htmbench: %s: %v\n", n, err)
-			fmt.Fprintf(os.Stderr, "sweep summary: %s\n", sum)
-			writeMetrics(*metricsPath, sched)
-			writeChaosReport(*chaosReport, faults, sum)
-			os.Exit(1)
-		}
+	err = renderTables(names, opts, sched, os.Stdout, *csv)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "htmbench: %v\n", err)
 	}
 	fmt.Fprintf(os.Stderr, "sweep summary: %s\n", sum)
 	writeMetrics(*metricsPath, sched)
 	writeChaosReport(*chaosReport, faults, sum)
+	if err != nil {
+		os.Exit(1)
+	}
 	if tel != nil && *httpLinger > 0 {
 		fmt.Fprintf(os.Stderr, "htmbench: telemetry server up for another %s (SIGQUIT dumps a flight recording)\n", *httpLinger)
 		time.Sleep(*httpLinger)
 	}
+}
+
+// expandExp turns the -exp value into the experiments to run, in table order.
+func expandExp(exp string) []string {
+	if exp == "all" {
+		return []string{"table1", "fig2+3", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10", "fig11", "prefetch", "stm", "capacity", "adaptive"}
+	}
+	return []string{exp}
+}
+
+// planCells is the planning pass: it records every cell the experiments will
+// request. Tables are rendered against zero results and discarded;
+// experiments without sweep cells (table1, fig6, fig9) are skipped.
+func planCells(names []string, opts harness.Options, csv bool) (*sweep.Plan, error) {
+	plan := sweep.NewPlan()
+	opts.Exec = plan
+	for _, n := range names {
+		if !hasCells(n) {
+			continue
+		}
+		if err := runExperiment(n, opts, plan, io.Discard, csv); err != nil {
+			return nil, fmt.Errorf("planning %s: %w", n, err)
+		}
+	}
+	return plan, nil
+}
+
+// renderTables is the render pass: the experiments re-run serially, now
+// satisfied from the results sched has precomputed, so tables come out
+// byte-identical to a fully serial run.
+func renderTables(names []string, opts harness.Options, sched *sweep.Scheduler, out io.Writer, csv bool) error {
+	opts.Exec = sched
+	for _, n := range names {
+		if err := runExperiment(n, opts, sched, out, csv); err != nil {
+			return fmt.Errorf("%s: %w", n, err)
+		}
+	}
+	return nil
 }
 
 // verifyCells runs harness.Verify over the distinct measured configurations

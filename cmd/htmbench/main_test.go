@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -70,5 +73,53 @@ func TestVerifyCells(t *testing.T) {
 	}
 	if got := strings.Count(buf.String(), "verify ssca2"); got != 1 {
 		t.Errorf("progress logged %d times, want 1:\n%s", got, buf.String())
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/results_test.golden from this tree's output")
+
+// TestResultsGolden pins every rendered table: `htmbench -exp all -scale
+// test -seed 42 -repeats 2` through the CLI's own plan, sweep and render
+// passes must reproduce testdata/results_test.golden byte for byte. Virtual
+// time is deterministic, so any difference is a changed simulation (or a
+// changed table layout), never noise; fig6 and fig9 are pinned nowhere else.
+// After an intended change, rerun with -update and review the diff.
+func TestResultsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole test-scale sweep")
+	}
+	const golden = "testdata/results_test.golden"
+	names := expandExp("all")
+	opts := harness.Options{Scale: stamp.ScaleTest, Repeats: 2, Seed: 42}
+	plan, err := planCells(names, opts, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := sweep.New(sweep.Config{})
+	if sum := sched.Prewarm(plan.Cells()); sum.Failed != 0 {
+		t.Fatalf("sweep: %s", sum)
+	}
+	var got bytes.Buffer
+	if err := renderTables(names, opts, sched, &got, false); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("rendered tables differ from %s at line %d:\n got %q\nwant %q", golden, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("rendered tables differ from %s in length: %d lines, want %d", golden, len(gl), len(wl))
 	}
 }

@@ -23,6 +23,9 @@ func TestEngineAndThreadAccessors(t *testing.T) {
 	if got := e.SchedHandoffs(); got != 0 {
 		t.Errorf("SchedHandoffs without a scheduler = %d, want 0", got)
 	}
+	if got := e.SchedSwitches(); got != 0 {
+		t.Errorf("SchedSwitches without a scheduler = %d, want 0", got)
+	}
 	if got := th.Slot(); got != 0 {
 		t.Errorf("Slot = %d, want 0", got)
 	}

@@ -365,8 +365,8 @@ func (e *Engine) scaledCost(c int) int {
 
 // lockArbiter spin-acquires the constrained-transaction arbiter.
 func (e *Engine) lockArbiter(t *Thread) {
-	for !e.arbiter.CompareAndSwap(0, 1) {
-		t.Pause(8)
+	if !e.arbiter.CompareAndSwap(0, 1) {
+		t.SpinUntil(8, func() bool { return e.arbiter.CompareAndSwap(0, 1) })
 	}
 }
 
@@ -447,6 +447,18 @@ func (e *Engine) SchedHandoffs() uint64 {
 	e.sched.mu.Lock()
 	defer e.sched.mu.Unlock()
 	return e.sched.handoffs
+}
+
+// SchedSwitches returns how many of those elections woke another goroutine;
+// the rest re-elected the elector or were SpinUntil polls run on a parked
+// thread's behalf. Call while threads are quiescent.
+func (e *Engine) SchedSwitches() uint64 {
+	if e.sched == nil {
+		return 0
+	}
+	e.sched.mu.Lock()
+	defer e.sched.mu.Unlock()
+	return e.sched.switches
 }
 
 // MaxClock returns the largest virtual clock across threads — the duration

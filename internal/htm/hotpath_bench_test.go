@@ -15,6 +15,8 @@ package htm_test
 // the cost of the locked path.
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"htmcmp/internal/harness"
@@ -22,6 +24,7 @@ import (
 	"htmcmp/internal/obs"
 	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
+	"htmcmp/internal/tm"
 )
 
 // hotpathEngine builds a single-thread virtual-mode engine with the
@@ -238,6 +241,55 @@ func BenchmarkHotpathEngineLifecycle(b *testing.B) {
 		}).Release()
 	}
 }
+
+// benchLockConvoy is the shape of Figure 1's fallback under contention: one
+// thread takes the global lock b.N times and does its work irrevocably while
+// the others sit in the lemming guard. It reports host ns per critical
+// section and how many of the scheduler's elections needed a goroutine
+// switch (every one of them before SpinUntil; the spinners' share is what
+// modes_serial and engine_serial were paying).
+func benchLockConvoy(b *testing.B, threads int) {
+	e := htm.New(platform.New(platform.IntelCore), htm.Config{
+		Threads: threads, SpaceSize: 1 << 20, Seed: 99, Virtual: true,
+		CostScale: 1, DisablePrefetch: true,
+	})
+	lock := tm.NewGlobalLock(e)
+	for i := 0; i < threads; i++ {
+		e.Thread(i).Register()
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for i := 1; i < threads; i++ {
+		wg.Add(1)
+		go func(th *htm.Thread) {
+			defer wg.Done()
+			th.BeginWork()
+			defer th.ExitWork()
+			for !done.Load() {
+				lock.WaitUntilFree(th)
+				th.Work(8)
+			}
+		}(e.Thread(i))
+	}
+	th := e.Thread(0)
+	th.BeginWork()
+	for i := 0; i < b.N; i++ {
+		lock.Acquire(th)
+		for k := 0; k < 16; k++ {
+			th.Work(25)
+		}
+		lock.Release(th)
+		th.Work(8)
+	}
+	done.Store(true)
+	th.ExitWork()
+	wg.Wait()
+	b.ReportMetric(float64(e.SchedSwitches())/float64(e.SchedHandoffs()), "switch/handoff")
+}
+
+func BenchmarkHotpathLockConvoy4(b *testing.B)  { benchLockConvoy(b, 4) }
+func BenchmarkHotpathLockConvoy16(b *testing.B) { benchLockConvoy(b, 16) }
 
 // BenchmarkHotpathSweepSmall runs one full harness sweep cell (kmeans-low on
 // Intel, 4 threads, test scale) per iteration: the end-to-end number the

@@ -94,14 +94,24 @@ func (t *Thread) SubscribeHybridGate() {
 // lock word, so software transactions — which subscribe to the lock word by
 // value — observe the held lock at their next load or commit and abort.
 func (e *Engine) STMFence(t *Thread) {
-	for {
-		s := e.stmSeq.Load()
-		if s&1 == 0 && e.stmSeq.CompareAndSwap(s, s+2) {
-			break
-		}
-		t.Pause(4)
-	}
+	t.seqAcquire(2)
 	t.work(e.scaledCost(hybridFenceCost))
+}
+
+// seqAcquire moves the NOrec sequence lock from an even value s to s+delta,
+// spinning out any writer mid-commit, and returns s. The closure (and
+// SpinUntil's trip through the scheduler) is paid only under contention.
+func (t *Thread) seqAcquire(delta uint64) uint64 {
+	seq := &t.eng.stmSeq
+	if s := seq.Load(); s&1 == 0 && seq.CompareAndSwap(s, s+delta) {
+		return s
+	}
+	var s uint64
+	t.SpinUntil(4, func() bool {
+		s = seq.Load()
+		return s&1 == 0 && seq.CompareAndSwap(s, s+delta)
+	})
+	return s
 }
 
 // hybridSeqAcquire takes the NOrec sequence lock for a hardware writer
@@ -109,14 +119,7 @@ func (e *Engine) STMFence(t *Thread) {
 // while spinning here the thread is still doomable through the gate, which
 // is what makes waiting on an STM writer safe.
 func (t *Thread) hybridSeqAcquire() {
-	for {
-		s := t.eng.stmSeq.Load()
-		if s&1 == 0 && t.eng.stmSeq.CompareAndSwap(s, s+1) {
-			t.hybridSeq = s
-			break
-		}
-		t.Pause(4)
-	}
+	t.hybridSeq = t.seqAcquire(1)
 	t.work(t.eng.scaledCost(hybridFenceCost))
 }
 

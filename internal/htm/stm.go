@@ -93,15 +93,19 @@ func (t *Thread) stmBegin() {
 	}
 	t.stats.Begins++
 	t.work(t.eng.scaledCost(stmBeginCost))
-	// Snapshot an even (unlocked) sequence number.
-	for {
-		s := t.eng.stmSeq.Load()
-		if s&1 == 0 {
-			t.stm.snapshot = s
-			return
-		}
-		t.Pause(4)
+	t.stm.snapshot = t.seqAwaitEven()
+}
+
+// seqAwaitEven returns the NOrec sequence lock once it is even (no writer
+// mid-commit), spinning while it is odd.
+func (t *Thread) seqAwaitEven() uint64 {
+	seq := &t.eng.stmSeq
+	if s := seq.Load(); s&1 == 0 {
+		return s
 	}
+	var s uint64
+	t.SpinUntil(4, func() bool { s = seq.Load(); return s&1 == 0 })
+	return s
 }
 
 func (t *Thread) stmRollback() {
@@ -124,11 +128,7 @@ func (t *Thread) stmRollback() {
 // validation).
 func (t *Thread) stmValidate() {
 	for {
-		s := t.eng.stmSeq.Load()
-		if s&1 == 1 {
-			t.Pause(4)
-			continue
-		}
+		s := t.seqAwaitEven()
 		t.work(t.eng.scaledCost(stmValidateCost) * (len(t.stm.readLog) + 1))
 		data := t.data
 		for _, ent := range t.stm.readLog {

@@ -155,6 +155,13 @@ type Thread struct {
 	lines     []lineRec
 	epoch     uint32
 	data      []byte
+
+	// A pending SpinUntil: predicate, per-poll cost and livelock stamp
+	// (vsched.pollLocked). spinTry is non-nil only between polls. Kept last
+	// so the per-access fields above sit where they did without it.
+	spinTry   func() bool
+	spinN     int
+	spinEpoch uint64
 }
 
 func newThread(e *Engine, slot int) *Thread {
@@ -338,6 +345,21 @@ func (t *Thread) Pause(n int) {
 		return
 	}
 	runtime.Gosched()
+}
+
+// SpinUntil is exactly `for !try() { t.Pause(n) }`, the one way to wait on
+// Go-side state (a lock mirror, the NOrec sequence lock). Under the virtual
+// scheduler the polls of a parked waiter run on whichever goroutine holds
+// the baton, so try must only read or CAS state that baton holders write:
+// no simulated-memory access, Pause or Barrier.Wait, on pain of a panic.
+func (t *Thread) SpinUntil(n int, try func() bool) {
+	if t.virtual && t.entered {
+		t.eng.sched.spin(t, n, try)
+		return
+	}
+	for !try() {
+		t.Pause(n)
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -162,7 +162,15 @@ func TestTraceAttributesConflictLineAndAborter(t *testing.T) {
 // engine's aggregate counters under a contended multi-threaded run.
 func TestTraceEventCountsMatchStats(t *testing.T) {
 	const threads = 4
-	e, tr := newTracedEngine(t, platform.IntelCore, threads)
+	// Real concurrency and no back-off: a thread can abort dozens of times
+	// per commit when the host is busy (13277 aborts for 800 commits has
+	// been seen), so the rings must hold far more than the 1600 events a
+	// quiet run records or they overwrite and the counts below disagree.
+	tr := obs.NewTracer(threads, 1<<17)
+	e := New(platform.New(platform.IntelCore), Config{
+		Threads: threads, SpaceSize: 1 << 20, Seed: 42, Tracer: tr,
+		DisableCacheFetchAborts: true, DisablePrefetch: true,
+	})
 	setup := e.Thread(0)
 	a := setup.Alloc(64)
 

@@ -2,6 +2,7 @@ package htm
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 )
 
@@ -22,8 +23,9 @@ import (
 // Scheduling state is O(1) per handoff: thread status lives in a
 // slot-indexed slice and electable threads sit in a binary min-heap keyed
 // by (vclock, slot). A parked thread's clock never changes while it is in
-// the heap — clocks only advance on the baton holder, and unblock raises a
-// clock *before* re-inserting — so heap keys are immutable and the usual
+// the heap — clocks only advance on the baton holder or on a spinner the
+// elector has popped (pollLocked), and unblock raises a clock *before*
+// re-inserting — so heap keys are immutable and the usual
 // decrease-key machinery is unnecessary. The common yield fast path (the
 // caller is still the minimum) is a single peek at the heap root.
 type vsched struct {
@@ -42,8 +44,16 @@ type vsched struct {
 	// that makes the schedule independent of goroutine launch order (and
 	// therefore deterministic).
 	pending int
-	// handoffs counts baton elections (Engine.SchedHandoffs).
-	handoffs uint64
+	// handoffs counts baton elections (Engine.SchedHandoffs); switches counts
+	// the elections that really woke another goroutine (Engine.SchedSwitches).
+	handoffs, switches uint64
+	// epoch numbers real elections from 1, stuck counts the spinners whose
+	// predicate has failed in the current epoch (Thread.spinEpoch is the
+	// per-thread stamp), and polling is set while a predicate runs: see
+	// pollLocked.
+	epoch   uint64
+	stuck   int
+	polling bool
 }
 
 type schedStatus int
@@ -65,7 +75,17 @@ func newVsched(quantum, nThreads int) *vsched {
 		quantum: quantum,
 		status:  make([]schedStatus, nThreads),
 		running: -1,
+		epoch:   1,
 	}
+}
+
+// lock takes s.mu on behalf of a baton holder. A SpinUntil predicate runs
+// under s.mu, so one that gets here would otherwise deadlock on itself.
+func (s *vsched) lock() {
+	if s.polling {
+		panic("htm: SpinUntil predicate reached the virtual scheduler (it may only read or CAS Go-side state)")
+	}
+	s.mu.Lock()
 }
 
 // ensureSlot grows the status slice to cover slot. Caller holds s.mu.
@@ -163,26 +183,95 @@ func (s *vsched) begin(t *Thread) {
 		<-t.gate
 		return
 	}
-	first := s.electLocked()
-	s.mu.Unlock()
-	if first == t {
-		return
-	}
-	first.gate <- struct{}{}
-	<-t.gate
+	s.handoverLocked(t, s.electLocked(), true)
 }
 
-// electLocked pops the ready thread with the smallest (clock, slot), marks
-// it running and returns it; nil when no thread is electable. Caller holds
-// s.mu.
+// electLocked pops ready threads in (clock, slot) order until one can take
+// the baton, marks it running and returns it; nil when no thread is
+// electable. A thread parked in SpinUntil is polled where it would have
+// resumed: a failed poll re-inserts it at its advanced clock, which is the
+// yield its own goroutine would have made. Every pop counts as one handoff,
+// as every resumption did. Caller holds s.mu.
 func (s *vsched) electLocked() *Thread {
-	best := s.popReady()
-	if best != nil {
-		s.status[best.slot] = schedRunning
-		s.running = best.slot
+	for {
+		best := s.popReady()
+		if best == nil {
+			return nil
+		}
 		s.handoffs++
+		if best.spinTry == nil || s.pollLocked(best) {
+			s.status[best.slot] = schedRunning
+			s.running = best.slot
+			s.epoch++
+			s.stuck = 0
+			return best
+		}
+		s.pushReady(best)
 	}
-	return best
+}
+
+// pollLocked runs `for !try() { t.Pause(n) }` for t, which is outside the
+// ready heap, up to the first Pause that would give the baton away: it
+// reports true once the predicate holds (t.spinTry is then cleared, so a
+// side-effecting predicate succeeds exactly once) and false when t has to
+// be parked. The yield budget is zero while the predicate runs so that a
+// memory access on t reaches lock() at once. Caller holds s.mu.
+func (s *vsched) pollLocked(t *Thread) bool {
+	for {
+		budget := t.yieldBudget
+		t.yieldBudget, s.polling = 0, true
+		ok := t.spinTry()
+		t.yieldBudget, s.polling = budget, false
+		if ok {
+			t.spinTry = nil
+			return true
+		}
+		t.work(t.spinN)
+		t.yieldBudget = t.quantum
+		// Predicates read only what baton holders write, so once every
+		// electable thread has failed one in this epoch none ever succeeds.
+		if t.spinEpoch != s.epoch {
+			t.spinEpoch = s.epoch
+			s.stuck++
+		}
+		if s.stuck > len(s.ready) {
+			if s.pending == 0 {
+				panic(fmt.Sprintf("htm: virtual-scheduler livelock: %d threads spinning, none runnable", s.stuck))
+			}
+			// Only a registered thread still on its way to begin can help.
+			s.mu.Unlock()
+			runtime.Gosched()
+			s.mu.Lock()
+		}
+		if len(s.ready) > 0 && schedLess(s.ready[0], t) {
+			return false
+		}
+	}
+}
+
+// handoverLocked gives the baton to next, the result of electLocked, and
+// with park set waits until t is elected again. next == t (the elector
+// popped itself) costs no channel operation. Caller holds s.mu, which is
+// released here.
+func (s *vsched) handoverLocked(t, next *Thread, park bool) {
+	if next == nil {
+		s.running = -1
+		if park {
+			s.checkDeadlockLocked()
+		}
+	} else if next != t {
+		s.switches++
+	}
+	s.mu.Unlock()
+	if next == t {
+		return
+	}
+	if next != nil {
+		next.gate <- struct{}{}
+	}
+	if park {
+		<-t.gate
+	}
 }
 
 // checkDeadlockLocked panics when no thread can ever run again yet some are
@@ -205,7 +294,7 @@ func (s *vsched) checkDeadlockLocked() {
 // yield hands the baton to the minimum-clock ready thread if that is not the
 // caller. The caller must be the running thread.
 func (s *vsched) yield(t *Thread) {
-	s.mu.Lock()
+	s.lock()
 	// Fast path: caller remains the minimum — one peek at the heap root.
 	if len(s.ready) == 0 || !schedLess(s.ready[0], t) {
 		s.mu.Unlock()
@@ -213,27 +302,22 @@ func (s *vsched) yield(t *Thread) {
 	}
 	s.status[t.slot] = schedReady
 	s.pushReady(t)
-	next := s.electLocked()
-	s.mu.Unlock()
-	next.gate <- struct{}{}
-	<-t.gate
+	s.handoverLocked(t, s.electLocked(), true)
 }
 
-// block parks the running thread until Unblock marks it ready; used by the
-// scheduler-aware barrier.
-func (s *vsched) block(t *Thread) {
-	s.mu.Lock()
-	s.status[t.slot] = schedBlocked
-	next := s.electLocked()
-	if next == nil {
-		s.running = -1
-		s.checkDeadlockLocked()
+// spin is Thread.SpinUntil for the running thread t: t polls itself while
+// it remains the minimum and otherwise parks with its predicate, to be
+// polled by whoever elects next.
+func (s *vsched) spin(t *Thread, n int, try func() bool) {
+	s.lock()
+	t.spinN, t.spinTry = n, try
+	if s.pollLocked(t) {
+		s.mu.Unlock()
+		return
 	}
-	s.mu.Unlock()
-	if next != nil {
-		next.gate <- struct{}{}
-	}
-	<-t.gate
+	s.status[t.slot] = schedReady
+	s.pushReady(t)
+	s.handoverLocked(t, s.electLocked(), true)
 }
 
 // unblockLocked marks a blocked thread ready and advances its clock to at
@@ -253,19 +337,13 @@ func (s *vsched) unblockLocked(t *Thread, atClock uint64) {
 
 // exit removes the finishing thread from scheduling and passes the baton on.
 func (s *vsched) exit(t *Thread) {
-	s.mu.Lock()
+	s.lock()
 	s.status[t.slot] = schedDone
-	var next *Thread
-	if s.running == t.slot {
-		next = s.electLocked()
-		if next == nil {
-			s.running = -1
-		}
+	if s.running != t.slot {
+		s.mu.Unlock()
+		return
 	}
-	s.mu.Unlock()
-	if next != nil {
-		next.gate <- struct{}{}
-	}
+	s.handoverLocked(t, s.electLocked(), false)
 }
 
 // Barrier is a scheduler-aware cyclic barrier. In virtual mode all parties
@@ -310,21 +388,12 @@ func (b *Barrier) Wait(t *Thread) {
 		return
 	}
 	s := b.eng.sched
-	s.mu.Lock()
+	s.lock()
 	b.count++
 	if b.count < b.n {
 		b.waiters = append(b.waiters, t)
 		s.status[t.slot] = schedBlocked
-		next := s.electLocked()
-		if next == nil {
-			s.running = -1
-			s.checkDeadlockLocked()
-		}
-		s.mu.Unlock()
-		if next != nil {
-			next.gate <- struct{}{}
-		}
-		<-t.gate
+		s.handoverLocked(t, s.electLocked(), true)
 		return
 	}
 	// Last arriver: everyone resumes at the maximum clock.

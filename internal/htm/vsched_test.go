@@ -1,10 +1,15 @@
 package htm
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"htmcmp/internal/platform"
+	"htmcmp/internal/prng"
 )
 
 // runVirtualCounters runs a counter workload under the virtual scheduler and
@@ -187,6 +192,219 @@ func TestVirtualDeadlockDetection(t *testing.T) {
 	}
 	if r := <-done; r == nil {
 		t.Fatal("expected a deadlock panic from the virtual scheduler")
+	}
+}
+
+func TestVirtualLivelockDetection(t *testing.T) {
+	e := New(platform.New(platform.IntelCore), Config{
+		Threads: 2, SpaceSize: 1 << 20, Seed: 1, Virtual: true, Quantum: 1,
+	})
+	// Thread 0 exits holding a Go-side lock thread 1 is spinning on: no
+	// baton holder is left to release it. The poll that exit runs under s.mu
+	// must panic rather than spin there forever.
+	var held atomic.Int32
+	e.Thread(0).Register()
+	e.Thread(1).Register()
+	done := make(chan interface{}, 2)
+	for i := 0; i < 2; i++ {
+		go func(tid int) {
+			defer func() { done <- recover() }()
+			th := e.Thread(tid)
+			th.BeginWork()
+			if tid == 0 {
+				held.Store(1)
+				th.Work(10) // thread 1 runs, fails to acquire and parks spinning
+			} else {
+				th.SpinUntil(4, func() bool { return held.CompareAndSwap(0, 1) })
+			}
+			th.ExitWork()
+		}(i)
+	}
+	if r, _ := (<-done).(string); !strings.Contains(r, "livelock: 1 threads spinning") {
+		t.Fatalf("expected a livelock panic from the virtual scheduler, got %q", r)
+	}
+}
+
+func TestSpinUntilPredicateMustNotReachScheduler(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		try  func(*Thread, *Barrier, uint64)
+	}{
+		{"Load64", func(th *Thread, _ *Barrier, a uint64) { th.Load64(a) }},
+		{"Work", func(th *Thread, _ *Barrier, _ uint64) { th.Work(1) }},
+		{"Pause", func(th *Thread, _ *Barrier, _ uint64) { th.Pause(1) }},
+		{"Barrier.Wait", func(th *Thread, b *Barrier, _ uint64) { b.Wait(th) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The default quantum: a memory access must be caught on its
+			// first call, not on the one that exhausts the yield budget.
+			e := New(platform.New(platform.IntelCore), Config{
+				Threads: 1, SpaceSize: 1 << 20, Seed: 1, Virtual: true,
+			})
+			th, bar := e.Thread(0), e.NewBarrier(1)
+			a := th.Alloc(64)
+			th.Register()
+			done := make(chan interface{}, 1)
+			go func() {
+				defer func() { done <- recover() }()
+				th.BeginWork()
+				th.SpinUntil(4, func() bool { tc.try(th, bar, a); return true })
+			}()
+			if r, _ := (<-done).(string); !strings.Contains(r, "SpinUntil predicate") {
+				t.Fatalf("expected a panic naming SpinUntil, got %q", r)
+			}
+		})
+	}
+}
+
+func TestSpinUntilOutsideScheduledRegion(t *testing.T) {
+	// Real-concurrency threads and virtual threads that have not entered a
+	// region run the literal loop.
+	for _, virtual := range []bool{false, true} {
+		e := New(platform.New(platform.IntelCore), Config{
+			Threads: 1, SpaceSize: 1 << 20, Seed: 1, Virtual: virtual, CostScale: 1,
+		})
+		th, calls := e.Thread(0), 0
+		th.SpinUntil(4, func() bool { calls++; return calls == 3 })
+		if calls != 3 {
+			t.Errorf("virtual=%v: predicate ran %d times, want 3", virtual, calls)
+		}
+		if virtual && th.Clock() != 8 {
+			t.Errorf("two failed polls at 4 units left the clock at %d, want 8", th.Clock())
+		}
+	}
+}
+
+func TestSpinUntilWaitsForLateRegistrant(t *testing.T) {
+	// A running thread registers and spawns a second one, then spins on a
+	// flag only that thread sets: the spinner has to let it through begin
+	// instead of polling under s.mu forever or reporting a livelock.
+	e := New(platform.New(platform.IntelCore), Config{
+		Threads: 2, SpaceSize: 1 << 20, Seed: 1, Virtual: true,
+	})
+	t0, t1 := e.Thread(0), e.Thread(1)
+	var flag atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(2)
+	t0.Register()
+	go func() {
+		defer wg.Done()
+		t0.BeginWork()
+		defer t0.ExitWork()
+		t1.Register()
+		go func() {
+			defer wg.Done()
+			t1.BeginWork()
+			defer t1.ExitWork()
+			flag.Store(true)
+		}()
+		t0.SpinUntil(4, flag.Load)
+	}()
+	wg.Wait()
+}
+
+// spinOutcome is everything the virtual schedule determines in spinScenario.
+type spinOutcome struct {
+	Clocks   []uint64
+	MaxClock uint64
+	Stats    Stats
+	Handoffs uint64
+	Order    []int // lock-acquisition order, by slot
+}
+
+// spinScenario runs a seeded workload in which every thread repeatedly
+// takes a Go-side lock (the shape of tm.GlobalLock's mirror word), waits on
+// it lemming-guard style, bumps a shared counter transactionally, meets the
+// others at a barrier after its second round and exits after its own number
+// of rounds. Waits go through SpinUntil when inline is set and through the
+// loop SpinUntil is defined as otherwise.
+func spinScenario(quantum, threads int, seed uint64, inline bool) (spinOutcome, uint64) {
+	e := New(platform.New(platform.IntelCore), Config{
+		Threads: threads, SpaceSize: 1 << 20, Seed: seed, Virtual: true, CostScale: 1,
+		Quantum: quantum, DisablePrefetch: true,
+	})
+	counter := e.Thread(0).Alloc(64)
+	bar := e.NewBarrier(threads)
+	var held atomic.Int32
+	var order []int
+	wait := func(th *Thread, n int, try func() bool) {
+		if inline {
+			th.SpinUntil(n, try)
+			return
+		}
+		for !try() {
+			th.Pause(n)
+		}
+	}
+	for i := 0; i < threads; i++ {
+		e.Thread(i).Register()
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < threads; i++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			th, rng := e.Thread(tid), prng.Derive(seed, tid)
+			th.BeginWork()
+			defer th.ExitWork()
+			for round, rounds := 0, 3+rng.Intn(6); round < rounds; round++ {
+				if round == 2 {
+					bar.Wait(th)
+				}
+				for k := rng.Intn(4); k >= 0; k-- {
+					th.Work(1 + rng.Intn(120))
+				}
+				for {
+					if ok, _ := th.TryTx(TxNormal, func() {
+						v := th.Load64(counter)
+						th.Work(30)
+						th.Store64(counter, v+1)
+					}); ok {
+						break
+					}
+				}
+				if rng.Intn(3) == 0 {
+					wait(th, 1+rng.Intn(8), func() bool { return held.Load() == 0 })
+				}
+				wait(th, 1+rng.Intn(8), func() bool { return held.CompareAndSwap(0, 1) })
+				order = append(order, tid)
+				for k := rng.Intn(12); k >= 0; k-- {
+					th.Work(1 + rng.Intn(40))
+				}
+				held.Store(0)
+			}
+		}(i)
+	}
+	wg.Wait()
+	out := spinOutcome{MaxClock: e.MaxClock(), Stats: e.Stats(), Handoffs: e.SchedHandoffs(), Order: order}
+	for i := 0; i < threads; i++ {
+		out.Clocks = append(out.Clocks, e.Thread(i).Clock())
+	}
+	return out, e.SchedSwitches()
+}
+
+func TestSpinUntilEquivalentToPauseLoop(t *testing.T) {
+	for _, quantum := range []int{1, 2, 8} {
+		for _, threads := range []int{2, 4, 16} {
+			t.Run(fmt.Sprintf("q%d/t%d", quantum, threads), func(t *testing.T) {
+				aborts := uint64(0)
+				for seed := uint64(1); seed <= 8; seed++ {
+					want, _ := spinScenario(quantum, threads, seed, false)
+					got, switches := spinScenario(quantum, threads, seed, true)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d: SpinUntil run diverges from the Pause loop:\n got %+v\nwant %+v", seed, got, want)
+					}
+					aborts += got.Stats.Aborts
+					// A lock convoy: most elections are polls of parked waiters.
+					if threads == 16 && switches*5 > got.Handoffs {
+						t.Errorf("seed %d: %d goroutine switches for %d handoffs, want < 1/5", seed, switches, got.Handoffs)
+					}
+				}
+				if aborts == 0 {
+					t.Error("no transaction aborted in 8 seeds: Stats would not notice a changed schedule")
+				}
+			})
+		}
 	}
 }
 

@@ -24,6 +24,8 @@ import (
 type GlobalLock struct {
 	addr  mem.Addr
 	state atomic.Int32 // mirrors the simulated word for cheap spinning
+	// SpinUntil predicates over state, built once.
+	tryAcquire, isFree func() bool
 }
 
 // NewGlobalLock allocates the lock word in the engine's simulated memory.
@@ -32,7 +34,10 @@ func NewGlobalLock(e *htm.Engine) *GlobalLock {
 	// subscription never falsely conflicts with program data.
 	a := e.Space().AllocAligned(e.LineSize(), e.LineSize())
 	e.Space().Label(a, e.LineSize(), "tm/global-lock")
-	return &GlobalLock{addr: a}
+	l := &GlobalLock{addr: a}
+	l.tryAcquire = func() bool { return l.state.CompareAndSwap(0, 1) }
+	l.isFree = func() bool { return l.state.Load() == 0 }
+	return l
 }
 
 // Addr returns the simulated address of the lock word.
@@ -52,8 +57,8 @@ func (l *GlobalLock) SubscribedHeld(t *htm.Thread) bool {
 // Acquire takes the lock, spinning until free, then writes the simulated
 // lock word non-transactionally — which dooms every subscribed transaction.
 func (l *GlobalLock) Acquire(t *htm.Thread) {
-	for !l.state.CompareAndSwap(0, 1) {
-		t.Pause(4)
+	if !l.state.CompareAndSwap(0, 1) { // a free lock never enters the scheduler
+		t.SpinUntil(4, l.tryAcquire)
 	}
 	t.Store64(l.addr, 1)
 }
@@ -68,8 +73,8 @@ func (l *GlobalLock) Release(t *htm.Thread) {
 // the lemming effect: do not start a transaction that is doomed to abort on
 // the held lock).
 func (l *GlobalLock) WaitUntilFree(t *htm.Thread) {
-	for l.state.Load() != 0 {
-		t.Pause(4)
+	if l.state.Load() != 0 {
+		t.SpinUntil(4, l.isFree)
 	}
 }
 
