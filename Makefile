@@ -142,7 +142,7 @@ trace-smoke: build
 		echo "sweep produced no per-cell trace files"; exit 1; }
 	@for f in $(SMOKE)/traces/*.jsonl; do \
 		./$(BIN)/htmtrace -check-events $$f >/dev/null || exit 1; done
-	@grep -q '"cells_computed"' $(SMOKE)/METRICS.json || { \
+	@grep -q '"sweep_cells_computed_total"' $(SMOKE)/METRICS.json || { \
 		echo "METRICS.json missing counters:"; cat $(SMOKE)/METRICS.json; exit 1; }
 	@echo "trace-smoke ok: event report, Chrome trace, per-cell JSONL and METRICS.json all validate"
 
@@ -152,12 +152,15 @@ trace-smoke: build
 # -check-metrics), /api/state must carry the worker table, and a
 # deliberately aggressive stall threshold forces the flight recorder to
 # dump mid-sweep — any JSONL rings in the dump must pass -check-events.
+# METRICS.json and the final scrape read one registry, so they must report
+# the same cell and transaction counts.
 metrics-smoke: build
 	@set -e; \
 	rm -rf $(SMOKE)/flight $(SMOKE)/metrics.log; mkdir -p $(SMOKE)/flight; \
 	./$(BIN)/htmbench -exp fig2+3 -scale test -jobs $(JOBS) -no-cache \
 		-http 127.0.0.1:0 -sample 25ms -http-linger 15s \
 		-flight-dir $(SMOKE)/flight -flight-stall 10ms \
+		-metrics $(SMOKE)/metrics-METRICS.json \
 		>$(SMOKE)/metrics-run.txt 2>$(SMOKE)/metrics.log & pid=$$!; \
 	addr=""; for i in $$(seq 1 300); do \
 		addr=$$(sed -n 's|.*live telemetry at http://\([^/]*\)/.*|\1|p' $(SMOKE)/metrics.log | head -1); \
@@ -174,6 +177,11 @@ metrics-smoke: build
 	./$(BIN)/htmtrace -check-metrics $(SMOKE)/metrics.prom; \
 	grep -q 'htm_tx_begins_total' $(SMOKE)/metrics.prom || { echo "scrape missing engine counters"; exit 1; }; \
 	grep -q 'sweep_cells_done_total' $(SMOKE)/metrics.prom || { echo "scrape missing sweep counters"; exit 1; }; \
+	for k in sweep_cells_done_total htm_tx_begins_total; do \
+		j=$$(sed -n "s/^ *\"$$k\": *\([0-9]*\),*$$/\1/p" $(SMOKE)/metrics-METRICS.json); \
+		p=$$(awk -v k=$$k '$$1 == k { print $$2 }' $(SMOKE)/metrics.prom); \
+		[ -n "$$j" ] && [ "$$j" = "$$p" ] || { echo "$$k: METRICS.json reports '$$j', the final scrape '$$p'"; exit 1; }; \
+	done; \
 	grep -q '"workers"' $(SMOKE)/state.json || { echo "/api/state missing the worker table"; exit 1; }; \
 	grep -q 'htmcmp live telemetry' $(SMOKE)/dashboard.html || { echo "dashboard page malformed"; exit 1; }; \
 	ls -d $(SMOKE)/flight/flight-* >/dev/null 2>&1 || { echo "flight recorder never triggered"; cat $(SMOKE)/metrics.log; exit 1; }; \
@@ -183,7 +191,7 @@ metrics-smoke: build
 	for f in "$$dump"/rings-*.jsonl; do \
 		[ -e "$$f" ] || break; \
 		./$(BIN)/htmtrace -check-events "$$f" >/dev/null || exit 1; done; \
-	echo "metrics-smoke ok: live scrape validates, dashboard served, flight dump at $$dump checks out"
+	echo "metrics-smoke ok: live scrape validates and matches METRICS.json, dashboard served, flight dump at $$dump checks out"
 
 # fuzz-smoke runs each native fuzz target for $(FUZZTIME) of coverage-guided
 # input generation (generated transactional programs differentially checked

@@ -33,13 +33,11 @@ import (
 	"strings"
 	"time"
 
-	"htmcmp/internal/adapt"
 	"htmcmp/internal/cache"
 	"htmcmp/internal/chaos"
 	"htmcmp/internal/features"
 	"htmcmp/internal/harness"
 	"htmcmp/internal/harness/sweep"
-	"htmcmp/internal/htm"
 	"htmcmp/internal/obs"
 	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
@@ -62,7 +60,7 @@ func main() {
 	progress := flag.Bool("progress", true, "print live sweep progress/ETA to stderr")
 	traceDir := flag.String("trace-dir", "", "write per-cell JSONL transaction-event files into this directory (implies -resume=false: cached cells execute nothing)")
 	verify := flag.Bool("verify", false, "cross-check every planned cell under {HTM, NOrec STM, global lock} before measuring; exit non-zero on divergence")
-	metricsPath := flag.String("metrics", "", "write sweep-level counters as JSON to this file (METRICS.json style)")
+	metricsPath := flag.String("metrics", "", "write the sweep's registry counters (sweep_*, htm_tx_*, tm_mode_switches_total) as JSON to this file (METRICS.json style)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
 	httpAddr := flag.String("http", "", "serve live telemetry (dashboard at /, Prometheus text at /metrics, JSON at /api/state) on this address, e.g. :8080")
@@ -152,8 +150,6 @@ func main() {
 		cfg := obs.TelemetryConfig{
 			HTTPAddr:       *httpAddr,
 			SampleInterval: *sampleEvery,
-			Reasons:        htm.NumReasons,
-			Modes:          adapt.NumModes,
 			Workers:        *jobs,
 		}
 		if *flightDir != "" {
@@ -309,8 +305,9 @@ func reconcileTraceResume(traceDir string, resume bool, w io.Writer) bool {
 	return false
 }
 
-// writeMetrics dumps the scheduler's live counters to path (no-op when
-// empty). Written even on render failure so a partial sweep is observable.
+// writeMetrics dumps the counters of the scheduler's registry to path (no-op
+// when empty) — the names and values /metrics serves. Written even on render
+// failure so a partial sweep is observable.
 func writeMetrics(path string, sched *sweep.Scheduler) {
 	if path == "" {
 		return
@@ -321,7 +318,7 @@ func writeMetrics(path string, sched *sweep.Scheduler) {
 		return
 	}
 	defer f.Close()
-	if err := sched.Metrics().WriteJSON(f); err != nil {
+	if err := sched.Registry().WriteCountersJSON(f); err != nil {
 		fmt.Fprintf(os.Stderr, "htmbench: metrics: %v\n", err)
 	}
 }

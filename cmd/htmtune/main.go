@@ -26,11 +26,9 @@ import (
 	"sort"
 	"time"
 
-	"htmcmp/internal/adapt"
 	"htmcmp/internal/cache"
 	"htmcmp/internal/harness"
 	"htmcmp/internal/harness/sweep"
-	"htmcmp/internal/htm"
 	"htmcmp/internal/obs"
 	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
@@ -310,8 +308,6 @@ func main() {
 		tel, err = obs.StartTelemetry(obs.TelemetryConfig{
 			HTTPAddr:       *httpAddr,
 			SampleInterval: *sampleEvery,
-			Reasons:        htm.NumReasons,
-			Modes:          adapt.NumModes,
 			Workers:        *jobs,
 		})
 		if err != nil {

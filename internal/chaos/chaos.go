@@ -16,8 +16,8 @@
 // fault fires, so an engine run under the virtual-time scheduler is itself
 // reproducible.
 //
-// The injector follows the same zero-overhead discipline as the tracer,
-// witness and metrics: every hook is reachable only behind a nil check, a
+// The injector follows the same zero-overhead discipline as the tracer and
+// the witness: every hook is reachable only behind a nil check, a
 // disabled injector costs one pointer comparison, and injection is absent
 // from cache keys, so golden determinism holds bit-for-bit with chaos off.
 package chaos

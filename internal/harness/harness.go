@@ -75,11 +75,12 @@ type RunSpec struct {
 	// run and writes a <label>-r<rep>.jsonl event file per repeat into it.
 	// Excluded from JSON so sweep cache keys are unaffected by tracing.
 	TraceDir string `json:"-"`
-	// Telemetry, when set, publishes live counters from every parallel run
-	// into the shared registry and drains a small per-run tracer into the
-	// rolling event log (the flight recorder's dump source). Like TraceDir
-	// it is excluded from JSON so sweep cache keys are unaffected, and
-	// publication never charges virtual time, so measured results are
+	// Telemetry, when set, drains a small per-run tracer into the rolling
+	// event log (the flight recorder's dump source) after every parallel
+	// run. Counters do not flow through here: the sweep publishes
+	// Result.Engine into the registry when the cell completes. Like
+	// TraceDir it is excluded from JSON so sweep cache keys are unaffected,
+	// and tracing never charges virtual time, so measured results are
 	// identical with it attached.
 	Telemetry *obs.Telemetry `json:"-"`
 	// Faults, when set, attaches the chaos injector to every parallel run's
@@ -246,20 +247,16 @@ func (s RunSpec) runParOnce(seed uint64, rep int) (float64, tm.Stats, htm.Stats,
 	cfg := s.engineConfig(s.Threads, seed)
 	cfg.Faults = s.Faults
 	var tracer *obs.Tracer
-	if s.TraceDir != "" {
+	switch {
+	case s.TraceDir != "":
 		tracer = obs.NewTracer(s.Threads, obs.DefaultRingEvents)
-		cfg.Tracer = tracer
+	case s.Telemetry != nil:
+		// Telemetry alone keeps a small flight-recorder ring per thread —
+		// enough recent events to explain an anomaly, cheap enough to
+		// leave on for a whole sweep.
+		tracer = obs.NewTracer(s.Threads, obs.DefaultRingEvents/16)
 	}
-	if s.Telemetry != nil {
-		cfg.Metrics = s.Telemetry.Engine
-		if tracer == nil {
-			// Telemetry alone keeps a small flight-recorder ring per thread —
-			// enough recent events to explain an anomaly, cheap enough to
-			// leave on for a whole sweep.
-			tracer = obs.NewTracer(s.Threads, obs.DefaultRingEvents/16)
-			cfg.Tracer = tracer
-		}
-	}
+	cfg.Tracer = tracer
 	e := htm.New(s.platformSpec(), cfg)
 	b.Setup(e.Thread(0))
 	lock := tm.NewGlobalLock(e)
@@ -343,7 +340,7 @@ func Run(spec RunSpec) (Result, error) {
 		parTimes = append(parTimes, p)
 		speedups = append(speedups, seqTimes[i]/p)
 		res.TM.Add(&tmStats)
-		res.Engine = mergeEngine(res.Engine, engStats)
+		res.Engine.Add(&engStats)
 	}
 	res.ParSeconds = stats.Mean(parTimes)
 	res.Speedup = stats.Mean(speedups)
@@ -352,23 +349,4 @@ func Run(spec RunSpec) (Result, error) {
 	res.Breakdown = res.TM.CategoryBreakdown()
 	res.SerializationRatio = res.TM.SerializationRatio()
 	return res, nil
-}
-
-func mergeEngine(a, b htm.Stats) htm.Stats {
-	a.Begins += b.Begins
-	a.Commits += b.Commits
-	a.Aborts += b.Aborts
-	for i := range a.AbortsByReason {
-		a.AbortsByReason[i] += b.AbortsByReason[i]
-	}
-	a.TxLoads += b.TxLoads
-	a.TxStores += b.TxStores
-	a.SpecIDWaits += b.SpecIDWaits
-	if b.MaxReadLines > a.MaxReadLines {
-		a.MaxReadLines = b.MaxReadLines
-	}
-	if b.MaxWriteLines > a.MaxWriteLines {
-		a.MaxWriteLines = b.MaxWriteLines
-	}
-	return a
 }

@@ -66,7 +66,7 @@ func (s *Scheduler) computeHealed(c Cell, key string) (outcome, healInfo) {
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			time.Sleep(chaos.Backoff(s.cfg.Seed, key, a-1, s.cfg.RetryBackoff, s.cfg.RetryBackoffCap))
-			s.noteRetry()
+			s.count[cellsRetried].Inc()
 		}
 		hi.attempts = a + 1
 		began := time.Now()
@@ -138,45 +138,18 @@ func (s *Scheduler) retryQuarantined() {
 		return
 	}
 	s.progressf("sweep: %d cell(s) quarantined; serial retry pass", len(quar))
-	m := s.cfg.Metrics
 	for _, q := range quar {
 		began := time.Now()
 		o := s.executeAttempt(q.c, q.key, s.cfg.Retries+1)
-		secs := time.Since(began).Seconds()
 		if o.err == nil {
-			s.est.observe(q.c, secs)
-			if s.cfg.Cache != nil {
-				rec := record{Cell: q.c, Seconds: secs}
-				if q.c.Kind == Footprint {
-					fp := o.fp
-					rec.Footprint = &fp
-				} else {
-					res := o.res
-					rec.Result = &res
-				}
-				if err := s.cfg.Cache.Put(q.key, rec); err != nil {
-					s.progressf("sweep: warning: %v", err)
-				}
-			}
-			m.Add("cells_recovered", 1)
-			if s.tc != nil {
-				s.tc.recovered.Inc(0)
-			}
+			s.landed(q.c, q.key, o, time.Since(began).Seconds(), true)
 			s.progressf("sweep: quarantine: %s recovered", q.c.Label())
 		} else {
-			m.Add("cells_failed", 1)
-			if s.tc != nil {
-				s.tc.failed.Inc(0)
-			}
+			s.count[cellsFailed].Inc()
 			s.progressf("sweep: quarantine: %s failed for good: %s", q.c.Label(), firstLine(o.err.Error()))
 		}
 		s.mu.Lock()
 		s.memo[q.key] = o
-		if o.err == nil {
-			s.recovered++
-		} else {
-			s.failed++
-		}
 		s.mu.Unlock()
 	}
 }
@@ -198,7 +171,7 @@ func (s *Scheduler) maybeCrashWorker(deques []*deque, self int, c Cell) {
 		return // this cell already took a worker down once
 	}
 	inj.Note(chaos.WorkerCrash)
-	s.noteRetry()
+	s.count[cellsRetried].Inc() // the requeue is a re-executed attempt
 	s.markDisrupted(key)
 	deques[self].push(c)
 	panic(workerCrash{})
@@ -240,18 +213,6 @@ func (s *Scheduler) afflictRecord(c Cell, key string) {
 	}
 }
 
-// noteRetry counts one re-executed attempt (a backoff retry or a
-// worker-crash requeue) in the progress counters, metrics and registry.
-func (s *Scheduler) noteRetry() {
-	s.mu.Lock()
-	s.retried++
-	s.mu.Unlock()
-	s.cfg.Metrics.Add("cells_retried", 1)
-	if s.tc != nil {
-		s.tc.retries.Inc(0)
-	}
-}
-
 // noteEviction observes a cache-record eviction (wired as the store's
 // OnEvict hook in New): log it, count it, and mark the key disrupted so its
 // successful recompute is credited as Recovered.
@@ -261,14 +222,8 @@ func (s *Scheduler) noteEviction(key string, reason error) {
 		short = short[:12]
 	}
 	s.progressf("sweep: cache: evicted record %s: %v (will recompute)", short, reason)
-	s.mu.Lock()
-	s.evicted++
-	s.disrupted[key] = true
-	s.mu.Unlock()
-	s.cfg.Metrics.Add("cache_evictions", 1)
-	if s.tc != nil {
-		s.tc.evictions.Inc(0)
-	}
+	s.count[cacheEvictions].Inc()
+	s.markDisrupted(key)
 }
 
 // markCrashed records that the cell's key crashed a worker; reports false if

@@ -1,0 +1,251 @@
+package sweep
+
+// One counter set from thread to dashboard: the scheduler counts every cell
+// outcome once, into registry counters, and everything that reports — the
+// Summary a Prewarm pass returns, the -metrics JSON, the Prometheus
+// exposition — reads those counters back. These tests pin that the three
+// views agree under every healing path, that the engine series are exactly
+// the computed cells' Result.Engine, and that cache hits publish nothing.
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"htmcmp/internal/adapt"
+	"htmcmp/internal/cache"
+	"htmcmp/internal/chaos"
+	"htmcmp/internal/htm"
+	"htmcmp/internal/obs"
+	"htmcmp/internal/tm"
+)
+
+// registryCells is testCells plus the same four cells under the adaptive
+// runtime on a two-entry TMCAM: the POWER8 ones overflow it and are demoted
+// to STM, so the mode-switch series has something to carry.
+func registryCells() []Cell {
+	cells := testCells()
+	for _, c := range testCells() {
+		c.Spec.Adaptive = true
+		c.Spec.TMCAMEntries = 2
+		cells = append(cells, c)
+	}
+	return cells
+}
+
+// promCounters parses the counter samples of a Prometheus text exposition.
+func promCounters(t *testing.T, text string) map[string]uint64 {
+	t.Helper()
+	out := map[string]uint64{}
+	kind := ""
+	sc := bufio.NewScanner(strings.NewReader(text))
+	for sc.Scan() {
+		line := sc.Text()
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			kind = f[3]
+			continue
+		}
+		if kind != "counter" {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseUint(line[i+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// counterViews returns the registry's counters as the -metrics JSON and the
+// Prometheus exposition report them, having checked that the two agree name
+// for name and value for value.
+func counterViews(t *testing.T, reg *obs.Registry) map[string]uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteCountersJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fromJSON := map[string]uint64{}
+	if err := json.Unmarshal(buf.Bytes(), &fromJSON); err != nil {
+		t.Fatalf("-metrics JSON: %v\n%s", err, buf.Bytes())
+	}
+	var sb strings.Builder
+	if err := reg.WritePromText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.ValidatePromText(strings.NewReader(sb.String())); err != nil {
+		t.Fatalf("exposition invalid: %v", err)
+	}
+	fromProm := promCounters(t, sb.String())
+	if len(fromJSON) != len(fromProm) {
+		t.Errorf("-metrics JSON has %d counters, the exposition %d", len(fromJSON), len(fromProm))
+	}
+	for name, v := range fromJSON {
+		if pv, ok := fromProm[name]; !ok || pv != v {
+			t.Errorf("%s: -metrics JSON %d, exposition %d (present %v)", name, v, pv, ok)
+		}
+	}
+	return fromJSON
+}
+
+// summaryCounters maps a Summary's counts to the counter names that carry
+// them.
+func summaryCounters(s Summary) map[string]uint64 {
+	return map[string]uint64{
+		tallyNames[cellsDone]:        uint64(s.Computed + s.Cached),
+		tallyNames[cellsCached]:      uint64(s.Cached),
+		tallyNames[cellsComputed]:    uint64(s.Computed),
+		tallyNames[cellsFailed]:      uint64(s.Failed),
+		tallyNames[cellsRetried]:     uint64(s.Retried),
+		tallyNames[cellsQuarantined]: uint64(s.Quarantined),
+		tallyNames[cellsRecovered]:   uint64(s.Recovered),
+		tallyNames[cacheEvictions]:   uint64(s.Evicted),
+		tallyNames[steals]:           uint64(s.Steals),
+	}
+}
+
+// engineCounters maps summed engine and runtime counts to the series names
+// that carry them.
+func engineCounters(eng htm.Stats, rt tm.Stats) map[string]uint64 {
+	out := map[string]uint64{
+		"htm_tx_begins_total":  eng.Begins,
+		"htm_tx_commits_total": eng.Commits,
+		"htm_tx_aborts_total":  eng.Aborts,
+	}
+	for r, n := range eng.AbortsByReason {
+		out[`htm_tx_aborts_by_reason_total{reason="`+htm.Reason(r).String()+`"}`] = n
+	}
+	for m, n := range rt.ModeSwitchesTo {
+		out[`tm_mode_switches_total{to="`+adapt.Mode(m).String()+`"}`] = n
+	}
+	return out
+}
+
+func TestRegistryAgreesWithSummaryAndEngineStats(t *testing.T) {
+	rates := func(classes ...chaos.Class) (r [chaos.NumClasses]float64) {
+		for _, c := range classes {
+			r[c] = 1
+		}
+		return r
+	}
+	cases := []struct {
+		name string
+		// tornCache starts the sweep on a store whose every record is torn,
+		// so each cell is an eviction and a recompute.
+		tornCache bool
+		rates     [chaos.NumClasses]float64
+		persist   int // attempts an affliction survives
+		retries   int
+		// moved names the healing counters the scenario must advance, per
+		// cell; all the others must stay at zero.
+		moved map[tally]int
+	}{
+		{name: "retry", rates: rates(chaos.CellPanic), persist: 1, retries: 2,
+			moved: map[tally]int{cellsRetried: 1, cellsRecovered: 1}},
+		{name: "quarantine", rates: rates(chaos.CellPanic), persist: 2, retries: 1,
+			moved: map[tally]int{cellsRetried: 1, cellsQuarantined: 1, cellsRecovered: 1}},
+		{name: "worker-crash", rates: rates(chaos.WorkerCrash), persist: 1, retries: 2,
+			moved: map[tally]int{cellsRetried: 1, cellsRecovered: 1}},
+		{name: "cache-eviction", tornCache: true, persist: 1, retries: 1,
+			moved: map[tally]int{cacheEvictions: 1, cellsRecovered: 1}},
+		{name: "all-at-once", tornCache: true, rates: rates(chaos.CellPanic, chaos.WorkerCrash), persist: 2, retries: 1,
+			moved: map[tally]int{cellsRetried: 2, cellsQuarantined: 1, cellsRecovered: 1, cacheEvictions: 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cells := registryCells()
+			store, err := cache.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.tornCache {
+				tear := chaos.Config{Seed: 4, Rates: rates(chaos.CacheCorrupt)}
+				if sum := New(Config{Jobs: 2, Cache: store, Faults: chaos.New(tear)}).Prewarm(cells); sum.Failed != 0 {
+					t.Fatalf("tearing pass: %s", sum)
+				}
+			}
+			tel, err := obs.StartTelemetry(obs.TelemetryConfig{SampleInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tel.Close()
+			s := New(Config{
+				Jobs: 2, Cache: store, Resume: true, Telemetry: tel, Retries: tc.retries, Seed: 7,
+				Faults:       chaos.New(chaos.Config{Seed: 3, Rates: tc.rates, Persist: tc.persist}),
+				RetryBackoff: time.Millisecond, RetryBackoffCap: 4 * time.Millisecond,
+			})
+			if s.Registry() != tel.Registry {
+				t.Fatal("scheduler did not adopt the telemetry registry")
+			}
+
+			// Two passes on one scheduler, half the cells each: every pass
+			// reports its own cells, the registry their sum.
+			half := len(cells) / 2
+			want := map[string]uint64{}
+			for i, pass := range [][]Cell{cells[:half], cells[half:]} {
+				sum := s.Prewarm(pass)
+				if sum.Cells != half || sum.Computed != half || sum.Cached != 0 || sum.Failed != 0 {
+					t.Fatalf("pass %d summary = %s, want %d cells, all computed", i+1, sum, half)
+				}
+				for tl := cellsRetried; tl < steals; tl++ {
+					if got, want := summaryCounters(sum)[tallyNames[tl]], uint64(tc.moved[tl]*half); got != want {
+						t.Errorf("pass %d: %s = %d in the summary, want %d (%s)", i+1, tallyNames[tl], got, want, sum)
+					}
+				}
+				for name, v := range summaryCounters(sum) {
+					want[name] += v
+				}
+			}
+
+			// Every cell was computed here, so the engine series are the sum
+			// of the results the scheduler serves.
+			var eng htm.Stats
+			var rt tm.Stats
+			for _, c := range cells {
+				res, err := s.Measure(c.Spec, false)
+				if err != nil {
+					t.Fatalf("cell %s: %v", c.Label(), err)
+				}
+				eng.Add(&res.Engine)
+				rt.Add(&res.TM)
+			}
+			if eng.Begins == 0 || eng.Aborts == 0 || rt.ModeSwitches == 0 {
+				t.Fatalf("cells too quiet to prove anything: %+v / %+v", eng, rt)
+			}
+			for name, v := range engineCounters(eng, rt) {
+				want[name] = v
+			}
+
+			got := counterViews(t, s.Registry())
+			for name, v := range want {
+				if gv, ok := got[name]; !ok || gv != v {
+					t.Errorf("%s = %d in the registry (present %v), want %d", name, gv, ok, v)
+				}
+			}
+
+			// A second scheduler on the same registry and the now-intact
+			// store: every cell is a cache hit, which moves done and cached
+			// and not one engine series.
+			warm := New(Config{Jobs: 2, Cache: store, Resume: true, Telemetry: tel})
+			sum := warm.Prewarm(cells)
+			if sum.Cached != len(cells) || sum.Computed != 0 {
+				t.Fatalf("warm summary = %s, want %d cache hits", sum, len(cells))
+			}
+			for name, v := range summaryCounters(sum) {
+				want[name] += v
+			}
+			after := counterViews(t, tel.Registry)
+			for name, v := range want {
+				if after[name] != v {
+					t.Errorf("after the warm pass %s = %d, want %d", name, after[name], v)
+				}
+			}
+		})
+	}
+}

@@ -23,9 +23,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"htmcmp/internal/adapt"
 	"htmcmp/internal/cache"
 	"htmcmp/internal/chaos"
 	"htmcmp/internal/harness"
+	"htmcmp/internal/htm"
 	"htmcmp/internal/obs"
 	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
@@ -142,18 +144,12 @@ type Config struct {
 	// produce no files; the directory is injected into cells only after
 	// their cache keys are computed, so tracing never perturbs identity.
 	TraceDir string
-	// Metrics receives live counters (cells_done, cells_cached,
-	// cells_computed, cells_failed, cells_retried, cells_quarantined,
-	// cells_recovered, cache_evictions, tx_begins, tx_commits, tx_aborts)
-	// as cells complete; the progress line reads them. New allocates one
-	// when nil.
-	Metrics *obs.Metrics `json:"-"`
-	// Telemetry, when set, is threaded into every computed cell's RunSpec
-	// (live engine counters + flight-recorder event segments), mirrored
-	// into registry counters (sweep_cells_*_total, sweep_steals_total) and
-	// the sweep_eta_seconds gauge, and kept current in the worker table
-	// the dashboard renders. Injected after cache keys are computed, so —
-	// like TraceDir — it never perturbs cache identity.
+	// Telemetry, when set, makes its registry the one the scheduler counts
+	// into (without it the scheduler keeps a private one — see Registry), is
+	// threaded into every computed cell's RunSpec (flight-recorder event
+	// segments), and is kept current in the worker table the dashboard
+	// renders. Injected after cache keys are computed, so — like TraceDir —
+	// it never perturbs cache identity.
 	Telemetry *obs.Telemetry `json:"-"`
 	// Retries is the per-cell bounded retry budget (heal.go): a failed or
 	// chaos-afflicted attempt is re-executed up to Retries times with
@@ -240,44 +236,60 @@ func (s Summary) String() string {
 type Scheduler struct {
 	cfg Config
 	est *estimator
-	tc  *telemetryCounters // nil without cfg.Telemetry
+	reg *obs.Registry // cfg.Telemetry's when given, private otherwise
+
+	// The scheduler's registry handles. Every cell outcome is counted by one
+	// statement into count; Summary, the progress line and the ETA read the
+	// same counters back. engine receives each computed cell's engine and
+	// runtime counts.
+	count  [numTallies]*obs.Counter
+	eta    *obs.Gauge
+	engine *obs.EngineMetrics
 
 	mu       sync.Mutex
 	memo     map[string]outcome
 	lastLine time.Time
 
-	// progress counters (guarded by mu)
-	total    int
-	done     int
-	computed int
-	cached   int
-	failed   int
-	workers  int
-	start    time.Time
+	// The current Prewarm pass (guarded by mu). The counters run for the
+	// scheduler's lifetime; base is their reading at the top of the pass,
+	// and a per-pass figure is the advance since then (inPass).
+	total   int
+	workers int
+	start   time.Time
+	base    [numTallies]uint64
 
 	// self-healing state (heal.go; guarded by mu)
-	retried     int
-	quarantined int
-	recovered   int
-	evicted     int
-	quarantine  []quarCell      // cells awaiting the serial retry pass
-	disrupted   map[string]bool // keys recovering from eviction/worker crash
-	crashed     map[string]bool // keys that already took a worker down once
+	quarantine []quarCell      // cells awaiting the serial retry pass
+	disrupted  map[string]bool // keys recovering from eviction/worker crash
+	crashed    map[string]bool // keys that already took a worker down once
 }
 
-// telemetryCounters are the scheduler's pre-resolved registry handles
-// (registered once in New; bumped as cells complete).
-type telemetryCounters struct {
-	done        *obs.Counter
-	cached      *obs.Counter
-	computed    *obs.Counter
-	failed      *obs.Counter
-	steals      *obs.Counter
-	retries     *obs.Counter
-	quarantined *obs.Counter
-	recovered   *obs.Counter
-	evictions   *obs.Counter
-	eta         *obs.Gauge
+// tally names one of the scheduler's outcome counters.
+type tally int
+
+const (
+	cellsDone tally = iota // obtained by any route: cellsCached + cellsComputed
+	cellsCached
+	cellsComputed
+	cellsFailed
+	cellsRetried
+	cellsQuarantined
+	cellsRecovered
+	cacheEvictions
+	steals
+	numTallies
+)
+
+var tallyNames = [numTallies]string{
+	cellsDone:        "sweep_cells_done_total",
+	cellsCached:      "sweep_cells_cached_total",
+	cellsComputed:    "sweep_cells_computed_total",
+	cellsFailed:      "sweep_cells_failed_total",
+	cellsRetried:     "sweep_cell_retries_total",
+	cellsQuarantined: "sweep_cells_quarantined_total",
+	cellsRecovered:   "sweep_cells_recovered_total",
+	cacheEvictions:   "sweep_cache_evictions_total",
+	steals:           "sweep_steals_total",
 }
 
 // New builds a Scheduler from cfg.
@@ -285,28 +297,20 @@ func New(cfg Config) *Scheduler {
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewMetrics()
-	}
 	s := &Scheduler{
 		cfg: cfg, memo: map[string]outcome{}, est: newEstimator(),
 		disrupted: map[string]bool{}, crashed: map[string]bool{},
 	}
-	if tel := cfg.Telemetry; tel != nil {
-		reg := tel.Registry
-		s.tc = &telemetryCounters{
-			done:        reg.Counter("sweep_cells_done_total"),
-			cached:      reg.Counter("sweep_cells_cached_total"),
-			computed:    reg.Counter("sweep_cells_computed_total"),
-			failed:      reg.Counter("sweep_cells_failed_total"),
-			steals:      reg.Counter("sweep_steals_total"),
-			retries:     reg.Counter("sweep_cell_retries_total"),
-			quarantined: reg.Counter("sweep_cells_quarantined"),
-			recovered:   reg.Counter("sweep_cells_recovered_total"),
-			evictions:   reg.Counter("sweep_cache_evictions_total"),
-			eta:         reg.Gauge("sweep_eta_seconds"),
-		}
+	if cfg.Telemetry != nil {
+		s.reg = cfg.Telemetry.Registry
+	} else {
+		s.reg = obs.NewRegistry()
 	}
+	for t, name := range tallyNames {
+		s.count[t] = s.reg.Counter(name)
+	}
+	s.eta = s.reg.Gauge("sweep_eta_seconds")
+	s.engine = obs.NewEngineMetrics(s.reg, htm.NumReasons, adapt.NumModes)
 	if cfg.Cache != nil {
 		// Evictions — Get detecting a torn record, or the identity check in
 		// obtain catching a stale one — are recoveries: log them, count them,
@@ -322,8 +326,16 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
-// Metrics returns the scheduler's live counter set.
-func (s *Scheduler) Metrics() *obs.Metrics { return s.cfg.Metrics }
+// Registry returns the registry the scheduler counts into: the sweep_*
+// outcome counters, the sweep_eta_seconds gauge, and the htm_tx_* / by-reason
+// / tm_mode_switches_total series of every cell computed here.
+func (s *Scheduler) Registry() *obs.Registry { return s.reg }
+
+// inPass returns how far counter t has advanced in the current Prewarm pass;
+// callers hold mu.
+func (s *Scheduler) inPass(t tally) int {
+	return int(s.count[t].Value() - s.base[t])
+}
 
 // cellRunner is the signature of the runCellHook test seam.
 type cellRunner func(Cell) (harness.Result, trace.Footprint, error)
@@ -391,8 +403,9 @@ func (s *Scheduler) execCell(c Cell, af affliction) outcome {
 }
 
 // obtain returns the cell's outcome: memo hit, cache hit, or computed now.
-// fromPool marks calls from the Prewarm workers (they update the progress
-// counters); render-pass misses go through with fromPool=false.
+// fromPool marks calls from the Prewarm workers (they drive the progress
+// line and the ETA, and may quarantine); render-pass misses go through with
+// fromPool=false.
 func (s *Scheduler) obtain(c Cell, fromPool bool) outcome {
 	key, err := c.Key()
 	if err != nil {
@@ -439,7 +452,7 @@ func (s *Scheduler) obtain(c Cell, fromPool bool) outcome {
 			}
 		}
 	}
-	recovered, quarantined := false, false
+	quarantined := false
 	if !cached {
 		if s.cfg.TraceDir != "" {
 			c.TraceDir = s.cfg.TraceDir
@@ -451,27 +464,9 @@ func (s *Scheduler) obtain(c Cell, fromPool bool) outcome {
 		var hi healInfo
 		o, hi = s.computeHealed(c, key)
 		if o.err == nil {
-			s.est.observe(c, hi.seconds)
-			// The cell landed after a disruption — a retried attempt, a
-			// worker-crash requeue, or a corrupt-cache eviction — so the
-			// sweep healed it.
-			recovered = hi.recovered || s.takeDisrupted(key)
-			if s.cfg.Cache != nil {
-				rec := record{Cell: c, Seconds: hi.seconds}
-				if c.Kind == Footprint {
-					fp := o.fp
-					rec.Footprint = &fp
-				} else {
-					res := o.res
-					rec.Result = &res
-				}
-				// A failed Put (e.g. unencodable value) only costs a
-				// recompute next run; it must not fail the sweep.
-				if err := s.cfg.Cache.Put(key, rec); err != nil {
-					s.progressf("sweep: warning: %v", err)
-				} else {
-					s.afflictRecord(c, key)
-				}
+			// hi.recovered: the cell landed after a retried attempt.
+			if s.landed(c, key, o, hi.seconds, hi.recovered) {
+				s.afflictRecord(c, key)
 			}
 		} else if hi.quarantine && fromPool {
 			// Retry budget exhausted: demote to the serial single-retry pass
@@ -480,86 +475,73 @@ func (s *Scheduler) obtain(c Cell, fromPool bool) outcome {
 		}
 	}
 
-	m := s.cfg.Metrics
-	m.Add("cells_done", 1)
-	if cached {
-		m.Add("cells_cached", 1)
-	} else {
-		m.Add("cells_computed", 1)
-	}
-	if recovered {
-		m.Add("cells_recovered", 1)
-	}
-	if quarantined {
-		m.Add("cells_quarantined", 1)
-	}
-	if tc := s.tc; tc != nil {
-		tc.done.Inc(0)
-		if cached {
-			tc.cached.Inc(0)
-		} else {
-			tc.computed.Inc(0)
-		}
-		if o.err != nil && !quarantined {
-			tc.failed.Inc(0)
-		}
-		if recovered {
-			tc.recovered.Inc(0)
-		}
-		if quarantined {
-			tc.quarantined.Inc(0)
-		}
-	}
-	if o.err != nil {
-		if !quarantined {
-			m.Add("cells_failed", 1)
-		}
-	} else if c.Kind != Footprint {
-		m.Add("tx_begins", o.res.Engine.Begins)
-		m.Add("tx_commits", o.res.Engine.Commits)
-		m.Add("tx_aborts", o.res.Engine.Aborts)
-	}
-
 	if fromPool {
 		s.est.cellDone(c)
 	}
+	// Counted under mu so the progress line below sees each cell exactly
+	// once, in order.
 	s.mu.Lock()
 	s.memo[key] = o
+	s.count[cellsDone].Inc()
+	if cached {
+		s.count[cellsCached].Inc()
+	} else {
+		s.count[cellsComputed].Inc()
+	}
+	switch {
+	case quarantined:
+		s.count[cellsQuarantined].Inc()
+		s.quarantine = append(s.quarantine, quarCell{c: c, key: key})
+	case o.err != nil:
+		s.count[cellsFailed].Inc()
+	}
 	if fromPool {
-		s.done++
-		if cached {
-			s.cached++
-		} else {
-			s.computed++
-		}
-		switch {
-		case quarantined:
-			s.quarantined++
-			s.quarantine = append(s.quarantine, quarCell{c: c, key: key})
-		case o.err != nil:
-			s.failed++
-		}
-		if recovered {
-			s.recovered++
-		}
-		if s.tc != nil {
-			if eta, ok := s.etaSecondsLocked(); ok {
-				s.tc.eta.Set(int64(eta))
-			} else {
-				s.tc.eta.Set(0)
-			}
-		}
+		remaining, _ := s.etaSecondsLocked()
+		s.eta.Set(int64(remaining))
 		s.emitProgressLocked(c, cached)
 	}
 	s.mu.Unlock()
 	return o
 }
 
+// landed banks a successfully computed cell: the estimator learns its
+// duration, the registry receives its engine and runtime counts — here and
+// nowhere else, so a cache hit publishes nothing and a warm sweep does not
+// look like an abort storm — and the record goes to the cache. recovered
+// marks a cell that needed a retry or the quarantine pass; a cell whose key
+// was disrupted (worker crash, cache eviction) counts as recovered too. It
+// reports whether a cache record was written.
+func (s *Scheduler) landed(c Cell, key string, o outcome, seconds float64, recovered bool) (stored bool) {
+	s.est.observe(c, seconds)
+	if recovered || s.takeDisrupted(key) {
+		s.count[cellsRecovered].Inc()
+	}
+	rec := record{Cell: c, Seconds: seconds}
+	if c.Kind == Footprint {
+		rec.Footprint = &o.fp
+	} else {
+		rec.Result = &o.res
+		eng, tm := &o.res.Engine, &o.res.TM
+		s.engine.Publish(eng.Begins, eng.Commits, eng.Aborts, eng.AbortsByReason[:], tm.ModeSwitchesTo[:])
+	}
+	if s.cfg.Cache == nil {
+		return false
+	}
+	// A failed Put (e.g. unencodable value) only costs a recompute next run;
+	// it must not fail the sweep.
+	if err := s.cfg.Cache.Put(key, rec); err != nil {
+		s.progressf("sweep: warning: %v", err)
+		return false
+	}
+	return true
+}
+
 // etaSecondsLocked estimates the remaining wall-clock seconds of the current
 // Prewarm pass (callers hold mu); ok is false until the estimator has a real
 // duration to calibrate against.
 func (s *Scheduler) etaSecondsLocked() (float64, bool) {
-	if s.done == 0 || s.done >= s.total || !s.est.calibrated() {
+	done := s.inPass(cellsDone)
+	if done == 0 || done >= s.total || !s.est.calibrated() {
 		return 0, false
 	}
 	remaining := s.est.remainingSeconds()
@@ -568,7 +550,7 @@ func (s *Scheduler) etaSecondsLocked() (float64, bool) {
 	}
 	// Remaining cells that will be cache hits are discounted by the pass's
 	// observed compute ratio.
-	remaining *= float64(s.computed) / float64(s.done)
+	remaining *= float64(s.inPass(cellsComputed)) / float64(done)
 	return remaining, true
 }
 
@@ -578,28 +560,24 @@ func (s *Scheduler) emitProgressLocked(c Cell, cached bool) {
 	if s.cfg.Progress == nil {
 		return
 	}
+	done := s.inPass(cellsDone)
 	now := time.Now()
-	if s.done < s.total && now.Sub(s.lastLine) < 250*time.Millisecond {
+	if done < s.total && now.Sub(s.lastLine) < 250*time.Millisecond {
 		return
 	}
 	s.lastLine = now
-	line := fmt.Sprintf("sweep %d/%d (%.0f%%)", s.done, s.total,
-		100*float64(s.done)/float64(s.total))
-	if s.cached > 0 {
-		line += fmt.Sprintf(" cached=%d", s.cached)
+	line := fmt.Sprintf("sweep %d/%d (%.0f%%)", done, s.total,
+		100*float64(done)/float64(s.total))
+	field := func(name string, t tally) {
+		if n := s.inPass(t); n > 0 {
+			line += fmt.Sprintf(" %s=%d", name, n)
+		}
 	}
-	if s.failed > 0 {
-		line += fmt.Sprintf(" failed=%d", s.failed)
-	}
-	if s.retried > 0 {
-		line += fmt.Sprintf(" retried=%d", s.retried)
-	}
-	if s.quarantined > 0 {
-		line += fmt.Sprintf(" quarantined=%d", s.quarantined)
-	}
-	if s.recovered > 0 {
-		line += fmt.Sprintf(" recovered=%d", s.recovered)
-	}
+	field("cached", cellsCached)
+	field("failed", cellsFailed)
+	field("retried", cellsRetried)
+	field("quarantined", cellsQuarantined)
+	field("recovered", cellsRecovered)
 	// ETA = per-class EWMA durations weighted by the remaining planned
 	// work, divided across the worker pool. The old global-mean estimate
 	// was wildly optimistic early on: cheap ssca2 cells finish first and
@@ -610,9 +588,9 @@ func (s *Scheduler) emitProgressLocked(c Cell, cached bool) {
 		eta := time.Duration(remaining * float64(time.Second))
 		line += fmt.Sprintf(" eta=%s", eta.Round(time.Second))
 	}
-	// The live counters also feed the line, so a watcher sees simulated
-	// transaction volume without waiting for the summary.
-	if aborts := s.cfg.Metrics.Get("tx_aborts"); aborts > 0 {
+	// The engine counters also feed the line, so a watcher sees the
+	// simulated abort volume of the cells computed so far.
+	if aborts := s.engine.Aborts.Value(); aborts > 0 {
 		line += fmt.Sprintf(" aborts=%d", aborts)
 	}
 	line += " last=" + c.Label()
@@ -671,8 +649,9 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 
 	s.mu.Lock()
 	s.total = len(unique)
-	s.done, s.computed, s.cached, s.failed = 0, 0, 0, 0
-	s.retried, s.quarantined, s.recovered, s.evicted = 0, 0, 0, 0
+	for t := range s.base {
+		s.base[t] = s.count[t].Value()
+	}
 	s.quarantine = nil
 	s.disrupted = map[string]bool{}
 	s.crashed = map[string]bool{}
@@ -688,7 +667,6 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 		tel.SetWorkers(workers)
 	}
 
-	var steals atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < jobs; i++ {
 		wg.Add(1)
@@ -697,7 +675,7 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 			// Supervisor loop: a chaos-crashed worker (heal.go) requeues its
 			// cell before dying and is restarted here, so an injected crash
 			// never strands work or shrinks the pool.
-			for s.runWorker(deques, self, workers, &steals) {
+			for s.runWorker(deques, self, workers) {
 				s.progressf("sweep: worker %d crashed (injected); restarting", self)
 			}
 		}(i)
@@ -707,26 +685,25 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 	s.est.save(s.cfg.Cache)
 
 	s.mu.Lock()
-	sum := Summary{
+	defer s.mu.Unlock()
+	return Summary{
 		Cells:       s.total,
-		Computed:    s.computed,
-		Cached:      s.cached,
-		Failed:      s.failed,
-		Steals:      int(steals.Load()),
-		Retried:     s.retried,
-		Quarantined: s.quarantined,
-		Recovered:   s.recovered,
-		Evicted:     s.evicted,
+		Computed:    s.inPass(cellsComputed),
+		Cached:      s.inPass(cellsCached),
+		Failed:      s.inPass(cellsFailed),
+		Steals:      s.inPass(steals),
+		Retried:     s.inPass(cellsRetried),
+		Quarantined: s.inPass(cellsQuarantined),
+		Recovered:   s.inPass(cellsRecovered),
+		Evicted:     s.inPass(cacheEvictions),
 		Elapsed:     time.Since(s.start),
 	}
-	s.mu.Unlock()
-	return sum
 }
 
 // runWorker drains cells until every deque is empty. It reports true when
 // the worker died to an injected crash (the supervisor restarts it) and
 // false when the pass is over.
-func (s *Scheduler) runWorker(deques []*deque, self int, workers *obs.WorkerTable, steals *atomic.Int64) (crashed bool) {
+func (s *Scheduler) runWorker(deques []*deque, self int, workers *obs.WorkerTable) (crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(workerCrash); ok {
@@ -743,10 +720,9 @@ func (s *Scheduler) runWorker(deques []*deque, self int, workers *obs.WorkerTabl
 			if !ok {
 				return false
 			}
-			steals.Add(1)
+			s.count[steals].Inc()
 			if workers != nil {
 				workers.NoteSteal(self)
-				s.tc.steals.Inc(self)
 			}
 		}
 		// The crash point sits before Begin so the worker table never shows

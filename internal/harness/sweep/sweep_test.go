@@ -306,7 +306,7 @@ func TestPlanTune(t *testing.T) {
 }
 
 // TestMetricsAndTraceDir exercises the observability hooks: the scheduler
-// counts cells and transactions in its live metrics, writes per-cell event
+// counts cells and their transactions in its registry, writes per-cell event
 // files when TraceDir is set, and cells served from cache leave no files.
 func TestMetricsAndTraceDir(t *testing.T) {
 	cells := testCells()
@@ -321,15 +321,15 @@ func TestMetricsAndTraceDir(t *testing.T) {
 		t.Fatalf("summary = %s", sum)
 	}
 
-	m := s.Metrics()
-	if got := m.Get("cells_done"); got != uint64(len(cells)) {
-		t.Errorf("cells_done = %d, want %d", got, len(cells))
+	m := s.Registry().CounterValues()
+	if got := m["sweep_cells_done_total"]; got != uint64(len(cells)) {
+		t.Errorf("sweep_cells_done_total = %d, want %d", got, len(cells))
 	}
-	if got := m.Get("cells_computed"); got != uint64(len(cells)) {
-		t.Errorf("cells_computed = %d, want %d", got, len(cells))
+	if got := m["sweep_cells_computed_total"]; got != uint64(len(cells)) {
+		t.Errorf("sweep_cells_computed_total = %d, want %d", got, len(cells))
 	}
-	if m.Get("tx_commits") == 0 || m.Get("tx_begins") == 0 {
-		t.Errorf("transaction counters stayed zero: %v", m.Snapshot())
+	if m["htm_tx_commits_total"] == 0 || m["htm_tx_begins_total"] == 0 {
+		t.Errorf("transaction counters stayed zero: %v", m)
 	}
 
 	names, err := os.ReadDir(dir)
@@ -347,8 +347,8 @@ func TestMetricsAndTraceDir(t *testing.T) {
 	if sum2 := s2.Prewarm(cells); sum2.Cached != len(cells) {
 		t.Fatalf("resumed summary = %s", sum2)
 	}
-	if got := s2.Metrics().Get("cells_cached"); got != uint64(len(cells)) {
-		t.Errorf("cells_cached = %d, want %d", got, len(cells))
+	if got := s2.Registry().Counter("sweep_cells_cached_total").Value(); got != uint64(len(cells)) {
+		t.Errorf("sweep_cells_cached_total = %d, want %d", got, len(cells))
 	}
 	if names2, _ := os.ReadDir(dir2); len(names2) != 0 {
 		t.Errorf("cache hits wrote %d trace files, want none", len(names2))

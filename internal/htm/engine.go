@@ -133,16 +133,13 @@ type Config struct {
 	// measured transaction sizes with an external tool unconstrained by
 	// any processor's real capacity.
 	UnboundedCapacity bool
-	// ConflictSampler, when set, receives every conflict event: the line
-	// and the victim thread. Analysis tooling (cmd/htmtrace -conflicts)
-	// uses it to locate contention hot spots. Thread-safety as for
-	// FootprintSampler.
-	ConflictSampler func(line uint32, victim int)
-	// FootprintSampler, when set, receives every committed transaction's
-	// footprint in distinct conflict-detection lines (prefetched lines
-	// excluded). It is called from committing threads concurrently and
-	// must be thread-safe; internal/trace uses it single-threaded to
-	// collect the Figure 10/11 transaction-size distributions.
+	// FootprintSampler, when set, receives every committed hardware
+	// transaction's footprint in distinct conflict-detection lines
+	// (prefetched lines excluded). NOrec commits are not sampled: their
+	// logs count words, not lines, and nothing samples an STM run. It is
+	// called from committing threads concurrently and must be
+	// thread-safe; internal/trace uses it single-threaded to collect the
+	// Figure 10/11 transaction-size distributions.
 	FootprintSampler func(readLines, writeLines int)
 	// Tracer, when set, receives one obs.Event per transaction boundary
 	// (begin/commit/abort) in each thread's lock-free ring. Disabled (nil)
@@ -152,14 +149,6 @@ type Config struct {
 	// determinism test). Threads whose slot exceeds Tracer.Threads() record
 	// nothing.
 	Tracer *obs.Tracer
-	// Metrics, when set, receives live counter bumps at transaction
-	// boundaries (begins, commits, aborts by reason, mode switches) for the
-	// telemetry registry. Same cost contract as Tracer: nil costs one check
-	// per boundary, non-nil a few striped atomic adds that never advance
-	// virtual time, so simulated results are identical either way. One
-	// EngineMetrics may be shared across concurrent engines — counters
-	// stripe by thread slot.
-	Metrics *obs.EngineMetrics
 	// Witness, when set, records the commit-order witness log consumed by
 	// the verify.Replay serializability oracle: each committed
 	// transaction's read set (line, version, value hash) and write set
@@ -173,7 +162,7 @@ type Config struct {
 	// driving engine-level fault injection: interrupt-style spurious aborts
 	// at the commit boundary, forced capacity overflows at the capacity
 	// checks, and NOrec sequence-lock contention on STM loads. Same cost
-	// contract as Tracer/Metrics/Witness: nil costs one pointer check per
+	// contract as Tracer/Witness: nil costs one pointer check per
 	// hook and never advances virtual time, so runs with chaos off are
 	// cycle-identical to runs built before the injector existed. Injected
 	// aborts unwind through the ordinary abort path (rollback, stats,
@@ -401,7 +390,7 @@ func (e *Engine) Stats() Stats {
 	}
 	var total Stats
 	for _, t := range e.threads {
-		total.add(&t.stats)
+		total.Add(&t.stats)
 	}
 	return total
 }
@@ -494,7 +483,8 @@ type Stats struct {
 	MaxWriteLines int
 }
 
-func (s *Stats) add(o *Stats) {
+// Add accumulates o into s: counts sum, footprint maxima take the larger.
+func (s *Stats) Add(o *Stats) {
 	s.Begins += o.Begins
 	s.Commits += o.Commits
 	s.Aborts += o.Aborts

@@ -45,7 +45,7 @@ func TestStatsAggregationAndRatios(t *testing.T) {
 	a.MaxReadLines, a.MaxWriteLines = 5, 2
 	b.Begins, b.Commits, b.Aborts = 10, 10, 0
 	b.MaxReadLines, b.MaxWriteLines = 9, 1
-	a.add(&b)
+	a.Add(&b)
 	if a.Begins != 20 || a.Commits != 17 || a.Aborts != 3 {
 		t.Errorf("aggregate = %+v", a)
 	}
@@ -85,43 +85,6 @@ func TestFootprintSamplerReceivesCommits(t *testing.T) {
 	}
 	if samples[0] != [2]int{3, 1} {
 		t.Errorf("sample = %v, want [3 1]", samples[0])
-	}
-}
-
-func TestConflictSamplerReceivesDooms(t *testing.T) {
-	var conflicts int
-	e := New(platform.New(platform.IntelCore), Config{
-		Threads: 2, SpaceSize: 1 << 20, CostScale: 0, DisablePrefetch: true, Virtual: true,
-		ConflictSampler: func(line uint32, victim int) { conflicts++ },
-	})
-	a := e.Thread(0).Alloc(64)
-	done := make(chan struct{})
-	e.Thread(0).Register()
-	e.Thread(1).Register()
-	go func() {
-		defer close(done)
-		t1 := e.Thread(1)
-		t1.BeginWork()
-		defer t1.ExitWork()
-		for i := 0; i < 50; i++ {
-			t1.TryTx(TxNormal, func() {
-				t1.Store64(a, t1.Load64(a)+1)
-				t1.Work(50)
-			})
-		}
-	}()
-	t0 := e.Thread(0)
-	t0.BeginWork()
-	for i := 0; i < 50; i++ {
-		t0.TryTx(TxNormal, func() {
-			t0.Store64(a, t0.Load64(a)+1)
-			t0.Work(50)
-		})
-	}
-	t0.ExitWork()
-	<-done
-	if conflicts == 0 {
-		t.Error("contended counters produced no sampled conflicts")
 	}
 }
 

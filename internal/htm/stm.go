@@ -88,9 +88,6 @@ func (t *Thread) stmBegin() {
 	t.stm.order = t.stm.order[:0]
 	t.stm.writes.reset()
 	t.pendingAbort = Abort{}
-	if t.metrics != nil {
-		t.metrics.Begins.Inc(t.slot)
-	}
 	t.stats.Begins++
 	t.work(t.eng.scaledCost(stmBeginCost))
 	t.stm.snapshot = t.seqAwaitEven()
@@ -110,9 +107,6 @@ func (t *Thread) seqAwaitEven() uint64 {
 
 func (t *Thread) stmRollback() {
 	t.stm.active = false
-	if t.metrics != nil {
-		t.metrics.Abort(t.slot, uint8(t.pendingAbort.Reason))
-	}
 	t.stats.Aborts++
 	t.stats.AbortsByReason[t.pendingAbort.Reason]++
 	for _, a := range t.allocs {
@@ -198,9 +192,6 @@ func (t *Thread) stmCommit() {
 	if len(st.order) == 0 {
 		// Read-only: NOrec commits without the lock.
 		st.active = false
-		if t.metrics != nil {
-			t.metrics.Commits.Inc(t.slot)
-		}
 		t.stats.Commits++
 		t.work(t.eng.scaledCost(stmCommitCost) / 2)
 		t.allocs = t.allocs[:0]
@@ -234,13 +225,7 @@ func (t *Thread) stmCommit() {
 	t.work(t.eng.scaledCost(stmCommitCost) + len(st.order))
 	t.eng.stmSeq.Store(st.snapshot + 2)
 	st.active = false
-	if t.metrics != nil {
-		t.metrics.Commits.Inc(t.slot)
-	}
 	t.stats.Commits++
-	if s := t.eng.cfg.FootprintSampler; s != nil {
-		s(len(st.readLog), len(st.order))
-	}
 	for _, a := range t.frees {
 		t.eng.space.FreeArena(a, t.slot)
 	}

@@ -107,12 +107,9 @@ type Thread struct {
 	trace      *obs.Ring
 	beginClock uint64
 	retryDepth uint16
-	// metrics caches cfg.Metrics: nil means live telemetry is off and each
-	// boundary pays one nil check, exactly like trace.
-	metrics *obs.EngineMetrics
 	// faults caches this thread's chaos roll stream (cfg.Faults): nil means
 	// fault injection is off and every hook is one nil check, exactly like
-	// trace/metrics/wit. The stream is derived per slot, so injection under
+	// trace/wit. The stream is derived per slot, so injection under
 	// the virtual-time scheduler is deterministic.
 	faults *chaos.Stream
 
@@ -183,7 +180,6 @@ func newThread(e *Engine, slot int) *Thread {
 	if e.cfg.Tracer != nil {
 		t.trace = e.cfg.Tracer.Ring(slot)
 	}
-	t.metrics = e.cfg.Metrics
 	if e.cfg.Faults != nil {
 		t.faults = e.cfg.Faults.Stream(slot)
 	}
@@ -447,9 +443,6 @@ func (t *Thread) begin(kind TxKind) {
 			Aborter: obs.NoThread, Line: obs.NoLine, VClock: t.vclock,
 		})
 	}
-	if t.metrics != nil {
-		t.metrics.Begins.Inc(t.slot)
-	}
 	t.status.Store(statusActive)
 	t.eng.cores[t.core].activeTx.Add(1)
 	t.eng.activeTx.Add(1)
@@ -554,9 +547,6 @@ func (t *Thread) commit() {
 	if t.wit != nil {
 		t.witnessCommitRecord(witSeq)
 	}
-	if t.metrics != nil {
-		t.metrics.Commits.Inc(t.slot)
-	}
 	t.finishTx()
 	t.stats.Commits++
 	// Deferred frees become visible only now that the transaction is
@@ -583,9 +573,6 @@ func (t *Thread) rollback() {
 		if t.retryDepth < ^uint16(0) {
 			t.retryDepth++
 		}
-	}
-	if t.metrics != nil {
-		t.metrics.Abort(t.slot, uint8(t.pendingAbort.Reason))
 	}
 	for _, line := range t.writeOrder {
 		buf, _ := t.ws.get(line)
@@ -654,11 +641,6 @@ func (t *Thread) finishTx() {
 // switches) into this thread's trace ring, filling in the Thread and VClock
 // fields. Recording charges no virtual time; a no-op when tracing is off.
 func (t *Thread) TraceEvent(ev obs.Event) {
-	if t.metrics != nil && ev.Kind == obs.KindModeSwitch {
-		// Mode-switch events double as the live mode-switch counter feed
-		// (ev.Reason carries the to-mode code, as in jsonl.go's wire schema).
-		t.metrics.ModeSwitch(t.slot, ev.Reason)
-	}
 	if t.trace == nil {
 		return
 	}
@@ -709,14 +691,6 @@ func (t *Thread) checkDoomed() {
 		}
 		t.abortDoomed(r)
 	}
-}
-
-// doomAt is doomTagged with the conflicting line reported to the sampler.
-func (t *Thread) doomAt(line uint32, victim int32, reason Reason) bool {
-	if s := t.eng.cfg.ConflictSampler; s != nil {
-		s(line, int(victim))
-	}
-	return t.doomTagged(line, victim, reason)
 }
 
 // doomTagged is doom with the conflicting line and this (aborting) thread
@@ -823,7 +797,7 @@ func (t *Thread) resolveAsReader(line uint32, counted bool) {
 			unlockLine(sh)
 			t.abortAt(ReasonConflict, false, line, int16(w))
 		}
-		if !t.doomAt(line, w, ReasonConflict) {
+		if !t.doomTagged(line, w, ReasonConflict) {
 			unlockLine(sh)
 			t.abortAt(ReasonCommitterConflict, false, line, int16(w))
 		}
@@ -849,7 +823,7 @@ func (t *Thread) resolveAsWriter(line uint32, buf []byte) {
 			unlockLine(sh)
 			t.abortAt(ReasonConflict, false, line, int16(w))
 		}
-		if !t.doomAt(line, w, ReasonConflict) {
+		if !t.doomTagged(line, w, ReasonConflict) {
 			unlockLine(sh)
 			t.abortAt(ReasonCommitterConflict, false, line, int16(w))
 		}
@@ -867,7 +841,7 @@ func (t *Thread) resolveAsWriter(line uint32, buf []byte) {
 				unlockLine(sh)
 				t.abortAt(ReasonConflict, false, line, int16(slot))
 			}
-			if !t.doomAt(line, slot, ReasonConflict) {
+			if !t.doomTagged(line, slot, ReasonConflict) {
 				unlockLine(sh)
 				t.abortAt(ReasonCommitterConflict, false, line, int16(slot))
 			}

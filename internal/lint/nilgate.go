@@ -12,16 +12,16 @@ import (
 // dominating nil check on the same handle. Keyed by declaring-package
 // path suffix.
 var hookTypes = map[string][]string{
-	"internal/obs":   {"Tracer", "Ring", "EngineMetrics", "Telemetry"},
+	"internal/obs":   {"Tracer", "Ring", "Telemetry"},
 	"internal/chaos": {"Injector", "Stream"},
 	"internal/htm":   {"Witness"},
 }
 
 // NilgateAnalyzer mechanises the zero-overhead instrumentation
 // discipline: any access through a hook-typed struct field
-// (htm.Config.Tracer/Witness/Metrics/Faults, the cached per-thread
-// copies Thread.trace/metrics/faults/wit, sweep and RunSpec telemetry
-// handles) must be dominated by a nil check of that same field chain.
+// (htm.Config.Tracer/Witness/Faults, the cached per-thread copies
+// Thread.trace/faults/wit, sweep and RunSpec telemetry handles) must be
+// dominated by a nil check of that same field chain.
 //
 // Only field accesses are checked: a local copied out of a field
 // (`inj := s.cfg.Faults; if inj == nil { ... }`) is the other sanctioned

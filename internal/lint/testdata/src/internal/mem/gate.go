@@ -8,9 +8,9 @@ import (
 )
 
 type config struct {
-	Tracer  *obs.Tracer
-	Metrics *obs.EngineMetrics
-	Faults  *chaos.Injector
+	Tracer    *obs.Tracer
+	Telemetry *obs.Telemetry
+	Faults    *chaos.Injector
 }
 
 type pool struct {
@@ -22,7 +22,7 @@ func (p *pool) alloc(v int) {
 	if p.cfg.Tracer != nil {
 		p.cfg.Tracer.Emit(v) // guarded by the enclosing if
 	}
-	p.cfg.Metrics.Add(1) // want nilgate:"p.cfg.Metrics is dereferenced without a dominating"
+	p.cfg.Telemetry.Observe() // want nilgate:"p.cfg.Telemetry is dereferenced without a dominating"
 }
 
 // free uses the early-return guard idiom; the fact flows past the if.

@@ -11,10 +11,6 @@ type Ring struct{ buf []int }
 
 func (r *Ring) Push(v int) { r.buf = append(r.buf, v) }
 
-type EngineMetrics struct{ Aborts uint64 }
-
-func (m *EngineMetrics) Add(v uint64) { m.Aborts += v }
-
 type Telemetry struct{ events int }
 
 func (t *Telemetry) Observe() { t.events++ }

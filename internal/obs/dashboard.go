@@ -197,7 +197,7 @@ function render(state) {
     kpis += tile("Workers busy", busy + '<span class="unit">/' + workers.length + "</span>", "", null);
   kpis += tile("Cells done", fmt(state.counters["sweep_cells_done_total"] || 0), "", null);
   var retries = state.counters["sweep_cell_retries_total"] || 0;
-  var quar = state.counters["sweep_cells_quarantined"] || 0;
+  var quar = state.counters["sweep_cells_quarantined_total"] || 0;
   var recov = state.counters["sweep_cells_recovered_total"] || 0;
   if (retries || quar || recov)
     kpis += tile("Self-healing", fmt(recov) +

@@ -103,7 +103,7 @@ func (f *FlightRecorder) Trigger(reason, detail string) {
 	f.last = now
 	f.mu.Unlock()
 
-	f.triggers.Inc(0)
+	f.triggers.Inc()
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()

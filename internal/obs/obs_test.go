@@ -309,41 +309,6 @@ func TestAggregateRetryBucketSaturates(t *testing.T) {
 	}
 }
 
-func TestMetricsCountersAndSnapshot(t *testing.T) {
-	m := NewMetrics()
-	m.Add("cells_done", 3)
-	c := m.Counter("tx_aborts")
-	c.Add(41)
-	c.Add(1)
-	if got := m.Get("cells_done"); got != 3 {
-		t.Fatalf("cells_done = %d, want 3", got)
-	}
-	if got := m.Get("tx_aborts"); got != 42 {
-		t.Fatalf("tx_aborts = %d, want 42", got)
-	}
-	if got := m.Get("never_touched"); got != 0 {
-		t.Fatalf("never_touched = %d, want 0", got)
-	}
-	snap := m.Snapshot()
-	if snap["cells_done"] != 3 || snap["tx_aborts"] != 42 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if !json.Valid(buf.Bytes()) {
-		t.Fatal("WriteJSON produced invalid JSON")
-	}
-	var back map[string]uint64
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if back["tx_aborts"] != 42 {
-		t.Fatalf("round trip tx_aborts = %d, want 42", back["tx_aborts"])
-	}
-}
-
 func TestValidateFileMissing(t *testing.T) {
 	if _, err := ValidateFile(filepath.Join(t.TempDir(), "nope.jsonl")); !os.IsNotExist(err) {
 		t.Fatalf("missing file error = %v, want IsNotExist", err)

@@ -55,69 +55,26 @@ func validPromLabelName(s string) bool {
 }
 
 // WritePromText writes every metric of the registry in Prometheus text
-// exposition format: counters, gauges, then histograms, each base name
-// introduced by a # TYPE line, samples sorted by full name.
+// exposition format: counters, then gauges, each base name introduced by a
+// # TYPE line, samples sorted by full name.
 func (r *Registry) WritePromText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-
-	writeGroup := func(kind string, names []string, value func(string) string) {
-		lastBase := ""
-		for _, name := range names {
-			base, labels := promBase(name)
-			if base != lastBase {
-				fmt.Fprintf(bw, "# TYPE %s %s\n", base, kind)
-				lastBase = base
-			}
-			fmt.Fprintf(bw, "%s%s %s\n", base, labels, value(name))
+	lastType := ""
+	sample := func(kind, name, value string) {
+		base, _ := promBase(name)
+		if typ := "# TYPE " + base + " " + kind; typ != lastType {
+			fmt.Fprintln(bw, typ)
+			lastType = typ
 		}
+		fmt.Fprintf(bw, "%s %s\n", name, value)
 	}
-
-	counters := r.Counters()
-	cnames := make([]string, len(counters))
-	cvals := make(map[string]string, len(counters))
-	for i, c := range counters {
-		cnames[i] = c.name
-		cvals[c.name] = strconv.FormatUint(c.Value(), 10)
+	for _, c := range r.Counters() {
+		sample("counter", c.name, strconv.FormatUint(c.Value(), 10))
 	}
-	writeGroup("counter", cnames, func(n string) string { return cvals[n] })
-
-	gauges := r.Gauges()
-	gnames := make([]string, len(gauges))
-	gvals := make(map[string]string, len(gauges))
-	for i, g := range gauges {
-		gnames[i] = g.name
-		gvals[g.name] = strconv.FormatInt(g.Value(), 10)
+	for _, g := range r.Gauges() {
+		sample("gauge", g.name, strconv.FormatInt(g.Value(), 10))
 	}
-	writeGroup("gauge", gnames, func(n string) string { return gvals[n] })
-
-	for _, h := range r.Histograms() {
-		s := h.Snapshot()
-		base, labels := promBase(s.Name)
-		fmt.Fprintf(bw, "# TYPE %s histogram\n", base)
-		cum := uint64(0)
-		for i, c := range s.Counts {
-			cum += c
-			le := "+Inf"
-			if i < len(s.Bounds) {
-				le = strconv.FormatUint(s.Bounds[i], 10)
-			}
-			fmt.Fprintf(bw, "%s_bucket%s %d\n", base, mergeLabel(labels, "le", le), cum)
-		}
-		fmt.Fprintf(bw, "%s_sum%s %d\n", base, labels, s.Sum)
-		fmt.Fprintf(bw, "%s_count%s %d\n", base, labels, s.Total)
-	}
-
 	return bw.Flush()
-}
-
-// mergeLabel inserts key="value" into an existing {..} label set (or makes
-// a fresh one).
-func mergeLabel(labels, key, value string) string {
-	pair := key + `="` + value + `"`
-	if labels == "" {
-		return "{" + pair + "}"
-	}
-	return labels[:len(labels)-1] + "," + pair + "}"
 }
 
 // ValidatePromText checks a Prometheus text exposition for syntactic

@@ -7,14 +7,10 @@ import (
 
 func TestWritePromTextAndValidate(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("htm_tx_commits_total").Add(0, 5)
-	r.Counter(`htm_tx_aborts_by_reason_total{reason="conflict"}`).Add(1, 2)
-	r.Counter(`htm_tx_aborts_by_reason_total{reason="capacity-load"}`).Add(2, 1)
+	r.Counter("htm_tx_commits_total").Add(5)
+	r.Counter(`htm_tx_aborts_by_reason_total{reason="conflict"}`).Add(2)
+	r.Counter(`htm_tx_aborts_by_reason_total{reason="capacity-load"}`).Add(1)
 	r.Gauge("sweep_workers_busy").Set(3)
-	h := r.Histogram("cell_duration_ms", []uint64{10, 100})
-	h.Observe(5)
-	h.Observe(50)
-	h.Observe(5000)
 
 	var sb strings.Builder
 	if err := r.WritePromText(&sb); err != nil {
@@ -26,9 +22,9 @@ func TestWritePromTextAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ValidatePromText: %v\n%s", err, text)
 	}
-	// 3 counters + 1 gauge + 3 buckets + sum + count = 9 samples.
-	if n != 9 {
-		t.Fatalf("samples = %d, want 9\n%s", n, text)
+	// 3 counters + 1 gauge.
+	if n != 4 {
+		t.Fatalf("samples = %d, want 4\n%s", n, text)
 	}
 
 	for _, want := range []string{
@@ -36,12 +32,6 @@ func TestWritePromTextAndValidate(t *testing.T) {
 		"htm_tx_commits_total 5\n",
 		`htm_tx_aborts_by_reason_total{reason="conflict"} 2` + "\n",
 		"# TYPE sweep_workers_busy gauge\n",
-		"# TYPE cell_duration_ms histogram\n",
-		`cell_duration_ms_bucket{le="10"} 1` + "\n",
-		`cell_duration_ms_bucket{le="100"} 2` + "\n",
-		`cell_duration_ms_bucket{le="+Inf"} 3` + "\n",
-		"cell_duration_ms_sum 5055\n",
-		"cell_duration_ms_count 3\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
@@ -102,17 +92,11 @@ func TestValidatePromTextAcceptsPermissiveInput(t *testing.T) {
 	}
 }
 
-func TestPromBaseAndMergeLabel(t *testing.T) {
+func TestPromBase(t *testing.T) {
 	if b, l := promBase(`x_total{reason="c"}`); b != "x_total" || l != `{reason="c"}` {
 		t.Fatalf("promBase = %q, %q", b, l)
 	}
 	if b, l := promBase("plain"); b != "plain" || l != "" {
 		t.Fatalf("promBase = %q, %q", b, l)
-	}
-	if got := mergeLabel("", "le", "10"); got != `{le="10"}` {
-		t.Fatalf("mergeLabel empty = %q", got)
-	}
-	if got := mergeLabel(`{a="b"}`, "le", "+Inf"); got != `{a="b",le="+Inf"}` {
-		t.Fatalf("mergeLabel = %q", got)
 	}
 }

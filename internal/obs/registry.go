@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -8,59 +10,36 @@ import (
 
 // Live metrics registry. The post-hoc sinks in this package (JSONL,
 // Perfetto, Aggregate) explain a run after it ends; the Registry is the
-// live counterpart: engines, the adaptive runtime and the sweep scheduler
-// publish into named counters, gauges and fixed-bucket histograms while
-// they run, and the Sampler (series.go) and HTTP server (http.go) read
-// them back concurrently.
+// live counterpart: the sweep scheduler publishes into named counters and
+// gauges as cells complete — its own outcomes, and each computed cell's
+// engine and runtime counts from the harness.Result it holds — and the
+// progress line, METRICS.json, the Sampler (series.go), the HTTP server
+// (http.go) and the flight recorder all read the same handles back.
 //
-// Cost contract, mirroring the tracer's: publishers hold pre-resolved
-// handles (registration allocates, publication never does) behind a single
-// nil check, so a run without telemetry pays exactly that nil check per
-// transaction boundary and nothing per access. Publication never charges
-// virtual time, so fixed-seed simulated results are identical with the
-// registry attached and detached (pinned by internal/tm's determinism
-// tests).
-
-// counterStripes is the number of cache-line-padded cells a Counter spreads
-// its adds over. Publishers pass a stripe hint (their thread slot or worker
-// index) so concurrent engines do not serialise on one hot cache line.
-// Power of two.
-const counterStripes = 8
-
-// stripe is one padded counter cell.
-type stripe struct {
-	v atomic.Uint64
-	_ [56]byte
-}
+// Nothing publishes from inside a simulated run: a transaction boundary
+// counts into the thread's own htm.Stats and nowhere else, so the registry
+// costs an engine nothing and cannot perturb fixed-seed results. Publishers
+// hold pre-resolved handles (registration allocates, publication never
+// does).
 
 // Counter is a monotonically increasing metric. Safe for concurrent use;
-// reads may race writes and see any point-in-time sum.
+// a read may race writes and see any point-in-time value.
 type Counter struct {
-	name    string
-	stripes [counterStripes]stripe
+	name string
+	v    atomic.Uint64
 }
 
 // Name returns the full metric name (including any label set).
 func (c *Counter) Name() string { return c.name }
 
-// Add increments the counter by delta. hint selects the stripe — pass a
-// stable small integer (thread slot, worker index) to spread contention;
-// any value is safe.
-func (c *Counter) Add(hint int, delta uint64) {
-	c.stripes[uint(hint)&(counterStripes-1)].v.Add(delta)
-}
+// Add increments the counter by delta.
+func (c *Counter) Add(delta uint64) { c.v.Add(delta) }
 
-// Inc is Add(hint, 1).
-func (c *Counter) Inc(hint int) { c.Add(hint, 1) }
+// Inc is Add(1).
+func (c *Counter) Inc() { c.v.Add(1) }
 
-// Value returns the current sum across stripes.
-func (c *Counter) Value() uint64 {
-	var n uint64
-	for i := range c.stripes {
-		n += c.stripes[i].v.Load()
-	}
-	return n
-}
+// Value returns the current count.
+func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is a metric that can go up and down (an instantaneous level: queue
 // depth, busy workers, remaining ETA). Stores are last-writer-wins.
@@ -81,80 +60,24 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram is a fixed-bucket distribution of integer observations (cell
-// durations in milliseconds, commit latencies in cycles). Buckets are
-// cumulative in exposition (Prometheus style) but stored per-interval.
-// Observe is lock-free; the bucket bounds are immutable after creation.
-type Histogram struct {
-	name   string
-	bounds []uint64 // sorted upper bounds; implicit +Inf bucket at the end
-	counts []atomic.Uint64
-	sum    atomic.Uint64
-	total  atomic.Uint64
-}
-
-// Name returns the full metric name.
-func (h *Histogram) Name() string { return h.name }
-
-// Observe records one value.
-func (h *Histogram) Observe(v uint64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-	h.total.Add(1)
-}
-
-// HistogramSnapshot is a point-in-time copy of a Histogram.
-type HistogramSnapshot struct {
-	Name   string
-	Bounds []uint64 // upper bounds; the final count row is the +Inf bucket
-	Counts []uint64 // per-bucket (non-cumulative) counts, len(Bounds)+1
-	Sum    uint64
-	Total  uint64
-}
-
-// Snapshot copies the histogram's current state.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Name:   h.name,
-		Bounds: h.bounds,
-		Counts: make([]uint64, len(h.counts)),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	s.Sum = h.sum.Load()
-	s.Total = h.total.Load()
-	return s
-}
-
 // Registry is a named collection of live metrics. Registration (Counter,
-// Gauge, Histogram) takes a mutex and may allocate; it is meant for setup
-// paths. The returned handles are stable for the registry's lifetime —
-// publishers cache them and never touch the registry maps again.
+// Gauge) takes a mutex and may allocate; it is meant for setup paths. The
+// returned handles are stable for the registry's lifetime — publishers
+// cache them and never touch the registry maps again.
 //
 // Metric names follow Prometheus conventions: a base name of
 // [a-zA-Z_][a-zA-Z0-9_]* optionally followed by a {label="value"} set.
 // Metrics sharing a base name (one per label set) are grouped under one
 // # TYPE line in the exposition.
 type Registry struct {
-	mu     sync.Mutex
-	cnt    map[string]*Counter
-	gau    map[string]*Gauge
-	hist   map[string]*Histogram
-	sealed []string // sorted name cache, invalidated on registration
+	mu  sync.Mutex
+	cnt map[string]*Counter
+	gau map[string]*Gauge
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		cnt:  map[string]*Counter{},
-		gau:  map[string]*Gauge{},
-		hist: map[string]*Histogram{},
-	}
+	return &Registry{cnt: map[string]*Counter{}, gau: map[string]*Gauge{}}
 }
 
 // Counter returns the counter registered under name, creating it at zero on
@@ -166,7 +89,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if c == nil {
 		c = &Counter{name: name}
 		r.cnt[name] = c
-		r.sealed = nil
 	}
 	return c
 }
@@ -180,29 +102,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if g == nil {
 		g = &Gauge{name: name}
 		r.gau[name] = g
-		r.sealed = nil
 	}
 	return g
-}
-
-// Histogram returns the histogram registered under name, creating it with
-// the given bucket upper bounds on first use (bounds are ignored for an
-// existing histogram). Bounds must be sorted ascending.
-func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hist[name]
-	if h == nil {
-		b := append([]uint64(nil), bounds...)
-		h = &Histogram{
-			name:   name,
-			bounds: b,
-			counts: make([]atomic.Uint64, len(b)+1),
-		}
-		r.hist[name] = h
-		r.sealed = nil
-	}
-	return h
 }
 
 // Counters returns all registered counters sorted by name.
@@ -229,18 +130,6 @@ func (r *Registry) Gauges() []*Gauge {
 	return out
 }
 
-// Histograms returns all registered histograms sorted by name.
-func (r *Registry) Histograms() []*Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*Histogram, 0, len(r.hist))
-	for _, h := range r.hist {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
 // CounterValues returns a point-in-time name → value copy of every counter.
 func (r *Registry) CounterValues() map[string]uint64 {
 	counters := r.Counters()
@@ -261,13 +150,20 @@ func (r *Registry) GaugeValues() map[string]int64 {
 	return out
 }
 
-// EngineMetrics is the pre-resolved handle set an engine publishes through
-// (htm.Config.Metrics): transaction boundaries, aborts by reason, and
-// adaptive-runtime mode switches. One EngineMetrics is shared by every
-// engine of a sweep — counters stripe by thread slot, so concurrent cells
-// do not serialise. Reason and mode codes index the pre-built handle
-// slices; codes beyond the registered vocabulary fall back to the last
-// ("unknown") handle rather than allocating.
+// WriteCountersJSON writes every counter as one JSON object, name → value
+// (encoding/json sorts map keys, so output is deterministic): the
+// METRICS.json format, carrying the names and values /metrics serves.
+func (r *Registry) WriteCountersJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r.CounterValues())
+}
+
+// EngineMetrics is the pre-resolved handle set for a finished run's engine
+// and runtime counts: transaction boundaries, aborts by reason, and
+// adaptive-runtime mode switches by target mode. Reason and mode codes
+// index the per-code handle slices; a code beyond the registered vocabulary
+// folds into the last handle rather than allocating.
 type EngineMetrics struct {
 	Begins   *Counter
 	Commits  *Counter
@@ -281,42 +177,38 @@ type EngineMetrics struct {
 // registered reason/mode namers).
 func NewEngineMetrics(reg *Registry, reasons, modes int) *EngineMetrics {
 	m := &EngineMetrics{
-		Begins:  reg.Counter("htm_tx_begins_total"),
-		Commits: reg.Counter("htm_tx_commits_total"),
-		Aborts:  reg.Counter("htm_tx_aborts_total"),
+		Begins:   reg.Counter("htm_tx_begins_total"),
+		Commits:  reg.Counter("htm_tx_commits_total"),
+		Aborts:   reg.Counter("htm_tx_aborts_total"),
+		ByReason: make([]*Counter, max(reasons, 1)),
+		ByMode:   make([]*Counter, max(modes, 1)),
 	}
-	if reasons < 1 {
-		reasons = 1
-	}
-	if modes < 1 {
-		modes = 1
-	}
-	m.ByReason = make([]*Counter, reasons)
 	for i := range m.ByReason {
 		m.ByReason[i] = reg.Counter(`htm_tx_aborts_by_reason_total{reason="` + ReasonName(uint8(i)) + `"}`)
 	}
-	m.ByMode = make([]*Counter, modes)
 	for i := range m.ByMode {
 		m.ByMode[i] = reg.Counter(`tm_mode_switches_total{to="` + ModeName(uint8(i)) + `"}`)
 	}
 	return m
 }
 
-// Abort bumps the total and per-reason abort counters.
-func (m *EngineMetrics) Abort(hint int, reason uint8) {
-	m.Aborts.Inc(hint)
-	i := int(reason)
-	if i >= len(m.ByReason) {
-		i = len(m.ByReason) - 1
-	}
-	m.ByReason[i].Inc(hint)
+// Publish adds one finished run's totals: the three boundary counts, the
+// aborts indexed by reason code and the mode switches indexed by to-mode
+// code (nil when the run had no adaptive runtime).
+func (m *EngineMetrics) Publish(begins, commits, aborts uint64, byReason, switchesTo []uint64) {
+	m.Begins.Add(begins)
+	m.Commits.Add(commits)
+	m.Aborts.Add(aborts)
+	addByCode(m.ByReason, byReason)
+	addByCode(m.ByMode, switchesTo)
 }
 
-// ModeSwitch bumps the per-target-mode switch counter.
-func (m *EngineMetrics) ModeSwitch(hint int, to uint8) {
-	i := int(to)
-	if i >= len(m.ByMode) {
-		i = len(m.ByMode) - 1
+// addByCode adds counts[code] to the code's handle, the last handle
+// standing in for every code past the registered vocabulary.
+func addByCode(handles []*Counter, counts []uint64) {
+	for code, n := range counts {
+		if n != 0 {
+			handles[min(code, len(handles)-1)].Add(n)
+		}
 	}
-	m.ByMode[i].Inc(hint)
 }

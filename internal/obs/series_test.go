@@ -12,10 +12,10 @@ func TestSamplerRatesAndHistory(t *testing.T) {
 	s := NewSampler(r, time.Second, 8)
 
 	t0 := time.UnixMilli(1_000_000)
-	c.Add(0, 10)
+	c.Add(10)
 	g.Set(2)
 	s.Tick(t0)
-	c.Add(0, 30)
+	c.Add(30)
 	g.Set(5)
 	s.Tick(t0.Add(2 * time.Second))
 
@@ -49,7 +49,7 @@ func TestSeriesRingWraps(t *testing.T) {
 	s := NewSampler(r, time.Second, 4)
 	t0 := time.UnixMilli(0)
 	for i := 0; i < 10; i++ {
-		c.Inc(0)
+		c.Inc()
 		s.Tick(t0.Add(time.Duration(i) * time.Second))
 	}
 	snap, _ := s.SnapshotOne("n_total", 0)

@@ -18,7 +18,6 @@ type Telemetry struct {
 	Registry *Registry
 	Sampler  *Sampler
 	Log      *EventLog
-	Engine   *EngineMetrics
 	Flight   *FlightRecorder // nil unless configured
 
 	// workers is swapped by the sweep scheduler at each Prewarm pass while
@@ -41,8 +40,6 @@ type TelemetryConfig struct {
 	SampleInterval time.Duration // sampler period (default 500ms)
 	SeriesCap      int           // points retained per series (default DefaultSeriesCap)
 	LogSegments    int           // event-log segments retained (default DefaultLogSegments)
-	Reasons        int           // abort-reason vocabulary size for EngineMetrics
-	Modes          int           // mode vocabulary size for EngineMetrics
 	Workers        int           // worker-table size (sweep jobs; 0 = no table)
 	Flight         *FlightConfig // anomaly-triggered dumps (nil = off)
 	SIGQUIT        bool          // also trigger the flight recorder on SIGQUIT
@@ -56,7 +53,6 @@ func StartTelemetry(cfg TelemetryConfig) (*Telemetry, error) {
 		Registry: reg,
 		Sampler:  NewSampler(reg, cfg.SampleInterval, cfg.SeriesCap),
 		Log:      NewEventLog(cfg.LogSegments),
-		Engine:   NewEngineMetrics(reg, cfg.Reasons, cfg.Modes),
 	}
 	if cfg.Workers > 0 {
 		t.SetWorkers(NewWorkerTable(cfg.Workers))

@@ -26,13 +26,9 @@ func TestTelemetryHTTPEndpoints(t *testing.T) {
 	tel := startTestTelemetry(t, TelemetryConfig{
 		HTTPAddr:       "127.0.0.1:0",
 		SampleInterval: 10 * time.Millisecond,
-		Reasons:        3,
-		Modes:          2,
 		Workers:        2,
 	})
-	tel.Engine.Begins.Add(0, 10)
-	tel.Engine.Commits.Add(0, 8)
-	tel.Engine.Abort(0, 1)
+	NewEngineMetrics(tel.Registry, 3, 2).Publish(10, 8, 1, []uint64{0, 1, 0}, nil)
 	tel.WorkerTable().Begin(0, "cell-a")
 
 	base := "http://" + tel.Addr()
@@ -104,7 +100,7 @@ func TestTelemetrySSEStream(t *testing.T) {
 		HTTPAddr:       "127.0.0.1:0",
 		SampleInterval: 10 * time.Millisecond,
 	})
-	tel.Registry.Counter("x_total").Add(0, 3)
+	tel.Registry.Counter("x_total").Add(3)
 
 	resp, err := http.Get("http://" + tel.Addr() + "/api/stream")
 	if err != nil {
@@ -140,8 +136,6 @@ func TestFlightRecorderAbortStorm(t *testing.T) {
 	dir := t.TempDir()
 	tel := startTestTelemetry(t, TelemetryConfig{
 		SampleInterval: time.Hour, // ticks driven by hand below
-		Reasons:        3,
-		Modes:          2,
 		Flight: &FlightConfig{
 			Dir:       dir,
 			AbortRate: 10, // aborts/sec
@@ -154,13 +148,13 @@ func TestFlightRecorderAbortStorm(t *testing.T) {
 	tr.Ring(0).Record(mkAbort(0, 9, 5, 1, 0, 7, NoThread))
 	tel.Log.Drain("storm-cell", tr)
 
-	// Two manual ticks one second apart with 100 aborts between them: a
-	// 100/s abort rate, well over the 10/s threshold.
+	// Two manual ticks one second apart with one cell completing between
+	// them — engine counters advance in per-cell steps — whose 100 aborts
+	// make a 100/s abort rate, well over the 10/s threshold.
+	eng := NewEngineMetrics(tel.Registry, 3, 2)
 	t0 := time.Now()
 	tel.Sampler.Tick(t0)
-	for i := 0; i < 100; i++ {
-		tel.Engine.Abort(0, 1)
-	}
+	eng.Publish(150, 50, 100, []uint64{0, 100, 0}, nil)
 	tel.Sampler.Tick(t0.Add(time.Second))
 	tel.Flight.Wait()
 
@@ -195,9 +189,7 @@ func TestFlightRecorderAbortStorm(t *testing.T) {
 	}
 
 	// Cooldown: an immediate second storm is dropped.
-	for i := 0; i < 100; i++ {
-		tel.Engine.Abort(0, 1)
-	}
+	eng.Publish(150, 50, 100, []uint64{0, 100, 0}, nil)
 	tel.Sampler.Tick(t0.Add(2 * time.Second))
 	tel.Flight.Wait()
 	if got := len(tel.Flight.Dumps()); got != 1 {

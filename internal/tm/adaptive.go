@@ -77,6 +77,7 @@ func (x *Executor) noteTransition(tr adapt.Transition) {
 		return
 	}
 	x.Stats.ModeSwitches++
+	x.Stats.ModeSwitchesTo[tr.To]++
 	x.T.TraceEvent(obs.Event{
 		Kind:    obs.KindModeSwitch,
 		Reason:  uint8(tr.To),

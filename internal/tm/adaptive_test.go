@@ -139,6 +139,15 @@ func TestAdaptiveHybridCorrectness(t *testing.T) {
 	if sum.ModeSwitches != ctl.Switches() {
 		t.Errorf("executor counted %d switches, controller %d", sum.ModeSwitches, ctl.Switches())
 	}
+	// The per-target split is the same count: it sums to the total, and the
+	// capacity demotion shows up under STM.
+	var split uint64
+	for _, n := range sum.ModeSwitchesTo {
+		split += n
+	}
+	if split != sum.ModeSwitches || sum.ModeSwitchesTo[adapt.ModeSTM] == 0 {
+		t.Errorf("ModeSwitchesTo = %v, want a sum of %d with STM demotions", sum.ModeSwitchesTo, sum.ModeSwitches)
+	}
 	// The capacity-bound site must have demoted away from HTM.
 	demoted := false
 	for _, s := range ctl.Sites() {

@@ -27,6 +27,7 @@ import (
 	"testing"
 	"time"
 
+	"htmcmp/internal/adapt"
 	"htmcmp/internal/htm"
 	"htmcmp/internal/obs"
 	"htmcmp/internal/platform"
@@ -47,15 +48,16 @@ type goldenRow struct {
 	txStores uint64
 }
 
-// goldenRun executes the fixed workload and returns the measured row; a
-// non-nil tracer, witness, or metrics handle is attached to the engine (none
-// may perturb the row — see TestTracingPreservesDeterminism,
-// TestWitnessPreservesDeterminism, and TestTelemetryPreservesDeterminism).
-func goldenRun(kind platform.Kind, threads int, tracer *obs.Tracer, wit *htm.Witness, met *obs.EngineMetrics) goldenRow {
+// goldenRun executes the fixed workload and returns the measured row plus
+// the engine's full counter set; a non-nil tracer or witness is attached to
+// the engine (neither may perturb the row — see
+// TestTracingPreservesDeterminism, TestWitnessPreservesDeterminism, and
+// TestTelemetryPreservesDeterminism).
+func goldenRun(kind platform.Kind, threads int, tracer *obs.Tracer, wit *htm.Witness) (goldenRow, htm.Stats) {
 	spec := platform.New(kind)
 	e := htm.New(spec, htm.Config{
 		Threads: threads, SpaceSize: 8 << 20, Seed: 20250806, Virtual: true,
-		CostScale: 1, Tracer: tracer, Witness: wit, Metrics: met,
+		CostScale: 1, Tracer: tracer, Witness: wit,
 	})
 	lock := tm.NewGlobalLock(e)
 	setup := e.Thread(0)
@@ -113,7 +115,7 @@ func goldenRun(kind platform.Kind, threads int, tracer *obs.Tracer, wit *htm.Wit
 		kind: kind, threads: threads, maxClock: e.MaxClock(),
 		begins: st.Begins, commits: st.Commits, aborts: st.Aborts,
 		txLoads: st.TxLoads, txStores: st.TxStores,
-	}
+	}, st
 }
 
 // golden holds the values measured on the seed engine (see file comment).
@@ -143,7 +145,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	if *goldenPrint {
 		for _, kind := range []platform.Kind{platform.BlueGeneQ, platform.ZEC12, platform.IntelCore, platform.POWER8} {
 			for _, n := range []int{1, 2, 4, 8} {
-				g := goldenRun(kind, n, nil, nil, nil)
+				g, _ := goldenRun(kind, n, nil, nil)
 				fmt.Printf("\t{kind: platform.%v, threads: %d, maxClock: %d, begins: %d, commits: %d, aborts: %d, txLoads: %d, txStores: %d},\n",
 					kindName(g.kind), g.threads, g.maxClock, g.begins, g.commits, g.aborts, g.txLoads, g.txStores)
 			}
@@ -157,7 +159,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		want := want
 		t.Run(fmt.Sprintf("%s-%dt", want.kind.Short(), want.threads), func(t *testing.T) {
 			t.Parallel()
-			got := goldenRun(want.kind, want.threads, nil, nil, nil)
+			got, _ := goldenRun(want.kind, want.threads, nil, nil)
 			if got != want {
 				t.Errorf("virtual-time results diverge from the seed engine\n got: %+v\nwant: %+v", got, want)
 			}
@@ -182,7 +184,7 @@ func TestTracingPreservesDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("%s-%dt-traced", want.kind.Short(), want.threads), func(t *testing.T) {
 			t.Parallel()
 			tracer := obs.NewTracer(want.threads, obs.DefaultRingEvents)
-			got := goldenRun(want.kind, want.threads, tracer, nil, nil)
+			got, _ := goldenRun(want.kind, want.threads, tracer, nil)
 			if got != want {
 				t.Errorf("tracing perturbed the virtual-time results\n got: %+v\nwant: %+v", got, want)
 			}
@@ -226,7 +228,7 @@ func TestWitnessPreservesDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("%s-%dt-witnessed", want.kind.Short(), want.threads), func(t *testing.T) {
 			t.Parallel()
 			wit := htm.NewWitness()
-			got := goldenRun(want.kind, want.threads, nil, wit, nil)
+			got, _ := goldenRun(want.kind, want.threads, nil, wit)
 			if got != want {
 				t.Errorf("witnessing perturbed the virtual-time results\n got: %+v\nwant: %+v", got, want)
 			}
@@ -237,12 +239,14 @@ func TestWitnessPreservesDeterminism(t *testing.T) {
 	}
 }
 
-// TestTelemetryPreservesDeterminism pins the live-metrics contract: engine
-// counters published into an obs.Registry — with a sampler concurrently
-// snapshotting it into time series — record at transaction boundaries behind
-// a nil check and never charge virtual time, so an instrumented fixed-seed
-// run must land on the exact golden row of the bare engine, and the registry
-// totals must agree with the engine's own counters.
+// TestTelemetryPreservesDeterminism pins what live telemetry attaches to a
+// run: the small flight-recorder ring harness.runParOnce uses (it wraps and
+// drops on this workload, which must be harmless), a sampler snapshotting the
+// registry concurrently, and one post-run publish of the engine's own Stats.
+// The engine has no metrics hook to switch on or off — the run must land on
+// the golden row, and the published series must be those Stats: totals
+// equal, every reason under its own label, per-reason values summing to the
+// abort total.
 func TestTelemetryPreservesDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden workload is not short")
@@ -255,25 +259,24 @@ func TestTelemetryPreservesDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("%s-%dt-metrics", want.kind.Short(), want.threads), func(t *testing.T) {
 			t.Parallel()
 			reg := obs.NewRegistry()
-			met := obs.NewEngineMetrics(reg, 10, 3)
+			met := obs.NewEngineMetrics(reg, htm.NumReasons, adapt.NumModes)
 			sampler := obs.NewSampler(reg, time.Millisecond, 0)
 			sampler.Start()
-			got := goldenRun(want.kind, want.threads, nil, nil, met)
+			got, st := goldenRun(want.kind, want.threads, obs.NewTracer(want.threads, obs.DefaultRingEvents/16), nil)
+			met.Publish(st.Begins, st.Commits, st.Aborts, st.AbortsByReason[:], nil)
 			sampler.Stop()
 			if got != want {
-				t.Errorf("metrics publication perturbed the virtual-time results\n got: %+v\nwant: %+v", got, want)
+				t.Errorf("telemetry perturbed the virtual-time results\n got: %+v\nwant: %+v", got, want)
 			}
-			if b := met.Begins.Value(); b != want.begins {
-				t.Errorf("registry begins = %d, engine stats = %d", b, want.begins)
-			}
-			if c := met.Commits.Value(); c != want.commits {
-				t.Errorf("registry commits = %d, engine stats = %d", c, want.commits)
-			}
-			if a := met.Aborts.Value(); a != want.aborts {
-				t.Errorf("registry aborts = %d, engine stats = %d", a, want.aborts)
+			if b, c, a := met.Begins.Value(), met.Commits.Value(), met.Aborts.Value(); b != want.begins || c != want.commits || a != want.aborts {
+				t.Errorf("registry begins/commits/aborts = %d/%d/%d, engine stats = %d/%d/%d",
+					b, c, a, want.begins, want.commits, want.aborts)
 			}
 			var byReason uint64
-			for _, c := range met.ByReason {
+			for r, c := range met.ByReason {
+				if c.Value() != st.AbortsByReason[r] {
+					t.Errorf("%s = %d, engine stats = %d", c.Name(), c.Value(), st.AbortsByReason[r])
+				}
 				byReason += c.Value()
 			}
 			if byReason != want.aborts {

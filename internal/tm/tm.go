@@ -121,10 +121,15 @@ type Stats struct {
 	Aborts             uint64
 	AbortsByCategory   [htm.NumCategories]uint64
 	// Adaptive-runtime counters (zero in static-policy runs): transactional
-	// commits split by execution mode, and steady-mode site transitions.
-	HTMCommits   uint64 `json:",omitempty"`
-	STMCommits   uint64 `json:",omitempty"`
-	ModeSwitches uint64 `json:",omitempty"`
+	// commits split by execution mode, and steady-mode site transitions in
+	// total and by target mode (the sweep publishes the split as
+	// tm_mode_switches_total{to=…}). A cache record written before the
+	// split existed decodes with it zero, which only a cache hit sees — and
+	// cache hits publish nothing.
+	HTMCommits     uint64 `json:",omitempty"`
+	STMCommits     uint64 `json:",omitempty"`
+	ModeSwitches   uint64 `json:",omitempty"`
+	ModeSwitchesTo [adapt.NumModes]uint64
 }
 
 // Add accumulates o into s.
@@ -138,6 +143,9 @@ func (s *Stats) Add(o *Stats) {
 	s.HTMCommits += o.HTMCommits
 	s.STMCommits += o.STMCommits
 	s.ModeSwitches += o.ModeSwitches
+	for i := range s.ModeSwitchesTo {
+		s.ModeSwitchesTo[i] += o.ModeSwitchesTo[i]
+	}
 }
 
 // Commits returns all committed critical sections.
