@@ -25,12 +25,15 @@ test:
 	$(GO) test ./...
 
 # racecheck also compiles in the debug assertions (quiescent-only Stats).
-# The second run repeats the tests of the one place where a goroutine acts
-# on another's thread state — SpinUntil predicates polled by the elector —
-# often enough for the detector to see different interleavings.
+# A virtual region is one goroutine (Engine.Run), so no goroutine acts on
+# another's thread state there any more. The second run repeats what still
+# crosses goroutines or stacks: real-concurrency Run, the coroutine switches
+# and the unwinding of parked threads after a body panic (the detector
+# follows iter.Pull's hand-offs), and the Register/BeginWork/ExitWork adapter,
+# whose members and driver pass one unlocked scheduler around by channel.
 race:
 	$(GO) test -race -tags racecheck ./internal/...
-	$(GO) test -race -count=10 -run 'SpinUntil|TestVirtualLivelockDetection' ./internal/htm
+	$(GO) test -race -count=10 -run 'Run|SpinUntil|Livelock|Deadlock|Adapter' ./internal/htm
 
 # lint runs go vet, the gofmt gate, and htmlint — the repo's own
 # invariant checkers (internal/lint): determinism of the simulated core,

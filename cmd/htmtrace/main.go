@@ -241,7 +241,7 @@ func runEvents(kind platform.Kind, bench string, scale stamp.Scale, seed uint64,
 		LineSize: e.LineSize(),
 		RegionAt: e.Space().RegionAt,
 	})
-	fmt.Printf("%s on %s, %d threads (virtual clock %d, %d scheduler handoffs, %d goroutine switches)\n\n",
+	fmt.Printf("%s on %s, %d threads (virtual clock %d, %d scheduler handoffs, %d thread switches)\n\n",
 		bench, kind, threads, e.MaxClock(), e.SchedHandoffs(), e.SchedSwitches())
 	rep.Fprint(os.Stdout)
 

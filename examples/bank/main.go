@@ -9,7 +9,6 @@ package main
 
 import (
 	"fmt"
-	"sync"
 
 	"htmcmp"
 )
@@ -36,35 +35,23 @@ func run(kind htmcmp.PlatformKind, padded bool) (aborts float64, ok bool) {
 	}
 
 	lock := htmcmp.NewGlobalLock(eng)
-	for i := 0; i < nThreads; i++ {
-		eng.Thread(i).Register()
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < nThreads; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			t := eng.Thread(tid)
-			t.BeginWork()
-			defer t.ExitWork()
-			x := htmcmp.NewExecutor(t, lock, htmcmp.DefaultPolicy(kind))
-			rng := t.Rand()
-			for j := 0; j < transfers; j++ {
-				from := accounts[rng.Intn(nAccounts)]
-				to := accounts[rng.Intn(nAccounts)]
-				amount := uint64(rng.Intn(20))
-				x.Run(func(t *htmcmp.Thread) {
-					balance := t.Load64(from)
-					if balance < amount {
-						return
-					}
-					t.Store64(from, balance-amount)
-					t.Store64(to, t.Load64(to)+amount)
-				})
-			}
-		}(i)
-	}
-	wg.Wait()
+	eng.Run(nThreads, func(_ int, t *htmcmp.Thread) {
+		x := htmcmp.NewExecutor(t, lock, htmcmp.DefaultPolicy(kind))
+		rng := t.Rand()
+		for j := 0; j < transfers; j++ {
+			from := accounts[rng.Intn(nAccounts)]
+			to := accounts[rng.Intn(nAccounts)]
+			amount := uint64(rng.Intn(20))
+			x.Run(func(t *htmcmp.Thread) {
+				balance := t.Load64(from)
+				if balance < amount {
+					return
+				}
+				t.Store64(from, balance-amount)
+				t.Store64(to, t.Load64(to)+amount)
+			})
+		}
+	})
 
 	var total uint64
 	for _, a := range accounts {

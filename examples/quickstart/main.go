@@ -6,7 +6,6 @@ package main
 
 import (
 	"fmt"
-	"sync"
 
 	"htmcmp"
 )
@@ -20,29 +19,17 @@ func main() {
 		lock := htmcmp.NewGlobalLock(eng)
 		counter := eng.Thread(0).Alloc(64)
 
-		// Register all workers, then run them: each increments the shared
-		// counter 1000 times inside transactions with the paper's retry
-		// mechanism and global-lock fallback.
-		for i := 0; i < 4; i++ {
-			eng.Thread(i).Register()
-		}
-		var wg sync.WaitGroup
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func(tid int) {
-				defer wg.Done()
-				t := eng.Thread(tid)
-				t.BeginWork()
-				defer t.ExitWork()
-				x := htmcmp.NewExecutor(t, lock, htmcmp.DefaultPolicy(spec.Kind))
-				for j := 0; j < 1000; j++ {
-					x.Run(func(t *htmcmp.Thread) {
-						t.Store64(counter, t.Load64(counter)+1)
-					})
-				}
-			}(i)
-		}
-		wg.Wait()
+		// Run four workers as one scheduled region: each increments the
+		// shared counter 1000 times inside transactions with the paper's
+		// retry mechanism and global-lock fallback.
+		eng.Run(4, func(_ int, t *htmcmp.Thread) {
+			x := htmcmp.NewExecutor(t, lock, htmcmp.DefaultPolicy(spec.Kind))
+			for j := 0; j < 1000; j++ {
+				x.Run(func(t *htmcmp.Thread) {
+					t.Store64(counter, t.Load64(counter)+1)
+				})
+			}
+		})
 
 		st := eng.Stats()
 		fmt.Printf("%-12s counter=%d commits=%d aborts=%d (%.1f%%) duration=%d cycles\n",

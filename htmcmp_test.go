@@ -2,7 +2,6 @@ package htmcmp
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -13,26 +12,14 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	eng := NewEngine(ZEC12, EngineConfig{Threads: 2, SpaceSize: 4 << 20, Virtual: true, CostScale: 0})
 	lock := NewGlobalLock(eng)
 	counter := eng.Thread(0).Alloc(64)
-	for i := 0; i < 2; i++ {
-		eng.Thread(i).Register()
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			th := eng.Thread(tid)
-			th.BeginWork()
-			defer th.ExitWork()
-			x := NewExecutor(th, lock, DefaultPolicy(ZEC12))
-			for j := 0; j < 200; j++ {
-				x.Run(func(th *Thread) {
-					th.Store64(counter, th.Load64(counter)+1)
-				})
-			}
-		}(i)
-	}
-	wg.Wait()
+	eng.Run(2, func(_ int, th *Thread) {
+		x := NewExecutor(th, lock, DefaultPolicy(ZEC12))
+		for j := 0; j < 200; j++ {
+			x.Run(func(th *Thread) {
+				th.Store64(counter, th.Load64(counter)+1)
+			})
+		}
+	})
 	if got := eng.Thread(0).Load64(counter); got != 400 {
 		t.Errorf("counter = %d, want 400", got)
 	}

@@ -7,7 +7,6 @@ package features
 
 import (
 	"fmt"
-	"sync"
 
 	"htmcmp/internal/htm"
 	"htmcmp/internal/mem"
@@ -336,54 +335,36 @@ func runCLQOnce(opts CLQOptions, mode CLQMode, threads int) (float64, error) {
 	for i := 0; i < threads*4; i++ {
 		q.EnqueueLockFree(e.Thread(0), uint64(i))
 	}
-	var enqTotal, deqTotal int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
+	var enqTotal, deqTotal int64 // a virtual region is one goroutine: no lock
 	e.ResetClocks()
-	for tid := 0; tid < threads; tid++ {
-		e.Thread(tid).Register()
-	}
-	for tid := 0; tid < threads; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			t := e.Thread(tid)
-			t.BeginWork()
-			defer t.ExitWork()
-			var enq, deq int64
-			for i := 0; i < opts.OpsPerThread; i++ {
-				v := uint64(tid<<32 | i)
-				switch mode {
-				case CLQLockFree:
-					q.EnqueueLockFree(t, v)
-					if _, ok := q.DequeueLockFree(t); ok {
-						deq++
-					}
-				case CLQNoRetryTM:
-					q.EnqueueTM(t, v, 0)
-					if _, ok := q.DequeueTM(t, 0); ok {
-						deq++
-					}
-				case CLQOptRetryTM:
-					q.EnqueueTM(t, v, opts.OptRetries)
-					if _, ok := q.DequeueTM(t, opts.OptRetries); ok {
-						deq++
-					}
-				case CLQConstrainedTM:
-					q.EnqueueConstrained(t, v)
-					if _, ok := q.DequeueConstrained(t); ok {
-						deq++
-					}
+	e.Run(threads, func(tid int, t *htm.Thread) {
+		for i := 0; i < opts.OpsPerThread; i++ {
+			v := uint64(tid<<32 | i)
+			switch mode {
+			case CLQLockFree:
+				q.EnqueueLockFree(t, v)
+				if _, ok := q.DequeueLockFree(t); ok {
+					deqTotal++
 				}
-				enq++
+			case CLQNoRetryTM:
+				q.EnqueueTM(t, v, 0)
+				if _, ok := q.DequeueTM(t, 0); ok {
+					deqTotal++
+				}
+			case CLQOptRetryTM:
+				q.EnqueueTM(t, v, opts.OptRetries)
+				if _, ok := q.DequeueTM(t, opts.OptRetries); ok {
+					deqTotal++
+				}
+			case CLQConstrainedTM:
+				q.EnqueueConstrained(t, v)
+				if _, ok := q.DequeueConstrained(t); ok {
+					deqTotal++
+				}
 			}
-			mu.Lock()
-			enqTotal += enq
-			deqTotal += deq
-			mu.Unlock()
-		}(tid)
-	}
-	wg.Wait()
+			enqTotal++
+		}
+	})
 	secs := float64(e.MaxClock())
 	// Consistency: remaining length == prefill + enqueues - dequeues.
 	want := threads*4 + int(enqTotal) - int(deqTotal)

@@ -2,7 +2,6 @@ package features
 
 import (
 	"fmt"
-	"sync"
 
 	"htmcmp/internal/htm"
 	"htmcmp/internal/mem"
@@ -179,17 +178,11 @@ func runTLSSequential(opts TLSOptions, kernel TLSKernel) (float64, error) {
 	t := e.Thread(0)
 	s := newTLSState(t, kernel, opts.Iterations)
 	e.ResetClocks()
-	t.Register()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t.BeginWork()
-		defer t.ExitWork()
+	e.Run(1, func(_ int, t *htm.Thread) {
 		for i := 0; i < s.iters; i++ {
 			s.body(t, i)
 		}
-	}()
-	<-done
+	})
 	secs := float64(e.MaxClock()) // read before validate, whose loads advance the clock
 	if err := s.validate(t); err != nil {
 		return 0, err
@@ -215,23 +208,11 @@ func runTLSParallel(opts TLSOptions, kernel TLSKernel, threads int, suspendResum
 	})
 	s := newTLSState(e.Thread(0), kernel, opts.Iterations)
 	e.ResetClocks()
-	for tid := 0; tid < threads; tid++ {
-		e.Thread(tid).Register()
-	}
-	var wg sync.WaitGroup
-	for tid := 0; tid < threads; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			t := e.Thread(tid)
-			t.BeginWork()
-			defer t.ExitWork()
-			for i := tid; i < s.iters; i += threads {
-				s.runIteration(t, i, suspendResume)
-			}
-		}(tid)
-	}
-	wg.Wait()
+	e.Run(threads, func(tid int, t *htm.Thread) {
+		for i := tid; i < s.iters; i += threads {
+			s.runIteration(t, i, suspendResume)
+		}
+	})
 	secs := float64(e.MaxClock())
 	if err := s.validate(e.Thread(0)); err != nil {
 		return 0, 0, err

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"sync"
 	"testing"
 
 	"htmcmp/internal/chaos"
@@ -86,35 +85,23 @@ func TestChaosWitnessReplaySerializable(t *testing.T) {
 	const lines = 8
 	base := setup.Alloc(lines * e.LineSize())
 	total := setup.Alloc(8)
-	for i := 0; i < threads; i++ {
-		e.Thread(i).Register()
-	}
 	e.ResetClocks()
 	wit.Start()
 
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			th := e.Thread(tid)
-			x := tm.NewExecutor(th, lock, tm.DefaultPolicy(platform.POWER8))
-			th.BeginWork()
-			defer th.ExitWork()
-			rng := th.Rand()
-			for n := 0; n < 150; n++ {
-				x.Run(func(t *htm.Thread) {
-					off := uint64(rng.Intn(lines))
-					for l := uint64(0); l < 3; l++ {
-						a := base + ((off+l)%lines)*line
-						t.Store64(a, t.Load64(a)+1)
-					}
-					t.Store64(total, t.Load64(total)+1)
-				})
-			}
-		}(i)
-	}
-	wg.Wait()
+	e.Run(threads, func(_ int, th *htm.Thread) {
+		x := tm.NewExecutor(th, lock, tm.DefaultPolicy(platform.POWER8))
+		rng := th.Rand()
+		for n := 0; n < 150; n++ {
+			x.Run(func(t *htm.Thread) {
+				off := uint64(rng.Intn(lines))
+				for l := uint64(0); l < 3; l++ {
+					a := base + ((off+l)%lines)*line
+					t.Store64(a, t.Load64(a)+1)
+				}
+				t.Store64(total, t.Load64(total)+1)
+			})
+		}
+	})
 
 	if in.TotalFired() == 0 {
 		t.Fatal("chaos never fired; the replay proves nothing")

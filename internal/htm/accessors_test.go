@@ -101,10 +101,6 @@ func TestHybridGateAccessors(t *testing.T) {
 		Threads: 1, SpaceSize: 8 << 20, Seed: 21, Virtual: true, CostScale: 0,
 		DisableCacheFetchAborts: true,
 	})
-	th := e.Thread(0)
-	th.Register()
-	th.BeginWork()
-	defer th.ExitWork()
 	if e.HybridEnabled() {
 		t.Error("hybrid enabled before EnableHybridSTM")
 	}
@@ -115,9 +111,11 @@ func TestHybridGateAccessors(t *testing.T) {
 	if !e.HybridEnabled() || e.HybridGate() != gate {
 		t.Errorf("after enable: enabled=%v gate=%#x want %#x", e.HybridEnabled(), e.HybridGate(), gate)
 	}
-	e.STMFence(th)
-	a := th.Alloc(64)
-	if ok, _ := th.TrySTM(func() { th.Store64(a, 3) }); !ok {
-		t.Error("STM writer cannot commit after STMFence returned")
-	}
+	e.Run(1, func(_ int, th *Thread) {
+		e.STMFence(th)
+		a := th.Alloc(64)
+		if ok, _ := th.TrySTM(func() { th.Store64(a, 3) }); !ok {
+			t.Error("STM writer cannot commit after STMFence returned")
+		}
+	})
 }

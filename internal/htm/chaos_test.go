@@ -1,7 +1,6 @@
 package htm
 
 import (
-	"sync"
 	"testing"
 
 	"htmcmp/internal/chaos"
@@ -154,28 +153,17 @@ func TestChaosZeroRateCycleIdentical(t *testing.T) {
 		}
 		e := New(platform.New(platform.ZEC12), cfg)
 		base := e.Thread(0).Alloc(64)
-		for i := 0; i < 4; i++ {
-			e.Thread(i).Register()
-		}
 		e.ResetClocks()
-		var wg sync.WaitGroup
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func(th *Thread) {
-				defer wg.Done()
-				th.BeginWork()
-				defer th.ExitWork()
-				for n := 0; n < 200; n++ {
-					for {
-						ok, _ := th.TryTx(TxNormal, func() { th.Store64(base, th.Load64(base)+1) })
-						if ok {
-							break
-						}
+		e.Run(4, func(_ int, th *Thread) {
+			for n := 0; n < 200; n++ {
+				for {
+					ok, _ := th.TryTx(TxNormal, func() { th.Store64(base, th.Load64(base)+1) })
+					if ok {
+						break
 					}
 				}
-			}(e.Thread(i))
-		}
-		wg.Wait()
+			}
+		})
 		return e.MaxClock(), e.Stats()
 	}
 	clockOff, statsOff := run(nil)

@@ -221,7 +221,8 @@ type Engine struct {
 	arbiter atomic.Int32
 
 	// sched is the virtual-time scheduler (nil in real-concurrency mode).
-	sched *vsched
+	sched   *vsched
+	adapter adapter // Register/BeginWork/ExitWork state; goes with adapter.go
 
 	// stmSeq is the global NOrec sequence lock (see stm.go).
 	stmSeq atomic.Uint64
@@ -433,20 +434,16 @@ func (e *Engine) SchedHandoffs() uint64 {
 	if e.sched == nil {
 		return 0
 	}
-	e.sched.mu.Lock()
-	defer e.sched.mu.Unlock()
 	return e.sched.handoffs
 }
 
-// SchedSwitches returns how many of those elections woke another goroutine;
-// the rest re-elected the elector or were SpinUntil polls run on a parked
-// thread's behalf. Call while threads are quiescent.
+// SchedSwitches returns how many of those elections resumed a different
+// thread; the rest re-elected the elector or were SpinUntil polls run on a
+// parked thread's behalf. Call while threads are quiescent.
 func (e *Engine) SchedSwitches() uint64 {
 	if e.sched == nil {
 		return 0
 	}
-	e.sched.mu.Lock()
-	defer e.sched.mu.Unlock()
 	return e.sched.switches
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 
 	"htmcmp/internal/mem"
@@ -47,35 +46,24 @@ func lifecycleRun(e *Engine) lifecycleRow {
 	for i := range priv {
 		priv[i] = t0.AllocAligned((privLines+4)*line, line)
 	}
-	for i := 0; i < n; i++ {
-		e.Thread(i).Register()
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(th *Thread, mine mem.Addr) {
-			defer wg.Done()
-			th.BeginWork()
-			defer th.ExitWork()
-			for j := 0; j < perThread; j++ {
-				p := mine + uint64(j%privLines*line)
-				s := shared + uint64((j*7+th.Slot()*3)%sharedLines*line)
-				for try := 1; ; try++ {
-					ok, _ := th.TryTx(TxNormal, func() {
-						th.Store64(p, th.Load64(p)+1)
-						if virtual {
-							th.Store64(s, th.Load64(s)+1)
-						}
-					})
-					if ok {
-						break
+	e.Run(n, func(tid int, th *Thread) {
+		for j := 0; j < perThread; j++ {
+			p := priv[tid] + uint64(j%privLines*line)
+			s := shared + uint64((j*7+tid*3)%sharedLines*line)
+			for try := 1; ; try++ {
+				ok, _ := th.TryTx(TxNormal, func() {
+					th.Store64(p, th.Load64(p)+1)
+					if virtual {
+						th.Store64(s, th.Load64(s)+1)
 					}
-					th.Pause(10 * try)
+				})
+				if ok {
+					break
 				}
+				th.Pause(10 * try)
 			}
-		}(e.Thread(i), priv[i])
-	}
-	wg.Wait()
+		}
+	})
 	row := lifecycleRow{MaxClock: e.MaxClock(), Stats: e.Stats()}
 	if !virtual {
 		// How often BG/Q's ID pool runs dry depends on the host's

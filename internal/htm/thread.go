@@ -58,9 +58,10 @@ type Thread struct {
 	// holder), which is also the single-runner invariant that lets every
 	// line-table access skip its shard lock (see lockLine). yieldBudget
 	// counts accesses down to the next voluntary yield so the per-access
-	// check is one decrement and one branch.
+	// check is one decrement and one branch. park gives the processor back to
+	// the region's driver until re-election (false: the region was stopped).
 	vclock      uint64
-	gate        chan struct{}
+	park        func() bool
 	entered     bool
 	virtual     bool
 	yieldBudget int
@@ -154,11 +155,13 @@ type Thread struct {
 	data      []byte
 
 	// A pending SpinUntil: predicate, per-poll cost and livelock stamp
-	// (vsched.pollLocked). spinTry is non-nil only between polls. Kept last
-	// so the per-access fields above sit where they did without it.
+	// (vsched.poll). spinTry is non-nil only between polls. resume is park's
+	// counterpart, the driver's call into this thread. Kept last so the
+	// per-access fields above sit where they did without them.
 	spinTry   func() bool
 	spinN     int
 	spinEpoch uint64
+	resume    func()
 }
 
 func newThread(e *Engine, slot int) *Thread {
@@ -167,7 +170,6 @@ func newThread(e *Engine, slot int) *Thread {
 		slot:    slot,
 		core:    e.plat.CoreOf(slot),
 		rng:     e.rngFor(slot),
-		gate:    make(chan struct{}, 1),
 		virtual: e.sched != nil,
 		specID:  -1,
 
@@ -248,33 +250,6 @@ func (t *Thread) FootprintLines() (readLines, writeLines int) {
 // ---------------------------------------------------------------------------
 // Virtual-time participation
 
-// Register announces that this thread will join the scheduled region. It
-// must be called from the spawning goroutine for every worker *before* any
-// of them starts, so the scheduler's membership is complete from the first
-// instruction. A no-op in real-concurrency mode.
-func (t *Thread) Register() {
-	if t.eng.sched != nil {
-		t.eng.sched.register(t)
-	}
-}
-
-// BeginWork is a worker goroutine's first call: it waits for the baton in
-// virtual mode. A no-op in real-concurrency mode.
-func (t *Thread) BeginWork() {
-	if t.eng.sched != nil {
-		t.eng.sched.begin(t)
-	}
-	t.entered = true
-}
-
-// ExitWork leaves the scheduled region, handing the baton on.
-func (t *Thread) ExitWork() {
-	t.entered = false
-	if t.eng.sched != nil {
-		t.eng.sched.exit(t)
-	}
-}
-
 // work charges n cost units of virtual time (or burns real CPU in
 // real-concurrency mode) without a yield point.
 func (t *Thread) work(n int) {
@@ -345,8 +320,8 @@ func (t *Thread) Pause(n int) {
 
 // SpinUntil is exactly `for !try() { t.Pause(n) }`, the one way to wait on
 // Go-side state (a lock mirror, the NOrec sequence lock). Under the virtual
-// scheduler the polls of a parked waiter run on whichever goroutine holds
-// the baton, so try must only read or CAS state that baton holders write:
+// scheduler the polls of a parked waiter run on whichever thread is
+// electing, so try must only read or CAS state that baton holders write:
 // no simulated-memory access, Pause or Barrier.Wait, on pain of a panic.
 func (t *Thread) SpinUntil(n int, try func() bool) {
 	if t.virtual && t.entered {

@@ -174,31 +174,18 @@ func TestTraceEventCountsMatchStats(t *testing.T) {
 	setup := e.Thread(0)
 	a := setup.Alloc(64)
 
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		th := e.Thread(i)
-		th.Register()
-	}
-	for i := 0; i < threads; i++ {
-		th := e.Thread(i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th.BeginWork()
-			defer th.ExitWork()
-			for n := 0; n < 200; n++ {
-				for {
-					ok, _ := th.TryTx(TxNormal, func() {
-						th.Store64(a, th.Load64(a)+1)
-					})
-					if ok {
-						break
-					}
+	e.Run(threads, func(_ int, th *Thread) {
+		for n := 0; n < 200; n++ {
+			for {
+				ok, _ := th.TryTx(TxNormal, func() {
+					th.Store64(a, th.Load64(a)+1)
+				})
+				if ok {
+					break
 				}
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 
 	st := e.Stats()
 	rep := obs.Aggregate(tr.Events(), obs.ReportOptions{})

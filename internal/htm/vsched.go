@@ -2,7 +2,6 @@ package htm
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 )
 
@@ -20,16 +19,20 @@ import (
 // speed-up ratios are virtual-cycle ratios here, so results are identical
 // on a laptop and a 64-core server.
 //
+// A region's threads are coroutines on one goroutine (Engine.Run): a thread
+// that gives the baton away elects on its own stack, records the winner in
+// next and parks; the driver loop (run) resumes next. So the scheduler needs
+// no lock, and a region has no launch order to be independent of.
+//
 // Scheduling state is O(1) per handoff: thread status lives in a
 // slot-indexed slice and electable threads sit in a binary min-heap keyed
 // by (vclock, slot). A parked thread's clock never changes while it is in
 // the heap — clocks only advance on the baton holder or on a spinner the
-// elector has popped (pollLocked), and unblock raises a clock *before*
+// elector has popped (poll), and unblock raises a clock *before*
 // re-inserting — so heap keys are immutable and the usual
 // decrease-key machinery is unnecessary. The common yield fast path (the
 // caller is still the minimum) is a single peek at the heap root.
 type vsched struct {
-	mu      sync.Mutex
 	quantum int
 
 	// status per thread slot, indexed by Thread.slot.
@@ -37,20 +40,17 @@ type vsched struct {
 	// ready is a binary min-heap of electable threads ordered by
 	// (vclock, slot). The running thread is never in the heap.
 	ready []*Thread
-	// running is the slot currently holding the baton, or -1.
+	// running is the slot currently holding the baton, or -1 between regions.
 	running int
-	// pending counts registered threads whose goroutines have not reached
-	// begin yet. No thread runs until it drops to zero: a startup barrier
-	// that makes the schedule independent of goroutine launch order (and
-	// therefore deterministic).
-	pending int
+	// next is the thread the last election gave the baton to, for the driver
+	// loop to resume once the elector has parked or returned.
+	next *Thread
 	// handoffs counts baton elections (Engine.SchedHandoffs); switches counts
-	// the elections that really woke another goroutine (Engine.SchedSwitches).
+	// the elections that resumed a different thread (Engine.SchedSwitches).
 	handoffs, switches uint64
 	// epoch numbers real elections from 1, stuck counts the spinners whose
 	// predicate has failed in the current epoch (Thread.spinEpoch is the
-	// per-thread stamp), and polling is set while a predicate runs: see
-	// pollLocked.
+	// per-thread stamp), and polling is set while a predicate runs: see poll.
 	epoch   uint64
 	stuck   int
 	polling bool
@@ -59,12 +59,10 @@ type vsched struct {
 type schedStatus int
 
 const (
-	schedNone    schedStatus = iota // slot never registered
-	schedPending                    // registered; goroutine not started yet
+	schedNone schedStatus = iota // slot not in the region
 	schedRunning
 	schedReady   // parked, electable (in the ready heap)
 	schedBlocked // parked, waiting for an Unblock (barrier)
-	schedDone
 )
 
 func newVsched(quantum, nThreads int) *vsched {
@@ -79,19 +77,11 @@ func newVsched(quantum, nThreads int) *vsched {
 	}
 }
 
-// lock takes s.mu on behalf of a baton holder. A SpinUntil predicate runs
-// under s.mu, so one that gets here would otherwise deadlock on itself.
-func (s *vsched) lock() {
+// enter opens a scheduling point of the baton holder. A SpinUntil predicate
+// runs inside an election, so one that gets here would re-enter it.
+func (s *vsched) enter() {
 	if s.polling {
 		panic("htm: SpinUntil predicate reached the virtual scheduler (it may only read or CAS Go-side state)")
-	}
-	s.mu.Lock()
-}
-
-// ensureSlot grows the status slice to cover slot. Caller holds s.mu.
-func (s *vsched) ensureSlot(slot int) {
-	for slot >= len(s.status) {
-		s.status = append(s.status, schedNone)
 	}
 }
 
@@ -101,7 +91,7 @@ func schedLess(a, b *Thread) bool {
 	return a.vclock < b.vclock || (a.vclock == b.vclock && a.slot < b.slot)
 }
 
-// pushReady inserts t into the ready heap. Caller holds s.mu.
+// pushReady inserts t into the ready heap.
 func (s *vsched) pushReady(t *Thread) {
 	s.ready = append(s.ready, t)
 	i := len(s.ready) - 1
@@ -116,7 +106,7 @@ func (s *vsched) pushReady(t *Thread) {
 }
 
 // popReady removes and returns the minimum-(clock, slot) ready thread, or
-// nil when none is electable. Caller holds s.mu.
+// nil when none is electable.
 func (s *vsched) popReady() *Thread {
 	n := len(s.ready)
 	if n == 0 {
@@ -148,58 +138,36 @@ func (s *vsched) popReady() *Thread {
 	return min
 }
 
-// register adds a thread before its worker goroutine starts, so the
-// scheduler never mistakes a not-yet-started thread for a deadlock.
-// Must be called from outside the scheduled region (e.g. the spawning
-// goroutine).
-func (s *vsched) register(t *Thread) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ensureSlot(t.slot)
-	if st := s.status[t.slot]; st != schedNone && st != schedDone {
-		panic(fmt.Sprintf("htm: thread %d registered twice", t.slot))
+// run is one region: threads become electable at the clocks they arrive
+// with, the first election picks who runs, and each election's winner is
+// resumed in turn until the last thread has exited (or a body panic cleared
+// next: see Engine.Run).
+func (s *vsched) run(threads []*Thread) {
+	for _, t := range threads {
+		s.status[t.slot] = schedReady
+		s.pushReady(t)
 	}
-	s.status[t.slot] = schedPending
-	s.pending++
+	s.handover(nil, s.elect(), false)
+	for s.next != nil {
+		t := s.next
+		s.next = nil
+		t.resume()
+	}
 }
 
-// begin is a worker goroutine's first scheduler call. Threads park here
-// until every registered thread has arrived (the startup barrier); the last
-// arrival elects the minimum-clock thread to run first, so the schedule does
-// not depend on goroutine launch order.
-func (s *vsched) begin(t *Thread) {
-	s.mu.Lock()
-	if s.status[t.slot] != schedPending {
-		s.mu.Unlock()
-		panic(fmt.Sprintf("htm: thread %d begins without registration", t.slot))
-	}
-	s.status[t.slot] = schedReady
-	s.pushReady(t)
-	s.pending--
-	if s.pending > 0 || s.running != -1 {
-		// Not everyone is here yet, or a schedule is already in flight
-		// (a thread registered into a running region): park until elected.
-		s.mu.Unlock()
-		<-t.gate
-		return
-	}
-	s.handoverLocked(t, s.electLocked(), true)
-}
-
-// electLocked pops ready threads in (clock, slot) order until one can take
-// the baton, marks it running and returns it; nil when no thread is
-// electable. A thread parked in SpinUntil is polled where it would have
-// resumed: a failed poll re-inserts it at its advanced clock, which is the
-// yield its own goroutine would have made. Every pop counts as one handoff,
-// as every resumption did. Caller holds s.mu.
-func (s *vsched) electLocked() *Thread {
+// elect pops ready threads in (clock, slot) order until one can take the
+// baton, marks it running and returns it; nil when no thread is electable. A
+// thread parked in SpinUntil is polled where it would have resumed: a failed
+// poll re-inserts it at its advanced clock, which is the yield it would have
+// made itself. Every pop counts as one handoff, as every resumption did.
+func (s *vsched) elect() *Thread {
 	for {
 		best := s.popReady()
 		if best == nil {
 			return nil
 		}
 		s.handoffs++
-		if best.spinTry == nil || s.pollLocked(best) {
+		if best.spinTry == nil || s.poll(best) {
 			s.status[best.slot] = schedRunning
 			s.running = best.slot
 			s.epoch++
@@ -210,13 +178,13 @@ func (s *vsched) electLocked() *Thread {
 	}
 }
 
-// pollLocked runs `for !try() { t.Pause(n) }` for t, which is outside the
-// ready heap, up to the first Pause that would give the baton away: it
-// reports true once the predicate holds (t.spinTry is then cleared, so a
+// poll runs `for !try() { t.Pause(n) }` for t, which is outside the ready
+// heap, up to the first Pause that would give the baton away: it reports
+// true once the predicate holds (t.spinTry is then cleared, so a
 // side-effecting predicate succeeds exactly once) and false when t has to
 // be parked. The yield budget is zero while the predicate runs so that a
-// memory access on t reaches lock() at once. Caller holds s.mu.
-func (s *vsched) pollLocked(t *Thread) bool {
+// memory access on t reaches enter() at once.
+func (s *vsched) poll(t *Thread) bool {
 	for {
 		budget := t.yieldBudget
 		t.yieldBudget, s.polling = 0, true
@@ -235,13 +203,7 @@ func (s *vsched) pollLocked(t *Thread) bool {
 			s.stuck++
 		}
 		if s.stuck > len(s.ready) {
-			if s.pending == 0 {
-				panic(fmt.Sprintf("htm: virtual-scheduler livelock: %d threads spinning, none runnable", s.stuck))
-			}
-			// Only a registered thread still on its way to begin can help.
-			s.mu.Unlock()
-			runtime.Gosched()
-			s.mu.Lock()
+			panic(fmt.Sprintf("htm: virtual-scheduler livelock: %d threads spinning, none runnable", s.stuck))
 		}
 		if len(s.ready) > 0 && schedLess(s.ready[0], t) {
 			return false
@@ -249,82 +211,74 @@ func (s *vsched) pollLocked(t *Thread) bool {
 	}
 }
 
-// handoverLocked gives the baton to next, the result of electLocked, and
-// with park set waits until t is elected again. next == t (the elector
-// popped itself) costs no channel operation. Caller holds s.mu, which is
-// released here.
-func (s *vsched) handoverLocked(t, next *Thread, park bool) {
-	if next == nil {
-		s.running = -1
-		if park {
-			s.checkDeadlockLocked()
-		}
-	} else if next != t {
-		s.switches++
-	}
-	s.mu.Unlock()
+// handover gives the baton to next, the result of elect, and with park set
+// waits until t is elected again. next == t (the elector popped itself)
+// costs no switch; otherwise the driver resumes next once t has parked or
+// returned.
+func (s *vsched) handover(t, next *Thread, park bool) {
 	if next == t {
 		return
 	}
-	if next != nil {
-		next.gate <- struct{}{}
+	if next == nil {
+		s.running = -1
+		if park { // one goroutine: nobody is left to make t electable again
+			s.deadlock()
+		}
+	} else {
+		s.switches++
 	}
-	if park {
-		<-t.gate
+	s.next = next
+	if park && !t.park() {
+		panic(regionStopped{})
 	}
 }
 
-// checkDeadlockLocked panics when no thread can ever run again yet some are
-// blocked. Caller holds s.mu.
-func (s *vsched) checkDeadlockLocked() {
+// regionStopped unwinds a parked thread whose region a body panic on another
+// thread has ended; Engine.Run swallows it.
+type regionStopped struct{}
+
+// deadlock panics for handover: every thread still in the region is blocked.
+func (s *vsched) deadlock() {
 	blocked := 0
 	for _, st := range s.status {
-		switch st {
-		case schedPending, schedReady, schedRunning:
-			return // progress is still possible
-		case schedBlocked:
+		if st == schedBlocked {
 			blocked++
 		}
 	}
-	if blocked > 0 {
-		panic(fmt.Sprintf("htm: virtual-scheduler deadlock: %d threads blocked, none runnable", blocked))
-	}
+	panic(fmt.Sprintf("htm: virtual-scheduler deadlock: %d threads blocked, none runnable", blocked))
 }
 
 // yield hands the baton to the minimum-clock ready thread if that is not the
 // caller. The caller must be the running thread.
 func (s *vsched) yield(t *Thread) {
-	s.lock()
+	s.enter()
 	// Fast path: caller remains the minimum — one peek at the heap root.
 	if len(s.ready) == 0 || !schedLess(s.ready[0], t) {
-		s.mu.Unlock()
 		return
 	}
 	s.status[t.slot] = schedReady
 	s.pushReady(t)
-	s.handoverLocked(t, s.electLocked(), true)
+	s.handover(t, s.elect(), true)
 }
 
 // spin is Thread.SpinUntil for the running thread t: t polls itself while
 // it remains the minimum and otherwise parks with its predicate, to be
 // polled by whoever elects next.
 func (s *vsched) spin(t *Thread, n int, try func() bool) {
-	s.lock()
+	s.enter()
 	t.spinN, t.spinTry = n, try
-	if s.pollLocked(t) {
-		s.mu.Unlock()
+	if s.poll(t) {
 		return
 	}
 	s.status[t.slot] = schedReady
 	s.pushReady(t)
-	s.handoverLocked(t, s.electLocked(), true)
+	s.handover(t, s.elect(), true)
 }
 
-// unblockLocked marks a blocked thread ready and advances its clock to at
-// least atClock (time spent blocked passes for everyone). The clock is
-// raised before the heap insert, keeping heap keys immutable. Caller holds
-// s.mu.
-func (s *vsched) unblockLocked(t *Thread, atClock uint64) {
+// unblock marks a blocked thread ready and advances its clock to at least
+// atClock (time spent blocked passes for everyone). The clock is raised
+// before the heap insert, keeping heap keys immutable.
+func (s *vsched) unblock(t *Thread, atClock uint64) {
 	if s.status[t.slot] != schedBlocked {
 		panic(fmt.Sprintf("htm: unblock of non-blocked thread %d", t.slot))
 	}
@@ -337,13 +291,8 @@ func (s *vsched) unblockLocked(t *Thread, atClock uint64) {
 
 // exit removes the finishing thread from scheduling and passes the baton on.
 func (s *vsched) exit(t *Thread) {
-	s.lock()
-	s.status[t.slot] = schedDone
-	if s.running != t.slot {
-		s.mu.Unlock()
-		return
-	}
-	s.handoverLocked(t, s.electLocked(), false)
+	s.status[t.slot] = schedNone
+	s.handover(t, s.elect(), false)
 }
 
 // Barrier is a scheduler-aware cyclic barrier. In virtual mode all parties
@@ -388,12 +337,12 @@ func (b *Barrier) Wait(t *Thread) {
 		return
 	}
 	s := b.eng.sched
-	s.lock()
+	s.enter()
 	b.count++
 	if b.count < b.n {
 		b.waiters = append(b.waiters, t)
 		s.status[t.slot] = schedBlocked
-		s.handoverLocked(t, s.electLocked(), true)
+		s.handover(t, s.elect(), true)
 		return
 	}
 	// Last arriver: everyone resumes at the maximum clock.
@@ -405,9 +354,8 @@ func (b *Barrier) Wait(t *Thread) {
 	}
 	t.vclock = maxClock
 	for _, w := range b.waiters {
-		s.unblockLocked(w, maxClock)
+		s.unblock(w, maxClock)
 	}
 	b.waiters = b.waiters[:0]
 	b.count = 0
-	s.mu.Unlock()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -22,36 +21,24 @@ func runVirtualCounters(t *testing.T, threads, perThread int, shared bool, seed 
 		DisablePrefetch: true,
 	})
 	base := e.Thread(0).Alloc(threads * 256)
-	for i := 0; i < threads; i++ {
-		e.Thread(i).Register()
-	}
 	e.ResetClocks()
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			th := e.Thread(tid)
-			th.BeginWork()
-			defer th.ExitWork()
-			addr := base
-			if !shared {
-				addr += uint64(tid * 256)
-			}
-			for j := 0; j < perThread; j++ {
-				th.Work(50)
-				for {
-					ok, _ := th.TryTx(TxNormal, func() {
-						th.Store64(addr, th.Load64(addr)+1)
-					})
-					if ok {
-						break
-					}
+	e.Run(threads, func(tid int, th *Thread) {
+		addr := base
+		if !shared {
+			addr += uint64(tid * 256)
+		}
+		for j := 0; j < perThread; j++ {
+			th.Work(50)
+			for {
+				ok, _ := th.TryTx(TxNormal, func() {
+					th.Store64(addr, th.Load64(addr)+1)
+				})
+				if ok {
+					break
 				}
 			}
-		}(i)
-	}
-	wg.Wait()
+		}
+	})
 	return e.MaxClock(), e.Stats()
 }
 
@@ -94,76 +81,17 @@ func TestVirtualClockMonotoneWithContention(t *testing.T) {
 	}
 }
 
-func TestVirtualStartupBarrierIndependentOfArrival(t *testing.T) {
-	// Register threads, then start their goroutines in adversarial order;
-	// results must match a normal run.
-	run := func(reverse bool) (uint64, Stats) {
-		e := New(platform.New(platform.ZEC12), Config{
-			Threads: 4, SpaceSize: 4 << 20, Seed: 3, Virtual: true, CostScale: 1,
-			DisableCacheFetchAborts: true,
-		})
-		base := e.Thread(0).Alloc(1024)
-		for i := 0; i < 4; i++ {
-			e.Thread(i).Register()
-		}
-		e.ResetClocks()
-		var wg sync.WaitGroup
-		order := []int{0, 1, 2, 3}
-		if reverse {
-			order = []int{3, 2, 1, 0}
-		}
-		for _, tid := range order {
-			wg.Add(1)
-			go func(tid int) {
-				defer wg.Done()
-				th := e.Thread(tid)
-				th.BeginWork()
-				defer th.ExitWork()
-				for j := 0; j < 200; j++ {
-					for {
-						ok, _ := th.TryTx(TxNormal, func() {
-							th.Store64(base, th.Load64(base)+1)
-						})
-						if ok {
-							break
-						}
-					}
-				}
-			}(tid)
-		}
-		wg.Wait()
-		return e.MaxClock(), e.Stats()
-	}
-	cA, sA := run(false)
-	cB, sB := run(true)
-	if cA != cB || sA != sB {
-		t.Errorf("schedule depends on goroutine launch order: clock %d vs %d", cA, cB)
-	}
-}
-
 func TestVirtualBarrierSynchronisesClocks(t *testing.T) {
 	e := New(platform.New(platform.IntelCore), Config{
 		Threads: 3, SpaceSize: 1 << 20, Seed: 1, Virtual: true, CostScale: 0,
 	})
 	bar := e.NewBarrier(3)
-	for i := 0; i < 3; i++ {
-		e.Thread(i).Register()
-	}
-	var wg sync.WaitGroup
 	after := make([]uint64, 3)
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			th := e.Thread(tid)
-			th.BeginWork()
-			defer th.ExitWork()
-			th.Work(100 * (tid + 1))
-			bar.Wait(th)
-			after[tid] = th.Clock()
-		}(i)
-	}
-	wg.Wait()
+	e.Run(3, func(tid int, th *Thread) {
+		th.Work(100 * (tid + 1))
+		bar.Wait(th)
+		after[tid] = th.Clock()
+	})
 	if after[0] != after[1] || after[1] != after[2] {
 		t.Errorf("clocks after barrier diverge: %v", after)
 	}
@@ -179,20 +107,17 @@ func TestVirtualDeadlockDetection(t *testing.T) {
 	// A 3-party barrier with only 2 threads: both block, nobody can wake
 	// them. The scheduler must panic rather than hang.
 	bar := e.NewBarrier(3)
-	e.Thread(0).Register()
-	e.Thread(1).Register()
-	done := make(chan interface{}, 2)
-	for i := 0; i < 2; i++ {
-		go func(tid int) {
-			defer func() { done <- recover() }()
-			th := e.Thread(tid)
-			th.BeginWork()
-			bar.Wait(th)
-		}(i)
+	r, _ := runPanic(e, 2, func(_ int, th *Thread) { bar.Wait(th) }).(string)
+	if !strings.Contains(r, "deadlock: 2 threads blocked") {
+		t.Fatalf("expected a deadlock panic from the virtual scheduler, got %q", r)
 	}
-	if r := <-done; r == nil {
-		t.Fatal("expected a deadlock panic from the virtual scheduler")
-	}
+}
+
+// runPanic returns what e.Run(n, body) panics with, nil if it returns.
+func runPanic(e *Engine, n int, body func(tid int, th *Thread)) (r interface{}) {
+	defer func() { r = recover() }()
+	e.Run(n, body)
+	return nil
 }
 
 func TestVirtualLivelockDetection(t *testing.T) {
@@ -200,27 +125,18 @@ func TestVirtualLivelockDetection(t *testing.T) {
 		Threads: 2, SpaceSize: 1 << 20, Seed: 1, Virtual: true, Quantum: 1,
 	})
 	// Thread 0 exits holding a Go-side lock thread 1 is spinning on: no
-	// baton holder is left to release it. The poll that exit runs under s.mu
+	// baton holder is left to release it. The poll that thread 0's exit runs
 	// must panic rather than spin there forever.
 	var held atomic.Int32
-	e.Thread(0).Register()
-	e.Thread(1).Register()
-	done := make(chan interface{}, 2)
-	for i := 0; i < 2; i++ {
-		go func(tid int) {
-			defer func() { done <- recover() }()
-			th := e.Thread(tid)
-			th.BeginWork()
-			if tid == 0 {
-				held.Store(1)
-				th.Work(10) // thread 1 runs, fails to acquire and parks spinning
-			} else {
-				th.SpinUntil(4, func() bool { return held.CompareAndSwap(0, 1) })
-			}
-			th.ExitWork()
-		}(i)
-	}
-	if r, _ := (<-done).(string); !strings.Contains(r, "livelock: 1 threads spinning") {
+	r, _ := runPanic(e, 2, func(tid int, th *Thread) {
+		if tid == 0 {
+			held.Store(1)
+			th.Work(10) // thread 1 runs, fails to acquire and parks spinning
+		} else {
+			th.SpinUntil(4, func() bool { return held.CompareAndSwap(0, 1) })
+		}
+	}).(string)
+	if !strings.Contains(r, "livelock: 1 threads spinning") {
 		t.Fatalf("expected a livelock panic from the virtual scheduler, got %q", r)
 	}
 }
@@ -241,16 +157,12 @@ func TestSpinUntilPredicateMustNotReachScheduler(t *testing.T) {
 			e := New(platform.New(platform.IntelCore), Config{
 				Threads: 1, SpaceSize: 1 << 20, Seed: 1, Virtual: true,
 			})
-			th, bar := e.Thread(0), e.NewBarrier(1)
-			a := th.Alloc(64)
-			th.Register()
-			done := make(chan interface{}, 1)
-			go func() {
-				defer func() { done <- recover() }()
-				th.BeginWork()
+			bar := e.NewBarrier(1)
+			a := e.Thread(0).Alloc(64)
+			r, _ := runPanic(e, 1, func(_ int, th *Thread) {
 				th.SpinUntil(4, func() bool { tc.try(th, bar, a); return true })
-			}()
-			if r, _ := (<-done).(string); !strings.Contains(r, "SpinUntil predicate") {
+			}).(string)
+			if !strings.Contains(r, "SpinUntil predicate") {
 				t.Fatalf("expected a panic naming SpinUntil, got %q", r)
 			}
 		})
@@ -275,34 +187,6 @@ func TestSpinUntilOutsideScheduledRegion(t *testing.T) {
 	}
 }
 
-func TestSpinUntilWaitsForLateRegistrant(t *testing.T) {
-	// A running thread registers and spawns a second one, then spins on a
-	// flag only that thread sets: the spinner has to let it through begin
-	// instead of polling under s.mu forever or reporting a livelock.
-	e := New(platform.New(platform.IntelCore), Config{
-		Threads: 2, SpaceSize: 1 << 20, Seed: 1, Virtual: true,
-	})
-	t0, t1 := e.Thread(0), e.Thread(1)
-	var flag atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(2)
-	t0.Register()
-	go func() {
-		defer wg.Done()
-		t0.BeginWork()
-		defer t0.ExitWork()
-		t1.Register()
-		go func() {
-			defer wg.Done()
-			t1.BeginWork()
-			defer t1.ExitWork()
-			flag.Store(true)
-		}()
-		t0.SpinUntil(4, flag.Load)
-	}()
-	wg.Wait()
-}
-
 // spinOutcome is everything the virtual schedule determines in spinScenario.
 type spinOutcome struct {
 	Clocks   []uint64
@@ -317,8 +201,9 @@ type spinOutcome struct {
 // it lemming-guard style, bumps a shared counter transactionally, meets the
 // others at a barrier after its second round and exits after its own number
 // of rounds. Waits go through SpinUntil when inline is set and through the
-// loop SpinUntil is defined as otherwise.
-func spinScenario(quantum, threads int, seed uint64, inline bool) (spinOutcome, uint64) {
+// loop SpinUntil is defined as otherwise. launch runs the region:
+// (*Engine).Run, or the adapter's goroutines (adapter_test.go).
+func spinScenario(launch func(*Engine, int, func(int, *Thread)), quantum, threads int, seed uint64, inline bool) (spinOutcome, uint64) {
 	e := New(platform.New(platform.IntelCore), Config{
 		Threads: threads, SpaceSize: 1 << 20, Seed: seed, Virtual: true, CostScale: 1,
 		Quantum: quantum, DisablePrefetch: true,
@@ -336,46 +221,35 @@ func spinScenario(quantum, threads int, seed uint64, inline bool) (spinOutcome, 
 			th.Pause(n)
 		}
 	}
-	for i := 0; i < threads; i++ {
-		e.Thread(i).Register()
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			th, rng := e.Thread(tid), prng.Derive(seed, tid)
-			th.BeginWork()
-			defer th.ExitWork()
-			for round, rounds := 0, 3+rng.Intn(6); round < rounds; round++ {
-				if round == 2 {
-					bar.Wait(th)
-				}
-				for k := rng.Intn(4); k >= 0; k-- {
-					th.Work(1 + rng.Intn(120))
-				}
-				for {
-					if ok, _ := th.TryTx(TxNormal, func() {
-						v := th.Load64(counter)
-						th.Work(30)
-						th.Store64(counter, v+1)
-					}); ok {
-						break
-					}
-				}
-				if rng.Intn(3) == 0 {
-					wait(th, 1+rng.Intn(8), func() bool { return held.Load() == 0 })
-				}
-				wait(th, 1+rng.Intn(8), func() bool { return held.CompareAndSwap(0, 1) })
-				order = append(order, tid)
-				for k := rng.Intn(12); k >= 0; k-- {
-					th.Work(1 + rng.Intn(40))
-				}
-				held.Store(0)
+	launch(e, threads, func(tid int, th *Thread) {
+		rng := prng.Derive(seed, tid)
+		for round, rounds := 0, 3+rng.Intn(6); round < rounds; round++ {
+			if round == 2 {
+				bar.Wait(th)
 			}
-		}(i)
-	}
-	wg.Wait()
+			for k := rng.Intn(4); k >= 0; k-- {
+				th.Work(1 + rng.Intn(120))
+			}
+			for {
+				if ok, _ := th.TryTx(TxNormal, func() {
+					v := th.Load64(counter)
+					th.Work(30)
+					th.Store64(counter, v+1)
+				}); ok {
+					break
+				}
+			}
+			if rng.Intn(3) == 0 {
+				wait(th, 1+rng.Intn(8), func() bool { return held.Load() == 0 })
+			}
+			wait(th, 1+rng.Intn(8), func() bool { return held.CompareAndSwap(0, 1) })
+			order = append(order, tid)
+			for k := rng.Intn(12); k >= 0; k-- {
+				th.Work(1 + rng.Intn(40))
+			}
+			held.Store(0)
+		}
+	})
 	out := spinOutcome{MaxClock: e.MaxClock(), Stats: e.Stats(), Handoffs: e.SchedHandoffs(), Order: order}
 	for i := 0; i < threads; i++ {
 		out.Clocks = append(out.Clocks, e.Thread(i).Clock())
@@ -389,15 +263,15 @@ func TestSpinUntilEquivalentToPauseLoop(t *testing.T) {
 			t.Run(fmt.Sprintf("q%d/t%d", quantum, threads), func(t *testing.T) {
 				aborts := uint64(0)
 				for seed := uint64(1); seed <= 8; seed++ {
-					want, _ := spinScenario(quantum, threads, seed, false)
-					got, switches := spinScenario(quantum, threads, seed, true)
+					want, _ := spinScenario((*Engine).Run, quantum, threads, seed, false)
+					got, switches := spinScenario((*Engine).Run, quantum, threads, seed, true)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d: SpinUntil run diverges from the Pause loop:\n got %+v\nwant %+v", seed, got, want)
 					}
 					aborts += got.Stats.Aborts
 					// A lock convoy: most elections are polls of parked waiters.
 					if threads == 16 && switches*5 > got.Handoffs {
-						t.Errorf("seed %d: %d goroutine switches for %d handoffs, want < 1/5", seed, switches, got.Handoffs)
+						t.Errorf("seed %d: %d thread switches for %d handoffs, want < 1/5", seed, switches, got.Handoffs)
 					}
 				}
 				if aborts == 0 {
@@ -419,36 +293,27 @@ func TestVirtualSMTDivisorStillApplies(t *testing.T) {
 		t.Fatal("threads 0 and 6 should share a core")
 	}
 	a := t0.Alloc(64 * e.LineSize())
-	t0.Register()
-	t6.Register()
-	var wg sync.WaitGroup
-	wg.Add(2)
 	results := make([]bool, 2)
-	go func() {
-		defer wg.Done()
-		t0.BeginWork()
-		defer t0.ExitWork()
-		ok, _ := t0.TryTx(TxNormal, func() {
-			for i := 0; i < 40; i++ {
-				_ = t0.Load64(a + uint64(i*e.LineSize()))
-			}
-			t0.Work(10000) // stay in-tx while the sibling runs
-		})
-		results[0] = ok
-	}()
-	go func() {
-		defer wg.Done()
-		t6.BeginWork()
-		defer t6.ExitWork()
-		t6.Work(500) // let t0 build its read set first
-		ok, _ := t6.TryTx(TxNormal, func() {
-			for i := 40; i < 80; i++ {
-				_ = t6.Load64(a + uint64(i*e.LineSize()))
-			}
-		})
-		results[1] = ok
-	}()
-	wg.Wait()
+	e.Run(7, func(tid int, th *Thread) {
+		switch tid {
+		case 0:
+			ok, _ := th.TryTx(TxNormal, func() {
+				for i := 0; i < 40; i++ {
+					_ = th.Load64(a + uint64(i*e.LineSize()))
+				}
+				th.Work(10000) // stay in-tx while the sibling runs
+			})
+			results[0] = ok
+		case 6:
+			th.Work(500) // let t0 build its read set first
+			ok, _ := th.TryTx(TxNormal, func() {
+				for i := 40; i < 80; i++ {
+					_ = th.Load64(a + uint64(i*e.LineSize()))
+				}
+			})
+			results[1] = ok
+		}
+	})
 	if results[0] && results[1] {
 		t.Error("both 40-line transactions on one SMT core committed; capacity sharing not applied")
 	}

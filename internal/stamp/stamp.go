@@ -21,7 +21,6 @@ package stamp
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"htmcmp/internal/htm"
 	"htmcmp/internal/tm"
@@ -242,23 +241,13 @@ func NewBarrier(runners []Runner) *htm.Barrier {
 	return runners[0].Thread().Engine().NewBarrier(len(runners))
 }
 
-// runWorkers runs fn(tid, runner) on one goroutine per runner and waits. The
-// workers participate in the engine's virtual-time schedule: all threads are
-// registered before any starts, so the scheduler's membership is complete.
+// runWorkers runs fn(tid, runner) for every runner as one scheduled region
+// of their engine and waits. Runner i must execute on the engine's thread i.
 func runWorkers(runners []Runner, fn func(tid int, r Runner)) {
-	for _, r := range runners {
-		r.Thread().Register()
-	}
-	var wg sync.WaitGroup
-	for i, r := range runners {
-		wg.Add(1)
-		go func(tid int, r Runner) {
-			defer wg.Done()
-			t := r.Thread()
-			t.BeginWork()
-			defer t.ExitWork()
-			fn(tid, r)
-		}(i, r)
-	}
-	wg.Wait()
+	runners[0].Thread().Engine().Run(len(runners), func(tid int, t *htm.Thread) {
+		if runners[tid].Thread() != t {
+			panic(fmt.Sprintf("stamp: runner %d is not on its engine's thread %d", tid, tid))
+		}
+		fn(tid, runners[tid])
+	})
 }

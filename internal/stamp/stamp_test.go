@@ -183,24 +183,12 @@ func TestBarrierVirtualMode(t *testing.T) {
 		Threads: n, SpaceSize: 1 << 20, CostScale: 0, Virtual: true,
 	})
 	bar := e.NewBarrier(n)
-	for i := 0; i < n; i++ {
-		e.Thread(i).Register()
-	}
-	var wg sync.WaitGroup
 	clocks := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			th := e.Thread(tid)
-			th.BeginWork()
-			defer th.ExitWork()
-			th.Work((tid + 1) * 100) // unequal work before the barrier
-			bar.Wait(th)
-			clocks[tid] = th.Clock()
-		}(i)
-	}
-	wg.Wait()
+	e.Run(n, func(tid int, th *htm.Thread) {
+		th.Work((tid + 1) * 100) // unequal work before the barrier
+		bar.Wait(th)
+		clocks[tid] = th.Clock()
+	})
 	for i := 1; i < n; i++ {
 		if clocks[i] != clocks[0] {
 			t.Fatalf("clocks diverge after barrier: %v", clocks)

@@ -13,7 +13,6 @@ package tm_test
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 
 	"htmcmp/internal/adapt"
@@ -50,9 +49,6 @@ func adaptiveRun(t *testing.T, kind platform.Kind, threads, iters int,
 	}
 	big := setup.Alloc(bigLines * e.LineSize())
 	total := setup.Alloc(8) // shared commit counter: every execution adds 1
-	for i := 0; i < threads; i++ {
-		e.Thread(i).Register()
-	}
 	e.ResetClocks()
 	if wit != nil {
 		wit.Start()
@@ -63,48 +59,39 @@ func adaptiveRun(t *testing.T, kind platform.Kind, threads, iters int,
 	// hot lines, so once it runs as STM its commits overlap in-flight
 	// hardware transactions of the hot site — exercising the gate fence.
 	stats := make([]tm.Stats, threads)
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			th := e.Thread(tid)
-			x := tm.NewExecutorConfig(th, lock, tm.Config{
-				Policy: tm.DefaultPolicy(kind),
-				Adapt:  ctl,
-			})
-			th.BeginWork()
-			defer th.ExitWork()
-			rng := th.Rand()
-			hotBody := func(t *htm.Thread) {
-				off := uint64(rng.Intn(hotLines))
-				for l := uint64(0); l < 3; l++ {
-					a := hot + ((off+l)%hotLines)*line
-					t.Store64(a, t.Load64(a)+1)
-				}
-				t.Store64(total, t.Load64(total)+1)
-			}
-			bigBody := func(t *htm.Thread) {
-				var sum uint64
-				for l := uint64(0); l < uint64(bigLines); l++ {
-					sum += t.Load64(big + l*line)
-				}
-				a := hot + (sum%hotLines)*line
+	e.Run(threads, func(tid int, th *htm.Thread) {
+		x := tm.NewExecutorConfig(th, lock, tm.Config{
+			Policy: tm.DefaultPolicy(kind),
+			Adapt:  ctl,
+		})
+		rng := th.Rand()
+		hotBody := func(t *htm.Thread) {
+			off := uint64(rng.Intn(hotLines))
+			for l := uint64(0); l < 3; l++ {
+				a := hot + ((off+l)%hotLines)*line
 				t.Store64(a, t.Load64(a)+1)
-				t.Store64(total, t.Load64(total)+1)
 			}
-			for j := 0; j < iters; j++ {
-				th.Work(20)
-				if j%8 == tid&7 {
-					x.Run(bigBody)
-				} else {
-					x.Run(hotBody)
-				}
+			t.Store64(total, t.Load64(total)+1)
+		}
+		bigBody := func(t *htm.Thread) {
+			var sum uint64
+			for l := uint64(0); l < uint64(bigLines); l++ {
+				sum += t.Load64(big + l*line)
 			}
-			stats[tid] = x.Stats
-		}(i)
-	}
-	wg.Wait()
+			a := hot + (sum%hotLines)*line
+			t.Store64(a, t.Load64(a)+1)
+			t.Store64(total, t.Load64(total)+1)
+		}
+		for j := 0; j < iters; j++ {
+			th.Work(20)
+			if j%8 == tid&7 {
+				x.Run(bigBody)
+			} else {
+				x.Run(hotBody)
+			}
+		}
+		stats[tid] = x.Stats
+	})
 	var sum tm.Stats
 	for i := range stats {
 		sum.Add(&stats[i])
@@ -276,15 +263,9 @@ func TestAdaptiveLockMode(t *testing.T) {
 	})
 	th := e.Thread(0)
 	c := th.Alloc(8)
-	th.Register()
 	var stats tm.Stats
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	e.Run(1, func(_ int, th *htm.Thread) {
 		x := tm.NewExecutorConfig(th, lock, tm.Config{Adapt: ctl})
-		th.BeginWork()
-		defer th.ExitWork()
 		body := func(t *htm.Thread) {
 			t.Store64(c, t.Load64(c)+1)
 		}
@@ -292,8 +273,7 @@ func TestAdaptiveLockMode(t *testing.T) {
 			x.Run(body)
 		}
 		stats = x.Stats
-	}()
-	wg.Wait()
+	})
 	if got := th.Load64(c); got != 50 {
 		t.Fatalf("counter = %d, want 50", got)
 	}
@@ -308,22 +288,14 @@ func ExampleConfig() {
 	})
 	lock := tm.NewGlobalLock(e)
 	ctl := adapt.NewController(adapt.Config{})
-	th := e.Thread(0)
-	a := th.Alloc(8)
-	th.Register()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	a := e.Thread(0).Alloc(8)
+	e.Run(1, func(_ int, th *htm.Thread) {
 		x := tm.NewExecutorConfig(th, lock, tm.Config{
 			Policy: tm.DefaultPolicy(platform.IntelCore),
 			Adapt:  ctl,
 		})
-		th.BeginWork()
-		defer th.ExitWork()
 		x.Run(func(t *htm.Thread) { t.Store64(a, 41+1) })
-	}()
-	wg.Wait()
-	fmt.Println(th.Load64(a))
+	})
+	fmt.Println(e.Thread(0).Load64(a))
 	// Output: 42
 }

@@ -23,7 +23,6 @@ package tm_test
 import (
 	"flag"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -65,51 +64,39 @@ func goldenRun(kind platform.Kind, threads int, tracer *obs.Tracer, wit *htm.Wit
 	line := uint64(e.LineSize())
 	base := setup.Alloc(hotLines * e.LineSize())
 	big := setup.Alloc(64 * e.LineSize())
-	for i := 0; i < threads; i++ {
-		e.Thread(i).Register()
-	}
 	e.ResetClocks()
 	if wit != nil {
 		// Snapshot after setup allocation so the log covers the workload only.
 		wit.Start()
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			th := e.Thread(tid)
-			x := tm.NewExecutor(th, lock, tm.DefaultPolicy(kind))
-			th.BeginWork()
-			defer th.ExitWork()
-			rng := th.Rand()
-			for j := 0; j < 200; j++ {
-				th.Work(25)
-				// Transaction shape is drawn before the attempt so retries
-				// re-execute the identical body.
-				if j%16 == tid&15 {
-					// Large read-mostly transaction: stresses capacity
-					// accounting (aborts persistently on POWER8's TMCAM).
-					x.Run(func(t *htm.Thread) {
-						for l := uint64(0); l < 40; l++ {
-							_ = t.Load64(big + l*line)
-						}
-						t.Store64(big, t.Load64(big)+1)
-					})
-					continue
-				}
-				k := 1 + rng.Intn(6)
-				off := uint64(rng.Intn(hotLines))
+	e.Run(threads, func(tid int, th *htm.Thread) {
+		x := tm.NewExecutor(th, lock, tm.DefaultPolicy(kind))
+		rng := th.Rand()
+		for j := 0; j < 200; j++ {
+			th.Work(25)
+			// Transaction shape is drawn before the attempt so retries
+			// re-execute the identical body.
+			if j%16 == tid&15 {
+				// Large read-mostly transaction: stresses capacity
+				// accounting (aborts persistently on POWER8's TMCAM).
 				x.Run(func(t *htm.Thread) {
-					for l := uint64(0); l < uint64(k); l++ {
-						a := base + ((off+l)%hotLines)*line
-						t.Store64(a, t.Load64(a)+1)
+					for l := uint64(0); l < 40; l++ {
+						_ = t.Load64(big + l*line)
 					}
+					t.Store64(big, t.Load64(big)+1)
 				})
+				continue
 			}
-		}(i)
-	}
-	wg.Wait()
+			k := 1 + rng.Intn(6)
+			off := uint64(rng.Intn(hotLines))
+			x.Run(func(t *htm.Thread) {
+				for l := uint64(0); l < uint64(k); l++ {
+					a := base + ((off+l)%hotLines)*line
+					t.Store64(a, t.Load64(a)+1)
+				}
+			})
+		}
+	})
 	st := e.Stats()
 	return goldenRow{
 		kind: kind, threads: threads, maxClock: e.MaxClock(),

@@ -2,7 +2,6 @@ package verify
 
 import (
 	"fmt"
-	"sync"
 
 	"htmcmp/internal/htm"
 	"htmcmp/internal/mem"
@@ -224,31 +223,18 @@ func (p *Program) Run(kind platform.Kind, mode Mode, virtual, withWitness bool) 
 		wit.Start()
 	}
 
-	var wg sync.WaitGroup
 	errs := make([]error, threads)
-	for t := 0; t < threads; t++ {
-		e.Thread(t).Register()
-	}
-	for t := 0; t < threads; t++ {
-		t := t
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := e.Thread(t)
-			x := tm.NewExecutor(th, lock, tm.DefaultPolicy(kind))
-			th.BeginWork()
-			defer th.ExitWork()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[t] = fmt.Errorf("thread %d panicked: %v", t, r)
-				}
-			}()
-			for _, tx := range p.Txns[t] {
-				p.runTxn(th, x, mode, tx, arrays, scratch[t])
+	e.Run(threads, func(t int, th *htm.Thread) {
+		defer func() {
+			if r := recover(); r != nil {
+				errs[t] = fmt.Errorf("thread %d panicked: %v", t, r)
 			}
 		}()
-	}
-	wg.Wait()
+		x := tm.NewExecutor(th, lock, tm.DefaultPolicy(kind))
+		for _, tx := range p.Txns[t] {
+			p.runTxn(th, x, mode, tx, arrays, scratch[t])
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
