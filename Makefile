@@ -49,17 +49,22 @@ lint:
 	$(GO) build -o $(BIN)/htmlint ./cmd/htmlint
 	./$(BIN)/htmlint ./...
 
-# bench-smoke runs the figure sweep twice at test scale against a fresh
-# cache: the first run computes every cell, the second must report a 100%
-# cache hit (all cells skipped) and emit byte-identical tables.
+# bench-smoke runs every experiment twice at test scale against a fresh
+# cache: the first run computes every cell, the second must plan the same
+# cells, report a 100% cache hit (all cells skipped — Figures 6 and 9
+# included, so it simulates nothing) and emit byte-identical tables.
 bench-smoke: build
 	rm -rf $(SMOKE)
 	mkdir -p $(SMOKE)
-	./$(BIN)/htmbench -exp fig2+3 -scale test -jobs $(JOBS) \
+	./$(BIN)/htmbench -exp all -scale test -jobs $(JOBS) \
 		-cache-dir $(SMOKE)/cache >$(SMOKE)/run1.txt 2>$(SMOKE)/run1.log
-	./$(BIN)/htmbench -exp fig2+3 -scale test -jobs $(JOBS) \
+	./$(BIN)/htmbench -exp all -scale test -jobs $(JOBS) \
 		-cache-dir $(SMOKE)/cache >$(SMOKE)/run2.txt 2>$(SMOKE)/run2.log
 	cmp $(SMOKE)/run1.txt $(SMOKE)/run2.txt
+	@c1=$$(grep -o 'summary: cells=[0-9]*' $(SMOKE)/run1.log); \
+	c2=$$(grep -o 'summary: cells=[0-9]*' $(SMOKE)/run2.log); \
+	[ -n "$$c1" ] && [ "$$c1" = "$$c2" ] || { \
+		echo "runs planned different cell sets: '$$c1' then '$$c2'"; exit 1; }
 	grep -q 'hit=100.0%' $(SMOKE)/run2.log || { \
 		echo "second run did not skip all cells:"; cat $(SMOKE)/run2.log; exit 1; }
 	grep -q ' computed=0 ' $(SMOKE)/run2.log || { \
@@ -256,8 +261,9 @@ results-sim: build
 
 # results-sim-diff is the nightly drift gate: regenerate the sim-scale
 # results into $(SMOKE) (reusing the content-addressed .htmcache, so an
-# unchanged simulator costs almost nothing) and fail on any difference from
-# the checked-in file, leaving the diff behind for artifact upload.
+# unchanged simulator costs almost nothing: every printed number is a cached
+# cell, and a warm run is ~0.03 s of htmbench) and fail on any difference
+# from the checked-in file, leaving the diff behind for artifact upload.
 results-sim-diff: build
 	mkdir -p $(SMOKE)
 	./$(BIN)/htmbench -exp all -scale sim -repeats 2 -jobs $(JOBS) \

@@ -15,11 +15,12 @@
 // fig11, prefetch (the Section 5.1 ablation), or all.
 //
 // Sweeps are scheduled: the selected experiments are first decomposed into
-// their independent (benchmark, platform, threads, variant, seed) cells,
-// which a worker pool executes concurrently (-jobs) on top of a
-// content-addressed on-disk result cache (-cache-dir), so a rerun or an
-// interrupted sweep resumes by skipping completed cells. Tables are then
-// rendered from the precomputed results, byte-identical to a serial run.
+// their independent cells (a measured configuration, a footprint collection
+// or one Figure 6 / Figure 9 engine run each; only table1 has none), which a
+// worker pool executes concurrently (-jobs) on top of a content-addressed
+// on-disk result cache (-cache-dir), so a rerun or an interrupted sweep
+// resumes by skipping completed cells. Tables are then rendered from the
+// precomputed results, byte-identical to a serial run.
 package main
 
 import (
@@ -56,7 +57,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", ".htmcache", "on-disk result cache directory")
 	noCache := flag.Bool("no-cache", false, "disable the on-disk result cache entirely")
 	resume := flag.Bool("resume", true, "reuse cached results from earlier runs (false recomputes and overwrites)")
-	cellTimeout := flag.Duration("cell-timeout", 30*time.Minute, "per-cell wall-clock budget (0 = unbounded)")
+	cellTimeout := flag.Duration("cell-timeout", 30*time.Minute, "per-cell wall-clock budget (0 = unbounded; with -chaos and no explicit value, 5s)")
 	progress := flag.Bool("progress", true, "print live sweep progress/ETA to stderr")
 	traceDir := flag.String("trace-dir", "", "write per-cell JSONL transaction-event files into this directory (implies -resume=false: cached cells execute nothing)")
 	verify := flag.Bool("verify", false, "cross-check every planned cell under {HTM, NOrec STM, global lock} before measuring; exit non-zero on divergence")
@@ -132,6 +133,9 @@ func main() {
 		}
 	}
 	*resume = reconcileTraceResume(*traceDir, *resume, os.Stderr)
+	timeoutGiven := false
+	flag.Visit(func(f *flag.Flag) { timeoutGiven = timeoutGiven || f.Name == "cell-timeout" })
+	*cellTimeout = reconcileChaosTimeout(*chaosOn, timeoutGiven, *cellTimeout, os.Stderr)
 
 	var store *cache.Store
 	if !*noCache {
@@ -240,15 +244,10 @@ func expandExp(exp string) []string {
 }
 
 // planCells is the planning pass: it records every cell the experiments will
-// request. Tables are rendered against zero results and discarded;
-// experiments without sweep cells (table1, fig6, fig9) are skipped.
+// request. Tables are rendered against zero results and discarded.
 func planCells(names []string, opts harness.Options, csv bool) (*sweep.Plan, error) {
 	plan := sweep.NewPlan()
-	opts.Exec = plan
 	for _, n := range names {
-		if !hasCells(n) {
-			continue
-		}
 		if err := runExperiment(n, opts, plan, io.Discard, csv); err != nil {
 			return nil, fmt.Errorf("planning %s: %w", n, err)
 		}
@@ -260,7 +259,6 @@ func planCells(names []string, opts harness.Options, csv bool) (*sweep.Plan, err
 // satisfied from the results sched has precomputed, so tables come out
 // byte-identical to a fully serial run.
 func renderTables(names []string, opts harness.Options, sched *sweep.Scheduler, out io.Writer, csv bool) error {
-	opts.Exec = sched
 	for _, n := range names {
 		if err := runExperiment(n, opts, sched, out, csv); err != nil {
 			return fmt.Errorf("%s: %w", n, err)
@@ -270,14 +268,14 @@ func renderTables(names []string, opts harness.Options, sched *sweep.Scheduler, 
 }
 
 // verifyCells runs harness.Verify over the distinct measured configurations
-// among cells (footprint-collection cells have nothing to verify), logging
+// among cells (only cells that carry a RunSpec have one to verify), logging
 // per-cell progress to w, and returns how many were verified. The first
 // divergence aborts the pass: a broken engine makes the sweep worthless.
 func verifyCells(cells []sweep.Cell, w io.Writer) (int, error) {
 	seen := map[string]bool{}
 	n := 0
 	for _, c := range cells {
-		if c.Kind == sweep.Footprint || c.Spec.Benchmark == "" {
+		if !c.Kind.HasSpec() {
 			continue
 		}
 		if seen[c.Spec.Label()] {
@@ -303,6 +301,23 @@ func reconcileTraceResume(traceDir string, resume bool, w io.Writer) bool {
 	}
 	fmt.Fprintln(w, "htmbench: -trace-dir forces -resume=false (cached cells produce no events)")
 	return false
+}
+
+// chaosCellTimeout is the per-cell budget -chaos runs under unless
+// -cell-timeout says otherwise.
+const chaosCellTimeout = 5 * time.Second
+
+// reconcileChaosTimeout applies the -chaos / -cell-timeout flag interaction:
+// an injected stall sleeps just past the cell budget so that the timeout
+// path fires, which under the 30-minute default is a sweep that never
+// finishes — so -chaos without an explicit -cell-timeout runs under
+// chaosCellTimeout, saying so on w. It returns the effective timeout.
+func reconcileChaosTimeout(chaosOn, timeoutGiven bool, timeout time.Duration, w io.Writer) time.Duration {
+	if !chaosOn || timeoutGiven {
+		return timeout
+	}
+	fmt.Fprintf(w, "htmbench: -chaos without -cell-timeout uses %s (an injected stall sleeps out the whole budget)\n", chaosCellTimeout)
+	return chaosCellTimeout
 }
 
 // writeMetrics dumps the counters of the scheduler's registry to path (no-op
@@ -359,22 +374,19 @@ func writeChaosReport(path string, faults *chaos.Injector, sum sweep.Summary) {
 	}
 }
 
-// hasCells reports whether the experiment decomposes into sweep cells; the
-// remaining ones (static tables and the special-feature microbenchmarks) run
-// inline during the render pass only.
-func hasCells(name string) bool {
-	switch name {
-	case "table1", "fig6", "fig9":
-		return false
-	}
-	return true
+// cellSource is how an experiment's cells are satisfied: a *sweep.Plan
+// records them, a *sweep.Scheduler serves them precomputed. Everything the
+// CLI simulates is requested through one.
+type cellSource interface {
+	harness.Exec
+	trace.Collector
+	features.Exec
 }
 
-// runExperiment renders one experiment to out. The Exec inside opts (and
-// coll, its trace counterpart) decides how measurement cells are satisfied:
-// a *sweep.Plan records them, a *sweep.Scheduler serves them precomputed,
-// and nil computes them inline.
-func runExperiment(name string, opts harness.Options, coll trace.Collector, out io.Writer, csv bool) error {
+// runExperiment renders one experiment to out, requesting every cell from
+// cells (table1 is static and requests none).
+func runExperiment(name string, opts harness.Options, cells cellSource, out io.Writer, csv bool) error {
+	opts.Exec = cells
 	emit := func(t harness.Table) {
 		if csv {
 			t.CSV(out)
@@ -415,7 +427,7 @@ func runExperiment(name string, opts harness.Options, coll trace.Collector, out 
 		}
 		emit(t)
 	case "fig6":
-		t, err := fig6Table(opts)
+		t, err := fig6Table(opts, cells)
 		if err != nil {
 			return err
 		}
@@ -427,13 +439,13 @@ func runExperiment(name string, opts harness.Options, coll trace.Collector, out 
 		}
 		emit(t)
 	case "fig9":
-		t, err := fig9Table(opts)
+		t, err := fig9Table(opts, cells)
 		if err != nil {
 			return err
 		}
 		emit(t)
 	case "fig10", "fig11":
-		t10, t11, err := figFootprintTables(opts, coll)
+		t10, t11, err := figFootprintTables(opts, cells)
 		if err != nil {
 			return err
 		}
@@ -474,10 +486,10 @@ func runExperiment(name string, opts harness.Options, coll trace.Collector, out 
 	return nil
 }
 
-// fig6Table renders the Figure 6 CLQ experiment.
-func fig6Table(opts harness.Options) (harness.Table, error) {
+// fig6Table renders the Figure 6 CLQ experiment; exec answers its engine runs.
+func fig6Table(opts harness.Options, exec features.Exec) (harness.Table, error) {
 	logf(opts.Log, "fig6: zEC12 constrained transactions on ConcurrentLinkedQueue")
-	results, err := features.RunCLQ(features.CLQOptions{Seed: opts.Seed})
+	results, err := features.RunCLQ(features.CLQOptions{Seed: opts.Seed, Exec: exec})
 	if err != nil {
 		return harness.Table{}, err
 	}
@@ -506,10 +518,10 @@ func fig6Table(opts harness.Options) (harness.Table, error) {
 	return t, nil
 }
 
-// fig9Table renders the Figure 9 TLS experiment.
-func fig9Table(opts harness.Options) (harness.Table, error) {
+// fig9Table renders the Figure 9 TLS experiment; exec answers its engine runs.
+func fig9Table(opts harness.Options, exec features.Exec) (harness.Table, error) {
 	logf(opts.Log, "fig9: POWER8 TLS with and without suspend/resume")
-	results, err := features.RunTLS(features.TLSOptions{Seed: opts.Seed})
+	results, err := features.RunTLS(features.TLSOptions{Seed: opts.Seed, Exec: exec})
 	if err != nil {
 		return harness.Table{}, err
 	}
@@ -529,7 +541,7 @@ func fig9Table(opts harness.Options) (harness.Table, error) {
 }
 
 // figFootprintTables renders Figures 10 and 11; coll routes the footprint
-// collections through the sweep (nil collects inline).
+// collections through the sweep.
 func figFootprintTables(opts harness.Options, coll trace.Collector) (t10, t11 harness.Table, err error) {
 	logf(opts.Log, "fig10/11: transaction footprint traces")
 	fps, err := trace.CollectAll(trace.Options{Scale: opts.Scale, Seed: opts.Seed, Exec: coll})

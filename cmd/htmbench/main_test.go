@@ -6,7 +6,10 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
+	"htmcmp/internal/cache"
+	"htmcmp/internal/features"
 	"htmcmp/internal/harness"
 	"htmcmp/internal/harness/sweep"
 	"htmcmp/internal/platform"
@@ -48,8 +51,46 @@ func TestReconcileTraceResume(t *testing.T) {
 	}
 }
 
+// TestReconcileChaosTimeout pins the -chaos / -cell-timeout interaction: an
+// injected stall sleeps past the cell budget, so chaos under the 30-minute
+// default budget never finishes; it gets 5s and a notice unless the flag was
+// given, and nothing changes without -chaos.
+func TestReconcileChaosTimeout(t *testing.T) {
+	const def = 30 * time.Minute
+	cases := []struct {
+		name      string
+		chaos     bool
+		given     bool
+		timeout   time.Duration
+		want      time.Duration
+		wantNoted bool
+	}{
+		{"no chaos, default", false, false, def, def, false},
+		{"no chaos, explicit", false, true, time.Second, time.Second, false},
+		{"chaos, default becomes 5s", true, false, def, chaosCellTimeout, true},
+		{"chaos, explicit kept", true, true, 2 * time.Second, 2 * time.Second, false},
+		{"chaos, explicit default kept", true, true, def, def, false},
+		{"chaos, explicit unbounded kept", true, true, 0, 0, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf strings.Builder
+			if got := reconcileChaosTimeout(tc.chaos, tc.given, tc.timeout, &buf); got != tc.want {
+				t.Errorf("effective timeout = %v, want %v", got, tc.want)
+			}
+			if noted := buf.Len() > 0; noted != tc.wantNoted {
+				t.Errorf("notice emitted = %v, want %v (output %q)", noted, tc.wantNoted, buf.String())
+			}
+			if tc.wantNoted && !strings.Contains(buf.String(), "-chaos without -cell-timeout uses 5s") {
+				t.Errorf("notice does not name the flags and the value: %q", buf.String())
+			}
+		})
+	}
+}
+
 // TestVerifyCells exercises the -verify pass over a small planned cell set:
-// duplicate configurations verify once and footprint cells are skipped.
+// duplicate configurations verify once and cells without a RunSpec
+// (footprints, Figure 6 / Figure 9 engine runs) are skipped.
 func TestVerifyCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real benchmark cells")
@@ -62,6 +103,8 @@ func TestVerifyCells(t *testing.T) {
 		{Kind: sweep.Measure, Spec: spec},
 		{Kind: sweep.Measure, Spec: spec}, // duplicate: verified once
 		{Kind: sweep.Footprint, Bench: "ssca2", Platform: platform.IntelCore},
+		{Kind: sweep.CLQRun, CLQ: &features.CLQPoint{Threads: 1}},
+		{Kind: sweep.TLSRun, TLS: &features.TLSPoint{Threads: 1}},
 	}
 	var buf strings.Builder
 	n, err := verifyCells(cells, &buf)
@@ -69,7 +112,7 @@ func TestVerifyCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != 1 {
-		t.Errorf("verified %d cells, want 1 (dedupe + footprint skip)", n)
+		t.Errorf("verified %d cells, want 1 (dedupe + cells without a RunSpec skipped)", n)
 	}
 	if got := strings.Count(buf.String(), "verify ssca2"); got != 1 {
 		t.Errorf("progress logged %d times, want 1:\n%s", got, buf.String())
@@ -78,48 +121,84 @@ func TestVerifyCells(t *testing.T) {
 
 var update = flag.Bool("update", false, "rewrite testdata/results_test.golden from this tree's output")
 
+// TestPlanCellCounts: every experiment but the static table1 decomposes into
+// cells — Figure 6 into its 40 engine runs, Figure 9 into 26.
+func TestPlanCellCounts(t *testing.T) {
+	opts := harness.Options{Scale: stamp.ScaleTest, Repeats: 2, Seed: 42}
+	for exp, want := range map[string]int{"table1": 0, "fig6": 40, "fig9": 26, "fig2+3": 40} {
+		plan, err := planCells(expandExp(exp), opts, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(plan.Cells()); got != want {
+			t.Errorf("-exp %s plans %d cells, want %d", exp, got, want)
+		}
+	}
+}
+
 // TestResultsGolden pins every rendered table: `htmbench -exp all -scale
 // test -seed 42 -repeats 2` through the CLI's own plan, sweep and render
 // passes must reproduce testdata/results_test.golden byte for byte. Virtual
 // time is deterministic, so any difference is a changed simulation (or a
 // changed table layout), never noise; fig6 and fig9 are pinned nowhere else.
+// It runs twice over one cache directory: the cold pass computes every cell,
+// the warm pass must render the same bytes having simulated nothing — every
+// number the CLI prints comes from a cell, and a cell from its record.
 // After an intended change, rerun with -update and review the diff.
 func TestResultsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole test-scale sweep")
 	}
 	const golden = "testdata/results_test.golden"
+	const cells = 399
 	names := expandExp("all")
 	opts := harness.Options{Scale: stamp.ScaleTest, Repeats: 2, Seed: 42}
-	plan, err := planCells(names, opts, false)
+	store, err := cache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := sweep.New(sweep.Config{})
-	if sum := sched.Prewarm(plan.Cells()); sum.Failed != 0 {
-		t.Fatalf("sweep: %s", sum)
-	}
-	var got bytes.Buffer
-	if err := renderTables(names, opts, sched, &got, false); err != nil {
-		t.Fatal(err)
-	}
-	if *update {
-		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+	for _, pass := range []string{"cold", "warm"} {
+		plan, err := planCells(names, opts, false)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("rendered tables differ from %s at line %d:\n got %q\nwant %q", golden, i+1, gl[i], wl[i])
-			}
+		sched := sweep.New(sweep.Config{Cache: store, Resume: true})
+		sum := sched.Prewarm(plan.Cells())
+		if sum.Failed != 0 || sum.Cells != cells {
+			t.Fatalf("%s sweep: %s, want %d cells and none failed", pass, sum, cells)
 		}
-		t.Fatalf("rendered tables differ from %s in length: %d lines, want %d", golden, len(gl), len(wl))
+		if pass == "cold" && sum.Computed != cells || pass == "warm" && (sum.Computed != 0 || sum.Cached != cells) {
+			t.Fatalf("%s sweep: %s", pass, sum)
+		}
+		var got bytes.Buffer
+		if err := renderTables(names, opts, sched, &got, false); err != nil {
+			t.Fatal(err)
+		}
+		// Read after the render pass: a cell the plan missed would have been
+		// computed inline by it.
+		computed := sched.Registry().Counter("sweep_cells_computed_total").Value()
+		begins := sched.Registry().Counter("htm_tx_begins_total").Value()
+		if pass == "cold" && (computed != cells || begins == 0) || pass == "warm" && (computed != 0 || begins != 0) {
+			t.Errorf("%s pass, prewarm and render: %d cells computed, %d transactions begun", pass, computed, begins)
+		}
+		if *update {
+			if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(gl) && i < len(wl); i++ {
+				if gl[i] != wl[i] {
+					t.Fatalf("%s pass: rendered tables differ from %s at line %d:\n got %q\nwant %q", pass, golden, i+1, gl[i], wl[i])
+				}
+			}
+			t.Fatalf("%s pass: rendered tables differ from %s in length: %d lines, want %d", pass, golden, len(gl), len(wl))
+		}
 	}
 }

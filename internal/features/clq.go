@@ -13,6 +13,23 @@ import (
 	"htmcmp/internal/platform"
 )
 
+// PointResult is what one engine run of either experiment answers: the
+// region's duration in virtual cycles and the engine's transaction counts.
+type PointResult struct {
+	Seconds float64
+	Engine  htm.Stats
+}
+
+// Exec abstracts how the experiments' engine runs are executed, as
+// harness.Exec does for measured cells: a sweep records the requested points
+// as cells and later serves them precomputed. Control flow never reads an
+// answer, so an Exec that answers with zeros (the planning pass) sees every
+// request.
+type Exec interface {
+	CLQ(CLQPoint) (PointResult, error)
+	TLS(TLSPoint) (PointResult, error)
+}
+
 // CLQ is a Michael–Scott concurrent linked queue in simulated memory — the
 // analogue of Java's ConcurrentLinkedQueue that Section 6.1 uses to evaluate
 // zEC12 constrained transactions. The lock-free CAS paths are the baseline;
@@ -252,9 +269,11 @@ type CLQResult struct {
 type CLQOptions struct {
 	OpsPerThread int
 	Threads      []int
-	OptRetries   int // OptRetryTM's tuned retry count
 	CostScale    float64
 	Seed         uint64
+	// Exec, when non-nil, executes the experiment's engine runs (sweep
+	// scheduling / caching); nil runs each inline via RunCLQPoint.
+	Exec Exec
 }
 
 func (o CLQOptions) withDefaults() CLQOptions {
@@ -263,9 +282,6 @@ func (o CLQOptions) withDefaults() CLQOptions {
 	}
 	if len(o.Threads) == 0 {
 		o.Threads = []int{1, 2, 4, 8, 16}
-	}
-	if o.OptRetries <= 0 {
-		o.OptRetries = 8
 	}
 	if o.CostScale == 0 {
 		o.CostScale = 1
@@ -276,58 +292,82 @@ func (o CLQOptions) withDefaults() CLQOptions {
 	return o
 }
 
+// CLQPoint is one engine run of Figure 6, every field explicit: RunCLQ
+// builds points from defaulted options, so equal runs are equal values
+// however the options were spelled. Its JSON encoding is the cache identity
+// of a sweep CLQRun cell.
+//
+//htmlint:cachekey
+type CLQPoint struct {
+	Mode    CLQMode `json:"mode,omitempty"`
+	Threads int     `json:"threads,omitempty"`
+	// Retries is how often a transaction is retried before the lock-free
+	// fallback: 0 for NoRetryTM, one of the tuning grid for OptRetryTM.
+	Retries      int     `json:"retries,omitempty"`
+	OpsPerThread int     `json:"ops_per_thread,omitempty"`
+	CostScale    float64 `json:"cost_scale,omitempty"`
+	Seed         uint64  `json:"seed,omitempty"`
+}
+
+// Label is a short identifier for progress and error reporting.
+func (p CLQPoint) Label() string {
+	return fmt.Sprintf("clq/%v/t%d/r%d", p.Mode, p.Threads, p.Retries)
+}
+
 // RunCLQ runs the Figure 6 experiment on the zEC12 model: each thread
 // alternately enqueues to and dequeues from a single queue; execution time
 // is reported relative to the lock-free baseline at the same thread count.
 func RunCLQ(opts CLQOptions) ([]CLQResult, error) {
 	opts = opts.withDefaults()
+	run := RunCLQPoint
+	if opts.Exec != nil {
+		run = opts.Exec.CLQ
+	}
 	var out []CLQResult
 	for _, threads := range opts.Threads {
 		var base float64
 		for _, mode := range []CLQMode{CLQLockFree, CLQNoRetryTM, CLQOptRetryTM, CLQConstrainedTM} {
-			var secs float64
+			retries := []int{0}
 			if mode == CLQOptRetryTM {
 				// "Opt" is the paper's tuned retry count: search a small
 				// grid per thread count and keep the best (Section 6.1:
 				// "we tuned the retry count to obtain the maximum
 				// performance").
-				best := -1.0
-				for _, retries := range []int{1, 2, 4, 8, 16} {
-					o := opts
-					o.OptRetries = retries
-					s, err := runCLQOnce(o, mode, threads)
-					if err != nil {
-						return nil, err
-					}
-					if best < 0 || s < best {
-						best = s
-					}
-				}
-				secs = best
-			} else {
-				var err error
-				secs, err = runCLQOnce(opts, mode, threads)
+				retries = []int{1, 2, 4, 8, 16}
+			}
+			best := -1.0
+			for _, r := range retries {
+				res, err := run(CLQPoint{Mode: mode, Threads: threads, Retries: r,
+					OpsPerThread: opts.OpsPerThread, CostScale: opts.CostScale, Seed: opts.Seed})
 				if err != nil {
 					return nil, err
 				}
+				if best < 0 || res.Seconds < best {
+					best = res.Seconds
+				}
 			}
 			if mode == CLQLockFree {
-				base = secs
+				base = best
 			}
 			out = append(out, CLQResult{
-				Mode: mode, Threads: threads, Seconds: secs, Relative: secs / base,
+				Mode: mode, Threads: threads, Seconds: best, Relative: best / base,
 			})
 		}
 	}
 	return out, nil
 }
 
-func runCLQOnce(opts CLQOptions, mode CLQMode, threads int) (float64, error) {
+// RunCLQPoint executes one Figure 6 engine run.
+func RunCLQPoint(p CLQPoint) (PointResult, error) {
+	if p.Threads < 1 {
+		return PointResult{}, fmt.Errorf("clq %v: %d threads", p.Mode, p.Threads)
+	}
+	threads := p.Threads
 	e := htm.New(platform.New(platform.ZEC12), htm.Config{
 		Threads:   threads,
 		SpaceSize: 64 << 20,
-		Seed:      opts.Seed,
-		CostScale: opts.CostScale,
+		Seed:      p.Seed,
+		CostScale: p.CostScale,
 		Virtual:   true,
 	})
 	q := NewCLQ(e.Thread(0))
@@ -338,22 +378,17 @@ func runCLQOnce(opts CLQOptions, mode CLQMode, threads int) (float64, error) {
 	var enqTotal, deqTotal int64 // a virtual region is one goroutine: no lock
 	e.ResetClocks()
 	e.Run(threads, func(tid int, t *htm.Thread) {
-		for i := 0; i < opts.OpsPerThread; i++ {
+		for i := 0; i < p.OpsPerThread; i++ {
 			v := uint64(tid<<32 | i)
-			switch mode {
+			switch p.Mode {
 			case CLQLockFree:
 				q.EnqueueLockFree(t, v)
 				if _, ok := q.DequeueLockFree(t); ok {
 					deqTotal++
 				}
-			case CLQNoRetryTM:
-				q.EnqueueTM(t, v, 0)
-				if _, ok := q.DequeueTM(t, 0); ok {
-					deqTotal++
-				}
-			case CLQOptRetryTM:
-				q.EnqueueTM(t, v, opts.OptRetries)
-				if _, ok := q.DequeueTM(t, opts.OptRetries); ok {
+			case CLQNoRetryTM, CLQOptRetryTM:
+				q.EnqueueTM(t, v, p.Retries)
+				if _, ok := q.DequeueTM(t, p.Retries); ok {
 					deqTotal++
 				}
 			case CLQConstrainedTM:
@@ -365,12 +400,13 @@ func runCLQOnce(opts CLQOptions, mode CLQMode, threads int) (float64, error) {
 			enqTotal++
 		}
 	})
-	secs := float64(e.MaxClock())
+	res := PointResult{Seconds: float64(e.MaxClock())}
 	// Consistency: remaining length == prefill + enqueues - dequeues.
 	want := threads*4 + int(enqTotal) - int(deqTotal)
 	if got := q.Len(e.Thread(0)); got != want {
-		return 0, fmt.Errorf("clq %v/%d threads: queue length %d, want %d", mode, threads, got, want)
+		return PointResult{}, fmt.Errorf("clq %v/%d threads: queue length %d, want %d", p.Mode, threads, got, want)
 	}
+	res.Engine = e.Stats()
 	e.Release()
-	return secs, nil
+	return res, nil
 }

@@ -124,7 +124,7 @@ func TestRunCLQShape(t *testing.T) {
 
 func TestTLSSequentialValidates(t *testing.T) {
 	for _, k := range []TLSKernel{KernelMilc, KernelSphinx3} {
-		if _, err := runTLSSequential(TLSOptions{Iterations: 256, Seed: 3}.withDefaults(), k); err != nil {
+		if _, err := RunTLSPoint(TLSPoint{Kernel: k, Iterations: 256, CostScale: 1, Seed: 3}); err != nil {
 			t.Errorf("%v: %v", k, err)
 		}
 	}
@@ -133,7 +133,7 @@ func TestTLSSequentialValidates(t *testing.T) {
 func TestTLSParallelOrderingBothModes(t *testing.T) {
 	for _, k := range []TLSKernel{KernelMilc, KernelSphinx3} {
 		for _, sr := range []bool{false, true} {
-			_, _, err := runTLSParallel(TLSOptions{Iterations: 256, Seed: 3}.withDefaults(), k, 4, sr)
+			_, err := RunTLSPoint(TLSPoint{Kernel: k, Threads: 4, SuspendResume: sr, Iterations: 256, CostScale: 1, Seed: 3})
 			if err != nil {
 				t.Errorf("%v sr=%v: %v", k, sr, err)
 			}
@@ -143,15 +143,17 @@ func TestTLSParallelOrderingBothModes(t *testing.T) {
 
 // TestTLSSuspendResumeReducesAborts is the Figure 9 headline claim.
 func TestTLSSuspendResumeReducesAborts(t *testing.T) {
-	opts := TLSOptions{Iterations: 512, Seed: 5}.withDefaults()
-	_, without, err := runTLSParallel(opts, KernelSphinx3, 4, false)
+	p := TLSPoint{Kernel: KernelSphinx3, Threads: 4, Iterations: 512, CostScale: 1, Seed: 5}
+	r, err := RunTLSPoint(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, with, err := runTLSParallel(opts, KernelSphinx3, 4, true)
-	if err != nil {
+	without := r.Engine.AbortRatio()
+	p.SuspendResume = true
+	if r, err = RunTLSPoint(p); err != nil {
 		t.Fatal(err)
 	}
+	with := r.Engine.AbortRatio()
 	if with >= without {
 		t.Errorf("suspend/resume abort ratio %.1f%% not below %.1f%%", with, without)
 	}
@@ -190,5 +192,149 @@ func TestRunTLSSpeedupShape(t *testing.T) {
 		if with.Speedup <= without.Speedup {
 			t.Errorf("%v: with s/r %.2f not faster than without %.2f", k, with.Speedup, without.Speedup)
 		}
+	}
+}
+
+// stubExec answers every point from a pure function of the point and
+// records what was asked, so a test can tell a number that came through the
+// Exec from one an inline simulation produced.
+type stubExec struct {
+	clq []CLQPoint
+	tls []TLSPoint
+}
+
+func clqStubSeconds(p CLQPoint) float64 {
+	return float64(1000*(int(p.Mode)+1)*p.Threads + 10*p.Retries)
+}
+
+func tlsStubSeconds(p TLSPoint) float64 {
+	s := float64(100*(int(p.Kernel)+1)) / float64(1+p.Threads)
+	if p.SuspendResume {
+		s /= 2
+	}
+	return s
+}
+
+func (x *stubExec) CLQ(p CLQPoint) (PointResult, error) {
+	x.clq = append(x.clq, p)
+	return PointResult{Seconds: clqStubSeconds(p)}, nil
+}
+
+func (x *stubExec) TLS(p TLSPoint) (PointResult, error) {
+	x.tls = append(x.tls, p)
+	return PointResult{Seconds: tlsStubSeconds(p), Engine: htm.Stats{Begins: 100, Aborts: uint64(p.Threads)}}, nil
+}
+
+// inlineExec is the Exec a nil one stands for.
+type inlineExec struct{}
+
+func (inlineExec) CLQ(p CLQPoint) (PointResult, error) { return RunCLQPoint(p) }
+func (inlineExec) TLS(p TLSPoint) (PointResult, error) { return RunTLSPoint(p) }
+
+// TestExecAnswersEveryNumber: with an Exec set, RunCLQ and RunTLS simulate
+// nothing themselves — the default options request 40 + 26 distinct,
+// fully-defaulted points and the tables are exactly what the answers imply
+// (OptRetryTM the minimum over its five retry counts).
+func TestExecAnswersEveryNumber(t *testing.T) {
+	x := &stubExec{}
+	clq, err := RunCLQ(CLQOptions{Exec: x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tls, err := RunTLS(TLSOptions{Exec: x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinctCLQ, distinctTLS := map[CLQPoint]bool{}, map[TLSPoint]bool{}
+	for _, p := range x.clq {
+		distinctCLQ[p] = true
+		if p.OpsPerThread != 3000 || p.CostScale != 1 || p.Seed != 42 {
+			t.Fatalf("point %+v is not fully defaulted", p)
+		}
+	}
+	for _, p := range x.tls {
+		distinctTLS[p] = true
+		if p.Iterations != 1536 || p.CostScale != 1 || p.Seed != 42 {
+			t.Fatalf("point %+v is not fully defaulted", p)
+		}
+	}
+	if len(x.clq) != 40 || len(distinctCLQ) != 40 || len(x.tls) != 26 || len(distinctTLS) != 26 {
+		t.Fatalf("requested %d CLQ (%d distinct) and %d TLS (%d distinct) points, want 40 and 26",
+			len(x.clq), len(distinctCLQ), len(x.tls), len(distinctTLS))
+	}
+
+	if len(clq) != 20 {
+		t.Fatalf("RunCLQ returned %d results, want 20", len(clq))
+	}
+	for _, r := range clq {
+		p := CLQPoint{Mode: r.Mode, Threads: r.Threads}
+		if r.Mode == CLQOptRetryTM {
+			p.Retries = 1 // the stub grows with retries, so the grid's minimum is its first entry
+		}
+		want := clqStubSeconds(p)
+		base := clqStubSeconds(CLQPoint{Mode: CLQLockFree, Threads: r.Threads})
+		if r.Seconds != want || r.Relative != want/base {
+			t.Errorf("%v/%d = %v (relative %v), want %v (%v)", r.Mode, r.Threads, r.Seconds, r.Relative, want, want/base)
+		}
+	}
+	if len(tls) != 24 {
+		t.Fatalf("RunTLS returned %d results, want 24", len(tls))
+	}
+	for _, r := range tls {
+		p := TLSPoint{Kernel: r.Kernel, Threads: r.Threads, SuspendResume: r.SuspendResume}
+		want := tlsStubSeconds(TLSPoint{Kernel: r.Kernel}) / tlsStubSeconds(p)
+		if r.Speedup != want || r.AbortRatio != float64(r.Threads) {
+			t.Errorf("%s = %v (abort %v), want %v (%v)", p.Label(), r.Speedup, r.AbortRatio, want, r.Threads)
+		}
+	}
+
+	// Points are built after withDefaults: spelling a default out asks for
+	// the same points, so both spellings share sweep cells.
+	y := &stubExec{}
+	if _, err := RunCLQ(CLQOptions{OpsPerThread: 3000, Threads: []int{1, 2, 4, 8, 16}, CostScale: 1, Seed: 42, Exec: y}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunTLS(TLSOptions{Iterations: 1536, Exec: y}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(x, y) {
+		t.Error("explicit defaults request different points than zero options")
+	}
+}
+
+// TestNilExecRunsInline: a nil Exec is exactly an Exec that runs each point
+// with RunCLQPoint / RunTLSPoint.
+func TestNilExecRunsInline(t *testing.T) {
+	clqOpts := CLQOptions{OpsPerThread: 200, Threads: []int{1, 3}}
+	inline, err := RunCLQ(clqOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clqOpts.Exec = inlineExec{}
+	if via, err := RunCLQ(clqOpts); err != nil || !reflect.DeepEqual(inline, via) {
+		t.Errorf("RunCLQ through an Exec differs from inline (err %v):\ninline: %+v\nexec:   %+v", err, inline, via)
+	}
+	tlsOpts := TLSOptions{Iterations: 128, Threads: []int{1, 3}}
+	inlineTLS, err := RunTLS(tlsOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tlsOpts.Exec = inlineExec{}
+	if via, err := RunTLS(tlsOpts); err != nil || !reflect.DeepEqual(inlineTLS, via) {
+		t.Errorf("RunTLS through an Exec differs from inline (err %v):\ninline: %+v\nexec:   %+v", err, inlineTLS, via)
+	}
+}
+
+// TestPointsRejectBadInput: a point arrives from a cache record or a caller,
+// so a malformed one is an error, not a panic inside the engine.
+func TestPointsRejectBadInput(t *testing.T) {
+	if _, err := RunCLQPoint(CLQPoint{Threads: 0, OpsPerThread: 10}); err == nil {
+		t.Error("CLQ point with 0 threads ran")
+	}
+	if _, err := RunCLQPoint(CLQPoint{Mode: CLQMode(9), Threads: 1, OpsPerThread: 10}); err == nil {
+		t.Error("CLQ point with an unknown mode ran")
+	}
+	if _, err := RunTLSPoint(TLSPoint{Threads: -1, Iterations: 8}); err == nil {
+		t.Error("TLS point with negative threads ran")
 	}
 }

@@ -60,6 +60,9 @@ type TLSOptions struct {
 	Threads    []int
 	CostScale  float64
 	Seed       uint64
+	// Exec, when non-nil, executes the experiment's engine runs (sweep
+	// scheduling / caching); nil runs each inline via RunTLSPoint.
+	Exec Exec
 }
 
 func (o TLSOptions) withDefaults() TLSOptions {
@@ -76,6 +79,26 @@ func (o TLSOptions) withDefaults() TLSOptions {
 		o.Seed = 42
 	}
 	return o
+}
+
+// TLSPoint is one engine run of Figure 9, every field explicit (see
+// CLQPoint). Its JSON encoding is the cache identity of a sweep TLSRun cell.
+//
+//htmlint:cachekey
+type TLSPoint struct {
+	Kernel TLSKernel `json:"kernel,omitempty"`
+	// Threads is the TLS thread count; 0 is the kernel's sequential
+	// baseline, which every parallel point of the kernel is measured against.
+	Threads       int     `json:"threads,omitempty"`
+	SuspendResume bool    `json:"suspend_resume,omitempty"`
+	Iterations    int     `json:"iterations,omitempty"`
+	CostScale     float64 `json:"cost_scale,omitempty"`
+	Seed          uint64  `json:"seed,omitempty"`
+}
+
+// Label is a short identifier for progress and error reporting.
+func (p TLSPoint) Label() string {
+	return fmt.Sprintf("tls/%v/t%d/sr=%t", p.Kernel, p.Threads, p.SuspendResume)
 }
 
 // tlsState is one kernel instance in simulated memory.
@@ -145,15 +168,21 @@ func (s *tlsState) body(t *htm.Thread, i int) {
 // over sequential, with and without suspend/resume, for each thread count.
 func RunTLS(opts TLSOptions) ([]TLSResult, error) {
 	opts = opts.withDefaults()
+	run := RunTLSPoint
+	if opts.Exec != nil {
+		run = opts.Exec.TLS
+	}
 	var out []TLSResult
 	for _, kernel := range []TLSKernel{KernelMilc, KernelSphinx3} {
-		seqSecs, err := runTLSSequential(opts, kernel)
+		p := TLSPoint{Kernel: kernel, Iterations: opts.Iterations, CostScale: opts.CostScale, Seed: opts.Seed}
+		seq, err := run(p)
 		if err != nil {
 			return nil, err
 		}
 		for _, sr := range []bool{false, true} {
 			for _, threads := range opts.Threads {
-				secs, abortRatio, err := runTLSParallel(opts, kernel, threads, sr)
+				p.Threads, p.SuspendResume = threads, sr
+				par, err := run(p)
 				if err != nil {
 					return nil, err
 				}
@@ -161,8 +190,8 @@ func RunTLS(opts TLSOptions) ([]TLSResult, error) {
 					Kernel:        kernel,
 					Threads:       threads,
 					SuspendResume: sr,
-					Speedup:       seqSecs / secs,
-					AbortRatio:    abortRatio,
+					Speedup:       seq.Seconds / par.Seconds,
+					AbortRatio:    par.Engine.AbortRatio(),
 				})
 			}
 		}
@@ -170,25 +199,41 @@ func RunTLS(opts TLSOptions) ([]TLSResult, error) {
 	return out, nil
 }
 
-func runTLSSequential(opts TLSOptions, kernel TLSKernel) (float64, error) {
+// RunTLSPoint executes one Figure 9 engine run: the kernel's sequential
+// baseline when p.Threads is 0, ordered speculation on p.Threads otherwise.
+func RunTLSPoint(p TLSPoint) (PointResult, error) {
+	if p.Threads < 0 || p.Iterations < 0 {
+		return PointResult{}, fmt.Errorf("tls %v: %d threads, %d iterations", p.Kernel, p.Threads, p.Iterations)
+	}
+	threads := max(p.Threads, 1)
 	e := htm.New(platform.New(platform.POWER8), htm.Config{
-		Threads: 1, SpaceSize: 32 << 20, Seed: opts.Seed, CostScale: opts.CostScale,
+		Threads: threads, SpaceSize: 32 << 20, Seed: p.Seed, CostScale: p.CostScale,
 		Virtual: true,
 	})
-	t := e.Thread(0)
-	s := newTLSState(t, kernel, opts.Iterations)
+	t0 := e.Thread(0)
+	s := newTLSState(t0, p.Kernel, p.Iterations)
 	e.ResetClocks()
-	e.Run(1, func(_ int, t *htm.Thread) {
-		for i := 0; i < s.iters; i++ {
-			s.body(t, i)
+	e.Run(threads, func(tid int, t *htm.Thread) {
+		for i := tid; i < s.iters; i += threads {
+			if p.Threads == 0 {
+				s.body(t, i)
+			} else {
+				s.runIteration(t, i, p.SuspendResume)
+			}
 		}
 	})
-	secs := float64(e.MaxClock()) // read before validate, whose loads advance the clock
-	if err := s.validate(t); err != nil {
-		return 0, err
+	res := PointResult{Seconds: float64(e.MaxClock())} // read before validate, whose loads advance the clock
+	if err := s.validate(t0); err != nil {
+		return PointResult{}, err
 	}
+	if p.Threads > 0 {
+		if got := t0.Load64(s.next); got != uint64(s.iters) {
+			return PointResult{}, fmt.Errorf("tls: NextIterToCommit = %d, want %d", got, s.iters)
+		}
+	}
+	res.Engine = e.Stats()
 	e.Release()
-	return secs, nil
+	return res, nil
 }
 
 func (s *tlsState) validate(t *htm.Thread) error {
@@ -199,30 +244,6 @@ func (s *tlsState) validate(t *htm.Thread) error {
 		}
 	}
 	return nil
-}
-
-func runTLSParallel(opts TLSOptions, kernel TLSKernel, threads int, suspendResume bool) (float64, float64, error) {
-	e := htm.New(platform.New(platform.POWER8), htm.Config{
-		Threads: threads, SpaceSize: 32 << 20, Seed: opts.Seed, CostScale: opts.CostScale,
-		Virtual: true,
-	})
-	s := newTLSState(e.Thread(0), kernel, opts.Iterations)
-	e.ResetClocks()
-	e.Run(threads, func(tid int, t *htm.Thread) {
-		for i := tid; i < s.iters; i += threads {
-			s.runIteration(t, i, suspendResume)
-		}
-	})
-	secs := float64(e.MaxClock())
-	if err := s.validate(e.Thread(0)); err != nil {
-		return 0, 0, err
-	}
-	if got := e.Thread(0).Load64(s.next); got != uint64(s.iters) {
-		return 0, 0, fmt.Errorf("tls: NextIterToCommit = %d, want %d", got, s.iters)
-	}
-	st := e.Stats()
-	e.Release()
-	return secs, st.AbortRatio(), nil
 }
 
 // runIteration executes iteration i under ordered speculation, following

@@ -42,8 +42,11 @@ func durationsKey() (string, error) {
 // variant are deliberately excluded: they perturb conflict behaviour, not
 // order-of-magnitude cost.
 func cellClass(c Cell) string {
-	if c.Kind == Footprint {
+	switch c.Kind {
+	case Footprint:
 		return "footprint/" + c.Bench + "/" + c.Scale.String()
+	case CLQRun, TLSRun:
+		return c.Kind.String() + "/" + itoa(featureThreads(c))
 	}
 	return c.Kind.String() + "/" + c.Spec.Benchmark + "/" + c.Spec.Scale.String() +
 		"/" + itoa(c.Spec.Threads)
@@ -71,8 +74,27 @@ var benchWeight = map[string]float64{
 	"genome":    2,
 }
 
+// featureThreads is the thread count of a CLQRun/TLSRun cell's point.
+func featureThreads(c Cell) int {
+	switch {
+	case c.CLQ != nil:
+		return c.CLQ.Threads
+	case c.TLS != nil:
+		return c.TLS.Threads
+	}
+	return 0
+}
+
 // cellPrior is the relative cost prior of one cell.
 func cellPrior(c Cell) float64 {
+	switch c.Kind {
+	case CLQRun:
+		// Cost grows with the thread count and not with -scale: at test
+		// scale a 16-thread run is the sweep's longest cell.
+		return 2 * float64(featureThreads(c))
+	case TLSRun:
+		return 0.1 * float64(1+featureThreads(c))
+	}
 	bench := c.Spec.Benchmark
 	if c.Kind == Footprint {
 		bench = c.Bench

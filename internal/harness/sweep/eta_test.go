@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"htmcmp/internal/cache"
+	"htmcmp/internal/features"
 	"htmcmp/internal/harness"
 	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
@@ -69,6 +70,48 @@ func TestEstimatorPriorFallback(t *testing.T) {
 	}
 	if e.estimate(lab) <= e.estimate(ssca) {
 		t.Error("global-fallback estimate does not rank labyrinth above ssca2")
+	}
+}
+
+// TestFeatureCellClassesAndPriors: feature cells are classed by kind and
+// thread count, and a cold estimator — every regen_cold run starts with one
+// — orders a 16-thread queue run (the longest cell of a test-scale sweep)
+// before a 1-thread one and before an ordinary measured cell, so LPT does
+// not leave it for the tail.
+func TestFeatureCellClassesAndPriors(t *testing.T) {
+	clq := func(threads int) Cell {
+		return Cell{Kind: CLQRun, CLQ: &features.CLQPoint{Mode: features.CLQConstrainedTM, Threads: threads}}
+	}
+	tls := func(threads int) Cell {
+		return Cell{Kind: TLSRun, TLS: &features.TLSPoint{Kernel: features.KernelSphinx3, Threads: threads}}
+	}
+	for c, want := range map[string]string{
+		cellClass(clq(16)): "clq/16", cellClass(clq(1)): "clq/1",
+		cellClass(tls(0)): "tls/0", cellClass(tls(6)): "tls/6",
+		cellClass(Cell{Kind: CLQRun}): "clq/0",
+	} {
+		if c != want {
+			t.Errorf("class %q, want %q", c, want)
+		}
+	}
+	e := newEstimator()
+	ssca := measureCell("ssca2", 4)
+	if !(e.estimate(clq(16)) > e.estimate(clq(1)) && e.estimate(clq(16)) > e.estimate(ssca)) {
+		t.Errorf("cold estimates: clq/16 %.2f, clq/1 %.2f, ssca2 %.2f — the 16-thread run must rank first",
+			e.estimate(clq(16)), e.estimate(clq(1)), e.estimate(ssca))
+	}
+	if e.estimate(tls(6)) >= e.estimate(ssca) {
+		t.Errorf("a millisecond TLS run (%.2f) is estimated above a measured cell (%.2f)", e.estimate(tls(6)), e.estimate(ssca))
+	}
+	deques := lptAssign([]Cell{clq(1), ssca, clq(16)}, []float64{e.estimate(clq(1)), e.estimate(ssca), e.estimate(clq(16))}, 1)
+	if first, _ := deques[0].popFront(); first.CLQ == nil || first.CLQ.Threads != 16 {
+		t.Errorf("LPT starts with %s, want the 16-thread queue run", first.Label())
+	}
+	// Observed durations stay apart by class.
+	e.observe(clq(16), 0.2)
+	e.observe(clq(1), 0.002)
+	if got := e.estimate(clq(16)); math.Abs(got-0.2) > 1e-9 {
+		t.Errorf("clq/16 estimate = %.3f, want its own class EWMA 0.2", got)
 	}
 }
 

@@ -100,12 +100,11 @@ func (s *Scheduler) executeAttempt(c Cell, key string, attempt int) outcome {
 			af.stall = s.cfg.Timeout + 50*time.Millisecond
 			inj.Note(chaos.CellStall)
 		}
-		if c.Kind != Footprint {
+		if c.Kind.HasSpec() {
+			// Only a RunSpec attaches the engine-level injector.
 			af.engine = inj.EngineFor(key, attempt)
+			c.Spec.Faults = af.engine // nil on a clean attempt: zero overhead
 		}
-	}
-	if c.Kind != Footprint {
-		c.Spec.Faults = af.engine // nil on a clean attempt: zero overhead
 	}
 	o := s.execCell(c, af)
 	if af.engine != nil {

@@ -34,11 +34,11 @@ func cleanResults(t *testing.T, cells []Cell) []harness.Result {
 	t.Helper()
 	out := make([]harness.Result, len(cells))
 	for i, c := range cells {
-		r, err := harness.Run(c.Spec)
-		if err != nil {
-			t.Fatal(err)
+		o := runCell(c)
+		if o.err != nil {
+			t.Fatal(o.err)
 		}
-		out[i] = r
+		out[i] = o.res
 	}
 	return out
 }
@@ -48,11 +48,11 @@ func cleanResults(t *testing.T, cells []Cell) []harness.Result {
 func assertHealedEqual(t *testing.T, s *Scheduler, cells []Cell, want []harness.Result) {
 	t.Helper()
 	for i, c := range cells {
-		got, err := s.Measure(c.Spec, false)
-		if err != nil {
-			t.Fatalf("cell %s failed after healing: %v", c.Label(), err)
+		o := s.obtain(c, false)
+		if o.err != nil {
+			t.Fatalf("cell %s failed after healing: %v", c.Label(), o.err)
 		}
-		if !reflect.DeepEqual(got, want[i]) {
+		if !reflect.DeepEqual(o.res, want[i]) {
 			t.Errorf("cell %s: healed result differs from fault-free run", c.Label())
 		}
 	}
@@ -208,42 +208,74 @@ func TestChaosCacheCorruptionDetectedAndRecovered(t *testing.T) {
 // TestChaosSoakFullMixByteIdentical is the soak: every fault class armed at
 // once (the default chaos mix), a sweep into a cache, and a resumed second
 // sweep over the same store. Both passes must end with zero failures and
-// results identical to the fault-free reference, and the second pass must
-// detect exactly the records the first pass tore.
+// results identical to the fault-free reference, the second pass must detect
+// exactly the records the first pass tore, and a fault-free third pass finds
+// nothing afflicted among the records that are left. The Figure 6 + Figure 9
+// plan carries no RunSpec: its cells take the harness-level faults (stalls
+// included, against a short timeout) and are never handed an engine injector.
 func TestChaosSoakFullMixByteIdentical(t *testing.T) {
-	cells := testCells()
-	want := cleanResults(t, cells)
-	store, err := cache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func() (*Scheduler, *chaos.Injector) {
-		in := chaos.New(chaos.DefaultConfig(1001))
-		s := New(Config{
-			Jobs: 2, Cache: store, Resume: true, Retries: 2, Seed: 1001, Faults: in,
-			RetryBackoff: time.Millisecond, RetryBackoffCap: 8 * time.Millisecond,
-		})
-		return s, in
-	}
-	s1, in1 := mk()
-	sum1 := s1.Prewarm(cells)
-	if sum1.Failed != 0 {
-		t.Fatalf("pass-1 summary = %s, want no failures under full chaos", sum1)
-	}
-	if in1.TotalFired() == 0 {
-		t.Fatal("chaos never fired; the soak proves nothing")
-	}
-	assertHealedEqual(t, s1, cells, want)
+	for _, tc := range []struct {
+		name    string
+		cells   []Cell
+		timeout time.Duration
+	}{
+		{"stamp", testCells(), 0},
+		{"features", featureCells(t), 100 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cells := tc.cells
+			want := cleanResults(t, cells)
+			store, err := cache.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			mk := func(in *chaos.Injector) *Scheduler {
+				return New(Config{
+					Jobs: 2, Cache: store, Resume: true, Retries: 2, Seed: 1001, Faults: in, Timeout: tc.timeout,
+					RetryBackoff: time.Millisecond, RetryBackoffCap: 8 * time.Millisecond,
+				})
+			}
+			in1 := chaos.New(chaos.DefaultConfig(1001))
+			s1 := mk(in1)
+			sum1 := s1.Prewarm(cells)
+			if sum1.Failed != 0 {
+				t.Fatalf("pass-1 summary = %s, want no failures under full chaos", sum1)
+			}
+			if in1.TotalFired() == 0 {
+				t.Fatal("chaos never fired; the soak proves nothing")
+			}
+			assertHealedEqual(t, s1, cells, want)
 
-	s2, _ := mk()
-	sum2 := s2.Prewarm(cells)
-	if sum2.Failed != 0 {
-		t.Fatalf("pass-2 summary = %s, want no failures on chaotic resume", sum2)
+			in2 := chaos.New(chaos.DefaultConfig(1001))
+			s2 := mk(in2)
+			sum2 := s2.Prewarm(cells)
+			if sum2.Failed != 0 {
+				t.Fatalf("pass-2 summary = %s, want no failures on chaotic resume", sum2)
+			}
+			if torn := int(in1.Fired(chaos.CacheCorrupt)); sum2.Evicted != torn {
+				t.Errorf("pass 2 evicted %d records, want the %d pass 1 tore", sum2.Evicted, torn)
+			}
+			assertHealedEqual(t, s2, cells, want)
+
+			s3 := mk(nil)
+			sum3 := s3.Prewarm(cells)
+			if torn := int(in2.Fired(chaos.CacheCorrupt)); sum3.Failed != 0 || sum3.Evicted != torn || sum3.Cached != len(cells)-torn {
+				t.Errorf("fault-free pass-3 summary = %s, want the %d records pass 2 tore evicted and the rest loaded", sum3, torn)
+			}
+			assertHealedEqual(t, s3, cells, want)
+
+			if tc.timeout > 0 {
+				if in1.Fired(chaos.CellStall) == 0 || in1.Fired(chaos.CellPanic) == 0 || in1.Fired(chaos.WorkerCrash) == 0 {
+					t.Errorf("harness-level faults did not all fire on feature cells: %v", in1.Counts())
+				}
+				for cl := chaos.SpuriousAbort; cl <= chaos.ModeThrash; cl++ {
+					if n := in1.Fired(cl) + in2.Fired(cl); n != 0 {
+						t.Errorf("%s fired %d times on cells that attach no engine injector", cl, n)
+					}
+				}
+			}
+		})
 	}
-	if torn := int(in1.Fired(chaos.CacheCorrupt)); sum2.Evicted != torn {
-		t.Errorf("pass 2 evicted %d records, want the %d pass 1 tore", sum2.Evicted, torn)
-	}
-	assertHealedEqual(t, s2, cells, want)
 }
 
 // TestQuarantineDoesNotStarvePool is the starvation property: cells that

@@ -3,6 +3,7 @@ package sweep
 import (
 	"sync"
 
+	"htmcmp/internal/features"
 	"htmcmp/internal/harness"
 	"htmcmp/internal/platform"
 	"htmcmp/internal/trace"
@@ -13,11 +14,12 @@ import (
 // planning pass: experiment control flow never depends on measured values
 // (the loops range over static benchmark/platform/thread lists), so the
 // recorded list is exactly the set of cells the later render pass will ask
-// for. Requests receive zero-valued results; the rendered output of the
-// planning pass is discarded.
+// for. Requests receive zero-valued results, so the tables of the planning
+// pass hold 0/0 ratios and are discarded.
 //
 // Plan is safe for concurrent use, though experiments plan serially today.
 type Plan struct {
+	requests
 	mu    sync.Mutex
 	cells []Cell
 	seen  map[string]bool
@@ -25,7 +27,9 @@ type Plan struct {
 
 // NewPlan returns an empty Plan.
 func NewPlan() *Plan {
-	return &Plan{seen: map[string]bool{}}
+	p := &Plan{seen: map[string]bool{}}
+	p.requests.get = func(c Cell) outcome { p.add(c); return outcome{} }
+	return p
 }
 
 func (p *Plan) add(c Cell) {
@@ -49,18 +53,34 @@ func (p *Plan) Cells() []Cell {
 	return out
 }
 
-// Measure implements harness.Exec by recording the cell.
-func (p *Plan) Measure(spec harness.RunSpec, tune bool) (harness.Result, error) {
+// requests turns what experiments ask for — as harness.Exec, trace.Collector
+// and features.Exec — into Cells and hands each to get. Plan and Scheduler
+// both embed it, so the cell a request is planned as is by construction the
+// cell it is later served from.
+type requests struct{ get func(Cell) outcome }
+
+// Measure implements harness.Exec.
+func (r requests) Measure(spec harness.RunSpec, tune bool) (harness.Result, error) {
 	kind := Measure
 	if tune {
 		kind = TuneMeasure
 	}
-	p.add(Cell{Kind: kind, Spec: spec})
-	return harness.Result{}, nil
+	o := r.get(Cell{Kind: kind, Spec: spec})
+	return o.res, o.err
 }
 
-// Collect implements trace.Collector by recording the cell.
-func (p *Plan) Collect(bench string, k platform.Kind, opts trace.Options) (trace.Footprint, error) {
-	p.add(Cell{Kind: Footprint, Bench: bench, Platform: k, Scale: opts.Scale, Seed: opts.Seed})
-	return trace.Footprint{}, nil
+// Collect implements trace.Collector.
+func (r requests) Collect(bench string, k platform.Kind, opts trace.Options) (trace.Footprint, error) {
+	o := r.get(Cell{Kind: Footprint, Bench: bench, Platform: k, Scale: opts.Scale, Seed: opts.Seed})
+	return o.fp, o.err
+}
+
+// CLQ implements features.Exec.
+func (r requests) CLQ(p features.CLQPoint) (features.PointResult, error) {
+	return r.get(Cell{Kind: CLQRun, CLQ: &p}).point()
+}
+
+// TLS implements features.Exec.
+func (r requests) TLS(p features.TLSPoint) (features.PointResult, error) {
+	return r.get(Cell{Kind: TLSRun, TLS: &p}).point()
 }

@@ -26,6 +26,7 @@ import (
 	"htmcmp/internal/adapt"
 	"htmcmp/internal/cache"
 	"htmcmp/internal/chaos"
+	"htmcmp/internal/features"
 	"htmcmp/internal/harness"
 	"htmcmp/internal/htm"
 	"htmcmp/internal/obs"
@@ -51,6 +52,10 @@ const (
 	TuneMeasure
 	// Footprint is one trace.Collect footprint pass.
 	Footprint
+	// CLQRun and TLSRun are one engine run of Figure 6 / Figure 9, the grain
+	// of a Measure cell. New kinds go last: the values are in cache keys.
+	CLQRun
+	TLSRun
 )
 
 func (k Kind) String() string {
@@ -61,9 +66,17 @@ func (k Kind) String() string {
 		return "tune"
 	case Footprint:
 		return "footprint"
+	case CLQRun:
+		return "clq"
+	case TLSRun:
+		return "tls"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
+
+// HasSpec reports whether cells of this kind carry a harness.RunSpec: only
+// those trace, take engine-level faults and can go through harness.Verify.
+func (k Kind) HasSpec() bool { return k == Measure || k == TuneMeasure }
 
 // Cell is one independent job of a sweep: a (benchmark, platform, threads,
 // variant, seed) measurement or a footprint collection. Its JSON encoding,
@@ -77,6 +90,10 @@ type Cell struct {
 	Platform platform.Kind `json:"platform,omitempty"`
 	Scale    stamp.Scale   `json:"scale,omitempty"`
 	Seed     uint64        `json:"seed,omitempty"`
+	// CLQ/TLS is the point of a CLQRun/TLSRun cell. Pointers, because a
+	// struct-valued field ignores omitempty and would change every old key.
+	CLQ *features.CLQPoint `json:"clq,omitempty"`
+	TLS *features.TLSPoint `json:"tls,omitempty"`
 	// TraceDir is injected by the scheduler after the cache key is
 	// computed; excluded from JSON so it never affects cache identity.
 	TraceDir string `json:"-"`
@@ -89,8 +106,15 @@ func (c Cell) Key() (string, error) {
 
 // Label is a short identifier for progress and error reporting.
 func (c Cell) Label() string {
-	if c.Kind == Footprint {
+	switch {
+	case c.Kind == Footprint:
 		return fmt.Sprintf("trace/%s/%s", c.Bench, c.Platform.Short())
+	case c.Kind == CLQRun && c.CLQ != nil:
+		return c.CLQ.Label()
+	case c.Kind == TLSRun && c.TLS != nil:
+		return c.TLS.Label()
+	case !c.Kind.HasSpec():
+		return c.Kind.String() + "/<no point>"
 	}
 	l := c.Spec.Label()
 	if c.Kind == TuneMeasure {
@@ -229,11 +253,14 @@ func (s Summary) String() string {
 }
 
 // Scheduler executes cells through a bounded worker pool and memoises their
-// outcomes. It implements harness.Exec and trace.Collector, so experiments
-// rendered with it transparently read the precomputed results; a cell that
-// was never prewarmed (plan drift) is computed inline on first request, so
-// rendering is always correct, just slower.
+// outcomes. Through requests (plan.go) it implements harness.Exec,
+// trace.Collector and features.Exec, so experiments rendered with it
+// transparently read the precomputed results; a cell that was never
+// prewarmed (plan drift) is computed inline on first request, so rendering
+// is always correct, just slower.
 type Scheduler struct {
+	requests // served by obtain
+
 	cfg Config
 	est *estimator
 	reg *obs.Registry // cfg.Telemetry's when given, private otherwise
@@ -301,6 +328,7 @@ func New(cfg Config) *Scheduler {
 		cfg: cfg, memo: map[string]outcome{}, est: newEstimator(),
 		disrupted: map[string]bool{}, crashed: map[string]bool{},
 	}
+	s.requests.get = func(c Cell) outcome { return s.obtain(c, false) }
 	if cfg.Telemetry != nil {
 		s.reg = cfg.Telemetry.Registry
 	} else {
@@ -363,8 +391,28 @@ func runCell(c Cell) outcome {
 		fp, err := trace.Collect(c.Bench, c.Platform,
 			trace.Options{Scale: c.Scale, Seed: c.Seed, TraceDir: c.TraceDir})
 		return outcome{fp: fp, err: err}
+	case CLQRun:
+		if c.CLQ == nil {
+			return outcome{err: fmt.Errorf("sweep: clq cell carries no point")}
+		}
+		return pointOutcome(features.RunCLQPoint(*c.CLQ))
+	case TLSRun:
+		if c.TLS == nil {
+			return outcome{err: fmt.Errorf("sweep: tls cell carries no point")}
+		}
+		return pointOutcome(features.RunTLSPoint(*c.TLS))
 	}
 	return outcome{err: fmt.Errorf("sweep: unknown cell kind %d", int(c.Kind))}
+}
+
+// pointOutcome carries a feature run's answer in the harness.Result every
+// record stores, so landed publishes its transactions like any cell's.
+func pointOutcome(r features.PointResult, err error) outcome {
+	return outcome{res: harness.Result{ParSeconds: r.Seconds, AbortRatio: r.Engine.AbortRatio(), Engine: r.Engine}, err: err}
+}
+
+func (o outcome) point() (features.PointResult, error) {
+	return features.PointResult{Seconds: o.res.ParSeconds, Engine: o.res.Engine}, o.err
 }
 
 // execCell runs a cell with panic recovery and the configured timeout. The
@@ -454,13 +502,13 @@ func (s *Scheduler) obtain(c Cell, fromPool bool) outcome {
 	}
 	quarantined := false
 	if !cached {
-		if s.cfg.TraceDir != "" {
-			c.TraceDir = s.cfg.TraceDir
+		// TraceDir and Telemetry are injected after Key() so live
+		// observability never changes what a cell IS.
+		c.TraceDir = s.cfg.TraceDir
+		if c.Kind.HasSpec() {
 			c.Spec.TraceDir = s.cfg.TraceDir
+			c.Spec.Telemetry = s.cfg.Telemetry
 		}
-		// Telemetry rides along the same way TraceDir does: injected after
-		// Key() so live observability never changes what a cell IS.
-		c.Spec.Telemetry = s.cfg.Telemetry
 		var hi healInfo
 		o, hi = s.computeHealed(c, key)
 		if o.err == nil {
@@ -736,20 +784,4 @@ func (s *Scheduler) runWorker(deques []*deque, self int, workers *obs.WorkerTabl
 			workers.End(self)
 		}
 	}
-}
-
-// Measure implements harness.Exec.
-func (s *Scheduler) Measure(spec harness.RunSpec, tune bool) (harness.Result, error) {
-	kind := Measure
-	if tune {
-		kind = TuneMeasure
-	}
-	o := s.obtain(Cell{Kind: kind, Spec: spec}, false)
-	return o.res, o.err
-}
-
-// Collect implements trace.Collector.
-func (s *Scheduler) Collect(bench string, k platform.Kind, opts trace.Options) (trace.Footprint, error) {
-	o := s.obtain(Cell{Kind: Footprint, Bench: bench, Platform: k, Scale: opts.Scale, Seed: opts.Seed}, false)
-	return o.fp, o.err
 }

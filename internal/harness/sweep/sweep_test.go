@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"htmcmp/internal/cache"
+	"htmcmp/internal/features"
 	"htmcmp/internal/harness"
 	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
@@ -405,5 +406,142 @@ func TestCellJSONOmitsTraceDir(t *testing.T) {
 	}
 	if k1 != k2 {
 		t.Error("TraceDir changes the cache key; traced and untraced sweeps would not share a cache")
+	}
+}
+
+// TestExistingCellKeysStable pins cache keys as computed at the commit before
+// CLQRun and TLSRun existed (PR 18). A new Cell field that is not an
+// omitempty pointer, slice or scalar — a struct-valued one is emitted as {}
+// whatever its tag says — or a kind inserted before Footprint changes all of
+// them, and every cache on disk goes cold without anyone having bumped
+// ResultsVersion.
+func TestExistingCellKeysStable(t *testing.T) {
+	spec := harness.RunSpec{
+		Platform: platform.ZEC12, Benchmark: "ssca2", Threads: 4,
+		Scale: stamp.ScaleTest, Variant: stamp.Modified, Seed: 42, Repeats: 2,
+	}
+	for _, tc := range []struct {
+		cell Cell
+		kind int
+		key  string
+	}{
+		{Cell{Kind: Measure, Spec: spec}, 0,
+			"292403bc2af74a531be59ea46cf8f2c20f1cd6b6ad9a867bdf5fcf2ade665db0"},
+		{Cell{Kind: TuneMeasure, Spec: spec}, 1,
+			"1652a3c724fb4d84d4a429f6586280b6202765e4ec16684b50d2b2a7bc1a68c9"},
+		{Cell{Kind: Footprint, Bench: "labyrinth", Platform: platform.POWER8, Scale: stamp.ScaleSim, Seed: 42}, 2,
+			"5bfdc1e7ad40d36f6dcd0ecb2bb73f17299ef58ddf671322d4a77d800796c092"},
+	} {
+		if int(tc.cell.Kind) != tc.kind {
+			t.Errorf("%v = %d, want %d: bench/ indexes a [3]float64 by these", tc.cell.Kind, int(tc.cell.Kind), tc.kind)
+		}
+		if got, err := tc.cell.Key(); err != nil || got != tc.key {
+			t.Errorf("%s: key %s (err %v), want %s as at PR 18", tc.cell.Label(), got, err, tc.key)
+		}
+	}
+}
+
+// planFeatures records the cells RunCLQ and RunTLS request under the given
+// options.
+func planFeatures(t *testing.T, clq features.CLQOptions, tls features.TLSOptions) []Cell {
+	t.Helper()
+	p := NewPlan()
+	clq.Exec, tls.Exec = p, p
+	if _, err := features.RunCLQ(clq); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := features.RunTLS(tls); err != nil {
+		t.Fatal(err)
+	}
+	return p.Cells()
+}
+
+// featureCells is a small, fast Figure 6 + Figure 9 plan: 16 + 10 cells.
+func featureCells(t *testing.T) []Cell {
+	return planFeatures(t,
+		features.CLQOptions{OpsPerThread: 100, Threads: []int{1, 2}},
+		features.TLSOptions{Iterations: 64, Threads: []int{1, 2}})
+}
+
+// TestFeatureCellsDistinct: the default Figure 6 and Figure 9 plan is 40 + 26
+// cells, no two sharing a cache key or a label.
+func TestFeatureCellsDistinct(t *testing.T) {
+	cells := planFeatures(t, features.CLQOptions{}, features.TLSOptions{})
+	kinds := map[Kind]int{}
+	keys, labels := map[string]bool{}, map[string]bool{}
+	for _, c := range cells {
+		kinds[c.Kind]++
+		key, err := c.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keys[key] || labels[c.Label()] {
+			t.Errorf("cell %s repeats a key or a label", c.Label())
+		}
+		keys[key], labels[c.Label()] = true, true
+	}
+	if kinds[CLQRun] != 40 || kinds[TLSRun] != 26 || len(cells) != 66 {
+		t.Errorf("planned %d cells by kind %v, want 40 clq + 26 tls", len(cells), kinds)
+	}
+}
+
+// TestFeatureCellsMatchInline runs a small Figure 6 + Figure 9 plan through
+// the pool and a cache: the tables rendered from the scheduler — computed,
+// then from the records alone — equal the inline ones, and the cells'
+// transactions reach the registry when computed and not when loaded.
+func TestFeatureCellsMatchInline(t *testing.T) {
+	clq := features.CLQOptions{OpsPerThread: 100, Threads: []int{1, 2}}
+	tls := features.TLSOptions{Iterations: 64, Threads: []int{1, 2}}
+	wantCLQ, err := features.RunCLQ(clq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTLS, err := features.RunTLS(tls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := planFeatures(t, clq, tls)
+	store, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []string{"cold", "warm"} {
+		s := New(Config{Jobs: 2, Cache: store, Resume: true})
+		sum := s.Prewarm(cells)
+		begins := s.Registry().Counter("htm_tx_begins_total").Value()
+		if pass == "cold" && (sum.Computed != len(cells) || sum.Failed != 0 || begins == 0) {
+			t.Fatalf("cold summary = %s with %d begins published", sum, begins)
+		}
+		if pass == "warm" && (sum.Cached != len(cells) || begins != 0) {
+			t.Fatalf("warm summary = %s with %d begins published, want every cell loaded and nothing simulated", sum, begins)
+		}
+		clq.Exec, tls.Exec = s, s
+		if got, err := features.RunCLQ(clq); err != nil || !reflect.DeepEqual(got, wantCLQ) {
+			t.Errorf("%s: RunCLQ through the scheduler differs from inline (err %v)", pass, err)
+		}
+		if got, err := features.RunTLS(tls); err != nil || !reflect.DeepEqual(got, wantTLS) {
+			t.Errorf("%s: RunTLS through the scheduler differs from inline (err %v)", pass, err)
+		}
+		if done := s.Registry().Counter("sweep_cells_done_total").Value(); done != uint64(len(cells)) {
+			t.Errorf("%s: rendering obtained cells the plan did not hold: done = %d, want %d", pass, done, len(cells))
+		}
+	}
+}
+
+// TestFeatureCellWithoutPoint: a CLQRun or TLSRun cell whose point is missing
+// (a hand-built cell, a record from a confused writer) has a printable label
+// and fails with an error in the worker instead of dereferencing nil.
+func TestFeatureCellWithoutPoint(t *testing.T) {
+	for _, c := range []Cell{{Kind: CLQRun}, {Kind: TLSRun}, {Kind: CLQRun, TLS: &features.TLSPoint{}}} {
+		if l := c.Label(); !strings.Contains(l, "no point") {
+			t.Errorf("label %q does not say the point is missing", l)
+		}
+		s := New(Config{Jobs: 1})
+		if sum := s.Prewarm([]Cell{c}); sum.Failed != 1 {
+			t.Errorf("%s: summary = %s, want the cell failed", c.Label(), sum)
+		}
+		if o := s.obtain(c, false); o.err == nil || !strings.Contains(o.err.Error(), "carries no point") {
+			t.Errorf("%s: err = %v, want a missing-point error", c.Label(), o.err)
+		}
 	}
 }

@@ -16,6 +16,8 @@ var requiredCachekeyStructs = [][2]string{
 	{"internal/harness", "RunSpec"},
 	{"internal/trace", "Options"},
 	{"internal/harness/sweep", "Config"},
+	{"internal/features", "CLQPoint"},
+	{"internal/features", "TLSPoint"},
 }
 
 // CachekeyAnalyzer enforces sweep cache identity — the PR 5 lesson that

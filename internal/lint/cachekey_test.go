@@ -9,5 +9,5 @@ import (
 
 func TestCachekey(t *testing.T) {
 	linttest.Check(t, fixtureDir,
-		[]*lint.Analyzer{lint.CachekeyAnalyzer}, "./internal/harness", "./internal/trace")
+		[]*lint.Analyzer{lint.CachekeyAnalyzer}, "./internal/harness", "./internal/trace", "./internal/features")
 }
