@@ -24,22 +24,24 @@ build:
 test:
 	$(GO) test ./...
 
-# racecheck also compiles in the debug assertions (quiescent-only Stats).
-# A virtual region is one goroutine (Engine.Run), so no goroutine acts on
-# another's thread state there any more. The second run repeats what still
-# crosses goroutines or stacks: real-concurrency Run, the coroutine switches
-# and the unwinding of parked threads after a body panic (the detector
-# follows iter.Pull's hand-offs), and the Register/BeginWork/ExitWork adapter,
-# whose members and driver pass one unlocked scheduler around by channel.
+# racecheck also compiles in internal/mem's shadow allocation tracker. The
+# engine is lock-free because one goroutine drives all of an engine's threads
+# (Engine.Run), so the detector is what catches a test that touches two
+# threads of one engine from unsynchronised goroutines. The second run
+# repeats what crosses stacks or goroutines: the coroutine switches and the
+# unwinding of parked threads after a body panic (the detector follows
+# iter.Pull's hand-offs), and the Register/BeginWork/ExitWork adapter, whose
+# members and driver pass the unlocked engine around by channel.
 race:
 	$(GO) test -race -tags racecheck ./internal/...
 	$(GO) test -race -count=10 -run 'Run|SpinUntil|Livelock|Deadlock|Adapter' ./internal/htm
 
 # lint runs go vet, the gofmt gate, and htmlint — the repo's own
 # invariant checkers (internal/lint): determinism of the simulated core,
-# nil-gated instrumentation hooks, sweep cache identity, build-tag twin
-# symmetry, and unmixed atomic/plain access. Intentional violations are
-# annotated in source with `//htmlint:allow <check> -- <reason>`.
+# nil-gated instrumentation hooks, sweep cache identity, and build-tag twin
+# symmetry (four analyzers; go vet's copylocks covers copied atomics).
+# Intentional violations are annotated in source with
+# `//htmlint:allow <check> -- <reason>`.
 lint:
 	$(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); \
@@ -203,13 +205,15 @@ metrics-smoke: build
 
 # fuzz-smoke runs each native fuzz target for $(FUZZTIME) of coverage-guided
 # input generation (generated transactional programs differentially checked
-# against STM and a global lock, with witness-log replay), then proves the
+# against STM and a global lock, with witness-log replay; FuzzSchedules also
+# draws the yield quantum and per-thread start offsets that steer the
+# scheduler through interleavings its default would not pick), then proves the
 # oracle actually fires: a build with -tags mutate_isolation seeds a
 # write-set-isolation bug in the engine that the mutation tests must catch.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) ./internal/verify
 	$(GO) test -run '^$$' -fuzz '^FuzzProgramHTM$$' -fuzztime $(FUZZTIME) ./internal/verify
-	$(GO) test -run '^$$' -fuzz '^FuzzRealConcurrency$$' -fuzztime $(FUZZTIME) ./internal/verify
+	$(GO) test -run '^$$' -fuzz '^FuzzSchedules$$' -fuzztime $(FUZZTIME) ./internal/verify
 	$(GO) test -tags mutate_isolation -run '^TestMutation' -count=1 ./internal/verify
 	@echo "fuzz-smoke ok: all fuzz targets ran clean and the seeded mutation was caught"
 

@@ -217,7 +217,7 @@ func runEvents(kind platform.Kind, bench string, scale stamp.Scale, seed uint64,
 	}
 	tracer := obs.NewTracer(threads, obs.DefaultRingEvents)
 	e := htm.New(platform.New(kind), htm.Config{
-		Threads: threads, SpaceSize: 96 << 20, Seed: seed, Virtual: true, CostScale: 1,
+		Threads: threads, SpaceSize: 96 << 20, Seed: seed, CostScale: 1,
 		Tracer: tracer,
 	})
 	b, err := stamp.New(bench, stamp.Config{Scale: scale, Seed: seed})

@@ -21,7 +21,7 @@ const (
 )
 
 func run(kind htmcmp.PlatformKind, padded bool) (aborts float64, ok bool) {
-	eng := htmcmp.NewEngine(kind, htmcmp.EngineConfig{Threads: nThreads, Virtual: true})
+	eng := htmcmp.NewEngine(kind, htmcmp.EngineConfig{Threads: nThreads})
 	t0 := eng.Thread(0)
 
 	accounts := make([]uint64, nAccounts)

@@ -12,10 +12,7 @@ import (
 
 func main() {
 	for _, spec := range htmcmp.AllPlatforms() {
-		eng := htmcmp.NewEngine(spec.Kind, htmcmp.EngineConfig{
-			Threads: 4,
-			Virtual: true, // deterministic virtual-time scheduling
-		})
+		eng := htmcmp.NewEngine(spec.Kind, htmcmp.EngineConfig{Threads: 4})
 		lock := htmcmp.NewGlobalLock(eng)
 		counter := eng.Thread(0).Alloc(64)
 

@@ -73,8 +73,8 @@ func AllPlatforms() []*PlatformSpec { return platform.All() }
 type (
 	// Engine is one platform's HTM over one simulated memory.
 	Engine = htm.Engine
-	// EngineConfig configures an Engine (thread count, virtual-time
-	// scheduling, ablation switches).
+	// EngineConfig configures an Engine (thread count, yield quantum,
+	// ablation switches).
 	EngineConfig = htm.Config
 	// Thread is one hardware-thread context; all memory accesses go
 	// through it.
@@ -98,9 +98,9 @@ const (
 	TxConstrained  = htm.TxConstrained
 )
 
-// NewEngine creates an HTM engine for the given platform. Unless overridden,
-// experiments should set EngineConfig.Virtual for deterministic,
-// host-independent measurement.
+// NewEngine creates an HTM engine for the given platform. Every engine runs
+// in deterministic virtual time: run its threads together with Engine.Run,
+// or one at a time from a single goroutine.
 func NewEngine(k PlatformKind, cfg EngineConfig) *Engine {
 	return htm.New(platform.New(k), cfg)
 }

@@ -9,7 +9,7 @@ import (
 // against exactly these names.
 
 func TestFacadeQuickstartFlow(t *testing.T) {
-	eng := NewEngine(ZEC12, EngineConfig{Threads: 2, SpaceSize: 4 << 20, Virtual: true, CostScale: 0})
+	eng := NewEngine(ZEC12, EngineConfig{Threads: 2, SpaceSize: 4 << 20, CostScale: 0})
 	lock := NewGlobalLock(eng)
 	counter := eng.Thread(0).Alloc(64)
 	eng.Run(2, func(_ int, th *Thread) {
@@ -44,7 +44,7 @@ func TestFacadeStampRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(IntelCore, EngineConfig{Threads: 1, SpaceSize: 16 << 20, Virtual: true, CostScale: 0})
+	eng := NewEngine(IntelCore, EngineConfig{Threads: 1, SpaceSize: 16 << 20, CostScale: 0})
 	b.Setup(eng.Thread(0))
 	b.Run([]Runner{SeqRunner{T: eng.Thread(0)}})
 	if err := b.Validate(eng.Thread(0)); err != nil {

@@ -368,7 +368,6 @@ func RunCLQPoint(p CLQPoint) (PointResult, error) {
 		SpaceSize: 64 << 20,
 		Seed:      p.Seed,
 		CostScale: p.CostScale,
-		Virtual:   true,
 	})
 	q := NewCLQ(e.Thread(0))
 	// Pre-fill so dequeues find work.

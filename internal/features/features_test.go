@@ -2,23 +2,22 @@ package features
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"htmcmp/internal/htm"
 	"htmcmp/internal/platform"
 )
 
-func clqEngine(t *testing.T, threads int) *htm.Engine {
+func clqEngine(t *testing.T, threads, quantum int) *htm.Engine {
 	t.Helper()
 	return htm.New(platform.New(platform.ZEC12), htm.Config{
 		Threads: threads, SpaceSize: 16 << 20, Seed: 9, CostScale: 0,
-		DisableCacheFetchAborts: true,
+		DisableCacheFetchAborts: true, Quantum: quantum,
 	})
 }
 
 func TestCLQLockFreeFIFO(t *testing.T) {
-	e := clqEngine(t, 1)
+	e := clqEngine(t, 1, 0)
 	th := e.Thread(0)
 	q := NewCLQ(th)
 	for i := uint64(1); i <= 50; i++ {
@@ -40,51 +39,37 @@ func TestCLQLockFreeFIFO(t *testing.T) {
 
 func TestCLQModesPreserveElements(t *testing.T) {
 	// Mixed-mode concurrent use: total enqueued == dequeued + remaining.
-	e := clqEngine(t, 4)
-	q := NewCLQ(e.Thread(0))
-	const perThread = 300
-	var deq int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for tid := 0; tid < 4; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			th := e.Thread(tid)
-			local := int64(0)
+	for _, quantum := range []int{1, 8} {
+		e := clqEngine(t, 4, quantum)
+		q := NewCLQ(e.Thread(0))
+		const perThread = 300
+		deq := 0
+		e.Run(4, func(tid int, th *htm.Thread) {
 			for i := 0; i < perThread; i++ {
-				switch tid % 4 {
+				var ok bool
+				switch tid {
 				case 0:
 					q.EnqueueLockFree(th, 1)
-					if _, ok := q.DequeueLockFree(th); ok {
-						local++
-					}
+					_, ok = q.DequeueLockFree(th)
 				case 1:
 					q.EnqueueTM(th, 1, 0)
-					if _, ok := q.DequeueTM(th, 0); ok {
-						local++
-					}
+					_, ok = q.DequeueTM(th, 0)
 				case 2:
 					q.EnqueueTM(th, 1, 8)
-					if _, ok := q.DequeueTM(th, 8); ok {
-						local++
-					}
+					_, ok = q.DequeueTM(th, 8)
 				default:
 					q.EnqueueConstrained(th, 1)
-					if _, ok := q.DequeueConstrained(th); ok {
-						local++
-					}
+					_, ok = q.DequeueConstrained(th)
+				}
+				if ok {
+					deq++
 				}
 			}
-			mu.Lock()
-			deq += local
-			mu.Unlock()
-		}(tid)
-	}
-	wg.Wait()
-	want := int64(4*perThread) - deq
-	if got := int64(q.Len(e.Thread(0))); got != want {
-		t.Fatalf("queue length %d, want %d (enq %d deq %d)", got, want, 4*perThread, deq)
+		})
+		want := 4*perThread - deq
+		if got := q.Len(e.Thread(0)); got != want {
+			t.Fatalf("quantum %d: queue length %d, want %d (enq %d deq %d)", quantum, got, want, 4*perThread, deq)
+		}
 	}
 }
 

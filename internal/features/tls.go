@@ -208,7 +208,6 @@ func RunTLSPoint(p TLSPoint) (PointResult, error) {
 	threads := max(p.Threads, 1)
 	e := htm.New(platform.New(platform.POWER8), htm.Config{
 		Threads: threads, SpaceSize: 32 << 20, Seed: p.Seed, CostScale: p.CostScale,
-		Virtual: true,
 	})
 	t0 := e.Thread(0)
 	s := newTLSState(t0, p.Kernel, p.Iterations)

@@ -76,7 +76,7 @@ func TestChaosWitnessReplaySerializable(t *testing.T) {
 	wit := htm.NewWitness()
 	const threads = 4
 	e := htm.New(platform.New(platform.POWER8), htm.Config{
-		Threads: threads, SpaceSize: 4 << 20, Seed: 20260808, Virtual: true,
+		Threads: threads, SpaceSize: 4 << 20, Seed: 20260808,
 		CostScale: 1, Witness: wit, Faults: in,
 	})
 	lock := tm.NewGlobalLock(e)

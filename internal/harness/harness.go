@@ -189,7 +189,6 @@ func (s RunSpec) engineConfig(threads int, seed uint64) htm.Config {
 		DisableSMTSharing: s.DisableSMTSharing,
 		ResponderWins:     s.ResponderWins,
 		CostScale:         s.CostScale,
-		Virtual:           true,
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // TestEngineAndThreadAccessors pins the small read-only surface the harness
 // and telemetry layers depend on: configuration echo, stats reset, scheduler
-// handoffs, slot/stats getters, and the read-only load family.
+// counters, slot/stats getters, and the read-only load family.
 func TestEngineAndThreadAccessors(t *testing.T) {
 	e := stmEngine(t, 2)
 	th := e.Thread(0)
@@ -17,14 +17,11 @@ func TestEngineAndThreadAccessors(t *testing.T) {
 	if got := e.Config().Threads; got != 2 {
 		t.Errorf("Config().Threads = %d, want 2", got)
 	}
-	if e.Virtual() {
-		t.Error("real-concurrency engine reports Virtual")
-	}
 	if got := e.SchedHandoffs(); got != 0 {
-		t.Errorf("SchedHandoffs without a scheduler = %d, want 0", got)
+		t.Errorf("SchedHandoffs before any region = %d, want 0", got)
 	}
 	if got := e.SchedSwitches(); got != 0 {
-		t.Errorf("SchedSwitches without a scheduler = %d, want 0", got)
+		t.Errorf("SchedSwitches before any region = %d, want 0", got)
 	}
 	if got := th.Slot(); got != 0 {
 		t.Errorf("Slot = %d, want 0", got)
@@ -98,7 +95,7 @@ func TestAbortIsCapacity(t *testing.T) {
 // sequence lock even (writers can still commit afterwards).
 func TestHybridGateAccessors(t *testing.T) {
 	e := New(platform.New(platform.ZEC12), Config{
-		Threads: 1, SpaceSize: 8 << 20, Seed: 21, Virtual: true, CostScale: 0,
+		Threads: 1, SpaceSize: 8 << 20, Seed: 21, CostScale: 0,
 		DisableCacheFetchAborts: true,
 	})
 	if e.HybridEnabled() {

@@ -3,11 +3,15 @@ package htm
 import "sync"
 
 // Register, BeginWork and ExitWork are the goroutine-per-thread way into a
-// virtual region that Engine.Run replaced. They survive as an adapter for
+// region that Engine.Run replaced. They survive as an adapter for
 // bench/unit.go alone, which only a benchmark-typed PR may edit; the next
-// one moves it to Run and deletes this file. The scheduler is the same:
-// a driver goroutine runs vsched.run, and a member's resume/park slots
-// are a channel round trip with it where a coroutine's are a switch.
+// one moves it to Run and deletes this file (and Config.Virtual, which
+// bench/ also still sets). The scheduler is the same: a driver goroutine
+// runs vsched.run, and a member's resume/park slots are a channel round trip
+// with it where a coroutine's are a switch. This is the one place engine
+// state crosses goroutines: exactly one of driver and members runs at a time,
+// and those channel round trips are the happens-before edges that make the
+// engine's plain fields race-free here (`make race` repeats its test x10).
 type adapter struct {
 	mu      sync.Mutex // orders the members' arrival in BeginWork
 	members []*Thread
@@ -15,12 +19,8 @@ type adapter struct {
 }
 
 // Register announces that this thread will join the next region. Call it for
-// every member, from the goroutine that then starts them. A no-op in
-// real-concurrency mode.
+// every member, from the goroutine that then starts them.
 func (t *Thread) Register() {
-	if t.eng.sched == nil {
-		return
-	}
 	a := &t.eng.adapter
 	if a.parked == nil {
 		a.parked = make(chan struct{})
@@ -35,22 +35,20 @@ func (t *Thread) Register() {
 // is elected. The first arrival starts the driver, which opens the region
 // when every member has parked here.
 func (t *Thread) BeginWork() {
-	if s := t.eng.sched; s != nil {
-		a := &t.eng.adapter
-		a.mu.Lock()
-		if members := a.members; members != nil {
-			a.members = nil
-			go func() {
-				for range members {
-					<-a.parked
-				}
-				s.run(members)
-				a.parked <- struct{}{}
-			}()
-		}
-		a.mu.Unlock()
-		t.park()
+	s, a := t.eng.sched, &t.eng.adapter
+	a.mu.Lock()
+	if members := a.members; members != nil {
+		a.members = nil
+		go func() {
+			for range members {
+				<-a.parked
+			}
+			s.run(members)
+			a.parked <- struct{}{}
+		}()
 	}
+	a.mu.Unlock()
+	t.park()
 	t.entered = true
 }
 
@@ -58,12 +56,11 @@ func (t *Thread) BeginWork() {
 // waits for the driver to leave the scheduler too.
 func (t *Thread) ExitWork() {
 	t.entered = false
-	if s := t.eng.sched; s != nil {
-		s.exit(t)
-		last := s.next == nil
-		t.eng.adapter.parked <- struct{}{}
-		if last {
-			<-t.eng.adapter.parked
-		}
+	s := t.eng.sched
+	s.exit(t)
+	last := s.next == nil
+	t.eng.adapter.parked <- struct{}{}
+	if last {
+		<-t.eng.adapter.parked
 	}
 }

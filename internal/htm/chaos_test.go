@@ -106,7 +106,7 @@ func TestChaosSTMContentionForcesRevalidation(t *testing.T) {
 	th := e.Thread(0)
 	a := th.Alloc(64)
 	th.Store64(a, 5)
-	before := e.stmSeq.Load()
+	before := e.stmSeq
 	ok, _ := th.TrySTM(func() {
 		if got := th.Load64(a); got != 5 {
 			t.Errorf("STM read %d, want 5", got)
@@ -122,7 +122,7 @@ func TestChaosSTMContentionForcesRevalidation(t *testing.T) {
 	if in.Fired(chaos.STMContention) == 0 {
 		t.Fatal("contention injection never fired")
 	}
-	after := e.stmSeq.Load()
+	after := e.stmSeq
 	if after&1 != 0 || after <= before {
 		t.Fatalf("sequence lock %d -> %d: want advanced and even", before, after)
 	}
@@ -149,7 +149,7 @@ func TestChaosZeroRateCycleIdentical(t *testing.T) {
 	run := func(in *chaos.Injector) (uint64, Stats) {
 		cfg := Config{
 			Threads: 4, SpaceSize: 1 << 20, Seed: 42, CostScale: 1,
-			Virtual: true, Faults: in,
+			Faults: in,
 		}
 		e := New(platform.New(platform.ZEC12), cfg)
 		base := e.Thread(0).Alloc(64)

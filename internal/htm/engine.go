@@ -1,10 +1,15 @@
 // Package htm implements the behavioural hardware-transactional-memory
 // engine at the core of this reproduction.
 //
-// The engine executes real concurrent transactions (one Thread per
-// goroutine) against a simulated flat memory (internal/mem), mimicking how
-// the four processors of the paper implement HTM on top of their cache
-// hierarchies (Section 2):
+// The engine executes transactions of simulated hardware threads against a
+// simulated flat memory (internal/mem) in virtual time: one Thread runs at a
+// time, every access and modelled overhead advances its virtual clock, and
+// inside a region (Engine.Run) the deterministic scheduler (vsched.go) always
+// resumes the minimum-clock thread, so transactions overlap in virtual time
+// whatever the host. All Threads of an Engine belong to one goroutine at a
+// time — inside Run, or driven one after another by the caller. The engine
+// mimics how the four processors of the paper implement HTM on top of their
+// cache hierarchies (Section 2):
 //
 //   - Conflict detection is eager and cache-line-granular: every
 //     transactional access registers the accessed line in a global
@@ -29,8 +34,6 @@ package htm
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"htmcmp/internal/chaos"
 	"htmcmp/internal/mem"
@@ -58,10 +61,6 @@ const (
 	statusDoomed
 )
 
-// numShards is the number of mutexes striping the line-ownership table.
-// Power of two; large enough that unrelated lines rarely contend.
-const numShards = 4096
-
 // lineRec is the ownership record of one conflict-detection line: the
 // writing transaction (thread slot, or -1) and a bitmap of reading threads.
 // It is the software analogue of tx-read/tx-dirty cache-line bits (zEC12,
@@ -77,19 +76,11 @@ type lineRec struct {
 func (l *lineRec) setReader(slot int)   { l.readers[slot>>6] |= 1 << (uint(slot) & 63) }
 func (l *lineRec) clearReader(slot int) { l.readers[slot>>6] &^= 1 << (uint(slot) & 63) }
 
-// padMutex is a mutex padded to a cache line to avoid false sharing between
-// shards of the (heavily contended) line table.
-type padMutex struct {
-	sync.Mutex
-	_ [56]byte
-}
-
 // coreState tracks how many hardware threads of one physical core are
 // currently inside transactions, for the SMT resource-sharing model
 // (Section 2, "Transaction capacity").
 type coreState struct {
-	activeTx atomic.Int32
-	_        [60]byte
+	activeTx int32
 }
 
 // Config configures an Engine.
@@ -136,9 +127,8 @@ type Config struct {
 	// FootprintSampler, when set, receives every committed hardware
 	// transaction's footprint in distinct conflict-detection lines
 	// (prefetched lines excluded). NOrec commits are not sampled: their
-	// logs count words, not lines, and nothing samples an STM run. It is
-	// called from committing threads concurrently and must be
-	// thread-safe; internal/trace uses it single-threaded to collect the
+	// logs count words, not lines, and nothing samples an STM run. It runs
+	// on the committing thread; internal/trace uses it to collect the
 	// Figure 10/11 transaction-size distributions.
 	FootprintSampler func(readLines, writeLines int)
 	// Tracer, when set, receives one obs.Event per transaction boundary
@@ -168,16 +158,12 @@ type Config struct {
 	// aborts unwind through the ordinary abort path (rollback, stats,
 	// witness), so chaos runs remain serializable.
 	Faults *chaos.Injector
-	// Virtual enables the deterministic virtual-time scheduler: one
-	// thread runs at a time, costs advance per-thread virtual clocks, and
-	// the scheduler always resumes the minimum-clock thread. This makes
-	// conflict behaviour and measured speed-ups independent of the host's
-	// CPU count and fully reproducible; all harness measurements use it.
-	// Without it, threads run with real concurrency (used by stress
-	// tests on multi-core hosts).
+	// Deprecated: Virtual is ignored. The engine always runs in virtual
+	// time; the field survives, like adapter.go, only because bench/ (which
+	// only a benchmark-typed PR may edit) still sets it.
 	Virtual bool
 	// Quantum is the number of memory accesses between voluntary yields
-	// in virtual mode (default 8). Smaller values interleave transactions
+	// inside a region (default 8). Smaller values interleave transactions
 	// more finely.
 	Quantum int
 }
@@ -196,8 +182,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Engine is one platform's HTM, instantiated over one simulated memory.
-// Create with New, obtain per-goroutine Threads with Thread, and run
-// transactions through the internal/tm runtime (or Thread.TryTx directly).
+// Create with New, run its Threads together with Run (or one at a time from
+// a single goroutine), and run transactions through the internal/tm runtime
+// (or Thread.TryTx directly).
 type Engine struct {
 	plat  *platform.Spec
 	space *mem.Space // cfg.Space, or leased from the pool until Release
@@ -207,33 +194,27 @@ type Engine struct {
 	lineSize  int
 	nLines    int
 	table     *lineTable
-	shards    []padMutex // real-concurrency mode only
 
 	cores    []coreState
-	activeTx atomic.Int32 // engine-wide live transactions (strong-isolation fast path)
+	activeTx int32 // engine-wide live transactions (strong-isolation fast path)
 
 	specPool *specIDPool // Blue Gene/Q only
 
 	// arbiter serialises "hardened" constrained transactions so that
-	// zEC12's eventual-commit guarantee holds (Section 2.2). It is a
-	// spin lock (not a sync.Mutex) so that a holder may yield the virtual
-	// scheduler's baton while waiters Pause instead of blocking.
-	arbiter atomic.Int32
+	// zEC12's eventual-commit guarantee holds (Section 2.2). It is a spin
+	// lock: the holder yields the scheduler's baton while waiters Pause.
+	arbiter bool
 
-	// sched is the virtual-time scheduler (nil in real-concurrency mode).
+	// sched is the virtual-time scheduler.
 	sched   *vsched
 	adapter adapter // Register/BeginWork/ExitWork state; goes with adapter.go
 
 	// stmSeq is the global NOrec sequence lock (see stm.go).
-	stmSeq atomic.Uint64
+	stmSeq uint64
 
 	// hybrid arms the HTM/STM coexistence fences (hybrid.go); hybridGate is
-	// the line adaptive hardware transactions subscribe to. The gate is
-	// written before the atomic flag flips (publication order), and the
-	// mutex serialises concurrent EnableHybridSTM calls — executors may be
-	// constructed from their worker goroutines.
-	hybridMu   sync.Mutex
-	hybrid     atomic.Bool
+	// the line adaptive hardware transactions subscribe to.
+	hybrid     bool
 	hybridGate mem.Addr
 
 	threads []*Thread
@@ -280,18 +261,13 @@ func New(spec *platform.Spec, cfg Config) *Engine {
 	e.lineShift = uint(log2(e.lineSize))
 	e.nLines = (e.space.Size() + e.lineSize - 1) / e.lineSize
 	e.table = getLineTable(e.nLines)
-	if !cfg.Virtual {
-		e.shards = make([]padMutex, numShards)
-	}
 	e.cores = make([]coreState, spec.Cores)
 	if spec.SpecIDs > 0 {
 		e.specPool = newSpecIDPool(spec.SpecIDs, e.scaledCost(spec.Costs.SpecIDHold))
 	}
 	e.loadCapLines = spec.LoadCapacity / e.lineSize
 	e.storeCapLines = spec.StoreCapacity / e.lineSize
-	if cfg.Virtual {
-		e.sched = newVsched(cfg.Quantum, cfg.Threads)
-	}
+	e.sched = newVsched(cfg.Quantum, cfg.Threads)
 	e.traced = cfg.Tracer != nil
 	if cfg.Witness != nil {
 		cfg.Witness.attach(e)
@@ -337,16 +313,12 @@ func (e *Engine) LineSize() int { return e.lineSize }
 // Threads returns the number of provisioned thread contexts.
 func (e *Engine) Threads() int { return len(e.threads) }
 
-// Thread returns thread context i. Each context must be used by at most one
-// goroutine at a time.
+// Thread returns thread context i. All contexts of an engine are driven from
+// one goroutine at a time: inside Run, or one after another by the caller.
 func (e *Engine) Thread(i int) *Thread { return e.threads[i] }
 
 // Config returns the engine configuration (with defaults applied).
 func (e *Engine) Config() Config { return e.cfg }
-
-func (e *Engine) shardOf(line uint32) *padMutex {
-	return &e.shards[line&(numShards-1)]
-}
 
 // scaledCost applies Config.CostScale to a platform cost.
 func (e *Engine) scaledCost(c int) int {
@@ -355,13 +327,21 @@ func (e *Engine) scaledCost(c int) int {
 
 // lockArbiter spin-acquires the constrained-transaction arbiter.
 func (e *Engine) lockArbiter(t *Thread) {
-	if !e.arbiter.CompareAndSwap(0, 1) {
-		t.SpinUntil(8, func() bool { return e.arbiter.CompareAndSwap(0, 1) })
+	if !e.tryArbiter() {
+		t.SpinUntil(8, e.tryArbiter)
 	}
 }
 
+func (e *Engine) tryArbiter() bool {
+	if e.arbiter {
+		return false
+	}
+	e.arbiter = true
+	return true
+}
+
 // unlockArbiter releases the constrained-transaction arbiter.
-func (e *Engine) unlockArbiter() { e.arbiter.Store(0) }
+func (e *Engine) unlockArbiter() { e.arbiter = false }
 
 // smtDivisor returns how many hardware threads of core are currently inside
 // transactions, which divides that core's tracking resources (Section 2).
@@ -369,26 +349,15 @@ func (e *Engine) smtDivisor(core int) int {
 	if e.cfg.DisableSMTSharing || e.plat.SMT <= 1 {
 		return 1
 	}
-	d := int(e.cores[core].activeTx.Load())
+	d := int(e.cores[core].activeTx)
 	if d < 1 {
 		d = 1
 	}
 	return d
 }
 
-// Stats aggregates the per-thread statistics. Call it only while the
-// engine's threads are quiescent (per-thread counters are owner-written and
-// unsynchronised, so reading them mid-run is a data race and may return torn
-// values). To poll progress while threads are running, use Aborts, which is
-// backed by a dedicated atomic and safe for concurrent use. Builds with
-// -tags racecheck assert the quiescence requirement and panic on violation.
+// Stats aggregates the per-thread statistics.
 func (e *Engine) Stats() Stats {
-	if debugChecks {
-		if n := e.activeTx.Load(); n != 0 {
-			panic(fmt.Sprintf("htm: Stats called with %d transactions in flight; "+
-				"Stats is quiescent-only — poll Aborts() instead", n))
-		}
-	}
 	var total Stats
 	for _, t := range e.threads {
 		total.Add(&t.stats)
@@ -396,28 +365,13 @@ func (e *Engine) Stats() Stats {
 	return total
 }
 
-// Aborts returns the total abort count across threads. Unlike Stats, it
-// reads a dedicated atomic counter and is safe to call while threads are
-// running, so tests and monitors can poll it concurrently.
-func (e *Engine) Aborts() uint64 {
-	var n uint64
-	for _, t := range e.threads {
-		n += t.abortCount.Load()
-	}
-	return n
-}
-
 // ResetStats zeroes all per-thread statistics. Call between the warm-up and
 // measured phases of an experiment, never while transactions are running.
 func (e *Engine) ResetStats() {
 	for _, t := range e.threads {
 		t.stats = Stats{}
-		t.abortCount.Store(0)
 	}
 }
-
-// Virtual reports whether the engine runs under the virtual-time scheduler.
-func (e *Engine) Virtual() bool { return e.sched != nil }
 
 // ResetClocks zeroes every thread's virtual clock; call at the start of a
 // measured region (never while threads are scheduled).
@@ -428,24 +382,13 @@ func (e *Engine) ResetClocks() {
 }
 
 // SchedHandoffs returns how many times the virtual scheduler elected a new
-// baton holder (0 in real-concurrency mode) — a cheap proxy for how finely
-// the run interleaved. Call while threads are quiescent.
-func (e *Engine) SchedHandoffs() uint64 {
-	if e.sched == nil {
-		return 0
-	}
-	return e.sched.handoffs
-}
+// baton holder — a cheap proxy for how finely the run interleaved.
+func (e *Engine) SchedHandoffs() uint64 { return e.sched.handoffs }
 
 // SchedSwitches returns how many of those elections resumed a different
 // thread; the rest re-elected the elector or were SpinUntil polls run on a
-// parked thread's behalf. Call while threads are quiescent.
-func (e *Engine) SchedSwitches() uint64 {
-	if e.sched == nil {
-		return 0
-	}
-	return e.sched.switches
-}
+// parked thread's behalf.
+func (e *Engine) SchedSwitches() uint64 { return e.sched.switches }
 
 // MaxClock returns the largest virtual clock across threads — the duration
 // of the last measured region in cost units.
@@ -520,22 +463,6 @@ func (s *Stats) CategoryBreakdown() [NumCategories]float64 {
 		out[Reason(r).Category()] += 100 * float64(s.AbortsByReason[r]) / float64(s.Begins)
 	}
 	return out
-}
-
-// spinSink defeats dead-code elimination of the cost-injection spin loop.
-var spinSink atomic.Uint64
-
-// spin burns approximately n work units of CPU.
-func spin(n int) {
-	if n <= 0 {
-		return
-	}
-	x := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < n; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-	}
-	spinSink.Store(x)
 }
 
 // rngFor derives a deterministic per-thread generator.

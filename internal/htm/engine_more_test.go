@@ -113,8 +113,8 @@ func TestEngineConfigDefaults(t *testing.T) {
 	if e.Space().Size() != 64<<20 {
 		t.Errorf("default space = %d", e.Space().Size())
 	}
-	if e.Virtual() {
-		t.Error("virtual mode must be opt-in")
+	if q := e.Thread(0).quantum; q != 8 {
+		t.Errorf("default quantum = %d, want 8", q)
 	}
 }
 
@@ -135,27 +135,45 @@ func TestROTStoresConflictDetected(t *testing.T) {
 	t0, t1 := e.Thread(0), e.Thread(1)
 	a := t0.Alloc(256)
 
-	wrote := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	var rotOK bool
-	go func() {
-		defer close(done)
-		rotOK, _ = t0.TryTx(TxRollbackOnly, func() {
-			t0.Store64(a, 1)
-			close(wrote)
-			<-release
-			t0.Store64(a+8, 2) // must observe the doom
-		})
-	}()
-	<-wrote
-	t1.Store64(a, 99) // non-tx store to the ROT's write line
-	close(release)
-	<-done
+	rotOK, _ := t0.TryTx(TxRollbackOnly, func() {
+		t0.Store64(a, 1)
+		t1.Store64(a, 99)  // non-tx store to the ROT's write line
+		t0.Store64(a+8, 2) // must observe the doom
+	})
 	if rotOK {
 		t.Error("ROT survived a conflicting store to its write set")
 	}
 	if got := t0.Load64(a); got != 99 {
 		t.Errorf("memory = %d, want the non-tx store's 99", got)
+	}
+}
+
+// TestNonTxStoreWaitsForHardenedReader: a hardened constrained transaction
+// is doom-immune and guaranteed to commit, so a non-transactional store to a
+// line it has read must wait for that commit instead of slipping under it —
+// the transaction would otherwise commit a value computed from a stale read
+// and the store would be lost.
+func TestNonTxStoreWaitsForHardenedReader(t *testing.T) {
+	e := newTestEngineQuantum(t, platform.ZEC12, 2, 1)
+	a := e.Thread(0).Alloc(256)
+	e.Run(2, func(tid int, th *Thread) {
+		if tid == 1 {
+			th.Work(10) // t0 has read a by now and is mid-body
+			th.Store64(a, 100)
+			return
+		}
+		th.hardened = true
+		ok, _ := th.TryTx(TxConstrained, func() {
+			v := th.Load64(a)
+			th.Work(100)
+			th.Store64(a, v+1)
+		})
+		th.hardened = false
+		if !ok {
+			t.Error("hardened transaction aborted")
+		}
+	})
+	if got := e.Thread(0).Load64(a); got != 100 {
+		t.Errorf("memory = %d, want the non-transactional store's 100 on top of the committed increment", got)
 	}
 }

@@ -1,7 +1,6 @@
 package htm
 
 import (
-	"sync"
 	"testing"
 
 	"htmcmp/internal/mem"
@@ -10,12 +9,22 @@ import (
 
 // newTestEngine returns a small, cost-free engine for functional tests.
 func newTestEngine(t *testing.T, k platform.Kind, threads int) *Engine {
+	return newTestEngineQuantum(t, k, threads, 0)
+}
+
+// stressQuanta are the yield quanta the stress tests run their regions at:
+// every access a scheduling point, and the engine default.
+var stressQuanta = []int{1, 8}
+
+// newTestEngineQuantum is newTestEngine with a yield quantum (0 = default).
+func newTestEngineQuantum(t *testing.T, k platform.Kind, threads, quantum int) *Engine {
 	t.Helper()
 	return New(platform.New(k), Config{
 		Threads:   threads,
 		SpaceSize: 1 << 20,
 		Seed:      42,
 		CostScale: 0,
+		Quantum:   quantum,
 		// Keep functional tests deterministic: no stochastic aborts.
 		DisableCacheFetchAborts: true,
 		DisablePrefetch:         true,
@@ -98,38 +107,22 @@ func TestTxFreeDeferredToCommit(t *testing.T) {
 	}
 }
 
-// TestConflictRequesterWins drives two threads into a read-write conflict
-// with explicit sequencing: T0 reads line L in a transaction, then T1 writes
-// L in its own transaction. Requester-wins means T0 (the reader) is doomed
-// and T1 commits.
+// TestConflictRequesterWins drives two threads into a read-write conflict:
+// T0 reads line L in a transaction, then T1 writes L in its own transaction.
+// Outside a region a thread never yields, so running T1's transaction inside
+// T0's body is the interleaving. Requester-wins means T0 (the reader) is
+// doomed and T1 commits.
 func TestConflictRequesterWins(t *testing.T) {
 	e := newTestEngine(t, platform.IntelCore, 2)
 	t0, t1 := e.Thread(0), e.Thread(1)
 	a := t0.Alloc(64)
 
-	t0Read := make(chan struct{})
-	t1Done := make(chan struct{})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var t0OK bool
-	var t0Abort Abort
-	go func() {
-		defer wg.Done()
-		t0OK, t0Abort = t0.TryTx(TxNormal, func() {
-			_ = t0.Load64(a)
-			close(t0Read)
-			<-t1Done // hold the transaction open across T1's write
-			_ = t0.Load64(a)
-		})
-	}()
-
-	<-t0Read
-	t1OK, _ := t1.TryTx(TxNormal, func() {
-		t1.Store64(a, 5)
+	var t1OK bool
+	t0OK, t0Abort := t0.TryTx(TxNormal, func() {
+		_ = t0.Load64(a)
+		t1OK, _ = t1.TryTx(TxNormal, func() { t1.Store64(a, 5) })
+		_ = t0.Load64(a) // the transaction is still open across T1's write
 	})
-	close(t1Done)
-	wg.Wait()
 
 	if !t1OK {
 		t.Error("writer (requester) should have committed")
@@ -154,29 +147,13 @@ func TestWriterDoomedByReader(t *testing.T) {
 	a := t0.Alloc(64)
 	t0.Store64(a, 1)
 
-	t0Wrote := make(chan struct{})
-	t1Done := make(chan struct{})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var t0OK bool
-	go func() {
-		defer wg.Done()
-		t0OK, _ = t0.TryTx(TxNormal, func() {
-			t0.Store64(a, 99)
-			close(t0Wrote)
-			<-t1Done
-			t0.Store64(a, 100)
-		})
-	}()
-
-	<-t0Wrote
+	var t1OK bool
 	var seen uint64
-	t1OK, _ := t1.TryTx(TxNormal, func() {
-		seen = t1.Load64(a)
+	t0OK, _ := t0.TryTx(TxNormal, func() {
+		t0.Store64(a, 99)
+		t1OK, _ = t1.TryTx(TxNormal, func() { seen = t1.Load64(a) })
+		t0.Store64(a, 100)
 	})
-	close(t1Done)
-	wg.Wait()
 
 	if !t1OK {
 		t.Error("reader (requester) should have committed")
@@ -200,23 +177,12 @@ func TestResponderWinsAblation(t *testing.T) {
 	t0, t1 := e.Thread(0), e.Thread(1)
 	a := t0.Alloc(64)
 
-	t0Read := make(chan struct{})
-	t1Done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var t0OK bool
-	go func() {
-		defer wg.Done()
-		t0OK, _ = t0.TryTx(TxNormal, func() {
-			_ = t0.Load64(a)
-			close(t0Read)
-			<-t1Done
-		})
-	}()
-	<-t0Read
-	t1OK, ab := t1.TryTx(TxNormal, func() { t1.Store64(a, 5) })
-	close(t1Done)
-	wg.Wait()
+	var t1OK bool
+	var ab Abort
+	t0OK, _ := t0.TryTx(TxNormal, func() {
+		_ = t0.Load64(a)
+		t1OK, ab = t1.TryTx(TxNormal, func() { t1.Store64(a, 5) })
+	})
 
 	if t1OK {
 		t.Error("responder-wins: requesting writer should abort")
@@ -234,25 +200,11 @@ func TestNonTxStoreDoomsTransaction(t *testing.T) {
 	t0, t1 := e.Thread(0), e.Thread(1)
 	a := t0.Alloc(256)
 
-	t0Read := make(chan struct{})
-	t1Done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var t0OK bool
-	var ab Abort
-	go func() {
-		defer wg.Done()
-		t0OK, ab = t0.TryTx(TxNormal, func() {
-			_ = t0.Load64(a)
-			close(t0Read)
-			<-t1Done
-			_ = t0.Load64(a)
-		})
-	}()
-	<-t0Read
-	t1.Store64(a, 77) // non-transactional conflicting store
-	close(t1Done)
-	wg.Wait()
+	t0OK, ab := t0.TryTx(TxNormal, func() {
+		_ = t0.Load64(a)
+		t1.Store64(a, 77) // non-transactional conflicting store
+		_ = t0.Load64(a)
+	})
 
 	if t0OK {
 		t.Fatal("transaction should be doomed by non-transactional store")
@@ -371,39 +323,26 @@ func TestLargeReadSetFitsIntel(t *testing.T) {
 }
 
 func TestSMTSharingHalvesCapacity(t *testing.T) {
-	e := newTestEngine(t, platform.POWER8, 2)
-	// Both threads on the same core: slots 0 and 6 on a 6-core machine.
-	e2 := New(platform.New(platform.POWER8), Config{
+	e := New(platform.New(platform.POWER8), Config{
 		Threads: 12, SpaceSize: 1 << 20, Seed: 1, CostScale: 0, DisablePrefetch: true,
 	})
-	_ = e
-	t0, t6 := e2.Thread(0), e2.Thread(6) // same core (6 % 6 == 0)
+	t0, t6 := e.Thread(0), e.Thread(6) // same core (6 % 6 == 0)
 	if t0.Core() != t6.Core() {
 		t.Fatalf("threads 0 and 6 should share core: %d vs %d", t0.Core(), t6.Core())
 	}
-	a := t0.Alloc(128 * e2.LineSize())
+	a := t0.Alloc(128 * e.LineSize())
 
-	hold := make(chan struct{})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t6.TryTx(TxNormal, func() {
-			_ = t6.Load64(a)
-			close(hold)
-			<-release
+	var ok bool
+	var ab Abort
+	t6.TryTx(TxNormal, func() {
+		_ = t6.Load64(a)
+		// With an SMT sibling in-tx, the 64-entry TMCAM halves to 32.
+		ok, ab = t0.TryTx(TxNormal, func() {
+			for i := 0; i < 40; i++ {
+				_ = t0.Load64(a + uint64((i+8)*e.LineSize()))
+			}
 		})
-	}()
-	<-hold
-	// With an SMT sibling in-tx, the 64-entry TMCAM halves to 32.
-	ok, ab := t0.TryTx(TxNormal, func() {
-		for i := 0; i < 40; i++ {
-			_ = t0.Load64(a + uint64((i+8)*e2.LineSize()))
-		}
 	})
-	close(release)
-	wg.Wait()
 	if ok {
 		t.Fatal("40-line tx should overflow the SMT-halved 32-entry TMCAM")
 	}
@@ -435,29 +374,16 @@ func TestSuspendResumePOWER8(t *testing.T) {
 	shared := t0.Alloc(128)
 	txData := t0.Alloc(256)
 
-	t0Susp := make(chan struct{})
-	t1Done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var t0OK bool
 	var observed uint64
-	go func() {
-		defer wg.Done()
-		t0OK, _ = t0.TryTx(TxNormal, func() {
-			t0.Store64(txData, 1)
-			t0.Suspend()
-			close(t0Susp)
-			<-t1Done
-			observed = t0.Load64(shared) // non-transactional: no tracking
-			t0.Resume()
-			t0.Store64(txData+8, observed)
-		})
-	}()
-	<-t0Susp
-	// A non-tx store to the line T0 read while suspended must NOT doom T0.
-	t1.Store64(shared, 42)
-	close(t1Done)
-	wg.Wait()
+	t0OK, _ := t0.TryTx(TxNormal, func() {
+		t0.Store64(txData, 1)
+		t0.Suspend()
+		// A non-tx store to the line T0 reads while suspended must NOT doom T0.
+		t1.Store64(shared, 42)
+		observed = t0.Load64(shared) // non-transactional: no tracking
+		t0.Resume()
+		t0.Store64(txData+8, observed)
+	})
 
 	if !t0OK {
 		t.Fatal("suspended access must not make the transaction conflict-doomable on that line")
@@ -473,24 +399,11 @@ func TestRollbackOnlyIgnoresLoadConflicts(t *testing.T) {
 	shared := t0.Alloc(128)
 	out := t0.Alloc(128)
 
-	t0Read := make(chan struct{})
-	t1Done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var t0OK bool
-	go func() {
-		defer wg.Done()
-		t0OK, _ = t0.TryTx(TxRollbackOnly, func() {
-			_ = t0.Load64(shared)
-			close(t0Read)
-			<-t1Done
-			t0.Store64(out, 1)
-		})
-	}()
-	<-t0Read
-	t1.Store64(shared, 9) // would doom a normal transaction
-	close(t1Done)
-	wg.Wait()
+	t0OK, _ := t0.TryTx(TxRollbackOnly, func() {
+		_ = t0.Load64(shared)
+		t1.Store64(shared, 9) // would doom a normal transaction
+		t0.Store64(out, 1)
+	})
 	if !t0OK {
 		t.Fatal("rollback-only transaction must not track loads")
 	}
@@ -509,25 +422,20 @@ func TestRollbackOnlyIgnoresLoadConflicts(t *testing.T) {
 }
 
 func TestConstrainedTxCommitsUnderContention(t *testing.T) {
-	e := newTestEngine(t, platform.ZEC12, 4)
-	counter := e.Thread(0).Alloc(256)
-	const perThread = 200
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			th := e.Thread(tid)
+	for _, quantum := range stressQuanta {
+		e := newTestEngineQuantum(t, platform.ZEC12, 4, quantum)
+		counter := e.Thread(0).Alloc(256)
+		const perThread = 200
+		e.Run(4, func(_ int, th *Thread) {
 			for j := 0; j < perThread; j++ {
 				th.RunConstrained(func() {
 					th.Store64(counter, th.Load64(counter)+1)
 				})
 			}
-		}(i)
-	}
-	wg.Wait()
-	if got := e.Thread(0).Load64(counter); got != 4*perThread {
-		t.Errorf("constrained counter = %d, want %d", got, 4*perThread)
+		})
+		if got := e.Thread(0).Load64(counter); got != 4*perThread {
+			t.Errorf("quantum %d: constrained counter = %d, want %d", quantum, got, 4*perThread)
+		}
 	}
 }
 
@@ -564,26 +472,13 @@ func TestPrefetchCausesNeighborConflicts(t *testing.T) {
 		a := t0.Alloc(2 * e.LineSize()) // two adjacent lines
 		aborts := 0
 		for i := 0; i < 200; i++ {
-			t0Read := make(chan struct{})
-			t1Done := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			var ok bool
-			go func() {
-				defer wg.Done()
-				ok, _ = t0.TryTx(TxNormal, func() {
-					_ = t0.Load64(a) // line 0; prefetch may grab line 1
-					close(t0Read)
-					<-t1Done
-					_ = t0.Load64(a)
+			ok, _ := t0.TryTx(TxNormal, func() {
+				_ = t0.Load64(a) // line 0; prefetch may grab line 1
+				t1.TryTx(TxNormal, func() {
+					t1.Store64(a+uint64(e.LineSize()), 1) // line 1 only
 				})
-			}()
-			<-t0Read
-			t1.TryTx(TxNormal, func() {
-				t1.Store64(a+uint64(e.LineSize()), 1) // line 1 only
+				_ = t0.Load64(a)
 			})
-			close(t1Done)
-			wg.Wait()
 			if !ok {
 				aborts++
 			}
@@ -624,17 +519,12 @@ func TestCacheFetchAbortsZEC12(t *testing.T) {
 // naive retry loop; the committed total must be exact on every platform.
 func TestConcurrentCounterStress(t *testing.T) {
 	for _, k := range platform.Kinds() {
-		k := k
 		t.Run(k.String(), func(t *testing.T) {
-			e := newTestEngine(t, k, 8)
-			counter := e.Thread(0).Alloc(512)
-			const perThread = 500
-			var wg sync.WaitGroup
-			for i := 0; i < 8; i++ {
-				wg.Add(1)
-				go func(tid int) {
-					defer wg.Done()
-					th := e.Thread(tid)
+			for _, quantum := range stressQuanta {
+				e := newTestEngineQuantum(t, k, 8, quantum)
+				counter := e.Thread(0).Alloc(512)
+				const perThread = 500
+				e.Run(8, func(_ int, th *Thread) {
 					for j := 0; j < perThread; j++ {
 						for {
 							ok, _ := th.TryTx(TxNormal, func() {
@@ -645,18 +535,17 @@ func TestConcurrentCounterStress(t *testing.T) {
 							}
 						}
 					}
-				}(i)
-			}
-			wg.Wait()
-			if got := e.Thread(0).Load64(counter); got != 8*perThread {
-				t.Errorf("counter = %d, want %d", got, 8*perThread)
-			}
-			s := e.Stats()
-			if s.Commits != 8*perThread {
-				t.Errorf("commits = %d, want %d", s.Commits, 8*perThread)
-			}
-			if s.Begins != s.Commits+s.Aborts {
-				t.Errorf("begins=%d != commits+aborts=%d", s.Begins, s.Commits+s.Aborts)
+				})
+				if got := e.Thread(0).Load64(counter); got != 8*perThread {
+					t.Errorf("quantum %d: counter = %d, want %d", quantum, got, 8*perThread)
+				}
+				s := e.Stats()
+				if s.Commits != 8*perThread {
+					t.Errorf("quantum %d: commits = %d, want %d", quantum, s.Commits, 8*perThread)
+				}
+				if s.Begins != s.Commits+s.Aborts {
+					t.Errorf("quantum %d: begins=%d != commits+aborts=%d", quantum, s.Begins, s.Commits+s.Aborts)
+				}
 			}
 		})
 	}
@@ -666,27 +555,25 @@ func TestConcurrentCounterStress(t *testing.T) {
 // balance is invariant if isolation holds.
 func TestBankInvariantStress(t *testing.T) {
 	for _, k := range platform.Kinds() {
-		k := k
 		t.Run(k.String(), func(t *testing.T) {
-			e := newTestEngine(t, k, 4)
-			const nAcct = 32
-			const initial = 1000
-			base := e.Thread(0).Alloc(nAcct * 8)
-			for i := 0; i < nAcct; i++ {
-				e.Thread(0).Store64(base+uint64(i*8), initial)
-			}
-			var wg sync.WaitGroup
-			for i := 0; i < 4; i++ {
-				wg.Add(1)
-				go func(tid int) {
-					defer wg.Done()
-					th := e.Thread(tid)
+			for _, quantum := range stressQuanta {
+				e := newTestEngineQuantum(t, k, 4, quantum)
+				const nAcct = 32
+				const initial = 1000
+				base := e.Thread(0).Alloc(nAcct * 8)
+				for i := 0; i < nAcct; i++ {
+					e.Thread(0).Store64(base+uint64(i*8), initial)
+				}
+				e.Run(4, func(_ int, th *Thread) {
 					rng := th.Rand()
 					for j := 0; j < 1000; j++ {
 						from := uint64(rng.Intn(nAcct))
 						to := uint64(rng.Intn(nAcct))
 						amt := uint64(rng.Intn(10))
-						for {
+						// Random back-off on abort: in deterministic time
+						// transfers that doom each other otherwise retry in
+						// lockstep for ever (requester-wins livelock).
+						for try := 1; ; try++ {
 							ok, _ := th.TryTx(TxNormal, func() {
 								f := th.Load64(base + from*8)
 								if f < amt {
@@ -698,17 +585,17 @@ func TestBankInvariantStress(t *testing.T) {
 							if ok {
 								break
 							}
+							th.Pause(1 + rng.Intn(8<<min(try, 10)))
 						}
 					}
-				}(i)
-			}
-			wg.Wait()
-			var total uint64
-			for i := 0; i < nAcct; i++ {
-				total += e.Thread(0).Load64(base + uint64(i*8))
-			}
-			if total != nAcct*initial {
-				t.Errorf("total balance = %d, want %d (isolation violated)", total, nAcct*initial)
+				})
+				var total uint64
+				for i := 0; i < nAcct; i++ {
+					total += e.Thread(0).Load64(base + uint64(i*8))
+				}
+				if total != nAcct*initial {
+					t.Errorf("quantum %d: total balance = %d, want %d (isolation violated)", quantum, total, nAcct*initial)
+				}
 			}
 		})
 	}

@@ -8,11 +8,6 @@ package htm_test
 // -benchtime=1x as an execution gate and `make bench-hotpath` converts the
 // output into BENCH_hotpath.json (see cmd/benchjson) so the performance
 // trajectory is recorded PR over PR.
-//
-// All benchmarks run in virtual mode — the configuration every harness
-// measurement uses — except HotpathTxLoadReal/HotpathTxStoreReal, which keep
-// real concurrency (and therefore the sharded line-table locks) to expose
-// the cost of the locked path.
 
 import (
 	"testing"
@@ -27,9 +22,9 @@ import (
 
 // hotpathEngine builds a single-thread engine with the stochastic models
 // disabled, so every iteration does identical work.
-func hotpathEngine(virtual bool) *htm.Engine {
+func hotpathEngine() *htm.Engine {
 	return htm.New(platform.New(platform.IntelCore), htm.Config{
-		Threads: 1, SpaceSize: 1 << 20, Seed: 99, Virtual: virtual,
+		Threads: 1, SpaceSize: 1 << 20, Seed: 99,
 		CostScale: 1, DisablePrefetch: true,
 	})
 }
@@ -74,10 +69,10 @@ func benchTxStores(b *testing.B, e *htm.Engine, lines int) {
 	})
 }
 
-func BenchmarkHotpathTxLoad8(b *testing.B)   { benchTxLoads(b, hotpathEngine(true), 8) }
-func BenchmarkHotpathTxLoad64(b *testing.B)  { benchTxLoads(b, hotpathEngine(true), 64) }
-func BenchmarkHotpathTxStore8(b *testing.B)  { benchTxStores(b, hotpathEngine(true), 8) }
-func BenchmarkHotpathTxStore64(b *testing.B) { benchTxStores(b, hotpathEngine(true), 64) }
+func BenchmarkHotpathTxLoad8(b *testing.B)   { benchTxLoads(b, hotpathEngine(), 8) }
+func BenchmarkHotpathTxLoad64(b *testing.B)  { benchTxLoads(b, hotpathEngine(), 64) }
+func BenchmarkHotpathTxStore8(b *testing.B)  { benchTxStores(b, hotpathEngine(), 8) }
+func BenchmarkHotpathTxStore64(b *testing.B) { benchTxStores(b, hotpathEngine(), 64) }
 
 // Traced counterparts: same work with an obs tracer attached. Events are
 // recorded only at transaction boundaries, so the per-access numbers should
@@ -89,7 +84,7 @@ func BenchmarkHotpathTxStore8Traced(b *testing.B) { benchTxStores(b, tracedEngin
 
 func tracedEngine() *htm.Engine {
 	return htm.New(platform.New(platform.IntelCore), htm.Config{
-		Threads: 1, SpaceSize: 1 << 20, Seed: 99, Virtual: true,
+		Threads: 1, SpaceSize: 1 << 20, Seed: 99,
 		CostScale: 1, DisablePrefetch: true,
 		Tracer: obs.NewTracer(1, obs.DefaultRingEvents),
 	})
@@ -99,14 +94,9 @@ func tracedEngine() *htm.Engine {
 // the cost of two ring records (begin + commit) per transaction.
 func BenchmarkHotpathCommitTraced(b *testing.B) { benchCommit(b, tracedEngine()) }
 
-// Real-concurrency counterparts: the locked line-table path must stay
-// correct (it runs under -race in CI) but is allowed to be slower.
-func BenchmarkHotpathTxLoadReal8(b *testing.B)  { benchTxLoads(b, hotpathEngine(false), 8) }
-func BenchmarkHotpathTxStoreReal8(b *testing.B) { benchTxStores(b, hotpathEngine(false), 8) }
-
 // BenchmarkHotpathCommit measures begin+commit bookkeeping around a minimal
 // read-modify-write transaction (one line in the read and write set).
-func BenchmarkHotpathCommit(b *testing.B) { benchCommit(b, hotpathEngine(true)) }
+func BenchmarkHotpathCommit(b *testing.B) { benchCommit(b, hotpathEngine()) }
 
 func benchCommit(b *testing.B, e *htm.Engine) {
 	run1(e, func(th *htm.Thread) {
@@ -123,7 +113,7 @@ func benchCommit(b *testing.B, e *htm.Engine) {
 // BenchmarkHotpathAbort measures the rollback path: each transaction builds
 // a 4-line footprint and explicitly aborts.
 func BenchmarkHotpathAbort(b *testing.B) {
-	e := hotpathEngine(true)
+	e := hotpathEngine()
 	run1(e, func(th *htm.Thread) {
 		a := th.Alloc(4 * e.LineSize())
 		stride := uint64(e.LineSize())
@@ -147,7 +137,7 @@ func BenchmarkHotpathAbort(b *testing.B) {
 // line table). POWER8's suspend/resume lets a single thread be both.
 func BenchmarkHotpathNonTxLoad(b *testing.B) {
 	e := htm.New(platform.New(platform.POWER8), htm.Config{
-		Threads: 1, SpaceSize: 1 << 20, Seed: 99, Virtual: true, CostScale: 1,
+		Threads: 1, SpaceSize: 1 << 20, Seed: 99, CostScale: 1,
 	})
 	run1(e, func(th *htm.Thread) {
 		a := th.Alloc(64)
@@ -166,7 +156,7 @@ func BenchmarkHotpathNonTxLoad(b *testing.B) {
 // BenchmarkHotpathSTM measures the NOrec software-transaction fast path
 // (8 loads + 8 stores per transaction; ns per access).
 func BenchmarkHotpathSTM(b *testing.B) {
-	run1(hotpathEngine(true), func(th *htm.Thread) {
+	run1(hotpathEngine(), func(th *htm.Thread) {
 		a := th.Alloc(16 * 64)
 		b.ResetTimer()
 		for i := 0; i < b.N; i += 16 {
@@ -188,7 +178,7 @@ func BenchmarkHotpathEngineLifecycle(b *testing.B) {
 	spec := platform.New(platform.IntelCore)
 	for i := 0; i < b.N; i++ {
 		htm.New(spec, htm.Config{
-			Threads: 4, SpaceSize: 64 << 20, Seed: 99, Virtual: true, CostScale: 1,
+			Threads: 4, SpaceSize: 64 << 20, Seed: 99, CostScale: 1,
 		}).Release()
 	}
 }
@@ -201,7 +191,7 @@ func BenchmarkHotpathEngineLifecycle(b *testing.B) {
 // engine_serial were paying).
 func benchLockConvoy(b *testing.B, threads int) {
 	e := htm.New(platform.New(platform.IntelCore), htm.Config{
-		Threads: threads, SpaceSize: 1 << 20, Seed: 99, Virtual: true,
+		Threads: threads, SpaceSize: 1 << 20, Seed: 99,
 		CostScale: 1, DisablePrefetch: true,
 	})
 	lock := tm.NewGlobalLock(e)
@@ -237,7 +227,7 @@ func BenchmarkHotpathLockConvoy16(b *testing.B) { benchLockConvoy(b, 16) }
 // drives the Register/BeginWork/ExitWork adapter instead).
 func benchHandoff(b *testing.B, threads int) {
 	e := htm.New(platform.New(platform.POWER8), htm.Config{
-		Threads: threads, SpaceSize: 1 << 20, Seed: 99, Virtual: true, CostScale: 1, Quantum: 1,
+		Threads: threads, SpaceSize: 1 << 20, Seed: 99, CostScale: 1, Quantum: 1,
 	})
 	each := b.N/threads + 1
 	b.ResetTimer()

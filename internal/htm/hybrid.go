@@ -35,11 +35,9 @@ import (
 // word, forcing every in-flight software transaction to revalidate and
 // observe the held lock.
 //
-// Hybrid execution requires the virtual-time scheduler: STM write-back and
-// HTM publication write the arena without per-line locks, which is safe
-// under the single-runner baton (no yields while the sequence lock is odd)
-// but would be a torn-read race under real concurrency. EnableHybridSTM
-// enforces this.
+// STM write-back and HTM publication write the arena with no per-line
+// synchronisation, which the single-runner baton makes safe: there is no
+// scheduling point while the sequence lock is odd.
 //
 // With EnableHybridSTM off (the default), the only cost is one boolean check
 // per hardware writer commit — static-policy runs are byte-identical to the
@@ -52,15 +50,9 @@ const hybridFenceCost = 4
 // EnableHybridSTM switches the engine into hybrid HTM/STM mode: it allocates
 // the gate line adaptive hardware transactions subscribe to and arms the
 // commit-time fences described above. It returns the gate address
-// (idempotent). Requires the virtual-time scheduler.
+// (idempotent: every adaptive executor's constructor calls it).
 func (e *Engine) EnableHybridSTM() mem.Addr {
-	if e.sched == nil {
-		panic("htm: hybrid HTM/STM execution requires the virtual-time scheduler (Config.Virtual)")
-	}
-	// Serialised: each worker goroutine's executor constructor calls this.
-	e.hybridMu.Lock()
-	defer e.hybridMu.Unlock()
-	if e.hybrid.Load() {
+	if e.hybrid {
 		return e.hybridGate
 	}
 	// The gate owns a full conflict-detection line so subscription never
@@ -68,12 +60,12 @@ func (e *Engine) EnableHybridSTM() mem.Addr {
 	a := e.space.AllocAligned(e.lineSize, e.lineSize)
 	e.space.Label(a, e.lineSize, "tm/hybrid-gate")
 	e.hybridGate = a
-	e.hybrid.Store(true) // publishes hybridGate: store after, load before
+	e.hybrid = true
 	return a
 }
 
 // HybridEnabled reports whether EnableHybridSTM has been called.
-func (e *Engine) HybridEnabled() bool { return e.hybrid.Load() }
+func (e *Engine) HybridEnabled() bool { return e.hybrid }
 
 // HybridGate returns the gate line address (mem.Nil before EnableHybridSTM).
 func (e *Engine) HybridGate() mem.Addr { return e.hybridGate }
@@ -82,7 +74,7 @@ func (e *Engine) HybridGate() mem.Addr { return e.hybridGate }
 // transaction's read set. The adaptive runtime calls it in every hardware
 // transaction's prologue; a committing STM writer dooms all subscribers.
 func (t *Thread) SubscribeHybridGate() {
-	if !t.eng.hybrid.Load() {
+	if !t.eng.hybrid {
 		panic("htm: SubscribeHybridGate without EnableHybridSTM")
 	}
 	_ = t.Load64(t.eng.hybridGate)
@@ -102,14 +94,19 @@ func (e *Engine) STMFence(t *Thread) {
 // spinning out any writer mid-commit, and returns s. The closure (and
 // SpinUntil's trip through the scheduler) is paid only under contention.
 func (t *Thread) seqAcquire(delta uint64) uint64 {
-	seq := &t.eng.stmSeq
-	if s := seq.Load(); s&1 == 0 && seq.CompareAndSwap(s, s+delta) {
+	e := t.eng
+	if s := e.stmSeq; s&1 == 0 {
+		e.stmSeq = s + delta
 		return s
 	}
 	var s uint64
 	t.SpinUntil(4, func() bool {
-		s = seq.Load()
-		return s&1 == 0 && seq.CompareAndSwap(s, s+delta)
+		s = e.stmSeq
+		if s&1 != 0 {
+			return false
+		}
+		e.stmSeq = s + delta
+		return true
 	})
 	return s
 }
@@ -126,7 +123,7 @@ func (t *Thread) hybridSeqAcquire() {
 // hybridSeqRelease releases the sequence lock taken by hybridSeqAcquire,
 // advancing it past the publication so software transactions revalidate.
 func (t *Thread) hybridSeqRelease() {
-	t.eng.stmSeq.Store(t.hybridSeq + 2)
+	t.eng.stmSeq = t.hybridSeq + 2
 }
 
 // doomHybridGateReaders aborts every hardware transaction subscribed to the
@@ -139,7 +136,6 @@ func (t *Thread) hybridSeqRelease() {
 // nothing and serialise before this commit.
 func (t *Thread) doomHybridGateReaders() {
 	line := t.lineOf(t.eng.hybridGate)
-	sh := t.lockLine(line)
 	rec := t.rec(line)
 	if w := rec.writer; w >= 0 && w != int32(t.slot) {
 		if t.doomTagged(line, w, ReasonConflict) {
@@ -159,5 +155,4 @@ func (t *Thread) doomHybridGateReaders() {
 			}
 		}
 	}
-	unlockLine(sh)
 }

@@ -21,25 +21,25 @@ type lifecycleRow struct {
 	Sum      uint64 // of every counter the workload bumped
 }
 
-func lifecycleConfig(threads int, virtual bool) Config {
-	cfg := Config{Threads: threads, SpaceSize: 1 << 20, Seed: 7, Virtual: virtual}
-	if virtual {
-		cfg.CostScale = 1 // real mode would burn the costs as host CPU
+// lifecycleConfig is a contended run at the calibrated costs, or an
+// uncontended cost-free one.
+func lifecycleConfig(threads int, contended bool) Config {
+	cfg := Config{Threads: threads, SpaceSize: 1 << 20, Seed: 7}
+	if contended {
+		cfg.CostScale = 1
 	}
 	return cfg
 }
 
 // lifecycleRun drives e through a small read-modify-write workload and
-// releases it. Every thread bumps counters on private lines; under the
-// virtual scheduler they also fight over eight shared lines, so the row
-// depends on every conflict decision the line table makes. Real-concurrency
-// threads keep to their private lines (a shared line would make abort
-// counts interleaving-dependent), spaced so Intel's prefetcher cannot reach
-// a neighbour's.
+// releases it. Every thread bumps counters on private lines, spaced so
+// Intel's prefetcher cannot reach a neighbour's; in a contended run
+// (CostScale != 0) they also fight over eight shared lines, so the row
+// depends on every conflict decision the line table makes.
 func lifecycleRun(e *Engine) lifecycleRow {
 	const perThread, privLines, sharedLines = 200, 16, 8
 	n, line := e.Threads(), e.LineSize()
-	virtual := e.Virtual()
+	contended := e.cfg.CostScale != 0
 	t0 := e.Thread(0)
 	shared := t0.AllocAligned(sharedLines*line, line)
 	priv := make([]mem.Addr, n)
@@ -53,7 +53,7 @@ func lifecycleRun(e *Engine) lifecycleRow {
 			for try := 1; ; try++ {
 				ok, _ := th.TryTx(TxNormal, func() {
 					th.Store64(p, th.Load64(p)+1)
-					if virtual {
+					if contended {
 						th.Store64(s, th.Load64(s)+1)
 					}
 				})
@@ -65,11 +65,6 @@ func lifecycleRun(e *Engine) lifecycleRow {
 		}
 	})
 	row := lifecycleRow{MaxClock: e.MaxClock(), Stats: e.Stats()}
-	if !virtual {
-		// How often BG/Q's ID pool runs dry depends on the host's
-		// interleaving of begins.
-		row.Stats.SpecIDWaits = 0
-	}
 	for l := 0; l < sharedLines; l++ {
 		row.Sum += t0.Load64(shared + uint64(l*line))
 	}
@@ -96,7 +91,7 @@ func freshEngine(t *testing.T, spec *platform.Spec, cfg Config) *Engine {
 	return nil
 }
 
-// abandon runs an eight-thread real-concurrency engine on spec whose threads
+// abandon runs an eight-thread engine on spec whose threads
 // all stop mid-transaction — reader bits and writers left set over the first
 // 2048 lines, nothing rolled back — and returns it un-Released.
 func abandon(spec *platform.Spec) *Engine {
@@ -152,10 +147,12 @@ func recycledEngine(t *testing.T, spec *platform.Spec, cfg Config, tamper func(*
 func forEachLifecycleCell(t *testing.T, f func(t *testing.T, spec *platform.Spec, cfg Config)) {
 	for _, k := range platform.Kinds() {
 		for _, threads := range []int{1, 4} {
-			for _, virtual := range []bool{true, false} {
-				name := fmt.Sprintf("%s/%d/virtual=%v", k.Short(), threads, virtual)
+			// The label predates the engine losing its real-concurrency
+			// mode; the test floor pins the names.
+			for _, contended := range []bool{true, false} {
+				name := fmt.Sprintf("%s/%d/virtual=%v", k.Short(), threads, contended)
 				t.Run(name, func(t *testing.T) {
-					f(t, platform.New(k), lifecycleConfig(threads, virtual))
+					f(t, platform.New(k), lifecycleConfig(threads, contended))
 				})
 			}
 		}
@@ -171,7 +168,7 @@ func TestDirtyTenantEquivalence(t *testing.T) {
 		if golden.Stats.Commits != uint64(200*cfg.Threads) {
 			t.Fatalf("golden run committed %d transactions, want %d", golden.Stats.Commits, 200*cfg.Threads)
 		}
-		if cfg.Virtual && cfg.Threads > 1 && golden.Stats.Aborts == 0 {
+		if cfg.CostScale != 0 && cfg.Threads > 1 && golden.Stats.Aborts == 0 {
 			t.Fatal("golden run saw no conflicts; the row would not notice a stale record")
 		}
 		e := recycledEngine(t, spec, cfg, nil)

@@ -9,9 +9,9 @@ import (
 // Abort-reason classification: every engine Reason must be reachable on the
 // platforms that model it, carry the right Figure 3 category, and carry the
 // processor's persistent/transient verdict (capacity overflows persistent,
-// everything else transient — Section 2). Real-concurrency mode with a
-// single test goroutine gives exact interleavings: operations on different
-// Thread structs interleave wherever the test calls them.
+// everything else transient — Section 2). Outside a region a thread never
+// yields, so operations on different Thread structs interleave exactly where
+// the test calls them.
 
 func reasonEngine(t *testing.T, k platform.Kind, threads int, cacheFetch bool) *Engine {
 	t.Helper()

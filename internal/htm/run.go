@@ -9,30 +9,18 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
-	"sync"
 )
 
 // Run executes body(tid, e.Thread(tid)) for tid in [0, n) as one scheduled
 // region and returns when every body has: the one way into a region.
 //
-// Under the virtual scheduler the bodies are pull-coroutines on the caller's
-// goroutine, resumed one at a time by the elections they make themselves
-// (vsched), so a region involves neither the Go scheduler nor a lock. The
-// first body to panic ends the region: the threads still parked are unwound,
-// then Run panics on its caller with the original message, the slot it came
-// from and that thread's stack. In real-concurrency mode each body gets a
-// goroutine of its own.
+// The bodies are pull-coroutines on the caller's goroutine, resumed one at a
+// time by the elections they make themselves (vsched), so a region involves
+// neither the Go scheduler nor a lock. The first body to panic ends the
+// region: the threads still parked are unwound, then Run panics on its caller
+// with the original message, the slot it came from and that thread's stack.
 func (e *Engine) Run(n int, body func(tid int, t *Thread)) {
 	s := e.sched
-	if s == nil {
-		var wg sync.WaitGroup
-		for tid := 0; tid < n; tid++ {
-			wg.Add(1)
-			go func() { defer wg.Done(); body(tid, e.threads[tid]) }()
-		}
-		wg.Wait()
-		return
-	}
 	if s.running != -1 {
 		panic("htm: Engine.Run called inside a running region")
 	}

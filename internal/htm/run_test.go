@@ -11,7 +11,7 @@ import (
 
 func virtualEngine(threads int) *Engine {
 	return New(platform.New(platform.IntelCore), Config{
-		Threads: threads, SpaceSize: 1 << 20, Seed: 1, Virtual: true, CostScale: 1,
+		Threads: threads, SpaceSize: 1 << 20, Seed: 1, CostScale: 1,
 	})
 }
 
@@ -78,20 +78,20 @@ func TestRunInsideRegionPanics(t *testing.T) {
 	}
 }
 
-// TestRunRealConcurrency: without the virtual scheduler the bodies are
-// goroutines, so a real barrier between them opens.
-func TestRunRealConcurrency(t *testing.T) {
-	e := New(platform.New(platform.IntelCore), Config{Threads: 3, SpaceSize: 1 << 20, Seed: 1})
+// TestRunBodiesGetTheirThreads: body tid runs on e.Thread(tid), and a
+// barrier between the bodies opens.
+func TestRunBodiesGetTheirThreads(t *testing.T) {
+	e := virtualEngine(3)
 	bar := e.NewBarrier(3)
-	var passed atomic.Int32
+	passed := 0
 	e.Run(3, func(tid int, th *Thread) {
 		if th != e.Thread(tid) {
 			t.Errorf("body %d got thread %d", tid, th.Slot())
 		}
 		bar.Wait(th)
-		passed.Add(1)
+		passed++
 	})
-	if passed.Load() != 3 {
-		t.Errorf("%d bodies passed the barrier, want 3", passed.Load())
+	if passed != 3 {
+		t.Errorf("%d bodies passed the barrier, want 3", passed)
 	}
 }

@@ -96,13 +96,11 @@ func (t *Thread) stmBegin() {
 // seqAwaitEven returns the NOrec sequence lock once it is even (no writer
 // mid-commit), spinning while it is odd.
 func (t *Thread) seqAwaitEven() uint64 {
-	seq := &t.eng.stmSeq
-	if s := seq.Load(); s&1 == 0 {
-		return s
+	e := t.eng
+	if e.stmSeq&1 != 0 {
+		t.SpinUntil(4, func() bool { return e.stmSeq&1 == 0 })
 	}
-	var s uint64
-	t.SpinUntil(4, func() bool { s = seq.Load(); return s&1 == 0 })
-	return s
+	return e.stmSeq
 }
 
 func (t *Thread) stmRollback() {
@@ -130,7 +128,7 @@ func (t *Thread) stmValidate() {
 				t.abortNow(ReasonConflict, false)
 			}
 		}
-		if t.eng.stmSeq.Load() == s {
+		if t.eng.stmSeq == s {
 			t.stm.snapshot = s
 			return
 		}
@@ -138,20 +136,14 @@ func (t *Thread) stmValidate() {
 }
 
 // injectSTMContention models a concurrent NOrec writer commit: the global
-// sequence lock advances by 2 (even to even, CAS so a real writer holding
-// the odd lock is never corrupted), publishing nothing. Every in-flight
+// sequence lock advances by 2 (even to even; a real writer holding the odd
+// lock is left alone), publishing nothing. Every in-flight
 // software transaction observes the moved clock and revalidates its read
 // log — the cost NOrec pays under write contention — and, values being
 // unchanged, continues.
 func (t *Thread) injectSTMContention() {
-	for {
-		s := t.eng.stmSeq.Load()
-		if s&1 == 1 {
-			return // a real writer holds the lock: contention already exists
-		}
-		if t.eng.stmSeq.CompareAndSwap(s, s+2) {
-			return
-		}
+	if t.eng.stmSeq&1 == 0 { // else a real writer holds the lock: contention already exists
+		t.eng.stmSeq += 2
 	}
 }
 
@@ -168,7 +160,7 @@ func (t *Thread) stmLoadWord(a mem.Addr) uint64 {
 	t.stats.TxLoads++
 	for {
 		v := le64(t.data[a:])
-		if t.eng.stmSeq.Load() == t.stm.snapshot {
+		if t.eng.stmSeq == t.stm.snapshot {
 			t.stm.readLog = append(t.stm.readLog, stmEntry{addr: a, val: v})
 			return v
 		}
@@ -198,11 +190,12 @@ func (t *Thread) stmCommit() {
 		t.frees = t.frees[:0]
 		return
 	}
-	// Acquire the sequence lock from our snapshot; a failed CAS means the
-	// clock moved, so validate (advancing the snapshot) and try again.
-	for !t.eng.stmSeq.CompareAndSwap(st.snapshot, st.snapshot+1) {
+	// Acquire the sequence lock from our snapshot; if the clock has moved,
+	// validate (advancing the snapshot) and try again.
+	for t.eng.stmSeq != st.snapshot {
 		t.stmValidate()
 	}
+	t.eng.stmSeq = st.snapshot + 1
 	// Exclusive: write back in order. No yields while the lock is odd so
 	// the critical section stays short (as a real NOrec's would).
 	data := t.data
@@ -215,7 +208,7 @@ func (t *Thread) stmCommit() {
 		// ordered by it, so the witness sequence matches visibility order.
 		t.witnessSTM()
 	}
-	if t.eng.hybrid.Load() {
+	if t.eng.hybrid {
 		// Hybrid mode (hybrid.go): the write-back above bypassed the line
 		// table, so hardware transactions reading those lines were never
 		// doomed. Every adaptive hardware transaction subscribes to the gate
@@ -223,7 +216,7 @@ func (t *Thread) stmCommit() {
 		t.doomHybridGateReaders()
 	}
 	t.work(t.eng.scaledCost(stmCommitCost) + len(st.order))
-	t.eng.stmSeq.Store(st.snapshot + 2)
+	t.eng.stmSeq = st.snapshot + 2
 	st.active = false
 	t.stats.Commits++
 	for _, a := range t.frees {

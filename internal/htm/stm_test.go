@@ -1,17 +1,20 @@
 package htm
 
 import (
-	"sync"
 	"testing"
 
 	"htmcmp/internal/platform"
 )
 
 func stmEngine(t *testing.T, threads int) *Engine {
+	return stmEngineQuantum(t, threads, 0)
+}
+
+func stmEngineQuantum(t *testing.T, threads, quantum int) *Engine {
 	t.Helper()
 	return New(platform.New(platform.ZEC12), Config{
 		Threads: threads, SpaceSize: 8 << 20, Seed: 21, CostScale: 0,
-		DisableCacheFetchAborts: true,
+		DisableCacheFetchAborts: true, Quantum: quantum,
 	})
 }
 
@@ -79,40 +82,26 @@ func TestSTMValidationDetectsConflict(t *testing.T) {
 	a := t0.Alloc(64)
 	t0.Store64(a, 1)
 
-	read := make(chan struct{})
-	wrote := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var firstAttemptAborted bool
-	attempt := 0
-	go func() {
-		defer wg.Done()
-		for {
-			ok, _ := t0.TrySTM(func() {
-				attempt++
-				v := t0.Load64(a)
-				if attempt == 1 {
-					close(read)
-					<-wrote
+	firstAttemptAborted := false
+	for attempt := 1; ; attempt++ {
+		ok, _ := t0.TrySTM(func() {
+			v := t0.Load64(a)
+			if attempt == 1 {
+				// T1 commits a write to the word T0 just read.
+				if ok, _ := t1.TrySTM(func() { t1.Store64(a, 42) }); !ok {
+					t.Error("writer aborted unexpectedly")
 				}
-				// A second load after the writer's commit must trigger
-				// NOrec validation and abort attempt 1.
-				_ = t0.Load64(a + 8)
-				t0.Store64(a+16, v)
-			})
-			if ok {
-				break
 			}
-			firstAttemptAborted = true
+			// A second load after the writer's commit must trigger
+			// NOrec validation and abort attempt 1.
+			_ = t0.Load64(a + 8)
+			t0.Store64(a+16, v)
+		})
+		if ok {
+			break
 		}
-	}()
-	<-read
-	ok, _ := t1.TrySTM(func() { t1.Store64(a, 42) })
-	if !ok {
-		t.Error("writer aborted unexpectedly")
+		firstAttemptAborted = true
 	}
-	close(wrote)
-	wg.Wait()
 	if !firstAttemptAborted {
 		t.Error("stale read survived a concurrent committed write (validation broken)")
 	}
@@ -123,15 +112,11 @@ func TestSTMValidationDetectsConflict(t *testing.T) {
 }
 
 func TestSTMCounterStress(t *testing.T) {
-	e := stmEngine(t, 8)
-	counter := e.Thread(0).Alloc(64)
-	const perThread = 400
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			th := e.Thread(tid)
+	for _, quantum := range stressQuanta {
+		e := stmEngineQuantum(t, 8, quantum)
+		counter := e.Thread(0).Alloc(64)
+		const perThread = 400
+		e.Run(8, func(_ int, th *Thread) {
 			for j := 0; j < perThread; j++ {
 				for {
 					ok, _ := th.TrySTM(func() {
@@ -142,11 +127,10 @@ func TestSTMCounterStress(t *testing.T) {
 					}
 				}
 			}
-		}(i)
-	}
-	wg.Wait()
-	if got := e.Thread(0).Load64(counter); got != 8*perThread {
-		t.Errorf("counter = %d, want %d", got, 8*perThread)
+		})
+		if got := e.Thread(0).Load64(counter); got != 8*perThread {
+			t.Errorf("quantum %d: counter = %d, want %d", quantum, got, 8*perThread)
+		}
 	}
 }
 
@@ -172,37 +156,29 @@ func TestSTMNoCapacityLimit(t *testing.T) {
 }
 
 func TestSTMWordGranularityNoFalseConflicts(t *testing.T) {
-	// Two threads repeatedly write ADJACENT WORDS of one cache line: every
-	// HTM model conflicts (false sharing); NOrec's value-based validation
-	// must commit both with zero aborts when writes do not overlap.
+	// Two threads write ADJACENT WORDS of one cache line, T1 committing
+	// while T0's transaction on the neighbouring word is open: every HTM
+	// model conflicts (false sharing); NOrec's value-based validation must
+	// commit both.
 	e := stmEngine(t, 2)
-	a := e.Thread(0).Alloc(64)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			th := e.Thread(tid)
-			addr := a + uint64(tid*8)
-			for j := 0; j < 300; j++ {
-				for {
-					ok, _ := th.TrySTM(func() {
-						th.Store64(addr, th.Load64(addr)+1)
-					})
-					if ok {
-						break
-					}
-				}
+	t0, t1 := e.Thread(0), e.Thread(1)
+	a := t0.Alloc(64)
+	for j := 0; j < 300; j++ {
+		ok0, _ := t0.TrySTM(func() {
+			v := t0.Load64(a)
+			ok1, _ := t1.TrySTM(func() { t1.Store64(a+8, t1.Load64(a+8)+1) })
+			if !ok1 {
+				t.Error("word-disjoint writer aborted")
 			}
-		}(i)
+			t0.Store64(a, v+1)
+		})
+		if !ok0 {
+			t.Fatal("word-disjoint commit on the same line aborted the open transaction")
+		}
 	}
-	wg.Wait()
-	t0 := e.Thread(0)
 	if t0.Load64(a) != 300 || t0.Load64(a+8) != 300 {
 		t.Errorf("counters = %d,%d want 300,300", t0.Load64(a), t0.Load64(a+8))
 	}
-	// Value-based validation can still abort on timing, but word-disjoint
-	// writes commit exactly; correctness is the invariant here.
 }
 
 func TestSTMAllocReclaimOnAbort(t *testing.T) {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
-	"sync/atomic"
 
 	"htmcmp/internal/chaos"
 	"htmcmp/internal/mem"
@@ -42,28 +40,30 @@ type ErrConstrained struct{ Msg string }
 func (e *ErrConstrained) Error() string { return "htm: constrained transaction: " + e.Msg }
 
 // Thread is one hardware-thread context. All transactional and
-// strongly-isolated non-transactional memory accesses of a goroutine go
-// through its Thread. A Thread must not be shared by concurrent goroutines.
+// strongly-isolated non-transactional memory accesses of a simulated thread
+// go through its Thread. The Threads of one engine share its line table and
+// arena without locks: run them with Engine.Run, or one at a time from a
+// single goroutine.
 type Thread struct {
 	eng  *Engine
 	slot int
 	core int
 	rng  *prng.Rand
 
-	status     atomic.Int32
-	doomReason atomic.Int32
+	status     int32
+	doomReason Reason
 
-	// Virtual-time scheduling state. virtual caches eng.sched != nil: under
-	// the virtual scheduler exactly one thread runs at a time (the baton
-	// holder), which is also the single-runner invariant that lets every
-	// line-table access skip its shard lock (see lockLine). yieldBudget
-	// counts accesses down to the next voluntary yield so the per-access
-	// check is one decrement and one branch. park gives the processor back to
-	// the region's driver until re-election (false: the region was stopped).
+	// Virtual-time scheduling state. Exactly one thread runs at a time (the
+	// baton holder inside a region, the caller's pick outside one), and every
+	// scheduling point (maybeYield/Pause) sits outside the line-table
+	// critical sections: that single-runner invariant is what makes the line
+	// table and the arena race-free with no lock. yieldBudget counts accesses
+	// down to the next voluntary yield so the per-access check is one
+	// decrement and one branch. park gives the processor back to the region's
+	// driver until re-election (false: the region was stopped).
 	vclock      uint64
 	park        func() bool
 	entered     bool
-	virtual     bool
 	yieldBudget int
 	quantum     int
 
@@ -90,19 +90,14 @@ type Thread struct {
 	pendingAbort Abort
 	allocs       []mem.Addr
 	frees        []mem.Addr
-	scratch      [8]byte // snapshot buffer for locked shared reads
 	stats        Stats
-	// abortCount mirrors stats.Aborts behind an atomic so Engine.Aborts can
-	// be polled while threads are running (Stats itself is quiescent-only).
-	abortCount atomic.Uint64
 
 	// Event-tracing state (internal/obs). trace is this slot's ring, nil
 	// when tracing is off — the only thing the disabled path ever checks.
 	// Events are recorded at transaction boundaries exclusively; none of
 	// this is touched on the per-access path. beginClock/retryDepth are
 	// owner-only. doomLine/doomBy are the abort-attribution tags an aborter
-	// writes (doomTagged) before dooming this thread; atomics because in
-	// real-concurrency mode the aborter races the victim's begin reset.
+	// writes (doomTagged) before dooming this thread.
 	// pendingLine/pendingBy ride alongside pendingAbort from the abort site
 	// to rollback's event record.
 	trace      *obs.Ring
@@ -124,8 +119,8 @@ type Thread struct {
 	witSeen     accessTab[uint32, bool]
 	witReads    []WitnessRead
 	witWrites   []WitnessWrite
-	doomLine    atomic.Uint32
-	doomBy      atomic.Int32
+	doomLine    uint32
+	doomBy      int16
 	pendingLine uint32
 	pendingBy   int16
 
@@ -166,12 +161,14 @@ type Thread struct {
 
 func newThread(e *Engine, slot int) *Thread {
 	t := &Thread{
-		eng:     e,
-		slot:    slot,
-		core:    e.plat.CoreOf(slot),
-		rng:     e.rngFor(slot),
-		virtual: e.sched != nil,
-		specID:  -1,
+		eng:    e,
+		slot:   slot,
+		core:   e.plat.CoreOf(slot),
+		rng:    e.rngFor(slot),
+		specID: -1,
+
+		quantum:     e.sched.quantum,
+		yieldBudget: e.sched.quantum,
 
 		lineShift: e.lineShift,
 		lineSize:  uint64(e.lineSize),
@@ -194,10 +191,6 @@ func newThread(e *Engine, slot int) *Thread {
 	t.stm.writes.init()
 	if e.plat.StoreSets > 0 {
 		t.waysets.init(e.plat.StoreSets)
-	}
-	if t.virtual {
-		t.quantum = e.sched.quantum
-		t.yieldBudget = t.quantum
 	}
 	c := e.plat.Costs
 	t.beginCost = e.scaledCost(c.Begin)
@@ -236,8 +229,7 @@ func (t *Thread) InTx() bool { return t.inTx }
 // Stats returns a copy of this thread's counters.
 func (t *Thread) Stats() Stats { return t.stats }
 
-// Clock returns the thread's virtual clock in cost units (meaningful in
-// virtual mode).
+// Clock returns the thread's virtual clock in cost units.
 func (t *Thread) Clock() uint64 { return t.vclock }
 
 // FootprintLines reports the current transaction's footprint in distinct
@@ -250,23 +242,18 @@ func (t *Thread) FootprintLines() (readLines, writeLines int) {
 // ---------------------------------------------------------------------------
 // Virtual-time participation
 
-// work charges n cost units of virtual time (or burns real CPU in
-// real-concurrency mode) without a yield point.
+// work charges n cost units of virtual time without a yield point.
 func (t *Thread) work(n int) {
-	if t.virtual {
-		if n > 0 {
-			t.vclock += uint64(n)
-		}
-		return
+	if n > 0 {
+		t.vclock += uint64(n)
 	}
-	spin(n)
 }
 
 // maybeYield is a voluntary scheduling point (no Go locks may be held). The
 // between-yield cost is one decrement and one branch; the scheduler is only
 // consulted when the budget runs out.
 func (t *Thread) maybeYield() {
-	if !t.virtual || !t.entered {
+	if !t.entered {
 		return
 	}
 	t.yieldBudget--
@@ -308,28 +295,26 @@ func (t *Thread) Work(n int) {
 // thread — the spin-wait primitive for lock waits and TLS ordering waits.
 func (t *Thread) Pause(n int) {
 	t.work(n)
-	if t.virtual {
-		if t.entered {
-			t.yieldBudget = t.quantum
-			t.eng.sched.yield(t)
-		}
-		return
+	if t.entered {
+		t.yieldBudget = t.quantum
+		t.eng.sched.yield(t)
 	}
-	runtime.Gosched()
 }
 
-// SpinUntil is exactly `for !try() { t.Pause(n) }`, the one way to wait on
-// Go-side state (a lock mirror, the NOrec sequence lock). Under the virtual
-// scheduler the polls of a parked waiter run on whichever thread is
-// electing, so try must only read or CAS state that baton holders write:
-// no simulated-memory access, Pause or Barrier.Wait, on pain of a panic.
+// SpinUntil is the one way to wait on Go-side state (a lock mirror, the
+// NOrec sequence lock). Inside a region it is exactly
+// `for !try() { t.Pause(n) }`, except that the polls of a parked waiter run
+// on whichever thread is electing, so try must only read or update state that
+// baton holders write: no simulated-memory access, Pause or Barrier.Wait, on
+// pain of a panic. Outside a region no other thread can run to make a false
+// predicate true, so try gets one call and a false result panics.
 func (t *Thread) SpinUntil(n int, try func() bool) {
-	if t.virtual && t.entered {
+	if t.entered {
 		t.eng.sched.spin(t, n, try)
 		return
 	}
-	for !try() {
-		t.Pause(n)
+	if !try() {
+		panic("htm: SpinUntil outside a region would wait forever")
 	}
 }
 
@@ -405,22 +390,21 @@ func (t *Thread) begin(kind TxKind) {
 	t.kind = kind
 	t.accessCount = 0
 	t.pendingAbort = Abort{}
-	t.doomReason.Store(int32(ReasonNone))
+	t.doomReason = ReasonNone
 	if t.trace != nil {
 		// Clear stale attribution tags before becoming doomable, record the
 		// begin, and remember the clock for the commit/abort Dur. Recording
 		// charges no virtual time: tracing must not perturb the simulation.
-		t.doomLine.Store(obs.NoLine)
-		t.doomBy.Store(-1)
+		t.doomLine, t.doomBy = obs.NoLine, obs.NoThread
 		t.beginClock = t.vclock
 		t.trace.Record(obs.Event{
 			Kind: obs.KindBegin, Thread: uint8(t.slot), Retry: t.retryDepth,
 			Aborter: obs.NoThread, Line: obs.NoLine, VClock: t.vclock,
 		})
 	}
-	t.status.Store(statusActive)
-	t.eng.cores[t.core].activeTx.Add(1)
-	t.eng.activeTx.Add(1)
+	t.status = statusActive
+	t.eng.cores[t.core].activeTx++
+	t.eng.activeTx++
 	t.stats.Begins++
 	t.work(t.beginCost)
 }
@@ -444,33 +428,32 @@ func (t *Thread) commit() {
 	// tolerates gaps.
 	var witSeq uint64
 	if t.wit != nil {
-		witSeq = t.wit.seq.Add(1)
+		t.wit.seq++
+		witSeq = t.wit.seq
 	}
 	// Hybrid-NOrec writer fence (hybrid.go): acquire the STM sequence lock
 	// around publication so software transactions revalidate against it.
 	// Acquired while still doomable — an STM writer holding the lock aborts
 	// this transaction through the gate instead of letting it spin into a
 	// commit of stale reads.
-	fenced := t.eng.hybrid.Load() && len(t.writeOrder) > 0
+	fenced := t.eng.hybrid && len(t.writeOrder) > 0
 	if fenced {
 		t.hybridSeqAcquire()
 	}
-	if !t.status.CompareAndSwap(statusActive, statusCommitting) {
+	if t.status != statusActive {
 		// Doomed between the last access and commit.
 		if fenced {
 			t.hybridSeqRelease()
 		}
-		t.abortDoomed(Reason(t.doomReason.Load()))
+		t.abortDoomed(t.doomReason)
 	}
-	// Publish written lines one at a time under their shard locks (elided
-	// in virtual mode: only the baton holder touches the line table). Eager
-	// dooming guarantees no live transaction still holds any of these
-	// lines, and new requesters see us as a committing writer and abort
-	// themselves, so per-line publication is globally safe.
+	t.status = statusCommitting
+	// Publish the written lines. Eager dooming guarantees no live
+	// transaction still holds any of them, and nothing between here and the
+	// idle status below is a scheduling point, so the publication is atomic.
 	data := t.data
 	for _, line := range t.writeOrder {
 		buf, _ := t.ws.get(line)
-		sh := t.lockLine(line)
 		base := uint64(line) << t.lineShift
 		end := base + t.lineSize
 		if end > uint64(len(data)) {
@@ -481,12 +464,7 @@ func (t *Thread) commit() {
 		rec.writer = -1
 		rec.clearReader(t.slot)
 		if t.wit != nil {
-			// Version bump under the shard lock so concurrent first-reads
-			// sample (Ver, Sum) consistently with this publication.
-			atomic.AddUint64(&t.wit.ver[line], 1)
-		}
-		unlockLine(sh)
-		if t.wit != nil {
+			t.wit.ver[line]++
 			t.witWrites = append(t.witWrites, WitnessWrite{
 				Addr: base, Line: line,
 				Data: append([]byte(nil), buf[:end-base]...),
@@ -502,9 +480,7 @@ func (t *Thread) commit() {
 		if t.ws.has(line) {
 			continue // released above
 		}
-		sh := t.lockLine(line)
 		t.rec(line).clearReader(t.slot)
-		unlockLine(sh)
 	}
 	if s := t.eng.cfg.FootprintSampler; s != nil {
 		s(t.readsCounted, t.ws.size())
@@ -531,7 +507,7 @@ func (t *Thread) commit() {
 	}
 	t.frees = t.frees[:0]
 	t.allocs = t.allocs[:0]
-	t.status.Store(statusIdle)
+	t.status = statusIdle
 	t.work(t.commitCost)
 }
 
@@ -551,26 +527,21 @@ func (t *Thread) rollback() {
 	}
 	for _, line := range t.writeOrder {
 		buf, _ := t.ws.get(line)
-		sh := t.lockLine(line)
 		rec := t.rec(line)
 		if rec.writer == int32(t.slot) {
 			rec.writer = -1
 		}
 		rec.clearReader(t.slot)
-		unlockLine(sh)
 		t.bufPool = append(t.bufPool, buf)
 	}
 	for _, line := range t.readOrder {
 		if t.ws.has(line) {
 			continue
 		}
-		sh := t.lockLine(line)
 		t.rec(line).clearReader(t.slot)
-		unlockLine(sh)
 	}
 	t.finishTx()
 	t.stats.Aborts++
-	t.abortCount.Add(1)
 	t.stats.AbortsByReason[t.pendingAbort.Reason]++
 	// Transactionally allocated blocks never became visible; reclaim them.
 	for _, a := range t.allocs {
@@ -578,7 +549,7 @@ func (t *Thread) rollback() {
 	}
 	t.allocs = t.allocs[:0]
 	t.frees = t.frees[:0]
-	t.status.Store(statusIdle)
+	t.status = statusIdle
 	t.work(t.abortCost)
 }
 
@@ -604,8 +575,8 @@ func (t *Thread) finishTx() {
 	t.readsCounted = 0
 	t.suspendCnt = 0
 	t.inTx = false
-	t.eng.cores[t.core].activeTx.Add(-1)
-	t.eng.activeTx.Add(-1)
+	t.eng.cores[t.core].activeTx--
+	t.eng.activeTx--
 	if t.eng.specPool != nil && t.specID >= 0 {
 		t.eng.specPool.release(t.specID)
 		t.specID = -1
@@ -641,7 +612,7 @@ func (t *Thread) abortAt(reason Reason, persistent bool, line uint32, by int16) 
 // picking up the attribution tags that thread left via doomTagged.
 func (t *Thread) abortDoomed(reason Reason) {
 	if t.trace != nil {
-		t.abortAt(reason, false, t.doomLine.Load(), int16(t.doomBy.Load()))
+		t.abortAt(reason, false, t.doomLine, t.doomBy)
 	}
 	t.abortNow(reason, false)
 }
@@ -659,8 +630,8 @@ func (t *Thread) Abort() {
 // the first step of every transactional operation so that a doomed
 // transaction cannot act on inconsistent data.
 func (t *Thread) checkDoomed() {
-	if t.status.Load() == statusDoomed {
-		r := Reason(t.doomReason.Load())
+	if t.status == statusDoomed {
+		r := t.doomReason
 		if r == ReasonNone {
 			r = ReasonConflict
 		}
@@ -676,8 +647,7 @@ func (t *Thread) checkDoomed() {
 func (t *Thread) doomTagged(line uint32, victim int32, reason Reason) bool {
 	if t.eng.traced {
 		v := t.eng.threads[victim]
-		v.doomLine.Store(line)
-		v.doomBy.Store(int32(t.slot))
+		v.doomLine, v.doomBy = line, int16(t.slot)
 	}
 	return t.doom(victim, reason)
 }
@@ -685,15 +655,16 @@ func (t *Thread) doomTagged(line uint32, victim int32, reason Reason) bool {
 // doom attempts to abort the transaction on thread victim with the given
 // reason, as a coherence invalidation would. It fails (returns false) when
 // the victim is already committing (immune) or the victim is hardened.
-// Called with the relevant shard lock held.
 func (t *Thread) doom(victim int32, reason Reason) bool {
 	v := t.eng.threads[victim]
 	if v.hardened {
 		return false
 	}
-	v.doomReason.Store(int32(reason))
-	return v.status.CompareAndSwap(statusActive, statusDoomed) ||
-		v.status.Load() == statusDoomed
+	v.doomReason = reason
+	if v.status == statusActive {
+		v.status = statusDoomed
+	}
+	return v.status == statusDoomed
 }
 
 // Suspend suspends transactional execution (POWER8's tsuspend, Section 2.4):
@@ -727,32 +698,10 @@ func (t *Thread) Suspended() bool { return t.inTx && t.suspendCnt > 0 }
 // ---------------------------------------------------------------------------
 // Line registration and conflict resolution
 
-// lockLine acquires the shard lock guarding line in real-concurrency mode
-// and returns it for unlockLine. In virtual mode it returns nil without
-// locking: the baton holder is the only runner, every scheduling point
-// (maybeYield/Pause) sits outside the line-table critical sections, and so
-// the single-runner invariant makes the table race-free by construction.
-// Real-concurrency mode keeps the sharded locks and runs under -race in CI.
-func (t *Thread) lockLine(line uint32) *padMutex {
-	if t.virtual {
-		return nil
-	}
-	sh := t.eng.shardOf(line)
-	sh.Lock()
-	return sh
-}
-
-// unlockLine releases a lock returned by lockLine (nil in virtual mode).
-func unlockLine(sh *padMutex) {
-	if sh != nil {
-		sh.Unlock()
-	}
-}
-
 // rec returns line's ownership record, the only way to reach one: a record
 // last written under another engine's epoch (or never — a fresh table is
 // all zeroes) is reset to quiescent first, which is what lets getLineTable
-// recycle tables without wiping them. Call with the line locked.
+// recycle tables without wiping them.
 func (t *Thread) rec(line uint32) *lineRec {
 	r := &t.lines[line]
 	if r.epoch != t.epoch {
@@ -765,21 +714,17 @@ func (t *Thread) rec(line uint32) *lineRec {
 // current writer. Requester-wins: the writer is doomed; if it is committing
 // (immune) the requester aborts instead.
 func (t *Thread) resolveAsReader(line uint32, counted bool) {
-	sh := t.lockLine(line)
 	rec := t.rec(line)
 	if w := rec.writer; w >= 0 && w != int32(t.slot) {
 		if t.eng.cfg.ResponderWins && !t.hardened {
-			unlockLine(sh)
 			t.abortAt(ReasonConflict, false, line, int16(w))
 		}
 		if !t.doomTagged(line, w, ReasonConflict) {
-			unlockLine(sh)
 			t.abortAt(ReasonCommitterConflict, false, line, int16(w))
 		}
 		rec.writer = -1
 	}
 	rec.setReader(t.slot)
-	unlockLine(sh)
 	t.rs.put(line, counted)
 	t.readOrder = append(t.readOrder, line)
 	if counted {
@@ -789,17 +734,14 @@ func (t *Thread) resolveAsReader(line uint32, counted bool) {
 
 // resolveAsWriter registers the line for writing, dooming conflicting
 // readers and any conflicting writer, and returns with the line buffered in
-// buf (copied under the shard lock so the snapshot is untorn).
+// buf.
 func (t *Thread) resolveAsWriter(line uint32, buf []byte) {
-	sh := t.lockLine(line)
 	rec := t.rec(line)
 	if w := rec.writer; w >= 0 && w != int32(t.slot) {
 		if t.eng.cfg.ResponderWins && !t.hardened {
-			unlockLine(sh)
 			t.abortAt(ReasonConflict, false, line, int16(w))
 		}
 		if !t.doomTagged(line, w, ReasonConflict) {
-			unlockLine(sh)
 			t.abortAt(ReasonCommitterConflict, false, line, int16(w))
 		}
 		rec.writer = -1
@@ -813,11 +755,9 @@ func (t *Thread) resolveAsWriter(line uint32, buf []byte) {
 				continue
 			}
 			if t.eng.cfg.ResponderWins && !t.hardened {
-				unlockLine(sh)
 				t.abortAt(ReasonConflict, false, line, int16(slot))
 			}
 			if !t.doomTagged(line, slot, ReasonConflict) {
-				unlockLine(sh)
 				t.abortAt(ReasonCommitterConflict, false, line, int16(slot))
 			}
 			rec.readers[w] &^= bit
@@ -831,7 +771,6 @@ func (t *Thread) resolveAsWriter(line uint32, buf []byte) {
 		end = uint64(len(data))
 	}
 	copy(buf, data[base:end])
-	unlockLine(sh)
 }
 
 func trailingZeros(x uint64) int32 { return int32(bits.TrailingZeros64(x)) }
@@ -942,17 +881,14 @@ func (t *Thread) maybePrefetch(line uint32) {
 		if t.rs.has(next) || t.ws.has(next) {
 			continue
 		}
-		sh := t.lockLine(next)
 		rec := t.rec(next)
 		if rec.writer >= 0 && rec.writer != int32(t.slot) {
 			if !t.doomTagged(next, rec.writer, ReasonConflict) {
-				unlockLine(sh)
 				return // drop the prefetch; the owner is committing
 			}
 			rec.writer = -1
 		}
 		rec.setReader(t.slot)
-		unlockLine(sh)
 		t.rs.put(next, false)
 		t.readOrder = append(t.readOrder, next)
 	}
@@ -1009,30 +945,7 @@ func (t *Thread) txLoad(a mem.Addr, n int) []byte {
 		// their reads carry no consistency guarantee to witness.
 		t.witnessRead(line)
 	}
-	return t.readShared(a, n, line)
-}
-
-// readShared returns the bytes at [a, a+n) of committed memory for a
-// transactional load. In virtual mode only one thread runs at a time, so the
-// slice may alias the arena directly. In real-concurrency mode the bytes are
-// snapshotted under the line's shard lock: a doomed-but-not-yet-aware reader
-// may otherwise tear against a committing writer publishing this line (the
-// doomed transaction will abort at its next operation, but Go — unlike the
-// hardware this models — does not tolerate the racy read itself).
-func (t *Thread) readShared(a mem.Addr, n int, line uint32) []byte {
-	data := t.data
-	if t.virtual {
-		return data[a : a+uint64(n)]
-	}
-	out := t.scratch[:]
-	if n > len(out) {
-		out = make([]byte, n)
-	}
-	sh := t.eng.shardOf(line)
-	sh.Lock()
-	copy(out[:n], data[a:a+uint64(n)])
-	sh.Unlock()
-	return out[:n]
+	return t.data[a : a+uint64(n)]
 }
 
 // txStore performs a transactional store, returning the buffered slice to
@@ -1102,47 +1015,28 @@ func (t *Thread) boundsCheck(a mem.Addr, n int) {
 
 // nonTxLoad is a strongly-isolated non-transactional load: it dooms a
 // conflicting transactional writer (requester always wins for
-// non-transactional accesses) and reads committed memory. A writer that is
-// already committing is immune; since hardware commits atomically, the
-// non-transactional access waits for the publication to finish rather than
-// observing a partially published multi-line commit.
+// non-transactional accesses) and reads committed memory. A hardened
+// constrained writer is immune, so the access waits for it to commit.
 func (t *Thread) nonTxLoad(a mem.Addr, n int) []byte {
 	t.tickOp(0)
 	t.boundsCheck(a, n)
 	data := t.data
-	// The tx-free fast path is only safe in virtual mode: with real
-	// concurrency a transaction can begin and commit between this check and
-	// the caller decoding the returned bytes.
-	if t.virtual && t.eng.activeTx.Load() == 0 {
+	if t.eng.activeTx == 0 {
 		return data[a : a+uint64(n)]
 	}
 	line := t.lineOf(a)
 	for {
-		sh := t.lockLine(line)
 		rec := t.rec(line)
 		if rec.writer >= 0 && rec.writer != int32(t.slot) {
 			if !t.doomTagged(line, rec.writer, ReasonNonTxConflict) {
-				unlockLine(sh)
-				t.Pause(2) // owner is committing; wait it out
+				t.Pause(2) // the owner is immune; wait it out
 				continue
 			}
 			rec.writer = -1
 		}
-		if t.virtual {
-			// Single runner: the arena cannot change under the caller
-			// before it consumes the slice.
-			return data[a : a+uint64(n)]
-		}
-		// All callers read ≤8 bytes and decode immediately, so the
-		// snapshot reuses the thread-local scratch buffer instead of
-		// allocating per call.
-		out := t.scratch[:]
-		if n > len(out) {
-			out = make([]byte, n)
-		}
-		copy(out[:n], data[a:a+uint64(n)])
-		unlockLine(sh)
-		return out[:n]
+		// Single runner: the arena cannot change under the caller before it
+		// consumes the slice.
+		return data[a : a+uint64(n)]
 	}
 }
 
@@ -1152,9 +1046,7 @@ func (t *Thread) nonTxStore(a mem.Addr, n int, src []byte) {
 	t.tickOp(0)
 	t.boundsCheck(a, n)
 	data := t.data
-	// Same virtual-only gate as nonTxLoad: a racing tx commit could
-	// otherwise tear against this unsynchronised write.
-	if t.virtual && t.eng.activeTx.Load() == 0 {
+	if t.eng.activeTx == 0 {
 		copy(data[a:a+uint64(n)], src)
 		if t.wit != nil {
 			t.witnessNonTx(a, n)
@@ -1162,40 +1054,43 @@ func (t *Thread) nonTxStore(a mem.Addr, n int, src []byte) {
 		return
 	}
 	line := t.lineOf(a)
-	for {
-		sh := t.lockLine(line)
-		rec := t.rec(line)
-		if rec.writer >= 0 && rec.writer != int32(t.slot) {
-			if !t.doomTagged(line, rec.writer, ReasonNonTxConflict) {
-				unlockLine(sh)
-				t.Pause(2) // owner is committing; wait it out
+	for !t.evictOwners(line) {
+		t.Pause(2) // an owner is immune; wait it out
+	}
+	copy(data[a:a+uint64(n)], src)
+	if t.wit != nil {
+		t.witnessNonTx(a, n)
+	}
+}
+
+// evictOwners dooms the transactional writer and readers of line on behalf
+// of a strongly-isolated non-transactional write. It reports false, with the
+// line still owned, when an owner is immune (a hardened constrained
+// transaction): the caller must wait for it to commit, or its write would
+// slip under a transaction that is guaranteed to commit what it has read.
+func (t *Thread) evictOwners(line uint32) bool {
+	rec := t.rec(line)
+	if w := rec.writer; w >= 0 && w != int32(t.slot) {
+		if !t.doomTagged(line, w, ReasonNonTxConflict) {
+			return false
+		}
+		rec.writer = -1
+	}
+	for w, word := range rec.readers {
+		for word != 0 {
+			bit := word & (-word)
+			word &^= bit
+			slot := int32(w)*64 + trailingZeros(bit)
+			if slot == int32(t.slot) {
 				continue
 			}
-			rec.writer = -1
-		}
-		for w, word := range rec.readers {
-			for word != 0 {
-				bit := word & (-word)
-				word &^= bit
-				slot := int32(w)*64 + trailingZeros(bit)
-				if slot == int32(t.slot) {
-					continue
-				}
-				if t.doomTagged(line, slot, ReasonNonTxConflict) {
-					rec.readers[w] &^= bit
-				}
+			if !t.doomTagged(line, slot, ReasonNonTxConflict) {
+				return false
 			}
+			rec.readers[w] &^= bit
 		}
-		copy(data[a:a+uint64(n)], src)
-		if t.wit != nil {
-			// Under the shard lock: the sequence number must order after
-			// any committing reader of this line that the doom loop above
-			// could not abort (see witnessNonTx).
-			t.witnessNonTx(a, n)
-		}
-		unlockLine(sh)
-		return
 	}
+	return true
 }
 
 // transactional reports whether accesses should take the transactional path.
@@ -1383,48 +1278,23 @@ func (t *Thread) CompareAndSwap64(a mem.Addr, old, new uint64) bool {
 		t.Store64(a, new)
 		return true
 	}
-	// Serialise through the line's shard lock for non-tx atomicity. A CAS
-	// is a serialising instruction, far more expensive than a plain load —
-	// the path-length cost the paper's Figure 6 transactions elide.
+	// A CAS is a serialising instruction, far more expensive than a plain
+	// load — the path-length cost the paper's Figure 6 transactions elide.
 	t.tickOp(t.eng.scaledCost(t.eng.plat.Costs.CAS))
 	t.boundsCheck(a, 8)
 	line := t.lineOf(a)
-	for {
-		sh := t.lockLine(line)
-		rec := t.rec(line)
-		if rec.writer >= 0 && rec.writer != int32(t.slot) {
-			if !t.doomTagged(line, rec.writer, ReasonNonTxConflict) {
-				unlockLine(sh)
-				t.Pause(2) // owner is committing; wait it out
-				continue
-			}
-			rec.writer = -1
-		}
-		for w, word := range rec.readers {
-			for word != 0 {
-				bit := word & (-word)
-				word &^= bit
-				slot := int32(w)*64 + trailingZeros(bit)
-				if slot == int32(t.slot) {
-					continue
-				}
-				if t.doomTagged(line, slot, ReasonNonTxConflict) {
-					rec.readers[w] &^= bit
-				}
-			}
-		}
-		data := t.data
-		cur := le64(data[a:])
-		ok := cur == old
-		if ok {
-			putLE64(data[a:], new)
-			if t.wit != nil {
-				t.witnessNonTx(a, 8)
-			}
-		}
-		unlockLine(sh)
-		return ok
+	for !t.evictOwners(line) {
+		t.Pause(2) // an owner is immune; wait it out
 	}
+	data := t.data
+	ok := le64(data[a:]) == old
+	if ok {
+		putLE64(data[a:], new)
+		if t.wit != nil {
+			t.witnessNonTx(a, 8)
+		}
+	}
+	return ok
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 package htm
 
 import (
-	"sync"
 	"testing"
 
 	"htmcmp/internal/obs"
@@ -117,25 +116,13 @@ func TestTraceAttributesConflictLineAndAborter(t *testing.T) {
 	a := t0.Alloc(64)
 	line := uint32(a) / uint32(e.LineSize())
 
-	t0Read := make(chan struct{})
-	t1Done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t0.TryTx(TxNormal, func() {
-			_ = t0.Load64(a)
-			close(t0Read)
-			<-t1Done
-			_ = t0.Load64(a) // doomed: takes the abort here
-		})
-	}()
-	<-t0Read
-	if ok, _ := t1.TryTx(TxNormal, func() { t1.Store64(a, 5) }); !ok {
-		t.Fatal("writer should have committed")
-	}
-	close(t1Done)
-	wg.Wait()
+	t0.TryTx(TxNormal, func() {
+		_ = t0.Load64(a)
+		if ok, _ := t1.TryTx(TxNormal, func() { t1.Store64(a, 5) }); !ok {
+			t.Error("writer should have committed")
+		}
+		_ = t0.Load64(a) // doomed: takes the abort here
+	})
 
 	var abort *obs.Event
 	for _, ev := range tr.Ring(0).Events() {
@@ -162,15 +149,7 @@ func TestTraceAttributesConflictLineAndAborter(t *testing.T) {
 // engine's aggregate counters under a contended multi-threaded run.
 func TestTraceEventCountsMatchStats(t *testing.T) {
 	const threads = 4
-	// Real concurrency and no back-off: a thread can abort dozens of times
-	// per commit when the host is busy (13277 aborts for 800 commits has
-	// been seen), so the rings must hold far more than the 1600 events a
-	// quiet run records or they overwrite and the counts below disagree.
-	tr := obs.NewTracer(threads, 1<<17)
-	e := New(platform.New(platform.IntelCore), Config{
-		Threads: threads, SpaceSize: 1 << 20, Seed: 42, Tracer: tr,
-		DisableCacheFetchAborts: true, DisablePrefetch: true,
-	})
+	e, tr := newTracedEngine(t, platform.IntelCore, threads)
 	setup := e.Thread(0)
 	a := setup.Alloc(64)
 

@@ -1,19 +1,15 @@
 package htm
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// vsched is the virtual-time cooperative scheduler. When an Engine is
-// created with Config.Virtual, exactly one benchmark thread executes at any
-// moment; every memory access and modelled overhead advances the running
-// thread's virtual clock, and at yield points the scheduler hands the baton
-// to the runnable thread with the smallest clock. Transactions therefore
-// overlap in *virtual* time regardless of how many physical CPUs the host
-// has, conflict patterns match a genuinely parallel execution, and every
-// run is fully deterministic: the parallel region's duration is simply the
-// maximum virtual clock across its threads.
+// vsched is the virtual-time cooperative scheduler. Exactly one thread of an
+// Engine executes at any moment; every memory access and modelled overhead
+// advances the running thread's virtual clock, and at yield points the
+// scheduler hands the baton to the runnable thread with the smallest clock.
+// Transactions therefore overlap in *virtual* time regardless of how many
+// physical CPUs the host has, conflict patterns match a genuinely parallel
+// execution, and every run is fully deterministic: the parallel region's
+// duration is simply the maximum virtual clock across its threads.
 //
 // This is the measurement backbone of the reproduction: the paper's
 // speed-up ratios are virtual-cycle ratios here, so results are identical
@@ -295,47 +291,23 @@ func (s *vsched) exit(t *Thread) {
 	s.handover(t, s.elect(), false)
 }
 
-// Barrier is a scheduler-aware cyclic barrier. In virtual mode all parties
-// resume with their clocks advanced to the latest arrival's clock — the
-// virtual-time semantics of a barrier. In real-concurrency mode it is an
-// ordinary condition-variable barrier. Create with Engine.NewBarrier.
+// Barrier is a scheduler-aware cyclic barrier: all parties resume with their
+// clocks advanced to the latest arrival's clock — the virtual-time semantics
+// of a barrier. Create with Engine.NewBarrier.
 type Barrier struct {
-	eng *Engine
-	n   int
-
-	mu      sync.Mutex
-	cond    *sync.Cond
+	eng     *Engine
+	n       int
 	count   int
-	gen     int
 	waiters []*Thread
 }
 
 // NewBarrier returns a barrier for n parties on this engine.
-func (e *Engine) NewBarrier(n int) *Barrier {
-	b := &Barrier{eng: e, n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
+func (e *Engine) NewBarrier(n int) *Barrier { return &Barrier{eng: e, n: n} }
 
-// Wait blocks t until all n parties have arrived.
+// Wait blocks t until all n parties have arrived. Outside a region nobody
+// else can arrive, so a Wait that is not the last arrival is the scheduler's
+// deadlock panic.
 func (b *Barrier) Wait(t *Thread) {
-	if b.eng.sched == nil {
-		b.mu.Lock()
-		gen := b.gen
-		b.count++
-		if b.count == b.n {
-			b.count = 0
-			b.gen++
-			b.cond.Broadcast()
-			b.mu.Unlock()
-			return
-		}
-		for gen == b.gen {
-			b.cond.Wait()
-		}
-		b.mu.Unlock()
-		return
-	}
 	s := b.eng.sched
 	s.enter()
 	b.count++

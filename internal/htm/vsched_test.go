@@ -17,7 +17,7 @@ import (
 func runVirtualCounters(t *testing.T, threads, perThread int, shared bool, seed uint64) (uint64, Stats) {
 	t.Helper()
 	e := New(platform.New(platform.IntelCore), Config{
-		Threads: threads, SpaceSize: 4 << 20, Seed: seed, Virtual: true, CostScale: 1,
+		Threads: threads, SpaceSize: 4 << 20, Seed: seed, CostScale: 1,
 		DisablePrefetch: true,
 	})
 	base := e.Thread(0).Alloc(threads * 256)
@@ -83,7 +83,7 @@ func TestVirtualClockMonotoneWithContention(t *testing.T) {
 
 func TestVirtualBarrierSynchronisesClocks(t *testing.T) {
 	e := New(platform.New(platform.IntelCore), Config{
-		Threads: 3, SpaceSize: 1 << 20, Seed: 1, Virtual: true, CostScale: 0,
+		Threads: 3, SpaceSize: 1 << 20, Seed: 1, CostScale: 0,
 	})
 	bar := e.NewBarrier(3)
 	after := make([]uint64, 3)
@@ -102,7 +102,7 @@ func TestVirtualBarrierSynchronisesClocks(t *testing.T) {
 
 func TestVirtualDeadlockDetection(t *testing.T) {
 	e := New(platform.New(platform.IntelCore), Config{
-		Threads: 2, SpaceSize: 1 << 20, Seed: 1, Virtual: true,
+		Threads: 2, SpaceSize: 1 << 20, Seed: 1,
 	})
 	// A 3-party barrier with only 2 threads: both block, nobody can wake
 	// them. The scheduler must panic rather than hang.
@@ -122,7 +122,7 @@ func runPanic(e *Engine, n int, body func(tid int, th *Thread)) (r interface{}) 
 
 func TestVirtualLivelockDetection(t *testing.T) {
 	e := New(platform.New(platform.IntelCore), Config{
-		Threads: 2, SpaceSize: 1 << 20, Seed: 1, Virtual: true, Quantum: 1,
+		Threads: 2, SpaceSize: 1 << 20, Seed: 1, Quantum: 1,
 	})
 	// Thread 0 exits holding a Go-side lock thread 1 is spinning on: no
 	// baton holder is left to release it. The poll that thread 0's exit runs
@@ -155,7 +155,7 @@ func TestSpinUntilPredicateMustNotReachScheduler(t *testing.T) {
 			// The default quantum: a memory access must be caught on its
 			// first call, not on the one that exhausts the yield budget.
 			e := New(platform.New(platform.IntelCore), Config{
-				Threads: 1, SpaceSize: 1 << 20, Seed: 1, Virtual: true,
+				Threads: 1, SpaceSize: 1 << 20, Seed: 1,
 			})
 			bar := e.NewBarrier(1)
 			a := e.Thread(0).Alloc(64)
@@ -169,22 +169,32 @@ func TestSpinUntilPredicateMustNotReachScheduler(t *testing.T) {
 	}
 }
 
+// TestSpinUntilOutsideScheduledRegion: outside a region nobody can run to
+// change what a predicate reads, so SpinUntil polls once and a wait that can
+// never end fails instead of hanging. Barrier.Wait has the scheduler's
+// deadlock panic for the same situation.
 func TestSpinUntilOutsideScheduledRegion(t *testing.T) {
-	// Real-concurrency threads and virtual threads that have not entered a
-	// region run the literal loop.
-	for _, virtual := range []bool{false, true} {
-		e := New(platform.New(platform.IntelCore), Config{
-			Threads: 1, SpaceSize: 1 << 20, Seed: 1, Virtual: virtual, CostScale: 1,
-		})
-		th, calls := e.Thread(0), 0
-		th.SpinUntil(4, func() bool { calls++; return calls == 3 })
-		if calls != 3 {
-			t.Errorf("virtual=%v: predicate ran %d times, want 3", virtual, calls)
-		}
-		if virtual && th.Clock() != 8 {
-			t.Errorf("two failed polls at 4 units left the clock at %d, want 8", th.Clock())
-		}
+	e := New(platform.New(platform.IntelCore), Config{
+		Threads: 1, SpaceSize: 1 << 20, Seed: 1, CostScale: 1,
+	})
+	th, calls := e.Thread(0), 0
+	th.SpinUntil(4, func() bool { calls++; return true })
+	if calls != 1 || th.Clock() != 0 {
+		t.Errorf("a true predicate ran %d times and charged %d units, want 1 and 0", calls, th.Clock())
 	}
+	mustPanic := func(want string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := fmt.Sprint(recover()); !strings.Contains(r, want) {
+				t.Errorf("panic = %q, want one containing %q", r, want)
+			}
+		}()
+		f()
+	}
+	mustPanic("htm: SpinUntil outside a region would wait forever", func() {
+		th.SpinUntil(4, func() bool { return false })
+	})
+	mustPanic("virtual-scheduler deadlock", func() { e.NewBarrier(2).Wait(th) })
 }
 
 // spinOutcome is everything the virtual schedule determines in spinScenario.
@@ -205,7 +215,7 @@ type spinOutcome struct {
 // (*Engine).Run, or the adapter's goroutines (adapter_test.go).
 func spinScenario(launch func(*Engine, int, func(int, *Thread)), quantum, threads int, seed uint64, inline bool) (spinOutcome, uint64) {
 	e := New(platform.New(platform.IntelCore), Config{
-		Threads: threads, SpaceSize: 1 << 20, Seed: seed, Virtual: true, CostScale: 1,
+		Threads: threads, SpaceSize: 1 << 20, Seed: seed, CostScale: 1,
 		Quantum: quantum, DisablePrefetch: true,
 	})
 	counter := e.Thread(0).Alloc(64)
@@ -283,10 +293,10 @@ func TestSpinUntilEquivalentToPauseLoop(t *testing.T) {
 }
 
 func TestVirtualSMTDivisorStillApplies(t *testing.T) {
-	// Virtual mode must preserve the SMT capacity model: two POWER8
+	// A region must preserve the SMT capacity model: two POWER8
 	// threads on one core halve the TMCAM.
 	e := New(platform.New(platform.POWER8), Config{
-		Threads: 12, SpaceSize: 4 << 20, Seed: 1, Virtual: true, CostScale: 0,
+		Threads: 12, SpaceSize: 4 << 20, Seed: 1, CostScale: 0,
 	})
 	t0, t6 := e.Thread(0), e.Thread(6)
 	if t0.Core() != t6.Core() {

@@ -7,8 +7,8 @@ package htm
 // transaction — its read set as (line, version, value hash) triples and its
 // write set as published line images — plus one record per strongly-isolated
 // non-transactional store. Records carry a global commit sequence number
-// (assigned inside the engine's own synchronisation, so it is consistent
-// with the order in which effects became visible) and the committing
+// (drawn with no scheduling point between it and the publication, so it is
+// consistent with the order in which effects became visible) and the committing
 // thread's virtual clock. verify.Replay re-executes the log against a fresh
 // sequential memory: if every committed transaction's recorded reads are
 // consistent with the state produced by replaying the records in sequence
@@ -37,13 +37,9 @@ package htm
 //     the oracle must confine Alloc/Free churn to the setup phase; the
 //     verify fuzzer's generated programs perform no transactional
 //     allocation at all.
-//   - zEC12 hardened constrained transactions are doom-immune; a concurrent
-//     conflicting non-transactional store is a genuine isolation hole in
-//     the model and would be reported as a violation.
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"htmcmp/internal/mem"
 )
@@ -106,15 +102,15 @@ type TxRecord struct {
 // Witness collects the commit-order log of one engine. Create with
 // NewWitness, pass via Config.Witness, call Start after workload setup
 // (Start snapshots the arena and resets the log), and extract the finished
-// log with Log once the threads are quiescent.
+// log with Log once the region has returned.
 type Witness struct {
 	space     *mem.Space
 	lineSize  int
 	lineShift uint
 	nLines    int
-	seq       atomic.Uint64
-	// ver counts committed writes per line; read under the line's shard
-	// lock together with the value hash so (Ver, Sum) pairs are consistent.
+	seq       uint64
+	// ver counts committed writes per line; a first-read samples it together
+	// with the value hash.
 	ver     []uint64
 	initial []byte
 	recs    [][]TxRecord // per thread slot, owner-appended
@@ -131,9 +127,9 @@ func (w *Witness) attach(e *Engine) {
 	w.lineSize = e.lineSize
 	w.lineShift = e.lineShift
 	w.nLines = e.nLines
-	w.ver = make([]uint64, e.nLines) //htmlint:allow atomicmix -- attach runs before any thread exists
+	w.ver = make([]uint64, e.nLines)
 	w.recs = make([][]TxRecord, e.cfg.Threads)
-	w.seq.Store(0)
+	w.seq = 0
 	w.initial = nil
 	w.started = false
 }
@@ -146,13 +142,9 @@ func (w *Witness) Start() {
 		panic("htm: Witness.Start before the witness was attached to an engine (Config.Witness)")
 	}
 	w.initial = append(w.initial[:0], w.space.Data()...)
-	for i := range w.ver { //htmlint:allow atomicmix -- Start is documented quiescent: no transactions in flight
-		w.ver[i] = 0
-	}
-	for i := range w.recs {
-		w.recs[i] = nil
-	}
-	w.seq.Store(0)
+	clear(w.ver)
+	clear(w.recs)
+	w.seq = 0
 	w.started = true
 }
 
@@ -172,8 +164,7 @@ type WitnessLog struct {
 }
 
 // Log extracts the witnessed records merged across threads in commit-
-// sequence order, plus initial/final arena snapshots. Call only while the
-// engine's threads are quiescent.
+// sequence order, plus initial/final arena snapshots. Call between regions.
 func (w *Witness) Log() WitnessLog {
 	var all []TxRecord
 	for _, rs := range w.recs {
@@ -215,17 +206,14 @@ func LineSum(data []byte, line uint32, lineSize int) uint64 {
 // Recording hooks (called from Thread with t.wit != nil)
 
 // witnessRead records the first transactional read of line: its current
-// write-version and value hash, sampled under the line's shard lock so the
-// pair is consistent with concurrent publications.
+// write-version and value hash.
 func (t *Thread) witnessRead(line uint32) {
 	if t.witSeen.has(line) {
 		return
 	}
 	t.witSeen.put(line, true)
-	sh := t.lockLine(line)
-	v := atomic.LoadUint64(&t.wit.ver[line]) //htmlint:allow nilgate -- recording hooks run only when the thread has a witness (see section header)
+	v := t.wit.ver[line] //htmlint:allow nilgate -- recording hooks run only when the thread has a witness (see section header)
 	sum := LineSum(t.eng.space.Data(), line, t.eng.lineSize)
-	unlockLine(sh)
 	t.witReads = append(t.witReads, WitnessRead{Line: line, Ver: v, Sum: sum})
 }
 
@@ -247,17 +235,15 @@ func (t *Thread) witnessCommitRecord(seq uint64) {
 }
 
 // witnessNonTx records one strongly-isolated non-transactional store of n
-// bytes at a, reading the stored bytes back from the arena. In
-// real-concurrency mode it must be called with the line's shard lock held,
-// so the sequence number is consistent with the store's visibility order —
-// in particular, a store that failed to doom a committing reader is
-// sequenced after that reader's commit (the committer takes its number
-// before becoming visibly committing).
+// bytes at a, reading the stored bytes back from the arena. Its caller has
+// no scheduling point between the store and this call, so the sequence number
+// is consistent with the store's visibility order.
 func (t *Thread) witnessNonTx(a mem.Addr, n int) {
 	w := t.wit
 	line := t.lineOf(a)
-	seq := w.seq.Add(1)
-	atomic.AddUint64(&w.ver[line], 1)
+	w.seq++
+	seq := w.seq
+	w.ver[line]++
 	data := append([]byte(nil), t.eng.space.Data()[a:a+uint64(n)]...)
 	w.recs[t.slot] = append(w.recs[t.slot], TxRecord{
 		Seq: seq, Thread: t.slot, VClock: t.vclock, Kind: WitnessNonTx,
@@ -271,7 +257,8 @@ func (t *Thread) witnessNonTx(a mem.Addr, n int) {
 func (t *Thread) witnessSTM() {
 	w := t.wit
 	st := &t.stm
-	seq := w.seq.Add(1)
+	w.seq++
+	seq := w.seq
 	writes := make([]WitnessWrite, 0, len(st.order))
 	data := t.eng.space.Data()
 	for _, a := range st.order {

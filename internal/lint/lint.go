@@ -2,8 +2,7 @@
 // analyzers that mechanically enforce the disciplines the reproduction's
 // credibility rests on — fixed-seed determinism of the simulated core,
 // zero-overhead-when-off instrumentation hooks, stable sweep cache
-// identity, symmetric build-tag file pairs, and unmixed atomic/plain
-// access to shared counters. The paper's methodology (Nakaike et al.,
+// identity, and symmetric build-tag file pairs. The paper's methodology (Nakaike et al.,
 // ISCA'15) compares abort rates and speedups quantitatively, so any
 // nondeterminism in the engine invalidates a table; until this package
 // existed the contracts lived only in comments and review convention.
@@ -108,7 +107,6 @@ func Analyzers() []*Analyzer {
 		NilgateAnalyzer,
 		CachekeyAnalyzer,
 		TagpairAnalyzer,
-		AtomicmixAnalyzer,
 	}
 }
 
@@ -130,7 +128,7 @@ func ByName(names []string) ([]*Analyzer, error) {
 		}
 		a, ok := byName[n]
 		if !ok {
-			return nil, fmt.Errorf("unknown check %q (have: determinism, nilgate, cachekey, tagpair, atomicmix)", n)
+			return nil, fmt.Errorf("unknown check %q (have: determinism, nilgate, cachekey, tagpair)", n)
 		}
 		out = append(out, a)
 	}

@@ -18,8 +18,8 @@ func TestSuiteOnFixtures(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	all, err := lint.ByName(nil)
-	if err != nil || len(all) != 5 {
-		t.Fatalf("ByName(nil) = %d analyzers, err %v; want 5, nil", len(all), err)
+	if err != nil || len(all) != 4 {
+		t.Fatalf("ByName(nil) = %d analyzers, err %v; want 4, nil", len(all), err)
 	}
 	two, err := lint.ByName([]string{"determinism", "cachekey"})
 	if err != nil || len(two) != 2 {

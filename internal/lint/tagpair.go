@@ -13,9 +13,8 @@ import (
 // `//go:build !tag`, the two must declare identical sets of
 // package-level symbols (types, funcs, consts, vars, and methods keyed
 // by receiver base type). The repo leans on this pattern for compiled-
-// away debug machinery — check_off.go/check_racecheck.go and
-// live_off.go/live_racecheck.go (racecheck), mutate_on.go/mutate_off.go
-// (mutate_isolation) — where a symbol present on one side only either
+// away debug machinery — live_off.go/live_racecheck.go (racecheck),
+// mutate_on.go/mutate_off.go (mutate_isolation) — where a symbol present on one side only either
 // breaks the tagged build outright or, worse, silently changes
 // behaviour between CI's race job and production simulation runs.
 //

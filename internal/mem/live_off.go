@@ -2,8 +2,8 @@
 
 package mem
 
-// debugChecks mirrors internal/htm's racecheck gating: expensive allocator
-// cross-checks compile to nothing in normal builds. The cheap classTab-based
+// debugChecks gates the expensive allocator cross-checks, which compile to
+// nothing in normal builds. The cheap classTab-based
 // double-free/interior-free panic in FreeArena is always on; the shadow map
 // here only adds exact bookkeeping diagnostics under -tags racecheck.
 const debugChecks = false

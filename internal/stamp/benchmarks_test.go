@@ -14,7 +14,7 @@ import (
 func seqRun(t *testing.T, name string, cfg Config, k platform.Kind) (Benchmark, *htm.Engine) {
 	t.Helper()
 	e := htm.New(platform.New(k), htm.Config{
-		Threads: 1, SpaceSize: 96 << 20, Seed: cfg.Seed + 1, CostScale: 0, Virtual: true,
+		Threads: 1, SpaceSize: 96 << 20, Seed: cfg.Seed + 1, CostScale: 0,
 	})
 	b, err := New(name, cfg)
 	if err != nil {
@@ -164,7 +164,7 @@ func TestBenchmarksUnderSTMRunner(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			e := htm.New(platform.New(platform.ZEC12), htm.Config{
-				Threads: 4, SpaceSize: 96 << 20, Seed: 15, CostScale: 0, Virtual: true,
+				Threads: 4, SpaceSize: 96 << 20, Seed: 15, CostScale: 0,
 			})
 			b, err := New(name, Config{Scale: ScaleTest, Seed: 15})
 			if err != nil {
@@ -189,7 +189,7 @@ func TestBenchmarksUnderSTMRunner(t *testing.T) {
 func TestParallelDeterminismPerBenchmark(t *testing.T) {
 	run := func(name string) (uint64, htm.Stats) {
 		e := htm.New(platform.New(platform.POWER8), htm.Config{
-			Threads: 4, SpaceSize: 96 << 20, Seed: 17, CostScale: 1, Virtual: true,
+			Threads: 4, SpaceSize: 96 << 20, Seed: 17, CostScale: 1,
 		})
 		b, err := New(name, Config{Scale: ScaleTest, Seed: 17})
 		if err != nil {

@@ -1,7 +1,6 @@
 package stamp
 
 import (
-	"sync"
 	"testing"
 
 	"htmcmp/internal/htm"
@@ -139,48 +138,12 @@ func TestNamesOrderAndRegistry(t *testing.T) {
 	}
 }
 
-func TestBarrierRealMode(t *testing.T) {
-	const n = 8
-	e := htm.New(platform.New(platform.IntelCore), htm.Config{
-		Threads: n, SpaceSize: 1 << 20, CostScale: 0,
-	})
-	lock := tm.NewGlobalLock(e)
-	runners := make([]Runner, n)
-	for i := range runners {
-		runners[i] = TMRunner{X: tm.NewExecutor(e.Thread(i), lock, tm.DefaultPolicy(platform.IntelCore))}
-	}
-	bar := NewBarrier(runners)
-	counter := make(chan int, n*3)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			for phase := 0; phase < 3; phase++ {
-				counter <- phase
-				bar.Wait(runners[tid].Thread())
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(counter)
-	var cnt [3]int
-	for p := range counter {
-		cnt[p]++
-	}
-	for p, c := range cnt {
-		if c != n {
-			t.Errorf("phase %d ran %d times, want %d", p, c, n)
-		}
-	}
-}
-
 // TestBarrierVirtualMode checks the scheduler-aware barrier: clocks of all
 // parties synchronise to the maximum at each crossing.
 func TestBarrierVirtualMode(t *testing.T) {
 	const n = 4
 	e := htm.New(platform.New(platform.IntelCore), htm.Config{
-		Threads: n, SpaceSize: 1 << 20, CostScale: 0, Virtual: true,
+		Threads: n, SpaceSize: 1 << 20, CostScale: 0,
 	})
 	bar := e.NewBarrier(n)
 	clocks := make([]uint64, n)

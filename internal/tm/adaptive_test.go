@@ -30,7 +30,7 @@ func adaptiveRun(t *testing.T, kind platform.Kind, threads, iters int,
 	t.Helper()
 	spec := platform.New(kind)
 	e := htm.New(spec, htm.Config{
-		Threads: threads, SpaceSize: 8 << 20, Seed: 20250808, Virtual: true,
+		Threads: threads, SpaceSize: 8 << 20, Seed: 20250808,
 		CostScale: 1, Tracer: tracer, Witness: wit,
 	})
 	lock := tm.NewGlobalLock(e)
@@ -235,26 +235,12 @@ func TestAdaptiveModeSwitchEvents(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRequiresVirtual pins the safety gate: hybrid HTM/STM execution
-// relies on the single-runner invariant, so attaching a controller to a
-// real-concurrency engine must panic rather than race.
-func TestAdaptiveRequiresVirtual(t *testing.T) {
-	e := htm.New(platform.New(platform.IntelCore), htm.Config{Threads: 1, SpaceSize: 1 << 20})
-	lock := tm.NewGlobalLock(e)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewExecutorConfig with a controller on a non-virtual engine did not panic")
-		}
-	}()
-	tm.NewExecutorConfig(e.Thread(0), lock, tm.Config{Adapt: adapt.NewController(adapt.Config{})})
-}
-
 // TestAdaptiveLockMode drives one site straight into lock mode (conflicts
 // plus capacity in the same window) and checks executions stay correct and
 // accounted as irrevocable.
 func TestAdaptiveLockMode(t *testing.T) {
 	e := htm.New(platform.New(platform.ZEC12), htm.Config{
-		Threads: 1, SpaceSize: 1 << 20, Seed: 7, Virtual: true, CostScale: 1,
+		Threads: 1, SpaceSize: 1 << 20, Seed: 7, CostScale: 1,
 	})
 	lock := tm.NewGlobalLock(e)
 	// A controller whose thresholds demote to lock almost immediately.
@@ -284,7 +270,7 @@ func TestAdaptiveLockMode(t *testing.T) {
 
 func ExampleConfig() {
 	e := htm.New(platform.New(platform.IntelCore), htm.Config{
-		Threads: 1, SpaceSize: 1 << 20, Virtual: true,
+		Threads: 1, SpaceSize: 1 << 20,
 	})
 	lock := tm.NewGlobalLock(e)
 	ctl := adapt.NewController(adapt.Config{})

@@ -55,7 +55,7 @@ type goldenRow struct {
 func goldenRun(kind platform.Kind, threads int, tracer *obs.Tracer, wit *htm.Witness) (goldenRow, htm.Stats) {
 	spec := platform.New(kind)
 	e := htm.New(spec, htm.Config{
-		Threads: threads, SpaceSize: 8 << 20, Seed: 20250806, Virtual: true,
+		Threads: threads, SpaceSize: 8 << 20, Seed: 20250806,
 		CostScale: 1, Tracer: tracer, Witness: wit,
 	})
 	lock := tm.NewGlobalLock(e)

@@ -1,64 +1,40 @@
 package tm
 
 import (
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"htmcmp/internal/htm"
 	"htmcmp/internal/platform"
 )
-
-// waitFor polls cond (with a generous timeout) while other goroutines run.
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	//htmlint:allow determinism -- real wall-clock timeout around live goroutines, not simulated time
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) { //htmlint:allow determinism -- same wall-clock poll as above
-			t.Fatal("condition not reached within timeout")
-		}
-		runtime.Gosched()
-	}
-}
 
 // TestLazySubscriptionDefersLockCheck: with lazy subscription (BG/Q
 // long-running mode), a transaction that starts while the lock is FREE and
 // finishes while it is free must commit even if its body never re-checks;
 // and one whose body runs while the lock is held must abort at its end.
 func TestLazySubscriptionDefersLockCheck(t *testing.T) {
-	e := newEngine(t, platform.BlueGeneQ, 2)
+	e := newEngineQuantum(t, platform.BlueGeneQ, 2, 1)
 	lock := NewGlobalLock(e)
-	t0, t1 := e.Thread(0), e.Thread(1)
-	x := NewExecutor(t0, lock, Policy{TransientRetry: 3, LazySubscription: true, Adaptation: false})
+	x := NewExecutor(e.Thread(0), lock, Policy{TransientRetry: 3, LazySubscription: true, Adaptation: false})
 
-	// Acquire the lock mid-transaction: the lazy check at the end must
-	// catch it.
-	bodyEntered := make(chan struct{})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	// t1 takes the lock at clock 50, while t0 is mid-body (clocks 0–100),
+	// and holds it past the end of that attempt: the lazy check at the end
+	// must catch it.
+	e.Run(2, func(tid int, th *htm.Thread) {
+		if tid == 1 {
+			th.Work(50)
+			lock.Acquire(th)
+			th.Work(200)
+			lock.Release(th)
+			return
+		}
 		first := true
 		x.Run(func(th *htm.Thread) {
 			if first {
 				first = false
-				close(bodyEntered)
-				<-release
+				th.Work(100)
 			}
 		})
-	}()
-	<-bodyEntered
-	lock.Acquire(t1)
-	close(release)
-	// Wait until the lazy end-of-transaction check has aborted the
-	// attempt before releasing, otherwise the check races the release
-	// and sees a free lock.
-	waitFor(t, func() bool { return e.Aborts() >= 1 })
-	lock.Release(t1)
-	wg.Wait()
+	})
 	if x.Stats.Commits() != 1 {
 		t.Errorf("critical section completed %d times, want 1", x.Stats.Commits())
 	}
@@ -95,38 +71,33 @@ func TestBGQUsesSingleCounter(t *testing.T) {
 // is held is categorised as a lock conflict even if its engine-level reason
 // was something else (Figure 1 line 13 checks the lock first).
 func TestCategoryReclassification(t *testing.T) {
-	e := newEngine(t, platform.POWER8, 2)
+	e := newEngineQuantum(t, platform.POWER8, 2, 1)
 	lock := NewGlobalLock(e)
-	t0, t1 := e.Thread(0), e.Thread(1)
-	x := NewExecutor(t1, lock, Policy{LockRetry: 2, PersistentRetry: 1, TransientRetry: 1})
+	x := NewExecutor(e.Thread(1), lock, Policy{LockRetry: 2, PersistentRetry: 1, TransientRetry: 1})
 
-	// t1 begins a transaction (subscribing to the free lock); t0 then
-	// acquires the lock, dooming t1 via the lock-word conflict. The retry
-	// mechanism sees the lock held and must classify the abort as a lock
-	// conflict.
-	entered := make(chan struct{})
-	locked := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	// t1 begins a transaction (subscribing to the free lock) and is mid-body
+	// (clocks 4–104) when t0 acquires the lock at clock 50, dooming t1 via
+	// the lock-word conflict. t0 holds the lock until clock 254, so t1's
+	// abort is classified while it is still held (the paper notes a
+	// too-early release is misclassified as a data conflict): the retry
+	// mechanism sees the lock held and must count a lock conflict.
+	e.Run(2, func(tid int, th *htm.Thread) {
+		if tid == 0 {
+			th.Work(50)
+			lock.Acquire(th)
+			th.Work(200)
+			lock.Release(th)
+			return
+		}
 		first := true
 		x.Run(func(th *htm.Thread) {
 			if first && th.InTx() {
 				first = false
-				close(entered)
-				<-locked
+				th.Work(100)
 				_ = th.Load64(lock.Addr()) // observe the doom
 			}
 		})
-	}()
-	<-entered
-	lock.Acquire(t0)
-	close(locked)
-	// The classification must run while the lock is still held (the paper
-	// notes a too-early release is misclassified as a data conflict).
-	waitFor(t, func() bool { return e.Aborts() >= 1 })
-	lock.Release(t0)
-	<-done
+	})
 	if x.Stats.AbortsByCategory[htm.CategoryLockConflict] == 0 {
 		t.Error("no aborts classified as lock conflicts")
 	}
@@ -135,36 +106,33 @@ func TestCategoryReclassification(t *testing.T) {
 // TestRunSTMRetriesToCompletion: STM execution has no fallback; contended
 // increments must all commit eventually and exactly.
 func TestRunSTMRetriesToCompletion(t *testing.T) {
-	e := newEngine(t, platform.ZEC12, 4)
-	lock := NewGlobalLock(e)
-	counter := e.Thread(0).Alloc(64)
-	var wg sync.WaitGroup
-	execs := make([]*Executor, 4)
-	for i := 0; i < 4; i++ {
-		execs[i] = NewExecutor(e.Thread(i), lock, DefaultPolicy(platform.ZEC12))
-		wg.Add(1)
-		go func(x *Executor) {
-			defer wg.Done()
+	for _, quantum := range stressQuanta {
+		e := newEngineQuantum(t, platform.ZEC12, 4, quantum)
+		lock := NewGlobalLock(e)
+		counter := e.Thread(0).Alloc(64)
+		execs := make([]*Executor, 4)
+		e.Run(4, func(tid int, th *htm.Thread) {
+			x := NewExecutor(th, lock, DefaultPolicy(platform.ZEC12))
+			execs[tid] = x
 			for j := 0; j < 250; j++ {
 				x.RunSTM(func(th *htm.Thread) {
 					th.Store64(counter, th.Load64(counter)+1)
 				})
 			}
-		}(execs[i])
-	}
-	wg.Wait()
-	if got := e.Thread(0).Load64(counter); got != 1000 {
-		t.Errorf("counter = %d, want 1000", got)
-	}
-	var agg Stats
-	for _, x := range execs {
-		agg.Add(&x.Stats)
-	}
-	if agg.IrrevocableCommits != 0 {
-		t.Error("STM must never take the global lock")
-	}
-	if agg.TxCommits != 1000 {
-		t.Errorf("TxCommits = %d, want 1000", agg.TxCommits)
+		})
+		if got := e.Thread(0).Load64(counter); got != 1000 {
+			t.Errorf("quantum %d: counter = %d, want 1000", quantum, got)
+		}
+		var agg Stats
+		for _, x := range execs {
+			agg.Add(&x.Stats)
+		}
+		if agg.IrrevocableCommits != 0 {
+			t.Errorf("quantum %d: STM must never take the global lock", quantum)
+		}
+		if agg.TxCommits != 1000 {
+			t.Errorf("quantum %d: TxCommits = %d, want 1000", quantum, agg.TxCommits)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package tm
 
 import (
-	"sync"
 	"testing"
 
 	"htmcmp/internal/htm"
@@ -9,10 +8,21 @@ import (
 )
 
 func newEngine(t *testing.T, k platform.Kind, threads int) *htm.Engine {
+	return newEngineQuantum(t, k, threads, 0)
+}
+
+// stressQuanta are the yield quanta the contended tests run their regions
+// at: every access a scheduling point, and the engine default.
+var stressQuanta = []int{1, 8}
+
+// newEngineQuantum is newEngine with a yield quantum (0 = default). At
+// quantum 1 every Work and access is a scheduling point, so Work offsets fix
+// the order in which the threads of a region reach theirs.
+func newEngineQuantum(t *testing.T, k platform.Kind, threads, quantum int) *htm.Engine {
 	t.Helper()
 	return htm.New(platform.New(k), htm.Config{
 		Threads: threads, SpaceSize: 8 << 20, Seed: 5, CostScale: 0,
-		DisablePrefetch: true, DisableCacheFetchAborts: true,
+		DisablePrefetch: true, DisableCacheFetchAborts: true, Quantum: quantum,
 	})
 }
 
@@ -96,90 +106,78 @@ func TestLockWriteDoomsSubscribers(t *testing.T) {
 	lock := NewGlobalLock(e)
 	t0, t1 := e.Thread(0), e.Thread(1)
 
-	subscribed := make(chan struct{})
-	locked := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var ok bool
-	go func() {
-		defer wg.Done()
-		ok, _ = t0.TryTx(htm.TxNormal, func() {
-			if lock.SubscribedHeld(t0) {
-				t0.Abort()
-			}
-			close(subscribed)
-			<-locked
-			_ = t0.Load64(lock.Addr()) // touch anything: must observe doom
-		})
-	}()
-	<-subscribed
-	lock.Acquire(t1)
-	close(locked)
-	wg.Wait()
+	ok, _ := t0.TryTx(htm.TxNormal, func() {
+		if lock.SubscribedHeld(t0) {
+			t0.Abort()
+		}
+		lock.Acquire(t1)
+		_ = t0.Load64(lock.Addr()) // touch anything: must observe doom
+	})
 	lock.Release(t1)
 	if ok {
 		t.Error("subscribed transaction survived lock acquisition")
 	}
 }
 
-// TestLockConflictClassification: aborts taken while the lock is held are
-// counted in the lock-conflict category (Figure 1 line 13).
+// TestLockConflictClassification: a critical section that finds the lock
+// held waits for it (Figure 1 line 9) instead of starting a transaction
+// doomed to a lock conflict, and commits once it is released.
 func TestLockConflictClassification(t *testing.T) {
-	e := newEngine(t, platform.IntelCore, 2)
+	e := newEngineQuantum(t, platform.IntelCore, 2, 1)
 	lock := NewGlobalLock(e)
-	t1 := e.Thread(1)
-	x := NewExecutor(t1, lock, Policy{LockRetry: 2, PersistentRetry: 1, TransientRetry: 1})
+	x := NewExecutor(e.Thread(1), lock, Policy{LockRetry: 2, PersistentRetry: 1, TransientRetry: 1})
 
-	lock.Acquire(e.Thread(0))
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		x.Run(func(th *htm.Thread) {}) // blocks in WaitUntilFree until release
-	}()
-	lock.Release(e.Thread(0))
-	<-done
-	if x.Stats.Commits() != 1 {
-		t.Errorf("Commits = %d, want 1", x.Stats.Commits())
+	e.Run(2, func(tid int, th *htm.Thread) {
+		if tid == 0 {
+			lock.Acquire(th)
+			th.Work(100)
+			lock.Release(th)
+			return
+		}
+		th.Work(10)                    // t0 holds the lock by now
+		x.Run(func(th *htm.Thread) {}) // spins in WaitUntilFree until the release
+		if th.Clock() < 100 {
+			t.Errorf("critical section finished at clock %d, before the release", th.Clock())
+		}
+	})
+	if x.Stats.Commits() != 1 || x.Stats.Aborts != 0 {
+		t.Errorf("Commits = %d, Aborts = %d, want 1 and 0", x.Stats.Commits(), x.Stats.Aborts)
 	}
 }
 
-// TestContendedCounterAllPlatforms exercises the full runtime under real
+// TestContendedCounterAllPlatforms exercises the full runtime under
 // contention on each platform model and checks exactness plus stats sanity.
 func TestContendedCounterAllPlatforms(t *testing.T) {
 	for _, k := range platform.Kinds() {
-		k := k
 		t.Run(k.String(), func(t *testing.T) {
-			const nThreads, perThread = 8, 300
-			e := newEngine(t, k, nThreads)
-			lock := NewGlobalLock(e)
-			counter := e.Thread(0).Alloc(512)
-			execs := make([]*Executor, nThreads)
-			var wg sync.WaitGroup
-			for i := 0; i < nThreads; i++ {
-				execs[i] = NewExecutor(e.Thread(i), lock, DefaultPolicy(k))
-				wg.Add(1)
-				go func(x *Executor) {
-					defer wg.Done()
+			for _, quantum := range stressQuanta {
+				const nThreads, perThread = 8, 300
+				e := newEngineQuantum(t, k, nThreads, quantum)
+				lock := NewGlobalLock(e)
+				counter := e.Thread(0).Alloc(512)
+				execs := make([]*Executor, nThreads)
+				e.Run(nThreads, func(tid int, th *htm.Thread) {
+					x := NewExecutor(th, lock, DefaultPolicy(k))
+					execs[tid] = x
 					for j := 0; j < perThread; j++ {
 						x.Run(func(th *htm.Thread) {
 							th.Store64(counter, th.Load64(counter)+1)
 						})
 					}
-				}(execs[i])
-			}
-			wg.Wait()
-			if got := e.Thread(0).Load64(counter); got != nThreads*perThread {
-				t.Errorf("counter = %d, want %d", got, nThreads*perThread)
-			}
-			var total Stats
-			for _, x := range execs {
-				total.Add(&x.Stats)
-			}
-			if total.Commits() != nThreads*perThread {
-				t.Errorf("commits = %d, want %d", total.Commits(), nThreads*perThread)
-			}
-			if total.SerializationRatio() < 0 || total.SerializationRatio() > 100 {
-				t.Errorf("serialization ratio %v out of range", total.SerializationRatio())
+				})
+				if got := e.Thread(0).Load64(counter); got != nThreads*perThread {
+					t.Errorf("quantum %d: counter = %d, want %d", quantum, got, nThreads*perThread)
+				}
+				var total Stats
+				for _, x := range execs {
+					total.Add(&x.Stats)
+				}
+				if total.Commits() != nThreads*perThread {
+					t.Errorf("quantum %d: commits = %d, want %d", quantum, total.Commits(), nThreads*perThread)
+				}
+				if total.SerializationRatio() < 0 || total.SerializationRatio() > 100 {
+					t.Errorf("quantum %d: serialization ratio %v out of range", quantum, total.SerializationRatio())
+				}
 			}
 		})
 	}

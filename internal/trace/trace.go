@@ -95,7 +95,6 @@ func Collect(bench string, k platform.Kind, opts Options) (Footprint, error) {
 		SpaceSize: 96 << 20,
 		Seed:      opts.Seed,
 		CostScale: 0,
-		Virtual:   true,
 		Tracer:    tracer,
 		// The paper's trace tool measured transaction sizes without any
 		// capacity limit, then compared them against each platform's

@@ -3,7 +3,6 @@ package txds
 import (
 	"container/heap"
 	"sort"
-	"sync"
 	"testing"
 
 	"htmcmp/internal/htm"
@@ -178,32 +177,39 @@ func TestHashtableRandomOracle(t *testing.T) {
 	}
 }
 
+// stressQuanta are the yield quanta the contended tests run their regions
+// at: every access a scheduling point, and the engine default.
+var stressQuanta = []int{1, 8}
+
+// retryTx runs fn as a transaction until it commits, backing off a random
+// while after each abort: in deterministic time, transactions that doom each
+// other otherwise retry in lockstep for ever (requester-wins livelock).
+func retryTx(th *htm.Thread, fn func()) {
+	for try := 1; ; try++ {
+		if ok, _ := th.TryTx(htm.TxNormal, fn); ok {
+			return
+		}
+		th.Pause(1 + th.Rand().Intn(8<<min(try, 10)))
+	}
+}
+
 func TestHashtableConcurrentInserts(t *testing.T) {
-	e := htm.New(platform.New(platform.ZEC12), htm.Config{
-		Threads: 4, SpaceSize: 32 << 20, CostScale: 0, DisableCacheFetchAborts: true,
-	})
-	h := NewHashtable(e.Thread(0), 64)
-	const perThread = 500
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			th := e.Thread(tid)
+	for _, quantum := range stressQuanta {
+		e := htm.New(platform.New(platform.ZEC12), htm.Config{
+			Threads: 4, SpaceSize: 32 << 20, CostScale: 0, DisableCacheFetchAborts: true,
+			Quantum: quantum,
+		})
+		h := NewHashtable(e.Thread(0), 64)
+		const perThread = 500
+		e.Run(4, func(tid int, th *htm.Thread) {
 			for j := 0; j < perThread; j++ {
 				k := int64(tid*perThread + j)
-				for {
-					ok, _ := th.TryTx(htm.TxNormal, func() { h.Insert(th, k, uint64(k)) })
-					if ok {
-						break
-					}
-				}
+				retryTx(th, func() { h.Insert(th, k, uint64(k)) })
 			}
-		}(i)
-	}
-	wg.Wait()
-	if n := h.Len(e.Thread(0)); n != 4*perThread {
-		t.Fatalf("concurrent inserts lost entries: Len=%d want %d", n, 4*perThread)
+		})
+		if n := h.Len(e.Thread(0)); n != 4*perThread {
+			t.Fatalf("quantum %d: concurrent inserts lost entries: Len=%d want %d", quantum, n, 4*perThread)
+		}
 	}
 }
 
@@ -332,50 +338,40 @@ func TestRBTreeAscendingDescendingInserts(t *testing.T) {
 }
 
 func TestRBTreeConcurrentMixed(t *testing.T) {
-	e := htm.New(platform.New(platform.IntelCore), htm.Config{
-		Threads: 4, SpaceSize: 64 << 20, CostScale: 0,
-		DisablePrefetch: true, DisableCacheFetchAborts: true,
-	})
-	r := NewRBTree(e.Thread(0))
-	var inserted [4][]int64
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			th := e.Thread(tid)
+	for _, quantum := range stressQuanta {
+		e := htm.New(platform.New(platform.IntelCore), htm.Config{
+			Threads: 4, SpaceSize: 64 << 20, CostScale: 0,
+			DisablePrefetch: true, DisableCacheFetchAborts: true, Quantum: quantum,
+		})
+		r := NewRBTree(e.Thread(0))
+		var inserted [4][]int64
+		e.Run(4, func(tid int, th *htm.Thread) {
 			rng := th.Rand()
 			for j := 0; j < 400; j++ {
 				k := int64(tid)*100000 + int64(rng.Intn(5000))
 				var ins bool
-				for {
-					ok, _ := th.TryTx(htm.TxNormal, func() { ins = r.Insert(th, k, uint64(k)) })
-					if ok {
-						break
-					}
-				}
+				retryTx(th, func() { ins = r.Insert(th, k, uint64(k)) })
 				if ins {
 					inserted[tid] = append(inserted[tid], k)
 				}
 			}
-		}(i)
-	}
-	wg.Wait()
-	th := e.Thread(0)
-	if err := r.CheckInvariants(th); err != nil {
-		t.Fatalf("invariants after concurrent inserts: %v", err)
-	}
-	total := 0
-	for tid := range inserted {
-		total += len(inserted[tid])
-		for _, k := range inserted[tid] {
-			if !r.Contains(th, k) {
-				t.Fatalf("lost key %d", k)
+		})
+		th := e.Thread(0)
+		if err := r.CheckInvariants(th); err != nil {
+			t.Fatalf("quantum %d: invariants after concurrent inserts: %v", quantum, err)
+		}
+		total := 0
+		for tid := range inserted {
+			total += len(inserted[tid])
+			for _, k := range inserted[tid] {
+				if !r.Contains(th, k) {
+					t.Fatalf("quantum %d: lost key %d", quantum, k)
+				}
 			}
 		}
-	}
-	if r.Len(th) != total {
-		t.Fatalf("Len=%d, want %d", r.Len(th), total)
+		if r.Len(th) != total {
+			t.Fatalf("quantum %d: Len=%d, want %d", quantum, r.Len(th), total)
+		}
 	}
 }
 

@@ -6,44 +6,26 @@ import (
 	"htmcmp/internal/platform"
 )
 
-// DiffOptions tunes Differential.
-type DiffOptions struct {
-	// Virtual selects the deterministic virtual-time scheduler (default
-	// true via Differential; real concurrency exercises the locked paths).
-	Virtual bool
-	// SkipReplay disables the witness-replay serializability check on the
-	// HTM and lock runs (the digest comparison still runs).
-	SkipReplay bool
-}
-
 // Differential runs the program to completion under each of {platform HTM,
-// NOrec STM, global lock} with the same seed and asserts that the final
-// shared-memory state (per-array digests) matches across all three, and —
-// unless opted out — that the HTM and lock runs' witness logs replay
-// serializably. A non-nil error is a correctness bug in the engine (or a
-// shrunk reproducer of one).
+// NOrec STM, global lock} with the same seed and schedule inputs and asserts
+// that the final shared-memory state (per-array digests) matches across all
+// three and that every run's witness log replays serializably. A non-nil
+// error is a correctness bug in the engine (or a shrunk reproducer of one).
 func Differential(p *Program, kind platform.Kind) error {
-	return DifferentialOpts(p, kind, DiffOptions{Virtual: true})
-}
-
-// DifferentialOpts is Differential with options.
-func DifferentialOpts(p *Program, kind platform.Kind, opt DiffOptions) error {
 	type run struct {
 		mode Mode
 		res  *RunResult
 	}
 	runs := make([]run, 0, 3)
 	for _, mode := range []Mode{ModeHTM, ModeSTM, ModeLock} {
-		res, err := p.Run(kind, mode, opt.Virtual, !opt.SkipReplay)
+		res, err := p.Run(kind, mode, true)
 		if err != nil {
 			return fmt.Errorf("%s/%s run failed: %w", kind.Short(), mode, err)
 		}
-		if !opt.SkipReplay {
-			// STM logs are write-only records: replay still validates that
-			// applying them reproduces the final arena.
-			if v := Replay(res.Log); v != nil {
-				return fmt.Errorf("%s/%s: %w", kind.Short(), mode, v)
-			}
+		// STM logs are write-only records: replay still validates that
+		// applying them reproduces the final arena.
+		if v := Replay(res.Log); v != nil {
+			return fmt.Errorf("%s/%s: %w", kind.Short(), mode, v)
 		}
 		runs = append(runs, run{mode, res})
 	}

@@ -48,6 +48,20 @@ func TestMutationCaught(t *testing.T) {
 	t.Logf("mutation caught in %d/%d runs", caught, total)
 }
 
+// TestMutationCaughtByExhaustiveSchedules mutation-tests the schedule
+// oracle: the box TestSmallSchedulesExhaustive passes on a sound engine must
+// reject the seeded bug on every platform.
+func TestMutationCaughtByExhaustiveSchedules(t *testing.T) {
+	for _, kind := range allPlatforms {
+		_, failed := exploreSchedules(t, kind)
+		if len(failed) == 0 {
+			t.Errorf("%s: no schedule of the box detected the seeded isolation bug", kind.Short())
+			continue
+		}
+		t.Logf("%s: mutation caught on %d schedules, e.g. %v", kind.Short(), len(failed), failed[0])
+	}
+}
+
 // TestMutationCaughtByReplay pins that the witness replay alone (no
 // cross-mode digest comparison) sees the bug: a leaked or stale line shows
 // up as a read whose contents disagree with commit order.
@@ -55,7 +69,7 @@ func TestMutationCaughtByReplay(t *testing.T) {
 	hit := false
 	for seed := uint64(1); seed <= 8 && !hit; seed++ {
 		p := GenProgramThreads(seed, 4)
-		res, err := p.Run(platform.IntelCore, ModeHTM, true, true)
+		res, err := p.Run(platform.IntelCore, ModeHTM, true)
 		if err != nil {
 			t.Fatal(err)
 		}

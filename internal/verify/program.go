@@ -18,12 +18,22 @@ import (
 // contents are independent of transaction interleaving — any serializable
 // execution of the same program produces the same digest, which is what
 // lets Differential compare HTM, STM and global-lock runs bit-for-bit.
+//
+// Offsets and Quantum are the schedule inputs. The scheduler's elections are
+// a pure function of the threads' clocks, so shifting a thread's start and
+// changing how often threads yield steers the run through interleavings the
+// default schedule would never pick, reproducibly.
 type Program struct {
 	Seed    uint64
 	Threads int
 	Arrays  []ArraySpec
 	// Txns[t] is the transaction sequence of thread t.
 	Txns [][]Txn
+	// Offsets[t] is the cost thread t charges (Thread.Work) before its first
+	// transaction; a missing entry is 0.
+	Offsets []int
+	// Quantum is htm.Config.Quantum for the run (0 = the engine default).
+	Quantum int
 }
 
 // CombineKind is an array's store operator.
@@ -168,6 +178,12 @@ func genProgram(seed uint64, threads int, rng *prng.Rand) *Program {
 			p.Txns[t] = append(p.Txns[t], tx)
 		}
 	}
+	// Drawn last, so a seed's transactions are what they were before
+	// programs carried a schedule.
+	p.Quantum = []int{1, 2, 8}[rng.Intn(3)]
+	for t := 0; t < threads; t++ {
+		p.Offsets = append(p.Offsets, rng.Intn(64))
+	}
 	return p
 }
 
@@ -184,18 +200,16 @@ type RunResult struct {
 	Stats htm.Stats
 }
 
-// Run executes the program on the given platform model under mode. virtual
-// selects the deterministic virtual-time scheduler; real concurrency
-// otherwise. When withWitness is set the run records the commit-order
-// witness log for Replay.
-func (p *Program) Run(kind platform.Kind, mode Mode, virtual, withWitness bool) (*RunResult, error) {
+// Run executes the program on the given platform model under mode. When
+// withWitness is set the run records the commit-order witness log for Replay.
+func (p *Program) Run(kind platform.Kind, mode Mode, withWitness bool) (*RunResult, error) {
 	spec := platform.New(kind)
 	threads := p.Threads
 	cfg := htm.Config{
 		Threads:   threads,
-		SpaceSize: 1 << 20,
+		SpaceSize: 64 << 10, // arrays (≤ 24 KB), scratch lines and the lock word; the witness copies it thrice a run
 		Seed:      p.Seed | 1,
-		Virtual:   virtual,
+		Quantum:   p.Quantum,
 	}
 	var wit *htm.Witness
 	if withWitness {
@@ -231,6 +245,9 @@ func (p *Program) Run(kind platform.Kind, mode Mode, virtual, withWitness bool) 
 			}
 		}()
 		x := tm.NewExecutor(th, lock, tm.DefaultPolicy(kind))
+		if t < len(p.Offsets) && p.Offsets[t] > 0 {
+			th.Work(p.Offsets[t])
+		}
 		for _, tx := range p.Txns[t] {
 			p.runTxn(th, x, mode, tx, arrays, scratch[t])
 		}

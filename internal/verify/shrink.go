@@ -3,7 +3,8 @@ package verify
 // Shrinking: greedily minimise a failing Program while the predicate keeps
 // failing, so fuzz counterexamples come out small enough to read. Passes
 // remove whole threads, then whole transactions, then individual
-// operations, repeating until a fixpoint (or the evaluation budget runs
+// operations, then zero the schedule inputs (quantum, start offsets),
+// repeating until a fixpoint (or the evaluation budget runs
 // out). The predicate receives a candidate and reports whether it still
 // fails; every candidate is a deep copy, so the predicate may run it
 // freely.
@@ -35,6 +36,9 @@ func Shrink(p *Program, failing func(*Program) bool) *Program {
 		for t := cur.Threads - 1; t >= 0 && cur.Threads > 1; t-- {
 			cand := cur.clone()
 			cand.Txns = append(cand.Txns[:t:t], cand.Txns[t+1:]...)
+			if t < len(cand.Offsets) {
+				cand.Offsets = append(cand.Offsets[:t:t], cand.Offsets[t+1:]...)
+			}
 			cand.Threads--
 			if try(cand) {
 				changed = true
@@ -63,6 +67,25 @@ func Shrink(p *Program, failing func(*Program) bool) *Program {
 				}
 			}
 		}
+		// Zero the schedule inputs: a counterexample that fails on the
+		// default schedule reads better without one.
+		if cur.Quantum != 0 {
+			cand := cur.clone()
+			cand.Quantum = 0
+			if try(cand) {
+				changed = true
+			}
+		}
+		for t := range cur.Offsets {
+			if cur.Offsets[t] == 0 {
+				continue
+			}
+			cand := cur.clone()
+			cand.Offsets[t] = 0
+			if try(cand) {
+				changed = true
+			}
+		}
 		if evals >= shrinkBudget {
 			break
 		}
@@ -72,8 +95,9 @@ func Shrink(p *Program, failing func(*Program) bool) *Program {
 
 // clone deep-copies the program.
 func (p *Program) clone() *Program {
-	q := &Program{Seed: p.Seed, Threads: p.Threads}
+	q := &Program{Seed: p.Seed, Threads: p.Threads, Quantum: p.Quantum}
 	q.Arrays = append([]ArraySpec(nil), p.Arrays...)
+	q.Offsets = append([]int(nil), p.Offsets...)
 	q.Txns = make([][]Txn, len(p.Txns))
 	for t, txs := range p.Txns {
 		q.Txns[t] = make([]Txn, len(txs))

@@ -1,11 +1,14 @@
 package verify
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"htmcmp/internal/htm"
 	"htmcmp/internal/platform"
+	"htmcmp/internal/prng"
 )
 
 var allPlatforms = []platform.Kind{
@@ -13,29 +16,29 @@ var allPlatforms = []platform.Kind{
 }
 
 // TestGenProgramDeterministic pins the generator: the same seed must yield
-// an identical program and an identical virtual-mode execution.
+// an identical program and an identical execution.
 func TestGenProgramDeterministic(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		a, b := GenProgram(seed), GenProgram(seed)
 		if a.Threads != b.Threads || a.NumOps() != b.NumOps() {
 			t.Fatalf("seed %d: generator not deterministic", seed)
 		}
-		ra, err := a.Run(platform.IntelCore, ModeHTM, true, false)
+		ra, err := a.Run(platform.IntelCore, ModeHTM, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := b.Run(platform.IntelCore, ModeHTM, true, false)
+		rb, err := b.Run(platform.IntelCore, ModeHTM, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ra.Digest != rb.Digest || ra.Stats != rb.Stats {
-			t.Fatalf("seed %d: virtual run not deterministic", seed)
+			t.Fatalf("seed %d: run not deterministic", seed)
 		}
 	}
 }
 
 // TestDifferentialMatrix is the tentpole end-to-end check: generated
-// programs on all four platform models × {1,2,4,8} threads, virtual mode —
+// programs on all four platform models × {1,2,4,8} threads —
 // HTM, STM and lock executions must agree and the HTM/lock witness logs
 // must replay serializably.
 func TestDifferentialMatrix(t *testing.T) {
@@ -51,34 +54,92 @@ func TestDifferentialMatrix(t *testing.T) {
 	}
 }
 
-// TestRealConcurrencyMatrix runs generated programs with real goroutine
-// concurrency on every platform: the witness log must replay serializably
-// and the final state must match a sequential lock-mode execution. (STM is
-// excluded: NOrec's value-based validation loads race by design and only
-// virtual mode serialises them for Go's memory model.)
-func TestRealConcurrencyMatrix(t *testing.T) {
-	for _, kind := range allPlatforms {
-		for _, threads := range []int{1, 2, 4, 8} {
-			seed := uint64(0xbeef) + uint64(threads)
-			p := GenProgramThreads(seed, threads)
-			res, err := p.Run(kind, ModeHTM, false, true)
-			if err != nil {
-				t.Fatalf("%s t=%d: %v", kind.Short(), threads, err)
+// smallProgram is one box for exploreSchedules: threads × txns transactions
+// of at most four loads and read-modify-write stores (the odd first-attempt
+// abort among them) over two arrays of a line or two, so every pair of
+// transactions conflicts and the commit order is the schedule's to decide.
+func smallProgram(seed uint64, threads, txns int) *Program {
+	rng := prng.New(seed)
+	p := &Program{
+		Seed: seed, Threads: threads, Quantum: 1,
+		Arrays:  []ArraySpec{{Words: 8, Combine: CombineAdd}, {Words: 16, Combine: CombineXor}},
+		Txns:    make([][]Txn, threads),
+		Offsets: make([]int, threads),
+	}
+	for t := range p.Txns {
+		for j := 0; j < txns; j++ {
+			var tx Txn
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				arr := uint8(rng.Intn(2))
+				op := Op{Kind: OpStore, Arr: arr, Idx: uint32(rng.Intn(p.Arrays[arr].Words)), K: rng.Uint64()}
+				switch r := rng.Float64(); {
+				case r < 0.35:
+					op.Kind = OpLoad
+				case r < 0.45:
+					op.Kind = OpAbortOnce
+				}
+				tx.Ops = append(tx.Ops, op)
 			}
-			if v := Replay(res.Log); v != nil {
-				t.Errorf("%s t=%d: %v", kind.Short(), threads, v)
+			p.Txns[t] = append(p.Txns[t], tx)
+		}
+	}
+	return p
+}
+
+// exploreSchedules runs two small programs (2 threads × 3 transactions,
+// 3 threads × 2) through Differential at Quantum 1 under every vector of
+// start offsets in {0, 4, …, 28}^threads — 4 being what one access costs
+// these runs, a finer step only repeats schedules. It returns how many
+// distinct commit orders (thread and kind of each witness record of the HTM
+// run) the vectors produced, and the vectors Differential rejected.
+func exploreSchedules(t *testing.T, kind platform.Kind) (orders int, failed []error) {
+	t.Helper()
+	const steps, stride = 8, 4
+	seen := map[string]bool{}
+	for _, p := range []*Program{smallProgram(1, 2, 3), smallProgram(2, 3, 2)} {
+		vectors := 1
+		for range p.Offsets {
+			vectors *= steps
+		}
+		for v := 0; v < vectors; v++ {
+			for i, rest := 0, v; i < p.Threads; i, rest = i+1, rest/steps {
+				p.Offsets[i] = rest % steps * stride
 			}
-			lockRes, err := p.Run(kind, ModeLock, true, false)
+			res, err := p.Run(kind, ModeHTM, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Digest != lockRes.Digest {
-				t.Errorf("%s t=%d: real HTM digest %#x != lock digest %#x (sums %v vs %v)",
-					kind.Short(), threads, res.Digest, lockRes.Digest,
-					res.ArraySums, lockRes.ArraySums)
+			order := fmt.Sprint(p.Threads)
+			for _, r := range res.Log.Records {
+				order += fmt.Sprintf(" %d%s", r.Thread, r.Kind)
+			}
+			seen[order] = true
+			if err := Differential(p, kind); err != nil {
+				failed = append(failed, fmt.Errorf("offsets %v: %w", p.Offsets, err))
 			}
 		}
 	}
+	return len(seen), failed
+}
+
+// TestSmallSchedulesExhaustive is the oracle for interleavings the default
+// schedule never picks: every start-offset vector of a small box, on every
+// platform, under HTM, STM and the lock. More than one commit order must
+// come out of the box, or it explores nothing.
+func TestSmallSchedulesExhaustive(t *testing.T) {
+	start := time.Now()
+	for _, kind := range allPlatforms {
+		orders, failed := exploreSchedules(t, kind)
+		for _, err := range failed {
+			t.Errorf("%s: %v", kind.Short(), err)
+		}
+		if orders < 2 {
+			t.Errorf("%s: the box produced %d distinct commit orders", kind.Short(), orders)
+		}
+		t.Logf("%s: %d distinct commit orders", kind.Short(), orders)
+	}
+	// Budget: under 10 s. Logged, not asserted: this host's clock is no gate.
+	t.Logf("box explored in %v", time.Since(start))
 }
 
 // tamperableLog runs a contended program and returns a log that contains at
@@ -86,7 +147,7 @@ func TestRealConcurrencyMatrix(t *testing.T) {
 func tamperableLog(t *testing.T) htm.WitnessLog {
 	t.Helper()
 	p := GenProgramThreads(7, 4)
-	res, err := p.Run(platform.ZEC12, ModeHTM, true, true)
+	res, err := p.Run(platform.ZEC12, ModeHTM, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,6 +263,9 @@ func TestShrink(t *testing.T) {
 	if s.Threads != 1 || s.NumOps() != 1 {
 		t.Fatalf("shrink not minimal: threads=%d ops=%d", s.Threads, s.NumOps())
 	}
+	if s.Quantum != 0 || len(s.Offsets) != 1 || s.Offsets[0] != 0 {
+		t.Fatalf("shrink kept a schedule the failure does not need: quantum=%d offsets=%v", s.Quantum, s.Offsets)
+	}
 }
 
 // TestWriteReproTest pins the reproducer format: the emitted source must be
@@ -216,6 +280,7 @@ func TestWriteReproTest(t *testing.T) {
 	for _, want := range []string{
 		"package verify", "func TestReproExample", "platform.POWER8",
 		"&Program{", "Txns: [][]Txn{", "Differential(p,",
+		fmt.Sprintf("Offsets: %#v, Quantum: %d,", p.Offsets, p.Quantum),
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("repro source missing %q:\n%s", want, src)
@@ -226,7 +291,7 @@ func TestWriteReproTest(t *testing.T) {
 // TestSTMWitnessReplays covers the write-only STM record path explicitly.
 func TestSTMWitnessReplays(t *testing.T) {
 	p := GenProgramThreads(5, 4)
-	res, err := p.Run(platform.IntelCore, ModeSTM, true, true)
+	res, err := p.Run(platform.IntelCore, ModeSTM, true)
 	if err != nil {
 		t.Fatal(err)
 	}
