@@ -54,7 +54,8 @@ lint:
 # bench-smoke runs every experiment twice at test scale against a fresh
 # cache: the first run computes every cell, the second must plan the same
 # cells, report a 100% cache hit (all cells skipped — Figures 6 and 9
-# included, so it simulates nothing) and emit byte-identical tables.
+# included, so it simulates nothing) and emit byte-identical tables. A flag
+# value htmbench cannot use must exit 2 in one line, creating no cache.
 bench-smoke: build
 	rm -rf $(SMOKE)
 	mkdir -p $(SMOKE)
@@ -71,6 +72,14 @@ bench-smoke: build
 		echo "second run did not skip all cells:"; cat $(SMOKE)/run2.log; exit 1; }
 	grep -q ' computed=0 ' $(SMOKE)/run2.log || { \
 		echo "second run recomputed cells:"; cat $(SMOKE)/run2.log; exit 1; }
+	@! grep -q 'steals=' $(SMOKE)/run2.log || { \
+		echo "warm summary line carries a steals= field:"; cat $(SMOKE)/run2.log; exit 1; }
+	@for bad in '-cell-retries -1' '-exp bogus'; do \
+		./$(BIN)/htmbench $$bad -cache-dir $(SMOKE)/bad >/dev/null 2>$(SMOKE)/bad.log; \
+		[ $$? -eq 2 ] && [ "$$(wc -l <$(SMOKE)/bad.log)" -eq 1 ] && [ ! -e $(SMOKE)/bad ] || { \
+			echo "htmbench $$bad: want exit 2, one stderr line and no cache directory:"; \
+			cat $(SMOKE)/bad.log; exit 1; }; \
+	done
 	@echo "bench-smoke ok: warm-cache run skipped 100% of cells, tables byte-identical"
 
 # bench-e2e runs the repository benchmark BENCHMARK.json declares: host

@@ -11,8 +11,8 @@
 //	         [-http :8080] [-http-linger 10m] [-flight-dir DIR]
 //	         [-chaos] [-chaos-seed N] [-cell-retries N] [-chaos-report FILE]
 //
-// Experiments: table1, fig2, fig3, fig4, fig5, fig6, fig7, fig9, fig10,
-// fig11, prefetch (the Section 5.1 ablation), or all.
+// Experiments: htmbench -h lists the -exp names (one per table or figure,
+// prefetch for the Section 5.1 ablation, or all).
 //
 // Sweeps are scheduled: the selected experiments are first decomposed into
 // their independent cells (a measured configuration, a footprint collection
@@ -46,7 +46,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1,fig2,fig3,fig4,fig5,fig6,fig7,fig9,fig10,fig11,prefetch,stm,capacity,adaptive,all")
+	exp := flag.String("exp", "all", "experiment, one of: "+strings.Join(expNames(), ", "))
 	scaleName := flag.String("scale", "sim", "workload scale: test, sim, full")
 	repeats := flag.Int("repeats", 2, "measured runs per point (paper: 4)")
 	tune := flag.Bool("tune", false, "search retry counts per test case as the paper does (slow)")
@@ -78,6 +78,19 @@ func main() {
 	chaosReport := flag.String("chaos-report", "", "write injected-fault and recovery counts as JSON to this file")
 	flag.Parse()
 
+	// Usage errors exit 2 here, before anything is created or bound.
+	names, err := expandExp(*exp)
+	if err != nil {
+		usageError(err)
+	}
+	scale, err := stamp.ParseScale(*scaleName)
+	if err != nil {
+		usageError(err)
+	}
+	if *cellRetries < 0 {
+		usageError(fmt.Errorf("-cell-retries must be 0 or more, got %d", *cellRetries))
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -105,26 +118,12 @@ func main() {
 		}()
 	}
 
-	var scale stamp.Scale
-	switch *scaleName {
-	case "test":
-		scale = stamp.ScaleTest
-	case "sim":
-		scale = stamp.ScaleSim
-	case "full":
-		scale = stamp.ScaleFull
-	default:
-		fmt.Fprintf(os.Stderr, "htmbench: unknown scale %q\n", *scaleName)
-		os.Exit(2)
-	}
 	opts := harness.Options{
 		Scale:   scale,
 		Repeats: *repeats,
 		Tune:    *tune,
 		Seed:    *seed,
 	}
-
-	names := expandExp(*exp)
 
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
@@ -235,12 +234,46 @@ func main() {
 	}
 }
 
-// expandExp turns the -exp value into the experiments to run, in table order.
-func expandExp(exp string) []string {
-	if exp == "all" {
-		return []string{"table1", "fig2+3", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10", "fig11", "prefetch", "stm", "capacity", "adaptive"}
+// usageError reports a bad flag value in one line and exits 2.
+func usageError(err error) {
+	fmt.Fprintf(os.Stderr, "htmbench: %v\n", err)
+	os.Exit(2)
+}
+
+// experiments is every name -exp takes besides "all", in table order. inAll
+// marks the ones "all" runs: it takes fig2+3, which renders both figures
+// from one pass over their shared cells, in place of fig2 and fig3.
+var experiments = []struct {
+	name  string
+	inAll bool
+}{
+	{"table1", true}, {"fig2", false}, {"fig3", false}, {"fig2+3", true},
+	{"fig4", true}, {"fig5", true}, {"fig6", true}, {"fig7", true}, {"fig9", true},
+	{"fig10", true}, {"fig11", true}, {"prefetch", true}, {"stm", true},
+	{"capacity", true}, {"adaptive", true},
+}
+
+// expNames lists what -exp accepts.
+func expNames() []string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
 	}
-	return []string{exp}
+	return append(names, "all")
+}
+
+// expandExp turns the -exp value into the experiments to run, in table order.
+func expandExp(exp string) ([]string, error) {
+	var names []string
+	for _, e := range experiments {
+		if exp == e.name || exp == "all" && e.inAll {
+			names = append(names, e.name)
+		}
+	}
+	if names == nil {
+		return nil, fmt.Errorf("unknown experiment %q (one of: %s)", exp, strings.Join(expNames(), ", "))
+	}
+	return names, nil
 }
 
 // planCells is the planning pass: it records every cell the experiments will

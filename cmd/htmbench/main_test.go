@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -121,17 +123,80 @@ func TestVerifyCells(t *testing.T) {
 
 var update = flag.Bool("update", false, "rewrite testdata/results_test.golden from this tree's output")
 
-// TestPlanCellCounts: every experiment but the static table1 decomposes into
-// cells — Figure 6 into its 40 engine runs, Figure 9 into 26.
+// mustExpand is expandExp for names the test knows are valid.
+func mustExpand(t *testing.T, exp string) []string {
+	t.Helper()
+	names, err := expandExp(exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// TestPlanCellCounts: every name in experiments plans, so the list and
+// runExperiment agree, and every one but the static table1 decomposes into
+// cells — Figure 6 into its 40 engine runs, Figure 9 into 26. "all" plans
+// the inAll experiments, whose shared cells deduplicate to 399.
 func TestPlanCellCounts(t *testing.T) {
 	opts := harness.Options{Scale: stamp.ScaleTest, Repeats: 2, Seed: 42}
-	for exp, want := range map[string]int{"table1": 0, "fig6": 40, "fig9": 26, "fig2+3": 40} {
-		plan, err := planCells(expandExp(exp), opts, false)
+	want := map[string]int{"table1": 0, "fig6": 40, "fig9": 26, "fig2+3": 40, "all": 399}
+	for _, exp := range expNames() {
+		plan, err := planCells(mustExpand(t, exp), opts, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := len(plan.Cells()); got != want {
-			t.Errorf("-exp %s plans %d cells, want %d", exp, got, want)
+		got := len(plan.Cells())
+		if n, pinned := want[exp]; pinned && got != n {
+			t.Errorf("-exp %s plans %d cells, want %d", exp, got, n)
+		}
+		if got == 0 && exp != "table1" {
+			t.Errorf("-exp %s plans no cells", exp)
+		}
+	}
+	if _, err := expandExp("fig2,fig3"); err == nil || !strings.Contains(err.Error(), "one of: table1, fig2, ") {
+		t.Errorf("expandExp of a comma list: err = %v, want the valid names listed", err)
+	}
+}
+
+// TestMain lets the test binary stand in for htmbench: re-executed with
+// HTMBENCH_TEST_MAIN set, it runs main with its arguments as the flags.
+func TestMain(m *testing.M) {
+	if os.Getenv("HTMBENCH_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUsageErrorsExitBeforeSideEffects: a flag value htmbench cannot use is
+// one line on stderr and exit status 2, with nothing printed to stdout and
+// no cache directory created. A negative retry budget used to run every cell
+// zero times and cache the all-zero results.
+func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
+	for _, args := range [][]string{
+		{"-cell-retries", "-1"},
+		{"-exp", "bogus"},
+		{"-scale", "tiny"},
+	} {
+		dir := t.TempDir()
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Dir = dir
+		cmd.Env = append(os.Environ(), "HTMBENCH_TEST_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("htmbench %v: %v, want exit status 2\nstderr: %s", args, err, stderr.String())
+		}
+		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "htmbench: ") {
+			t.Errorf("htmbench %v: stderr %q, want one htmbench: line", args, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("htmbench %v printed to stdout: %q", args, stdout.String())
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("htmbench %v left %d entries behind, first %s", args, len(left), left[0].Name())
 		}
 	}
 }
@@ -151,7 +216,7 @@ func TestResultsGolden(t *testing.T) {
 	}
 	const golden = "testdata/results_test.golden"
 	const cells = 399
-	names := expandExp("all")
+	names := mustExpand(t, "all")
 	opts := harness.Options{Scale: stamp.ScaleTest, Repeats: 2, Seed: 42}
 	store, err := cache.Open(t.TempDir())
 	if err != nil {

@@ -58,12 +58,12 @@ func main() {
 		os.Exit(runChecks(*checkEvents, *checkTrace, *checkMetrics, os.Stdout, os.Stderr))
 	}
 
-	kind, err := parsePlatform(*platName)
+	kind, err := platform.ParseKind(*platName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "htmtrace:", err)
 		os.Exit(2)
 	}
-	scale, err := parseScale(*scaleName)
+	scale, err := stamp.ParseScale(*scaleName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "htmtrace:", err)
 		os.Exit(2)
@@ -90,34 +90,6 @@ func main() {
 		fp.P90StoreKB, spec.StoreCapacity/1024, overMark(fp.ExceedsStoreCap))
 	fmt.Printf("  max load footprint:     %8.2f KB\n", fp.MaxLoadKB)
 	fmt.Printf("  max store footprint:    %8.2f KB\n", fp.MaxStoreKB)
-}
-
-// parsePlatform resolves a platform flag value (long or short name).
-func parsePlatform(name string) (platform.Kind, error) {
-	switch name {
-	case "bgq", "bg":
-		return platform.BlueGeneQ, nil
-	case "zec12", "z12":
-		return platform.ZEC12, nil
-	case "intel", "ic":
-		return platform.IntelCore, nil
-	case "power8", "p8":
-		return platform.POWER8, nil
-	}
-	return 0, fmt.Errorf("unknown platform %q", name)
-}
-
-// parseScale resolves a scale flag value.
-func parseScale(name string) (stamp.Scale, error) {
-	switch name {
-	case "test":
-		return stamp.ScaleTest, nil
-	case "sim":
-		return stamp.ScaleSim, nil
-	case "full":
-		return stamp.ScaleFull, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q", name)
 }
 
 func overMark(over bool) string {

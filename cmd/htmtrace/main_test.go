@@ -29,13 +29,13 @@ func TestParsePlatform(t *testing.T) {
 		{"", 0, false},
 	}
 	for _, c := range cases {
-		got, err := parsePlatform(c.in)
+		got, err := platform.ParseKind(c.in)
 		if (err == nil) != c.ok {
-			t.Errorf("parsePlatform(%q) err = %v, want ok=%v", c.in, err, c.ok)
+			t.Errorf("platform.ParseKind(%q) err = %v, want ok=%v", c.in, err, c.ok)
 			continue
 		}
 		if c.ok && got != c.want {
-			t.Errorf("parsePlatform(%q) = %v, want %v", c.in, got, c.want)
+			t.Errorf("platform.ParseKind(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
@@ -53,13 +53,13 @@ func TestParseScale(t *testing.T) {
 		{"", 0, false},
 	}
 	for _, c := range cases {
-		got, err := parseScale(c.in)
+		got, err := stamp.ParseScale(c.in)
 		if (err == nil) != c.ok {
-			t.Errorf("parseScale(%q) err = %v, want ok=%v", c.in, err, c.ok)
+			t.Errorf("stamp.ParseScale(%q) err = %v, want ok=%v", c.in, err, c.ok)
 			continue
 		}
 		if c.ok && got != c.want {
-			t.Errorf("parseScale(%q) = %v, want %v", c.in, got, c.want)
+			t.Errorf("stamp.ParseScale(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }

@@ -35,32 +35,6 @@ import (
 	"htmcmp/internal/tm"
 )
 
-func parsePlatform(s string) (platform.Kind, error) {
-	switch s {
-	case "bgq", "bluegene", "bluegeneq", "bg":
-		return platform.BlueGeneQ, nil
-	case "zec12", "z12", "z":
-		return platform.ZEC12, nil
-	case "intel", "ic", "core":
-		return platform.IntelCore, nil
-	case "power8", "p8":
-		return platform.POWER8, nil
-	}
-	return 0, fmt.Errorf("unknown platform %q (bgq, zec12, intel, power8)", s)
-}
-
-func parseScale(s string) (stamp.Scale, error) {
-	switch s {
-	case "test":
-		return stamp.ScaleTest, nil
-	case "sim":
-		return stamp.ScaleSim, nil
-	case "full":
-		return stamp.ScaleFull, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q (test, sim, full)", s)
-}
-
 // candidate is one point of the search space: a retry policy plus the
 // Blue Gene/Q running mode and genome's chunking, where applicable.
 type candidate struct {
@@ -285,12 +259,12 @@ func main() {
 	sampleEvery := flag.Duration("sample", 500*time.Millisecond, "telemetry sampling period")
 	flag.Parse()
 
-	kind, err := parsePlatform(*platName)
+	kind, err := platform.ParseKind(*platName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "htmtune:", err)
 		os.Exit(2)
 	}
-	scale, err := parseScale(*scaleName)
+	scale, err := stamp.ParseScale(*scaleName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "htmtune:", err)
 		os.Exit(2)

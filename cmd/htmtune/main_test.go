@@ -29,13 +29,13 @@ func TestParsePlatform(t *testing.T) {
 		{"", 0, false},
 	}
 	for _, tc := range cases {
-		got, err := parsePlatform(tc.in)
+		got, err := platform.ParseKind(tc.in)
 		if (err == nil) != tc.ok {
-			t.Errorf("parsePlatform(%q) error = %v, want ok=%v", tc.in, err, tc.ok)
+			t.Errorf("platform.ParseKind(%q) error = %v, want ok=%v", tc.in, err, tc.ok)
 			continue
 		}
 		if tc.ok && got != tc.want {
-			t.Errorf("parsePlatform(%q) = %v, want %v", tc.in, got, tc.want)
+			t.Errorf("platform.ParseKind(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
 }
@@ -44,13 +44,13 @@ func TestParseScale(t *testing.T) {
 	for in, want := range map[string]stamp.Scale{
 		"test": stamp.ScaleTest, "sim": stamp.ScaleSim, "full": stamp.ScaleFull,
 	} {
-		got, err := parseScale(in)
+		got, err := stamp.ParseScale(in)
 		if err != nil || got != want {
-			t.Errorf("parseScale(%q) = %v, %v; want %v", in, got, err, want)
+			t.Errorf("stamp.ParseScale(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := parseScale("huge"); err == nil {
-		t.Error("parseScale accepted an unknown scale")
+	if _, err := stamp.ParseScale("huge"); err == nil {
+		t.Error("ParseScale accepted an unknown scale")
 	}
 }
 

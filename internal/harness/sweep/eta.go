@@ -8,9 +8,9 @@ import (
 
 // Cell-duration estimation. Two consumers:
 //
-//   - The work-stealing scheduler (steal.go) orders cells longest-first
-//     (LPT), which needs a relative cost estimate before any cell of this
-//     run has executed.
+//   - The sweep queue (queue.go) orders cells longest-first (LPT), which
+//     needs a relative cost estimate before any cell of this run has
+//     executed.
 //   - The progress line's ETA, which the old code derived from the global
 //     mean duration of completed cells. That estimator is wildly optimistic
 //     early in a sweep: the 301-cell paper sweep mixes ~ms ssca2 cells with
@@ -150,15 +150,15 @@ func newEstimator() *estimator {
 
 // beginPlan registers the cells of a Prewarm pass for remaining-work
 // accounting (replacing any previous census).
-func (e *estimator) beginPlan(cells []Cell) {
+func (e *estimator) beginPlan(jobs []job) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.pending = map[string]int{}
 	e.priors = map[string]float64{}
-	for _, c := range cells {
-		cl := cellClass(c)
+	for _, j := range jobs {
+		cl := cellClass(j.Cell)
 		e.pending[cl]++
-		e.priors[cl] = cellPrior(c)
+		e.priors[cl] = cellPrior(j.Cell)
 	}
 }
 

@@ -76,8 +76,8 @@ func TestEstimatorPriorFallback(t *testing.T) {
 // TestFeatureCellClassesAndPriors: feature cells are classed by kind and
 // thread count, and a cold estimator — every regen_cold run starts with one
 // — orders a 16-thread queue run (the longest cell of a test-scale sweep)
-// before a 1-thread one and before an ordinary measured cell, so LPT does
-// not leave it for the tail.
+// before a 1-thread one and before an ordinary measured cell, so the queue
+// does not leave it for the tail.
 func TestFeatureCellClassesAndPriors(t *testing.T) {
 	clq := func(threads int) Cell {
 		return Cell{Kind: CLQRun, CLQ: &features.CLQPoint{Mode: features.CLQConstrainedTM, Threads: threads}}
@@ -103,9 +103,10 @@ func TestFeatureCellClassesAndPriors(t *testing.T) {
 	if e.estimate(tls(6)) >= e.estimate(ssca) {
 		t.Errorf("a millisecond TLS run (%.2f) is estimated above a measured cell (%.2f)", e.estimate(tls(6)), e.estimate(ssca))
 	}
-	deques := lptAssign([]Cell{clq(1), ssca, clq(16)}, []float64{e.estimate(clq(1)), e.estimate(ssca), e.estimate(clq(16))}, 1)
-	if first, _ := deques[0].popFront(); first.CLQ == nil || first.CLQ.Threads != 16 {
-		t.Errorf("LPT starts with %s, want the 16-thread queue run", first.Label())
+	q := newQueue([]job{{Cell: clq(1)}, {Cell: ssca}, {Cell: clq(16)}},
+		[]float64{e.estimate(clq(1)), e.estimate(ssca), e.estimate(clq(16))})
+	if first, _ := q.pop(); first.CLQ == nil || first.CLQ.Threads != 16 {
+		t.Errorf("the cold queue starts with %s, want the 16-thread queue run", first.Label())
 	}
 	// Observed durations stay apart by class.
 	e.observe(clq(16), 0.2)
@@ -119,7 +120,7 @@ func TestRemainingSecondsWeightsPendingWork(t *testing.T) {
 	e := newEstimator()
 	lab := measureCell("labyrinth", 4)
 	ssca := measureCell("ssca2", 4)
-	e.beginPlan([]Cell{lab, lab, ssca})
+	e.beginPlan([]job{{Cell: lab}, {Cell: lab}, {Cell: ssca}})
 	e.observe(lab, 10)
 	e.observe(ssca, 1)
 	if got, want := e.remainingSeconds(), 21.0; math.Abs(got-want) > 1e-9 {

@@ -11,8 +11,8 @@ package sweep
 // by the chaos/soak suite.
 //
 // Determinism contract: with Config.Faults nil and Retries 0 nothing here
-// runs — computeHealed collapses to exactly one execCell, so the fault-free
-// sweep is byte-identical to the pre-healing scheduler. With chaos on, an
+// runs — compute is exactly one execCell, so the fault-free sweep is
+// byte-identical to the pre-healing scheduler. With chaos on, an
 // engine-afflicted attempt must COMPLETE and validate (that is the recovery
 // proof), but its fault-perturbed measurements are discarded and the cell is
 // retried clean, so rendered tables and cached records never contain an
@@ -36,77 +36,65 @@ type affliction struct {
 	engine *chaos.Injector
 }
 
-// healInfo reports what computeHealed did for one cell.
+// healInfo reports what compute did for one cell.
 type healInfo struct {
-	attempts   int
 	seconds    float64 // compute time of the final attempt (backoff excluded)
 	recovered  bool    // succeeded after at least one retry
 	quarantine bool    // retry budget exhausted (only when Retries > 0)
-}
-
-// quarCell is one quarantined cell awaiting the serial retry pass.
-type quarCell struct {
-	c   Cell
-	key string
 }
 
 // workerCrash is the panic payload of an injected worker crash; the
 // supervisor in Prewarm recognises it and restarts the worker.
 type workerCrash struct{}
 
-// computeHealed executes the cell with the configured retry budget: up to
-// 1+Retries attempts, separated by deterministic jittered exponential
-// backoff. The attempt number feeds the chaos injector, whose afflictions
-// expire after Persist attempts — which is what makes injected faults
-// recoverable by bounded retry rather than by luck.
-func (s *Scheduler) computeHealed(c Cell, key string) (outcome, healInfo) {
-	var hi healInfo
-	attempts := 1 + s.cfg.Retries
-	var o outcome
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			time.Sleep(chaos.Backoff(s.cfg.Seed, key, a-1, s.cfg.RetryBackoff, s.cfg.RetryBackoffCap))
-			s.count[cellsRetried].Inc()
-		}
-		hi.attempts = a + 1
+// compute executes the job: one attempt, then, while it fails, up to Retries
+// more, separated by deterministic jittered exponential backoff. The first
+// attempt is unconditional, so no retry budget, however hostile, can make an
+// outcome out of nothing. The attempt number feeds the chaos injector, whose
+// afflictions expire after Persist attempts — which is what makes injected
+// faults recoverable by bounded retry rather than by luck.
+func (s *Scheduler) compute(j job) (outcome, healInfo) {
+	for a := 0; ; a++ {
 		began := time.Now()
-		o = s.executeAttempt(c, key, a)
-		hi.seconds = time.Since(began).Seconds()
+		o := s.attempt(j, a)
+		hi := healInfo{seconds: time.Since(began).Seconds()}
 		if o.err == nil {
 			hi.recovered = a > 0
 			return o, hi
 		}
-		if a < attempts-1 {
-			s.progressf("sweep: cell %s attempt %d/%d failed: %s (retrying)",
-				c.Label(), a+1, attempts, firstLine(o.err.Error()))
+		if a >= s.cfg.Retries {
+			hi.quarantine = s.cfg.Retries > 0
+			return o, hi
 		}
+		s.progressf("sweep: cell %s attempt %d/%d failed: %s (retrying)",
+			j.Label(), a+1, 1+s.cfg.Retries, firstLine(o.err.Error()))
+		time.Sleep(chaos.Backoff(s.cfg.Seed, j.key, a, s.cfg.RetryBackoff, s.cfg.RetryBackoffCap))
+		s.count[cellsRetried].Inc()
 	}
-	hi.quarantine = s.cfg.Retries > 0
-	return o, hi
 }
 
-// executeAttempt runs one attempt of the cell, applying whatever faults the
-// injector assigns to this (key, attempt) pair. Without an injector it is
-// exactly execCell with a zero affliction.
-func (s *Scheduler) executeAttempt(c Cell, key string, attempt int) outcome {
-	var af affliction
+// attempt runs one attempt of the job, applying whatever faults the injector
+// assigns to this (key, attempt) pair.
+func (s *Scheduler) attempt(j job, attempt int) outcome {
 	inj := s.cfg.Faults
-	if inj != nil {
-		if inj.Afflicts(chaos.CellPanic, key, attempt) {
-			af.panics = true
-			inj.Note(chaos.CellPanic)
-		}
-		if s.cfg.Timeout > 0 && inj.Afflicts(chaos.CellStall, key, attempt) {
-			af.stall = s.cfg.Timeout + 50*time.Millisecond
-			inj.Note(chaos.CellStall)
-		}
-		if c.Kind.HasSpec() {
-			// Only a RunSpec attaches the engine-level injector.
-			af.engine = inj.EngineFor(key, attempt)
-			c.Spec.Faults = af.engine // nil on a clean attempt: zero overhead
-		}
+	if inj == nil {
+		return s.execCell(j.Cell, affliction{})
 	}
-	o := s.execCell(c, af)
+	var af affliction
+	if inj.Afflicts(chaos.CellPanic, j.key, attempt) {
+		af.panics = true
+		inj.Note(chaos.CellPanic)
+	}
+	if s.cfg.Timeout > 0 && inj.Afflicts(chaos.CellStall, j.key, attempt) {
+		af.stall = s.cfg.Timeout + 50*time.Millisecond
+		inj.Note(chaos.CellStall)
+	}
+	if j.Kind.HasSpec() {
+		// Only a RunSpec attaches the engine-level injector.
+		af.engine = inj.EngineFor(j.key, attempt)
+		j.Spec.Faults = af.engine // nil on a clean attempt: zero overhead
+	}
+	o := s.execCell(j.Cell, af)
 	if af.engine != nil {
 		for cl := chaos.SpuriousAbort; cl <= chaos.ModeThrash; cl++ {
 			inj.NoteN(cl, af.engine.Fired(cl))
@@ -117,7 +105,7 @@ func (s *Scheduler) executeAttempt(c Cell, key string, attempt int) outcome {
 			// Discard and retry clean so tables stay byte-identical to a
 			// fault-free sweep and only clean results are ever cached.
 			o = outcome{err: fmt.Errorf("sweep: cell %s: chaos: %d engine fault(s) fired; measurement discarded for clean retry",
-				c.Label(), af.engine.TotalFired())}
+				j.Label(), af.engine.TotalFired())}
 		}
 	}
 	return o
@@ -137,42 +125,38 @@ func (s *Scheduler) retryQuarantined() {
 		return
 	}
 	s.progressf("sweep: %d cell(s) quarantined; serial retry pass", len(quar))
-	for _, q := range quar {
+	for _, j := range quar {
 		began := time.Now()
-		o := s.executeAttempt(q.c, q.key, s.cfg.Retries+1)
+		o := s.attempt(j, s.cfg.Retries+1)
 		if o.err == nil {
-			s.landed(q.c, q.key, o, time.Since(began).Seconds(), true)
-			s.progressf("sweep: quarantine: %s recovered", q.c.Label())
+			s.landed(j, o, time.Since(began).Seconds(), true)
+			s.progressf("sweep: quarantine: %s recovered", j.Label())
 		} else {
 			s.count[cellsFailed].Inc()
-			s.progressf("sweep: quarantine: %s failed for good: %s", q.c.Label(), firstLine(o.err.Error()))
+			s.progressf("sweep: quarantine: %s failed for good: %s", j.Label(), firstLine(o.err.Error()))
 		}
 		s.mu.Lock()
-		s.memo[q.key] = o
+		s.memo[j.key] = o
 		s.mu.Unlock()
 	}
 }
 
 // maybeCrashWorker kills the calling worker (via a workerCrash panic the
-// supervisor catches) when the chaos injector crashes it over this cell. The
-// cell is requeued first, so it is computed by the restarted worker or a
-// thief — an injected crash costs a retry, never a result.
-func (s *Scheduler) maybeCrashWorker(deques []*deque, self int, c Cell) {
+// supervisor catches) when the chaos injector crashes it over this job. The
+// job is requeued first, so the restarted worker or another one computes it —
+// an injected crash costs a retry, never a result.
+func (s *Scheduler) maybeCrashWorker(q *queue, j job) {
 	inj := s.cfg.Faults
-	if inj == nil {
+	if inj == nil || !inj.Afflicts(chaos.WorkerCrash, j.key, 0) {
 		return
 	}
-	key, err := c.Key()
-	if err != nil || !inj.Afflicts(chaos.WorkerCrash, key, 0) {
-		return
-	}
-	if !s.markCrashed(key) {
+	if !s.markCrashed(j.key) {
 		return // this cell already took a worker down once
 	}
 	inj.Note(chaos.WorkerCrash)
 	s.count[cellsRetried].Inc() // the requeue is a re-executed attempt
-	s.markDisrupted(key)
-	deques[self].push(c)
+	s.markDisrupted(j.key)
+	q.requeue(j)
 	panic(workerCrash{})
 }
 
@@ -181,24 +165,24 @@ func (s *Scheduler) maybeCrashWorker(deques []*deque, self int, c Cell) {
 // or a stale record whose content no longer hashes to its key. All three
 // must be detected on the next resume pass — the first two by Get itself,
 // the stale one by obtain's identity check — then evicted and recomputed.
-func (s *Scheduler) afflictRecord(c Cell, key string) {
+func (s *Scheduler) afflictRecord(j job) {
 	inj := s.cfg.Faults
-	if inj == nil || s.cfg.Cache == nil || key == "" || !inj.Afflicts(chaos.CacheCorrupt, key, 0) {
+	if inj == nil || s.cfg.Cache == nil || !inj.Afflicts(chaos.CacheCorrupt, j.key, 0) {
 		return
 	}
-	path := s.cfg.Cache.Path(key)
+	path := s.cfg.Cache.Path(j.key)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return
 	}
 	var torn []byte
-	switch key[0] % 3 {
+	switch j.key[0] % 3 {
 	case 0:
 		torn = data[:len(data)/2]
 	case 1:
 		torn = []byte("\x00\xffnot json at all")
 	default:
-		stale := c
+		stale := j.Cell
 		stale.Seed ^= 0x5a5a
 		stale.Spec.Seed ^= 0x5a5a
 		torn, err = json.Marshal(record{Cell: stale, Result: &harness.Result{}, Seconds: 0.001})
@@ -208,7 +192,7 @@ func (s *Scheduler) afflictRecord(c Cell, key string) {
 	}
 	if os.WriteFile(path, torn, 0o644) == nil {
 		inj.Note(chaos.CacheCorrupt)
-		s.progressf("sweep: chaos: tore cache record for %s", c.Label())
+		s.progressf("sweep: chaos: tore cache record for %s", j.Label())
 	}
 }
 

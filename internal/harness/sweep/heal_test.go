@@ -8,6 +8,7 @@ package sweep
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -48,7 +49,7 @@ func cleanResults(t *testing.T, cells []Cell) []harness.Result {
 func assertHealedEqual(t *testing.T, s *Scheduler, cells []Cell, want []harness.Result) {
 	t.Helper()
 	for i, c := range cells {
-		o := s.obtain(c, false)
+		o := s.request(c)
 		if o.err != nil {
 			t.Fatalf("cell %s failed after healing: %v", c.Label(), o.err)
 		}
@@ -278,10 +279,47 @@ func TestChaosSoakFullMixByteIdentical(t *testing.T) {
 	}
 }
 
+// TestNegativeRetriesStillComputeOnce: a negative retry budget is clamped to
+// none. Every cell still gets its one attempt, and what lands in the cache is
+// what that attempt computed — never a zero-attempt, zero-valued outcome.
+func TestNegativeRetriesStillComputeOnce(t *testing.T) {
+	var mu sync.Mutex
+	runs := map[string]int{}
+	setRunCellHook(t, func(c Cell) (harness.Result, trace.Footprint, error) {
+		mu.Lock()
+		runs[c.Label()]++
+		mu.Unlock()
+		return harness.Result{ParSeconds: 1.5}, trace.Footprint{}, nil
+	})
+	store, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := testCells()
+	sum := New(Config{Jobs: 2, Retries: -1, Cache: store}).Prewarm(cells)
+	if sum.Computed != len(cells) || sum.Failed != 0 || sum.Retried != 0 {
+		t.Fatalf("summary = %s, want all %d cells computed without a retry", sum, len(cells))
+	}
+	for _, c := range cells {
+		if runs[c.Label()] != 1 {
+			t.Errorf("cell %s ran %d times, want exactly once", c.Label(), runs[c.Label()])
+		}
+		key, err := c.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec record
+		if ok, err := store.Get(key, &rec); err != nil || !ok || rec.Result == nil {
+			t.Errorf("cell %s: no cache record with a result (found %v, err %v)", c.Label(), ok, err)
+		} else if rec.Result.ParSeconds != 1.5 {
+			t.Errorf("cell %s: cached ParSeconds = %v, want the computed 1.5", c.Label(), rec.Result.ParSeconds)
+		}
+	}
+}
+
 // TestQuarantineDoesNotStarvePool is the starvation property: cells that
 // fail persistently (and burn their whole retry budget) must not keep the
-// worker pool from draining — healthy cells still complete, work stealing
-// still functions, and Prewarm returns with every cell accounted for.
+// worker pool from draining — healthy cells still complete, and Prewarm returns with every cell accounted for.
 func TestQuarantineDoesNotStarvePool(t *testing.T) {
 	setRunCellHook(t, func(c Cell) (harness.Result, trace.Footprint, error) {
 		if c.Spec.Benchmark == "ssca2" {

@@ -106,7 +106,6 @@ func summaryCounters(s Summary) map[string]uint64 {
 		tallyNames[cellsQuarantined]: uint64(s.Quarantined),
 		tallyNames[cellsRecovered]:   uint64(s.Recovered),
 		tallyNames[cacheEvictions]:   uint64(s.Evicted),
-		tallyNames[steals]:           uint64(s.Steals),
 	}
 }
 
@@ -193,7 +192,7 @@ func TestRegistryAgreesWithSummaryAndEngineStats(t *testing.T) {
 				if sum.Cells != half || sum.Computed != half || sum.Cached != 0 || sum.Failed != 0 {
 					t.Fatalf("pass %d summary = %s, want %d cells, all computed", i+1, sum, half)
 				}
-				for tl := cellsRetried; tl < steals; tl++ {
+				for tl := cellsRetried; tl < numTallies; tl++ {
 					if got, want := summaryCounters(sum)[tallyNames[tl]], uint64(tc.moved[tl]*half); got != want {
 						t.Errorf("pass %d: %s = %d in the summary, want %d (%s)", i+1, tallyNames[tl], got, want, sum)
 					}

@@ -208,7 +208,6 @@ type Summary struct {
 	Computed int // executed in this pass
 	Cached   int // satisfied from the on-disk cache
 	Failed   int // ended in error after all healing (panics, timeouts)
-	Steals   int // cells migrated between workers by the work-stealing pool
 	// Self-healing outcomes (heal.go). Retried counts re-executed attempts
 	// (including worker-crash requeues); Quarantined counts cells that
 	// exhausted the pool's retry budget and were demoted to the serial
@@ -234,9 +233,6 @@ func (s Summary) HitRatio() float64 {
 func (s Summary) String() string {
 	out := fmt.Sprintf("cells=%d computed=%d cached=%d failed=%d hit=%.1f%% elapsed=%s",
 		s.Cells, s.Computed, s.Cached, s.Failed, s.HitRatio(), s.Elapsed.Round(time.Millisecond))
-	if s.Steals > 0 {
-		out += fmt.Sprintf(" steals=%d", s.Steals)
-	}
 	if s.Retried > 0 {
 		out += fmt.Sprintf(" retried=%d", s.Retried)
 	}
@@ -286,7 +282,7 @@ type Scheduler struct {
 	base    [numTallies]uint64
 
 	// self-healing state (heal.go; guarded by mu)
-	quarantine []quarCell      // cells awaiting the serial retry pass
+	quarantine []job           // cells awaiting the serial retry pass
 	disrupted  map[string]bool // keys recovering from eviction/worker crash
 	crashed    map[string]bool // keys that already took a worker down once
 }
@@ -303,7 +299,6 @@ const (
 	cellsQuarantined
 	cellsRecovered
 	cacheEvictions
-	steals
 	numTallies
 )
 
@@ -316,7 +311,6 @@ var tallyNames = [numTallies]string{
 	cellsQuarantined: "sweep_cells_quarantined_total",
 	cellsRecovered:   "sweep_cells_recovered_total",
 	cacheEvictions:   "sweep_cache_evictions_total",
-	steals:           "sweep_steals_total",
 }
 
 // New builds a Scheduler from cfg.
@@ -324,11 +318,14 @@ func New(cfg Config) *Scheduler {
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = runtime.GOMAXPROCS(0)
 	}
+	if cfg.Retries < 0 {
+		cfg.Retries = 0
+	}
 	s := &Scheduler{
 		cfg: cfg, memo: map[string]outcome{}, est: newEstimator(),
 		disrupted: map[string]bool{}, crashed: map[string]bool{},
 	}
-	s.requests.get = func(c Cell) outcome { return s.obtain(c, false) }
+	s.requests.get = s.request
 	if cfg.Telemetry != nil {
 		s.reg = cfg.Telemetry.Registry
 	} else {
@@ -450,105 +447,113 @@ func (s *Scheduler) execCell(c Cell, af affliction) outcome {
 	}
 }
 
-// obtain returns the cell's outcome: memo hit, cache hit, or computed now.
-// fromPool marks calls from the Prewarm workers (they drive the progress
-// line and the ETA, and may quarantine); render-pass misses go through with
-// fromPool=false.
-func (s *Scheduler) obtain(c Cell, fromPool bool) outcome {
+// request serves one render-pass request: key the cell, then obtain it. A
+// prewarmed cell is a memo hit; one that was never prewarmed (plan drift) is
+// looked up or computed here.
+func (s *Scheduler) request(c Cell) outcome {
 	key, err := c.Key()
 	if err != nil {
 		return outcome{err: fmt.Errorf("sweep: cell %s: %w", c.Label(), err)}
 	}
+	return s.obtain(job{c, key}, false)
+}
 
+// obtain returns the job's outcome: memo hit, cache hit, or computed now.
+// fromPool marks calls from the Prewarm workers (they drive the progress
+// line and the ETA, and may quarantine).
+func (s *Scheduler) obtain(j job, fromPool bool) outcome {
 	s.mu.Lock()
-	if o, ok := s.memo[key]; ok {
-		s.mu.Unlock()
+	o, ok := s.memo[j.key]
+	s.mu.Unlock()
+	if ok {
 		return o
 	}
-	s.mu.Unlock()
-
-	cached := false
-	var o outcome
-	if s.cfg.Cache != nil && s.cfg.Resume {
-		var rec record
-		ok, err := s.cfg.Cache.Get(key, &rec)
-		if err == nil && ok {
-			// Identity check: the record parsed, but does its content still
-			// hash to the key it was stored under? A stale record — a writer
-			// that keyed one cell and stored another, or a record rewritten
-			// in place — fails here and is evicted. (Torn and garbage records
-			// never reach this point; Get evicts those itself.) Evictions are
-			// recoveries: the cell is recomputed, not failed.
-			if k2, kerr := rec.Cell.Key(); kerr != nil || k2 != key {
-				s.cfg.Cache.Evict(key, fmt.Errorf("record content does not match its key (stale or corrupt)"))
-			} else {
-				cached = true
-				switch {
-				case c.Kind == Footprint && rec.Footprint != nil:
-					o = outcome{fp: *rec.Footprint}
-				case c.Kind != Footprint && rec.Result != nil:
-					o = outcome{res: *rec.Result}
-				default:
-					cached = false // wrong shape: treat as corrupt → recompute
-				}
-				if cached {
-					// The record remembers how long this cell took to compute;
-					// train the estimator so LPT ordering and the ETA stay
-					// accurate on cache-heavy resumes.
-					s.est.observe(c, rec.Seconds)
-				}
-			}
-		}
-	}
-	quarantined := false
-	if !cached {
-		// TraceDir and Telemetry are injected after Key() so live
-		// observability never changes what a cell IS.
-		c.TraceDir = s.cfg.TraceDir
-		if c.Kind.HasSpec() {
-			c.Spec.TraceDir = s.cfg.TraceDir
-			c.Spec.Telemetry = s.cfg.Telemetry
-		}
-		var hi healInfo
-		o, hi = s.computeHealed(c, key)
-		if o.err == nil {
-			// hi.recovered: the cell landed after a retried attempt.
-			if s.landed(c, key, o, hi.seconds, hi.recovered) {
-				s.afflictRecord(c, key)
-			}
-		} else if hi.quarantine && fromPool {
-			// Retry budget exhausted: demote to the serial single-retry pass
-			// that runs after the pool drains, instead of failing outright.
-			quarantined = true
-		}
+	if o, ok := s.lookup(j); ok {
+		return s.account(j, o, fromPool, cellsCached)
 	}
 
-	if fromPool {
-		s.est.cellDone(c)
+	// TraceDir and Telemetry are injected after the key is computed so live
+	// observability never changes what a cell IS.
+	j.TraceDir = s.cfg.TraceDir
+	if j.Kind.HasSpec() {
+		j.Spec.TraceDir = s.cfg.TraceDir
+		j.Spec.Telemetry = s.cfg.Telemetry
 	}
-	// Counted under mu so the progress line below sees each cell exactly
-	// once, in order.
-	s.mu.Lock()
-	s.memo[key] = o
-	s.count[cellsDone].Inc()
-	if cached {
-		s.count[cellsCached].Inc()
-	} else {
-		s.count[cellsComputed].Inc()
+	o, hi := s.compute(j)
+	switch {
+	case o.err == nil:
+		// hi.recovered: the cell landed after a retried attempt.
+		if s.landed(j, o, hi.seconds, hi.recovered) {
+			s.afflictRecord(j)
+		}
+		return s.account(j, o, fromPool, cellsComputed)
+	case hi.quarantine && fromPool:
+		// Retry budget exhausted: demote to the serial single-retry pass
+		// that runs after the pool drains, instead of failing outright.
+		s.mu.Lock()
+		s.quarantine = append(s.quarantine, j)
+		s.mu.Unlock()
+		return s.account(j, o, fromPool, cellsComputed, cellsQuarantined)
+	}
+	return s.account(j, o, fromPool, cellsComputed, cellsFailed)
+}
+
+// lookup reads the job's record from the cache; ok is false when there is no
+// usable one and the cell must be computed.
+func (s *Scheduler) lookup(j job) (o outcome, ok bool) {
+	if s.cfg.Cache == nil || !s.cfg.Resume {
+		return outcome{}, false
+	}
+	var rec record
+	if found, err := s.cfg.Cache.Get(j.key, &rec); err != nil || !found {
+		return outcome{}, false
+	}
+	// Identity check: the record parsed, but does its content still hash to
+	// the key it was stored under? A stale record — a writer that keyed one
+	// cell and stored another, or a record rewritten in place — fails here
+	// and is evicted. (Torn and garbage records never reach this point; Get
+	// evicts those itself.) Evictions are recoveries: the cell is recomputed,
+	// not failed.
+	if k2, err := rec.Cell.Key(); err != nil || k2 != j.key {
+		s.cfg.Cache.Evict(j.key, fmt.Errorf("record content does not match its key (stale or corrupt)"))
+		return outcome{}, false
 	}
 	switch {
-	case quarantined:
-		s.count[cellsQuarantined].Inc()
-		s.quarantine = append(s.quarantine, quarCell{c: c, key: key})
-	case o.err != nil:
-		s.count[cellsFailed].Inc()
+	case j.Kind == Footprint && rec.Footprint != nil:
+		o = outcome{fp: *rec.Footprint}
+	case j.Kind != Footprint && rec.Result != nil:
+		o = outcome{res: *rec.Result}
+	default:
+		return outcome{}, false // wrong shape: treat as corrupt → recompute
+	}
+	// The record remembers how long this cell took to compute; train the
+	// estimator so the queue order and the ETA stay accurate on cache-heavy
+	// resumes.
+	s.est.observe(j.Cell, rec.Seconds)
+	return o, true
+}
+
+// account memoises the job's outcome and counts it: as done, by the route
+// that produced it (cellsCached or cellsComputed) and, if it did not end
+// well, by how it ended. All of it happens under mu, so the progress line
+// sees each cell exactly once, in order.
+func (s *Scheduler) account(j job, o outcome, fromPool bool, route tally, ended ...tally) outcome {
+	if fromPool {
+		s.est.cellDone(j.Cell)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.memo[j.key] = o
+	s.count[cellsDone].Inc()
+	s.count[route].Inc()
+	for _, t := range ended {
+		s.count[t].Inc()
 	}
 	if fromPool {
 		remaining, _ := s.etaSecondsLocked()
 		s.eta.Set(int64(remaining))
-		s.emitProgressLocked(c, cached)
+		s.emitProgressLocked(j.Cell, route == cellsCached)
 	}
-	s.mu.Unlock()
 	return o
 }
 
@@ -559,13 +564,13 @@ func (s *Scheduler) obtain(c Cell, fromPool bool) outcome {
 // marks a cell that needed a retry or the quarantine pass; a cell whose key
 // was disrupted (worker crash, cache eviction) counts as recovered too. It
 // reports whether a cache record was written.
-func (s *Scheduler) landed(c Cell, key string, o outcome, seconds float64, recovered bool) (stored bool) {
-	s.est.observe(c, seconds)
-	if recovered || s.takeDisrupted(key) {
+func (s *Scheduler) landed(j job, o outcome, seconds float64, recovered bool) (stored bool) {
+	s.est.observe(j.Cell, seconds)
+	if recovered || s.takeDisrupted(j.key) {
 		s.count[cellsRecovered].Inc()
 	}
-	rec := record{Cell: c, Seconds: seconds}
-	if c.Kind == Footprint {
+	rec := record{Cell: j.Cell, Seconds: seconds}
+	if j.Kind == Footprint {
 		rec.Footprint = &o.fp
 	} else {
 		rec.Result = &o.res
@@ -577,7 +582,7 @@ func (s *Scheduler) landed(c Cell, key string, o outcome, seconds float64, recov
 	}
 	// A failed Put (e.g. unencodable value) only costs a recompute next run;
 	// it must not fail the sweep.
-	if err := s.cfg.Cache.Put(key, rec); err != nil {
+	if err := s.cfg.Cache.Put(j.key, rec); err != nil {
 		s.progressf("sweep: warning: %v", err)
 		return false
 	}
@@ -654,25 +659,26 @@ func (s *Scheduler) progressf(format string, args ...any) {
 	}
 }
 
-// Prewarm executes cells through the worker pool, deduplicating by cache
-// key, and memoises every outcome for the render pass. Failed cells are
+// Prewarm executes cells through the worker pool — dedupe by cache key,
+// queue longest-first, and let every worker pop and obtain until the queue is
+// empty — and memoises every outcome for the render pass. Failed cells are
 // recorded (the render pass surfaces their errors) but do not stop the
 // sweep, so an interrupted or partially failing run still banks every
 // completed cell in the cache.
 func (s *Scheduler) Prewarm(cells []Cell) Summary {
-	unique := make([]Cell, 0, len(cells))
+	unique := make([]job, 0, len(cells))
 	seen := map[string]bool{}
 	for _, c := range cells {
 		key, err := c.Key()
 		if err != nil {
-			// Keyless cells cannot be deduplicated or cached; keep
-			// them so the render pass reports the error.
-			unique = append(unique, c)
+			// A cell without a key can be neither deduplicated nor cached;
+			// the render pass reports the error when the cell is requested.
+			s.progressf("sweep: cell %s not scheduled: %v", c.Label(), err)
 			continue
 		}
 		if !seen[key] {
 			seen[key] = true
-			unique = append(unique, c)
+			unique = append(unique, job{c, key})
 		}
 	}
 
@@ -685,15 +691,15 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 	}
 
 	// Seed the duration estimator with any persisted history, register this
-	// pass's cells for remaining-work ETA accounting, and assign the cells
-	// to per-worker deques longest-expected-first (steal.go).
+	// pass's cells for remaining-work ETA accounting, and queue them
+	// longest-expected-first (queue.go).
 	s.est.load(s.cfg.Cache)
 	s.est.beginPlan(unique)
 	ests := make([]float64, len(unique))
-	for i, c := range unique {
-		ests[i] = s.est.estimate(c)
+	for i, j := range unique {
+		ests[i] = s.est.estimate(j.Cell)
 	}
-	deques := lptAssign(unique, ests, jobs)
+	q := newQueue(unique, ests)
 
 	s.mu.Lock()
 	s.total = len(unique)
@@ -723,7 +729,7 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 			// Supervisor loop: a chaos-crashed worker (heal.go) requeues its
 			// cell before dying and is restarted here, so an injected crash
 			// never strands work or shrinks the pool.
-			for s.runWorker(deques, self, workers) {
+			for s.runWorker(q, self, workers) {
 				s.progressf("sweep: worker %d crashed (injected); restarting", self)
 			}
 		}(i)
@@ -739,7 +745,6 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 		Computed:    s.inPass(cellsComputed),
 		Cached:      s.inPass(cellsCached),
 		Failed:      s.inPass(cellsFailed),
-		Steals:      s.inPass(steals),
 		Retried:     s.inPass(cellsRetried),
 		Quarantined: s.inPass(cellsQuarantined),
 		Recovered:   s.inPass(cellsRecovered),
@@ -748,10 +753,10 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 	}
 }
 
-// runWorker drains cells until every deque is empty. It reports true when
-// the worker died to an injected crash (the supervisor restarts it) and
+// runWorker pops and obtains jobs until the queue is empty. It reports true
+// when the worker died to an injected crash (the supervisor restarts it) and
 // false when the pass is over.
-func (s *Scheduler) runWorker(deques []*deque, self int, workers *obs.WorkerTable) (crashed bool) {
+func (s *Scheduler) runWorker(q *queue, self int, workers *obs.WorkerTable) (crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(workerCrash); ok {
@@ -762,24 +767,17 @@ func (s *Scheduler) runWorker(deques []*deque, self int, workers *obs.WorkerTabl
 		}
 	}()
 	for {
-		c, ok := deques[self].popFront()
+		j, ok := q.pop()
 		if !ok {
-			c, ok = steal(deques, self)
-			if !ok {
-				return false
-			}
-			s.count[steals].Inc()
-			if workers != nil {
-				workers.NoteSteal(self)
-			}
+			return false
 		}
 		// The crash point sits before Begin so the worker table never shows
 		// a Begin without a matching End.
-		s.maybeCrashWorker(deques, self, c)
+		s.maybeCrashWorker(q, j)
 		if workers != nil {
-			workers.Begin(self, c.Label())
+			workers.Begin(self, j.Label())
 		}
-		s.obtain(c, true)
+		s.obtain(j, true)
 		if workers != nil {
 			workers.End(self)
 		}

@@ -540,7 +540,7 @@ func TestFeatureCellWithoutPoint(t *testing.T) {
 		if sum := s.Prewarm([]Cell{c}); sum.Failed != 1 {
 			t.Errorf("%s: summary = %s, want the cell failed", c.Label(), sum)
 		}
-		if o := s.obtain(c, false); o.err == nil || !strings.Contains(o.err.Error(), "carries no point") {
+		if o := s.request(c); o.err == nil || !strings.Contains(o.err.Error(), "carries no point") {
 			t.Errorf("%s: err = %v, want a missing-point error", c.Label(), o.err)
 		}
 	}

@@ -224,7 +224,7 @@ function render(state) {
     whtml = '<span class="empty">no sweep running</span>';
   } else {
     whtml = "<table><tr><th>worker</th><th>state</th><th>cell</th>" +
-      '<th class="num">for</th><th class="num">done</th><th class="num">steals</th></tr>';
+      '<th class="num">for</th><th class="num">done</th></tr>';
     for (var w = 0; w < workers.length; w++) {
       var row = workers[w];
       var secs = Math.max(0, (state.now_ms - row.since_ms) / 1000);
@@ -232,7 +232,7 @@ function render(state) {
       whtml += '<tr><td>#' + row.id + '</td><td><span class="state ' + cls + '">' +
         esc(row.state) + "</span></td><td>" + esc(row.cell || "—") + "</td>" +
         '<td class="num">' + secs.toFixed(0) + 's</td>' +
-        '<td class="num">' + row.done + '</td><td class="num">' + row.steals + "</td></tr>";
+        '<td class="num">' + row.done + "</td></tr>";
     }
     whtml += "</table>";
   }

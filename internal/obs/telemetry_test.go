@@ -223,11 +223,10 @@ func TestFlightRecorderStalledCell(t *testing.T) {
 func TestWorkerTableTransitions(t *testing.T) {
 	w := NewWorkerTable(2)
 	w.Begin(0, "c1")
-	w.NoteSteal(0)
 	w.End(0)
 	w.Begin(9, "out-of-range") // ignored
 	rows := w.Snapshot()
-	if rows[0].State != "idle" || rows[0].Done != 1 || rows[0].Steals != 1 {
+	if rows[0].State != "idle" || rows[0].Done != 1 {
 		t.Fatalf("row 0 = %+v", rows[0])
 	}
 	if rows[1].Done != 0 || rows[1].State != "idle" {

@@ -7,7 +7,7 @@ import (
 
 // WorkerTable is the live view of a worker pool: which cell each sweep
 // worker is running, since when, and how much it has finished. The sweep
-// scheduler publishes Begin/End/NoteSteal transitions; the dashboard renders
+// scheduler publishes Begin/End transitions; the dashboard renders
 // the table and the flight recorder scans it for stalled cells. Transitions
 // are off the simulated hot path (one per cell, not per transaction), so a
 // mutex is fine.
@@ -23,7 +23,6 @@ type WorkerRow struct {
 	Cell    string `json:"cell,omitempty"`
 	SinceMs int64  `json:"since_ms"` // unix ms of the last transition
 	Done    uint64 `json:"done"`     // cells finished
-	Steals  uint64 `json:"steals"`   // cells obtained by stealing
 }
 
 // NewWorkerTable returns a table of n idle workers.
@@ -59,16 +58,6 @@ func (t *WorkerTable) End(id int) {
 	t.rows[id].Cell = ""
 	t.rows[id].SinceMs = time.Now().UnixMilli()
 	t.rows[id].Done++
-}
-
-// NoteSteal counts a cell worker id obtained from another worker's queue.
-func (t *WorkerTable) NoteSteal(id int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id < 0 || id >= len(t.rows) {
-		return
-	}
-	t.rows[id].Steals++
 }
 
 // Snapshot copies all rows.

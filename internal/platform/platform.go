@@ -56,6 +56,23 @@ func (k Kind) Short() string {
 	return "??"
 }
 
+// ParseKind resolves a platform name as the commands' -platform flags spell
+// it: bgq, zec12, intel or power8, the Short abbreviations in lower case, or
+// one of a few older aliases.
+func ParseKind(name string) (Kind, error) {
+	switch name {
+	case "bgq", "bg", "bluegene", "bluegeneq":
+		return BlueGeneQ, nil
+	case "zec12", "z12", "z":
+		return ZEC12, nil
+	case "intel", "ic", "core":
+		return IntelCore, nil
+	case "power8", "p8":
+		return POWER8, nil
+	}
+	return 0, fmt.Errorf("unknown platform %q (bgq, zec12, intel, power8)", name)
+}
+
 // BGQMode selects Blue Gene/Q's transactional execution mode (Section 2.1).
 type BGQMode int
 

@@ -1,6 +1,9 @@
 package platform
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestTable1Values(t *testing.T) {
 	cases := []struct {
@@ -125,5 +128,32 @@ func TestAllAndKindsOrder(t *testing.T) {
 	}
 	if kinds[0] != BlueGeneQ || kinds[3] != POWER8 {
 		t.Error("platforms must be in the paper's order")
+	}
+}
+
+// TestParseKind: every spelling htmtune or htmtrace has accepted resolves,
+// each platform's lower-cased Short does too, and the error names the
+// canonical four.
+func TestParseKind(t *testing.T) {
+	for name, want := range map[string]Kind{
+		"bgq": BlueGeneQ, "bg": BlueGeneQ, "bluegene": BlueGeneQ, "bluegeneq": BlueGeneQ,
+		"zec12": ZEC12, "z12": ZEC12, "z": ZEC12,
+		"intel": IntelCore, "ic": IntelCore, "core": IntelCore,
+		"power8": POWER8, "p8": POWER8,
+	} {
+		if got, err := ParseKind(name); err != nil || got != want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, k := range Kinds() {
+		if got, err := ParseKind(strings.ToLower(k.Short())); err != nil || got != k {
+			t.Errorf("ParseKind(lower %q) = %v, %v; want %v", k.Short(), got, err, k)
+		}
+	}
+	for _, name := range []string{"", "sparc", "BGQ", "bgq,zec12"} {
+		_, err := ParseKind(name)
+		if err == nil || !strings.Contains(err.Error(), "bgq, zec12, intel, power8") {
+			t.Errorf("ParseKind(%q) error = %v, want one listing the canonical names", name, err)
+		}
 	}
 }

@@ -115,6 +115,16 @@ func (s Scale) String() string {
 	return "?"
 }
 
+// ParseScale inverts String.
+func ParseScale(name string) (Scale, error) {
+	for _, s := range []Scale{ScaleTest, ScaleSim, ScaleFull} {
+		if name == s.String() {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q (test, sim, full)", name)
+}
+
 // Variant selects the original STAMP code shape or the paper's Section 4
 // modification.
 type Variant int

@@ -1,6 +1,7 @@
 package stamp
 
 import (
+	"strings"
 	"testing"
 
 	"htmcmp/internal/htm"
@@ -181,5 +182,20 @@ func TestHLERunnerOnSTAMP(t *testing.T) {
 	b.Run(runners)
 	if err := b.Validate(e.Thread(0)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParseScaleInvertsString: every scale parses back from its own name,
+// and anything else is an error that lists the names.
+func TestParseScaleInvertsString(t *testing.T) {
+	for _, s := range []Scale{ScaleTest, ScaleSim, ScaleFull} {
+		if got, err := ParseScale(s.String()); err != nil || got != s {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for _, name := range []string{"", "tiny", "Sim", "?"} {
+		if _, err := ParseScale(name); err == nil || !strings.Contains(err.Error(), "test, sim, full") {
+			t.Errorf("ParseScale(%q) error = %v, want one listing the names", name, err)
+		}
 	}
 }
