@@ -8,7 +8,6 @@
 //	htmbench -exp fig2 [-scale sim] [-repeats 2] [-tune] [-csv] [-v]
 //	         [-jobs N] [-cache-dir .htmcache] [-no-cache] [-resume=false]
 //	         [-trace-dir DIR] [-metrics FILE] [-verify]
-//	         [-http :8080] [-http-linger 10m] [-flight-dir DIR]
 //	         [-chaos] [-chaos-seed N] [-cell-retries N] [-chaos-report FILE]
 //
 // Experiments: htmbench -h lists the -exp names (one per table or figure,
@@ -39,7 +38,6 @@ import (
 	"htmcmp/internal/features"
 	"htmcmp/internal/harness"
 	"htmcmp/internal/harness/sweep"
-	"htmcmp/internal/obs"
 	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
 	"htmcmp/internal/trace"
@@ -61,17 +59,9 @@ func main() {
 	progress := flag.Bool("progress", true, "print live sweep progress/ETA to stderr")
 	traceDir := flag.String("trace-dir", "", "write per-cell JSONL transaction-event files into this directory (implies -resume=false: cached cells execute nothing)")
 	verify := flag.Bool("verify", false, "cross-check every planned cell under {HTM, NOrec STM, global lock} before measuring; exit non-zero on divergence")
-	metricsPath := flag.String("metrics", "", "write the sweep's registry counters (sweep_*, htm_tx_*, tm_mode_switches_total) as JSON to this file (METRICS.json style)")
+	metricsPath := flag.String("metrics", "", "write the sweep's registry counters (sweep_*, htm_tx_*, tm_mode_switches_total) as JSON to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
-	httpAddr := flag.String("http", "", "serve live telemetry (dashboard at /, Prometheus text at /metrics, JSON at /api/state) on this address, e.g. :8080")
-	sampleEvery := flag.Duration("sample", 500*time.Millisecond, "telemetry sampling period")
-	httpLinger := flag.Duration("http-linger", 0, "keep the telemetry server up this long after the sweep completes (0 = close immediately)")
-	flightDir := flag.String("flight-dir", "", "enable the flight recorder, writing anomaly dumps under this directory")
-	flightAbort := flag.Float64("flight-abort-rate", 0, "aborts/sec that triggers a flight dump (0 = off)")
-	flightStall := flag.Duration("flight-stall", 0, "a sweep cell running longer than this triggers a flight dump (0 = off)")
-	flightDemotion := flag.Float64("flight-demotion-rate", 0, "STM demotions/sec that triggers a flight dump (0 = off)")
-	flightProfile := flag.Bool("flight-profile", false, "include pprof CPU+heap profiles in flight dumps")
 	chaosOn := flag.Bool("chaos", false, "inject deterministic faults into the sweep (every class, default mix); all injected faults are recovered and never cached, so rendered tables are unchanged")
 	chaosSeed := flag.Uint64("chaos-seed", 42, "seed for fault injection and retry-backoff jitter")
 	cellRetries := flag.Int("cell-retries", 2, "per-cell retry budget before quarantine (0 disables self-healing)")
@@ -86,6 +76,15 @@ func main() {
 	scale, err := stamp.ParseScale(*scaleName)
 	if err != nil {
 		usageError(err)
+	}
+	if *repeats < 1 {
+		usageError(fmt.Errorf("-repeats must be 1 or more, got %d", *repeats))
+	}
+	if *jobs < 1 {
+		usageError(fmt.Errorf("-jobs must be 1 or more, got %d", *jobs))
+	}
+	if *cellTimeout < 0 {
+		usageError(fmt.Errorf("-cell-timeout must be 0 or more, got %s", *cellTimeout))
 	}
 	if *cellRetries < 0 {
 		usageError(fmt.Errorf("-cell-retries must be 0 or more, got %d", *cellRetries))
@@ -148,50 +147,21 @@ func main() {
 	if *progress {
 		progressW = os.Stderr
 	}
-	var tel *obs.Telemetry
-	if *httpAddr != "" || *flightDir != "" {
-		cfg := obs.TelemetryConfig{
-			HTTPAddr:       *httpAddr,
-			SampleInterval: *sampleEvery,
-			Workers:        *jobs,
-		}
-		if *flightDir != "" {
-			cfg.Flight = &obs.FlightConfig{
-				Dir:          *flightDir,
-				AbortRate:    *flightAbort,
-				StallTimeout: *flightStall,
-				DemotionRate: *flightDemotion,
-				Profile:      *flightProfile,
-			}
-			cfg.SIGQUIT = true
-		}
-		var err error
-		tel, err = obs.StartTelemetry(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "htmbench: telemetry: %v\n", err)
-			os.Exit(1)
-		}
-		defer tel.Close()
-		if a := tel.Addr(); a != "" {
-			fmt.Fprintf(os.Stderr, "htmbench: live telemetry at http://%s/\n", a)
-		}
-	}
 	var faults *chaos.Injector
 	if *chaosOn {
 		faults = chaos.New(chaos.DefaultConfig(*chaosSeed))
 		fmt.Fprintf(os.Stderr, "htmbench: chaos enabled (seed %d); injected faults are recovered, results stay clean\n", *chaosSeed)
 	}
 	sched := sweep.New(sweep.Config{
-		Jobs:      *jobs,
-		Cache:     store,
-		Resume:    *resume,
-		Timeout:   *cellTimeout,
-		Progress:  progressW,
-		TraceDir:  *traceDir,
-		Telemetry: tel,
-		Retries:   *cellRetries,
-		Seed:      *chaosSeed,
-		Faults:    faults,
+		Jobs:     *jobs,
+		Cache:    store,
+		Resume:   *resume,
+		Timeout:  *cellTimeout,
+		Progress: progressW,
+		TraceDir: *traceDir,
+		Retries:  *cellRetries,
+		Seed:     *chaosSeed,
+		Faults:   faults,
 	})
 
 	plan, err := planCells(names, opts, *csv)
@@ -227,10 +197,6 @@ func main() {
 	writeChaosReport(*chaosReport, faults, sum)
 	if err != nil {
 		os.Exit(1)
-	}
-	if tel != nil && *httpLinger > 0 {
-		fmt.Fprintf(os.Stderr, "htmbench: telemetry server up for another %s (SIGQUIT dumps a flight recording)\n", *httpLinger)
-		time.Sleep(*httpLinger)
 	}
 }
 
@@ -354,8 +320,8 @@ func reconcileChaosTimeout(chaosOn, timeoutGiven bool, timeout time.Duration, w 
 }
 
 // writeMetrics dumps the counters of the scheduler's registry to path (no-op
-// when empty) — the names and values /metrics serves. Written even on render
-// failure so a partial sweep is observable.
+// when empty). Written even on render failure so a partial sweep is
+// observable.
 func writeMetrics(path string, sched *sweep.Scheduler) {
 	if path == "" {
 		return

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -168,36 +169,122 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// runMain re-executes the test binary as htmbench (see TestMain) with args in
+// an empty working directory, and returns that directory, what the run wrote
+// and how it ended.
+func runMain(t *testing.T, args ...string) (dir, stdout, stderr string, err error) {
+	t.Helper()
+	dir = t.TempDir()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "HTMBENCH_TEST_MAIN=1")
+	var out, errw bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errw
+	err = cmd.Run()
+	return dir, out.String(), errw.String(), err
+}
+
 // TestUsageErrorsExitBeforeSideEffects: a flag value htmbench cannot use is
 // one line on stderr and exit status 2, with nothing printed to stdout and
 // no cache directory created. A negative retry budget used to run every cell
-// zero times and cache the all-zero results.
+// zero times and cache the all-zero results; -repeats and -jobs below 1 and a
+// negative -cell-timeout used to run as if the default had been given. A
+// flag that no longer exists (-http, with the live-telemetry stack) gets the
+// flag package's own message and usage text, to the same standard.
 func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
+	const undefined = "flag provided but not defined: "
 	for _, args := range [][]string{
 		{"-cell-retries", "-1"},
 		{"-exp", "bogus"},
 		{"-scale", "tiny"},
+		{"-repeats", "0"},
+		{"-repeats", "-1"},
+		{"-jobs", "0"},
+		{"-jobs", "-3"},
+		{"-cell-timeout", "-5s"},
+		{"-http", ":0"},
 	} {
-		dir := t.TempDir()
-		cmd := exec.Command(os.Args[0], args...)
-		cmd.Dir = dir
-		cmd.Env = append(os.Environ(), "HTMBENCH_TEST_MAIN=1")
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
+		dir, stdout, msg, err := runMain(t, args...)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("htmbench %v: %v, want exit status 2\nstderr: %s", args, err, stderr.String())
+			t.Errorf("htmbench %v: %v, want exit status 2\nstderr: %s", args, err, msg)
 		}
-		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "htmbench: ") {
+		if args[0] == "-http" {
+			if !strings.HasPrefix(msg, undefined+"-http\n") {
+				t.Errorf("htmbench %v: stderr %q, want %q first", args, msg, undefined+"-http")
+			}
+		} else if strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "htmbench: ") {
 			t.Errorf("htmbench %v: stderr %q, want one htmbench: line", args, msg)
 		}
-		if stdout.Len() != 0 {
-			t.Errorf("htmbench %v printed to stdout: %q", args, stdout.String())
+		if stdout != "" {
+			t.Errorf("htmbench %v printed to stdout: %q", args, stdout)
 		}
 		if left, _ := os.ReadDir(dir); len(left) != 0 {
 			t.Errorf("htmbench %v left %d entries behind, first %s", args, len(left), left[0].Name())
 		}
+	}
+}
+
+// TestREADMECommands: every htmbench command line in README.md and the
+// Makefile names only flags htmbench defines (as its -h lists them) and only
+// -scale / -exp values that parse. README's live-telemetry walkthrough ran
+// `-scale small`, which has never parsed, for sixteen PRs.
+func TestREADMECommands(t *testing.T) {
+	_, _, usage, err := runMain(t, "-h")
+	if err != nil {
+		t.Fatalf("htmbench -h: %v\n%s", err, usage)
+	}
+	defined := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage, -1) {
+		defined[m[1]] = true
+	}
+	if !defined["exp"] || !defined["scale"] {
+		t.Fatalf("htmbench -h lists no -exp or -scale:\n%s", usage)
+	}
+	command := regexp.MustCompile(`^(?:go run \./cmd/htmbench|\./\$\(BIN\)/htmbench)\s(.*)`)
+	commands := 0
+	for _, file := range []string{"../../README.md", "../../Makefile"} {
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined := strings.ReplaceAll(string(text), "\\\n", " ")
+		for _, line := range strings.Split(joined, "\n") {
+			line = strings.TrimSpace(line)
+			m := command.FindStringSubmatch(line)
+			if m == nil {
+				continue
+			}
+			commands++
+			args, _, _ := strings.Cut(m[1], " #")
+			words := strings.Fields(args)
+			for i, w := range words {
+				if !strings.HasPrefix(w, "-") {
+					continue
+				}
+				name, value, hasValue := strings.Cut(strings.TrimLeft(w, "-"), "=")
+				if !defined[name] {
+					t.Errorf("%s: `%s`: htmbench defines no -%s", file, line, name)
+					continue
+				}
+				if !hasValue && i+1 < len(words) {
+					value = words[i+1]
+				}
+				var bad error
+				switch name {
+				case "scale":
+					_, bad = stamp.ParseScale(value)
+				case "exp":
+					_, bad = expandExp(value)
+				}
+				if bad != nil {
+					t.Errorf("%s: `%s`: %v", file, line, bad)
+				}
+			}
+		}
+	}
+	if commands < 20 {
+		t.Errorf("found %d htmbench command lines in README.md and the Makefile, want the 20 and more there are: the pattern has rotted", commands)
 	}
 }
 

@@ -9,7 +9,6 @@
 //	htmtrace -events -bench yada -jsonl yada.jsonl -perfetto yada.trace.json
 //	htmtrace -check-events yada.jsonl                # validate a JSONL trace
 //	htmtrace -check-trace yada.trace.json            # validate a Chrome trace
-//	htmtrace -check-metrics metrics.prom             # validate Prometheus text
 //
 // The -events mode runs the benchmark with an event tracer attached and
 // prints an abort-attribution report: abort-reason × retry-depth histogram,
@@ -24,9 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"htmcmp/internal/htm"
 	"htmcmp/internal/obs"
@@ -48,14 +45,10 @@ func main() {
 	top := flag.Int("top", 10, "with -events: number of hot conflicting lines to print")
 	checkEvents := flag.String("check-events", "", "validate a JSONL event file and exit (CI hook)")
 	checkTrace := flag.String("check-trace", "", "validate a Chrome trace file and exit (CI hook)")
-	checkMetrics := flag.String("check-metrics", "", "validate a Prometheus text exposition file and exit (CI hook)")
-	if rejectRemovedFlags(os.Args[1:], os.Stderr) {
-		os.Exit(2)
-	}
 	flag.Parse()
 
-	if *checkEvents != "" || *checkTrace != "" || *checkMetrics != "" {
-		os.Exit(runChecks(*checkEvents, *checkTrace, *checkMetrics, os.Stdout, os.Stderr))
+	if *checkEvents != "" || *checkTrace != "" {
+		os.Exit(runChecks(*checkEvents, *checkTrace, os.Stdout, os.Stderr))
 	}
 
 	kind, err := platform.ParseKind(*platName)
@@ -99,45 +92,9 @@ func overMark(over bool) string {
 	return ""
 }
 
-// removedFlags maps flags deleted from the CLI to the guidance their error
-// message carries. Deprecation lived one release; now the alias is gone and
-// using it fails fast with the replacement spelled out.
-var removedFlags = map[string]string{
-	"conflicts": "-conflicts was removed; use -events",
-}
-
-// rejectRemovedFlags scans raw command-line arguments for flags that no
-// longer exist, before flag.Parse can emit its generic "flag provided but
-// not defined" error. It prints the replacement guidance to w and reports
-// whether any removed flag was present. Non-flag tokens are skipped rather
-// than terminating the scan — they may be the value of a preceding flag
-// (htmtrace takes no positional arguments) — and "--" ends it.
-func rejectRemovedFlags(args []string, w io.Writer) bool {
-	hit := false
-	for _, a := range args {
-		if a == "--" {
-			break
-		}
-		if len(a) == 0 || a[0] != '-' {
-			continue
-		}
-		name := a[1:]
-		if len(name) > 0 && name[0] == '-' {
-			name = name[1:]
-		}
-		name, _, _ = strings.Cut(name, "=")
-		if msg, ok := removedFlags[name]; ok {
-			fmt.Fprintf(w, "htmtrace: %s\n", msg)
-			hit = true
-		}
-	}
-	return hit
-}
-
 // runChecks validates previously exported artefacts (the CI hooks behind
-// -check-events/-check-trace/-check-metrics) and returns the process exit
-// code.
-func runChecks(eventsPath, tracePath, metricsPath string, out, errw *os.File) int {
+// -check-events/-check-trace) and returns the process exit code.
+func runChecks(eventsPath, tracePath string, out, errw *os.File) int {
 	code := 0
 	if eventsPath != "" {
 		n, err := obs.ValidateFile(eventsPath)
@@ -159,22 +116,6 @@ func runChecks(eventsPath, tracePath, metricsPath string, out, errw *os.File) in
 			code = 1
 		default:
 			fmt.Fprintf(out, "%s: valid Chrome trace JSON (%d bytes)\n", tracePath, len(b))
-		}
-	}
-	if metricsPath != "" {
-		f, err := os.Open(metricsPath)
-		if err != nil {
-			fmt.Fprintf(errw, "htmtrace: %v\n", err)
-			code = 1
-		} else {
-			n, err := obs.ValidatePromText(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintf(errw, "htmtrace: %s: %v\n", metricsPath, err)
-				code = 1
-			} else {
-				fmt.Fprintf(out, "%s: %d valid metric samples\n", metricsPath, n)
-			}
 		}
 	}
 	return code

@@ -3,7 +3,6 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"htmcmp/internal/obs"
@@ -92,61 +91,20 @@ func TestRunChecks(t *testing.T) {
 	}
 	defer null.Close()
 
-	goodProm := filepath.Join(dir, "good.prom")
-	if err := os.WriteFile(goodProm, []byte("# TYPE x_total counter\nx_total 3\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	badProm := filepath.Join(dir, "bad.prom")
-	if err := os.WriteFile(badProm, []byte("x_total not-a-number\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	cases := []struct {
-		events, trace, metrics string
-		want                   int
+		events, trace string
+		want          int
 	}{
-		{good, "", "", 0},
-		{good, goodTrace, "", 0},
-		{good, goodTrace, goodProm, 0},
-		{"", "", goodProm, 0},
-		{bad, "", "", 1},
-		{"", badTrace, "", 1},
-		{good, badTrace, "", 1},
-		{"", "", badProm, 1},
-		{"", "", filepath.Join(dir, "missing.prom"), 1},
-		{filepath.Join(dir, "missing.jsonl"), "", "", 1},
+		{good, "", 0},
+		{good, goodTrace, 0},
+		{bad, "", 1},
+		{"", badTrace, 1},
+		{good, badTrace, 1},
+		{filepath.Join(dir, "missing.jsonl"), "", 1},
 	}
 	for _, c := range cases {
-		if got := runChecks(c.events, c.trace, c.metrics, null, null); got != c.want {
-			t.Errorf("runChecks(%q, %q, %q) = %d, want %d", c.events, c.trace, c.metrics, got, c.want)
-		}
-	}
-}
-
-func TestRejectRemovedFlags(t *testing.T) {
-	cases := []struct {
-		args []string
-		hit  bool
-	}{
-		{[]string{"-conflicts"}, true},
-		{[]string{"--conflicts"}, true},
-		{[]string{"-conflicts=true"}, true},
-		{[]string{"-bench", "yada", "-conflicts"}, true},
-		{[]string{"-events"}, false},
-		{[]string{}, false},
-		{[]string{"--", "-conflicts"}, false},       // terminator stops scanning
-		{[]string{"-bench=yada", "-events"}, false}, // = form passes through
-	}
-	for _, c := range cases {
-		var sb strings.Builder
-		if got := rejectRemovedFlags(c.args, &sb); got != c.hit {
-			t.Errorf("rejectRemovedFlags(%q) = %v, want %v", c.args, got, c.hit)
-		}
-		if c.hit && !strings.Contains(sb.String(), "-conflicts was removed; use -events") {
-			t.Errorf("rejectRemovedFlags(%q) output %q lacks replacement guidance", c.args, sb.String())
-		}
-		if !c.hit && sb.Len() != 0 {
-			t.Errorf("rejectRemovedFlags(%q) wrote %q for a clean command line", c.args, sb.String())
+		if got := runChecks(c.events, c.trace, null, null); got != c.want {
+			t.Errorf("runChecks(%q, %q) = %d, want %d", c.events, c.trace, got, c.want)
 		}
 	}
 }

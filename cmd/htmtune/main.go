@@ -15,7 +15,7 @@
 //
 //	htmtune -platform zec12 -bench vacation-low [-threads 4] [-scale sim]
 //	        [-rounds 2] [-repeats 2] [-jobs N] [-cache-dir .htmcache]
-//	        [-no-cache] [-resume=false] [-http :8080]
+//	        [-no-cache] [-resume=false]
 package main
 
 import (
@@ -24,12 +24,10 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"time"
 
 	"htmcmp/internal/cache"
 	"htmcmp/internal/harness"
 	"htmcmp/internal/harness/sweep"
-	"htmcmp/internal/obs"
 	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
 	"htmcmp/internal/tm"
@@ -255,8 +253,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", ".htmcache", "on-disk result cache directory")
 	noCache := flag.Bool("no-cache", false, "disable the on-disk result cache entirely")
 	resume := flag.Bool("resume", true, "reuse cached results from earlier runs")
-	httpAddr := flag.String("http", "", "serve live telemetry (dashboard at /, Prometheus text at /metrics) on this address, e.g. :8080")
-	sampleEvery := flag.Duration("sample", 500*time.Millisecond, "telemetry sampling period")
 	flag.Parse()
 
 	kind, err := platform.ParseKind(*platName)
@@ -269,6 +265,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "htmtune:", err)
 		os.Exit(2)
 	}
+	if err := checkCounts(*repeats, *jobs); err != nil {
+		fmt.Fprintln(os.Stderr, "htmtune:", err)
+		os.Exit(2)
+	}
 
 	var store *cache.Store
 	if !*noCache {
@@ -277,25 +277,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "htmtune: %v (continuing without cache)\n", err)
 		}
 	}
-	var tel *obs.Telemetry
-	if *httpAddr != "" {
-		tel, err = obs.StartTelemetry(obs.TelemetryConfig{
-			HTTPAddr:       *httpAddr,
-			SampleInterval: *sampleEvery,
-			Workers:        *jobs,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "htmtune: telemetry: %v\n", err)
-			os.Exit(1)
-		}
-		defer tel.Close()
-		fmt.Fprintf(os.Stderr, "htmtune: live telemetry at http://%s/\n", tel.Addr())
-	}
 	sched := sweep.New(sweep.Config{
-		Jobs:      *jobs,
-		Cache:     store,
-		Resume:    *resume,
-		Telemetry: tel,
+		Jobs:   *jobs,
+		Cache:  store,
+		Resume: *resume,
 	})
 
 	base := harness.RunSpec{
@@ -350,6 +335,18 @@ func main() {
 		fmt.Printf("\nadaptive/best-static = %.2f, best-static/default = %.2f\n",
 			ada.Speedup/win.Speedup, safeRatio(win.Speedup, def.Speedup))
 	}
+}
+
+// checkCounts rejects a -repeats or -jobs below 1, for which the harness and
+// the sweep would silently substitute their defaults.
+func checkCounts(repeats, jobs int) error {
+	if repeats < 1 {
+		return fmt.Errorf("-repeats must be 1 or more, got %d", repeats)
+	}
+	if jobs < 1 {
+		return fmt.Errorf("-jobs must be 1 or more, got %d", jobs)
+	}
+	return nil
 }
 
 // comparisonSpecs builds the three full-repeat comparison runs: default

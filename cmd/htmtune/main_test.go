@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"htmcmp/internal/harness"
@@ -51,6 +52,24 @@ func TestParseScale(t *testing.T) {
 	}
 	if _, err := stamp.ParseScale("huge"); err == nil {
 		t.Error("ParseScale accepted an unknown scale")
+	}
+}
+
+// TestCheckCounts: -repeats and -jobs below 1 are usage errors that name the
+// flag, not a silent fall back to the default.
+func TestCheckCounts(t *testing.T) {
+	for _, tc := range []struct {
+		repeats, jobs int
+		want          string
+	}{
+		{1, 1, ""}, {2, 8, ""},
+		{0, 1, "-repeats"}, {-1, 1, "-repeats"},
+		{1, 0, "-jobs"}, {1, -3, "-jobs"},
+	} {
+		err := checkCounts(tc.repeats, tc.jobs)
+		if (err == nil) != (tc.want == "") || err != nil && !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("checkCounts(%d, %d) = %v, want an error naming %q", tc.repeats, tc.jobs, err, tc.want)
+		}
 	}
 }
 

@@ -75,14 +75,6 @@ type RunSpec struct {
 	// run and writes a <label>-r<rep>.jsonl event file per repeat into it.
 	// Excluded from JSON so sweep cache keys are unaffected by tracing.
 	TraceDir string `json:"-"`
-	// Telemetry, when set, drains a small per-run tracer into the rolling
-	// event log (the flight recorder's dump source) after every parallel
-	// run. Counters do not flow through here: the sweep publishes
-	// Result.Engine into the registry when the cell completes. Like
-	// TraceDir it is excluded from JSON so sweep cache keys are unaffected,
-	// and tracing never charges virtual time, so measured results are
-	// identical with it attached.
-	Telemetry *obs.Telemetry `json:"-"`
 	// Faults, when set, attaches the chaos injector to every parallel run's
 	// engine (and, for adaptive runs, the mode controller): injected
 	// spurious aborts, forced capacity overflows, STM seqlock contention
@@ -245,17 +237,9 @@ func (s RunSpec) runParOnce(seed uint64, rep int) (float64, tm.Stats, htm.Stats,
 	}
 	cfg := s.engineConfig(s.Threads, seed)
 	cfg.Faults = s.Faults
-	var tracer *obs.Tracer
-	switch {
-	case s.TraceDir != "":
-		tracer = obs.NewTracer(s.Threads, obs.DefaultRingEvents)
-	case s.Telemetry != nil:
-		// Telemetry alone keeps a small flight-recorder ring per thread —
-		// enough recent events to explain an anomaly, cheap enough to
-		// leave on for a whole sweep.
-		tracer = obs.NewTracer(s.Threads, obs.DefaultRingEvents/16)
+	if s.TraceDir != "" {
+		cfg.Tracer = obs.NewTracer(s.Threads, obs.DefaultRingEvents)
 	}
-	cfg.Tracer = tracer
 	e := htm.New(s.platformSpec(), cfg)
 	b.Setup(e.Thread(0))
 	lock := tm.NewGlobalLock(e)
@@ -291,17 +275,10 @@ func (s RunSpec) runParOnce(seed uint64, rep int) (float64, tm.Stats, htm.Stats,
 	for _, x := range execs {
 		agg.Add(&x.Stats)
 	}
-	if tracer != nil {
-		if s.TraceDir != "" {
-			if err := obs.WriteJSONLStreamFile(filepath.Join(s.TraceDir, s.traceName(rep)),
-				obs.HeaderFor(tracer), tracer.Events()); err != nil {
-				return 0, tm.Stats{}, htm.Stats{}, err
-			}
-		}
-		if s.Telemetry != nil {
-			// Drained post-run (producers quiescent) into the rolling log the
-			// flight recorder dumps from.
-			s.Telemetry.Log.Drain(fmt.Sprintf("%s#r%d", s.Label(), rep), tracer)
+	if tracer := cfg.Tracer; tracer != nil {
+		if err := obs.WriteJSONLStreamFile(filepath.Join(s.TraceDir, s.traceName(rep)),
+			obs.HeaderFor(tracer), tracer.Events()); err != nil {
+			return 0, tm.Stats{}, htm.Stats{}, err
 		}
 	}
 	engStats := e.Stats()

@@ -13,7 +13,7 @@ import (
 //     executed.
 //   - The progress line's ETA, which the old code derived from the global
 //     mean duration of completed cells. That estimator is wildly optimistic
-//     early in a sweep: the 301-cell paper sweep mixes ~ms ssca2 cells with
+//     early in a sweep: the paper sweep mixes ~ms ssca2 cells with
 //     multi-second labyrinth/yada cells, and whichever class happens to
 //     finish first dominates the mean. The estimator below keeps one EWMA
 //     per cell class — (kind, benchmark, scale, threads) — and weights the

@@ -1,18 +1,15 @@
 package sweep
 
-// One counter set from thread to dashboard: the scheduler counts every cell
+// One counter set from thread to -metrics: the scheduler counts every cell
 // outcome once, into registry counters, and everything that reports — the
-// Summary a Prewarm pass returns, the -metrics JSON, the Prometheus
-// exposition — reads those counters back. These tests pin that the three
-// views agree under every healing path, that the engine series are exactly
-// the computed cells' Result.Engine, and that cache hits publish nothing.
+// Summary a Prewarm pass returns and the -metrics JSON — reads those counters
+// back. These tests pin that the two views agree under every healing path,
+// that the engine series are exactly the computed cells' Result.Engine, and
+// that cache hits publish nothing.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -37,35 +34,9 @@ func registryCells() []Cell {
 	return cells
 }
 
-// promCounters parses the counter samples of a Prometheus text exposition.
-func promCounters(t *testing.T, text string) map[string]uint64 {
-	t.Helper()
-	out := map[string]uint64{}
-	kind := ""
-	sc := bufio.NewScanner(strings.NewReader(text))
-	for sc.Scan() {
-		line := sc.Text()
-		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
-			kind = f[3]
-			continue
-		}
-		if kind != "counter" {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		v, err := strconv.ParseUint(line[i+1:], 10, 64)
-		if err != nil {
-			t.Fatalf("exposition line %q: %v", line, err)
-		}
-		out[line[:i]] = v
-	}
-	return out
-}
-
-// counterViews returns the registry's counters as the -metrics JSON and the
-// Prometheus exposition report them, having checked that the two agree name
-// for name and value for value.
-func counterViews(t *testing.T, reg *obs.Registry) map[string]uint64 {
+// metricsJSON returns the registry's counters as the -metrics JSON reports
+// them.
+func metricsJSON(t *testing.T, reg *obs.Registry) map[string]uint64 {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := reg.WriteCountersJSON(&buf); err != nil {
@@ -74,22 +45,6 @@ func counterViews(t *testing.T, reg *obs.Registry) map[string]uint64 {
 	fromJSON := map[string]uint64{}
 	if err := json.Unmarshal(buf.Bytes(), &fromJSON); err != nil {
 		t.Fatalf("-metrics JSON: %v\n%s", err, buf.Bytes())
-	}
-	var sb strings.Builder
-	if err := reg.WritePromText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obs.ValidatePromText(strings.NewReader(sb.String())); err != nil {
-		t.Fatalf("exposition invalid: %v", err)
-	}
-	fromProm := promCounters(t, sb.String())
-	if len(fromJSON) != len(fromProm) {
-		t.Errorf("-metrics JSON has %d counters, the exposition %d", len(fromJSON), len(fromProm))
-	}
-	for name, v := range fromJSON {
-		if pv, ok := fromProm[name]; !ok || pv != v {
-			t.Errorf("%s: -metrics JSON %d, exposition %d (present %v)", name, v, pv, ok)
-		}
 	}
 	return fromJSON
 }
@@ -169,19 +124,11 @@ func TestRegistryAgreesWithSummaryAndEngineStats(t *testing.T) {
 					t.Fatalf("tearing pass: %s", sum)
 				}
 			}
-			tel, err := obs.StartTelemetry(obs.TelemetryConfig{SampleInterval: time.Hour})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tel.Close()
 			s := New(Config{
-				Jobs: 2, Cache: store, Resume: true, Telemetry: tel, Retries: tc.retries, Seed: 7,
+				Jobs: 2, Cache: store, Resume: true, Retries: tc.retries, Seed: 7,
 				Faults:       chaos.New(chaos.Config{Seed: 3, Rates: tc.rates, Persist: tc.persist}),
 				RetryBackoff: time.Millisecond, RetryBackoffCap: 4 * time.Millisecond,
 			})
-			if s.Registry() != tel.Registry {
-				t.Fatal("scheduler did not adopt the telemetry registry")
-			}
 
 			// Two passes on one scheduler, half the cells each: every pass
 			// reports its own cells, the registry their sum.
@@ -221,28 +168,32 @@ func TestRegistryAgreesWithSummaryAndEngineStats(t *testing.T) {
 				want[name] = v
 			}
 
-			got := counterViews(t, s.Registry())
+			got := metricsJSON(t, s.Registry())
+			if len(got) != len(want) {
+				t.Errorf("-metrics JSON has %d counters, want the %d the summary and the engine stats name", len(got), len(want))
+			}
 			for name, v := range want {
 				if gv, ok := got[name]; !ok || gv != v {
 					t.Errorf("%s = %d in the registry (present %v), want %d", name, gv, ok, v)
 				}
 			}
 
-			// A second scheduler on the same registry and the now-intact
-			// store: every cell is a cache hit, which moves done and cached
-			// and not one engine series.
-			warm := New(Config{Jobs: 2, Cache: store, Resume: true, Telemetry: tel})
+			// A second scheduler on the now-intact store: every cell is a
+			// cache hit, which moves done and cached and not one engine
+			// series.
+			warm := New(Config{Jobs: 2, Cache: store, Resume: true})
 			sum := warm.Prewarm(cells)
 			if sum.Cached != len(cells) || sum.Computed != 0 {
 				t.Fatalf("warm summary = %s, want %d cache hits", sum, len(cells))
 			}
-			for name, v := range summaryCounters(sum) {
-				want[name] += v
+			want = summaryCounters(sum)
+			for name := range engineCounters(htm.Stats{}, tm.Stats{}) {
+				want[name] = 0
 			}
-			after := counterViews(t, tel.Registry)
+			after := metricsJSON(t, warm.Registry())
 			for name, v := range want {
-				if after[name] != v {
-					t.Errorf("after the warm pass %s = %d, want %d", name, after[name], v)
+				if av, ok := after[name]; !ok || av != v {
+					t.Errorf("after the warm pass %s = %d (present %v), want %d", name, av, ok, v)
 				}
 			}
 		})

@@ -168,13 +168,6 @@ type Config struct {
 	// produce no files; the directory is injected into cells only after
 	// their cache keys are computed, so tracing never perturbs identity.
 	TraceDir string
-	// Telemetry, when set, makes its registry the one the scheduler counts
-	// into (without it the scheduler keeps a private one — see Registry), is
-	// threaded into every computed cell's RunSpec (flight-recorder event
-	// segments), and is kept current in the worker table the dashboard
-	// renders. Injected after cache keys are computed, so — like TraceDir —
-	// it never perturbs cache identity.
-	Telemetry *obs.Telemetry `json:"-"`
 	// Retries is the per-cell bounded retry budget (heal.go): a failed or
 	// chaos-afflicted attempt is re-executed up to Retries times with
 	// jittered exponential backoff before the cell is quarantined for one
@@ -259,14 +252,13 @@ type Scheduler struct {
 
 	cfg Config
 	est *estimator
-	reg *obs.Registry // cfg.Telemetry's when given, private otherwise
+	reg *obs.Registry
 
 	// The scheduler's registry handles. Every cell outcome is counted by one
 	// statement into count; Summary, the progress line and the ETA read the
 	// same counters back. engine receives each computed cell's engine and
 	// runtime counts.
 	count  [numTallies]*obs.Counter
-	eta    *obs.Gauge
 	engine *obs.EngineMetrics
 
 	mu       sync.Mutex
@@ -322,19 +314,13 @@ func New(cfg Config) *Scheduler {
 		cfg.Retries = 0
 	}
 	s := &Scheduler{
-		cfg: cfg, memo: map[string]outcome{}, est: newEstimator(),
+		cfg: cfg, memo: map[string]outcome{}, est: newEstimator(), reg: obs.NewRegistry(),
 		disrupted: map[string]bool{}, crashed: map[string]bool{},
 	}
 	s.requests.get = s.request
-	if cfg.Telemetry != nil {
-		s.reg = cfg.Telemetry.Registry
-	} else {
-		s.reg = obs.NewRegistry()
-	}
 	for t, name := range tallyNames {
 		s.count[t] = s.reg.Counter(name)
 	}
-	s.eta = s.reg.Gauge("sweep_eta_seconds")
 	s.engine = obs.NewEngineMetrics(s.reg, htm.NumReasons, adapt.NumModes)
 	if cfg.Cache != nil {
 		// Evictions — Get detecting a torn record, or the identity check in
@@ -352,8 +338,8 @@ func New(cfg Config) *Scheduler {
 }
 
 // Registry returns the registry the scheduler counts into: the sweep_*
-// outcome counters, the sweep_eta_seconds gauge, and the htm_tx_* / by-reason
-// / tm_mode_switches_total series of every cell computed here.
+// outcome counters and the htm_tx_* / by-reason / tm_mode_switches_total
+// counts of every cell computed here.
 func (s *Scheduler) Registry() *obs.Registry { return s.reg }
 
 // inPass returns how far counter t has advanced in the current Prewarm pass;
@@ -472,12 +458,11 @@ func (s *Scheduler) obtain(j job, fromPool bool) outcome {
 		return s.account(j, o, fromPool, cellsCached)
 	}
 
-	// TraceDir and Telemetry are injected after the key is computed so live
-	// observability never changes what a cell IS.
+	// TraceDir is injected after the key is computed so tracing never changes
+	// what a cell IS.
 	j.TraceDir = s.cfg.TraceDir
 	if j.Kind.HasSpec() {
 		j.Spec.TraceDir = s.cfg.TraceDir
-		j.Spec.Telemetry = s.cfg.Telemetry
 	}
 	o, hi := s.compute(j)
 	switch {
@@ -550,8 +535,6 @@ func (s *Scheduler) account(j job, o outcome, fromPool bool, route tally, ended 
 		s.count[t].Inc()
 	}
 	if fromPool {
-		remaining, _ := s.etaSecondsLocked()
-		s.eta.Set(int64(remaining))
 		s.emitProgressLocked(j.Cell, route == cellsCached)
 	}
 	return o
@@ -713,14 +696,6 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 	s.start = time.Now()
 	s.mu.Unlock()
 
-	// The live worker table (dashboard + stalled-cell detection) follows
-	// this pass's pool; earlier tables from previous passes are replaced.
-	var workers *obs.WorkerTable
-	if tel := s.cfg.Telemetry; tel != nil {
-		workers = obs.NewWorkerTable(jobs)
-		tel.SetWorkers(workers)
-	}
-
 	var wg sync.WaitGroup
 	for i := 0; i < jobs; i++ {
 		wg.Add(1)
@@ -729,7 +704,7 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 			// Supervisor loop: a chaos-crashed worker (heal.go) requeues its
 			// cell before dying and is restarted here, so an injected crash
 			// never strands work or shrinks the pool.
-			for s.runWorker(q, self, workers) {
+			for s.runWorker(q) {
 				s.progressf("sweep: worker %d crashed (injected); restarting", self)
 			}
 		}(i)
@@ -756,7 +731,7 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 // runWorker pops and obtains jobs until the queue is empty. It reports true
 // when the worker died to an injected crash (the supervisor restarts it) and
 // false when the pass is over.
-func (s *Scheduler) runWorker(q *queue, self int, workers *obs.WorkerTable) (crashed bool) {
+func (s *Scheduler) runWorker(q *queue) (crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(workerCrash); ok {
@@ -771,15 +746,7 @@ func (s *Scheduler) runWorker(q *queue, self int, workers *obs.WorkerTable) (cra
 		if !ok {
 			return false
 		}
-		// The crash point sits before Begin so the worker table never shows
-		// a Begin without a matching End.
 		s.maybeCrashWorker(q, j)
-		if workers != nil {
-			workers.Begin(self, j.Label())
-		}
 		s.obtain(j, true)
-		if workers != nil {
-			workers.End(self)
-		}
 	}
 }

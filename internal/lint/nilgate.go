@@ -12,7 +12,7 @@ import (
 // dominating nil check on the same handle. Keyed by declaring-package
 // path suffix.
 var hookTypes = map[string][]string{
-	"internal/obs":   {"Tracer", "Ring", "Telemetry"},
+	"internal/obs":   {"Tracer", "Ring"},
 	"internal/chaos": {"Injector", "Stream"},
 	"internal/htm":   {"Witness"},
 }
@@ -20,7 +20,7 @@ var hookTypes = map[string][]string{
 // NilgateAnalyzer mechanises the zero-overhead instrumentation
 // discipline: any access through a hook-typed struct field
 // (htm.Config.Tracer/Witness/Faults, the cached per-thread copies
-// Thread.trace/faults/wit, sweep and RunSpec telemetry handles) must be
+// Thread.trace/faults/wit, the sweep and RunSpec fault injectors) must be
 // dominated by a nil check of that same field chain.
 //
 // Only field accesses are checked: a local copied out of a field

@@ -10,12 +10,12 @@ import "fixmod/internal/obs"
 //
 //htmlint:cachekey frozen=Threads,Seed,Ghost
 type RunSpec struct { // want cachekey:"freezes unknown field \"Ghost\""
-	Threads   int            `json:"threads"`
-	Seed      uint64         `json:"seed"`
-	Variant   string         `json:"variant,omitempty"`
-	Repeats   int            `json:"repeats"` // want cachekey:"serialized without omitempty"
-	Telemetry *obs.Telemetry // want cachekey:"pointer field without json:"
-	Progress  func()         `json:"-"`
+	Threads  int         `json:"threads"`
+	Seed     uint64      `json:"seed"`
+	Variant  string      `json:"variant,omitempty"`
+	Repeats  int         `json:"repeats"` // want cachekey:"serialized without omitempty"
+	Tracer   *obs.Tracer // want cachekey:"pointer field without json:"
+	Progress func()      `json:"-"`
 }
 
 // Mode is not a struct, so the marker itself is the finding.

@@ -8,9 +8,8 @@ import (
 )
 
 type config struct {
-	Tracer    *obs.Tracer
-	Telemetry *obs.Telemetry
-	Faults    *chaos.Injector
+	Tracer *obs.Tracer
+	Faults *chaos.Injector
 }
 
 type pool struct {
@@ -22,7 +21,7 @@ func (p *pool) alloc(v int) {
 	if p.cfg.Tracer != nil {
 		p.cfg.Tracer.Emit(v) // guarded by the enclosing if
 	}
-	p.cfg.Telemetry.Observe() // want nilgate:"p.cfg.Telemetry is dereferenced without a dominating"
+	p.cfg.Faults.Arm(1) // want nilgate:"p.cfg.Faults is dereferenced without a dominating"
 }
 
 // free uses the early-return guard idiom; the fact flows past the if.

@@ -11,10 +11,6 @@ type Ring struct{ buf []int }
 
 func (r *Ring) Push(v int) { r.buf = append(r.buf, v) }
 
-type Telemetry struct{ events int }
-
-func (t *Telemetry) Observe() { t.events++ }
-
 // hub dereferences a hook field with no nil check; the provider-package
 // exemption means this is not a finding.
 type hub struct{ t *Tracer }

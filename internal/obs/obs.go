@@ -1,5 +1,5 @@
 // Package obs is the engine's observability layer: per-thread event tracing,
-// abort attribution, and live metrics.
+// abort attribution, and the sweep's counters (registry.go).
 //
 // The paper's contribution is *explaining* HTM behaviour — abort-ratio
 // breakdowns by cause (Figure 3), footprint-vs-capacity plots (Figures

@@ -8,13 +8,12 @@ import (
 	"sync/atomic"
 )
 
-// Live metrics registry. The post-hoc sinks in this package (JSONL,
-// Perfetto, Aggregate) explain a run after it ends; the Registry is the
-// live counterpart: the sweep scheduler publishes into named counters and
-// gauges as cells complete — its own outcomes, and each computed cell's
-// engine and runtime counts from the harness.Result it holds — and the
-// progress line, METRICS.json, the Sampler (series.go), the HTTP server
-// (http.go) and the flight recorder all read the same handles back.
+// Sweep counters. The sinks in this package (JSONL, Perfetto, Aggregate)
+// explain one run from its events; the Registry counts a whole sweep: the
+// scheduler publishes into named counters as cells complete — its own
+// outcomes, and each computed cell's engine and runtime counts from the
+// harness.Result it holds — and the progress line, sweep.Summary and
+// htmbench -metrics all read the same handles back.
 //
 // Nothing publishes from inside a simulated run: a transaction boundary
 // counts into the thread's own htm.Stats and nowhere else, so the registry
@@ -41,43 +40,21 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a metric that can go up and down (an instantaneous level: queue
-// depth, busy workers, remaining ETA). Stores are last-writer-wins.
-type Gauge struct {
-	name string
-	v    atomic.Int64
-}
-
-// Name returns the full metric name.
-func (g *Gauge) Name() string { return g.name }
-
-// Set stores the gauge level.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Registry is a named collection of live metrics. Registration (Counter,
-// Gauge) takes a mutex and may allocate; it is meant for setup paths. The
-// returned handles are stable for the registry's lifetime — publishers
-// cache them and never touch the registry maps again.
+// Registry is a named collection of counters. Registration (Counter) takes
+// a mutex and may allocate; it is meant for setup paths. The returned
+// handles are stable for the registry's lifetime — publishers cache them
+// and never touch the registry map again.
 //
-// Metric names follow Prometheus conventions: a base name of
-// [a-zA-Z_][a-zA-Z0-9_]* optionally followed by a {label="value"} set.
-// Metrics sharing a base name (one per label set) are grouped under one
-// # TYPE line in the exposition.
+// A name is a base of [a-zA-Z_][a-zA-Z0-9_]* optionally followed by a
+// {label="value"} set.
 type Registry struct {
 	mu  sync.Mutex
 	cnt map[string]*Counter
-	gau map[string]*Gauge
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{cnt: map[string]*Counter{}, gau: map[string]*Gauge{}}
+	return &Registry{cnt: map[string]*Counter{}}
 }
 
 // Counter returns the counter registered under name, creating it at zero on
@@ -93,19 +70,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the gauge registered under name, creating it at zero on
-// first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gau[name]
-	if g == nil {
-		g = &Gauge{name: name}
-		r.gau[name] = g
-	}
-	return g
-}
-
 // Counters returns all registered counters sorted by name.
 func (r *Registry) Counters() []*Counter {
 	r.mu.Lock()
@@ -113,18 +77,6 @@ func (r *Registry) Counters() []*Counter {
 	out := make([]*Counter, 0, len(r.cnt))
 	for _, c := range r.cnt {
 		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
-// Gauges returns all registered gauges sorted by name.
-func (r *Registry) Gauges() []*Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*Gauge, 0, len(r.gau))
-	for _, g := range r.gau {
-		out = append(out, g)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
@@ -140,19 +92,9 @@ func (r *Registry) CounterValues() map[string]uint64 {
 	return out
 }
 
-// GaugeValues returns a point-in-time name → value copy of every gauge.
-func (r *Registry) GaugeValues() map[string]int64 {
-	gauges := r.Gauges()
-	out := make(map[string]int64, len(gauges))
-	for _, g := range gauges {
-		out[g.name] = g.Value()
-	}
-	return out
-}
-
 // WriteCountersJSON writes every counter as one JSON object, name → value
 // (encoding/json sorts map keys, so output is deterministic): the
-// METRICS.json format, carrying the names and values /metrics serves.
+// htmbench -metrics format.
 func (r *Registry) WriteCountersJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

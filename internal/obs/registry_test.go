@@ -43,26 +43,12 @@ func TestRegistryGetOrCreateIsStable(t *testing.T) {
 	if r.Counter("a_total") != r.Counter("a_total") {
 		t.Fatal("Counter handle not stable across lookups")
 	}
-	if r.Gauge("g") != r.Gauge("g") {
-		t.Fatal("Gauge handle not stable across lookups")
-	}
-}
-
-func TestGauge(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("depth")
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("Value = %d, want 4", got)
-	}
 }
 
 func TestRegistrySortedListings(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z_total")
 	r.Counter("a_total")
-	r.Gauge("m")
 	cs := r.Counters()
 	if len(cs) != 2 || cs[0].Name() != "a_total" || cs[1].Name() != "z_total" {
 		t.Fatalf("Counters not sorted: %v, %v", cs[0].Name(), cs[1].Name())
@@ -70,9 +56,6 @@ func TestRegistrySortedListings(t *testing.T) {
 	vals := r.CounterValues()
 	if len(vals) != 2 {
 		t.Fatalf("CounterValues len = %d", len(vals))
-	}
-	if gv := r.GaugeValues(); len(gv) != 1 || gv["m"] != 0 {
-		t.Fatalf("GaugeValues = %v", gv)
 	}
 }
 

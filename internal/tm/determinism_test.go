@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"testing"
-	"time"
 
 	"htmcmp/internal/adapt"
 	"htmcmp/internal/htm"
@@ -226,14 +225,13 @@ func TestWitnessPreservesDeterminism(t *testing.T) {
 	}
 }
 
-// TestTelemetryPreservesDeterminism pins what live telemetry attaches to a
-// run: the small flight-recorder ring harness.runParOnce uses (it wraps and
-// drops on this workload, which must be harmless), a sampler snapshotting the
-// registry concurrently, and one post-run publish of the engine's own Stats.
-// The engine has no metrics hook to switch on or off — the run must land on
-// the golden row, and the published series must be those Stats: totals
-// equal, every reason under its own label, per-reason values summing to the
-// abort total.
+// TestTelemetryPreservesDeterminism pins what a sweep's counters cost a run:
+// a tracer whose rings are too small for this workload (they wrap and drop,
+// which must be harmless) and one post-run publish of the engine's own Stats,
+// as sweep.landed does. The engine has no metrics hook to switch on or off —
+// the run must land on the golden row, and the published series must be
+// those Stats: totals equal, every reason under its own label, per-reason
+// values summing to the abort total.
 func TestTelemetryPreservesDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden workload is not short")
@@ -247,13 +245,14 @@ func TestTelemetryPreservesDeterminism(t *testing.T) {
 			t.Parallel()
 			reg := obs.NewRegistry()
 			met := obs.NewEngineMetrics(reg, htm.NumReasons, adapt.NumModes)
-			sampler := obs.NewSampler(reg, time.Millisecond, 0)
-			sampler.Start()
-			got, st := goldenRun(want.kind, want.threads, obs.NewTracer(want.threads, obs.DefaultRingEvents/16), nil)
+			tracer := obs.NewTracer(want.threads, 64)
+			got, st := goldenRun(want.kind, want.threads, tracer, nil)
 			met.Publish(st.Begins, st.Commits, st.Aborts, st.AbortsByReason[:], nil)
-			sampler.Stop()
 			if got != want {
-				t.Errorf("telemetry perturbed the virtual-time results\n got: %+v\nwant: %+v", got, want)
+				t.Errorf("a wrapping tracer perturbed the virtual-time results\n got: %+v\nwant: %+v", got, want)
+			}
+			if tracer.Dropped() == 0 {
+				t.Error("the small rings never wrapped: the drop path went unexercised")
 			}
 			if b, c, a := met.Begins.Value(), met.Commits.Value(), met.Aborts.Value(); b != want.begins || c != want.commits || a != want.aborts {
 				t.Errorf("registry begins/commits/aborts = %d/%d/%d, engine stats = %d/%d/%d",
@@ -268,9 +267,6 @@ func TestTelemetryPreservesDeterminism(t *testing.T) {
 			}
 			if byReason != want.aborts {
 				t.Errorf("per-reason abort sum = %d, engine stats = %d", byReason, want.aborts)
-			}
-			if sampler.Ticks() == 0 {
-				t.Error("sampler never ticked during the instrumented run")
 			}
 		})
 	}
