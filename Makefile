@@ -54,15 +54,20 @@ lint:
 # bench-smoke runs every experiment twice at test scale against a fresh
 # cache: the first run computes every cell, the second must plan the same
 # cells, report a 100% cache hit (all cells skipped — Figures 6 and 9
-# included, so it simulates nothing) and emit byte-identical tables. A flag
-# value htmbench cannot use must exit 2 in one line, creating no cache.
+# included, so it simulates nothing), emit byte-identical tables and leave
+# every file under the cache as it found it. A flag value htmbench cannot
+# use must exit 2 in one line, creating no cache.
 bench-smoke: build
 	rm -rf $(SMOKE)
 	mkdir -p $(SMOKE)
 	./$(BIN)/htmbench -exp all -scale test -jobs $(JOBS) \
 		-cache-dir $(SMOKE)/cache >$(SMOKE)/run1.txt 2>$(SMOKE)/run1.log
+	cd $(SMOKE)/cache && find . -type f | LC_ALL=C sort | xargs sha256sum >$(SMOKE)/cache1.sum
 	./$(BIN)/htmbench -exp all -scale test -jobs $(JOBS) \
 		-cache-dir $(SMOKE)/cache >$(SMOKE)/run2.txt 2>$(SMOKE)/run2.log
+	cd $(SMOKE)/cache && find . -type f | LC_ALL=C sort | xargs sha256sum >$(SMOKE)/cache2.sum
+	@cmp -s $(SMOKE)/cache1.sum $(SMOKE)/cache2.sum || { \
+		echo "the warm run wrote to the cache:"; diff $(SMOKE)/cache1.sum $(SMOKE)/cache2.sum; exit 1; }
 	cmp $(SMOKE)/run1.txt $(SMOKE)/run2.txt
 	@c1=$$(grep -o 'summary: cells=[0-9]*' $(SMOKE)/run1.log); \
 	c2=$$(grep -o 'summary: cells=[0-9]*' $(SMOKE)/run2.log); \

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"os"
@@ -351,6 +353,48 @@ func TestResultsGolden(t *testing.T) {
 				}
 			}
 			t.Fatalf("%s pass: rendered tables differ from %s in length: %d lines, want %d", pass, golden, len(gl), len(wl))
+		}
+	}
+}
+
+// resultsDigests maps every sweep.ResultsVersion to the sha256 of
+// testdata/results_test.golden followed by ../../results_sim.txt under it.
+var resultsDigests = map[string]string{
+	"htmcmp-results-v1": "c78a5e13a2bb47b87f3913316b02f18f2729d389f784b25b497847342a3d4a6c",
+}
+
+// TestResultsVersionPinsGolden ties a moved rendered byte to a ResultsVersion
+// bump. Cached records are keyed by the version, so a simulation change that
+// moves a table but keeps the version would serve stale records. After an
+// intended table change (TestResultsGolden -update, make results-sim), bump
+// sweep.ResultsVersion and add its digest here. A bump that moves no byte
+// fails too: it would flush every cache for nothing.
+func TestResultsVersionPinsGolden(t *testing.T) {
+	h := sha256.New()
+	for _, path := range []string{"testdata/results_test.golden", "../../results_sim.txt"} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(data)
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	seen := map[string]string{}
+	for version, digest := range resultsDigests {
+		if other, dup := seen[digest]; dup {
+			t.Errorf("%s and %s pin the same tables: a version bump must move a rendered byte", other, version)
+		}
+		seen[digest] = version
+	}
+	want, ok := resultsDigests[sweep.ResultsVersion]
+	switch {
+	case !ok:
+		t.Errorf("sweep.ResultsVersion %q has no digest; add %q: %s", sweep.ResultsVersion, sweep.ResultsVersion, got)
+	case got != want:
+		if v, old := seen[got]; old {
+			t.Errorf("the tables are those of %s, but sweep.ResultsVersion is %q", v, sweep.ResultsVersion)
+		} else {
+			t.Errorf("the tables moved (digest %s) but sweep.ResultsVersion is still %q, pinned to %s: bump it and add the new digest", got, sweep.ResultsVersion, want)
 		}
 	}
 }

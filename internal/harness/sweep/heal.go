@@ -43,6 +43,14 @@ type healInfo struct {
 	quarantine bool    // retry budget exhausted (only when Retries > 0)
 }
 
+// The retry backoff starts at backoffBase and doubles per attempt up to
+// backoffCap. Its jitter is drawn from a pure hash of (Config.Seed, cell key,
+// attempt), so a sweep's retry schedule is deterministic for a given seed.
+const (
+	backoffBase = 5 * time.Millisecond
+	backoffCap  = 250 * time.Millisecond
+)
+
 // workerCrash is the panic payload of an injected worker crash; the
 // supervisor in Prewarm recognises it and restarts the worker.
 type workerCrash struct{}
@@ -68,7 +76,7 @@ func (s *Scheduler) compute(j job) (outcome, healInfo) {
 		}
 		s.progressf("sweep: cell %s attempt %d/%d failed: %s (retrying)",
 			j.Label(), a+1, 1+s.cfg.Retries, firstLine(o.err.Error()))
-		time.Sleep(chaos.Backoff(s.cfg.Seed, j.key, a, s.cfg.RetryBackoff, s.cfg.RetryBackoffCap))
+		time.Sleep(chaos.Backoff(s.cfg.Seed, j.key, a, backoffBase, backoffCap))
 		s.count[cellsRetried].Inc()
 	}
 }

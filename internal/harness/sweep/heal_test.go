@@ -88,7 +88,6 @@ func TestChaosSoakPerClassRecovery(t *testing.T) {
 			in := chaos.New(cfg)
 			s := New(Config{
 				Jobs: 2, Retries: 2, Seed: 7, Faults: in,
-				RetryBackoff: time.Millisecond, RetryBackoffCap: 8 * time.Millisecond,
 			})
 			sum := s.Prewarm(cells)
 			if sum.Failed != 0 {
@@ -121,7 +120,6 @@ func TestChaosQuarantineRecovers(t *testing.T) {
 		cfg.Rates[chaos.CellPanic] = 1
 		s := New(Config{
 			Jobs: 2, Retries: 1, Seed: 11, Faults: chaos.New(cfg),
-			RetryBackoff: time.Millisecond, RetryBackoffCap: 4 * time.Millisecond,
 		})
 		return s.Prewarm(cells), s
 	}
@@ -150,7 +148,6 @@ func TestChaosStallTimesOutAndRecovers(t *testing.T) {
 	in := chaos.New(cfg)
 	s := New(Config{
 		Jobs: 2, Timeout: 100 * time.Millisecond, Retries: 1, Faults: in,
-		RetryBackoff: time.Millisecond, RetryBackoffCap: 4 * time.Millisecond,
 	})
 	cells := testCells()
 	sum := s.Prewarm(cells)
@@ -179,7 +176,6 @@ func TestChaosCacheCorruptionDetectedAndRecovered(t *testing.T) {
 		in := chaos.New(cfg)
 		s := New(Config{
 			Jobs: 2, Cache: store, Resume: true, Retries: 1, Faults: in,
-			RetryBackoff: time.Millisecond, RetryBackoffCap: 4 * time.Millisecond,
 		})
 		return s, in
 	}
@@ -233,7 +229,6 @@ func TestChaosSoakFullMixByteIdentical(t *testing.T) {
 			mk := func(in *chaos.Injector) *Scheduler {
 				return New(Config{
 					Jobs: 2, Cache: store, Resume: true, Retries: 2, Seed: 1001, Faults: in, Timeout: tc.timeout,
-					RetryBackoff: time.Millisecond, RetryBackoffCap: 8 * time.Millisecond,
 				})
 			}
 			in1 := chaos.New(chaos.DefaultConfig(1001))
@@ -330,7 +325,6 @@ func TestQuarantineDoesNotStarvePool(t *testing.T) {
 	cells := testCells() // 2 ssca2 cells (always fail), 2 kmeans-low (succeed)
 	s := New(Config{
 		Jobs: 3, Retries: 2,
-		RetryBackoff: time.Millisecond, RetryBackoffCap: 4 * time.Millisecond,
 	})
 	sum := s.Prewarm(cells)
 	if sum.Cells != len(cells) || sum.Computed != len(cells) {

@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-	"time"
 
 	"htmcmp/internal/adapt"
 	"htmcmp/internal/cache"
@@ -126,8 +125,7 @@ func TestRegistryAgreesWithSummaryAndEngineStats(t *testing.T) {
 			}
 			s := New(Config{
 				Jobs: 2, Cache: store, Resume: true, Retries: tc.retries, Seed: 7,
-				Faults:       chaos.New(chaos.Config{Seed: 3, Rates: tc.rates, Persist: tc.persist}),
-				RetryBackoff: time.Millisecond, RetryBackoffCap: 4 * time.Millisecond,
+				Faults: chaos.New(chaos.Config{Seed: 3, Rates: tc.rates, Persist: tc.persist}),
 			})
 
 			// Two passes on one scheduler, half the cells each: every pass

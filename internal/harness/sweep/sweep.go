@@ -125,8 +125,8 @@ func (c Cell) Label() string {
 
 // record is the on-disk cache payload: the cell (for human debugging of the
 // cache directory) plus its result. Seconds is the wall-clock compute time
-// of the cell when it was produced; resumed sweeps feed it to the duration
-// estimator so cache-heavy reruns still schedule and predict accurately.
+// of the cell when it was produced, the only per-cell host-time record; the
+// sweep itself never reads it back.
 type record struct {
 	Cell      Cell             `json:"cell"`
 	Result    *harness.Result  `json:"result,omitempty"`
@@ -147,7 +147,7 @@ type outcome struct {
 // state (resume manifests, torn-record repros) from coupling identity to
 // runtime attachments. The frozen fields predate the lint.
 //
-//htmlint:cachekey frozen=Jobs,Resume,Timeout,TraceDir,Retries,RetryBackoff,RetryBackoffCap,Seed
+//htmlint:cachekey frozen=Jobs,Resume,Timeout,TraceDir,Retries,Seed
 type Config struct {
 	// Jobs is the worker-pool size; <= 0 means GOMAXPROCS.
 	Jobs int
@@ -174,12 +174,6 @@ type Config struct {
 	// final serial retry. 0 disables self-healing entirely — a failed cell
 	// is final, the pre-chaos behaviour the failure-path tests pin.
 	Retries int
-	// RetryBackoff is the base of the retry backoff (default 5ms);
-	// RetryBackoffCap caps the exponential doubling (default 250ms). The
-	// jitter is drawn from a pure hash of (Seed, cell key, attempt), so a
-	// sweep's retry schedule is deterministic for a given seed.
-	RetryBackoff    time.Duration
-	RetryBackoffCap time.Duration
 	// Seed drives the deterministic retry jitter (and fault-injection
 	// affliction decisions when Faults is set). It never affects results —
 	// only scheduling.
@@ -251,7 +245,6 @@ type Scheduler struct {
 	requests // served by obtain
 
 	cfg Config
-	est *estimator
 	reg *obs.Registry
 
 	// The scheduler's registry handles. Every cell outcome is counted by one
@@ -267,11 +260,13 @@ type Scheduler struct {
 
 	// The current Prewarm pass (guarded by mu). The counters run for the
 	// scheduler's lifetime; base is their reading at the top of the pass,
-	// and a per-pass figure is the advance since then (inPass).
-	total   int
-	workers int
-	start   time.Time
-	base    [numTallies]uint64
+	// and a per-pass figure is the advance since then (inPass). The weights
+	// are cellPrior sums over the pass's pooled cells, for the ETA.
+	total       int
+	start       time.Time
+	base        [numTallies]uint64
+	totalWeight float64
+	doneWeight  float64
 
 	// self-healing state (heal.go; guarded by mu)
 	quarantine []job           // cells awaiting the serial retry pass
@@ -314,7 +309,7 @@ func New(cfg Config) *Scheduler {
 		cfg.Retries = 0
 	}
 	s := &Scheduler{
-		cfg: cfg, memo: map[string]outcome{}, est: newEstimator(), reg: obs.NewRegistry(),
+		cfg: cfg, memo: map[string]outcome{}, reg: obs.NewRegistry(),
 		disrupted: map[string]bool{}, crashed: map[string]bool{},
 	}
 	s.requests.get = s.request
@@ -511,10 +506,6 @@ func (s *Scheduler) lookup(j job) (o outcome, ok bool) {
 	default:
 		return outcome{}, false // wrong shape: treat as corrupt → recompute
 	}
-	// The record remembers how long this cell took to compute; train the
-	// estimator so the queue order and the ETA stay accurate on cache-heavy
-	// resumes.
-	s.est.observe(j.Cell, rec.Seconds)
 	return o, true
 }
 
@@ -523,9 +514,6 @@ func (s *Scheduler) lookup(j job) (o outcome, ok bool) {
 // well, by how it ended. All of it happens under mu, so the progress line
 // sees each cell exactly once, in order.
 func (s *Scheduler) account(j job, o outcome, fromPool bool, route tally, ended ...tally) outcome {
-	if fromPool {
-		s.est.cellDone(j.Cell)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.memo[j.key] = o
@@ -535,20 +523,20 @@ func (s *Scheduler) account(j job, o outcome, fromPool bool, route tally, ended 
 		s.count[t].Inc()
 	}
 	if fromPool {
+		s.doneWeight += cellPrior(j.Cell)
 		s.emitProgressLocked(j.Cell, route == cellsCached)
 	}
 	return o
 }
 
-// landed banks a successfully computed cell: the estimator learns its
-// duration, the registry receives its engine and runtime counts — here and
-// nowhere else, so a cache hit publishes nothing and a warm sweep does not
-// look like an abort storm — and the record goes to the cache. recovered
-// marks a cell that needed a retry or the quarantine pass; a cell whose key
-// was disrupted (worker crash, cache eviction) counts as recovered too. It
-// reports whether a cache record was written.
+// landed banks a successfully computed cell: the registry receives its
+// engine and runtime counts — here and nowhere else, so a cache hit
+// publishes nothing and a warm sweep does not look like an abort storm —
+// and the record goes to the cache. recovered marks a cell that needed a
+// retry or the quarantine pass; a cell whose key was disrupted (worker
+// crash, cache eviction) counts as recovered too. It reports whether a
+// cache record was written.
 func (s *Scheduler) landed(j job, o outcome, seconds float64, recovered bool) (stored bool) {
-	s.est.observe(j.Cell, seconds)
 	if recovered || s.takeDisrupted(j.key) {
 		s.count[cellsRecovered].Inc()
 	}
@@ -572,22 +560,16 @@ func (s *Scheduler) landed(j job, o outcome, seconds float64, recovered bool) (s
 	return true
 }
 
-// etaSecondsLocked estimates the remaining wall-clock seconds of the current
-// Prewarm pass (callers hold mu); ok is false until the estimator has a real
-// duration to calibrate against.
-func (s *Scheduler) etaSecondsLocked() (float64, bool) {
-	done := s.inPass(cellsDone)
-	if done == 0 || done >= s.total || !s.est.calibrated() {
+// etaLocked estimates the rest of the current Prewarm pass (callers hold
+// mu): the wall time so far, scaled by the prior weight still pending over
+// the prior weight finished. The prior is tuned to order the queue, not to
+// predict seconds, so the figure is rough. ok is false before the first
+// cell and after the last.
+func (s *Scheduler) etaLocked(now time.Time) (time.Duration, bool) {
+	if s.inPass(cellsDone) >= s.total || s.doneWeight <= 0 {
 		return 0, false
 	}
-	remaining := s.est.remainingSeconds()
-	if workers := s.workers; workers > 1 {
-		remaining /= float64(workers)
-	}
-	// Remaining cells that will be cache hits are discounted by the pass's
-	// observed compute ratio.
-	remaining *= float64(s.inPass(cellsComputed)) / float64(done)
-	return remaining, true
+	return time.Duration(float64(now.Sub(s.start)) * (s.totalWeight - s.doneWeight) / s.doneWeight), true
 }
 
 // emitProgressLocked prints a live progress/ETA line; callers hold mu. Lines
@@ -614,14 +596,7 @@ func (s *Scheduler) emitProgressLocked(c Cell, cached bool) {
 	field("retried", cellsRetried)
 	field("quarantined", cellsQuarantined)
 	field("recovered", cellsRecovered)
-	// ETA = per-class EWMA durations weighted by the remaining planned
-	// work, divided across the worker pool. The old global-mean estimate
-	// was wildly optimistic early on: cheap ssca2 cells finish first and
-	// dragged the mean far below what the pending labyrinth cells cost.
-	// Until a real duration exists (estimates are in prior units) no ETA is
-	// shown.
-	if remaining, ok := s.etaSecondsLocked(); ok {
-		eta := time.Duration(remaining * float64(time.Second))
+	if eta, ok := s.etaLocked(now); ok {
 		line += fmt.Sprintf(" eta=%s", eta.Round(time.Second))
 	}
 	// The engine counters also feed the line, so a watcher sees the
@@ -673,26 +648,25 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 		jobs = 1
 	}
 
-	// Seed the duration estimator with any persisted history, register this
-	// pass's cells for remaining-work ETA accounting, and queue them
-	// longest-expected-first (queue.go).
-	s.est.load(s.cfg.Cache)
-	s.est.beginPlan(unique)
-	ests := make([]float64, len(unique))
+	// Queue the cells longest-expected-first by their static prior
+	// (queue.go); the same weights measure the pass's progress for the ETA.
+	priors := make([]float64, len(unique))
+	var weight float64
 	for i, j := range unique {
-		ests[i] = s.est.estimate(j.Cell)
+		priors[i] = cellPrior(j.Cell)
+		weight += priors[i]
 	}
-	q := newQueue(unique, ests)
+	q := newQueue(unique, priors)
 
 	s.mu.Lock()
 	s.total = len(unique)
 	for t := range s.base {
 		s.base[t] = s.count[t].Value()
 	}
+	s.totalWeight, s.doneWeight = weight, 0
 	s.quarantine = nil
 	s.disrupted = map[string]bool{}
 	s.crashed = map[string]bool{}
-	s.workers = jobs
 	s.start = time.Now()
 	s.mu.Unlock()
 
@@ -711,7 +685,6 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 	}
 	wg.Wait()
 	s.retryQuarantined()
-	s.est.save(s.cfg.Cache)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

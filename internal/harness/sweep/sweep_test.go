@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -124,6 +126,51 @@ func TestCacheHitAndCorruptEntry(t *testing.T) {
 	}
 }
 
+// TestWarmPassWritesNothing: an all-hit Prewarm only reads the cache. The
+// directory holds the same files with the same bytes after it as before.
+func TestWarmPassWritesNothing(t *testing.T) {
+	setRunCellHook(t, func(Cell) (harness.Result, trace.Footprint, error) {
+		return harness.Result{ParSeconds: 1.5}, trace.Footprint{}, nil
+	})
+	dir := t.TempDir()
+	store, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() map[string]string {
+		files := map[string]string{}
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			files[path] = string(data)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	cells := testCells()
+	if sum := New(Config{Jobs: 2, Cache: store, Resume: true}).Prewarm(cells); sum.Computed != len(cells) {
+		t.Fatalf("cold summary = %s", sum)
+	}
+	before := snapshot()
+	if sum := New(Config{Jobs: 2, Cache: store, Resume: true}).Prewarm(cells); sum.Cached != len(cells) {
+		t.Fatalf("warm summary = %s, want every cell loaded", sum)
+	}
+	after := snapshot()
+	for path, data := range after {
+		if old, ok := before[path]; !ok || old != data {
+			t.Errorf("the warm pass wrote %s", path)
+		}
+	}
+	if len(after) != len(before) {
+		t.Errorf("the warm pass changed the file count: %d before, %d after", len(before), len(after))
+	}
+}
+
 // TestResumeAfterInterrupt models an interrupted sweep: only a prefix of the
 // cells completed (and was cached); a fresh scheduler finishes the rest,
 // loading the completed ones.
@@ -206,7 +253,7 @@ func TestThreadPanicFailsItsCell(t *testing.T) {
 		Scale: stamp.ScaleTest, Seed: 42, Repeats: 1, SpaceSize: 104 << 10,
 	}}
 	cells := append(testCells(), bad)
-	s := New(Config{Jobs: 2, Retries: 1, RetryBackoff: time.Millisecond, RetryBackoffCap: time.Millisecond})
+	s := New(Config{Jobs: 2, Retries: 1})
 	sum := s.Prewarm(cells)
 	if sum.Cells != len(cells) || sum.Failed != 1 || sum.Retried != 1 || sum.Quarantined != 1 {
 		t.Fatalf("summary = %s, want %d cells, one of them failed after a retry and the quarantine pass", sum, len(cells))
