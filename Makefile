@@ -225,16 +225,16 @@ cover:
 
 # results-sim regenerates the checked-in sim-scale results file. Run after
 # any change that intentionally shifts measured numbers, and commit the
-# result; the nightly workflow diffs against it.
+# result; CI's results-sim-diff job diffs against it.
 results-sim: build
 	./$(BIN)/htmbench -exp all -scale sim -repeats 2 -jobs $(JOBS) > results_sim.txt
 	@echo "results-sim: rewrote results_sim.txt"
 
-# results-sim-diff is the nightly drift gate: regenerate the sim-scale
-# results into $(SMOKE) (reusing the content-addressed .htmcache, so an
-# unchanged simulator costs almost nothing: every printed number is a cached
-# cell, and a warm run is ~0.03 s of htmbench) and fail on any difference
-# from the checked-in file, leaving the diff behind for artifact upload.
+# results-sim-diff is the drift gate CI runs on every push and PR:
+# regenerate the sim-scale results into $(SMOKE) and fail on any difference
+# from the checked-in file, leaving the diff behind for artifact upload. CI
+# runs it cold (about 25 s); locally it reuses the content-addressed
+# .htmcache, where a warm run is ~0.03 s of htmbench.
 results-sim-diff: build
 	mkdir -p $(SMOKE)
 	./$(BIN)/htmbench -exp all -scale sim -repeats 2 -jobs $(JOBS) \

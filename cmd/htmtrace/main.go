@@ -47,6 +47,11 @@ func main() {
 	checkTrace := flag.String("check-trace", "", "validate a Chrome trace file and exit (CI hook)")
 	flag.Parse()
 
+	// Usage errors exit 2 here, before any engine exists.
+	if err := checkFlags(*threads, *top); err != nil {
+		fmt.Fprintln(os.Stderr, "htmtrace:", err)
+		os.Exit(2)
+	}
 	if *checkEvents != "" || *checkTrace != "" {
 		os.Exit(runChecks(*checkEvents, *checkTrace, os.Stdout, os.Stderr))
 	}
@@ -83,6 +88,18 @@ func main() {
 		fp.P90StoreKB, spec.StoreCapacity/1024, overMark(fp.ExceedsStoreCap))
 	fmt.Printf("  max load footprint:     %8.2f KB\n", fp.MaxLoadKB)
 	fmt.Printf("  max store footprint:    %8.2f KB\n", fp.MaxStoreKB)
+}
+
+// checkFlags rejects a -threads the engine cannot provision (below 1 used to
+// run as 1) and a -top below 1 (the report would substitute its default).
+func checkFlags(threads, top int) error {
+	if threads < 1 || threads > htm.MaxThreads {
+		return fmt.Errorf("-threads must be in [1, %d], got %d", htm.MaxThreads, threads)
+	}
+	if top < 1 {
+		return fmt.Errorf("-top must be 1 or more, got %d", top)
+	}
+	return nil
 }
 
 func overMark(over bool) string {
@@ -125,10 +142,7 @@ func runChecks(eventsPath, tracePath string, out, errw *os.File) int {
 // abort-attribution report; jsonlPath/perfettoPath additionally export the
 // raw events.
 func runEvents(kind platform.Kind, bench string, scale stamp.Scale, seed uint64, threads, top int, jsonlPath, perfettoPath string) error {
-	if threads < 1 {
-		threads = 1
-	}
-	tracer := obs.NewTracer(threads, obs.DefaultRingEvents)
+	tracer := obs.NewTracer()
 	e := htm.New(platform.New(kind), htm.Config{
 		Threads: threads, SpaceSize: 96 << 20, Seed: seed, CostScale: 1,
 		Tracer: tracer,

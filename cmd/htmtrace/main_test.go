@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"htmcmp/internal/htm"
 	"htmcmp/internal/obs"
 	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
@@ -105,6 +110,63 @@ func TestRunChecks(t *testing.T) {
 	for _, c := range cases {
 		if got := runChecks(c.events, c.trace, null, null); got != c.want {
 			t.Errorf("runChecks(%q, %q) = %d, want %d", c.events, c.trace, got, c.want)
+		}
+	}
+}
+
+// TestCheckFlags: -threads outside [1, htm.MaxThreads] and -top below 1 are
+// usage errors that name the flag. -threads -2 used to run one thread,
+// -threads 300 to panic in the engine, and -top -1 to print 15 lines.
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		threads, top int
+		want         string
+	}{
+		{1, 1, ""}, {4, 10, ""}, {htm.MaxThreads, 1, ""},
+		{0, 10, "-threads"}, {-2, 10, "-threads"}, {htm.MaxThreads + 1, 10, "-threads"},
+		{4, 0, "-top"}, {4, -1, "-top"},
+	} {
+		err := checkFlags(tc.threads, tc.top)
+		if (err == nil) != (tc.want == "") || err != nil && !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("checkFlags(%d, %d) = %v, want an error naming %q", tc.threads, tc.top, err, tc.want)
+		}
+	}
+}
+
+// TestMain doubles as the htmtrace binary: with HTMTRACE_TEST_MAIN set, it
+// runs main with its arguments as the flags.
+func TestMain(m *testing.M) {
+	if os.Getenv("HTMTRACE_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUsageErrorsExitBeforeSideEffects: a flag value htmtrace cannot use is
+// one htmtrace: line on stderr and exit status 2 with nothing on stdout,
+// before any engine is built.
+func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
+	for _, args := range [][]string{
+		{"-threads", "300", "-events"},
+		{"-threads", "-2"},
+		{"-top", "-1", "-events"},
+		{"-top", "0"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "HTMTRACE_TEST_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("htmtrace %v: %v, want exit status 2\nstderr: %s", args, err, stderr.String())
+		}
+		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "htmtrace: "+args[0]) {
+			t.Errorf("htmtrace %v: stderr %q, want one htmtrace: line naming %s", args, msg, args[0])
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("htmtrace %v printed to stdout: %q", args, stdout.String())
 		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"htmcmp/internal/cache"
 	"htmcmp/internal/harness"
 	"htmcmp/internal/harness/sweep"
+	"htmcmp/internal/htm"
 	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
 	"htmcmp/internal/tm"
@@ -265,7 +266,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "htmtune:", err)
 		os.Exit(2)
 	}
-	if err := checkCounts(*repeats, *jobs); err != nil {
+	if err := checkCounts(*repeats, *jobs, *threads, *rounds); err != nil {
 		fmt.Fprintln(os.Stderr, "htmtune:", err)
 		os.Exit(2)
 	}
@@ -337,14 +338,21 @@ func main() {
 	}
 }
 
-// checkCounts rejects a -repeats or -jobs below 1, for which the harness and
-// the sweep would silently substitute their defaults.
-func checkCounts(repeats, jobs int) error {
+// checkCounts rejects a -repeats, -jobs or -threads below 1, for which the
+// harness and the sweep would silently substitute their defaults, a -threads
+// the engine cannot provision, and a negative -rounds, which would run as 0.
+func checkCounts(repeats, jobs, threads, rounds int) error {
 	if repeats < 1 {
 		return fmt.Errorf("-repeats must be 1 or more, got %d", repeats)
 	}
 	if jobs < 1 {
 		return fmt.Errorf("-jobs must be 1 or more, got %d", jobs)
+	}
+	if threads < 1 || threads > htm.MaxThreads {
+		return fmt.Errorf("-threads must be in [1, %d], got %d", htm.MaxThreads, threads)
+	}
+	if rounds < 0 {
+		return fmt.Errorf("-rounds must be 0 or more, got %d", rounds)
 	}
 	return nil
 }

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"htmcmp/internal/harness"
+	"htmcmp/internal/htm"
 	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
 	"htmcmp/internal/tm"
@@ -55,28 +60,73 @@ func TestParseScale(t *testing.T) {
 	}
 }
 
-// TestCheckCounts: -repeats and -jobs below 1 are usage errors that name the
-// flag, not a silent fall back to the default.
+// TestCheckCounts: -repeats, -jobs and -threads below 1, -threads above the
+// engine's maximum and a negative -rounds are usage errors that name the
+// flag, not a silent fall back to the default or a panic inside a cell.
 func TestCheckCounts(t *testing.T) {
 	for _, tc := range []struct {
-		repeats, jobs int
-		want          string
+		repeats, jobs, threads, rounds int
+		want                           string
 	}{
-		{1, 1, ""}, {2, 8, ""},
-		{0, 1, "-repeats"}, {-1, 1, "-repeats"},
-		{1, 0, "-jobs"}, {1, -3, "-jobs"},
+		{1, 1, 1, 0, ""}, {2, 8, 4, 2, ""}, {1, 1, htm.MaxThreads, 1, ""},
+		{0, 1, 4, 2, "-repeats"}, {-1, 1, 4, 2, "-repeats"},
+		{1, 0, 4, 2, "-jobs"}, {1, -3, 4, 2, "-jobs"},
+		{1, 1, 0, 2, "-threads"}, {1, 1, -2, 2, "-threads"}, {1, 1, htm.MaxThreads + 1, 2, "-threads"},
+		{1, 1, 4, -1, "-rounds"},
 	} {
-		err := checkCounts(tc.repeats, tc.jobs)
+		err := checkCounts(tc.repeats, tc.jobs, tc.threads, tc.rounds)
 		if (err == nil) != (tc.want == "") || err != nil && !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("checkCounts(%d, %d) = %v, want an error naming %q", tc.repeats, tc.jobs, err, tc.want)
+			t.Errorf("checkCounts(%d, %d, %d, %d) = %v, want an error naming %q",
+				tc.repeats, tc.jobs, tc.threads, tc.rounds, err, tc.want)
 		}
 	}
 }
 
-// TestSearchSpace pins the coarse lattice's shape: every candidate is
-// distinct, Blue Gene/Q crosses retries with the running mode, the other
-// platforms vary all three counters, and genome doubles the lattice with its
-// chunk values.
+// TestMain doubles as the htmtune binary: with HTMTUNE_TEST_MAIN set, it
+// runs main with its arguments as the flags.
+func TestMain(m *testing.M) {
+	if os.Getenv("HTMTUNE_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUsageErrorsExitBeforeSideEffects: a flag value htmtune cannot use is
+// one htmtune: line on stderr and exit status 2, with nothing on stdout and
+// no cache directory created. -threads 300 used to panic inside a sweep
+// cell, -threads 0 to print "with 0 threads" and measure 4.
+func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
+	for _, args := range [][]string{
+		{"-threads", "0"},
+		{"-threads", "300"},
+		{"-rounds", "-1"},
+		{"-repeats", "0"},
+		{"-jobs", "0"},
+	} {
+		dir := t.TempDir()
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Dir = dir
+		cmd.Env = append(os.Environ(), "HTMTUNE_TEST_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("htmtune %v: %v, want exit status 2\nstderr: %s", args, err, stderr.String())
+		}
+		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "htmtune: "+args[0]) {
+			t.Errorf("htmtune %v: stderr %q, want one htmtune: line naming %s", args, msg, args[0])
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("htmtune %v printed to stdout: %q", args, stdout.String())
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("htmtune %v left %d entries behind, first %s", args, len(left), left[0].Name())
+		}
+	}
+}
+
 func TestSearchSpace(t *testing.T) {
 	for _, k := range platform.Kinds() {
 		cands := searchSpace(k, "vacation-low")

@@ -238,7 +238,7 @@ func (s RunSpec) runParOnce(seed uint64, rep int) (float64, tm.Stats, htm.Stats,
 	cfg := s.engineConfig(s.Threads, seed)
 	cfg.Faults = s.Faults
 	if s.TraceDir != "" {
-		cfg.Tracer = obs.NewTracer(s.Threads, obs.DefaultRingEvents)
+		cfg.Tracer = obs.NewTracer()
 	}
 	e := htm.New(s.platformSpec(), cfg)
 	b.Setup(e.Thread(0))
@@ -276,8 +276,7 @@ func (s RunSpec) runParOnce(seed uint64, rep int) (float64, tm.Stats, htm.Stats,
 		agg.Add(&x.Stats)
 	}
 	if tracer := cfg.Tracer; tracer != nil {
-		if err := obs.WriteJSONLStreamFile(filepath.Join(s.TraceDir, s.traceName(rep)),
-			obs.HeaderFor(tracer), tracer.Events()); err != nil {
+		if err := obs.WriteJSONLFile(filepath.Join(s.TraceDir, s.traceName(rep)), tracer.Events()); err != nil {
 			return 0, tm.Stats{}, htm.Stats{}, err
 		}
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -194,6 +195,51 @@ func TestRunWritesTraceFiles(t *testing.T) {
 	// Each begin and each commit is one event; aborts add more.
 	if want := int(res.Engine.Begins + res.Engine.Commits); total < want {
 		t.Errorf("trace files hold %d events, want >= %d (begins+commits)", total, want)
+	}
+}
+
+// TestTraceDirEventsMatchEngineStats: the event log drops nothing, so the
+// per-repeat files of a traced cell hold exactly the begins, commits and
+// aborts the engine counted over the same repeats.
+func TestTraceDirEventsMatchEngineStats(t *testing.T) {
+	dir := t.TempDir()
+	spec := RunSpec{
+		Platform:  platform.IntelCore,
+		Benchmark: "intruder",
+		Threads:   4,
+		Scale:     stamp.ScaleTest,
+		Repeats:   2,
+		TraceDir:  dir,
+	}
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]uint64{}
+	for rep := 0; rep < spec.Repeats; rep++ {
+		path := filepath.Join(dir, spec.withDefaults().traceName(rep))
+		if _, err := obs.ValidateFile(path); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			var ev struct{ Kind string }
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatal(err)
+			}
+			kinds[ev.Kind]++
+		}
+	}
+	st := res.Engine
+	if st.Aborts == 0 {
+		t.Fatal("no aborts: the cell does not exercise the abort events")
+	}
+	if kinds["begin"] != st.Begins || kinds["commit"] != st.Commits || kinds["abort"] != st.Aborts {
+		t.Errorf("trace files hold begins/commits/aborts %d/%d/%d, engine stats %d/%d/%d",
+			kinds["begin"], kinds["commit"], kinds["abort"], st.Begins, st.Commits, st.Aborts)
 	}
 }
 

@@ -49,10 +49,10 @@ func init() {
 	obs.SetReasonNamer(func(code uint8) string { return Reason(code).String() })
 }
 
-// maxThreads is the maximum number of Threads per Engine, bounded by the
+// MaxThreads is the maximum number of Threads per Engine, bounded by the
 // 256-bit reader sets in the line table. The largest paper configuration is
 // 64 hardware threads (Blue Gene/Q).
-const maxThreads = 256
+const MaxThreads = 256
 
 const (
 	statusIdle int32 = iota
@@ -70,7 +70,7 @@ const (
 type lineRec struct {
 	writer  int32
 	epoch   uint32
-	readers [maxThreads / 64]uint64
+	readers [MaxThreads / 64]uint64
 }
 
 func (l *lineRec) setReader(slot int)   { l.readers[slot>>6] |= 1 << (uint(slot) & 63) }
@@ -124,20 +124,15 @@ type Config struct {
 	// measured transaction sizes with an external tool unconstrained by
 	// any processor's real capacity.
 	UnboundedCapacity bool
-	// FootprintSampler, when set, receives every committed hardware
-	// transaction's footprint in distinct conflict-detection lines
-	// (prefetched lines excluded). NOrec commits are not sampled: their
-	// logs count words, not lines, and nothing samples an STM run. It runs
-	// on the committing thread; internal/trace uses it to collect the
-	// Figure 10/11 transaction-size distributions.
-	FootprintSampler func(readLines, writeLines int)
-	// Tracer, when set, receives one obs.Event per transaction boundary
-	// (begin/commit/abort) in each thread's lock-free ring. Disabled (nil)
-	// it costs one nil check per boundary and nothing on the per-access
-	// path; enabled it never advances virtual time, so simulated results
-	// are identical traced and untraced (pinned by internal/tm's golden
-	// determinism test). Threads whose slot exceeds Tracer.Threads() record
-	// nothing.
+	// Tracer, when set, is the event log every thread appends one obs.Event
+	// to per transaction boundary (begin/commit/abort). Disabled (nil) it
+	// costs one nil check per boundary and nothing on the per-access path;
+	// enabled it never advances virtual time, so simulated results are
+	// identical traced and untraced (pinned by internal/tm's golden
+	// determinism test). Only hardware commits emit a commit event, carrying
+	// the footprint in distinct conflict-detection lines (prefetched lines
+	// excluded): internal/trace reads the Figure 10/11 transaction-size
+	// distributions from them.
 	Tracer *obs.Tracer
 	// Witness, when set, records the commit-order witness log consumed by
 	// the verify.Replay serializability oracle: each committed
@@ -233,8 +228,8 @@ type Engine struct {
 // thread contexts; index them with Thread(i).
 func New(spec *platform.Spec, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	if cfg.Threads > maxThreads {
-		panic(fmt.Sprintf("htm: %d threads exceeds engine maximum %d", cfg.Threads, maxThreads))
+	if cfg.Threads > MaxThreads {
+		panic(fmt.Sprintf("htm: %d threads exceeds engine maximum %d", cfg.Threads, MaxThreads))
 	}
 	space := cfg.Space
 	switch {

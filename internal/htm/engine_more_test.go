@@ -3,6 +3,7 @@ package htm
 import (
 	"testing"
 
+	"htmcmp/internal/obs"
 	"htmcmp/internal/platform"
 )
 
@@ -65,11 +66,14 @@ func TestStatsAggregationAndRatios(t *testing.T) {
 	}
 }
 
-func TestFootprintSamplerReceivesCommits(t *testing.T) {
-	var samples [][2]int
+// TestCommitEventsCarryFootprint: every committed hardware transaction
+// emits one commit event carrying its footprint in distinct lines; an
+// aborted one emits none (internal/trace's Figures 10/11 read these).
+func TestCommitEventsCarryFootprint(t *testing.T) {
+	tr := obs.NewTracer()
 	e := New(platform.New(platform.IntelCore), Config{
 		Threads: 1, SpaceSize: 1 << 20, CostScale: 0, DisablePrefetch: true,
-		FootprintSampler: func(r, w int) { samples = append(samples, [2]int{r, w}) },
+		Tracer: tr,
 	})
 	th := e.Thread(0)
 	a := th.Alloc(8 * e.LineSize())
@@ -79,12 +83,18 @@ func TestFootprintSamplerReceivesCommits(t *testing.T) {
 		}
 		th.Store64(a+uint64(5*e.LineSize()), 1)
 	})
-	th.TryTx(TxNormal, func() { th.Abort() }) // aborted: not sampled
-	if len(samples) != 1 {
-		t.Fatalf("sampled %d transactions, want 1", len(samples))
+	th.TryTx(TxNormal, func() { th.Abort() }) // aborted: no commit event
+	var samples [][2]uint32
+	for _, ev := range tr.Events() {
+		if ev.Kind == obs.KindCommit {
+			samples = append(samples, [2]uint32{ev.ReadLines, ev.WriteLines})
+		}
 	}
-	if samples[0] != [2]int{3, 1} {
-		t.Errorf("sample = %v, want [3 1]", samples[0])
+	if len(samples) != 1 {
+		t.Fatalf("%d commit events, want 1", len(samples))
+	}
+	if samples[0] != [2]uint32{3, 1} {
+		t.Errorf("commit footprint = %v, want [3 1]", samples[0])
 	}
 }
 

@@ -35,80 +35,115 @@ func run1(e *htm.Engine, fn func(th *htm.Thread)) {
 	e.Run(1, func(_ int, th *htm.Thread) { fn(th) })
 }
 
-// benchTxLoads runs transactions of `lines` distinct-line loads each on e
-// and reports ns per load.
-func benchTxLoads(b *testing.B, e *htm.Engine, lines int) {
-	run1(e, func(th *htm.Thread) {
-		a := th.Alloc(lines * e.LineSize())
-		stride := uint64(e.LineSize())
-		b.ResetTimer()
-		for i := 0; i < b.N; i += lines {
-			th.TryTx(htm.TxNormal, func() {
-				for j := 0; j < lines; j++ {
-					_ = th.Load64(a + uint64(j)*stride)
-				}
-			})
-		}
-	})
+// tracedChunk bounds how many b.N units (each at most one transaction) run on
+// one traced engine: the event log grows with every transaction, so the
+// traced benchmarks build a fresh engine per chunk to keep memory bounded at
+// any b.N.
+const tracedChunk = 1 << 16
+
+// chunked runs b.N units of op in chunks of at most chunk, each on a fresh
+// engine from mk. Building and releasing engines happens with the timer
+// stopped; op starts and stops it around the measured loop.
+func chunked(b *testing.B, mk func() *htm.Engine, chunk int, op func(e *htm.Engine, n int)) {
+	b.StopTimer()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += chunk {
+		e := mk()
+		op(e, min(chunk, b.N-done))
+		e.Release()
+	}
 }
 
-// benchTxStores runs transactions of `lines` distinct-line stores each on
-// e and reports ns per store.
-func benchTxStores(b *testing.B, e *htm.Engine, lines int) {
-	run1(e, func(th *htm.Thread) {
-		a := th.Alloc(lines * e.LineSize())
-		stride := uint64(e.LineSize())
-		b.ResetTimer()
-		for i := 0; i < b.N; i += lines {
-			th.TryTx(htm.TxNormal, func() {
-				for j := 0; j < lines; j++ {
-					th.Store64(a+uint64(j)*stride, uint64(i+j))
-				}
-			})
-		}
-	})
+// txLoads runs n loads on e as transactions of `lines` distinct-line loads
+// each (ns per load).
+func txLoads(b *testing.B, lines int) func(e *htm.Engine, n int) {
+	return func(e *htm.Engine, n int) {
+		run1(e, func(th *htm.Thread) {
+			a := th.Alloc(lines * e.LineSize())
+			stride := uint64(e.LineSize())
+			b.StartTimer()
+			for i := 0; i < n; i += lines {
+				th.TryTx(htm.TxNormal, func() {
+					for j := 0; j < lines; j++ {
+						_ = th.Load64(a + uint64(j)*stride)
+					}
+				})
+			}
+			b.StopTimer()
+		})
+	}
 }
 
-func BenchmarkHotpathTxLoad8(b *testing.B)   { benchTxLoads(b, hotpathEngine(), 8) }
-func BenchmarkHotpathTxLoad64(b *testing.B)  { benchTxLoads(b, hotpathEngine(), 64) }
-func BenchmarkHotpathTxStore8(b *testing.B)  { benchTxStores(b, hotpathEngine(), 8) }
-func BenchmarkHotpathTxStore64(b *testing.B) { benchTxStores(b, hotpathEngine(), 64) }
+// txStores runs n stores on e as transactions of `lines` distinct-line
+// stores each (ns per store).
+func txStores(b *testing.B, lines int) func(e *htm.Engine, n int) {
+	return func(e *htm.Engine, n int) {
+		run1(e, func(th *htm.Thread) {
+			a := th.Alloc(lines * e.LineSize())
+			stride := uint64(e.LineSize())
+			b.StartTimer()
+			for i := 0; i < n; i += lines {
+				th.TryTx(htm.TxNormal, func() {
+					for j := 0; j < lines; j++ {
+						th.Store64(a+uint64(j)*stride, uint64(i+j))
+					}
+				})
+			}
+			b.StopTimer()
+		})
+	}
+}
+
+// commits runs n minimal read-modify-write transactions on e (one line in
+// the read and write set): begin+commit bookkeeping.
+func commits(b *testing.B) func(e *htm.Engine, n int) {
+	return func(e *htm.Engine, n int) {
+		run1(e, func(th *htm.Thread) {
+			a := th.Alloc(64)
+			b.StartTimer()
+			for i := 0; i < n; i++ {
+				th.TryTx(htm.TxNormal, func() {
+					th.Store64(a, th.Load64(a)+1)
+				})
+			}
+			b.StopTimer()
+		})
+	}
+}
+
+// untraced runs op over all of b.N on one engine; traced runs it on a fresh
+// traced engine every tracedChunk units.
+func untraced(b *testing.B, op func(e *htm.Engine, n int)) { chunked(b, hotpathEngine, b.N, op) }
+func traced(b *testing.B, op func(e *htm.Engine, n int))   { chunked(b, tracedEngine, tracedChunk, op) }
+
+func BenchmarkHotpathTxLoad8(b *testing.B)   { untraced(b, txLoads(b, 8)) }
+func BenchmarkHotpathTxLoad64(b *testing.B)  { untraced(b, txLoads(b, 64)) }
+func BenchmarkHotpathTxStore8(b *testing.B)  { untraced(b, txStores(b, 8)) }
+func BenchmarkHotpathTxStore64(b *testing.B) { untraced(b, txStores(b, 64)) }
 
 // Traced counterparts: same work with an obs tracer attached. Events are
 // recorded only at transaction boundaries, so the per-access numbers should
 // be indistinguishable from the untraced runs; the <2% disabled-path
 // contract is the untraced benchmarks staying on their BENCH_hotpath.json
 // baselines (enforced by cmd/benchjson -gate in CI).
-func BenchmarkHotpathTxLoad8Traced(b *testing.B)  { benchTxLoads(b, tracedEngine(), 8) }
-func BenchmarkHotpathTxStore8Traced(b *testing.B) { benchTxStores(b, tracedEngine(), 8) }
+func BenchmarkHotpathTxLoad8Traced(b *testing.B)  { traced(b, txLoads(b, 8)) }
+func BenchmarkHotpathTxStore8Traced(b *testing.B) { traced(b, txStores(b, 8)) }
 
 func tracedEngine() *htm.Engine {
 	return htm.New(platform.New(platform.IntelCore), htm.Config{
 		Threads: 1, SpaceSize: 1 << 20, Seed: 99,
 		CostScale: 1, DisablePrefetch: true,
-		Tracer: obs.NewTracer(1, obs.DefaultRingEvents),
+		Tracer: obs.NewTracer(),
 	})
 }
 
 // BenchmarkHotpathCommitTraced is BenchmarkHotpathCommit with tracing on:
-// the cost of two ring records (begin + commit) per transaction.
-func BenchmarkHotpathCommitTraced(b *testing.B) { benchCommit(b, tracedEngine()) }
+// the cost of two log appends (begin + commit) per transaction.
+func BenchmarkHotpathCommitTraced(b *testing.B) { traced(b, commits(b)) }
 
 // BenchmarkHotpathCommit measures begin+commit bookkeeping around a minimal
 // read-modify-write transaction (one line in the read and write set).
-func BenchmarkHotpathCommit(b *testing.B) { benchCommit(b, hotpathEngine()) }
-
-func benchCommit(b *testing.B, e *htm.Engine) {
-	run1(e, func(th *htm.Thread) {
-		a := th.Alloc(64)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			th.TryTx(htm.TxNormal, func() {
-				th.Store64(a, th.Load64(a)+1)
-			})
-		}
-	})
-}
+func BenchmarkHotpathCommit(b *testing.B) { untraced(b, commits(b)) }
 
 // BenchmarkHotpathAbort measures the rollback path: each transaction builds
 // a 4-line footprint and explicitly aborts.

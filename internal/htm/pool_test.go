@@ -125,7 +125,7 @@ func recycledEngine(t *testing.T, spec *platform.Spec, cfg Config, tamper func(*
 		lt := a.table
 		dirty := 0
 		for _, r := range lt.recs {
-			if r.epoch == lt.epoch && (r.writer >= 0 || r.readers != [maxThreads / 64]uint64{}) {
+			if r.epoch == lt.epoch && (r.writer >= 0 || r.readers != [MaxThreads / 64]uint64{}) {
 				dirty++
 			}
 		}

@@ -92,7 +92,7 @@ type Thread struct {
 	frees        []mem.Addr
 	stats        Stats
 
-	// Event-tracing state (internal/obs). trace is this slot's ring, nil
+	// Event-tracing state (internal/obs). trace caches cfg.Tracer, nil
 	// when tracing is off — the only thing the disabled path ever checks.
 	// Events are recorded at transaction boundaries exclusively; none of
 	// this is touched on the per-access path. beginClock/retryDepth are
@@ -100,7 +100,7 @@ type Thread struct {
 	// writes (doomTagged) before dooming this thread.
 	// pendingLine/pendingBy ride alongside pendingAbort from the abort site
 	// to rollback's event record.
-	trace      *obs.Ring
+	trace      *obs.Tracer
 	beginClock uint64
 	retryDepth uint16
 	// faults caches this thread's chaos roll stream (cfg.Faults): nil means
@@ -166,6 +166,7 @@ func newThread(e *Engine, slot int) *Thread {
 		core:   e.plat.CoreOf(slot),
 		rng:    e.rngFor(slot),
 		specID: -1,
+		trace:  e.cfg.Tracer,
 
 		quantum:     e.sched.quantum,
 		yieldBudget: e.sched.quantum,
@@ -175,9 +176,6 @@ func newThread(e *Engine, slot int) *Thread {
 		lines:     e.table.recs,
 		epoch:     e.table.epoch,
 		data:      e.space.Data(),
-	}
-	if e.cfg.Tracer != nil {
-		t.trace = e.cfg.Tracer.Ring(slot)
 	}
 	if e.cfg.Faults != nil {
 		t.faults = e.cfg.Faults.Stream(slot)
@@ -482,9 +480,6 @@ func (t *Thread) commit() {
 		}
 		t.rec(line).clearReader(t.slot)
 	}
-	if s := t.eng.cfg.FootprintSampler; s != nil {
-		s(t.readsCounted, t.ws.size())
-	}
 	if t.trace != nil {
 		// Before finishTx resets the access sets: footprints are still live.
 		t.trace.Record(obs.Event{
@@ -584,7 +579,7 @@ func (t *Thread) finishTx() {
 }
 
 // TraceEvent records a runtime-level event (the adaptive runtime's mode
-// switches) into this thread's trace ring, filling in the Thread and VClock
+// switches) into the engine's event log, filling in the Thread and VClock
 // fields. Recording charges no virtual time; a no-op when tracing is off.
 func (t *Thread) TraceEvent(ev obs.Event) {
 	if t.trace == nil {

@@ -10,7 +10,7 @@ import (
 // newTracedEngine is newTestEngine with an obs tracer attached.
 func newTracedEngine(t *testing.T, k platform.Kind, threads int) (*Engine, *obs.Tracer) {
 	t.Helper()
-	tr := obs.NewTracer(threads, 1<<10)
+	tr := obs.NewTracer()
 	e := New(platform.New(k), Config{
 		Threads:                 threads,
 		SpaceSize:               1 << 20,
@@ -125,8 +125,8 @@ func TestTraceAttributesConflictLineAndAborter(t *testing.T) {
 	})
 
 	var abort *obs.Event
-	for _, ev := range tr.Ring(0).Events() {
-		if ev.Kind == obs.KindAbort {
+	for _, ev := range tr.Events() {
+		if ev.Kind == obs.KindAbort && ev.Thread == 0 {
 			cp := ev
 			abort = &cp
 		}
@@ -171,9 +171,6 @@ func TestTraceEventCountsMatchStats(t *testing.T) {
 	if rep.Begins != st.Begins || rep.Commits != st.Commits || rep.Aborts != st.Aborts {
 		t.Fatalf("event counts (b/c/a %d/%d/%d) != stats (%d/%d/%d)",
 			rep.Begins, rep.Commits, rep.Aborts, st.Begins, st.Commits, st.Aborts)
-	}
-	if tr.Dropped() != 0 {
-		t.Fatalf("ring dropped %d events in a small run", tr.Dropped())
 	}
 	if got := setup.Load64(a); got != 200*threads {
 		t.Fatalf("counter = %d, want %d", got, 200*threads)

@@ -12,7 +12,7 @@ import (
 // dominating nil check on the same handle. Keyed by declaring-package
 // path suffix.
 var hookTypes = map[string][]string{
-	"internal/obs":   {"Tracer", "Ring"},
+	"internal/obs":   {"Tracer"},
 	"internal/chaos": {"Injector", "Stream"},
 	"internal/htm":   {"Witness"},
 }

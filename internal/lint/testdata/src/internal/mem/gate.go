@@ -14,7 +14,7 @@ type config struct {
 
 type pool struct {
 	cfg   config
-	trace *obs.Ring
+	trace *obs.Tracer
 }
 
 func (p *pool) alloc(v int) {
@@ -29,7 +29,7 @@ func (p *pool) free(v int) {
 	if p.trace == nil {
 		return
 	}
-	p.trace.Push(v)
+	p.trace.Emit(v)
 }
 
 // observe relies on a short-circuit fact from the left && operand.
@@ -59,10 +59,10 @@ func (p *pool) rebind(t *obs.Tracer) {
 
 // hot documents a caller-side invariant instead of re-checking.
 func (p *pool) hot(v int) {
-	p.trace.Push(v) //htmlint:allow nilgate -- caller guarantees trace != nil on this path
+	p.trace.Emit(v) //htmlint:allow nilgate -- caller guarantees trace != nil on this path
 }
 
 // install writes to the hook field; assignment is a copy, not a deref.
-func (p *pool) install(t *obs.Ring) {
+func (p *pool) install(t *obs.Tracer) {
 	p.trace = t
 }

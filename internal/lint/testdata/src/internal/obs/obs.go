@@ -7,10 +7,6 @@ type Tracer struct{ n int }
 
 func (t *Tracer) Emit(v int) { t.n += v }
 
-type Ring struct{ buf []int }
-
-func (r *Ring) Push(v int) { r.buf = append(r.buf, v) }
-
 // hub dereferences a hook field with no nil check; the provider-package
 // exemption means this is not a finding.
 type hub struct{ t *Tracer }

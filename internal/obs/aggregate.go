@@ -51,9 +51,6 @@ type Report struct {
 	// ModeSwitches counts adaptive-runtime site transitions in the stream
 	// (0 for static-policy runs).
 	ModeSwitches uint64 `json:"mode_switches,omitempty"`
-	// Dropped is how many events the rings overwrote before aggregation
-	// (0 unless the run outgrew the ring capacity).
-	Dropped uint64 `json:"dropped,omitempty"`
 
 	// Reasons is the abort-reason × retry-depth histogram, most frequent
 	// reason first.
@@ -175,9 +172,6 @@ func (r *Report) Fprint(w io.Writer) {
 		fmt.Fprintf(w, ", abort ratio %.1f%%", 100*float64(r.Aborts)/float64(r.Begins))
 	}
 	fmt.Fprint(w, ")\n")
-	if r.Dropped > 0 {
-		fmt.Fprintf(w, "WARNING: %d events dropped (ring overflow); counts below are partial\n", r.Dropped)
-	}
 	if r.ModeSwitches > 0 {
 		fmt.Fprintf(w, "adaptive mode switches: %d\n", r.ModeSwitches)
 	}

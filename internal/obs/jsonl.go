@@ -66,32 +66,6 @@ func toJSON(ev Event) eventJSON {
 	return j
 }
 
-// StreamHeader declares the provenance of a JSONL event stream: how many
-// events follow, how many the producing ring ever recorded, and how many
-// were lost to overwrites. With a header present, Validate cross-checks the
-// actual event count against the declaration, so silent ring truncation is
-// caught at check time instead of read time.
-type StreamHeader struct {
-	Events   uint64 `json:"events"`
-	Recorded uint64 `json:"recorded"`
-	Dropped  uint64 `json:"dropped"`
-}
-
-// headerJSON is the JSONL wire form of a StreamHeader (always line one).
-type headerJSON struct {
-	Kind     string `json:"kind"`
-	Events   uint64 `json:"events"`
-	Recorded uint64 `json:"recorded"`
-	Dropped  uint64 `json:"dropped"`
-}
-
-// HeaderFor builds the stream header matching a quiescent tracer's retained
-// events and ring counters.
-func HeaderFor(t *Tracer) StreamHeader {
-	rec, drop := t.Recorded(), t.Dropped()
-	return StreamHeader{Events: rec - drop, Recorded: rec, Dropped: drop}
-}
-
 // WriteJSONL writes events as JSON Lines: one object per event, schema as
 // validated by ValidateFile.
 func WriteJSONL(w io.Writer, events []Event) error {
@@ -103,41 +77,6 @@ func WriteJSONL(w io.Writer, events []Event) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// WriteJSONLStream writes a header line followed by the events. hdr.Events
-// should equal len(events) — Validate will reject the stream otherwise.
-func WriteJSONLStream(w io.Writer, hdr StreamHeader, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(headerJSON{
-		Kind:     "header",
-		Events:   hdr.Events,
-		Recorded: hdr.Recorded,
-		Dropped:  hdr.Dropped,
-	}); err != nil {
-		return err
-	}
-	for _, ev := range events {
-		if err := enc.Encode(toJSON(ev)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteJSONLStreamFile writes a headered stream to path, creating or
-// truncating it.
-func WriteJSONLStreamFile(path string, hdr StreamHeader, events []Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteJSONLStream(f, hdr, events); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // WriteJSONLFile writes events to path, creating or truncating it.
@@ -156,47 +95,22 @@ func WriteJSONLFile(path string, events []Event) error {
 // Validate checks an event stream in JSONL form against the schema: every
 // line must parse with no unknown fields, kinds and reasons must be
 // well-formed, durations must not exceed the event clock, and each thread's
-// clock must be non-decreasing. An optional header on the first line (kind
-// "header", written by WriteJSONLStream) must declare an event count
-// consistent with its recorded/dropped ring counters and with the events
-// that actually follow. It returns the number of events read.
+// clock must be non-decreasing. It returns the number of events read.
 func Validate(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	count := 0
-	first := true
-	var hdr *headerJSON
 	lastClock := map[uint8]uint64{}
 	for lineNo := 1; sc.Scan(); lineNo++ {
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
 			continue
 		}
-		if first {
-			first = false
-			if h, ok, err := parseHeaderLine(raw); err != nil {
-				return count, fmt.Errorf("line %d: %v", lineNo, err)
-			} else if ok {
-				if h.Recorded < h.Dropped {
-					return count, fmt.Errorf("line %d: header dropped %d exceeds recorded %d",
-						lineNo, h.Dropped, h.Recorded)
-				}
-				if h.Events != h.Recorded-h.Dropped {
-					return count, fmt.Errorf("line %d: header declares %d events but recorded %d - dropped %d = %d",
-						lineNo, h.Events, h.Recorded, h.Dropped, h.Recorded-h.Dropped)
-				}
-				hdr = h
-				continue
-			}
-		}
 		dec := json.NewDecoder(bytes.NewReader(raw))
 		dec.DisallowUnknownFields()
 		var j eventJSON
 		if err := dec.Decode(&j); err != nil {
 			return count, fmt.Errorf("line %d: %v", lineNo, err)
-		}
-		if j.Kind == "header" {
-			return count, fmt.Errorf("line %d: header after the first line", lineNo)
 		}
 		switch j.Kind {
 		case "begin":
@@ -234,31 +148,7 @@ func Validate(r io.Reader) (int, error) {
 		lastClock[j.Thread] = j.VClock
 		count++
 	}
-	if err := sc.Err(); err != nil {
-		return count, err
-	}
-	if hdr != nil && uint64(count) != hdr.Events {
-		return count, fmt.Errorf("header declares %d events but stream holds %d", hdr.Events, count)
-	}
-	return count, nil
-}
-
-// parseHeaderLine strictly decodes raw as a header line; ok reports whether
-// the line is a header at all (a non-header first line is not an error).
-func parseHeaderLine(raw []byte) (*headerJSON, bool, error) {
-	var probe struct {
-		Kind string `json:"kind"`
-	}
-	if json.Unmarshal(raw, &probe) != nil || probe.Kind != "header" {
-		return nil, false, nil
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var h headerJSON
-	if err := dec.Decode(&h); err != nil {
-		return nil, true, fmt.Errorf("malformed header: %v", err)
-	}
-	return &h, true, nil
+	return count, sc.Err()
 }
 
 // ValidateFile is Validate over the file at path. CI uses it to guard the
@@ -274,88 +164,4 @@ func ValidateFile(path string) (int, error) {
 		return n, fmt.Errorf("%s: %w", path, err)
 	}
 	return n, nil
-}
-
-// ReadJSONLFile parses a JSONL event file back into Events (inverse of
-// WriteJSONLFile, for tooling that post-processes saved traces). Reason
-// names resolve back to codes through the registered namer.
-func ReadJSONLFile(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out []Event
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for lineNo := 1; sc.Scan(); lineNo++ {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var j eventJSON
-		if err := json.Unmarshal(raw, &j); err != nil {
-			return nil, fmt.Errorf("%s:%d: %v", path, lineNo, err)
-		}
-		if j.Kind == "header" && out == nil && lineNo == 1 {
-			continue
-		}
-		ev := Event{
-			Thread:     j.Thread,
-			VClock:     j.VClock,
-			Retry:      j.Retry,
-			ReadLines:  j.ReadLines,
-			WriteLines: j.WriteLines,
-			Dur:        j.Dur,
-			Line:       NoLine,
-			Aborter:    NoThread,
-		}
-		switch j.Kind {
-		case "begin":
-			ev.Kind = KindBegin
-		case "commit":
-			ev.Kind = KindCommit
-		case "abort":
-			ev.Kind = KindAbort
-			ev.Reason = reasonCode(j.Reason)
-			if j.Line != nil {
-				ev.Line = *j.Line
-			}
-			if j.Aborter != nil {
-				ev.Aborter = *j.Aborter
-			}
-		case "mode":
-			ev.Kind = KindModeSwitch
-			ev.Reason = modeCode(j.To)
-			ev.Aborter = int16(modeCode(j.From))
-			if j.Site != nil {
-				ev.Line = *j.Site
-			}
-		default:
-			return nil, fmt.Errorf("%s:%d: unknown event kind %q", path, lineNo, j.Kind)
-		}
-		out = append(out, ev)
-	}
-	return out, sc.Err()
-}
-
-// reasonCode inverts ReasonName over the first 256 codes (reason
-// vocabularies are tiny; this is tooling-path only).
-func reasonCode(name string) uint8 {
-	for c := 0; c < 256; c++ {
-		if ReasonName(uint8(c)) == name {
-			return uint8(c)
-		}
-	}
-	return 0
-}
-
-// modeCode inverts ModeName the same way (mode vocabularies are tiny).
-func modeCode(name string) uint8 {
-	for c := 0; c < 256; c++ {
-		if ModeName(uint8(c)) == name {
-			return uint8(c)
-		}
-	}
-	return 0
 }

@@ -1,4 +1,4 @@
-// Package obs is the engine's observability layer: per-thread event tracing,
+// Package obs is the engine's observability layer: transaction event tracing,
 // abort attribution, and the sweep's counters (registry.go).
 //
 // The paper's contribution is *explaining* HTM behaviour — abort-ratio
@@ -6,8 +6,8 @@
 // 10/11) — and this package generalises the engine's quiescent-only
 // aggregate counters into a per-transaction event stream. The engine
 // (internal/htm) records one fixed-size Event at each transaction boundary
-// (begin, commit, abort) into a per-thread lock-free ring buffer; sinks in
-// this package consume the stream: a JSONL writer, a Chrome/Perfetto
+// (begin, commit, abort) into the engine's append-only log (Tracer); sinks
+// in this package consume the stream: a JSONL writer, a Chrome/Perfetto
 // trace_event exporter, and an in-memory aggregator producing
 // abort-attribution reports.
 //
@@ -65,7 +65,7 @@ const NoLine = ^uint32(0)
 const NoThread = int16(-1)
 
 // Event is one fixed-size transaction-boundary record. All fields are plain
-// values so a ring of Events allocates nothing per record.
+// values, so the log holds Events inline.
 type Event struct {
 	// Kind is the boundary: begin, commit or abort.
 	Kind Kind
@@ -88,7 +88,7 @@ type Event struct {
 	ReadLines  uint32
 	WriteLines uint32
 	// VClock is the event timestamp: the thread's virtual clock in cost
-	// units (zero in real-concurrency engines, which have no virtual time).
+	// units.
 	VClock uint64
 	// Dur is the virtual time since the matching begin (commit/abort only).
 	Dur uint64

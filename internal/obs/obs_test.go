@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -28,76 +29,14 @@ func mkBegin(thread uint8, vclock uint64) Event {
 	return Event{Kind: KindBegin, Thread: thread, Aborter: NoThread, Line: NoLine, VClock: vclock}
 }
 
-func TestRingRecordAndDrain(t *testing.T) {
-	r := newRing(8)
-	if r.Cap() != 8 {
-		t.Fatalf("Cap = %d, want 8", r.Cap())
-	}
-	for i := 0; i < 5; i++ {
-		r.Record(Event{Kind: KindBegin, VClock: uint64(i)})
-	}
-	if got := r.Recorded(); got != 5 {
-		t.Fatalf("Recorded = %d, want 5", got)
-	}
-	if got := r.Dropped(); got != 0 {
-		t.Fatalf("Dropped = %d, want 0", got)
-	}
-	evs := r.Events()
-	if len(evs) != 5 {
-		t.Fatalf("len(Events) = %d, want 5", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.VClock != uint64(i) {
-			t.Fatalf("event %d has VClock %d, want %d (oldest-first order)", i, ev.VClock, i)
-		}
-	}
-}
-
-func TestRingOverwritesOldest(t *testing.T) {
-	r := newRing(4)
-	for i := 0; i < 10; i++ {
-		r.Record(Event{Kind: KindBegin, VClock: uint64(i)})
-	}
-	if got := r.Recorded(); got != 10 {
-		t.Fatalf("Recorded = %d, want 10", got)
-	}
-	if got := r.Dropped(); got != 6 {
-		t.Fatalf("Dropped = %d, want 6", got)
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("len(Events) = %d, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := uint64(6 + i); ev.VClock != want {
-			t.Fatalf("event %d has VClock %d, want %d (newest 4 retained)", i, ev.VClock, want)
-		}
-	}
-	r.Reset()
-	if r.Recorded() != 0 || len(r.Events()) != 0 {
-		t.Fatal("Reset did not clear the ring")
-	}
-}
-
-func TestRingRoundsCapacityToPowerOfTwo(t *testing.T) {
-	if got := newRing(5).Cap(); got != 8 {
-		t.Fatalf("Cap = %d, want 8", got)
-	}
-	if got := newRing(0).Cap(); got != DefaultRingEvents {
-		t.Fatalf("Cap = %d, want default %d", got, DefaultRingEvents)
-	}
-}
-
 func TestTracerMergesInClockOrder(t *testing.T) {
-	tr := NewTracer(3, 16)
-	if tr.Threads() != 3 {
-		t.Fatalf("Threads = %d, want 3", tr.Threads())
-	}
-	// Interleave two threads with distinct clocks plus a tie at 50.
-	tr.Ring(0).Record(mkBegin(0, 10))
-	tr.Ring(0).Record(mkCommit(0, 50, 40))
-	tr.Ring(1).Record(mkBegin(1, 20))
-	tr.Ring(1).Record(mkAbort(1, 50, 30, 1, 0, 7, 0))
+	tr := NewTracer()
+	// Interleave two threads with distinct clocks plus a tie at 50; thread
+	// 1's events are recorded before thread 0's clock-earlier commit.
+	tr.Record(mkBegin(0, 10))
+	tr.Record(mkBegin(1, 20))
+	tr.Record(mkAbort(1, 50, 30, 1, 0, 7, 0))
+	tr.Record(mkCommit(0, 50, 40))
 	evs := tr.Events()
 	if len(evs) != 4 {
 		t.Fatalf("len(Events) = %d, want 4", len(evs))
@@ -112,15 +51,10 @@ func TestTracerMergesInClockOrder(t *testing.T) {
 	if evs[2].Thread != 0 || evs[3].Thread != 1 {
 		t.Fatalf("tie order = threads %d,%d, want 0,1", evs[2].Thread, evs[3].Thread)
 	}
-	if tr.Ring(-1) != nil || tr.Ring(3) != nil {
-		t.Fatal("out-of-range Ring() should return nil")
-	}
-	if tr.Recorded() != 4 {
-		t.Fatalf("Recorded = %d, want 4", tr.Recorded())
-	}
-	tr.Reset()
-	if tr.Recorded() != 0 {
-		t.Fatal("Reset did not clear rings")
+	// Events returns a copy: editing it leaves the log alone.
+	evs[0].VClock = 99
+	if again := tr.Events(); again[0].VClock != 10 {
+		t.Fatal("Events exposed the log itself")
 	}
 }
 
@@ -145,16 +79,22 @@ func TestJSONLRoundTripAndValidate(t *testing.T) {
 	if n != len(events) {
 		t.Fatalf("ValidateFile counted %d events, want %d", n, len(events))
 	}
-	back, err := ReadJSONLFile(path)
+	// Each line decodes back to exactly the wire form its event encodes to.
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("ReadJSONLFile: %v", err)
+		t.Fatal(err)
 	}
-	if len(back) != len(events) {
-		t.Fatalf("round trip read %d events, want %d", len(back), len(events))
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(lines) != len(events) {
+		t.Fatalf("file holds %d lines, want %d", len(lines), len(events))
 	}
-	for i := range events {
-		if back[i] != events[i] {
-			t.Fatalf("event %d round trip mismatch:\n got %+v\nwant %+v", i, back[i], events[i])
+	for i, line := range lines {
+		var back eventJSON
+		if err := json.Unmarshal([]byte(line), &back); err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		if want := toJSON(events[i]); !reflect.DeepEqual(back, want) {
+			t.Fatalf("line %d round trip mismatch:\n got %+v\nwant %+v", i+1, back, want)
 		}
 	}
 }

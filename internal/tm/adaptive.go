@@ -71,7 +71,7 @@ func adaptClass(ab htm.Abort, lockHeld bool) adapt.Class {
 }
 
 // noteTransition counts a steady-mode change and emits it as an obs event
-// through the executing thread's trace ring (a nil-check no-op untraced).
+// through the executing thread's engine event log (a nil-check no-op untraced).
 func (x *Executor) noteTransition(tr adapt.Transition) {
 	if !tr.Changed {
 		return

@@ -194,11 +194,8 @@ func TestAdaptiveModeSwitchEvents(t *testing.T) {
 		t.Skip("adaptive workload is not short")
 	}
 	const threads = 4
-	tracer := obs.NewTracer(threads, obs.DefaultRingEvents)
+	tracer := obs.NewTracer()
 	_, sum, _ := adaptiveRun(t, platform.POWER8, threads, 120, tracer, nil)
-	if tracer.Dropped() != 0 {
-		t.Fatalf("ring dropped %d events", tracer.Dropped())
-	}
 	events := tracer.Events()
 	var switches uint64
 	for _, ev := range events {

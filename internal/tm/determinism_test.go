@@ -169,13 +169,10 @@ func TestTracingPreservesDeterminism(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("%s-%dt-traced", want.kind.Short(), want.threads), func(t *testing.T) {
 			t.Parallel()
-			tracer := obs.NewTracer(want.threads, obs.DefaultRingEvents)
+			tracer := obs.NewTracer()
 			got, _ := goldenRun(want.kind, want.threads, tracer, nil)
 			if got != want {
 				t.Errorf("tracing perturbed the virtual-time results\n got: %+v\nwant: %+v", got, want)
-			}
-			if tracer.Dropped() != 0 {
-				t.Fatalf("ring dropped %d events; counts below would be meaningless", tracer.Dropped())
 			}
 			var begins, commits, aborts uint64
 			for _, ev := range tracer.Events() {
@@ -226,12 +223,11 @@ func TestWitnessPreservesDeterminism(t *testing.T) {
 }
 
 // TestTelemetryPreservesDeterminism pins what a sweep's counters cost a run:
-// a tracer whose rings are too small for this workload (they wrap and drop,
-// which must be harmless) and one post-run publish of the engine's own Stats,
-// as sweep.landed does. The engine has no metrics hook to switch on or off —
-// the run must land on the golden row, and the published series must be
-// those Stats: totals equal, every reason under its own label, per-reason
-// values summing to the abort total.
+// one post-run publish of the engine's own Stats, as sweep.landed does. The
+// engine has no metrics hook to switch on or off — the run must land on the
+// golden row, and the published series must be those Stats: totals equal,
+// every reason under its own label, per-reason values summing to the abort
+// total.
 func TestTelemetryPreservesDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden workload is not short")
@@ -245,14 +241,10 @@ func TestTelemetryPreservesDeterminism(t *testing.T) {
 			t.Parallel()
 			reg := obs.NewRegistry()
 			met := obs.NewEngineMetrics(reg, htm.NumReasons, adapt.NumModes)
-			tracer := obs.NewTracer(want.threads, 64)
-			got, st := goldenRun(want.kind, want.threads, tracer, nil)
+			got, st := goldenRun(want.kind, want.threads, nil, nil)
 			met.Publish(st.Begins, st.Commits, st.Aborts, st.AbortsByReason[:], nil)
 			if got != want {
-				t.Errorf("a wrapping tracer perturbed the virtual-time results\n got: %+v\nwant: %+v", got, want)
-			}
-			if tracer.Dropped() == 0 {
-				t.Error("the small rings never wrapped: the drop path went unexercised")
+				t.Errorf("the metrics run diverged from the golden row\n got: %+v\nwant: %+v", got, want)
 			}
 			if b, c, a := met.Begins.Value(), met.Commits.Value(), met.Aborts.Value(); b != want.begins || c != want.commits || a != want.aborts {
 				t.Errorf("registry begins/commits/aborts = %d/%d/%d, engine stats = %d/%d/%d",

@@ -4,12 +4,12 @@
 // sizes against its abort ratio. The paper gathered addresses with a
 // tracing tool on one machine and mapped them onto each processor's cache
 // lines; we do the equivalent by running each benchmark single-threaded on
-// each platform model with the engine's footprint sampler attached.
+// each platform model and reading the footprints off the commit events of
+// the engine's event log.
 package trace
 
 import (
 	"path/filepath"
-	"sync"
 
 	"htmcmp/internal/htm"
 	"htmcmp/internal/obs"
@@ -61,8 +61,8 @@ type Options struct {
 	// Exec, when non-nil, executes collections (sweep scheduling /
 	// caching); nil collects inline.
 	Exec Collector `json:"-"`
-	// TraceDir, when non-empty, attaches an event tracer to the run and
-	// writes a per-pair JSONL event file <bench>-<platform>.jsonl into it.
+	// TraceDir, when non-empty, writes the run's event log as a per-pair
+	// JSONL event file <bench>-<platform>.jsonl into it.
 	// Excluded from JSON so sweep cache keys are unaffected by tracing.
 	TraceDir string `json:"-"`
 }
@@ -74,22 +74,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Collect runs benchmark bench single-threaded on platform k with footprint
-// sampling and returns its distribution. Transactions are executed through
-// the normal runtime so fallbacks and retries behave as in measurement runs,
-// but with one thread every transaction commits.
+// Collect runs benchmark bench single-threaded on platform k with an event
+// log attached and returns the footprint distribution of its commit events.
+// Transactions are executed through the normal runtime so fallbacks and
+// retries behave as in measurement runs, but with one thread every
+// transaction commits.
 func Collect(bench string, k platform.Kind, opts Options) (Footprint, error) {
 	opts = opts.withDefaults()
 	b, err := stamp.New(bench, stamp.Config{Scale: opts.Scale, Seed: opts.Seed})
 	if err != nil {
 		return Footprint{}, err
 	}
-	var mu sync.Mutex
-	var loads, stores []int
-	var tracer *obs.Tracer
-	if opts.TraceDir != "" {
-		tracer = obs.NewTracer(1, obs.DefaultRingEvents)
-	}
+	tracer := obs.NewTracer()
 	e := htm.New(platform.New(k), htm.Config{
 		Threads:   1,
 		SpaceSize: 96 << 20,
@@ -100,12 +96,6 @@ func Collect(bench string, k platform.Kind, opts Options) (Footprint, error) {
 		// capacity limit, then compared them against each platform's
 		// budget; we do the same.
 		UnboundedCapacity: true,
-		FootprintSampler: func(readLines, writeLines int) {
-			mu.Lock()
-			loads = append(loads, readLines)
-			stores = append(stores, writeLines)
-			mu.Unlock()
-		},
 	})
 	b.Setup(e.Thread(0))
 	lock := tm.NewGlobalLock(e)
@@ -115,6 +105,16 @@ func Collect(bench string, k platform.Kind, opts Options) (Footprint, error) {
 		return Footprint{}, err
 	}
 
+	// Only hardware commits emit commit events, so this is exactly the set
+	// of committed transactions' footprints in distinct lines.
+	events := tracer.Events()
+	var loads, stores []int
+	for _, ev := range events {
+		if ev.Kind == obs.KindCommit {
+			loads = append(loads, int(ev.ReadLines))
+			stores = append(stores, int(ev.WriteLines))
+		}
+	}
 	line := float64(e.LineSize())
 	toKB := func(lines float64) float64 { return lines * line / 1024 }
 	spec := e.Platform()
@@ -129,9 +129,9 @@ func Collect(bench string, k platform.Kind, opts Options) (Footprint, error) {
 	}
 	fp.ExceedsLoadCap = fp.P90LoadKB > float64(spec.LoadCapacity)/1024
 	fp.ExceedsStoreCap = fp.P90StoreKB > float64(spec.StoreCapacity)/1024
-	if tracer != nil {
+	if opts.TraceDir != "" {
 		path := filepath.Join(opts.TraceDir, bench+"-"+k.Short()+".jsonl")
-		if err := obs.WriteJSONLFile(path, tracer.Events()); err != nil {
+		if err := obs.WriteJSONLFile(path, events); err != nil {
 			return Footprint{}, err
 		}
 	}
