@@ -57,7 +57,7 @@ func main() {
 	resume := flag.Bool("resume", true, "reuse cached results from earlier runs (false recomputes and overwrites)")
 	cellTimeout := flag.Duration("cell-timeout", 30*time.Minute, "per-cell wall-clock budget (0 = unbounded; with -chaos and no explicit value, 5s)")
 	progress := flag.Bool("progress", true, "print live sweep progress/ETA to stderr")
-	traceDir := flag.String("trace-dir", "", "write per-cell JSONL transaction-event files into this directory (implies -resume=false: cached cells execute nothing)")
+	traceDir := flag.String("trace-dir", "", "write one JSONL transaction-event file per simulated engine region into this directory (implies -resume=false: cached cells execute nothing)")
 	verify := flag.Bool("verify", false, "cross-check every planned cell under {HTM, NOrec STM, global lock} before measuring; exit non-zero on divergence")
 	metricsPath := flag.String("metrics", "", "write the sweep's registry counters (sweep_*, htm_tx_*, tm_mode_switches_total) as JSON to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")

@@ -305,6 +305,7 @@ func TestResultsGolden(t *testing.T) {
 	}
 	const golden = "testdata/results_test.golden"
 	const cells = 399
+	const regions = 799 // 1,324 if every cell simulated all of its own
 	names := mustExpand(t, "all")
 	opts := harness.Options{Scale: stamp.ScaleTest, Repeats: 2, Seed: 42}
 	store, err := cache.Open(t.TempDir())
@@ -321,7 +322,8 @@ func TestResultsGolden(t *testing.T) {
 		if sum.Failed != 0 || sum.Cells != cells {
 			t.Fatalf("%s sweep: %s, want %d cells and none failed", pass, sum, cells)
 		}
-		if pass == "cold" && sum.Computed != cells || pass == "warm" && (sum.Computed != 0 || sum.Cached != cells) {
+		if pass == "cold" && (sum.Computed != cells || sum.Regions != regions) ||
+			pass == "warm" && (sum.Computed != 0 || sum.Cached != cells || sum.Regions != 0) {
 			t.Fatalf("%s sweep: %s", pass, sum)
 		}
 		var got bytes.Buffer
@@ -353,6 +355,41 @@ func TestResultsGolden(t *testing.T) {
 				}
 			}
 			t.Fatalf("%s pass: rendered tables differ from %s in length: %d lines, want %d", pass, golden, len(gl), len(wl))
+		}
+	}
+}
+
+// TestSweepRegionCounts pins how many engine regions a sweep simulates: each
+// distinct sequential baseline and parallel repeat once, however many cells
+// share it, and none on a warm pass. adaptive's default, tuned and adaptive
+// cells share baselines, and its default cells are tuning trials off BG/Q
+// (344 regions if every cell simulated its own); fig2+3's 160 are all
+// distinct.
+func TestSweepRegionCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two test-scale sweeps")
+	}
+	opts := harness.Options{Scale: stamp.ScaleTest, Repeats: 2, Seed: 42}
+	for _, tc := range []struct {
+		exp     string
+		regions int
+	}{{"adaptive", 179}, {"fig2+3", 160}} {
+		plan, err := planCells(mustExpand(t, tc.exp), opts, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := cache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []struct {
+			name    string
+			regions int
+		}{{"cold", tc.regions}, {"warm", 0}} {
+			sum := sweep.New(sweep.Config{Cache: store, Resume: true}).Prewarm(plan.Cells())
+			if sum.Failed != 0 || sum.Regions != pass.regions {
+				t.Errorf("-exp %s, %s pass: %s, want regions=%d and none failed", tc.exp, pass.name, sum, pass.regions)
+			}
 		}
 	}
 }

@@ -49,17 +49,17 @@ func AdaptiveComparison(opts Options) (Table, error) {
 			if k == platform.BlueGeneQ {
 				base.Mode = bgqDefaultMode(bench)
 			}
-			def, err := opts.runSpec(base, false)
+			def, err := opts.Exec.Measure(base, false)
 			if err != nil {
 				return t, err
 			}
-			best, err := opts.runSpec(base, true)
+			best, err := opts.Exec.Measure(base, true)
 			if err != nil {
 				return t, err
 			}
 			aSpec := base
 			aSpec.Adaptive = true
-			ad, err := opts.runSpec(aSpec, false)
+			ad, err := opts.Exec.Measure(aSpec, false)
 			if err != nil {
 				return t, err
 			}

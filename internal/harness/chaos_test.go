@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
 	"htmcmp/internal/chaos"
@@ -42,6 +43,41 @@ func TestChaosRunRecovers(t *testing.T) {
 	}
 	if res.Engine.Commits == 0 {
 		t.Fatal("run committed nothing")
+	}
+}
+
+// TestChaosRegionsServeCleanRetry: a faulted run and then a clean run of one
+// spec through one memo share the sequential baselines, which always run
+// clean, but no parallel repeat: the injector is part of a parallel
+// region's key, so the clean run equals a fresh one.
+func TestChaosRegionsServeCleanRetry(t *testing.T) {
+	clean := RunSpec{
+		Platform: platform.ZEC12, Benchmark: "ssca2", Threads: 2,
+		Scale: stamp.ScaleTest, Variant: stamp.Modified, Seed: 42, Repeats: 2,
+	}
+	want, err := Run(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegions()
+	faulted := clean
+	faulted.Faults = spuriousInjector(0.05)
+	bad, err := r.Run(faulted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad.Engine.AbortsByReason[htm.ReasonInterrupt] == 0 {
+		t.Fatal("no injected aborts in the faulted run; the test proves nothing")
+	}
+	got, err := r.Run(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("clean run after a faulted one on one memo\n got %+v\nwant %+v", got, want)
+	}
+	if n := r.Simulated(); n != 6 {
+		t.Errorf("%d regions simulated, want 6: two baselines both runs share, two parallel repeats each", n)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // Exec abstracts how measurement cells are executed. Experiments request
 // every measured point through it, which lets a sweep scheduler first record
 // the flat cell list (a planning pass), then serve the very same requests
-// from a concurrently precomputed, cached result set. A nil Exec runs each
-// point inline, exactly as the serial code always has.
+// from a concurrently precomputed, cached result set. A *Regions runs each
+// point inline.
 type Exec interface {
 	// Measure runs (or replays) one measured cell. With tune set, the
 	// point goes through the Tune retry-count search instead of a plain
@@ -39,7 +39,8 @@ type Options struct {
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 	// Exec, when non-nil, executes measurement cells (sweep scheduling /
-	// caching); nil executes them inline.
+	// caching); nil executes them inline, through one Regions per
+	// experiment call.
 	Exec Exec
 }
 
@@ -53,6 +54,9 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 42
 	}
+	if o.Exec == nil {
+		o.Exec = NewRegions()
+	}
 	return o
 }
 
@@ -60,21 +64,6 @@ func (o Options) logf(format string, args ...interface{}) {
 	if o.Log != nil {
 		fmt.Fprintf(o.Log, format+"\n", args...)
 	}
-}
-
-// runSpec executes one cell through Exec when set, or inline otherwise.
-func (o Options) runSpec(spec RunSpec, tune bool) (Result, error) {
-	if o.Exec != nil {
-		return o.Exec.Measure(spec, tune)
-	}
-	if tune {
-		tr, err := Tune(spec)
-		if err != nil {
-			return Result{}, err
-		}
-		return tr.Result, nil
-	}
-	return Run(spec)
 }
 
 // measure runs (tuned or default) one benchmark/platform/threads point.
@@ -100,7 +89,7 @@ func (o Options) measure(k platform.Kind, bench string, threads int, variant sta
 			spec.ChunkStep1 = 9 // the paper's tuned value (Section 4)
 		}
 	}
-	res, err := o.runSpec(spec, o.Tune)
+	res, err := o.Exec.Measure(spec, o.Tune)
 	if err != nil {
 		return Result{}, err
 	}
@@ -350,7 +339,7 @@ func Fig7(opts Options) (Table, error) {
 			Repeats:   opts.Repeats,
 			UseHLE:    true,
 		}
-		hle, err := opts.runSpec(hleSpec, false)
+		hle, err := opts.Exec.Measure(hleSpec, false)
 		if err != nil {
 			return t, err
 		}
@@ -392,7 +381,7 @@ func PrefetchAblation(opts Options) (Table, error) {
 				Repeats:         opts.Repeats,
 				DisablePrefetch: disable,
 			}
-			res, err := opts.runSpec(spec, false)
+			res, err := opts.Exec.Measure(spec, false)
 			if err != nil {
 				return t, err
 			}

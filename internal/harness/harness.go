@@ -72,8 +72,9 @@ type RunSpec struct {
 	// SpaceSize overrides the arena size (bytes).
 	SpaceSize int
 	// TraceDir, when non-empty, attaches an event tracer to every parallel
-	// run and writes a <label>-r<rep>.jsonl event file per repeat into it.
-	// Excluded from JSON so sweep cache keys are unaffected by tracing.
+	// run and writes one <label>-<digest>.jsonl event file per simulated
+	// parallel region into it. Excluded from JSON so sweep cache keys are
+	// unaffected by tracing.
 	TraceDir string `json:"-"`
 	// Faults, when set, attaches the chaos injector to every parallel run's
 	// engine (and, for adaptive runs, the mode controller): injected
@@ -193,17 +194,23 @@ func (s RunSpec) benchConfig(seed uint64) stamp.Config {
 	}
 }
 
-// traceName is the per-repeat event-file name: the human-readable label
-// plus a short digest of the full spec. The label alone does not separate
-// every sweep dimension (e.g. original vs modified variants share one
-// label), and two cells writing the same file concurrently would corrupt
-// it.
-func (s RunSpec) traceName(rep int) string {
-	b, _ := json.Marshal(s)
+// traceName is the event-file name of spec's parallel region under seed:
+// the human-readable label plus a short digest of the region's key. The
+// label alone does not separate everything a region reads (original and
+// modified variants share one label), and the key names the region, not
+// the cell that asked for it first, so the name does not depend on which
+// cell simulated it.
+func (s RunSpec) traceName(seed uint64) string {
+	b, _ := json.Marshal(s.parKey(seed))
 	sum := sha256.Sum256(b)
-	return fmt.Sprintf("%s-%s-r%d.jsonl",
-		strings.ReplaceAll(s.Label(), "/", "-"), hex.EncodeToString(sum[:4]), rep)
+	return fmt.Sprintf("%s-%s.jsonl",
+		strings.ReplaceAll(s.Label(), "/", "-"), hex.EncodeToString(sum[:4]))
 }
+
+// repeatSeed is the workload seed of repeat i. Virtual-time runs are
+// deterministic for a fixed seed, so repeats vary the workload seed (the
+// paper instead averaged repeated runs of one noisy hardware execution).
+func (s RunSpec) repeatSeed(i int) uint64 { return s.Seed + uint64(i)*1009 }
 
 // runSeqOnce runs one sequential (non-HTM) execution and returns the region
 // duration in virtual cycles.
@@ -228,12 +235,12 @@ func (s RunSpec) runSeqOnce(seed uint64) (float64, error) {
 	return elapsed, nil
 }
 
-// runParOnce runs one parallel execution, returning the region duration in
-// virtual cycles and the accumulated runtime/engine statistics.
-func (s RunSpec) runParOnce(seed uint64, rep int) (float64, tm.Stats, htm.Stats, error) {
+// runParOnce runs one parallel execution and returns its region: the
+// duration in virtual cycles and the accumulated runtime/engine statistics.
+func (s RunSpec) runParOnce(seed uint64) (region, error) {
 	b, err := stamp.New(s.Benchmark, s.benchConfig(seed))
 	if err != nil {
-		return 0, tm.Stats{}, htm.Stats{}, err
+		return region{}, err
 	}
 	cfg := s.engineConfig(s.Threads, seed)
 	cfg.Faults = s.Faults
@@ -268,7 +275,7 @@ func (s RunSpec) runParOnce(seed uint64, rep int) (float64, tm.Stats, htm.Stats,
 	b.Run(runners)
 	elapsed := float64(e.MaxClock())
 	if err := b.Validate(e.Thread(0)); err != nil {
-		return 0, tm.Stats{}, htm.Stats{}, fmt.Errorf("parallel %s on %s (%d threads): %w",
+		return region{}, fmt.Errorf("parallel %s on %s (%d threads): %w",
 			s.Benchmark, s.Platform, s.Threads, err)
 	}
 	var agg tm.Stats
@@ -276,28 +283,29 @@ func (s RunSpec) runParOnce(seed uint64, rep int) (float64, tm.Stats, htm.Stats,
 		agg.Add(&x.Stats)
 	}
 	if tracer := cfg.Tracer; tracer != nil {
-		if err := obs.WriteJSONLFile(filepath.Join(s.TraceDir, s.traceName(rep)), tracer.Events()); err != nil {
-			return 0, tm.Stats{}, htm.Stats{}, err
+		if err := obs.WriteJSONLFile(filepath.Join(s.TraceDir, s.traceName(seed)), tracer.Events()); err != nil {
+			return region{}, err
 		}
 	}
 	engStats := e.Stats()
 	e.Release()
-	return elapsed, agg, engStats, nil
+	return region{cycles: elapsed, tm: agg, engine: engStats}, nil
 }
 
-// Run measures spec: Repeats sequential runs and Repeats parallel runs, and
-// reports the mean speedup with its 95% confidence interval plus the abort
-// statistics of the parallel runs.
-func Run(spec RunSpec) (Result, error) {
+// Run measures spec through a memo of its own (see Regions.Run).
+func Run(spec RunSpec) (Result, error) { return NewRegions().Run(spec) }
+
+// Run measures spec: Repeats sequential baselines and Repeats parallel runs,
+// each an engine region obtained through r, and reports the mean speedup
+// with its 95% confidence interval plus the abort statistics of the
+// parallel runs.
+func (r *Regions) Run(spec RunSpec) (Result, error) {
 	spec = spec.withDefaults()
 	res := Result{Spec: spec}
 
-	// Virtual-time runs are deterministic for a fixed seed, so repeats vary
-	// the workload seed (the paper instead averaged repeated runs of one
-	// noisy hardware execution).
 	seqTimes := make([]float64, 0, spec.Repeats)
 	for i := 0; i < spec.Repeats; i++ {
-		s, err := spec.runSeqOnce(spec.Seed + uint64(i)*1009)
+		s, err := r.seq(spec, spec.repeatSeed(i))
 		if err != nil {
 			return res, err
 		}
@@ -308,14 +316,14 @@ func Run(spec RunSpec) (Result, error) {
 	parTimes := make([]float64, 0, spec.Repeats)
 	speedups := make([]float64, 0, spec.Repeats)
 	for i := 0; i < spec.Repeats; i++ {
-		p, tmStats, engStats, err := spec.runParOnce(spec.Seed+uint64(i)*1009, i)
+		p, err := r.par(spec, spec.repeatSeed(i))
 		if err != nil {
 			return res, err
 		}
-		parTimes = append(parTimes, p)
-		speedups = append(speedups, seqTimes[i]/p)
-		res.TM.Add(&tmStats)
-		res.Engine.Add(&engStats)
+		parTimes = append(parTimes, p.cycles)
+		speedups = append(speedups, seqTimes[i]/p.cycles)
+		res.TM.Add(&p.tm)
+		res.Engine.Add(&p.engine)
 	}
 	res.ParSeconds = stats.Mean(parTimes)
 	res.Speedup = stats.Mean(speedups)

@@ -10,6 +10,7 @@ import (
 	"htmcmp/internal/obs"
 	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
+	"htmcmp/internal/tm"
 )
 
 func TestRunProducesSpeedupSSCA2(t *testing.T) {
@@ -184,9 +185,13 @@ func TestRunWritesTraceFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if names, _ := os.ReadDir(dir); len(names) != 2 {
+		t.Errorf("%d trace files, want one per parallel region: 2", len(names))
+	}
+	d := spec.withDefaults()
 	total := 0
 	for rep := 0; rep < 2; rep++ {
-		n, err := obs.ValidateFile(filepath.Join(dir, spec.withDefaults().traceName(rep)))
+		n, err := obs.ValidateFile(filepath.Join(dir, d.traceName(d.repeatSeed(rep))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,8 +221,9 @@ func TestTraceDirEventsMatchEngineStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[string]uint64{}
+	d := spec.withDefaults()
 	for rep := 0; rep < spec.Repeats; rep++ {
-		path := filepath.Join(dir, spec.withDefaults().traceName(rep))
+		path := filepath.Join(dir, d.traceName(d.repeatSeed(rep)))
 		if _, err := obs.ValidateFile(path); err != nil {
 			t.Fatal(err)
 		}
@@ -245,6 +251,9 @@ func TestTraceDirEventsMatchEngineStats(t *testing.T) {
 
 // TestTraceNamesSeparateVariants pins the collision fix: specs that share a
 // label (the variant is not part of it) must still write distinct files.
+// Cells that share a region — here one spelling out the default policy and
+// asking for more repeats — name its file alike, so the name does not
+// depend on which of them simulated it.
 func TestTraceNamesSeparateVariants(t *testing.T) {
 	a := RunSpec{Platform: platform.ZEC12, Benchmark: "genome", Threads: 4, Variant: stamp.Original}
 	b := a
@@ -255,8 +264,14 @@ func TestTraceNamesSeparateVariants(t *testing.T) {
 	if a.traceName(0) == b.traceName(0) {
 		t.Errorf("variants map to the same trace file %q; concurrent cells would corrupt it", a.traceName(0))
 	}
-	if a.traceName(0) == a.traceName(1) {
+	if a.traceName(a.repeatSeed(0)) == a.traceName(a.repeatSeed(1)) {
 		t.Error("repeats map to the same trace file")
+	}
+	c := a
+	pol := tm.DefaultPolicy(a.Platform)
+	c.Policy, c.Repeats = &pol, 4
+	if c.traceName(0) != a.traceName(0) {
+		t.Errorf("one region, two trace files (%q, %q)", a.traceName(0), c.traceName(0))
 	}
 	if !strings.Contains(a.traceName(0), "genome-z12-t4") {
 		t.Errorf("trace name %q lost the human-readable label", a.traceName(0))

@@ -39,7 +39,7 @@ func STMComparison(opts Options) (Table, error) {
 				Repeats:   opts.Repeats,
 				UseSTM:    cfg.useSTM,
 			}
-			res, err := opts.runSpec(spec, false)
+			res, err := opts.Exec.Measure(spec, false)
 			if err != nil {
 				return t, err
 			}
@@ -86,7 +86,7 @@ func CapacitySweep(opts Options, bench string) (Table, error) {
 			Repeats:      opts.Repeats,
 			TMCAMEntries: entries,
 		}
-		res, err := opts.runSpec(spec, false)
+		res, err := opts.Exec.Measure(spec, false)
 		if err != nil {
 			return t, err
 		}

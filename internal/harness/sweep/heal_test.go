@@ -34,8 +34,9 @@ func chaosCells(mod func(*harness.RunSpec)) []Cell {
 func cleanResults(t *testing.T, cells []Cell) []harness.Result {
 	t.Helper()
 	out := make([]harness.Result, len(cells))
+	regions := harness.NewRegions()
 	for i, c := range cells {
-		o := runCell(c)
+		o := runCell(regions, c)
 		if o.err != nil {
 			t.Fatal(o.err)
 		}

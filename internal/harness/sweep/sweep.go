@@ -163,9 +163,9 @@ type Config struct {
 	Timeout time.Duration
 	// Progress, when non-nil, receives live progress/ETA lines.
 	Progress io.Writer `json:"-"`
-	// TraceDir, when non-empty, writes per-cell JSONL event files for
-	// every cell computed in this process. Cache hits execute nothing and
-	// produce no files; the directory is injected into cells only after
+	// TraceDir, when non-empty, writes one JSONL event file per parallel
+	// engine region simulated in this process. Cache hits execute nothing
+	// and produce no files; the directory is injected into cells only after
 	// their cache keys are computed, so tracing never perturbs identity.
 	TraceDir string
 	// Retries is the per-cell bounded retry budget (heal.go): a failed or
@@ -206,7 +206,12 @@ type Summary struct {
 	Quarantined int
 	Recovered   int
 	Evicted     int
-	Elapsed     time.Duration
+	// Regions counts the engine regions the pass simulated: sequential
+	// baselines and parallel repeats, each once however many cells share
+	// it, plus any a failed attempt had to simulate again. It depends on
+	// the plan and the cache, not on Jobs; an all-hit pass simulates none.
+	Regions int
+	Elapsed time.Duration
 }
 
 // HitRatio is the fraction of cells served from cache, in percent.
@@ -218,8 +223,8 @@ func (s Summary) HitRatio() float64 {
 }
 
 func (s Summary) String() string {
-	out := fmt.Sprintf("cells=%d computed=%d cached=%d failed=%d hit=%.1f%% elapsed=%s",
-		s.Cells, s.Computed, s.Cached, s.Failed, s.HitRatio(), s.Elapsed.Round(time.Millisecond))
+	out := fmt.Sprintf("cells=%d computed=%d cached=%d failed=%d hit=%.1f%% regions=%d elapsed=%s",
+		s.Cells, s.Computed, s.Cached, s.Failed, s.HitRatio(), s.Regions, s.Elapsed.Round(time.Millisecond))
 	if s.Retried > 0 {
 		out += fmt.Sprintf(" retried=%d", s.Retried)
 	}
@@ -246,6 +251,10 @@ type Scheduler struct {
 
 	cfg Config
 	reg *obs.Registry
+	// regions is what every computed Measure and TuneMeasure cell takes its
+	// engine regions from, for the scheduler's lifetime: cells that share a
+	// sequential baseline or a tuning trial simulate it once.
+	regions *harness.Regions
 
 	// The scheduler's registry handles. Every cell outcome is counted by one
 	// statement into count; Summary, the progress line and the ETA read the
@@ -267,6 +276,7 @@ type Scheduler struct {
 	base        [numTallies]uint64
 	totalWeight float64
 	doneWeight  float64
+	regionsBase int // regions.Simulated() at the top of the pass
 
 	// self-healing state (heal.go; guarded by mu)
 	quarantine []job           // cells awaiting the serial retry pass
@@ -310,6 +320,7 @@ func New(cfg Config) *Scheduler {
 	}
 	s := &Scheduler{
 		cfg: cfg, memo: map[string]outcome{}, reg: obs.NewRegistry(),
+		regions:   harness.NewRegions(),
 		disrupted: map[string]bool{}, crashed: map[string]bool{},
 	}
 	s.requests.get = s.request
@@ -352,19 +363,17 @@ type cellRunner func(Cell) (harness.Result, trace.Footprint, error)
 // the previous value.
 var runCellHook atomic.Pointer[cellRunner]
 
-// runCell executes one cell inline.
-func runCell(c Cell) outcome {
+// runCell executes one cell inline; Measure and TuneMeasure cells take their
+// engine regions from regions.
+func runCell(regions *harness.Regions, c Cell) outcome {
 	if h := runCellHook.Load(); h != nil {
 		r, fp, err := (*h)(c)
 		return outcome{res: r, fp: fp, err: err}
 	}
 	switch c.Kind {
-	case Measure:
-		r, err := harness.Run(c.Spec)
+	case Measure, TuneMeasure:
+		r, err := regions.Measure(c.Spec, c.Kind == TuneMeasure)
 		return outcome{res: r, err: err}
-	case TuneMeasure:
-		tr, err := harness.Tune(c.Spec)
-		return outcome{res: tr.Result, err: err}
 	case Footprint:
 		fp, err := trace.Collect(c.Bench, c.Platform,
 			trace.Options{Scale: c.Scale, Seed: c.Seed, TraceDir: c.TraceDir})
@@ -415,7 +424,7 @@ func (s *Scheduler) execCell(c Cell, af affliction) outcome {
 		if af.panics {
 			panic("chaos: injected cell panic")
 		}
-		ch <- runCell(c)
+		ch <- runCell(s.regions, c)
 	}()
 	if s.cfg.Timeout <= 0 {
 		return <-ch
@@ -664,6 +673,7 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 		s.base[t] = s.count[t].Value()
 	}
 	s.totalWeight, s.doneWeight = weight, 0
+	s.regionsBase = s.regions.Simulated()
 	s.quarantine = nil
 	s.disrupted = map[string]bool{}
 	s.crashed = map[string]bool{}
@@ -697,6 +707,7 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 		Quarantined: s.inPass(cellsQuarantined),
 		Recovered:   s.inPass(cellsRecovered),
 		Evicted:     s.inPass(cacheEvictions),
+		Regions:     s.regions.Simulated() - s.regionsBase,
 		Elapsed:     time.Since(s.start),
 	}
 }

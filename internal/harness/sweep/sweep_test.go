@@ -68,6 +68,59 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRegionsSameAtAnyJobs: cells that share engine regions — three thread
+// counts over one sequential baseline, and a tune cell whose trials include
+// the default policy — simulate each region once whatever the pool size,
+// with the same results. Under -race (make race) the four-worker pass has
+// workers waiting on regions another worker is simulating.
+func TestRegionsSameAtAnyJobs(t *testing.T) {
+	base := harness.RunSpec{
+		Platform: platform.ZEC12, Benchmark: "ssca2", Scale: stamp.ScaleTest,
+		Variant: stamp.Modified, Seed: 42, Repeats: 2,
+	}
+	var cells []Cell
+	for _, n := range []int{1, 2, 4} {
+		c := Cell{Kind: Measure, Spec: base}
+		c.Spec.Threads = n
+		cells = append(cells, c)
+	}
+	tuned := Cell{Kind: TuneMeasure, Spec: base}
+	tuned.Spec.Threads = 4
+	cells = append(cells, tuned)
+
+	var want []harness.Result
+	regions := 0
+	for _, jobs := range []int{1, 4} {
+		s := New(Config{Jobs: jobs})
+		sum := s.Prewarm(cells)
+		if sum.Failed != 0 {
+			t.Fatalf("-jobs %d: summary = %s", jobs, sum)
+		}
+		got := make([]harness.Result, len(cells))
+		for i, c := range cells {
+			o := s.request(c)
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			got[i] = o.res
+		}
+		if want == nil {
+			want, regions = got, sum.Regions
+			continue
+		}
+		if sum.Regions != regions {
+			t.Errorf("-jobs %d simulated %d regions, -jobs 1 %d", jobs, sum.Regions, regions)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("-jobs %d results differ from -jobs 1", jobs)
+		}
+	}
+	// Unshared, each Measure cell is 4 regions and the tune cell 14.
+	if unshared := 3*4 + 14; regions >= unshared {
+		t.Errorf("%d regions simulated, want fewer than the %d the cells hold unshared", regions, unshared)
+	}
+}
+
 func TestCacheHitAndCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
 	store, err := cache.Open(dir)

@@ -43,12 +43,49 @@ var bgqGrid = []struct {
 // Gene/Q and 2 for the other processors (Section 4).
 var genomeChunks = []int{2, 9}
 
+// Tune searches spec's retry-policy space through a memo of its own (see
+// Regions.Tune).
+func Tune(spec RunSpec) (TuneResult, error) { return NewRegions().Tune(spec) }
+
 // Tune searches the retry-policy space for spec (single-repeat trials) and
 // returns the best configuration together with its re-measured result at the
 // requested repeat count. It is the scaled-down analogue of the paper's
-// exhaustive per-test-case optimisation.
-func Tune(spec RunSpec) (TuneResult, error) {
+// exhaustive per-test-case optimisation. The trials and the re-measure are
+// folds over regions obtained through r, so the trials share their
+// sequential baseline and the re-measure's first repeat is the winning
+// trial.
+func (r *Regions) Tune(spec RunSpec) (TuneResult, error) {
 	spec = spec.withDefaults()
+	candidates := tuneCandidates(spec)
+	best := -1
+	bestSpeed := 0.0
+	for i, c := range candidates {
+		res, err := r.Run(c)
+		if err != nil {
+			return TuneResult{}, err
+		}
+		if res.Speedup > bestSpeed {
+			bestSpeed = res.Speedup
+			best = i
+		}
+	}
+	win := candidates[best]
+	win.Repeats = spec.Repeats
+	final, err := r.Run(win)
+	if err != nil {
+		return TuneResult{}, err
+	}
+	return TuneResult{
+		Policy: *win.Policy,
+		Mode:   win.Mode,
+		Chunk:  win.ChunkStep1,
+		Result: final,
+	}, nil
+}
+
+// tuneCandidates lists the single-repeat trials of the search for spec
+// (already defaulted).
+func tuneCandidates(spec RunSpec) []RunSpec {
 	trial := spec
 	trial.Repeats = 1
 
@@ -82,29 +119,5 @@ func Tune(spec RunSpec) (TuneResult, error) {
 		}
 		candidates = expanded
 	}
-
-	best := -1
-	bestSpeed := 0.0
-	for i, c := range candidates {
-		r, err := Run(c)
-		if err != nil {
-			return TuneResult{}, err
-		}
-		if r.Speedup > bestSpeed {
-			bestSpeed = r.Speedup
-			best = i
-		}
-	}
-	win := candidates[best]
-	win.Repeats = spec.Repeats
-	final, err := Run(win)
-	if err != nil {
-		return TuneResult{}, err
-	}
-	return TuneResult{
-		Policy: *win.Policy,
-		Mode:   win.Mode,
-		Chunk:  win.ChunkStep1,
-		Result: final,
-	}, nil
+	return candidates
 }
