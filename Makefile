@@ -79,7 +79,7 @@ bench-smoke: build
 		echo "second run recomputed cells:"; cat $(SMOKE)/run2.log; exit 1; }
 	@! grep -q 'steals=' $(SMOKE)/run2.log || { \
 		echo "warm summary line carries a steals= field:"; cat $(SMOKE)/run2.log; exit 1; }
-	@for bad in '-cell-retries -1' '-exp bogus' '-repeats 0' '-jobs -3' '-cell-timeout -5s'; do \
+	@for bad in '-exp bogus' '-repeats 0' '-jobs -3' '-cell-timeout -5s'; do \
 		./$(BIN)/htmbench $$bad -cache-dir $(SMOKE)/bad >/dev/null 2>$(SMOKE)/bad.log; \
 		[ $$? -eq 2 ] && [ "$$(wc -l <$(SMOKE)/bad.log)" -eq 1 ] && [ ! -e $(SMOKE)/bad ] || { \
 			echo "htmbench $$bad: want exit 2, one stderr line and no cache directory:"; \
@@ -184,21 +184,22 @@ fuzz-smoke:
 	$(GO) test -tags mutate_isolation -run '^TestMutation' -count=1 ./internal/verify
 	@echo "fuzz-smoke ok: all fuzz targets ran clean and the seeded mutation was caught"
 
-# chaos-smoke proves the self-healing sweep end to end: the chaos/soak test
-# suite runs under the race detector, then a test-scale sweep under -chaos
-# (every fault class armed, including stalls against a short cell timeout)
-# must complete with zero failed cells and emit tables byte-identical to a
-# fault-free run. The chaos report is left in $(SMOKE) for artifact upload.
+# chaos-smoke runs the chaos/soak test suite under the race detector, then
+# every experiment at test scale under -chaos (the four engine abort classes
+# and torn cache records armed): every afflicted run must validate, so the
+# sweep must complete with zero failed cells, name no deleted fault class and
+# emit tables byte-identical to a fault-free run. The chaos report is left in
+# $(SMOKE) for artifact upload.
 chaos-smoke: build
-	$(GO) test -race -count=1 -run 'Chaos|Quarantine|RetryBackoff' \
+	$(GO) test -race -count=1 -run 'Chaos' \
 		./internal/harness/sweep ./internal/chaos ./internal/htm ./internal/adapt ./internal/harness
 	rm -rf $(SMOKE)/chaos
 	mkdir -p $(SMOKE)/chaos
-	./$(BIN)/htmbench -exp fig2+3 -scale test -jobs $(JOBS) \
+	./$(BIN)/htmbench -exp all -scale test -jobs $(JOBS) \
 		-cache-dir $(SMOKE)/chaos/cache-clean \
 		>$(SMOKE)/chaos/clean.txt 2>$(SMOKE)/chaos/clean.log
-	./$(BIN)/htmbench -exp fig2+3 -scale test -jobs $(JOBS) \
-		-chaos -chaos-seed 42 -cell-retries 2 -cell-timeout 5s \
+	./$(BIN)/htmbench -exp all -scale test -jobs $(JOBS) \
+		-chaos -chaos-seed 42 \
 		-chaos-report $(SMOKE)/chaos/report.json \
 		-cache-dir $(SMOKE)/chaos/cache-chaos \
 		>$(SMOKE)/chaos/chaos.txt 2>$(SMOKE)/chaos/chaos.log
@@ -207,7 +208,9 @@ chaos-smoke: build
 		echo "chaos sweep failed cells:"; cat $(SMOKE)/chaos/chaos.log; exit 1; }
 	@grep -q '"total_fired": [1-9]' $(SMOKE)/chaos/report.json || { \
 		echo "chaos never fired anything:"; cat $(SMOKE)/chaos/report.json; exit 1; }
-	@echo "chaos-smoke ok: injected faults recovered, tables byte-identical to the fault-free run"
+	@! grep -qE 'cell-panic|cell-stall|worker-crash' $(SMOKE)/chaos/report.json || { \
+		echo "chaos report names a deleted fault class:"; cat $(SMOKE)/chaos/report.json; exit 1; }
+	@echo "chaos-smoke ok: every afflicted run validated, tables byte-identical to the fault-free run"
 
 # cover gates statement coverage of the engine and its verification oracle
 # against the checked-in floor (COVERAGE.floor, whole percent). The tm and

@@ -8,7 +8,7 @@
 //	htmbench -exp fig2 [-scale sim] [-repeats 2] [-tune] [-csv] [-v]
 //	         [-jobs N] [-cache-dir .htmcache] [-no-cache] [-resume=false]
 //	         [-trace-dir DIR] [-metrics FILE] [-verify]
-//	         [-chaos] [-chaos-seed N] [-cell-retries N] [-chaos-report FILE]
+//	         [-chaos] [-chaos-seed N] [-chaos-report FILE]
 //
 // Experiments: htmbench -h lists the -exp names (one per table or figure,
 // prefetch for the Section 5.1 ablation, or all).
@@ -55,17 +55,16 @@ func main() {
 	cacheDir := flag.String("cache-dir", ".htmcache", "on-disk result cache directory")
 	noCache := flag.Bool("no-cache", false, "disable the on-disk result cache entirely")
 	resume := flag.Bool("resume", true, "reuse cached results from earlier runs (false recomputes and overwrites)")
-	cellTimeout := flag.Duration("cell-timeout", 30*time.Minute, "per-cell wall-clock budget (0 = unbounded; with -chaos and no explicit value, 5s)")
+	cellTimeout := flag.Duration("cell-timeout", 30*time.Minute, "per-cell wall-clock budget (0 = unbounded)")
 	progress := flag.Bool("progress", true, "print live sweep progress/ETA to stderr")
 	traceDir := flag.String("trace-dir", "", "write one JSONL transaction-event file per simulated engine region into this directory (implies -resume=false: cached cells execute nothing)")
 	verify := flag.Bool("verify", false, "cross-check every planned cell under {HTM, NOrec STM, global lock} before measuring; exit non-zero on divergence")
 	metricsPath := flag.String("metrics", "", "write the sweep's registry counters (sweep_*, htm_tx_*, tm_mode_switches_total) as JSON to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
-	chaosOn := flag.Bool("chaos", false, "inject deterministic faults into the sweep (every class, default mix); all injected faults are recovered and never cached, so rendered tables are unchanged")
-	chaosSeed := flag.Uint64("chaos-seed", 42, "seed for fault injection and retry-backoff jitter")
-	cellRetries := flag.Int("cell-retries", 2, "per-cell retry budget before quarantine (0 disables self-healing)")
-	chaosReport := flag.String("chaos-report", "", "write injected-fault and recovery counts as JSON to this file")
+	chaosOn := flag.Bool("chaos", false, "inject deterministic faults into the sweep (engine aborts and torn cache records, default mix); an afflicted cell must validate and only its clean rerun is kept, so rendered tables are unchanged")
+	chaosSeed := flag.Uint64("chaos-seed", 42, "seed for fault injection")
+	chaosReport := flag.String("chaos-report", "", "write injected-fault counts and the sweep's failed and evicted cells as JSON to this file")
 	flag.Parse()
 
 	// Usage errors exit 2 here, before anything is created or bound.
@@ -85,9 +84,6 @@ func main() {
 	}
 	if *cellTimeout < 0 {
 		usageError(fmt.Errorf("-cell-timeout must be 0 or more, got %s", *cellTimeout))
-	}
-	if *cellRetries < 0 {
-		usageError(fmt.Errorf("-cell-retries must be 0 or more, got %d", *cellRetries))
 	}
 
 	if *cpuProfile != "" {
@@ -131,9 +127,6 @@ func main() {
 		}
 	}
 	*resume = reconcileTraceResume(*traceDir, *resume, os.Stderr)
-	timeoutGiven := false
-	flag.Visit(func(f *flag.Flag) { timeoutGiven = timeoutGiven || f.Name == "cell-timeout" })
-	*cellTimeout = reconcileChaosTimeout(*chaosOn, timeoutGiven, *cellTimeout, os.Stderr)
 
 	var store *cache.Store
 	if !*noCache {
@@ -150,7 +143,7 @@ func main() {
 	var faults *chaos.Injector
 	if *chaosOn {
 		faults = chaos.New(chaos.DefaultConfig(*chaosSeed))
-		fmt.Fprintf(os.Stderr, "htmbench: chaos enabled (seed %d); injected faults are recovered, results stay clean\n", *chaosSeed)
+		fmt.Fprintf(os.Stderr, "htmbench: chaos enabled (seed %d); afflicted cells must validate, only clean runs are kept\n", *chaosSeed)
 	}
 	sched := sweep.New(sweep.Config{
 		Jobs:     *jobs,
@@ -159,8 +152,6 @@ func main() {
 		Timeout:  *cellTimeout,
 		Progress: progressW,
 		TraceDir: *traceDir,
-		Retries:  *cellRetries,
-		Seed:     *chaosSeed,
 		Faults:   faults,
 	})
 
@@ -302,23 +293,6 @@ func reconcileTraceResume(traceDir string, resume bool, w io.Writer) bool {
 	return false
 }
 
-// chaosCellTimeout is the per-cell budget -chaos runs under unless
-// -cell-timeout says otherwise.
-const chaosCellTimeout = 5 * time.Second
-
-// reconcileChaosTimeout applies the -chaos / -cell-timeout flag interaction:
-// an injected stall sleeps just past the cell budget so that the timeout
-// path fires, which under the 30-minute default is a sweep that never
-// finishes — so -chaos without an explicit -cell-timeout runs under
-// chaosCellTimeout, saying so on w. It returns the effective timeout.
-func reconcileChaosTimeout(chaosOn, timeoutGiven bool, timeout time.Duration, w io.Writer) time.Duration {
-	if !chaosOn || timeoutGiven {
-		return timeout
-	}
-	fmt.Fprintf(w, "htmbench: -chaos without -cell-timeout uses %s (an injected stall sleeps out the whole budget)\n", chaosCellTimeout)
-	return chaosCellTimeout
-}
-
 // writeMetrics dumps the counters of the scheduler's registry to path (no-op
 // when empty). Written even on render failure so a partial sweep is
 // observable.
@@ -337,10 +311,10 @@ func writeMetrics(path string, sched *sweep.Scheduler) {
 	}
 }
 
-// writeChaosReport dumps the injected-fault counters and the sweep's healing
-// outcomes to path as JSON (no-op when path is empty). CI uploads it as an
-// artifact so a chaos-smoke run leaves an inspectable record of what was
-// injected and what recovered.
+// writeChaosReport dumps the injected-fault counters and the sweep's failed
+// and evicted cells to path as JSON (no-op when path is empty). CI uploads
+// it as an artifact so a chaos-smoke run leaves an inspectable record of
+// what was injected.
 func writeChaosReport(path string, faults *chaos.Injector, sum sweep.Summary) {
 	if path == "" {
 		return
@@ -350,19 +324,15 @@ func writeChaosReport(path string, faults *chaos.Injector, sum sweep.Summary) {
 		return
 	}
 	report := struct {
-		Seed        uint64            `json:"seed"`
-		Injected    map[string]uint64 `json:"injected"`
-		TotalFired  uint64            `json:"total_fired"`
-		Cells       int               `json:"cells"`
-		Retried     int               `json:"retried"`
-		Quarantined int               `json:"quarantined"`
-		Recovered   int               `json:"recovered"`
-		Evicted     int               `json:"evicted"`
-		Failed      int               `json:"failed"`
+		Seed       uint64            `json:"seed"`
+		Injected   map[string]uint64 `json:"injected"`
+		TotalFired uint64            `json:"total_fired"`
+		Cells      int               `json:"cells"`
+		Evicted    int               `json:"evicted"`
+		Failed     int               `json:"failed"`
 	}{
 		Seed: faults.Seed(), Injected: faults.Counts(), TotalFired: faults.TotalFired(),
-		Cells: sum.Cells, Retried: sum.Retried, Quarantined: sum.Quarantined,
-		Recovered: sum.Recovered, Evicted: sum.Evicted, Failed: sum.Failed,
+		Cells: sum.Cells, Evicted: sum.Evicted, Failed: sum.Failed,
 	}
 	data, err := json.MarshalIndent(report, "", " ")
 	if err == nil {

@@ -11,7 +11,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"htmcmp/internal/cache"
 	"htmcmp/internal/features"
@@ -51,43 +50,6 @@ func TestReconcileTraceResume(t *testing.T) {
 			}
 			if tc.wantWarn && !strings.Contains(buf.String(), "-trace-dir forces -resume=false") {
 				t.Errorf("warning does not name the flags: %q", buf.String())
-			}
-		})
-	}
-}
-
-// TestReconcileChaosTimeout pins the -chaos / -cell-timeout interaction: an
-// injected stall sleeps past the cell budget, so chaos under the 30-minute
-// default budget never finishes; it gets 5s and a notice unless the flag was
-// given, and nothing changes without -chaos.
-func TestReconcileChaosTimeout(t *testing.T) {
-	const def = 30 * time.Minute
-	cases := []struct {
-		name      string
-		chaos     bool
-		given     bool
-		timeout   time.Duration
-		want      time.Duration
-		wantNoted bool
-	}{
-		{"no chaos, default", false, false, def, def, false},
-		{"no chaos, explicit", false, true, time.Second, time.Second, false},
-		{"chaos, default becomes 5s", true, false, def, chaosCellTimeout, true},
-		{"chaos, explicit kept", true, true, 2 * time.Second, 2 * time.Second, false},
-		{"chaos, explicit default kept", true, true, def, def, false},
-		{"chaos, explicit unbounded kept", true, true, 0, 0, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var buf strings.Builder
-			if got := reconcileChaosTimeout(tc.chaos, tc.given, tc.timeout, &buf); got != tc.want {
-				t.Errorf("effective timeout = %v, want %v", got, tc.want)
-			}
-			if noted := buf.Len() > 0; noted != tc.wantNoted {
-				t.Errorf("notice emitted = %v, want %v (output %q)", noted, tc.wantNoted, buf.String())
-			}
-			if tc.wantNoted && !strings.Contains(buf.String(), "-chaos without -cell-timeout uses 5s") {
-				t.Errorf("notice does not name the flags and the value: %q", buf.String())
 			}
 		})
 	}
@@ -188,15 +150,13 @@ func runMain(t *testing.T, args ...string) (dir, stdout, stderr string, err erro
 
 // TestUsageErrorsExitBeforeSideEffects: a flag value htmbench cannot use is
 // one line on stderr and exit status 2, with nothing printed to stdout and
-// no cache directory created. A negative retry budget used to run every cell
-// zero times and cache the all-zero results; -repeats and -jobs below 1 and a
-// negative -cell-timeout used to run as if the default had been given. A
+// no cache directory created. -repeats and -jobs below 1 and a negative
+// -cell-timeout used to run as if the default had been given. A
 // flag that no longer exists (-http, with the live-telemetry stack) gets the
 // flag package's own message and usage text, to the same standard.
 func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 	const undefined = "flag provided but not defined: "
 	for _, args := range [][]string{
-		{"-cell-retries", "-1"},
 		{"-exp", "bogus"},
 		{"-scale", "tiny"},
 		{"-repeats", "0"},
@@ -227,10 +187,11 @@ func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 	}
 }
 
-// TestREADMECommands: every htmbench command line in README.md and the
-// Makefile names only flags htmbench defines (as its -h lists them) and only
-// -scale / -exp values that parse. README's live-telemetry walkthrough ran
-// `-scale small`, which has never parsed, for sixteen PRs.
+// TestREADMECommands: every htmbench command line in README.md,
+// EXPERIMENTS.md and the Makefile names only flags htmbench defines (as its
+// -h lists them) and only -scale / -exp values that parse. README's
+// live-telemetry walkthrough ran `-scale small`, which has never parsed, for
+// sixteen PRs.
 func TestREADMECommands(t *testing.T) {
 	_, _, usage, err := runMain(t, "-h")
 	if err != nil {
@@ -245,7 +206,7 @@ func TestREADMECommands(t *testing.T) {
 	}
 	command := regexp.MustCompile(`^(?:go run \./cmd/htmbench|\./\$\(BIN\)/htmbench)\s(.*)`)
 	commands := 0
-	for _, file := range []string{"../../README.md", "../../Makefile"} {
+	for _, file := range []string{"../../README.md", "../../EXPERIMENTS.md", "../../Makefile"} {
 		text, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
@@ -286,7 +247,7 @@ func TestREADMECommands(t *testing.T) {
 		}
 	}
 	if commands < 20 {
-		t.Errorf("found %d htmbench command lines in README.md and the Makefile, want the 20 and more there are: the pattern has rotted", commands)
+		t.Errorf("found %d htmbench command lines in README.md, EXPERIMENTS.md and the Makefile, want the 20 and more there are: the pattern has rotted", commands)
 	}
 }
 

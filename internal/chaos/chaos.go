@@ -1,5 +1,5 @@
-// Package chaos is the deterministic fault injector behind the self-healing
-// sweep. The paper's platforms abort transactions for reasons that have
+// Package chaos is the sweep's deterministic fault injector. The paper's
+// platforms abort transactions for reasons that have
 // nothing to do with the program — BG/Q and zEC12 kill transactions when an
 // external interrupt lands mid-flight, zEC12 suffers transient
 // "cache-fetch-related" aborts, POWER8's SMT sharing shrinks the effective
@@ -25,14 +25,14 @@ package chaos
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"htmcmp/internal/prng"
 )
 
 // Class identifies one injectable fault class. The engine-level classes
-// model the paper's abort taxonomy; the harness-level classes model the
-// process- and filesystem-level failures a production sweep must survive.
+// model the paper's abort taxonomy; CacheCorrupt models the torn file a
+// resumed sweep must survive. The values feed affliction hashes, so the
+// engine classes keep theirs.
 type Class uint8
 
 const (
@@ -51,17 +51,10 @@ const (
 	// ModeThrash forces the adaptive controller into a spurious steady-mode
 	// transition on a commit, modelling a mis-tuned or flapping controller.
 	ModeThrash
-	// CellPanic panics the sweep cell's goroutine mid-execution.
-	CellPanic
-	// CellStall stalls the cell past the sweep's -cell-timeout budget.
-	CellStall
 	// CacheCorrupt tears the cell's on-disk cache record after it is
 	// written (truncation, garbage bytes, or a stale record), so a resumed
 	// sweep must detect, evict and recompute it.
 	CacheCorrupt
-	// WorkerCrash kills the sweep worker goroutine that picked the cell up
-	// (the cell is requeued; the pool must heal and drain).
-	WorkerCrash
 
 	NumClasses
 )
@@ -77,14 +70,8 @@ func (c Class) String() string {
 		return "stm-contention"
 	case ModeThrash:
 		return "mode-thrash"
-	case CellPanic:
-		return "cell-panic"
-	case CellStall:
-		return "cell-stall"
 	case CacheCorrupt:
 		return "cache-corrupt"
-	case WorkerCrash:
-		return "worker-crash"
 	}
 	return fmt.Sprintf("class(%d)", int(c))
 }
@@ -98,23 +85,19 @@ func (c Class) EngineLevel() bool { return c <= ModeThrash }
 type Config struct {
 	// Seed drives every affliction and roll decision.
 	Seed uint64
-	// Rates[class] is the probability that one cell attempt is afflicted by
-	// the class at all (decided by a pure hash of seed/class/key).
+	// Rates[class] is the probability that one cell is afflicted by the
+	// class at all (decided by a pure hash of seed/class/key).
 	Rates [NumClasses]float64
 	// OpRates[class] is the per-opportunity probability that an afflicted
 	// engine run fires the fault at one injection point (a commit, a
 	// capacity check, an STM load, a controller commit).
 	OpRates [NumClasses]float64
-	// Persist is how many consecutive attempts of a cell an affliction
-	// survives (default 1: the first retry runs clean). Tests raise it to
-	// force cells into quarantine.
-	Persist int
 }
 
 // DefaultConfig returns a test-scale configuration that exercises every
 // fault class with enough probability to observe recovery in a small sweep.
 func DefaultConfig(seed uint64) Config {
-	cfg := Config{Seed: seed, Persist: 1}
+	cfg := Config{Seed: seed}
 	for c := Class(0); c < NumClasses; c++ {
 		cfg.Rates[c] = 0.25
 	}
@@ -134,9 +117,6 @@ type Injector struct {
 
 // New builds an injector from cfg.
 func New(cfg Config) *Injector {
-	if cfg.Persist <= 0 {
-		cfg.Persist = 1
-	}
 	return &Injector{cfg: cfg}
 }
 
@@ -165,12 +145,10 @@ func afflictionUnit(seed uint64, class Class, key string) float64 {
 	return float64(sm.Next()>>11) / (1 << 53)
 }
 
-// Afflicts reports whether the given attempt (0-based) of the cell
-// identified by key is afflicted by class. Deterministic in (seed, class,
-// key, attempt); attempts at or beyond Persist always run clean, which is
-// what makes every injected fault recoverable by bounded retry.
-func (in *Injector) Afflicts(class Class, key string, attempt int) bool {
-	if in == nil || attempt >= in.cfg.Persist {
+// Afflicts reports whether the cell identified by key is afflicted by
+// class. Deterministic in (seed, class, key).
+func (in *Injector) Afflicts(class Class, key string) bool {
+	if in == nil {
 		return false
 	}
 	p := in.cfg.Rates[class]
@@ -180,8 +158,8 @@ func (in *Injector) Afflicts(class Class, key string, attempt int) bool {
 	return afflictionUnit(in.cfg.Seed, class, key) < p
 }
 
-// Note counts one fired injection of class (used by harness-level faults
-// whose firing is the affliction itself).
+// Note counts one fired injection of class (used by CacheCorrupt, whose
+// firing is the affliction itself).
 func (in *Injector) Note(class Class) {
 	if in != nil {
 		in.fired[class].Add(1)
@@ -231,23 +209,20 @@ func (in *Injector) Counts() map[string]uint64 {
 	return out
 }
 
-// EngineFor derives the engine-level child injector for one attempt of the
-// cell identified by key: only the engine classes that afflict this attempt
-// keep their per-opportunity rates. Returns nil when the attempt is clean —
-// the engine then pays exactly one nil check per hook, same as chaos off.
-// The child's fired counters tell the sweep whether injection actually
-// happened during the run (an afflicted run may roll no faults at all).
-func (in *Injector) EngineFor(key string, attempt int) *Injector {
+// EngineFor derives the engine-level child injector for the cell identified
+// by key: only the engine classes that afflict the cell keep their
+// per-opportunity rates. Returns nil when the cell is clean — the engine
+// then pays exactly one nil check per hook, same as chaos off. The child's
+// fired counters tell the sweep whether injection actually happened during
+// the run (an afflicted run may roll no faults at all).
+func (in *Injector) EngineFor(key string) *Injector {
 	if in == nil {
 		return nil
 	}
-	child := Config{
-		Seed:    prng.NewSplitMix64(in.cfg.Seed ^ fnv64(key) ^ uint64(attempt)*0x9e3779b97f4a7c15).Next(),
-		Persist: 1,
-	}
+	child := Config{Seed: prng.NewSplitMix64(in.cfg.Seed ^ fnv64(key)).Next()}
 	any := false
 	for c := SpuriousAbort; c <= ModeThrash; c++ {
-		if in.Afflicts(c, key, attempt) {
+		if in.Afflicts(c, key) {
 			child.OpRates[c] = in.cfg.OpRates[c]
 			any = true
 		}
@@ -287,33 +262,4 @@ func (s *Stream) Roll(class Class) bool {
 	}
 	s.in.fired[class].Add(1)
 	return true
-}
-
-// Backoff returns the jittered exponential backoff before retry `attempt`
-// (0-based) of the cell identified by key: base<<attempt capped at max,
-// jittered into [d/2, d) from a pure hash of (seed, key, attempt). It is a
-// pure function — deterministic for a given sweep seed — and its result is
-// always in (0, max], never unbounded doubling.
-func Backoff(seed uint64, key string, attempt int, base, max time.Duration) time.Duration {
-	if base <= 0 {
-		base = 5 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 250 * time.Millisecond
-	}
-	if base > max {
-		base = max
-	}
-	d := max
-	if attempt < 20 { // beyond 2^20 doublings the cap has long since won
-		if shifted := base << uint(attempt); shifted > 0 && shifted < max {
-			d = shifted
-		}
-	}
-	sm := prng.NewSplitMix64(seed ^ fnv64(key) ^ (uint64(attempt)+1)*0x9e3779b97f4a7c15)
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	return half + time.Duration(sm.Next()%uint64(half))
 }

@@ -1,23 +1,20 @@
 package chaos
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestAfflictsDeterministicAndOrderIndependent(t *testing.T) {
 	in := New(DefaultConfig(7))
 	keys := []string{"cell-a", "cell-b", "cell-c", "cell-d", "cell-e"}
 	first := map[string]bool{}
 	for _, k := range keys {
-		first[k] = in.Afflicts(CellPanic, k, 0)
+		first[k] = in.Afflicts(CacheCorrupt, k)
 	}
 	// Re-query in reverse order, through a fresh injector: decisions are a
 	// pure function of (seed, class, key), never of query order or state.
 	in2 := New(DefaultConfig(7))
 	for i := len(keys) - 1; i >= 0; i-- {
 		k := keys[i]
-		if got := in2.Afflicts(CellPanic, k, 0); got != first[k] {
+		if got := in2.Afflicts(CacheCorrupt, k); got != first[k] {
 			t.Fatalf("Afflicts(%q) changed across injectors/order: %v vs %v", k, got, first[k])
 		}
 	}
@@ -30,7 +27,7 @@ func TestAfflictsSeedSensitivity(t *testing.T) {
 	same := true
 	for i := 0; i < 256 && same; i++ {
 		k := string(rune('a'+i%26)) + string(rune('0'+i%10)) + "key"
-		if a.Afflicts(CellPanic, k, 0) != b.Afflicts(CellPanic, k, 0) {
+		if a.Afflicts(CacheCorrupt, k) != b.Afflicts(CacheCorrupt, k) {
 			same = false
 		}
 	}
@@ -39,34 +36,21 @@ func TestAfflictsSeedSensitivity(t *testing.T) {
 	}
 }
 
-func TestAfflictsRespectsPersist(t *testing.T) {
-	cfg := DefaultConfig(3)
-	cfg.Rates[CellPanic] = 1 // every cell afflicted
-	cfg.Persist = 2
-	in := New(cfg)
-	if !in.Afflicts(CellPanic, "k", 0) || !in.Afflicts(CellPanic, "k", 1) {
-		t.Fatal("affliction should persist for Persist attempts")
-	}
-	if in.Afflicts(CellPanic, "k", 2) {
-		t.Fatal("attempt >= Persist must run clean (bounded retry must win)")
-	}
-}
-
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if in.Afflicts(CellPanic, "k", 0) {
+	if in.Afflicts(CacheCorrupt, "k") {
 		t.Fatal("nil injector afflicted a cell")
 	}
-	if in.EngineFor("k", 0) != nil {
+	if in.EngineFor("k") != nil {
 		t.Fatal("nil injector built an engine child")
 	}
 	if in.Stream(0).Roll(SpuriousAbort) {
 		t.Fatal("nil stream fired")
 	}
-	if in.TotalFired() != 0 || in.Fired(CellPanic) != 0 {
+	if in.TotalFired() != 0 || in.Fired(CacheCorrupt) != 0 {
 		t.Fatal("nil injector counted")
 	}
-	in.Note(CellPanic) // must not panic
+	in.Note(CacheCorrupt) // must not panic
 }
 
 func TestEngineForOnlyEngineClasses(t *testing.T) {
@@ -75,7 +59,7 @@ func TestEngineForOnlyEngineClasses(t *testing.T) {
 		cfg.Rates[c] = 1
 	}
 	in := New(cfg)
-	child := in.EngineFor("some-cell", 0)
+	child := in.EngineFor("some-cell")
 	if child == nil {
 		t.Fatal("every class afflicted, expected a child injector")
 	}
@@ -85,14 +69,15 @@ func TestEngineForOnlyEngineClasses(t *testing.T) {
 			t.Errorf("engine class %s op-rate = %v, want %v", c, ccfg.OpRates[c], cfg.OpRates[c])
 		}
 	}
-	for c := CellPanic; c < NumClasses; c++ {
-		if ccfg.OpRates[c] != 0 {
-			t.Errorf("harness class %s leaked into engine child", c)
-		}
+	if ccfg.OpRates[CacheCorrupt] != 0 {
+		t.Errorf("harness class %s leaked into engine child", CacheCorrupt)
 	}
-	// Beyond Persist the attempt is clean: no child at all.
-	if in.EngineFor("some-cell", cfg.Persist) != nil {
-		t.Fatal("attempt beyond Persist produced an engine child")
+	// A cell no engine class afflicts gets no child at all.
+	for c := SpuriousAbort; c <= ModeThrash; c++ {
+		cfg.Rates[c] = 0
+	}
+	if New(cfg).EngineFor("some-cell") != nil {
+		t.Fatal("a cell afflicted by no engine class produced an engine child")
 	}
 }
 
@@ -129,41 +114,6 @@ func TestStreamDeterministicAndCounted(t *testing.T) {
 	}
 }
 
-func TestBackoffDeterministicBoundedMonotoneEnvelope(t *testing.T) {
-	const base, cap = 5 * time.Millisecond, 250 * time.Millisecond
-	for _, seed := range []uint64{0, 1, 42, 1 << 60} {
-		for _, key := range []string{"a", "cell/zec12/t2", ""} {
-			for attempt := 0; attempt < 64; attempt++ {
-				d1 := Backoff(seed, key, attempt, base, cap)
-				d2 := Backoff(seed, key, attempt, base, cap)
-				if d1 != d2 {
-					t.Fatalf("Backoff not deterministic: %v vs %v", d1, d2)
-				}
-				if d1 <= 0 || d1 > cap {
-					t.Fatalf("Backoff(%d) = %v out of (0, %v]", attempt, d1, cap)
-				}
-				// Jitter lives in [envelope/2, envelope): never below half
-				// the base, never at or above the cap envelope.
-				if attempt == 0 && d1 < base/2 {
-					t.Fatalf("first backoff %v below base/2", d1)
-				}
-			}
-		}
-	}
-	// Huge attempts (shift overflow territory) stay capped.
-	if d := Backoff(9, "k", 1<<20, base, cap); d <= 0 || d > cap {
-		t.Fatalf("overflowing attempt produced %v", d)
-	}
-	// Defaults engage on zero/negative base and cap.
-	if d := Backoff(9, "k", 0, 0, 0); d <= 0 || d > 250*time.Millisecond {
-		t.Fatalf("default backoff %v out of range", d)
-	}
-	// base > max is clamped, not inverted.
-	if d := Backoff(9, "k", 0, time.Second, 10*time.Millisecond); d > 10*time.Millisecond {
-		t.Fatalf("base>max produced %v", d)
-	}
-}
-
 func TestClassStringsAndLevels(t *testing.T) {
 	seen := map[string]bool{}
 	for c := Class(0); c < NumClasses; c++ {
@@ -181,9 +131,7 @@ func TestClassStringsAndLevels(t *testing.T) {
 			t.Errorf("%s should be engine-level", c)
 		}
 	}
-	for c := CellPanic; c < NumClasses; c++ {
-		if c.EngineLevel() {
-			t.Errorf("%s should be harness-level", c)
-		}
+	if CacheCorrupt.EngineLevel() {
+		t.Errorf("%s should be harness-level", CacheCorrupt)
 	}
 }

@@ -30,6 +30,12 @@ type Exec interface {
 	TLS(TLSPoint) (PointResult, error)
 }
 
+// inline is the default Exec: it runs every point on the spot.
+type inline struct{}
+
+func (inline) CLQ(p CLQPoint) (PointResult, error) { return RunCLQPoint(p) }
+func (inline) TLS(p TLSPoint) (PointResult, error) { return RunTLSPoint(p) }
+
 // CLQ is a Michael–Scott concurrent linked queue in simulated memory — the
 // analogue of Java's ConcurrentLinkedQueue that Section 6.1 uses to evaluate
 // zEC12 constrained transactions. The lock-free CAS paths are the baseline;
@@ -271,8 +277,8 @@ type CLQOptions struct {
 	Threads      []int
 	CostScale    float64
 	Seed         uint64
-	// Exec, when non-nil, executes the experiment's engine runs (sweep
-	// scheduling / caching); nil runs each inline via RunCLQPoint.
+	// Exec executes the experiment's engine runs (sweep scheduling /
+	// caching); nil runs each on the spot via RunCLQPoint.
 	Exec Exec
 }
 
@@ -288,6 +294,9 @@ func (o CLQOptions) withDefaults() CLQOptions {
 	}
 	if o.Seed == 0 {
 		o.Seed = 42
+	}
+	if o.Exec == nil {
+		o.Exec = inline{}
 	}
 	return o
 }
@@ -319,10 +328,6 @@ func (p CLQPoint) Label() string {
 // is reported relative to the lock-free baseline at the same thread count.
 func RunCLQ(opts CLQOptions) ([]CLQResult, error) {
 	opts = opts.withDefaults()
-	run := RunCLQPoint
-	if opts.Exec != nil {
-		run = opts.Exec.CLQ
-	}
 	var out []CLQResult
 	for _, threads := range opts.Threads {
 		var base float64
@@ -337,7 +342,7 @@ func RunCLQ(opts CLQOptions) ([]CLQResult, error) {
 			}
 			best := -1.0
 			for _, r := range retries {
-				res, err := run(CLQPoint{Mode: mode, Threads: threads, Retries: r,
+				res, err := opts.Exec.CLQ(CLQPoint{Mode: mode, Threads: threads, Retries: r,
 					OpsPerThread: opts.OpsPerThread, CostScale: opts.CostScale, Seed: opts.Seed})
 				if err != nil {
 					return nil, err

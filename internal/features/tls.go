@@ -60,8 +60,8 @@ type TLSOptions struct {
 	Threads    []int
 	CostScale  float64
 	Seed       uint64
-	// Exec, when non-nil, executes the experiment's engine runs (sweep
-	// scheduling / caching); nil runs each inline via RunTLSPoint.
+	// Exec executes the experiment's engine runs (sweep scheduling /
+	// caching); nil runs each on the spot via RunTLSPoint.
 	Exec Exec
 }
 
@@ -77,6 +77,9 @@ func (o TLSOptions) withDefaults() TLSOptions {
 	}
 	if o.Seed == 0 {
 		o.Seed = 42
+	}
+	if o.Exec == nil {
+		o.Exec = inline{}
 	}
 	return o
 }
@@ -168,21 +171,17 @@ func (s *tlsState) body(t *htm.Thread, i int) {
 // over sequential, with and without suspend/resume, for each thread count.
 func RunTLS(opts TLSOptions) ([]TLSResult, error) {
 	opts = opts.withDefaults()
-	run := RunTLSPoint
-	if opts.Exec != nil {
-		run = opts.Exec.TLS
-	}
 	var out []TLSResult
 	for _, kernel := range []TLSKernel{KernelMilc, KernelSphinx3} {
 		p := TLSPoint{Kernel: kernel, Iterations: opts.Iterations, CostScale: opts.CostScale, Seed: opts.Seed}
-		seq, err := run(p)
+		seq, err := opts.Exec.TLS(p)
 		if err != nil {
 			return nil, err
 		}
 		for _, sr := range []bool{false, true} {
 			for _, threads := range opts.Threads {
 				p.Threads, p.SuspendResume = threads, sr
-				par, err := run(p)
+				par, err := opts.Exec.TLS(p)
 				if err != nil {
 					return nil, err
 				}

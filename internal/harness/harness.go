@@ -81,8 +81,8 @@ type RunSpec struct {
 	// spurious aborts, forced capacity overflows, STM seqlock contention
 	// and controller thrash. The sequential baseline always runs clean, so
 	// an afflicted run's speedup reflects the faults' cost. Excluded from
-	// JSON so sweep cache keys are unchanged — the sweep never caches an
-	// afflicted result anyway (it discards and recomputes clean).
+	// JSON so sweep cache keys are unchanged — the sweep never caches a
+	// result whose faults fired (it runs the cell once more clean).
 	Faults *chaos.Injector `json:"-"`
 }
 

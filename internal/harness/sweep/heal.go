@@ -1,171 +1,74 @@
 package sweep
 
-// Self-healing cell execution. A sweep that only counts failures is fragile
-// in exactly the ways the paper's platforms are: transient events (an
-// interrupt-style abort, a crashed worker, a torn cache record) would fail a
-// cell that a bounded retry recovers for free. This file wraps cell
-// execution in that retry loop — jittered exponential backoff between
-// attempts, a quarantine list for cells that exhaust the pool's budget, and
-// corrupt-cache eviction/recompute — and is also where the chaos injector's
-// harness-level faults land, so every recovery path is exercised on purpose
-// by the chaos/soak suite.
+// Fault injection at the sweep (internal/chaos). A cell is a deterministic
+// simulation, so running it again reproduces its outcome: the sweep computes
+// each cell once and never retries. What -chaos checks is the runtime, not
+// the scheduler. A Measure or TuneMeasure cell the injector afflicts runs
+// under its engine faults first, and that run must complete and validate —
+// the software retry of the paper's Figure 1 has to survive aborts the
+// program did not cause — or the cell fails, naming what fired. If faults
+// fired, the cell then runs once more without them, a fixed second step
+// rather than a retry, and only that clean outcome is memoised and cached,
+// so rendered tables and cache records never carry an injected fault's
+// fingerprint. The fifth class, CacheCorrupt, tears a record after it is
+// written; the next resumed pass evicts and recomputes it.
 //
-// Determinism contract: with Config.Faults nil and Retries 0 nothing here
-// runs — compute is exactly one execCell, so the fault-free sweep is
-// byte-identical to the pre-healing scheduler. With chaos on, an
-// engine-afflicted attempt must COMPLETE and validate (that is the recovery
-// proof), but its fault-perturbed measurements are discarded and the cell is
-// retried clean, so rendered tables and cached records never contain an
-// injected fault's fingerprint.
+// With Config.Faults nil nothing here runs but one execCell per cell, so a
+// fault-free sweep is unchanged by this file.
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"htmcmp/internal/chaos"
 	"htmcmp/internal/harness"
 )
 
-// affliction carries one attempt's injected harness-level faults into
-// execCell. The zero value is a clean attempt.
-type affliction struct {
-	panics bool
-	stall  time.Duration // sleep this long instead of running (0 = none)
-	engine *chaos.Injector
-}
-
-// healInfo reports what compute did for one cell.
-type healInfo struct {
-	seconds    float64 // compute time of the final attempt (backoff excluded)
-	recovered  bool    // succeeded after at least one retry
-	quarantine bool    // retry budget exhausted (only when Retries > 0)
-}
-
-// The retry backoff starts at backoffBase and doubles per attempt up to
-// backoffCap. Its jitter is drawn from a pure hash of (Config.Seed, cell key,
-// attempt), so a sweep's retry schedule is deterministic for a given seed.
-const (
-	backoffBase = 5 * time.Millisecond
-	backoffCap  = 250 * time.Millisecond
-)
-
-// workerCrash is the panic payload of an injected worker crash; the
-// supervisor in Prewarm recognises it and restarts the worker.
-type workerCrash struct{}
-
-// compute executes the job: one attempt, then, while it fails, up to Retries
-// more, separated by deterministic jittered exponential backoff. The first
-// attempt is unconditional, so no retry budget, however hostile, can make an
-// outcome out of nothing. The attempt number feeds the chaos injector, whose
-// afflictions expire after Persist attempts — which is what makes injected
-// faults recoverable by bounded retry rather than by luck.
-func (s *Scheduler) compute(j job) (outcome, healInfo) {
-	for a := 0; ; a++ {
-		began := time.Now()
-		o := s.attempt(j, a)
-		hi := healInfo{seconds: time.Since(began).Seconds()}
-		if o.err == nil {
-			hi.recovered = a > 0
-			return o, hi
-		}
-		if a >= s.cfg.Retries {
-			hi.quarantine = s.cfg.Retries > 0
-			return o, hi
-		}
-		s.progressf("sweep: cell %s attempt %d/%d failed: %s (retrying)",
-			j.Label(), a+1, 1+s.cfg.Retries, firstLine(o.err.Error()))
-		time.Sleep(chaos.Backoff(s.cfg.Seed, j.key, a, backoffBase, backoffCap))
-		s.count[cellsRetried].Inc()
-	}
-}
-
-// attempt runs one attempt of the job, applying whatever faults the injector
-// assigns to this (key, attempt) pair.
-func (s *Scheduler) attempt(j job, attempt int) outcome {
-	inj := s.cfg.Faults
-	if inj == nil {
-		return s.execCell(j.Cell, affliction{})
-	}
-	var af affliction
-	if inj.Afflicts(chaos.CellPanic, j.key, attempt) {
-		af.panics = true
-		inj.Note(chaos.CellPanic)
-	}
-	if s.cfg.Timeout > 0 && inj.Afflicts(chaos.CellStall, j.key, attempt) {
-		af.stall = s.cfg.Timeout + 50*time.Millisecond
-		inj.Note(chaos.CellStall)
-	}
-	if j.Kind.HasSpec() {
-		// Only a RunSpec attaches the engine-level injector.
-		af.engine = inj.EngineFor(j.key, attempt)
-		j.Spec.Faults = af.engine // nil on a clean attempt: zero overhead
-	}
-	o := s.execCell(j.Cell, af)
-	if af.engine != nil {
-		for cl := chaos.SpuriousAbort; cl <= chaos.ModeThrash; cl++ {
-			inj.NoteN(cl, af.engine.Fired(cl))
-		}
-		if o.err == nil && af.engine.TotalFired() > 0 {
-			// Shakedown: the afflicted run completed and validated — the
-			// recovery proof — but its measurements carry injected aborts.
-			// Discard and retry clean so tables stay byte-identical to a
-			// fault-free sweep and only clean results are ever cached.
-			o = outcome{err: fmt.Errorf("sweep: cell %s: chaos: %d engine fault(s) fired; measurement discarded for clean retry",
-				j.Label(), af.engine.TotalFired())}
+// compute runs the job and reports its outcome and the wall-clock seconds of
+// the run that produced it. An engine-afflicted cell runs twice: afflicted,
+// where any error fails the cell, then clean when anything fired.
+func (s *Scheduler) compute(j job) (outcome, float64) {
+	began := time.Now()
+	if inj := s.cfg.Faults; inj != nil && j.Kind.HasSpec() {
+		if eng := inj.EngineFor(j.key); eng != nil {
+			af := j.Cell
+			af.Spec.Faults = eng
+			o := s.execCell(af)
+			for cl := chaos.SpuriousAbort; cl <= chaos.ModeThrash; cl++ {
+				inj.NoteN(cl, eng.Fired(cl))
+			}
+			if o.err != nil {
+				return outcome{err: fmt.Errorf("sweep: cell %s failed under injected faults (%s): %w",
+					j.Label(), firedList(eng), o.err)}, 0
+			}
+			if eng.TotalFired() == 0 {
+				// Nothing fired, so the run is a clean one; only the spec it
+				// echoes still names the injector.
+				o.res.Spec.Faults = nil
+				return o, time.Since(began).Seconds()
+			}
+			began = time.Now()
 		}
 	}
-	return o
+	o := s.execCell(j.Cell)
+	return o, time.Since(began).Seconds()
 }
 
-// retryQuarantined is the serial pass after the pool drains: each
-// quarantined cell gets one more attempt, numbered past both the pool's
-// budget and any injector Persist horizon, so it always runs clean unless
-// the failure is real. Success overwrites the memoised failure and lands in
-// the cache; failure is final and counts as Failed.
-func (s *Scheduler) retryQuarantined() {
-	s.mu.Lock()
-	quar := s.quarantine
-	s.quarantine = nil
-	s.mu.Unlock()
-	if len(quar) == 0 {
-		return
-	}
-	s.progressf("sweep: %d cell(s) quarantined; serial retry pass", len(quar))
-	for _, j := range quar {
-		began := time.Now()
-		o := s.attempt(j, s.cfg.Retries+1)
-		if o.err == nil {
-			s.landed(j, o, time.Since(began).Seconds(), true)
-			s.progressf("sweep: quarantine: %s recovered", j.Label())
-		} else {
-			s.count[cellsFailed].Inc()
-			s.progressf("sweep: quarantine: %s failed for good: %s", j.Label(), firstLine(o.err.Error()))
+// firedList names the classes an engine injector fired, with their counts.
+func firedList(eng *chaos.Injector) string {
+	var parts []string
+	for cl := chaos.SpuriousAbort; cl <= chaos.ModeThrash; cl++ {
+		if n := eng.Fired(cl); n > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", cl, n))
 		}
-		s.mu.Lock()
-		s.memo[j.key] = o
-		s.mu.Unlock()
 	}
-}
-
-// maybeCrashWorker kills the calling worker (via a workerCrash panic the
-// supervisor catches) when the chaos injector crashes it over this job. The
-// job is requeued first, so the restarted worker or another one computes it —
-// an injected crash costs a retry, never a result.
-func (s *Scheduler) maybeCrashWorker(q *queue, j job) {
-	inj := s.cfg.Faults
-	if inj == nil || !inj.Afflicts(chaos.WorkerCrash, j.key, 0) {
-		return
+	if parts == nil {
+		return "none fired"
 	}
-	if !s.markCrashed(j.key) {
-		return // this cell already took a worker down once
-	}
-	inj.Note(chaos.WorkerCrash)
-	s.count[cellsRetried].Inc() // the requeue is a re-executed attempt
-	s.markDisrupted(j.key)
-	q.requeue(j)
-	panic(workerCrash{})
+	return strings.Join(parts, " ")
 }
 
 // afflictRecord tears the just-written cache record when the cell is
@@ -175,7 +78,7 @@ func (s *Scheduler) maybeCrashWorker(q *queue, j job) {
 // the stale one by obtain's identity check — then evicted and recomputed.
 func (s *Scheduler) afflictRecord(j job) {
 	inj := s.cfg.Faults
-	if inj == nil || s.cfg.Cache == nil || !inj.Afflicts(chaos.CacheCorrupt, j.key, 0) {
+	if inj == nil || s.cfg.Cache == nil || !inj.Afflicts(chaos.CacheCorrupt, j.key) {
 		return
 	}
 	path := s.cfg.Cache.Path(j.key)
@@ -205,8 +108,8 @@ func (s *Scheduler) afflictRecord(j job) {
 }
 
 // noteEviction observes a cache-record eviction (wired as the store's
-// OnEvict hook in New): log it, count it, and mark the key disrupted so its
-// successful recompute is credited as Recovered.
+// OnEvict hook in New): log it and count it. The recompute that follows
+// counts as computed.
 func (s *Scheduler) noteEviction(key string, reason error) {
 	short := key
 	if len(short) > 12 {
@@ -214,47 +117,4 @@ func (s *Scheduler) noteEviction(key string, reason error) {
 	}
 	s.progressf("sweep: cache: evicted record %s: %v (will recompute)", short, reason)
 	s.count[cacheEvictions].Inc()
-	s.markDisrupted(key)
-}
-
-// markCrashed records that the cell's key crashed a worker; reports false if
-// it already did once (each cell crashes at most one worker, so a crashing
-// cell cannot grind the pool down forever).
-func (s *Scheduler) markCrashed(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.crashed[key] {
-		return false
-	}
-	s.crashed[key] = true
-	return true
-}
-
-// markDisrupted flags the key as recovering from a disruption (eviction or
-// worker crash); takeDisrupted consumes the flag when the recompute lands.
-func (s *Scheduler) markDisrupted(key string) {
-	s.mu.Lock()
-	s.disrupted[key] = true
-	s.mu.Unlock()
-}
-
-func (s *Scheduler) takeDisrupted(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.disrupted[key] {
-		return false
-	}
-	delete(s.disrupted, key)
-	return true
-}
-
-// firstLine trims a multi-line error (e.g. a panic with its stack) to its
-// first line for progress output.
-func firstLine(msg string) string {
-	for i := 0; i < len(msg); i++ {
-		if msg[i] == '\n' {
-			return msg[:i]
-		}
-	}
-	return msg
 }

@@ -51,15 +51,6 @@ func (q *queue) pop() (job, bool) {
 	return j, true
 }
 
-// requeue puts a popped job back at the front. A crashing worker (heal.go)
-// calls it before it dies, so the job is never out of the queue while no
-// worker holds it: the restarted worker, or any other, pops it next.
-func (q *queue) requeue(j job) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.jobs = append([]job{j}, q.jobs...)
-}
-
 // benchWeight is the relative cost per benchmark that puts the known-heavy
 // STAMP benchmarks at the front of the queue. Values are coarse ratios from
 // the checked-in results_sim.txt sweep; precision is irrelevant, ordering is

@@ -158,9 +158,8 @@ func TestQueuePopOrder(t *testing.T) {
 	}
 }
 
-// TestQueueConcurrentPopsExactlyOnce: with several workers popping at once
-// and one of them putting a job back mid-drain (the worker-crash path), every
-// job is popped exactly once and the requeued one exactly twice.
+// TestQueueConcurrentPopsExactlyOnce: with several workers popping at once,
+// every job is popped exactly once.
 func TestQueueConcurrentPopsExactlyOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
@@ -168,40 +167,22 @@ func TestQueueConcurrentPopsExactlyOnce(t *testing.T) {
 		jobs, ests := queueJobs(rng, n)
 		q := newQueue(jobs, ests)
 		pops := make([]atomic.Int32, n)
-		var total atomic.Int32
-		requeued := atomic.Int32{}
-		requeued.Store(-1)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for {
-					j, ok := q.pop()
-					if !ok {
-						return
-					}
+				for j, ok := q.pop(); ok; j, ok = q.pop() {
 					idx, _ := strconv.Atoi(j.key)
 					pops[idx].Add(1)
-					if total.Add(1) == int32(n/2+1) {
-						requeued.Store(int32(idx))
-						q.requeue(j)
-					}
 				}
 			}()
 		}
 		wg.Wait()
 		for i := range pops {
-			want := int32(1)
-			if int32(i) == requeued.Load() {
-				want = 2
+			if got := pops[i].Load(); got != 1 {
+				t.Fatalf("trial %d (%d jobs, %d workers): job %d popped %d times, want 1", trial, n, workers, i, got)
 			}
-			if got := pops[i].Load(); got != want {
-				t.Fatalf("trial %d (%d jobs, %d workers): job %d popped %d times, want %d", trial, n, workers, i, got, want)
-			}
-		}
-		if requeued.Load() < 0 {
-			t.Fatalf("trial %d: no job was requeued", trial)
 		}
 	}
 }

@@ -3,7 +3,7 @@ package sweep
 // One counter set from thread to -metrics: the scheduler counts every cell
 // outcome once, into registry counters, and everything that reports — the
 // Summary a Prewarm pass returns and the -metrics JSON — reads those counters
-// back. These tests pin that the two views agree under every healing path,
+// back. These tests pin that the two views agree under every fault class,
 // that the engine series are exactly the computed cells' Result.Engine, and
 // that cache hits publish nothing.
 
@@ -52,14 +52,11 @@ func metricsJSON(t *testing.T, reg *obs.Registry) map[string]uint64 {
 // them.
 func summaryCounters(s Summary) map[string]uint64 {
 	return map[string]uint64{
-		tallyNames[cellsDone]:        uint64(s.Computed + s.Cached),
-		tallyNames[cellsCached]:      uint64(s.Cached),
-		tallyNames[cellsComputed]:    uint64(s.Computed),
-		tallyNames[cellsFailed]:      uint64(s.Failed),
-		tallyNames[cellsRetried]:     uint64(s.Retried),
-		tallyNames[cellsQuarantined]: uint64(s.Quarantined),
-		tallyNames[cellsRecovered]:   uint64(s.Recovered),
-		tallyNames[cacheEvictions]:   uint64(s.Evicted),
+		tallyNames[cellsDone]:      uint64(s.Computed + s.Cached),
+		tallyNames[cellsCached]:    uint64(s.Cached),
+		tallyNames[cellsComputed]:  uint64(s.Computed),
+		tallyNames[cellsFailed]:    uint64(s.Failed),
+		tallyNames[cacheEvictions]: uint64(s.Evicted),
 	}
 }
 
@@ -87,28 +84,19 @@ func TestRegistryAgreesWithSummaryAndEngineStats(t *testing.T) {
 		}
 		return r
 	}
+	engine := []chaos.Class{chaos.SpuriousAbort, chaos.CapacityFault, chaos.STMContention, chaos.ModeThrash}
 	cases := []struct {
 		name string
 		// tornCache starts the sweep on a store whose every record is torn,
 		// so each cell is an eviction and a recompute.
 		tornCache bool
 		rates     [chaos.NumClasses]float64
-		persist   int // attempts an affliction survives
-		retries   int
-		// moved names the healing counters the scenario must advance, per
-		// cell; all the others must stay at zero.
-		moved map[tally]int
+		// evictions is how many records the scenario must evict per cell.
+		evictions int
 	}{
-		{name: "retry", rates: rates(chaos.CellPanic), persist: 1, retries: 2,
-			moved: map[tally]int{cellsRetried: 1, cellsRecovered: 1}},
-		{name: "quarantine", rates: rates(chaos.CellPanic), persist: 2, retries: 1,
-			moved: map[tally]int{cellsRetried: 1, cellsQuarantined: 1, cellsRecovered: 1}},
-		{name: "worker-crash", rates: rates(chaos.WorkerCrash), persist: 1, retries: 2,
-			moved: map[tally]int{cellsRetried: 1, cellsRecovered: 1}},
-		{name: "cache-eviction", tornCache: true, persist: 1, retries: 1,
-			moved: map[tally]int{cacheEvictions: 1, cellsRecovered: 1}},
-		{name: "all-at-once", tornCache: true, rates: rates(chaos.CellPanic, chaos.WorkerCrash), persist: 2, retries: 1,
-			moved: map[tally]int{cellsRetried: 2, cellsQuarantined: 1, cellsRecovered: 1, cacheEvictions: 1}},
+		{name: "cache-eviction", tornCache: true, evictions: 1},
+		{name: "engine-faults", rates: rates(engine...)},
+		{name: "all-at-once", tornCache: true, rates: rates(engine...), evictions: 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -123,10 +111,9 @@ func TestRegistryAgreesWithSummaryAndEngineStats(t *testing.T) {
 					t.Fatalf("tearing pass: %s", sum)
 				}
 			}
-			s := New(Config{
-				Jobs: 2, Cache: store, Resume: true, Retries: tc.retries, Seed: 7,
-				Faults: chaos.New(chaos.Config{Seed: 3, Rates: tc.rates, Persist: tc.persist}),
-			})
+			faults := chaos.DefaultConfig(3)
+			faults.Rates = tc.rates
+			s := New(Config{Jobs: 2, Cache: store, Resume: true, Faults: chaos.New(faults)})
 
 			// Two passes on one scheduler, half the cells each: every pass
 			// reports its own cells, the registry their sum.
@@ -137,10 +124,8 @@ func TestRegistryAgreesWithSummaryAndEngineStats(t *testing.T) {
 				if sum.Cells != half || sum.Computed != half || sum.Cached != 0 || sum.Failed != 0 {
 					t.Fatalf("pass %d summary = %s, want %d cells, all computed", i+1, sum, half)
 				}
-				for tl := cellsRetried; tl < numTallies; tl++ {
-					if got, want := summaryCounters(sum)[tallyNames[tl]], uint64(tc.moved[tl]*half); got != want {
-						t.Errorf("pass %d: %s = %d in the summary, want %d (%s)", i+1, tallyNames[tl], got, want, sum)
-					}
+				if sum.Evicted != tc.evictions*half {
+					t.Errorf("pass %d: %d evictions in the summary, want %d (%s)", i+1, sum.Evicted, tc.evictions*half, sum)
 				}
 				for name, v := range summaryCounters(sum) {
 					want[name] += v

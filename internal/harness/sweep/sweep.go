@@ -168,24 +168,18 @@ type Config struct {
 	// and produce no files; the directory is injected into cells only after
 	// their cache keys are computed, so tracing never perturbs identity.
 	TraceDir string
-	// Retries is the per-cell bounded retry budget (heal.go): a failed or
-	// chaos-afflicted attempt is re-executed up to Retries times with
-	// jittered exponential backoff before the cell is quarantined for one
-	// final serial retry. 0 disables self-healing entirely — a failed cell
-	// is final, the pre-chaos behaviour the failure-path tests pin.
+	// Retries and Seed are ignored. Every cell is computed once (heal.go);
+	// the fields stay only because the benchmark program under bench/ still
+	// sets them.
 	Retries int
-	// Seed drives the deterministic retry jitter (and fault-injection
-	// affliction decisions when Faults is set). It never affects results —
-	// only scheduling.
-	Seed uint64
+	Seed    uint64
 	// Faults, when non-nil, injects deterministic faults into the sweep
-	// (internal/chaos): engine-level faults ride into afflicted cells'
-	// RunSpecs (injected after Key(), like TraceDir, so cache identity is
-	// unchanged), and harness-level faults panic cells, stall them past
-	// Timeout, tear their cache records, or crash workers. Every injected
-	// fault is recoverable: afflicted attempts must complete but their
-	// fault-perturbed measurements are discarded and recomputed clean, so
-	// rendered tables are byte-identical to a fault-free sweep.
+	// (internal/chaos, heal.go): engine-level faults ride into afflicted
+	// cells' RunSpecs (injected after Key(), like TraceDir, so cache
+	// identity is unchanged), and CacheCorrupt tears written records. An
+	// afflicted run must complete and validate or its cell fails; only the
+	// clean run that follows it is kept, so rendered tables are
+	// byte-identical to a fault-free sweep.
 	Faults *chaos.Injector `json:"-"`
 }
 
@@ -194,21 +188,13 @@ type Summary struct {
 	Cells    int // unique cells scheduled
 	Computed int // executed in this pass
 	Cached   int // satisfied from the on-disk cache
-	Failed   int // ended in error after all healing (panics, timeouts)
-	// Self-healing outcomes (heal.go). Retried counts re-executed attempts
-	// (including worker-crash requeues); Quarantined counts cells that
-	// exhausted the pool's retry budget and were demoted to the serial
-	// single-retry pass; Recovered counts cells that ultimately succeeded
-	// after a retry, a quarantine pass, a worker crash, or a corrupt-cache
-	// eviction; Evicted counts cache records evicted as corrupt or stale.
-	// A quarantined cell is counted either Recovered or Failed, never both.
-	Retried     int
-	Quarantined int
-	Recovered   int
-	Evicted     int
+	Failed   int // ended in error (an error, a panic, a timeout)
+	// Evicted counts cache records evicted as corrupt or stale; each one's
+	// recompute is counted in Computed.
+	Evicted int
 	// Regions counts the engine regions the pass simulated: sequential
 	// baselines and parallel repeats, each once however many cells share
-	// it, plus any a failed attempt had to simulate again. It depends on
+	// it, plus the parallel repeats of fault-afflicted runs. It depends on
 	// the plan and the cache, not on Jobs; an all-hit pass simulates none.
 	Regions int
 	Elapsed time.Duration
@@ -225,15 +211,6 @@ func (s Summary) HitRatio() float64 {
 func (s Summary) String() string {
 	out := fmt.Sprintf("cells=%d computed=%d cached=%d failed=%d hit=%.1f%% regions=%d elapsed=%s",
 		s.Cells, s.Computed, s.Cached, s.Failed, s.HitRatio(), s.Regions, s.Elapsed.Round(time.Millisecond))
-	if s.Retried > 0 {
-		out += fmt.Sprintf(" retried=%d", s.Retried)
-	}
-	if s.Quarantined > 0 {
-		out += fmt.Sprintf(" quarantined=%d", s.Quarantined)
-	}
-	if s.Recovered > 0 {
-		out += fmt.Sprintf(" recovered=%d", s.Recovered)
-	}
 	if s.Evicted > 0 {
 		out += fmt.Sprintf(" evicted=%d", s.Evicted)
 	}
@@ -277,11 +254,6 @@ type Scheduler struct {
 	totalWeight float64
 	doneWeight  float64
 	regionsBase int // regions.Simulated() at the top of the pass
-
-	// self-healing state (heal.go; guarded by mu)
-	quarantine []job           // cells awaiting the serial retry pass
-	disrupted  map[string]bool // keys recovering from eviction/worker crash
-	crashed    map[string]bool // keys that already took a worker down once
 }
 
 // tally names one of the scheduler's outcome counters.
@@ -292,22 +264,16 @@ const (
 	cellsCached
 	cellsComputed
 	cellsFailed
-	cellsRetried
-	cellsQuarantined
-	cellsRecovered
 	cacheEvictions
 	numTallies
 )
 
 var tallyNames = [numTallies]string{
-	cellsDone:        "sweep_cells_done_total",
-	cellsCached:      "sweep_cells_cached_total",
-	cellsComputed:    "sweep_cells_computed_total",
-	cellsFailed:      "sweep_cells_failed_total",
-	cellsRetried:     "sweep_cell_retries_total",
-	cellsQuarantined: "sweep_cells_quarantined_total",
-	cellsRecovered:   "sweep_cells_recovered_total",
-	cacheEvictions:   "sweep_cache_evictions_total",
+	cellsDone:      "sweep_cells_done_total",
+	cellsCached:    "sweep_cells_cached_total",
+	cellsComputed:  "sweep_cells_computed_total",
+	cellsFailed:    "sweep_cells_failed_total",
+	cacheEvictions: "sweep_cache_evictions_total",
 }
 
 // New builds a Scheduler from cfg.
@@ -315,13 +281,9 @@ func New(cfg Config) *Scheduler {
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	}
 	s := &Scheduler{
 		cfg: cfg, memo: map[string]outcome{}, reg: obs.NewRegistry(),
-		regions:   harness.NewRegions(),
-		disrupted: map[string]bool{}, crashed: map[string]bool{},
+		regions: harness.NewRegions(),
 	}
 	s.requests.get = s.request
 	for t, name := range tallyNames {
@@ -330,8 +292,8 @@ func New(cfg Config) *Scheduler {
 	s.engine = obs.NewEngineMetrics(s.reg, htm.NumReasons, adapt.NumModes)
 	if cfg.Cache != nil {
 		// Evictions — Get detecting a torn record, or the identity check in
-		// obtain catching a stale one — are recoveries: log them, count them,
-		// and mark the key so its recompute is credited as Recovered.
+		// lookup catching a stale one — are logged and counted; the cell is
+		// then recomputed.
 		prev := cfg.Cache.OnEvict
 		cfg.Cache.OnEvict = func(key string, reason error) {
 			s.noteEviction(key, reason)
@@ -402,10 +364,8 @@ func (o outcome) point() (features.PointResult, error) {
 	return features.PointResult{Seconds: o.res.ParSeconds, Engine: o.res.Engine}, o.err
 }
 
-// execCell runs a cell with panic recovery and the configured timeout. The
-// affliction (heal.go) carries this attempt's injected harness-level faults;
-// the zero value runs the cell untouched.
-func (s *Scheduler) execCell(c Cell, af affliction) outcome {
+// execCell runs a cell with panic recovery and the configured timeout.
+func (s *Scheduler) execCell(c Cell) outcome {
 	ch := make(chan outcome, 1)
 	go func() {
 		defer func() {
@@ -413,17 +373,6 @@ func (s *Scheduler) execCell(c Cell, af affliction) outcome {
 				ch <- outcome{err: fmt.Errorf("sweep: cell %s panicked: %v\n%s", c.Label(), r, debug.Stack())}
 			}
 		}()
-		if af.stall > 0 {
-			// An injected stall models a hung cell: sleep past the deadline
-			// and never produce a result, so the timeout path fires. The cell
-			// itself is not run — a genuinely hung cell computes nothing.
-			time.Sleep(af.stall)
-			ch <- outcome{err: fmt.Errorf("sweep: cell %s: chaos: injected stall", c.Label())}
-			return
-		}
-		if af.panics {
-			panic("chaos: injected cell panic")
-		}
 		ch <- runCell(s.regions, c)
 	}()
 	if s.cfg.Timeout <= 0 {
@@ -450,7 +399,7 @@ func (s *Scheduler) request(c Cell) outcome {
 
 // obtain returns the job's outcome: memo hit, cache hit, or computed now.
 // fromPool marks calls from the Prewarm workers (they drive the progress
-// line and the ETA, and may quarantine).
+// line and the ETA).
 func (s *Scheduler) obtain(j job, fromPool bool) outcome {
 	s.mu.Lock()
 	o, ok := s.memo[j.key]
@@ -468,23 +417,14 @@ func (s *Scheduler) obtain(j job, fromPool bool) outcome {
 	if j.Kind.HasSpec() {
 		j.Spec.TraceDir = s.cfg.TraceDir
 	}
-	o, hi := s.compute(j)
-	switch {
-	case o.err == nil:
-		// hi.recovered: the cell landed after a retried attempt.
-		if s.landed(j, o, hi.seconds, hi.recovered) {
-			s.afflictRecord(j)
-		}
-		return s.account(j, o, fromPool, cellsComputed)
-	case hi.quarantine && fromPool:
-		// Retry budget exhausted: demote to the serial single-retry pass
-		// that runs after the pool drains, instead of failing outright.
-		s.mu.Lock()
-		s.quarantine = append(s.quarantine, j)
-		s.mu.Unlock()
-		return s.account(j, o, fromPool, cellsComputed, cellsQuarantined)
+	o, seconds := s.compute(j)
+	if o.err != nil {
+		return s.account(j, o, fromPool, cellsComputed, cellsFailed)
 	}
-	return s.account(j, o, fromPool, cellsComputed, cellsFailed)
+	if s.landed(j, o, seconds) {
+		s.afflictRecord(j)
+	}
+	return s.account(j, o, fromPool, cellsComputed)
 }
 
 // lookup reads the job's record from the cache; ok is false when there is no
@@ -501,8 +441,7 @@ func (s *Scheduler) lookup(j job) (o outcome, ok bool) {
 	// the key it was stored under? A stale record — a writer that keyed one
 	// cell and stored another, or a record rewritten in place — fails here
 	// and is evicted. (Torn and garbage records never reach this point; Get
-	// evicts those itself.) Evictions are recoveries: the cell is recomputed,
-	// not failed.
+	// evicts those itself.) An evicted cell is recomputed, not failed.
 	if k2, err := rec.Cell.Key(); err != nil || k2 != j.key {
 		s.cfg.Cache.Evict(j.key, fmt.Errorf("record content does not match its key (stale or corrupt)"))
 		return outcome{}, false
@@ -541,14 +480,9 @@ func (s *Scheduler) account(j job, o outcome, fromPool bool, route tally, ended 
 // landed banks a successfully computed cell: the registry receives its
 // engine and runtime counts — here and nowhere else, so a cache hit
 // publishes nothing and a warm sweep does not look like an abort storm —
-// and the record goes to the cache. recovered marks a cell that needed a
-// retry or the quarantine pass; a cell whose key was disrupted (worker
-// crash, cache eviction) counts as recovered too. It reports whether a
-// cache record was written.
-func (s *Scheduler) landed(j job, o outcome, seconds float64, recovered bool) (stored bool) {
-	if recovered || s.takeDisrupted(j.key) {
-		s.count[cellsRecovered].Inc()
-	}
+// and the record goes to the cache. It reports whether a cache record was
+// written.
+func (s *Scheduler) landed(j job, o outcome, seconds float64) (stored bool) {
 	rec := record{Cell: j.Cell, Seconds: seconds}
 	if j.Kind == Footprint {
 		rec.Footprint = &o.fp
@@ -602,9 +536,6 @@ func (s *Scheduler) emitProgressLocked(c Cell, cached bool) {
 	}
 	field("cached", cellsCached)
 	field("failed", cellsFailed)
-	field("retried", cellsRetried)
-	field("quarantined", cellsQuarantined)
-	field("recovered", cellsRecovered)
 	if eta, ok := s.etaLocked(now); ok {
 		line += fmt.Sprintf(" eta=%s", eta.Round(time.Second))
 	}
@@ -674,63 +605,30 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 	}
 	s.totalWeight, s.doneWeight = weight, 0
 	s.regionsBase = s.regions.Simulated()
-	s.quarantine = nil
-	s.disrupted = map[string]bool{}
-	s.crashed = map[string]bool{}
 	s.start = time.Now()
 	s.mu.Unlock()
 
 	var wg sync.WaitGroup
 	for i := 0; i < jobs; i++ {
 		wg.Add(1)
-		go func(self int) {
+		go func() {
 			defer wg.Done()
-			// Supervisor loop: a chaos-crashed worker (heal.go) requeues its
-			// cell before dying and is restarted here, so an injected crash
-			// never strands work or shrinks the pool.
-			for s.runWorker(q) {
-				s.progressf("sweep: worker %d crashed (injected); restarting", self)
+			for j, ok := q.pop(); ok; j, ok = q.pop() {
+				s.obtain(j, true)
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
-	s.retryQuarantined()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Summary{
-		Cells:       s.total,
-		Computed:    s.inPass(cellsComputed),
-		Cached:      s.inPass(cellsCached),
-		Failed:      s.inPass(cellsFailed),
-		Retried:     s.inPass(cellsRetried),
-		Quarantined: s.inPass(cellsQuarantined),
-		Recovered:   s.inPass(cellsRecovered),
-		Evicted:     s.inPass(cacheEvictions),
-		Regions:     s.regions.Simulated() - s.regionsBase,
-		Elapsed:     time.Since(s.start),
-	}
-}
-
-// runWorker pops and obtains jobs until the queue is empty. It reports true
-// when the worker died to an injected crash (the supervisor restarts it) and
-// false when the pass is over.
-func (s *Scheduler) runWorker(q *queue) (crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(workerCrash); ok {
-				crashed = true
-				return
-			}
-			panic(r)
-		}
-	}()
-	for {
-		j, ok := q.pop()
-		if !ok {
-			return false
-		}
-		s.maybeCrashWorker(q, j)
-		s.obtain(j, true)
+		Cells:    s.total,
+		Computed: s.inPass(cellsComputed),
+		Cached:   s.inPass(cellsCached),
+		Failed:   s.inPass(cellsFailed),
+		Evicted:  s.inPass(cacheEvictions),
+		Regions:  s.regions.Simulated() - s.regionsBase,
+		Elapsed:  time.Since(s.start),
 	}
 }

@@ -296,20 +296,19 @@ func TestPanicRecovery(t *testing.T) {
 // TestThreadPanicFailsItsCell: a panic on a simulated thread — here
 // intruder's parallel run outgrowing a 104 KiB arena on thread 1, after its
 // sequential baseline has fitted — is that cell's failure, with the slot and
-// the thread's stack in the error. The healing path retries and quarantines
-// it like any other failed cell, the other cells land and the pass
-// completes. (Before Engine.Run the panic was on a bare goroutine and killed
-// the process.)
+// the thread's stack in the error. The cell fails like any other, the other
+// cells land and the pass completes. (Before Engine.Run the panic was on a
+// bare goroutine and killed the process.)
 func TestThreadPanicFailsItsCell(t *testing.T) {
 	bad := Cell{Kind: Measure, Spec: harness.RunSpec{
 		Platform: platform.ZEC12, Benchmark: "intruder", Threads: 4,
 		Scale: stamp.ScaleTest, Seed: 42, Repeats: 1, SpaceSize: 104 << 10,
 	}}
 	cells := append(testCells(), bad)
-	s := New(Config{Jobs: 2, Retries: 1})
+	s := New(Config{Jobs: 2})
 	sum := s.Prewarm(cells)
-	if sum.Cells != len(cells) || sum.Failed != 1 || sum.Retried != 1 || sum.Quarantined != 1 {
-		t.Fatalf("summary = %s, want %d cells, one of them failed after a retry and the quarantine pass", sum, len(cells))
+	if sum.Cells != len(cells) || sum.Computed != len(cells) || sum.Failed != 1 {
+		t.Fatalf("summary = %s, want %d cells computed, one of them failed", sum, len(cells))
 	}
 	for _, c := range testCells() {
 		if _, err := s.Measure(c.Spec, false); err != nil {

@@ -11,7 +11,7 @@ import (
 // cell-level affliction decision is bypassed: the injector rolls directly).
 func chaosEngine(t *testing.T, k platform.Kind, threads int, rates map[chaos.Class]float64) (*Engine, *chaos.Injector) {
 	t.Helper()
-	cfg := chaos.Config{Seed: 99, Persist: 1}
+	cfg := chaos.Config{Seed: 99}
 	for c, p := range rates { //htmlint:allow determinism -- keyed copy into OpRates, order-insensitive
 		cfg.OpRates[c] = p
 	}

@@ -44,9 +44,16 @@ type Footprint struct {
 // requests every (benchmark, platform) pair through it, which lets a sweep
 // scheduler record the pairs as cells and later serve them from a
 // concurrently precomputed, cached result set. A nil Collector collects
-// inline via Collect.
+// on the spot via Collect.
 type Collector interface {
 	Collect(bench string, k platform.Kind, opts Options) (Footprint, error)
+}
+
+// inline is the default Collector: it runs every collection on the spot.
+type inline struct{}
+
+func (inline) Collect(bench string, k platform.Kind, opts Options) (Footprint, error) {
+	return Collect(bench, k, opts)
 }
 
 // Options configure a trace collection. The JSON encoding feeds sweep
@@ -58,8 +65,8 @@ type Collector interface {
 type Options struct {
 	Scale stamp.Scale
 	Seed  uint64
-	// Exec, when non-nil, executes collections (sweep scheduling /
-	// caching); nil collects inline.
+	// Exec executes collections (sweep scheduling / caching); nil collects
+	// on the spot via Collect.
 	Exec Collector `json:"-"`
 	// TraceDir, when non-empty, writes the run's event log as a per-pair
 	// JSONL event file <bench>-<platform>.jsonl into it.
@@ -70,6 +77,9 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 42
+	}
+	if o.Exec == nil {
+		o.Exec = inline{}
 	}
 	return o
 }
@@ -148,13 +158,7 @@ func CollectAll(opts Options) ([]Footprint, error) {
 	var out []Footprint
 	for _, bench := range stamp.Names() {
 		for _, k := range platform.Kinds() {
-			var fp Footprint
-			var err error
-			if opts.Exec != nil {
-				fp, err = opts.Exec.Collect(bench, k, opts)
-			} else {
-				fp, err = Collect(bench, k, opts)
-			}
+			fp, err := opts.Exec.Collect(bench, k, opts)
 			if err != nil {
 				return nil, err
 			}
