@@ -36,20 +36,15 @@ race:
 	$(GO) test -race -tags racecheck ./internal/...
 	$(GO) test -race -count=10 -run 'Run|SpinUntil|Livelock|Deadlock|Adapter' ./internal/htm
 
-# lint runs go vet, the gofmt gate, and htmlint — the repo's own
-# invariant checkers (internal/lint): determinism of the simulated core,
-# nil-gated instrumentation hooks, sweep cache identity, and build-tag twin
-# symmetry (four analyzers; go vet's copylocks covers copied atomics).
-# Intentional violations are annotated in source with
-# `//htmlint:allow <check> -- <reason>`.
+# lint runs go vet and the gofmt gate. The repo's own invariant checks
+# (internal/lint, plus the cache-key rules) run in `go test ./...` as the
+# root package's TestInvariants.
 lint:
 	$(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); \
 	if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
-	$(GO) build -o $(BIN)/htmlint ./cmd/htmlint
-	./$(BIN)/htmlint ./...
 
 # bench-smoke runs every experiment twice at test scale against a fresh
 # cache: the first run computes every cell, the second must plan the same

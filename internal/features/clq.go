@@ -304,9 +304,8 @@ func (o CLQOptions) withDefaults() CLQOptions {
 // CLQPoint is one engine run of Figure 6, every field explicit: RunCLQ
 // builds points from defaulted options, so equal runs are equal values
 // however the options were spelled. Its JSON encoding is the cache identity
-// of a sweep CLQRun cell.
-//
-//htmlint:cachekey
+// of a sweep CLQRun cell, so every field is omitempty (TestInvariants in the
+// root package checks this).
 type CLQPoint struct {
 	Mode    CLQMode `json:"mode,omitempty"`
 	Threads int     `json:"threads,omitempty"`

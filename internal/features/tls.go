@@ -86,8 +86,6 @@ func (o TLSOptions) withDefaults() TLSOptions {
 
 // TLSPoint is one engine run of Figure 9, every field explicit (see
 // CLQPoint). Its JSON encoding is the cache identity of a sweep TLSRun cell.
-//
-//htmlint:cachekey
 type TLSPoint struct {
 	Kernel TLSKernel `json:"kernel,omitempty"`
 	// Threads is the TLS thread count; 0 is the kernel's sequential

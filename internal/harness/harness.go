@@ -24,11 +24,10 @@ import (
 
 // RunSpec describes one measured configuration: a benchmark on a platform
 // model with a thread count and policy. Its JSON encoding is the sweep
-// cache key, so the frozen list below pins the fields whose zero values
-// are already baked into existing on-disk keys; any NEW field must be
-// tagged ,omitempty (see the cachekey check in internal/lint).
-//
-//htmlint:cachekey frozen=Platform,Benchmark,Threads,Scale,Variant,Seed,Mode,CostScale,Repeats,UseHLE,UseSTM,DisablePrefetch,DisableSMTSharing,ResponderWins,ChunkStep1,TMCAMEntries,SpaceSize
+// cache key, so its untagged fields are frozen: their zero values are
+// already baked into existing on-disk keys. Any NEW field must be tagged
+// ,omitempty, and a handle field json:"-"; TestInvariants in the root
+// package holds the frozen list and checks both rules.
 type RunSpec struct {
 	Platform  platform.Kind
 	Benchmark string
@@ -40,7 +39,7 @@ type RunSpec struct {
 	// Unlike the other pointer fields it IS serialized: the policy alters
 	// measured results, so it belongs to cache identity (nil encodes as
 	// null, which existing keys rely on).
-	Policy *tm.Policy //htmlint:allow cachekey -- policy shapes results, so it is part of cache identity; nil is baked into existing keys
+	Policy *tm.Policy
 	// Mode is Blue Gene/Q's running mode.
 	Mode platform.BGQMode
 	// CostScale scales injected platform overheads (default 1).

@@ -141,13 +141,11 @@ type outcome struct {
 	err error
 }
 
-// Config configures a Scheduler. It is on the cachekey-checked list
-// because its handle fields ride next to the cell grid that IS keyed:
-// excluding them via json:"-" keeps any future serialization of sweep
-// state (resume manifests, torn-record repros) from coupling identity to
-// runtime attachments. The frozen fields predate the lint.
-//
-//htmlint:cachekey frozen=Jobs,Resume,Timeout,TraceDir,Retries,Seed
+// Config configures a Scheduler. TestInvariants in the root package checks
+// it like a cache key because its handle fields ride next to the cell grid
+// that IS keyed: excluding them via json:"-" keeps any future serialization
+// of sweep state (resume manifests, torn-record repros) from coupling
+// identity to runtime attachments. Its untagged fields are frozen there.
 type Config struct {
 	// Jobs is the worker-pool size; <= 0 means GOMAXPROCS.
 	Jobs int

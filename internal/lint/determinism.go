@@ -5,15 +5,17 @@ import (
 	"go/types"
 )
 
-// CorePathSuffixes lists the packages forming the deterministic core:
+// corePaths lists the packages forming the deterministic core:
 // everything that executes between a fixed seed and a rendered table.
 // A fixed-seed run must be bit-identical across hosts (the paper's
 // tables compare abort rates and speedups quantitatively, and the
 // golden determinism tests pin exact rows), so these packages must not
 // read wall-clock time, host randomness, or the environment, and must
-// not iterate maps where the order can escape. Host-side packages
-// (internal/obs, the sweep scheduler's timing, cmd/) are exempt.
-var CorePathSuffixes = []string{
+// not iterate maps where the order can escape. Host-side packages time
+// the host and are exempt: internal/obs, internal/cache, the sweep
+// scheduler (internal/harness/sweep, which pathHasSuffix keeps apart from
+// internal/harness) and cmd/.
+var corePaths = []string{
 	"internal/htm",
 	"internal/mem",
 	"internal/tm",
@@ -22,18 +24,12 @@ var CorePathSuffixes = []string{
 	"internal/txds",
 	"internal/prng",
 	"internal/stamp",
-}
-
-// DeterminismAnalyzer forbids nondeterminism sources in the core:
-// time.Now/Since/Until, anything from math/rand (seeded or not — the
-// core's only sanctioned generator is internal/prng, whose sequences
-// are part of the pinned golden results), os.Getenv and friends, and
-// range statements over maps that bind the iteration variables.
-var DeterminismAnalyzer = &Analyzer{
-	Name: "determinism",
-	Doc: "forbid wall-clock time, math/rand, environment reads and observable map iteration " +
-		"in the deterministic simulation core",
-	Run: runDeterminism,
+	"internal/harness",
+	"internal/features",
+	"internal/trace",
+	"internal/platform",
+	"internal/stats",
+	"internal/verify",
 }
 
 // bannedFuncs maps package path -> banned top-level identifiers. An
@@ -45,15 +41,20 @@ var bannedFuncs = map[string]map[string]bool{
 	"os":           {"Getenv": true, "LookupEnv": true, "Environ": true},
 }
 
-func runDeterminism(pass *Pass) error {
-	if !inCore(pass.Pkg.Path) {
-		return nil
+// determinism forbids nondeterminism sources in the core:
+// time.Now/Since/Until, anything from math/rand (seeded or not — the
+// core's only sanctioned generator is internal/prng, whose sequences
+// are part of the pinned golden results), os.Getenv and friends, and
+// range statements over maps that bind the iteration variables.
+func determinism(pkg *Package, report reporter) {
+	if !inCore(pkg.Path) {
+		return
 	}
-	for _, f := range pass.Pkg.Files {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Ident:
-				obj := pass.Pkg.Info.Uses[n]
+				obj := pkg.Info.Uses[n]
 				if obj == nil || obj.Pkg() == nil {
 					return true
 				}
@@ -62,13 +63,13 @@ func runDeterminism(pass *Pass) error {
 					return true
 				}
 				if banned == nil || banned[obj.Name()] {
-					pass.Reportf(n.Pos(),
+					report(n.Pos(),
 						"%s.%s in deterministic core package %s: fixed-seed runs must be bit-identical "+
 							"(use internal/prng / virtual time instead)",
-						obj.Pkg().Path(), obj.Name(), pass.Pkg.Path)
+						obj.Pkg().Path(), obj.Name(), pkg.Path)
 				}
 			case *ast.RangeStmt:
-				tv, ok := pass.Pkg.Info.Types[n.X]
+				tv, ok := pkg.Info.Types[n.X]
 				if !ok {
 					return true
 				}
@@ -78,7 +79,7 @@ func runDeterminism(pass *Pass) error {
 				// `for range m {}` with no iteration variables only
 				// observes the count; order cannot escape.
 				if bindsVariable(n.Key) || bindsVariable(n.Value) {
-					pass.Reportf(n.Pos(),
+					report(n.Pos(),
 						"map iteration order is unordered and observable here; deterministic core "+
 							"code must iterate a sorted or insertion-ordered view")
 				}
@@ -86,7 +87,6 @@ func runDeterminism(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 func bindsVariable(e ast.Expr) bool {
@@ -100,7 +100,7 @@ func bindsVariable(e ast.Expr) bool {
 }
 
 func inCore(path string) bool {
-	for _, s := range CorePathSuffixes {
+	for _, s := range corePaths {
 		if pathHasSuffix(path, s) {
 			return true
 		}

@@ -14,27 +14,23 @@ const directivePrefix = "//htmlint:"
 // line directly below it (so it can ride at the end of the offending
 // line or on a comment line immediately above it).
 type allowDirective struct {
-	Check  string
-	Reason string
-	File   string
-	Line   int
-	used   bool
+	Check string
+	File  string
+	Line  int
+	used  bool
 }
 
 // directiveSet is every htmlint directive found in a set of packages,
-// plus malformed ones surfaced as diagnostics.
+// plus malformed ones surfaced as findings.
 type directiveSet struct {
 	allows    []*allowDirective
-	malformed []Diagnostic
+	malformed []Finding
 }
 
 // collectDirectives scans every comment of every parsed file (including
-// build-tag-excluded ones) for htmlint annotations. The cachekey struct
-// marker is validated and consumed by the cachekey analyzer itself; here
-// it is only checked for gross syntax.
+// build-tag-excluded ones) for htmlint annotations.
 func collectDirectives(pkgs []*Package) *directiveSet {
 	ds := &directiveSet{}
-	seen := map[string]bool{} // file:line dedupe; base and xtest share ignored files
 	for _, pkg := range pkgs {
 		files := append([]*ast.File{}, pkg.Files...)
 		files = append(files, pkg.Ignored...)
@@ -45,11 +41,6 @@ func collectDirectives(pkgs []*Package) *directiveSet {
 						continue
 					}
 					pos := pkg.Fset.Position(c.Pos())
-					key := pos.Filename + ":" + strconv.Itoa(pos.Line)
-					if seen[key] {
-						continue
-					}
-					seen[key] = true
 					ds.parse(c.Text[len(directivePrefix):], pos.Filename, pos.Line, pos.Column)
 				}
 			}
@@ -61,43 +52,36 @@ func collectDirectives(pkgs []*Package) *directiveSet {
 func (ds *directiveSet) parse(body, file string, line, col int) {
 	verb, rest, _ := strings.Cut(body, " ")
 	bad := func(msg string) {
-		ds.malformed = append(ds.malformed, Diagnostic{
+		ds.malformed = append(ds.malformed, Finding{
 			Check: "directive", File: file, Line: line, Col: col, Message: msg,
 		})
 	}
-	switch verb {
-	case "allow":
-		spec, reason, ok := strings.Cut(rest, "--")
-		check := strings.TrimSpace(spec)
-		reason = strings.TrimSpace(reason)
-		if !ok || reason == "" {
-			bad("//htmlint:allow needs a justification: `//htmlint:allow <check> -- <reason>`")
-			return
-		}
-		if !knownCheck(check) {
-			bad("//htmlint:allow names unknown check " + quote(check))
-			return
-		}
-		ds.allows = append(ds.allows, &allowDirective{
-			Check: check, Reason: reason, File: file, Line: line,
-		})
-	case "cachekey":
-		// Validated in depth by the cachekey analyzer, which also
-		// reports markers that are attached to nothing.
-	default:
-		bad("unknown htmlint directive " + quote(verb) + " (want allow or cachekey)")
+	if verb != "allow" {
+		bad("unknown htmlint directive " + quote(verb) + " (want allow)")
+		return
 	}
+	spec, reason, ok := strings.Cut(rest, "--")
+	check := strings.TrimSpace(spec)
+	if !ok || strings.TrimSpace(reason) == "" {
+		bad("//htmlint:allow needs a justification: `//htmlint:allow <check> -- <reason>`")
+		return
+	}
+	if !knownCheck(check) {
+		bad("//htmlint:allow names unknown check " + quote(check))
+		return
+	}
+	ds.allows = append(ds.allows, &allowDirective{Check: check, File: file, Line: line})
 }
 
-// apply filters diags through the allow directives, marking each
+// apply filters findings through the allow directives, marking each
 // directive that suppressed at least one finding. It returns the
 // surviving findings.
-func (ds *directiveSet) apply(diags []Diagnostic) []Diagnostic {
+func (ds *directiveSet) apply(findings []Finding) []Finding {
 	byLine := map[string][]*allowDirective{}
 	for _, a := range ds.allows {
 		byLine[a.File+":"+strconv.Itoa(a.Line)] = append(byLine[a.File+":"+strconv.Itoa(a.Line)], a)
 	}
-	match := func(d Diagnostic, line int) bool {
+	match := func(d Finding, line int) bool {
 		for _, a := range byLine[d.File+":"+strconv.Itoa(line)] {
 			if a.Check == d.Check {
 				a.used = true
@@ -106,8 +90,8 @@ func (ds *directiveSet) apply(diags []Diagnostic) []Diagnostic {
 		}
 		return false
 	}
-	var out []Diagnostic
-	for _, d := range diags {
+	var out []Finding
+	for _, d := range findings {
 		if match(d, d.Line) || match(d, d.Line-1) {
 			continue
 		}
@@ -116,16 +100,15 @@ func (ds *directiveSet) apply(diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-// unused reports every allow directive for an enabled check that
-// suppressed nothing — dead annotations are findings themselves, which
-// keeps each `//htmlint:allow` in the tree load-bearing: deleting the
-// violation it covers without deleting the directive fails the build,
-// and so does deleting neither-needed leftovers.
-func (ds *directiveSet) unused(enabled map[string]bool) []Diagnostic {
-	var out []Diagnostic
+// unused reports every allow directive that suppressed nothing — dead
+// annotations are findings themselves, which keeps each `//htmlint:allow`
+// in the tree load-bearing: deleting the violation it covers without
+// deleting the directive fails the build.
+func (ds *directiveSet) unused() []Finding {
+	var out []Finding
 	for _, a := range ds.allows {
-		if !a.used && enabled[a.Check] {
-			out = append(out, Diagnostic{
+		if !a.used {
+			out = append(out, Finding{
 				Check: "directive", File: a.File, Line: a.Line, Col: 1,
 				Message: "//htmlint:allow " + a.Check + " suppresses no finding; delete it",
 			})
@@ -135,8 +118,8 @@ func (ds *directiveSet) unused(enabled map[string]bool) []Diagnostic {
 }
 
 func knownCheck(name string) bool {
-	for _, a := range Analyzers() {
-		if a.Name == name {
+	for _, c := range checks {
+		if c.name == name {
 			return true
 		}
 	}

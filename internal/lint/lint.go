@@ -1,15 +1,15 @@
 // Package lint is the repo's invariant checker: a small suite of static
-// analyzers that mechanically enforce the disciplines the reproduction's
+// checks that mechanically enforce the disciplines the reproduction's
 // credibility rests on — fixed-seed determinism of the simulated core,
-// zero-overhead-when-off instrumentation hooks, stable sweep cache
-// identity, and symmetric build-tag file pairs. The paper's methodology (Nakaike et al.,
-// ISCA'15) compares abort rates and speedups quantitatively, so any
-// nondeterminism in the engine invalidates a table; until this package
-// existed the contracts lived only in comments and review convention.
+// zero-overhead-when-off instrumentation hooks, and symmetric build-tag
+// file pairs. The paper's methodology (Nakaike et al., ISCA'15) compares
+// abort rates and speedups quantitatively, so any nondeterminism in the
+// engine invalidates a table. The root package's TestInvariants runs
+// Check over the whole tree inside `go test ./...`; it also holds the
+// fourth invariant, sweep cache identity, as a reflect walk over the
+// cache-key structs.
 //
-// The design deliberately mirrors golang.org/x/tools/go/analysis
-// (Analyzer, Pass, Reportf, testdata fixtures with `// want` comments)
-// but is built entirely on the standard library: the loader feeds
+// The checks are built entirely on the standard library: the loader feeds
 // type-checked packages from `go list -export` output (load.go), so the
 // checker builds and runs hermetically — no module downloads, no
 // network, no third-party supply chain in the correctness tooling.
@@ -30,60 +30,76 @@ import (
 	"sort"
 )
 
-// An Analyzer is one named invariant check. Run inspects a single
-// package and reports findings through the Pass.
-type Analyzer struct {
-	// Name identifies the check in output and in //htmlint:allow
-	// directives. Lower-case, no spaces.
-	Name string
-	// Doc is a one-paragraph description of the enforced contract.
-	Doc string
-	// Run performs the check. It must be stateless across packages:
-	// the runner may invoke it on packages in any order.
-	Run func(*Pass) error
+// A Finding is one reported violation. Check names the check that
+// reported it ("determinism", "nilgate", "tagpair", or "directive" for a
+// malformed or unused //htmlint:allow).
+type Finding struct {
+	Check   string
+	File    string
+	Line    int
+	Col     int
+	Message string
 }
 
-// A Pass carries one analyzer's view of one loaded package.
-type Pass struct {
-	Analyzer *Analyzer
-	// Pkg is the loaded, type-checked package under analysis.
-	Pkg *Package
-	// report collects diagnostics; use Reportf.
-	report func(Diagnostic)
+func (f Finding) String() string {
+	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Check, f.Message)
 }
 
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Pkg.Fset.Position(pos)
-	p.report(Diagnostic{
-		Check:   p.Analyzer.Name,
-		File:    position.Filename,
-		Line:    position.Line,
-		Col:     position.Column,
-		Message: fmt.Sprintf(format, args...),
-	})
+// A reporter records one finding of the running check at pos.
+type reporter func(pos token.Pos, format string, args ...any)
+
+// checks is the suite in reporting order. Each check inspects a single
+// package and must be stateless across packages. Its name is what
+// //htmlint:allow cites.
+var checks = []struct {
+	name string
+	run  func(*Package, reporter)
+}{
+	{"determinism", determinism},
+	{"nilgate", nilgate},
+	{"tagpair", tagpair},
 }
 
-// A Diagnostic is one reported finding. The JSON encoding is the
-// `htmlint -json` CI artifact format.
-type Diagnostic struct {
-	Check   string `json:"check"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
+// Check loads the packages matched by patterns under the module rooted at
+// (or containing) dir, runs every check, applies the //htmlint:allow
+// directives, and returns the surviving findings sorted by position.
+// Malformed directives and allow directives that suppress nothing are
+// findings too.
+func Check(dir string, patterns ...string) ([]Finding, error) {
+	pkgs, err := load(dir, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	return run(pkgs), nil
 }
 
-func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Check, d.Message)
+func run(pkgs []*Package) []Finding {
+	var raw []Finding
+	for _, pkg := range pkgs {
+		for _, c := range checks {
+			c.run(pkg, func(pos token.Pos, format string, args ...any) {
+				p := pkg.Fset.Position(pos)
+				raw = append(raw, Finding{
+					Check: c.name, File: p.Filename, Line: p.Line, Col: p.Column,
+					Message: fmt.Sprintf(format, args...),
+				})
+			})
+		}
+	}
+	ds := collectDirectives(pkgs)
+	out := ds.apply(raw)
+	out = append(out, ds.unused()...)
+	out = append(out, ds.malformed...)
+	sortFindings(out)
+	return out
 }
 
-// sortDiagnostics orders findings by position then check name, so output
-// is stable regardless of analyzer or map-iteration order inside the
+// sortFindings orders findings by position then check name, so output
+// is stable regardless of check or map-iteration order inside the
 // checker itself.
-func sortDiagnostics(ds []Diagnostic) {
-	sort.Slice(ds, func(i, j int) bool {
-		a, b := ds[i], ds[j]
+func sortFindings(fs []Finding) {
+	sort.Slice(fs, func(i, j int) bool {
+		a, b := fs[i], fs[j]
 		if a.File != b.File {
 			return a.File < b.File
 		}
@@ -100,45 +116,10 @@ func sortDiagnostics(ds []Diagnostic) {
 	})
 }
 
-// Analyzers returns the full suite in reporting order.
-func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		DeterminismAnalyzer,
-		NilgateAnalyzer,
-		CachekeyAnalyzer,
-		TagpairAnalyzer,
-	}
-}
-
-// ByName resolves a comma-separated selection of analyzer names ("" or
-// "all" selects the whole suite).
-func ByName(names []string) ([]*Analyzer, error) {
-	all := Analyzers()
-	if len(names) == 0 {
-		return all, nil
-	}
-	byName := map[string]*Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range names {
-		if n == "all" {
-			return all, nil
-		}
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown check %q (have: determinism, nilgate, cachekey, tagpair)", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
 // pathHasSuffix reports whether import path p is exactly suffix or ends
 // with "/"+suffix — matching on whole path segments so that
 // "htmcmp/internal/harness" matches "internal/harness" but
-// "x/qinternal/harness" does not.
+// "x/qinternal/harness" and "htmcmp/internal/harness/sweep" do not.
 func pathHasSuffix(p, suffix string) bool {
 	if p == suffix {
 		return true

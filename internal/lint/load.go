@@ -19,14 +19,12 @@ import (
 
 // A Package is one loaded, type-checked package plus the parsed-but-not-
 // built files of its directory (build-tag-excluded sources, which the
-// tagpair analyzer needs).
+// tagpair check needs).
 type Package struct {
 	// Path is the import path; external test packages carry the base
 	// path so per-package-path policy (e.g. the determinism core set)
 	// applies to them too.
 	Path string
-	Name string
-	Dir  string
 	Fset *token.FileSet
 	// Files are the type-checked sources. For the base package this is
 	// GoFiles plus in-package TestGoFiles (the same merge the test
@@ -40,15 +38,9 @@ type Package struct {
 	Info    *types.Info
 }
 
-// IsTestFile reports whether f is a _test.go file of this package.
-func (p *Package) IsTestFile(f *ast.File) bool {
-	return strings.HasSuffix(p.Fset.Position(f.Package).Filename, "_test.go")
-}
-
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
 	ImportPath     string
-	Name           string
 	Dir            string
 	Standard       bool
 	DepOnly        bool
@@ -60,7 +52,7 @@ type listPkg struct {
 	IgnoredGoFiles []string
 }
 
-// Load enumerates, parses and type-checks the packages matched by
+// load enumerates, parses and type-checks the packages matched by
 // patterns under the module rooted at (or containing) dir. Dependencies
 // — standard library and module-internal alike — are resolved from
 // compiler export data produced by `go list -export`, so loading works
@@ -68,13 +60,10 @@ type listPkg struct {
 // closure from source. CGO is disabled for hermeticity: the pure-Go
 // fallbacks of the few cgo-capable stdlib packages are what get
 // analyzed, matching how CI builds the tree.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
+func load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{
 		"list", "-e=false", "-test", "-deps", "-export",
-		"-json=ImportPath,Name,Dir,Standard,DepOnly,ForTest,Export,GoFiles,TestGoFiles,XTestGoFiles,IgnoredGoFiles",
+		"-json=ImportPath,Dir,Standard,DepOnly,ForTest,Export,GoFiles,TestGoFiles,XTestGoFiles,IgnoredGoFiles",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -133,18 +122,12 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		pkgs = append(pkgs, base)
 		if len(t.XTestGoFiles) > 0 {
-			// First try the external test package against pure export
+			// The external test package is checked against pure export
 			// data — the only view whose type identities agree with
-			// sibling imports. That fails when the xtest references
-			// in-package test declarations of its base (export data
-			// does not carry them), so retry with the base's
-			// source-checked object overriding its import.
+			// sibling imports. Export data does not carry in-package test
+			// declarations, so an xtest that uses one fails here with a
+			// type-check error naming the package.
 			xt, err := checkPackage(fset, imp, t, t.XTestGoFiles, t.ImportPath+"_test")
-			if err != nil && len(t.TestGoFiles) > 0 {
-				imp.overridePath, imp.override = t.ImportPath, base.Types
-				xt, err = checkPackage(fset, imp, t, t.XTestGoFiles, t.ImportPath+"_test")
-				imp.overridePath, imp.override = "", nil
-			}
 			if err != nil {
 				return nil, err
 			}
@@ -167,12 +150,8 @@ func checkPackage(fset *token.FileSet, imp types.Importer, t *listPkg, names []s
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
 	}
 	conf := types.Config{
 		Importer: imp,
@@ -182,11 +161,8 @@ func checkPackage(fset *token.FileSet, imp types.Importer, t *listPkg, names []s
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", path, err)
 	}
-	name := tpkg.Name()
 	return &Package{
 		Path:  path,
-		Name:  name,
-		Dir:   t.Dir,
 		Fset:  fset,
 		Files: files,
 		Types: tpkg,
@@ -204,23 +180,15 @@ func parseOne(fset *token.FileSet, path string) (*ast.File, error) {
 
 // exportImporter resolves every import from compiler export data — one
 // gc importer instance, so each path maps to exactly one *types.Package
-// regardless of the order targets are checked in. The single exception
-// is override: while an external test package is being checked, its
-// base package import resolves to the source-checked object instead
-// (export data does not carry in-package test declarations).
+// regardless of the order targets are checked in.
 type exportImporter struct {
-	exports      map[string]string
-	gc           types.Importer
-	overridePath string
-	override     *types.Package
+	exports map[string]string
+	gc      types.Importer
 }
 
 func (e *exportImporter) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
-	}
-	if e.override != nil && path == e.overridePath {
-		return e.override, nil
 	}
 	return e.gc.Import(path)
 }

@@ -17,30 +17,23 @@ var hookTypes = map[string][]string{
 	"internal/htm":   {"Witness"},
 }
 
-// NilgateAnalyzer mechanises the zero-overhead instrumentation
-// discipline: any access through a hook-typed struct field
-// (htm.Config.Tracer/Witness/Faults, the cached per-thread copies
-// Thread.trace/faults/wit, the sweep and RunSpec fault injectors) must be
-// dominated by a nil check of that same field chain.
+// nilgate mechanises the zero-overhead instrumentation discipline: any
+// access through a hook-typed struct field (htm.Config.Tracer/Witness/
+// Faults, the cached per-thread copies Thread.trace/faults/wit, the sweep
+// and RunSpec fault injectors) must be dominated by a nil check of that
+// same field chain.
 //
 // Only field accesses are checked: a local copied out of a field
 // (`inj := s.cfg.Faults; if inj == nil { ... }`) is the other sanctioned
 // idiom and needs no gate at the copy. The packages that *implement*
 // the hooks (internal/obs, internal/chaos) are exempt — their internals
 // manipulate the same types freely.
-var NilgateAnalyzer = &Analyzer{
-	Name: "nilgate",
-	Doc: "instrumentation hook fields must be dereferenced only under a dominating nil check " +
-		"(the zero-overhead-when-off contract)",
-	Run: runNilgate,
-}
-
-func runNilgate(pass *Pass) error {
-	if pathHasSuffix(pass.Pkg.Path, "internal/obs") || pathHasSuffix(pass.Pkg.Path, "internal/chaos") {
-		return nil
+func nilgate(pkg *Package, report reporter) {
+	if pathHasSuffix(pkg.Path, "internal/obs") || pathHasSuffix(pkg.Path, "internal/chaos") {
+		return
 	}
-	w := &nilgateWalker{pass: pass}
-	for _, f := range pass.Pkg.Files {
+	w := &nilgateWalker{pkg: pkg, report: report}
+	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -49,7 +42,6 @@ func runNilgate(pass *Pass) error {
 			w.stmts(fd.Body.List, guards{})
 		}
 	}
-	return nil
 }
 
 // guards is the set of canonical field-chain expressions known non-nil
@@ -76,7 +68,8 @@ func (g guards) add(facts []string) guards {
 }
 
 type nilgateWalker struct {
-	pass *Pass
+	pkg    *Package
+	report reporter
 }
 
 // stmts walks a statement list, threading nil-check facts forward.
@@ -288,17 +281,17 @@ func (w *nilgateWalker) checkDeref(inner ast.Expr, g guards) {
 	if !w.isField(sel) {
 		return
 	}
-	tv, ok := w.pass.Pkg.Info.Types[inner]
+	tv, ok := w.pkg.Info.Types[inner]
 	if !ok || !isHookType(tv.Type) {
 		return
 	}
-	w.pass.Reportf(inner.Pos(),
+	w.report(inner.Pos(),
 		"%s is dereferenced without a dominating '%s != nil' check "+
 			"(instrumentation hooks must cost one nil check when off)", c, c)
 }
 
 func (w *nilgateWalker) isField(sel *ast.SelectorExpr) bool {
-	if s, ok := w.pass.Pkg.Info.Selections[sel]; ok {
+	if s, ok := w.pkg.Info.Selections[sel]; ok {
 		v, ok := s.Obj().(*types.Var)
 		return ok && v.IsField()
 	}

@@ -8,25 +8,6 @@ import (
 	"strings"
 )
 
-// TagpairAnalyzer enforces symmetry between build-tag twin files: when
-// one file in a package builds under `//go:build tag` and another under
-// `//go:build !tag`, the two must declare identical sets of
-// package-level symbols (types, funcs, consts, vars, and methods keyed
-// by receiver base type). The repo leans on this pattern for compiled-
-// away debug machinery — live_off.go/live_racecheck.go (racecheck),
-// mutate_on.go/mutate_off.go (mutate_isolation) — where a symbol present on one side only either
-// breaks the tagged build outright or, worse, silently changes
-// behaviour between CI's race job and production simulation runs.
-//
-// Only single-tag constraints participate; _test.go files are exempt
-// (tag-gated test helpers need no production twin).
-var TagpairAnalyzer = &Analyzer{
-	Name: "tagpair",
-	Doc: "files under complementary build tags (tag / !tag) must declare identical " +
-		"package-level symbol sets",
-	Run: runTagpair,
-}
-
 // tagSide aggregates the symbols declared by all files of one side of a
 // tag. Symbol -> first declaration position (as token.Pos within the
 // shared fset).
@@ -35,12 +16,24 @@ type tagSide struct {
 	decls map[string]ast.Node
 }
 
-func runTagpair(pass *Pass) error {
+// tagpair enforces symmetry between build-tag twin files: when one file
+// in a package builds under `//go:build tag` and another under
+// `//go:build !tag`, the two must declare identical sets of package-level
+// symbols (types, funcs, consts, vars, and methods keyed by receiver base
+// type). The repo leans on this pattern for compiled-away debug machinery
+// — live_off.go/live_racecheck.go (racecheck), mutate_on.go/mutate_off.go
+// (mutate_isolation) — where a symbol present on one side only either
+// breaks the tagged build outright or, worse, silently changes behaviour
+// between CI's race job and production simulation runs.
+//
+// Only single-tag constraints participate; _test.go files are exempt
+// (tag-gated test helpers need no production twin).
+func tagpair(pkg *Package, report reporter) {
 	// sides[tag][0] is the `tag` side, sides[tag][1] the `!tag` side.
 	sides := map[string]*[2]*tagSide{}
 
 	collect := func(f *ast.File) {
-		name := pass.Pkg.Fset.Position(f.Package).Filename
+		name := pkg.Fset.Position(f.Package).Filename
 		if strings.HasSuffix(name, "_test.go") {
 			return
 		}
@@ -63,10 +56,10 @@ func runTagpair(pass *Pass) error {
 		s[idx].files = append(s[idx].files, name)
 		collectSymbols(f, s[idx].decls)
 	}
-	for _, f := range pass.Pkg.Files {
+	for _, f := range pkg.Files {
 		collect(f)
 	}
-	for _, f := range pass.Pkg.Ignored {
+	for _, f := range pkg.Ignored {
 		collect(f)
 	}
 
@@ -81,14 +74,13 @@ func runTagpair(pass *Pass) error {
 		if pos == nil || neg == nil {
 			continue // no twin to compare against
 		}
-		reportMissing(pass, pos, neg, tag, "!"+tag)
-		reportMissing(pass, neg, pos, "!"+tag, tag)
+		reportMissing(report, pos, neg, tag, "!"+tag)
+		reportMissing(report, neg, pos, "!"+tag, tag)
 	}
-	return nil
 }
 
 // reportMissing flags every symbol of side `have` absent from `want`.
-func reportMissing(pass *Pass, have, want *tagSide, haveTag, wantTag string) {
+func reportMissing(report reporter, have, want *tagSide, haveTag, wantTag string) {
 	syms := make([]string, 0, len(have.decls))
 	for s := range have.decls {
 		syms = append(syms, s)
@@ -96,7 +88,7 @@ func reportMissing(pass *Pass, have, want *tagSide, haveTag, wantTag string) {
 	sort.Strings(syms)
 	for _, s := range syms {
 		if _, ok := want.decls[s]; !ok {
-			pass.Reportf(have.decls[s].Pos(),
+			report(have.decls[s].Pos(),
 				"%s is declared under build tag %q but has no counterpart under %q "+
 					"(files: %s): tagged twins must stay symmetric",
 				s, haveTag, wantTag, strings.Join(want.files, ", "))

@@ -2,7 +2,7 @@
 
 // Default twin of pair_on.go: same package-level symbols, with push
 // demoted to a value-receiver no-op (receiver pointerness is normalised
-// away by the analyzer).
+// away by the check).
 package adapt
 
 const debugChecks = false

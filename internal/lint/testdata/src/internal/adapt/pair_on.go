@@ -1,6 +1,6 @@
 //go:build fixdebug
 
-// Tagged twin: builds only with -tags fixdebug. The tagpair analyzer
+// Tagged twin: builds only with -tags fixdebug. The tagpair check
 // still parses this file (it is build-ignored under the default
 // configuration) and compares its symbol set against pair_off.go.
 package adapt

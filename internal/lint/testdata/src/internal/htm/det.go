@@ -1,5 +1,5 @@
 // Package htm sits on a deterministic-core import path, so the
-// determinism analyzer applies to every file here.
+// determinism check applies to every file here.
 package htm
 
 import (

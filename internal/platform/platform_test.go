@@ -105,7 +105,7 @@ func TestStringsAndShorts(t *testing.T) {
 		IntelCore: {"Intel Core", "IC"},
 		POWER8:    {"POWER8", "P8"},
 	}
-	for k, w := range want {
+	for k, w := range want { //htmlint:allow determinism -- keyed test table, each entry checked on its own
 		if k.String() != w[0] || k.Short() != w[1] {
 			t.Errorf("%d: %q/%q, want %q/%q", int(k), k.String(), k.Short(), w[0], w[1])
 		}
@@ -135,7 +135,7 @@ func TestAllAndKindsOrder(t *testing.T) {
 // each platform's lower-cased Short does too, and the error names the
 // canonical four.
 func TestParseKind(t *testing.T) {
-	for name, want := range map[string]Kind{
+	for name, want := range map[string]Kind{ //htmlint:allow determinism -- keyed test table, each entry checked on its own
 		"bgq": BlueGeneQ, "bg": BlueGeneQ, "bluegene": BlueGeneQ, "bluegeneq": BlueGeneQ,
 		"zec12": ZEC12, "z12": ZEC12, "z": ZEC12,
 		"intel": IntelCore, "ic": IntelCore, "core": IntelCore,

@@ -59,9 +59,8 @@ func (inline) Collect(bench string, k platform.Kind, opts Options) (Footprint, e
 // Options configure a trace collection. The JSON encoding feeds sweep
 // cache keys (footprint cells embed it), so runtime-only fields carry
 // json:"-" and new serialized fields must be ,omitempty; Scale and Seed
-// predate the lint and are frozen into existing keys.
-//
-//htmlint:cachekey frozen=Scale,Seed
+// predate that rule and are frozen into existing keys (TestInvariants in
+// the root package checks this).
 type Options struct {
 	Scale stamp.Scale
 	Seed  uint64
