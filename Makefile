@@ -115,7 +115,9 @@ bench-hotpath:
 # bench-hotpath-smoke is the CI gate: every microbenchmark must execute
 # (one iteration) without failing; the parsed JSON is left in $(SMOKE) for
 # artifact upload. Numbers from a 1x run are not meaningful and are not
-# compared against anything.
+# compared against anything; the tx load/store and lock-convoy (spin-wait)
+# benchmarks then run 20000 iterations each, gated against
+# BENCH_hotpath.json by GATE.
 bench-hotpath-smoke:
 	mkdir -p $(SMOKE)
 	$(GO) build -o $(BIN)/benchjson ./cmd/benchjson
@@ -123,7 +125,7 @@ bench-hotpath-smoke:
 		-count=1 ./internal/htm | tee $(SMOKE)/bench-hotpath.txt
 	./$(BIN)/benchjson -label smoke-1x -o $(SMOKE)/BENCH_hotpath.json \
 		<$(SMOKE)/bench-hotpath.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkHotpathTx(Load|Store)(8|64)$$$$' \
+	$(GO) test -run '^$$' -bench '^BenchmarkHotpath(Tx(Load|Store)(8|64)|LockConvoy(4|16))$$$$' \
 		-benchmem -benchtime=20000x -count=1 ./internal/htm | tee $(SMOKE)/bench-gate.txt
 	./$(BIN)/benchjson -baseline BENCH_hotpath.json -gate $(GATE) \
 		-o $(SMOKE)/BENCH_gate.json <$(SMOKE)/bench-gate.txt

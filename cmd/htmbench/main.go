@@ -15,7 +15,7 @@
 //
 // Sweeps are scheduled: the selected experiments are first decomposed into
 // their independent cells (a measured configuration, a footprint collection
-// or one Figure 6 / Figure 9 engine run each; only table1 has none), which a
+// or one Figure 6 / Figure 9 point each; only table1 has none), which a
 // worker pool executes concurrently (-jobs) on top of a content-addressed
 // on-disk result cache (-cache-dir), so a rerun or an interrupted sweep
 // resumes by skipping completed cells. Tables are then rendered from the

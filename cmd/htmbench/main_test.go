@@ -100,11 +100,11 @@ func mustExpand(t *testing.T, exp string) []string {
 
 // TestPlanCellCounts: every name in experiments plans, so the list and
 // runExperiment agree, and every one but the static table1 decomposes into
-// cells — Figure 6 into its 40 engine runs, Figure 9 into 26. "all" plans
-// the inAll experiments, whose shared cells deduplicate to 399.
+// cells — Figure 6 into its 20 points, Figure 9 into 26. "all" plans the
+// inAll experiments, whose shared cells deduplicate to 379.
 func TestPlanCellCounts(t *testing.T) {
 	opts := harness.Options{Scale: stamp.ScaleTest, Repeats: 2, Seed: 42}
-	want := map[string]int{"table1": 0, "fig6": 40, "fig9": 26, "fig2+3": 40, "all": 399}
+	want := map[string]int{"table1": 0, "fig6": 20, "fig9": 26, "fig2+3": 40, "all": 379}
 	for _, exp := range expNames() {
 		plan, err := planCells(mustExpand(t, exp), opts, false)
 		if err != nil {
@@ -265,8 +265,8 @@ func TestResultsGolden(t *testing.T) {
 		t.Skip("runs the whole test-scale sweep")
 	}
 	const golden = "testdata/results_test.golden"
-	const cells = 399
-	const regions = 799 // 1,324 if every cell simulated all of its own
+	const cells = 379
+	const regions = 667 // 1,324 if every cell simulated all of its own
 	names := mustExpand(t, "all")
 	opts := harness.Options{Scale: stamp.ScaleTest, Repeats: 2, Seed: 42}
 	store, err := cache.Open(t.TempDir())
@@ -324,8 +324,9 @@ func TestResultsGolden(t *testing.T) {
 // distinct sequential baseline and parallel repeat once, however many cells
 // share it, and none on a warm pass. adaptive's default, tuned and adaptive
 // cells share baselines, and its default cells are tuning trials off BG/Q
-// (344 regions if every cell simulated its own); fig2+3's 160 are all
-// distinct.
+// (344 regions if every cell simulated its own). fig2+3's 80 parallel
+// repeats are distinct, and its 80 sequential baselines are 22, one per
+// workload (benchmark, repeat seed and genome chunk) whatever the platform.
 func TestSweepRegionCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two test-scale sweeps")
@@ -334,7 +335,7 @@ func TestSweepRegionCounts(t *testing.T) {
 	for _, tc := range []struct {
 		exp     string
 		regions int
-	}{{"adaptive", 179}, {"fig2+3", 160}} {
+	}{{"adaptive", 151}, {"fig2+3", 102}} {
 		plan, err := planCells(mustExpand(t, tc.exp), opts, false)
 		if err != nil {
 			t.Fatal(err)

@@ -13,8 +13,9 @@ import (
 	"htmcmp/internal/platform"
 )
 
-// PointResult is what one engine run of either experiment answers: the
-// region's duration in virtual cycles and the engine's transaction counts.
+// PointResult is what one point of either experiment answers: the region's
+// duration in virtual cycles and the engine's transaction counts (for
+// OptRetryTM, those of the search's winning run).
 type PointResult struct {
 	Seconds float64
 	Engine  htm.Stats
@@ -48,6 +49,18 @@ func (inline) TLS(p TLSPoint) (PointResult, error) { return RunTLSPoint(p) }
 type CLQ struct {
 	headAddr mem.Addr
 	tailAddr mem.Addr
+
+	// maxFailed is the most failed transaction attempts one transactional
+	// operation has made so far; retries+1 means it fell back to the
+	// lock-free code.
+	maxFailed int
+}
+
+// noteTM records a transactional operation that made failed failed attempts.
+func (q *CLQ) noteTM(failed int) {
+	if failed > q.maxFailed {
+		q.maxFailed = failed
+	}
 }
 
 const (
@@ -158,9 +171,11 @@ func (q *CLQ) EnqueueTM(t *htm.Thread, v uint64, retries int) {
 			}
 		})
 		if ok && fast {
+			q.noteTM(attempt)
 			return
 		}
 	}
+	q.noteTM(retries + 1)
 	// Fall back to the lock-free path, reusing the node.
 	for {
 		tail := t.Load64(q.tailAddr)
@@ -189,9 +204,11 @@ func (q *CLQ) DequeueTM(t *htm.Thread, retries int) (uint64, bool) {
 			v, okv, fast = q.dequeueTxBody(t)
 		})
 		if committed && fast {
+			q.noteTM(attempt)
 			return v, okv
 		}
 	}
+	q.noteTM(retries + 1)
 	return q.DequeueLockFree(t)
 }
 
@@ -301,17 +318,14 @@ func (o CLQOptions) withDefaults() CLQOptions {
 	return o
 }
 
-// CLQPoint is one engine run of Figure 6, every field explicit: RunCLQ
-// builds points from defaulted options, so equal runs are equal values
-// however the options were spelled. Its JSON encoding is the cache identity
-// of a sweep CLQRun cell, so every field is omitempty (TestInvariants in the
-// root package checks this).
+// CLQPoint is one point of Figure 6, every field explicit: RunCLQ builds
+// points from defaulted options, so equal points are equal values however
+// the options were spelled. Its JSON encoding is the cache identity of a
+// sweep CLQRun cell, so every field is omitempty (TestInvariants in the root
+// package checks this).
 type CLQPoint struct {
-	Mode    CLQMode `json:"mode,omitempty"`
-	Threads int     `json:"threads,omitempty"`
-	// Retries is how often a transaction is retried before the lock-free
-	// fallback: 0 for NoRetryTM, one of the tuning grid for OptRetryTM.
-	Retries      int     `json:"retries,omitempty"`
+	Mode         CLQMode `json:"mode,omitempty"`
+	Threads      int     `json:"threads,omitempty"`
 	OpsPerThread int     `json:"ops_per_thread,omitempty"`
 	CostScale    float64 `json:"cost_scale,omitempty"`
 	Seed         uint64  `json:"seed,omitempty"`
@@ -319,7 +333,7 @@ type CLQPoint struct {
 
 // Label is a short identifier for progress and error reporting.
 func (p CLQPoint) Label() string {
-	return fmt.Sprintf("clq/%v/t%d/r%d", p.Mode, p.Threads, p.Retries)
+	return fmt.Sprintf("clq/%v/t%d", p.Mode, p.Threads)
 }
 
 // RunCLQ runs the Figure 6 experiment on the zEC12 model: each thread
@@ -331,40 +345,97 @@ func RunCLQ(opts CLQOptions) ([]CLQResult, error) {
 	for _, threads := range opts.Threads {
 		var base float64
 		for _, mode := range []CLQMode{CLQLockFree, CLQNoRetryTM, CLQOptRetryTM, CLQConstrainedTM} {
-			retries := []int{0}
-			if mode == CLQOptRetryTM {
-				// "Opt" is the paper's tuned retry count: search a small
-				// grid per thread count and keep the best (Section 6.1:
-				// "we tuned the retry count to obtain the maximum
-				// performance").
-				retries = []int{1, 2, 4, 8, 16}
-			}
-			best := -1.0
-			for _, r := range retries {
-				res, err := opts.Exec.CLQ(CLQPoint{Mode: mode, Threads: threads, Retries: r,
-					OpsPerThread: opts.OpsPerThread, CostScale: opts.CostScale, Seed: opts.Seed})
-				if err != nil {
-					return nil, err
-				}
-				if best < 0 || res.Seconds < best {
-					best = res.Seconds
-				}
+			res, err := opts.Exec.CLQ(CLQPoint{Mode: mode, Threads: threads,
+				OpsPerThread: opts.OpsPerThread, CostScale: opts.CostScale, Seed: opts.Seed})
+			if err != nil {
+				return nil, err
 			}
 			if mode == CLQLockFree {
-				base = best
+				base = res.Seconds
 			}
 			out = append(out, CLQResult{
-				Mode: mode, Threads: threads, Seconds: best, Relative: best / base,
+				Mode: mode, Threads: threads, Seconds: res.Seconds, Relative: res.Seconds / base,
 			})
 		}
 	}
 	return out, nil
 }
 
-// RunCLQPoint executes one Figure 6 engine run.
+// RunCLQPoint executes one Figure 6 point: one engine run, or for
+// OptRetryTM the retry-count search (searchOptRetry).
 func RunCLQPoint(p CLQPoint) (PointResult, error) {
+	if p.Mode == CLQOptRetryTM {
+		best, _, err := searchOptRetry(p)
+		return best.PointResult, err
+	}
+	run, err := runCLQ(p, 0)
+	return run.PointResult, err
+}
+
+// optRetryGrid is the retry counts OptRetryTM searches, largest first: a
+// run whose operations never needed its whole budget also answers the
+// smaller counts it did not reach.
+var optRetryGrid = []int{16, 8, 4, 2, 1}
+
+// searchOptRetry is OptRetryTM, the paper's tuned retry count (Section 6.1:
+// "we tuned the retry count to obtain the maximum performance"): the
+// fastest of p's runs over optRetryGrid, the smallest retry count among
+// equally fast ones. A count that an earlier run serves (clqRun.serves) is
+// that run and is not simulated again. grid holds the run answering each
+// count, in optRetryGrid order; a served entry keeps the retries it ran
+// with.
+func searchOptRetry(p CLQPoint) (best clqRun, grid []clqRun, err error) {
+	var simulated []clqRun
+	for _, r := range optRetryGrid {
+		run, served := clqRun{}, false
+		for _, s := range simulated {
+			if s.serves(r) {
+				run, served = s, true
+				break
+			}
+		}
+		if !served {
+			if run, err = runCLQ(p, r); err != nil {
+				return clqRun{}, nil, err
+			}
+			simulated = append(simulated, run)
+		}
+		if len(grid) == 0 || run.Seconds <= best.Seconds {
+			best = run
+		}
+		grid = append(grid, run)
+	}
+	return best, grid, nil
+}
+
+// clqRun is one simulated Figure 6 run and the most failed attempts one of
+// its transactional operations made (CLQ.maxFailed).
+type clqRun struct {
+	PointResult
+	retries   int
+	maxFailed int
+}
+
+// fellBack reports whether an operation of r ran out of retries and took
+// the lock-free code.
+func (r clqRun) fellBack() bool { return r.maxFailed > r.retries }
+
+// serves reports whether the run with a smaller retry count is this very
+// run: no operation fell back and none failed more than retries attempts,
+// so none reaches the smaller budget and virtual time replays the run
+// exactly.
+func (r clqRun) serves(retries int) bool {
+	return !r.fellBack() && r.maxFailed <= retries
+}
+
+// runCLQ executes one Figure 6 engine run with the given retry budget for
+// the transactional modes.
+func runCLQ(p CLQPoint, retries int) (clqRun, error) {
 	if p.Threads < 1 {
-		return PointResult{}, fmt.Errorf("clq %v: %d threads", p.Mode, p.Threads)
+		return clqRun{}, fmt.Errorf("clq %v: %d threads", p.Mode, p.Threads)
+	}
+	if p.Mode < CLQLockFree || p.Mode > CLQConstrainedTM {
+		return clqRun{}, fmt.Errorf("clq: unknown mode %d", int(p.Mode))
 	}
 	threads := p.Threads
 	e := htm.New(platform.New(platform.ZEC12), htm.Config{
@@ -390,8 +461,8 @@ func RunCLQPoint(p CLQPoint) (PointResult, error) {
 					deqTotal++
 				}
 			case CLQNoRetryTM, CLQOptRetryTM:
-				q.EnqueueTM(t, v, p.Retries)
-				if _, ok := q.DequeueTM(t, p.Retries); ok {
+				q.EnqueueTM(t, v, retries)
+				if _, ok := q.DequeueTM(t, retries); ok {
 					deqTotal++
 				}
 			case CLQConstrainedTM:
@@ -403,13 +474,14 @@ func RunCLQPoint(p CLQPoint) (PointResult, error) {
 			enqTotal++
 		}
 	})
-	res := PointResult{Seconds: float64(e.MaxClock())}
+	run := clqRun{PointResult: PointResult{Seconds: float64(e.MaxClock())},
+		retries: retries, maxFailed: q.maxFailed}
 	// Consistency: remaining length == prefill + enqueues - dequeues.
 	want := threads*4 + int(enqTotal) - int(deqTotal)
 	if got := q.Len(e.Thread(0)); got != want {
-		return PointResult{}, fmt.Errorf("clq %v/%d threads: queue length %d, want %d", p.Mode, threads, got, want)
+		return clqRun{}, fmt.Errorf("clq %v/%d threads: queue length %d, want %d", p.Mode, threads, got, want)
 	}
-	res.Engine = e.Stats()
+	run.Engine = e.Stats()
 	e.Release()
-	return res, nil
+	return run, nil
 }

@@ -107,6 +107,57 @@ func TestRunCLQShape(t *testing.T) {
 	}
 }
 
+// TestOptRetrySearchExact: the OptRetryTM point is what simulating every
+// grid retry count and keeping the fastest gives — the minimum duration,
+// with the engine counts of the smallest retry count that reaches it — and
+// every count the search served from an earlier run is, field for field,
+// that count's own run.
+func TestOptRetrySearchExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLQ runs in -short mode")
+	}
+	reused, fellBack := 0, 0
+	for _, threads := range []int{1, 2, 4, 8} {
+		for _, seed := range []uint64{42, 7} {
+			p := CLQPoint{Mode: CLQOptRetryTM, Threads: threads, OpsPerThread: 150, CostScale: 1, Seed: seed}
+			best, grid, err := searchOptRetry(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want clqRun
+			for i, r := range optRetryGrid {
+				direct, err := runCLQ(p, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if direct.fellBack() {
+					fellBack++
+				}
+				if i == 0 || direct.Seconds <= want.Seconds {
+					want = direct
+				}
+				if got := grid[i]; got.retries != r {
+					reused++
+					if got.PointResult != direct.PointResult {
+						t.Errorf("%s seed %d: %d retries served by the %d-retry run\n got %+v\nwant %+v",
+							p.Label(), seed, r, got.retries, got.PointResult, direct.PointResult)
+					}
+				}
+			}
+			if best.PointResult != want.PointResult {
+				t.Errorf("%s seed %d: search %+v, want the grid's best, %d retries: %+v",
+					p.Label(), seed, best.PointResult, want.retries, want.PointResult)
+			}
+			if got, err := RunCLQPoint(p); err != nil || got != best.PointResult {
+				t.Errorf("%s seed %d: RunCLQPoint = %+v (err %v), want the search's %+v", p.Label(), seed, got, err, best.PointResult)
+			}
+		}
+	}
+	if reused == 0 || fellBack == 0 {
+		t.Errorf("%d retry counts reused and %d direct runs that fell back: the box must have both", reused, fellBack)
+	}
+}
+
 func TestTLSSequentialValidates(t *testing.T) {
 	for _, k := range []TLSKernel{KernelMilc, KernelSphinx3} {
 		if _, err := RunTLSPoint(TLSPoint{Kernel: k, Iterations: 256, CostScale: 1, Seed: 3}); err != nil {
@@ -189,7 +240,7 @@ type stubExec struct {
 }
 
 func clqStubSeconds(p CLQPoint) float64 {
-	return float64(1000*(int(p.Mode)+1)*p.Threads + 10*p.Retries)
+	return float64(1000 * (int(p.Mode) + 1) * p.Threads)
 }
 
 func tlsStubSeconds(p TLSPoint) float64 {
@@ -217,9 +268,9 @@ func (inlineExec) CLQ(p CLQPoint) (PointResult, error) { return RunCLQPoint(p) }
 func (inlineExec) TLS(p TLSPoint) (PointResult, error) { return RunTLSPoint(p) }
 
 // TestExecAnswersEveryNumber: with an Exec set, RunCLQ and RunTLS simulate
-// nothing themselves — the default options request 40 + 26 distinct,
-// fully-defaulted points and the tables are exactly what the answers imply
-// (OptRetryTM the minimum over its five retry counts).
+// nothing themselves — the default options request 20 + 26 distinct,
+// fully-defaulted points (OptRetryTM one point that searches its retry
+// count itself) and the tables are exactly what the answers imply.
 func TestExecAnswersEveryNumber(t *testing.T) {
 	x := &stubExec{}
 	clq, err := RunCLQ(CLQOptions{Exec: x})
@@ -243,8 +294,8 @@ func TestExecAnswersEveryNumber(t *testing.T) {
 			t.Fatalf("point %+v is not fully defaulted", p)
 		}
 	}
-	if len(x.clq) != 40 || len(distinctCLQ) != 40 || len(x.tls) != 26 || len(distinctTLS) != 26 {
-		t.Fatalf("requested %d CLQ (%d distinct) and %d TLS (%d distinct) points, want 40 and 26",
+	if len(x.clq) != 20 || len(distinctCLQ) != 20 || len(x.tls) != 26 || len(distinctTLS) != 26 {
+		t.Fatalf("requested %d CLQ (%d distinct) and %d TLS (%d distinct) points, want 20 and 26",
 			len(x.clq), len(distinctCLQ), len(x.tls), len(distinctTLS))
 	}
 
@@ -252,11 +303,7 @@ func TestExecAnswersEveryNumber(t *testing.T) {
 		t.Fatalf("RunCLQ returned %d results, want 20", len(clq))
 	}
 	for _, r := range clq {
-		p := CLQPoint{Mode: r.Mode, Threads: r.Threads}
-		if r.Mode == CLQOptRetryTM {
-			p.Retries = 1 // the stub grows with retries, so the grid's minimum is its first entry
-		}
-		want := clqStubSeconds(p)
+		want := clqStubSeconds(CLQPoint{Mode: r.Mode, Threads: r.Threads})
 		base := clqStubSeconds(CLQPoint{Mode: CLQLockFree, Threads: r.Threads})
 		if r.Seconds != want || r.Relative != want/base {
 			t.Errorf("%v/%d = %v (relative %v), want %v (%v)", r.Mode, r.Threads, r.Seconds, r.Relative, want, want/base)

@@ -226,7 +226,7 @@ func (s RunSpec) runSeqOnce(seed uint64) (float64, error) {
 	b.Run([]stamp.Runner{stamp.SeqRunner{T: e.Thread(0)}})
 	elapsed := float64(e.MaxClock())
 	if err := b.Validate(e.Thread(0)); err != nil {
-		return 0, fmt.Errorf("sequential %s on %s: %w", s.Benchmark, s.Platform, err)
+		return 0, fmt.Errorf("sequential %s: %w", s.Benchmark, err)
 	}
 	// Recycle the engine's big allocations. Error/panic paths above skip
 	// this and fall back to the GC.

@@ -14,16 +14,16 @@ import (
 
 // Regions is a single-flight, in-memory memo of engine regions: one
 // sequential baseline or one parallel repeat, keyed by exactly what that
-// region reads. Cells that need the same region share one simulation: fig5
-// runs one baseline per benchmark and platform for all its thread counts, a
-// tuning search's trials share their baseline, the re-measure of the winner
-// starts with the winning trial, and a default cell whose policy is in the
-// grid is one of the trials. Concurrent requests for a region that is being
-// simulated wait for it, so how many regions are simulated depends on the
-// requests alone, not on how many goroutines make them. A region that errors
-// or panics wakes its waiters with the error and is forgotten, so the next
-// request simulates it afresh. Regions never request regions, so waiting
-// cannot deadlock.
+// region reads. Cells that need the same region share one simulation: one
+// baseline per benchmark workload serves every platform, mode and thread
+// count, a tuning search's trials share their baseline, the re-measure of
+// the winner starts with the winning trial, and a default cell whose policy
+// is in the grid is one of the trials. Concurrent requests for a region that
+// is being simulated wait for it, so how many regions are simulated depends
+// on the requests alone, not on how many goroutines make them. A region that
+// errors or panics wakes its waiters with the error and is forgotten, so the
+// next request simulates it afresh. Regions never request regions, so
+// waiting cannot deadlock.
 //
 // A Regions lives as long as its owner (a sweep scheduler, or one experiment
 // call) and is safe for concurrent use. Nothing in it is persisted.
@@ -55,6 +55,12 @@ func (r *Regions) Measure(spec RunSpec, tune bool) (Result, error) {
 // engine, benchmark and runtime, and the repeat's derived seed. Repeats is
 // not in it (a region is one repeat), and neither is anything else a region
 // does not read, so cells that differ only there share the region.
+//
+// A sequential baseline sets only the workload fields (seqKey): one
+// untraced, clean thread pays no platform cost, so its cycles are equal on
+// every platform model and under every engine option
+// (TestSeqBaselinePlatformFree holds this). A parallel region sets every
+// field. traceName hashes the JSON encoding, so the field order is frozen.
 type regionKey struct {
 	Platform          platform.Kind
 	Benchmark         string
@@ -70,8 +76,9 @@ type regionKey struct {
 	TMCAMEntries      int
 	SpaceSize         int
 
-	// What a parallel region reads besides; all zero for a sequential
-	// baseline, which runs one thread, untraced and clean.
+	// What a parallel region reads besides the platform and engine fields
+	// above; all zero for a sequential baseline, which runs one thread,
+	// untraced and clean.
 	Threads int
 	// Policy is resolved, so a nil RunSpec.Policy and an explicit copy of
 	// the default are one region.
@@ -101,28 +108,25 @@ type flight struct {
 	err error
 }
 
-// seqKey is the key of spec's sequential baseline under seed.
+// seqKey is the key of spec's sequential baseline under seed: the workload
+// alone, shared by every platform and engine option.
 func (s RunSpec) seqKey(seed uint64) regionKey {
 	return regionKey{
-		Platform:          s.Platform,
-		Benchmark:         s.Benchmark,
-		Scale:             s.Scale,
-		Variant:           s.Variant,
-		Seed:              seed,
-		Mode:              s.Mode,
-		CostScale:         s.CostScale,
-		DisablePrefetch:   s.DisablePrefetch,
-		DisableSMTSharing: s.DisableSMTSharing,
-		ResponderWins:     s.ResponderWins,
-		ChunkStep1:        s.ChunkStep1,
-		TMCAMEntries:      s.TMCAMEntries,
-		SpaceSize:         s.SpaceSize,
+		Benchmark:  s.Benchmark,
+		Scale:      s.Scale,
+		Variant:    s.Variant,
+		Seed:       seed,
+		ChunkStep1: s.ChunkStep1,
+		SpaceSize:  s.SpaceSize,
 	}
 }
 
 // parKey is the key of spec's parallel run under seed.
 func (s RunSpec) parKey(seed uint64) regionKey {
 	k := s.seqKey(seed)
+	k.Platform, k.Mode, k.CostScale = s.Platform, s.Mode, s.CostScale
+	k.DisablePrefetch, k.DisableSMTSharing, k.ResponderWins = s.DisablePrefetch, s.DisableSMTSharing, s.ResponderWins
+	k.TMCAMEntries = s.TMCAMEntries
 	k.Threads = s.Threads
 	k.Policy = s.policy()
 	k.UseHLE, k.UseSTM, k.Adaptive = s.UseHLE, s.UseSTM, s.Adaptive

@@ -13,8 +13,8 @@ import (
 
 // TestTuneRegionCounts pins the regions one Tune call simulates through one
 // memo against the per-call fold, in which every trial and the re-measure
-// simulated their own: the trials share their sequential baseline (one per
-// BG/Q running mode, one per genome chunk), and the re-measure's first
+// simulated their own: the trials share their sequential baseline (one for
+// both BG/Q running modes, one per genome chunk), and the re-measure's first
 // repeat is the winning trial. Sharing moves no result.
 func TestTuneRegionCounts(t *testing.T) {
 	if testing.Short() {
@@ -25,7 +25,7 @@ func TestTuneRegionCounts(t *testing.T) {
 		perCall, shared int
 	}{
 		{RunSpec{Platform: platform.POWER8, Benchmark: "ssca2"}, 14, 8},
-		{RunSpec{Platform: platform.BlueGeneQ, Benchmark: "kmeans-high"}, 12, 8},
+		{RunSpec{Platform: platform.BlueGeneQ, Benchmark: "kmeans-high"}, 12, 7},
 		{RunSpec{Platform: platform.ZEC12, Benchmark: "genome"}, 24, 14},
 	} {
 		spec := tc.spec
@@ -138,4 +138,49 @@ func joined(r *Regions, k regionKey) int {
 		return f.waiters
 	}
 	return 0
+}
+
+// TestSeqBaselinePlatformFree holds what seqKey leaves out: a sequential
+// baseline's cycles do not depend on the platform model, Blue Gene/Q's
+// running mode, the cost scale or any transaction-only ablation, so one
+// baseline per workload serves them all.
+func TestSeqBaselinePlatformFree(t *testing.T) {
+	var engines []RunSpec
+	for _, k := range platform.Kinds() {
+		engines = append(engines, RunSpec{Platform: k}, RunSpec{Platform: k, CostScale: 2})
+	}
+	engines = append(engines,
+		RunSpec{Platform: platform.BlueGeneQ, Mode: platform.LongRunning},
+		RunSpec{Platform: platform.IntelCore, DisablePrefetch: true},
+		RunSpec{Platform: platform.POWER8, DisableSMTSharing: true},
+		RunSpec{Platform: platform.ZEC12, ResponderWins: true},
+		RunSpec{Platform: platform.POWER8, TMCAMEntries: 128},
+	)
+	for _, bench := range stamp.Names() {
+		for _, v := range []stamp.Variant{stamp.Modified, stamp.Original} {
+			for i := 0; i < 2; i++ {
+				var first RunSpec
+				want := -1.0
+				for _, e := range engines {
+					spec := e
+					spec.Benchmark, spec.Scale, spec.Variant = bench, stamp.ScaleTest, v
+					spec = spec.withDefaults()
+					seed := spec.repeatSeed(i)
+					got, err := spec.runSeqOnce(seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want < 0 {
+						first, want = spec, got
+						continue
+					}
+					if got != want {
+						t.Fatalf("%s %v seed %d: sequential baseline %v cycles under %+v, %v under %+v;"+
+							" the field that differs reaches a one-thread run, so put it back into seqKey",
+							bench, v, seed, got, spec, want, first)
+					}
+				}
+			}
+		}
+	}
 }

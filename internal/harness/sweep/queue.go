@@ -3,6 +3,8 @@ package sweep
 import (
 	"sort"
 	"sync"
+
+	"htmcmp/internal/features"
 )
 
 // job is one pooled cell together with the cache key Prewarm's dedupe
@@ -80,8 +82,13 @@ func cellPrior(c Cell) float64 {
 	switch c.Kind {
 	case CLQRun:
 		// Cost grows with the thread count and not with -scale: at test
-		// scale a 16-thread run is the sweep's longest cell.
-		return 2 * float64(featureThreads(c))
+		// scale a 16-thread run is the sweep's longest cell, and an
+		// OptRetryTM cell is a retry-count search of two or three runs.
+		w := 2 * float64(featureThreads(c))
+		if c.CLQ != nil && c.CLQ.Mode == features.CLQOptRetryTM {
+			w *= 3
+		}
+		return w
 	case TLSRun:
 		return 0.1 * float64(1+featureThreads(c))
 	}

@@ -52,8 +52,9 @@ const (
 	TuneMeasure
 	// Footprint is one trace.Collect footprint pass.
 	Footprint
-	// CLQRun and TLSRun are one engine run of Figure 6 / Figure 9, the grain
-	// of a Measure cell. New kinds go last: the values are in cache keys.
+	// CLQRun and TLSRun are one point of Figure 6 / Figure 9: one engine
+	// run, the grain of a Measure cell, or for Figure 6's OptRetryTM the
+	// retry-count search. New kinds go last: the values are in cache keys.
 	CLQRun
 	TLSRun
 )

@@ -562,7 +562,7 @@ func featureCells(t *testing.T) []Cell {
 		features.TLSOptions{Iterations: 64, Threads: []int{1, 2}})
 }
 
-// TestFeatureCellsDistinct: the default Figure 6 and Figure 9 plan is 40 + 26
+// TestFeatureCellsDistinct: the default Figure 6 and Figure 9 plan is 20 + 26
 // cells, no two sharing a cache key or a label.
 func TestFeatureCellsDistinct(t *testing.T) {
 	cells := planFeatures(t, features.CLQOptions{}, features.TLSOptions{})
@@ -579,8 +579,8 @@ func TestFeatureCellsDistinct(t *testing.T) {
 		}
 		keys[key], labels[c.Label()] = true, true
 	}
-	if kinds[CLQRun] != 40 || kinds[TLSRun] != 26 || len(cells) != 66 {
-		t.Errorf("planned %d cells by kind %v, want 40 clq + 26 tls", len(cells), kinds)
+	if kinds[CLQRun] != 20 || kinds[TLSRun] != 26 || len(cells) != 46 {
+		t.Errorf("planned %d cells by kind %v, want 20 clq + 26 tls", len(cells), kinds)
 	}
 }
 

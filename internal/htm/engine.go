@@ -376,8 +376,13 @@ func (e *Engine) ResetClocks() {
 	}
 }
 
-// SchedHandoffs returns how many times the virtual scheduler elected a new
-// baton holder — a cheap proxy for how finely the run interleaved.
+// SchedHandoffs returns how many threads the virtual scheduler popped off
+// its ready heap: one per election plus one per SpinUntil poll run for a
+// parked waiter — a cheap proxy for how finely the run interleaved. A
+// waiter whose predicate has failed is not popped again until the election
+// is decided (its polls are charged at once), so this is at most the count
+// of the literal `for !try() { t.Pause(n) }` loop, and below it wherever
+// threads queue on a lock.
 func (e *Engine) SchedHandoffs() uint64 { return e.sched.handoffs }
 
 // SchedSwitches returns how many of those elections resumed a different

@@ -49,7 +49,8 @@ func (e *Engine) Run(n int, body func(tid int, t *Thread)) {
 		}
 		// A region leaves no schedule behind, however it ended.
 		clear(s.status)
-		s.ready, s.next, s.running, s.polling = s.ready[:0], nil, -1, false
+		clear(s.stuck)
+		s.ready, s.stuck, s.next, s.running, s.polling = s.ready[:0], s.stuck[:0], nil, -1, false
 	}()
 	s.run(threads)
 	if failed != "" {

@@ -149,14 +149,13 @@ type Thread struct {
 	epoch     uint32
 	data      []byte
 
-	// A pending SpinUntil: predicate, per-poll cost and livelock stamp
-	// (vsched.poll). spinTry is non-nil only between polls. resume is park's
-	// counterpart, the driver's call into this thread. Kept last so the
-	// per-access fields above sit where they did without them.
-	spinTry   func() bool
-	spinN     int
-	spinEpoch uint64
-	resume    func()
+	// A pending SpinUntil: predicate and per-poll cost (vsched.poll, skip).
+	// spinTry is non-nil only between polls. resume is park's counterpart,
+	// the driver's call into this thread. Kept last so the per-access fields
+	// above sit where they did without them.
+	spinTry func() bool
+	spinN   int
+	resume  func()
 }
 
 func newThread(e *Engine, slot int) *Thread {
@@ -304,8 +303,10 @@ func (t *Thread) Pause(n int) {
 // `for !try() { t.Pause(n) }`, except that the polls of a parked waiter run
 // on whichever thread is electing, so try must only read or update state that
 // baton holders write: no simulated-memory access, Pause or Barrier.Wait, on
-// pain of a panic. Outside a region no other thread can run to make a false
-// predicate true, so try gets one call and a false result panics.
+// pain of a panic. A poll that fails is not repeated until another thread has
+// held the baton: the repeats it stands for are charged n units each at once,
+// so n must be at least 1. Outside a region no other thread can run to make a
+// false predicate true, so try gets one call and a false result panics.
 func (t *Thread) SpinUntil(n int, try func() bool) {
 	if t.entered {
 		t.eng.sched.spin(t, n, try)

@@ -24,7 +24,7 @@ import "fmt"
 // slot-indexed slice and electable threads sit in a binary min-heap keyed
 // by (vclock, slot). A parked thread's clock never changes while it is in
 // the heap — clocks only advance on the baton holder or on a spinner the
-// elector has popped (poll), and unblock raises a clock *before*
+// elector holds outside it (skip), and unblock raises a clock *before*
 // re-inserting — so heap keys are immutable and the usual
 // decrease-key machinery is unnecessary. The common yield fast path (the
 // caller is still the minimum) is a single peek at the heap root.
@@ -41,14 +41,14 @@ type vsched struct {
 	// next is the thread the last election gave the baton to, for the driver
 	// loop to resume once the elector has parked or returned.
 	next *Thread
-	// handoffs counts baton elections (Engine.SchedHandoffs); switches counts
-	// the elections that resumed a different thread (Engine.SchedSwitches).
+	// handoffs counts ready-heap pops (Engine.SchedHandoffs); switches
+	// counts the elections that resumed a different thread
+	// (Engine.SchedSwitches).
 	handoffs, switches uint64
-	// epoch numbers real elections from 1, stuck counts the spinners whose
-	// predicate has failed in the current epoch (Thread.spinEpoch is the
-	// per-thread stamp), and polling is set while a predicate runs: see poll.
-	epoch   uint64
-	stuck   int
+	// stuck holds the spinners whose predicate has failed since the last
+	// election, outside the ready heap until the next one is decided (skip);
+	// polling is set while a predicate runs (poll).
+	stuck   []*Thread
 	polling bool
 }
 
@@ -69,7 +69,6 @@ func newVsched(quantum, nThreads int) *vsched {
 		quantum: quantum,
 		status:  make([]schedStatus, nThreads),
 		running: -1,
-		epoch:   1,
 	}
 }
 
@@ -153,58 +152,71 @@ func (s *vsched) run(threads []*Thread) {
 
 // elect pops ready threads in (clock, slot) order until one can take the
 // baton, marks it running and returns it; nil when no thread is electable. A
-// thread parked in SpinUntil is polled where it would have resumed: a failed
-// poll re-inserts it at its advanced clock, which is the yield it would have
-// made itself. Every pop counts as one handoff, as every resumption did.
+// thread parked in SpinUntil is polled where it would have resumed; one whose
+// predicate fails joins stuck instead of going back into the heap, and skip
+// charges it its further polls once the winner is known. Every pop counts as
+// one handoff.
 func (s *vsched) elect() *Thread {
 	for {
 		best := s.popReady()
 		if best == nil {
+			if len(s.stuck) > 0 {
+				panic(fmt.Sprintf("htm: virtual-scheduler livelock: %d threads spinning, none runnable", len(s.stuck)))
+			}
 			return nil
 		}
 		s.handoffs++
-		if best.spinTry == nil || s.poll(best) {
-			s.status[best.slot] = schedRunning
-			s.running = best.slot
-			s.epoch++
-			s.stuck = 0
-			return best
+		if best.spinTry != nil && !s.poll(best) {
+			s.stuck = append(s.stuck, best)
+			continue
 		}
-		s.pushReady(best)
+		s.skip(best)
+		s.status[best.slot] = schedRunning
+		s.running = best.slot
+		return best
 	}
 }
 
-// poll runs `for !try() { t.Pause(n) }` for t, which is outside the ready
-// heap, up to the first Pause that would give the baton away: it reports
-// true once the predicate holds (t.spinTry is then cleared, so a
-// side-effecting predicate succeeds exactly once) and false when t has to
-// be parked. The yield budget is zero while the predicate runs so that a
-// memory access on t reaches enter() at once.
+// poll runs t's SpinUntil predicate once for t, which is outside the ready
+// heap: it reports true once the predicate holds (t.spinTry is then cleared,
+// so a side-effecting predicate succeeds exactly once). The yield budget is
+// zero while the predicate runs so that a memory access on t reaches enter()
+// at once.
 func (s *vsched) poll(t *Thread) bool {
-	for {
-		budget := t.yieldBudget
-		t.yieldBudget, s.polling = 0, true
-		ok := t.spinTry()
-		t.yieldBudget, s.polling = budget, false
-		if ok {
-			t.spinTry = nil
-			return true
-		}
-		t.work(t.spinN)
-		t.yieldBudget = t.quantum
-		// Predicates read only what baton holders write, so once every
-		// electable thread has failed one in this epoch none ever succeeds.
-		if t.spinEpoch != s.epoch {
-			t.spinEpoch = s.epoch
-			s.stuck++
-		}
-		if s.stuck > len(s.ready) {
-			panic(fmt.Sprintf("htm: virtual-scheduler livelock: %d threads spinning, none runnable", s.stuck))
-		}
-		if len(s.ready) > 0 && schedLess(s.ready[0], t) {
-			return false
-		}
+	budget := t.yieldBudget
+	t.yieldBudget, s.polling = 0, true
+	ok := t.spinTry()
+	t.yieldBudget, s.polling = budget, false
+	if ok {
+		t.spinTry = nil
 	}
+	return ok
+}
+
+// skip puts every stuck spinner back into the ready heap at the clock the
+// literal `for !try() { t.Pause(n) }` loop would have reached by the time w
+// is elected. Predicates read only what baton holders write, so a predicate
+// that failed fails again until someone takes the baton: that loop re-polls
+// each stuck spinner, n units at a time, whenever it is the minimum, until it
+// orders after w. Its clock therefore ends at the first c + k*n, k >= 1, that
+// orders after w, which skip charges at once.
+func (s *vsched) skip(w *Thread) {
+	for i, t := range s.stuck {
+		n := uint64(t.spinN)
+		target := w.vclock // the least clock ordering after w ...
+		if t.slot < w.slot {
+			target++ // ... a tie goes to the lower slot
+		}
+		k := uint64(1)
+		if t.vclock+n < target {
+			k = (target - t.vclock + n - 1) / n
+		}
+		t.vclock += k * n
+		t.yieldBudget = t.quantum
+		s.pushReady(t)
+		s.stuck[i] = nil
+	}
+	s.stuck = s.stuck[:0]
 }
 
 // handover gives the baton to next, the result of elect, and with park set
@@ -257,17 +269,20 @@ func (s *vsched) yield(t *Thread) {
 	s.handover(t, s.elect(), true)
 }
 
-// spin is Thread.SpinUntil for the running thread t: t polls itself while
-// it remains the minimum and otherwise parks with its predicate, to be
-// polled by whoever elects next.
+// spin is Thread.SpinUntil for the running thread t: t polls itself once
+// and, if the predicate fails, parks stuck with it, to be charged its polls
+// by the election it starts and polled again by whoever elects after that.
 func (s *vsched) spin(t *Thread, n int, try func() bool) {
 	s.enter()
+	if n < 1 {
+		panic(fmt.Sprintf("htm: SpinUntil poll cost %d, want at least 1", n))
+	}
 	t.spinN, t.spinTry = n, try
 	if s.poll(t) {
 		return
 	}
 	s.status[t.slot] = schedReady
-	s.pushReady(t)
+	s.stuck = append(s.stuck, t)
 	s.handover(t, s.elect(), true)
 }
 

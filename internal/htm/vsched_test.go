@@ -274,15 +274,14 @@ func TestSpinUntilEquivalentToPauseLoop(t *testing.T) {
 				aborts := uint64(0)
 				for seed := uint64(1); seed <= 8; seed++ {
 					want, _ := spinScenario((*Engine).Run, quantum, threads, seed, false)
-					got, switches := spinScenario((*Engine).Run, quantum, threads, seed, true)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d: SpinUntil run diverges from the Pause loop:\n got %+v\nwant %+v", seed, got, want)
+					got, _ := spinScenario((*Engine).Run, quantum, threads, seed, true)
+					sameSchedule(t, fmt.Sprintf("seed %d", seed), got, want)
+					// A lock convoy: the loop re-polls stuck waiters that
+					// SpinUntil charges in one step.
+					if threads == 16 && got.Handoffs >= want.Handoffs {
+						t.Errorf("seed %d: %d handoffs, want fewer than the Pause loop's %d", seed, got.Handoffs, want.Handoffs)
 					}
 					aborts += got.Stats.Aborts
-					// A lock convoy: most elections are polls of parked waiters.
-					if threads == 16 && switches*5 > got.Handoffs {
-						t.Errorf("seed %d: %d thread switches for %d handoffs, want < 1/5", seed, switches, got.Handoffs)
-					}
 				}
 				if aborts == 0 {
 					t.Error("no transaction aborted in 8 seeds: Stats would not notice a changed schedule")
@@ -290,6 +289,82 @@ func TestSpinUntilEquivalentToPauseLoop(t *testing.T) {
 			})
 		}
 	}
+}
+
+// sameSchedule fails t unless got ran the schedule want did: equal clocks,
+// statistics and lock order. Handoffs count heap pops, which SpinUntil saves
+// by charging a stuck waiter's polls at once, so got may have fewer.
+func sameSchedule(t *testing.T, name string, got, want spinOutcome) {
+	t.Helper()
+	if got.Handoffs > want.Handoffs {
+		t.Errorf("%s: %d handoffs, more than the Pause loop's %d", name, got.Handoffs, want.Handoffs)
+	}
+	got.Handoffs = want.Handoffs
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: SpinUntil run diverges from the Pause loop:\n got %+v\nwant %+v", name, got, want)
+	}
+}
+
+// TestSpinUntilSkipArithmetic: three waiters with poll costs 1, 4 and 8
+// queue behind a holder. Over a grid of start offsets and hold lengths every
+// waiter's skip lands where the Pause loop's last poll does, including the
+// equal clocks that (clock, slot) order breaks by slot.
+func TestSpinUntilSkipArithmetic(t *testing.T) {
+	for _, quantum := range []int{1, 3} {
+		for hold := 1; hold <= 12; hold++ {
+			for off := 0; off < 9; off++ {
+				want := waitersScenario(quantum, hold, off, false)
+				got := waitersScenario(quantum, hold, off, true)
+				sameSchedule(t, fmt.Sprintf("q%d hold %d offset %d", quantum, hold, off), got, want)
+			}
+		}
+	}
+}
+
+// waitersScenario starts slot 0 holding a Go-side lock for hold chunks of 5
+// units; slots 1, 2 and 3 arrive off, 2*off and 3*off units late, take the
+// lock in turn with poll costs 1, 4 and 8, hold it for 7 units and leave.
+// Waits go through SpinUntil when inline is set and through the Pause loop
+// otherwise.
+func waitersScenario(quantum, hold, off int, inline bool) spinOutcome {
+	e := New(platform.New(platform.IntelCore), Config{
+		Threads: 4, SpaceSize: 1 << 20, Seed: 1, CostScale: 1, Quantum: quantum,
+	})
+	held := true
+	var order []int
+	acquire := func() bool {
+		if held {
+			return false
+		}
+		held = true
+		return true
+	}
+	e.Run(4, func(tid int, th *Thread) {
+		if tid == 0 {
+			for i := 0; i < hold; i++ {
+				th.Work(5)
+			}
+			held = false
+			return
+		}
+		th.Work(off * tid)
+		n := []int{1, 4, 8}[tid-1]
+		if inline {
+			th.SpinUntil(n, acquire)
+		} else {
+			for !acquire() {
+				th.Pause(n)
+			}
+		}
+		order = append(order, tid)
+		th.Work(7)
+		held = false
+	})
+	out := spinOutcome{MaxClock: e.MaxClock(), Stats: e.Stats(), Handoffs: e.SchedHandoffs(), Order: order}
+	for i := 0; i < 4; i++ {
+		out.Clocks = append(out.Clocks, e.Thread(i).Clock())
+	}
+	return out
 }
 
 func TestVirtualSMTDivisorStillApplies(t *testing.T) {
