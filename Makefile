@@ -51,7 +51,9 @@ lint:
 # cells, report a 100% cache hit (all cells skipped — Figures 6 and 9
 # included, so it simulates nothing), emit byte-identical tables and leave
 # every file under the cache as it found it. A flag value htmbench cannot
-# use must exit 2 in one line, creating no cache.
+# use must exit 2 in one line, creating no cache. Last, htmtune on the same
+# cache adds one record per search trial plus its winner: its default and
+# adaptive runs are the -exp all cells.
 bench-smoke: build
 	rm -rf $(SMOKE)
 	mkdir -p $(SMOKE)
@@ -80,7 +82,16 @@ bench-smoke: build
 			echo "htmbench $$bad: want exit 2, one stderr line and no cache directory:"; \
 			cat $(SMOKE)/bad.log; exit 1; }; \
 	done
-	@echo "bench-smoke ok: warm-cache run skipped 100% of cells, tables byte-identical"
+	@before=$$(find $(SMOKE)/cache -type f | wc -l); \
+	./$(BIN)/htmtune -platform bgq -bench labyrinth -scale test -rounds 0 -jobs $(JOBS) \
+		-cache-dir $(SMOKE)/cache >$(SMOKE)/tune.txt || exit 1; \
+	added=$$(( $$(find $(SMOKE)/cache -type f | wc -l) - before )); \
+	trials=$$(grep -c ' r0 ' $(SMOKE)/tune.txt); \
+	[ "$$added" -eq $$((trials + 1)) ] || { \
+		echo "htmtune added $$added cache records, want $$trials trials + 1 winner:" \
+			"its default and adaptive runs must be hits from the -exp all cells"; \
+		cat $(SMOKE)/tune.txt; exit 1; }
+	@echo "bench-smoke ok: warm-cache run skipped 100% of cells, tables byte-identical, htmtune reused the sweep's cells"
 
 # bench-e2e runs the repository benchmark BENCHMARK.json declares: host
 # wall-clock of results regeneration on four workloads (bench/README.md).

@@ -357,20 +357,23 @@ func TestSweepRegionCounts(t *testing.T) {
 }
 
 // resultsDigests maps every sweep.ResultsVersion to the sha256 of
-// testdata/results_test.golden followed by ../../results_sim.txt under it.
+// testdata/results_test.golden, ../../results_sim.txt and internal/tm's
+// golden determinism rows (../../internal/tm/testdata/golden.txt), in that
+// order, under it.
 var resultsDigests = map[string]string{
-	"htmcmp-results-v1": "c78a5e13a2bb47b87f3913316b02f18f2729d389f784b25b497847342a3d4a6c",
+	"htmcmp-results-v1": "fcde03dd86a0e703196450a80cbb5f2e5fe7067ae33758919e851a60646db3dc",
 }
 
 // TestResultsVersionPinsGolden ties a moved rendered byte to a ResultsVersion
 // bump. Cached records are keyed by the version, so a simulation change that
 // moves a table but keeps the version would serve stale records. After an
-// intended table change (TestResultsGolden -update, make results-sim), bump
+// intended table change (TestResultsGolden -update, make results-sim, new
+// internal/tm golden rows), bump
 // sweep.ResultsVersion and add its digest here. A bump that moves no byte
 // fails too: it would flush every cache for nothing.
 func TestResultsVersionPinsGolden(t *testing.T) {
 	h := sha256.New()
-	for _, path := range []string{"testdata/results_test.golden", "../../results_sim.txt"} {
+	for _, path := range []string{"testdata/results_test.golden", "../../results_sim.txt", "../../internal/tm/testdata/golden.txt"} {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

@@ -24,6 +24,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"htmcmp/internal/htm"
 	"htmcmp/internal/obs"
@@ -48,23 +50,16 @@ func main() {
 	flag.Parse()
 
 	// Usage errors exit 2 here, before any engine exists.
-	if err := checkFlags(*threads, *top); err != nil {
+	kind, scale, err := parseTarget(*platName, *scaleName, *bench)
+	if err == nil {
+		err = checkFlags(*threads, *top)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "htmtrace:", err)
 		os.Exit(2)
 	}
 	if *checkEvents != "" || *checkTrace != "" {
 		os.Exit(runChecks(*checkEvents, *checkTrace, os.Stdout, os.Stderr))
-	}
-
-	kind, err := platform.ParseKind(*platName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "htmtrace:", err)
-		os.Exit(2)
-	}
-	scale, err := stamp.ParseScale(*scaleName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "htmtrace:", err)
-		os.Exit(2)
 	}
 
 	if *events {
@@ -100,6 +95,23 @@ func checkFlags(threads, top int) error {
 		return fmt.Errorf("-top must be 1 or more, got %d", top)
 	}
 	return nil
+}
+
+// parseTarget parses -platform, -scale and -bench; an error starts with the
+// flag's name.
+func parseTarget(plat, scale, bench string) (platform.Kind, stamp.Scale, error) {
+	kind, err := platform.ParseKind(plat)
+	if err != nil {
+		return 0, 0, fmt.Errorf("-platform: %w", err)
+	}
+	sc, err := stamp.ParseScale(scale)
+	if err != nil {
+		return 0, 0, fmt.Errorf("-scale: %w", err)
+	}
+	if !slices.Contains(stamp.Names(), bench) {
+		return 0, 0, fmt.Errorf("-bench: unknown benchmark %q (%s)", bench, strings.Join(stamp.Names(), ", "))
+	}
+	return kind, sc, nil
 }
 
 func overMark(over bool) string {

@@ -152,6 +152,10 @@ func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 		{"-threads", "-2"},
 		{"-top", "-1", "-events"},
 		{"-top", "0"},
+		{"-bench", "nosuch"},
+		{"-bench", "nosuch", "-events"},
+		{"-platform", "sparc"},
+		{"-scale", "huge"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "HTMTRACE_TEST_MAIN=1")

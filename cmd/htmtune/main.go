@@ -1,15 +1,18 @@
 // Command htmtune auto-searches the static retry-policy space for one
 // (platform, benchmark) pair, the way the paper optimizes "the parameter
 // values for each test case" (Section 5.1) — but as a parallel, cached,
-// iterative search instead of a serial grid walk: a coarse candidate
-// lattice is measured concurrently through the sweep worker pool (banking
+// iterative search instead of a serial grid walk. It runs harness.Search,
+// the search behind htmbench -tune, from the experiments' own untuned point
+// (harness.Options.Point): a coarse lattice, with harness.TuneGrid's trials
+// appended, is measured concurrently through the sweep worker pool (banking
 // every cell in the on-disk cache, so reruns and refinements resume for
 // free), then the best point is refined for -rounds rounds by measuring its
 // halved/doubled neighbours along each policy axis.
 //
 // The final report compares the tuned winner against the platform default
-// policy and the adaptive online controller, so a tuning session directly
-// answers "adaptive vs best-static vs default".
+// policy and the adaptive online controller — the same default and adaptive
+// cells as htmbench -exp adaptive, so they are cache hits after that sweep —
+// and directly answers "adaptive vs best-static vs default".
 //
 // Usage:
 //
@@ -23,7 +26,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 
 	"htmcmp/internal/cache"
 	"htmcmp/internal/harness"
@@ -34,196 +38,78 @@ import (
 	"htmcmp/internal/tm"
 )
 
-// candidate is one point of the search space: a retry policy plus the
-// Blue Gene/Q running mode and genome's chunking, where applicable.
-type candidate struct {
-	policy tm.Policy
-	mode   platform.BGQMode
-	chunk  int
-}
-
-func (c candidate) label(kind platform.Kind) string {
-	if kind == platform.BlueGeneQ {
-		l := fmt.Sprintf("%v retries=%d", c.mode, c.policy.TransientRetry)
-		if c.chunk > 0 {
-			l += fmt.Sprintf(" chunk=%d", c.chunk)
-		}
-		return l
+// label names a trial by what the search varies.
+func label(s harness.RunSpec) string {
+	p := s.Policy
+	var l string
+	if s.Platform == platform.BlueGeneQ {
+		l = fmt.Sprintf("%v retries=%d", s.Mode, p.TransientRetry)
+	} else {
+		l = fmt.Sprintf("lock=%d persistent=%d transient=%d", p.LockRetry, p.PersistentRetry, p.TransientRetry)
 	}
-	l := fmt.Sprintf("lock=%d persistent=%d transient=%d",
-		c.policy.LockRetry, c.policy.PersistentRetry, c.policy.TransientRetry)
-	if c.chunk > 0 {
-		l += fmt.Sprintf(" chunk=%d", c.chunk)
+	if s.ChunkStep1 > 0 {
+		l += fmt.Sprintf(" chunk=%d", s.ChunkStep1)
 	}
 	return l
 }
 
-// spec instantiates the candidate as a single-repeat trial of base.
-func (c candidate) spec(base harness.RunSpec) harness.RunSpec {
-	s := base
-	pol := c.policy
-	s.Policy = &pol
-	s.Mode = c.mode
-	s.ChunkStep1 = c.chunk
-	s.Repeats = 1
-	return s
+// searchBase is the point htmtune searches from and compares against: the
+// untuned spec every experiment measures (harness.Options.Point).
+func searchBase(kind platform.Kind, bench string, threads int, scale stamp.Scale, seed uint64, repeats int) harness.RunSpec {
+	return harness.Options{Scale: scale, Seed: seed, Repeats: repeats}.Point(kind, bench, threads, stamp.Modified)
 }
 
-// retry-count clamps for the neighbour moves. The lattice stays well inside
-// these; they only stop runaway doubling.
-const (
-	maxLockRetry      = 64
-	maxPersistRetry   = 32
-	maxTransientRetry = 128
-)
-
-// searchSpace returns the coarse starting lattice for kind. Blue Gene/Q has
-// one system retry counter crossed with the running mode (Section 5.1); the
-// other platforms span the three retry counters, seeded with the
-// configurations the paper's own tuning found interesting (persistent=1 is
-// in because "reducing the maximum persistent-retry count improves the
-// performance" for yada). genome candidates are crossed with its
-// CHUNK_STEP_1 values (Section 4).
-func searchSpace(kind platform.Kind, bench string) []candidate {
-	var cands []candidate
-	if kind == platform.BlueGeneQ {
+// lattice returns the coarse starting trials around base: single-repeat
+// specs of base with their policy pinned. Blue Gene/Q has one system retry
+// counter crossed with the running mode (Section 5.1); the other platforms
+// span the three retry counters. genome trials are crossed with its
+// CHUNK_STEP_1 values (Section 4). harness.TuneGrid's trials are appended,
+// so round 0 covers every point htmbench -tune measures (the search skips
+// the ones the lattice already has).
+func lattice(base harness.RunSpec) []harness.RunSpec {
+	trial := base
+	trial.Repeats = 1
+	var out []harness.RunSpec
+	add := func(pol tm.Policy, mode platform.BGQMode) {
+		s := trial
+		s.Policy, s.Mode = &pol, mode
+		out = append(out, s)
+	}
+	if base.Platform == platform.BlueGeneQ {
 		for _, mode := range []platform.BGQMode{platform.ShortRunning, platform.LongRunning} {
 			for _, retries := range []int{2, 4, 8, 16, 32} {
-				pol := tm.DefaultPolicy(kind)
+				pol := tm.DefaultPolicy(base.Platform)
 				pol.TransientRetry = retries
 				pol.LazySubscription = mode == platform.LongRunning
-				cands = append(cands, candidate{policy: pol, mode: mode})
+				add(pol, mode)
 			}
 		}
 	} else {
 		for _, lock := range []int{2, 8} {
 			for _, persist := range []int{1, 4} {
 				for _, transient := range []int{8, 32} {
-					cands = append(cands, candidate{policy: tm.Policy{
-						LockRetry: lock, PersistentRetry: persist, TransientRetry: transient,
-					}})
+					add(tm.Policy{LockRetry: lock, PersistentRetry: persist, TransientRetry: transient}, base.Mode)
 				}
 			}
 		}
-		// The paper-grid seeds (internal/harness tune.go) fill lattice gaps.
-		cands = append(cands,
-			candidate{policy: tm.Policy{LockRetry: 4, PersistentRetry: 1, TransientRetry: 16}},
-			candidate{policy: tm.Policy{LockRetry: 16, PersistentRetry: 2, TransientRetry: 32}},
-			candidate{policy: tm.Policy{LockRetry: 4, PersistentRetry: 8, TransientRetry: 16}},
-		)
 	}
-	if bench == "genome" {
-		var expanded []candidate
-		for _, c := range cands {
+	if base.Benchmark == "genome" {
+		var expanded []harness.RunSpec
+		for _, s := range out {
 			for _, chunk := range []int{2, 9} {
-				cc := c
-				cc.chunk = chunk
-				expanded = append(expanded, cc)
+				s.ChunkStep1 = chunk
+				expanded = append(expanded, s)
 			}
 		}
-		cands = expanded
+		out = expanded
 	}
-	return cands
+	return append(out, harness.TuneGrid(base)...)
 }
 
-// neighbors returns the refinement moves around c: each retry counter halved
-// and doubled (clamped), and for Blue Gene/Q the running mode flipped. The
-// chunk is kept — the coarse pass already separates the chunk values.
-func neighbors(c candidate, kind platform.Kind) []candidate {
-	var out []candidate
-	if kind == platform.BlueGeneQ {
-		for _, r := range []int{c.policy.TransientRetry / 2, c.policy.TransientRetry * 2} {
-			if r < 1 || r > maxTransientRetry || r == c.policy.TransientRetry {
-				continue
-			}
-			n := c
-			n.policy.TransientRetry = r
-			out = append(out, n)
-		}
-		flip := c
-		flip.mode = platform.ShortRunning
-		if c.mode == platform.ShortRunning {
-			flip.mode = platform.LongRunning
-		}
-		flip.policy.LazySubscription = flip.mode == platform.LongRunning
-		out = append(out, flip)
-		return out
-	}
-	move := func(v int, max int, set func(*candidate, int)) {
-		for _, nv := range []int{v / 2, v * 2} {
-			if nv < 1 || nv > max || nv == v {
-				continue
-			}
-			n := c
-			set(&n, nv)
-			out = append(out, n)
-		}
-	}
-	move(c.policy.LockRetry, maxLockRetry, func(n *candidate, v int) { n.policy.LockRetry = v })
-	move(c.policy.PersistentRetry, maxPersistRetry, func(n *candidate, v int) { n.policy.PersistentRetry = v })
-	move(c.policy.TransientRetry, maxTransientRetry, func(n *candidate, v int) { n.policy.TransientRetry = v })
-	return out
-}
-
-// evalFunc measures a batch of trial specs and returns one result per spec,
-// in order. The production implementation prewarm-executes the batch through
-// the sweep worker pool; tests inject synthetic responses.
-type evalFunc func(specs []harness.RunSpec) ([]harness.Result, error)
-
-// searchLog receives one line per evaluated candidate.
-type searchLog func(round int, c candidate, r harness.Result, best bool)
-
-// runSearch performs the coarse-then-refine search: round 0 evaluates the
-// full lattice, each later round the unvisited neighbours of the incumbent.
-// It returns the winner and its (single-repeat) trial result.
-func runSearch(base harness.RunSpec, kind platform.Kind, bench string,
-	rounds int, eval evalFunc, logf searchLog) (candidate, harness.Result, error) {
-	visited := map[string]bool{}
-	var best candidate
-	var bestRes harness.Result
-	haveBest := false
-
-	batch := searchSpace(kind, bench)
-	for round := 0; ; round++ {
-		var fresh []candidate
-		for _, c := range batch {
-			if l := c.label(kind); !visited[l] {
-				visited[l] = true
-				fresh = append(fresh, c)
-			}
-		}
-		if len(fresh) == 0 {
-			break
-		}
-		specs := make([]harness.RunSpec, len(fresh))
-		for i, c := range fresh {
-			specs[i] = c.spec(base)
-		}
-		results, err := eval(specs)
-		if err != nil {
-			return best, bestRes, err
-		}
-		for i, c := range fresh {
-			improved := !haveBest || results[i].Speedup > bestRes.Speedup
-			if improved {
-				best, bestRes, haveBest = c, results[i], true
-			}
-			if logf != nil {
-				logf(round, c, results[i], improved)
-			}
-		}
-		if round >= rounds {
-			break
-		}
-		batch = neighbors(best, kind)
-	}
-	return best, bestRes, nil
-}
-
-// schedulerEval adapts a sweep scheduler into an evalFunc: the batch is
-// prewarmed concurrently (deduplicated, cached), then each result is read
-// back from the memo.
-func schedulerEval(sched *sweep.Scheduler) evalFunc {
+// schedulerEval adapts a sweep scheduler into harness.Search's eval: the
+// batch is prewarmed concurrently (deduplicated, cached), then each result
+// is read back from the memo.
+func schedulerEval(sched *sweep.Scheduler) func([]harness.RunSpec) ([]harness.Result, error) {
 	return func(specs []harness.RunSpec) ([]harness.Result, error) {
 		cells := make([]sweep.Cell, len(specs))
 		for i, s := range specs {
@@ -256,19 +142,12 @@ func main() {
 	resume := flag.Bool("resume", true, "reuse cached results from earlier runs")
 	flag.Parse()
 
-	kind, err := platform.ParseKind(*platName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "htmtune:", err)
-		os.Exit(2)
+	kind, scale, err := parseTarget(*platName, *scaleName, *bench)
+	if err == nil {
+		err = checkCounts(*repeats, *jobs, *threads, *rounds)
 	}
-	scale, err := stamp.ParseScale(*scaleName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "htmtune:", err)
-		os.Exit(2)
-	}
-	if err := checkCounts(*repeats, *jobs, *threads, *rounds); err != nil {
-		fmt.Fprintln(os.Stderr, "htmtune:", err)
-		os.Exit(2)
+		exit(2, err)
 	}
 
 	var store *cache.Store
@@ -278,57 +157,36 @@ func main() {
 			fmt.Fprintf(os.Stderr, "htmtune: %v (continuing without cache)\n", err)
 		}
 	}
-	sched := sweep.New(sweep.Config{
+	eval := schedulerEval(sweep.New(sweep.Config{
 		Jobs:   *jobs,
 		Cache:  store,
 		Resume: *resume,
-	})
+	}))
 
-	base := harness.RunSpec{
-		Platform:  kind,
-		Benchmark: *bench,
-		Threads:   *threads,
-		Scale:     scale,
-		Seed:      *seed,
-		Repeats:   *repeats,
-	}
+	base := searchBase(kind, *bench, *threads, scale, *seed, *repeats)
 
 	fmt.Printf("tuning %s on %s with %d threads (%s scale, %d refinement rounds)\n\n",
 		*bench, kind, *threads, scale, *rounds)
-
-	type line struct {
-		round int
-		text  string
-	}
-	var lines []line
-	logf := func(round int, c candidate, r harness.Result, best bool) {
+	best, _, err := harness.Search(lattice(base), *rounds, eval, func(round int, s harness.RunSpec, r harness.Result, best bool) {
 		marker := " "
 		if best {
 			marker = "*"
 		}
-		lines = append(lines, line{round, fmt.Sprintf("%s r%d %-44s speedup %.2f  abort %.1f%%  serial %.1f%%",
-			marker, round, c.label(kind), r.Speedup, r.AbortRatio, r.SerializationRatio)})
-	}
-	best, _, err := runSearch(base, kind, *bench, *rounds, schedulerEval(sched), logf)
+		fmt.Printf("%s r%d %-44s speedup %.2f  abort %.1f%%  serial %.1f%%\n",
+			marker, round, label(s), r.Speedup, r.AbortRatio, r.SerializationRatio)
+	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "htmtune:", err)
-		os.Exit(1)
-	}
-	sort.SliceStable(lines, func(i, j int) bool { return lines[i].round < lines[j].round })
-	for _, l := range lines {
-		fmt.Println(l.text)
+		exit(1, err)
 	}
 
 	// Final comparison at the requested repeat count: platform default vs
 	// the tuned winner vs the adaptive online controller.
-	finals := comparisonSpecs(base, best)
-	results, err := schedulerEval(sched)(finals)
+	results, err := eval(comparisonSpecs(base, best))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "htmtune:", err)
-		os.Exit(1)
+		exit(1, err)
 	}
 	def, win, ada := results[0], results[1], results[2]
-	fmt.Printf("\nbest static: %s\n\n", best.label(kind))
+	fmt.Printf("\nbest static: %s\n\n", label(best))
 	fmt.Printf("%-12s speedup %.2f  abort %.1f%%  serial %.1f%%\n", "default", def.Speedup, def.AbortRatio, def.SerializationRatio)
 	fmt.Printf("%-12s speedup %.2f  abort %.1f%%  serial %.1f%%\n", "best-static", win.Speedup, win.AbortRatio, win.SerializationRatio)
 	fmt.Printf("%-12s speedup %.2f  abort %.1f%%  switches %d\n", "adaptive", ada.Speedup, ada.AbortRatio, ada.TM.ModeSwitches)
@@ -336,6 +194,28 @@ func main() {
 		fmt.Printf("\nadaptive/best-static = %.2f, best-static/default = %.2f\n",
 			ada.Speedup/win.Speedup, safeRatio(win.Speedup, def.Speedup))
 	}
+}
+
+func exit(code int, err error) {
+	fmt.Fprintln(os.Stderr, "htmtune:", err)
+	os.Exit(code)
+}
+
+// parseTarget parses -platform, -scale and -bench; an error starts with the
+// flag's name.
+func parseTarget(plat, scale, bench string) (platform.Kind, stamp.Scale, error) {
+	kind, err := platform.ParseKind(plat)
+	if err != nil {
+		return 0, 0, fmt.Errorf("-platform: %w", err)
+	}
+	sc, err := stamp.ParseScale(scale)
+	if err != nil {
+		return 0, 0, fmt.Errorf("-scale: %w", err)
+	}
+	if !slices.Contains(stamp.Names(), bench) {
+		return 0, 0, fmt.Errorf("-bench: unknown benchmark %q (%s)", bench, strings.Join(stamp.Names(), ", "))
+	}
+	return kind, sc, nil
 }
 
 // checkCounts rejects a -repeats, -jobs or -threads below 1, for which the
@@ -358,16 +238,15 @@ func checkCounts(repeats, jobs, threads, rounds int) error {
 }
 
 // comparisonSpecs builds the three full-repeat comparison runs: default
-// policy, tuned winner, adaptive controller. Blue Gene/Q's default keeps the
-// winner's running mode comparison honest by using the harness default mode
-// (the untuned baseline a user actually gets).
-func comparisonSpecs(base harness.RunSpec, best candidate) []harness.RunSpec {
-	def := base
-	win := best.spec(base)
+// policy, tuned winner, adaptive controller. base is the experiments' own
+// untuned point (Blue Gene/Q's default running mode included), so the
+// default and adaptive runs are the cells htmbench -exp adaptive measures.
+func comparisonSpecs(base, best harness.RunSpec) []harness.RunSpec {
+	win := best
 	win.Repeats = base.Repeats
 	ad := base
 	ad.Adaptive = true
-	return []harness.RunSpec{def, win, ad}
+	return []harness.RunSpec{base, win, ad}
 }
 
 func safeRatio(a, b float64) float64 {

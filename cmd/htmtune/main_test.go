@@ -3,17 +3,16 @@ package main
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
 
 	"htmcmp/internal/harness"
+	"htmcmp/internal/harness/sweep"
 	"htmcmp/internal/htm"
 	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
-	"htmcmp/internal/tm"
 )
 
 func TestParsePlatform(t *testing.T) {
@@ -103,6 +102,9 @@ func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 		{"-rounds", "-1"},
 		{"-repeats", "0"},
 		{"-jobs", "0"},
+		{"-bench", "nosuch"},
+		{"-platform", "sparc"},
+		{"-scale", "huge"},
 	} {
 		dir := t.TempDir()
 		cmd := exec.Command(os.Args[0], args...)
@@ -128,224 +130,132 @@ func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 }
 
 func TestSearchSpace(t *testing.T) {
+	opts := harness.Options{Scale: stamp.ScaleTest, Seed: 42, Repeats: 2}
 	for _, k := range platform.Kinds() {
-		cands := searchSpace(k, "vacation-low")
+		cands := lattice(opts.Point(k, "vacation-low", 4, stamp.Modified))
 		if len(cands) < 8 {
 			t.Errorf("%v: only %d coarse candidates", k, len(cands))
 		}
-		seen := map[string]bool{}
 		for _, c := range cands {
-			l := c.label(k)
-			if seen[l] {
-				t.Errorf("%v: duplicate candidate %q", k, l)
-			}
-			seen[l] = true
-			if c.chunk != 0 {
-				t.Errorf("%v: non-genome candidate has chunk %d", k, c.chunk)
+			if c.ChunkStep1 != 0 {
+				t.Errorf("%v: non-genome candidate has chunk %d", k, c.ChunkStep1)
 			}
 		}
-		genome := searchSpace(k, "genome")
-		if len(genome) != 2*len(cands) {
-			t.Errorf("%v: genome lattice has %d candidates, want %d", k, len(genome), 2*len(cands))
+		var chunks [2]int
+		for _, c := range lattice(opts.Point(k, "genome", 4, stamp.Modified)) {
+			switch c.ChunkStep1 {
+			case 2:
+				chunks[0]++
+			case 9:
+				chunks[1]++
+			default:
+				t.Errorf("%v: genome candidate has chunk %d", k, c.ChunkStep1)
+			}
+		}
+		if chunks[0] == 0 || chunks[0] > chunks[1] {
+			t.Errorf("%v: genome lattice has %d chunk-2 and %d chunk-9 candidates", k, chunks[0], chunks[1])
 		}
 	}
 	// BGQ candidates must keep mode and lazy subscription consistent.
-	for _, c := range searchSpace(platform.BlueGeneQ, "yada") {
-		if c.policy.LazySubscription != (c.mode == platform.LongRunning) {
+	for _, c := range lattice(opts.Point(platform.BlueGeneQ, "yada", 4, stamp.Modified)) {
+		if c.Policy.LazySubscription != (c.Mode == platform.LongRunning) {
 			t.Errorf("bgq candidate %q: LazySubscription=%v under mode %v",
-				c.label(platform.BlueGeneQ), c.policy.LazySubscription, c.mode)
+				label(c), c.Policy.LazySubscription, c.Mode)
 		}
-	}
-}
-
-// TestNeighbors pins the refinement moves: halved/doubled counters within
-// clamps, no self-moves, mode flip on Blue Gene/Q.
-func TestNeighbors(t *testing.T) {
-	c := candidate{policy: tm.Policy{LockRetry: 8, PersistentRetry: 2, TransientRetry: 8}}
-	ns := neighbors(c, platform.IntelCore)
-	if len(ns) != 6 {
-		t.Fatalf("interior point has %d neighbours, want 6", len(ns))
-	}
-	want := map[string]bool{
-		"lock=4 persistent=2 transient=8":  true,
-		"lock=16 persistent=2 transient=8": true,
-		"lock=8 persistent=1 transient=8":  true,
-		"lock=8 persistent=4 transient=8":  true,
-		"lock=8 persistent=2 transient=4":  true,
-		"lock=8 persistent=2 transient=16": true,
-	}
-	for _, n := range ns {
-		if !want[n.label(platform.IntelCore)] {
-			t.Errorf("unexpected neighbour %q", n.label(platform.IntelCore))
-		}
-	}
-
-	// At the clamps, moves outside the range are dropped.
-	edge := candidate{policy: tm.Policy{LockRetry: 1, PersistentRetry: maxPersistRetry, TransientRetry: maxTransientRetry}}
-	for _, n := range neighbors(edge, platform.IntelCore) {
-		p := n.policy
-		if p.LockRetry < 1 || p.LockRetry > maxLockRetry ||
-			p.PersistentRetry < 1 || p.PersistentRetry > maxPersistRetry ||
-			p.TransientRetry < 1 || p.TransientRetry > maxTransientRetry {
-			t.Errorf("neighbour %q escapes the clamps", n.label(platform.IntelCore))
-		}
-	}
-
-	bgq := candidate{mode: platform.ShortRunning, policy: tm.Policy{TransientRetry: 8}}
-	bns := neighbors(bgq, platform.BlueGeneQ)
-	if len(bns) != 3 {
-		t.Fatalf("bgq neighbours = %d, want 3 (half, double, mode flip)", len(bns))
-	}
-	flips := 0
-	for _, n := range bns {
-		if n.mode == platform.LongRunning {
-			flips++
-			if !n.policy.LazySubscription {
-				t.Error("mode flip did not update LazySubscription")
-			}
-		}
-	}
-	if flips != 1 {
-		t.Errorf("bgq neighbours contain %d mode flips, want 1", flips)
 	}
 }
 
 // TestCandidateSpec checks the trial instantiation: single repeat, policy
 // pinned, base fields preserved.
 func TestCandidateSpec(t *testing.T) {
-	base := harness.RunSpec{
-		Platform: platform.ZEC12, Benchmark: "yada", Threads: 4,
-		Scale: stamp.ScaleSim, Seed: 7, Repeats: 4,
-	}
-	c := candidate{policy: tm.Policy{LockRetry: 2, PersistentRetry: 1, TransientRetry: 4}}
-	s := c.spec(base)
-	if s.Repeats != 1 {
-		t.Errorf("trial repeats = %d, want 1", s.Repeats)
-	}
-	if s.Policy == nil || *s.Policy != c.policy {
-		t.Errorf("trial policy = %+v, want %+v", s.Policy, c.policy)
-	}
-	if s.Platform != base.Platform || s.Benchmark != base.Benchmark ||
-		s.Threads != base.Threads || s.Seed != base.Seed {
-		t.Errorf("trial lost base fields: %+v", s)
-	}
-}
-
-// fakeEval returns a synthetic speedup per spec through fn and records every
-// batch it served.
-type fakeEval struct {
-	batches [][]harness.RunSpec
-	fn      func(harness.RunSpec) float64
-}
-
-func (f *fakeEval) eval(specs []harness.RunSpec) ([]harness.Result, error) {
-	f.batches = append(f.batches, specs)
-	out := make([]harness.Result, len(specs))
-	for i, s := range specs {
-		out[i] = harness.Result{Spec: s, Speedup: f.fn(s)}
-	}
-	return out, nil
-}
-
-// TestRunSearchConverges drives the search against a synthetic objective
-// with a unique optimum and checks the refinement walks toward it: the
-// winner must strictly improve on the best coarse-lattice point.
-func TestRunSearchConverges(t *testing.T) {
-	base := harness.RunSpec{
-		Platform: platform.IntelCore, Benchmark: "yada", Threads: 4,
-		Scale: stamp.ScaleSim, Seed: 42, Repeats: 2,
-	}
-	// Optimum at lock=16, persistent=1, transient=64 — outside the coarse
-	// lattice on two axes, reachable by doubling moves.
-	score := func(s harness.RunSpec) float64 {
-		p := s.Policy
-		d := abs(p.LockRetry-16) + 4*abs(p.PersistentRetry-1) + abs(p.TransientRetry-64)/8
-		return 10.0 / float64(1+d)
-	}
-	f := &fakeEval{fn: score}
-	best, res, err := runSearch(base, platform.IntelCore, "yada", 3, f.eval, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.batches) < 2 {
-		t.Fatalf("search never refined: %d batches", len(f.batches))
-	}
-	coarseBest := 0.0
-	for _, s := range f.batches[0] {
-		if v := score(s); v > coarseBest {
-			coarseBest = v
+	base := harness.Options{Scale: stamp.ScaleSim, Seed: 7, Repeats: 4}.Point(platform.ZEC12, "yada", 4, stamp.Modified)
+	for _, s := range lattice(base) {
+		if s.Repeats != 1 {
+			t.Errorf("%s: trial repeats = %d, want 1", label(s), s.Repeats)
 		}
-	}
-	if res.Speedup <= coarseBest {
-		t.Errorf("refinement did not improve: final %.3f, coarse best %.3f (winner %s)",
-			res.Speedup, coarseBest, best.label(platform.IntelCore))
-	}
-	if best.policy.PersistentRetry != 1 {
-		t.Errorf("search missed the persistent=1 valley: %s", best.label(platform.IntelCore))
-	}
-}
-
-// TestRunSearchDeduplicates checks no candidate is measured twice even when
-// neighbour moves revisit lattice points.
-func TestRunSearchDeduplicates(t *testing.T) {
-	base := harness.RunSpec{Platform: platform.ZEC12, Benchmark: "yada", Threads: 4}
-	f := &fakeEval{fn: func(s harness.RunSpec) float64 {
-		return float64(s.Policy.LockRetry) // monotone: walks toward the clamp
-	}}
-	_, _, err := runSearch(base, platform.ZEC12, "yada", 5, f.eval, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]int{}
-	for _, b := range f.batches {
-		for _, s := range b {
-			k := fmt.Sprintf("%+v/%v/%d", *s.Policy, s.Mode, s.ChunkStep1)
-			seen[k]++
+		if s.Policy == nil {
+			t.Fatalf("trial has no policy: %+v", s)
 		}
-	}
-	for k, n := range seen {
-		if n > 1 {
-			t.Errorf("candidate %s measured %d times", k, n)
+		if s.Platform != base.Platform || s.Benchmark != base.Benchmark ||
+			s.Threads != base.Threads || s.Seed != base.Seed || s.CostScale != base.CostScale {
+			t.Errorf("%s: trial lost base fields: %+v", label(s), s)
 		}
 	}
 }
 
-// TestRunSearchRoundsBound checks -rounds bounds the refinement: rounds=0
-// evaluates only the coarse lattice.
-func TestRunSearchRoundsBound(t *testing.T) {
-	base := harness.RunSpec{Platform: platform.POWER8, Benchmark: "yada", Threads: 4}
-	f := &fakeEval{fn: func(s harness.RunSpec) float64 { return float64(s.Policy.LockRetry) }}
-	_, _, err := runSearch(base, platform.POWER8, "yada", 0, f.eval, nil)
+// TestUsesExperimentCells: htmtune searches from the experiments' own
+// untuned point, so its default and adaptive comparison runs are cells that
+// htmbench -exp adaptive already banks, and its round 0 measures every
+// trial htmbench -tune does.
+func TestUsesExperimentCells(t *testing.T) {
+	opts := harness.Options{Scale: stamp.ScaleTest, Seed: 42, Repeats: 2}
+	plan := sweep.NewPlan()
+	withPlan := opts
+	withPlan.Exec = plan
+	if _, err := harness.AdaptiveComparison(withPlan); err != nil {
+		t.Fatal(err)
+	}
+	planned := map[string]bool{}
+	for _, c := range plan.Cells() {
+		planned[cellKey(t, c.Spec)] = true
+	}
+	for _, bench := range harness.AdaptiveBenches {
+		for _, k := range platform.Kinds() {
+			base := searchBase(k, bench, 4, opts.Scale, opts.Seed, opts.Repeats)
+			specs := comparisonSpecs(base, lattice(base)[0])
+			for _, i := range []int{0, 2} {
+				if !planned[cellKey(t, specs[i])] {
+					t.Errorf("%s: comparison run %s is not a cell of -exp adaptive", base.Label(), specs[i].Label())
+				}
+			}
+		}
+	}
+	for _, k := range platform.Kinds() {
+		for _, bench := range []string{"genome", "vacation-low"} {
+			base := searchBase(k, bench, 4, opts.Scale, opts.Seed, opts.Repeats)
+			have := map[string]bool{}
+			for _, s := range lattice(base) {
+				have[cellKey(t, s)] = true
+			}
+			for _, s := range harness.TuneGrid(base) {
+				if !have[cellKey(t, s)] {
+					t.Errorf("%s: the lattice misses -tune's trial %s", base.Label(), label(s))
+				}
+			}
+		}
+	}
+}
+
+// cellKey is the cache key under which schedulerEval measures spec.
+func cellKey(t *testing.T, spec harness.RunSpec) string {
+	t.Helper()
+	key, err := sweep.Cell{Kind: sweep.Measure, Spec: spec}.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.batches) != 1 {
-		t.Errorf("rounds=0 ran %d batches, want 1", len(f.batches))
-	}
+	return key
 }
 
 // TestComparisonSpecs pins the final report's three runs: default, tuned
 // winner at full repeats, adaptive.
 func TestComparisonSpecs(t *testing.T) {
-	base := harness.RunSpec{
-		Platform: platform.POWER8, Benchmark: "labyrinth", Threads: 4, Repeats: 3,
-	}
-	best := candidate{policy: tm.Policy{LockRetry: 4, PersistentRetry: 1, TransientRetry: 16}}
+	base := harness.Options{Repeats: 3}.Point(platform.BlueGeneQ, "labyrinth", 4, stamp.Modified)
+	best := lattice(base)[3]
 	specs := comparisonSpecs(base, best)
 	if len(specs) != 3 {
 		t.Fatalf("comparisonSpecs returned %d specs, want 3", len(specs))
 	}
 	def, win, ad := specs[0], specs[1], specs[2]
-	if def.Policy != nil || def.Adaptive {
-		t.Errorf("default spec is not the plain baseline: %+v", def)
+	if def.Policy != nil || def.Adaptive || def.Mode != platform.LongRunning {
+		t.Errorf("default spec is not the experiments' untuned point: %+v", def)
 	}
-	if win.Policy == nil || *win.Policy != best.policy {
-		t.Errorf("winner spec policy = %+v, want %+v", win.Policy, best.policy)
+	if win.Policy == nil || *win.Policy != *best.Policy || win.Mode != best.Mode {
+		t.Errorf("winner spec = %+v, want the trial %s", win, label(best))
 	}
-	if win.Repeats != base.Repeats {
-		t.Errorf("winner repeats = %d, want %d (trial used 1)", win.Repeats, base.Repeats)
+	if win.Repeats != base.Repeats || best.Repeats != 1 {
+		t.Errorf("winner repeats = %d (trial %d), want %d (trial 1)", win.Repeats, best.Repeats, base.Repeats)
 	}
-	if !ad.Adaptive || ad.Policy != nil {
+	if !ad.Adaptive || ad.Policy != nil || ad.Mode != def.Mode {
 		t.Errorf("adaptive spec misconfigured: %+v", ad)
 	}
 	for _, s := range specs {
@@ -353,11 +263,4 @@ func TestComparisonSpecs(t *testing.T) {
 			t.Errorf("comparison spec lost base fields: %+v", s)
 		}
 	}
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

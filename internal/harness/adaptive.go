@@ -36,19 +36,7 @@ func AdaptiveComparison(opts Options) (Table, error) {
 	var defs, tuned, adap []float64
 	for _, bench := range AdaptiveBenches {
 		for _, k := range platform.Kinds() {
-			base := RunSpec{
-				Platform:  k,
-				Benchmark: bench,
-				Threads:   4,
-				Scale:     opts.Scale,
-				Variant:   stamp.Modified,
-				Seed:      opts.Seed,
-				CostScale: opts.CostScale,
-				Repeats:   opts.Repeats,
-			}
-			if k == platform.BlueGeneQ {
-				base.Mode = bgqDefaultMode(bench)
-			}
+			base := opts.Point(k, bench, 4, stamp.Modified)
 			def, err := opts.Exec.Measure(base, false)
 			if err != nil {
 				return t, err

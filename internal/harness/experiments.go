@@ -17,8 +17,8 @@ import (
 // point inline.
 type Exec interface {
 	// Measure runs (or replays) one measured cell. With tune set, the
-	// point goes through the Tune retry-count search instead of a plain
-	// Run, and the tuned re-measured Result is returned.
+	// point goes through the Regions.Tune retry-count search instead of a
+	// plain Run, and the tuned re-measured Result is returned.
 	Measure(spec RunSpec, tune bool) (Result, error)
 }
 
@@ -45,6 +45,14 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
+	o = o.scalarDefaults()
+	if o.Exec == nil {
+		o.Exec = NewRegions()
+	}
+	return o
+}
+
+func (o Options) scalarDefaults() Options {
 	if o.Repeats <= 0 {
 		o.Repeats = 2
 	}
@@ -53,9 +61,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 42
-	}
-	if o.Exec == nil {
-		o.Exec = NewRegions()
 	}
 	return o
 }
@@ -66,8 +71,16 @@ func (o Options) logf(format string, args ...interface{}) {
 	}
 }
 
-// measure runs (tuned or default) one benchmark/platform/threads point.
-func (o Options) measure(k platform.Kind, bench string, threads int, variant stamp.Variant) (Result, error) {
+// Point is the untuned spec every experiment measures for one
+// benchmark/platform/threads point; an experiment that varies something else
+// sets that one field on it. On Blue Gene/Q it carries the running mode the
+// paper tunes per benchmark (Section 5.1): long-running mode pays one L1
+// invalidation per transaction but serves transactional loads from the L1,
+// which wins for benchmarks with large transactions; short-running mode wins
+// for the small-transaction benchmarks. Modified genome there takes the
+// paper's tuned CHUNK_STEP_1 of 9 (Section 4).
+func (o Options) Point(k platform.Kind, bench string, threads int, variant stamp.Variant) RunSpec {
+	o = o.scalarDefaults()
 	spec := RunSpec{
 		Platform:  k,
 		Benchmark: bench,
@@ -79,16 +92,17 @@ func (o Options) measure(k platform.Kind, bench string, threads int, variant sta
 		Repeats:   o.Repeats,
 	}
 	if k == platform.BlueGeneQ {
-		// The paper tunes Blue Gene/Q's running mode per benchmark
-		// (Section 5.1): long-running mode pays one L1 invalidation per
-		// transaction but serves transactional loads from the L1, which
-		// wins for benchmarks with large transactions; short-running mode
-		// wins for the small-transaction benchmarks.
 		spec.Mode = bgqDefaultMode(bench)
 		if bench == "genome" && variant == stamp.Modified {
-			spec.ChunkStep1 = 9 // the paper's tuned value (Section 4)
+			spec.ChunkStep1 = 9
 		}
 	}
+	return spec
+}
+
+// measure runs (tuned or default) one benchmark/platform/threads point.
+func (o Options) measure(k platform.Kind, bench string, threads int, variant stamp.Variant) (Result, error) {
+	spec := o.Point(k, bench, threads, variant)
 	res, err := o.Exec.Measure(spec, o.Tune)
 	if err != nil {
 		return Result{}, err
@@ -329,16 +343,8 @@ func Fig7(opts Options) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		hleSpec := RunSpec{
-			Platform:  platform.IntelCore,
-			Benchmark: bench,
-			Threads:   4,
-			Scale:     opts.Scale,
-			Seed:      opts.Seed,
-			CostScale: opts.CostScale,
-			Repeats:   opts.Repeats,
-			UseHLE:    true,
-		}
+		hleSpec := opts.Point(platform.IntelCore, bench, 4, stamp.Modified)
+		hleSpec.UseHLE = true
 		hle, err := opts.Exec.Measure(hleSpec, false)
 		if err != nil {
 			return t, err
@@ -371,16 +377,8 @@ func PrefetchAblation(opts Options) (Table, error) {
 	}
 	for _, bench := range []string{"kmeans-high", "kmeans-low"} {
 		for _, disable := range []bool{false, true} {
-			spec := RunSpec{
-				Platform:        platform.IntelCore,
-				Benchmark:       bench,
-				Threads:         4,
-				Scale:           opts.Scale,
-				Seed:            opts.Seed,
-				CostScale:       opts.CostScale,
-				Repeats:         opts.Repeats,
-				DisablePrefetch: disable,
-			}
+			spec := opts.Point(platform.IntelCore, bench, 4, stamp.Modified)
+			spec.DisablePrefetch = disable
 			res, err := opts.Exec.Measure(spec, false)
 			if err != nil {
 				return t, err

@@ -106,7 +106,7 @@ func TestTuneFindsAPolicy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tuning in -short mode")
 	}
-	tr, err := Tune(RunSpec{
+	tr, err := NewRegions().Tune(RunSpec{
 		Platform:  platform.POWER8,
 		Benchmark: "ssca2",
 		Threads:   2,
@@ -116,11 +116,11 @@ func TestTuneFindsAPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Result.Speedup <= 0 {
-		t.Errorf("tuned speedup %.2f", tr.Result.Speedup)
+	if tr.Speedup <= 0 {
+		t.Errorf("tuned speedup %.2f", tr.Speedup)
 	}
-	if tr.Policy.TransientRetry == 0 {
-		t.Error("tuner returned zero policy")
+	if tr.Spec.Policy == nil || tr.Spec.Policy.TransientRetry == 0 {
+		t.Errorf("tuner returned no policy: %+v", tr.Spec.Policy)
 	}
 }
 
@@ -128,7 +128,7 @@ func TestTuneBGQSearchesModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tuning in -short mode")
 	}
-	tr, err := Tune(RunSpec{
+	tr, err := NewRegions().Tune(RunSpec{
 		Platform:  platform.BlueGeneQ,
 		Benchmark: "kmeans-high",
 		Threads:   2,
@@ -138,8 +138,11 @@ func TestTuneBGQSearchesModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Result.Speedup <= 0 {
-		t.Errorf("tuned speedup %.2f", tr.Result.Speedup)
+	if tr.Speedup <= 0 {
+		t.Errorf("tuned speedup %.2f", tr.Speedup)
+	}
+	if p := tr.Spec.Policy; p == nil || p.LazySubscription != (tr.Spec.Mode == platform.LongRunning) {
+		t.Errorf("tuned Blue Gene/Q policy %+v does not match its mode %v", p, tr.Spec.Mode)
 	}
 }
 

@@ -45,8 +45,7 @@ func (r *Regions) Simulated() int { return int(r.simulated.Load()) }
 // Measure implements Exec by running the cell on the spot, through r.
 func (r *Regions) Measure(spec RunSpec, tune bool) (Result, error) {
 	if tune {
-		tr, err := r.Tune(spec)
-		return tr.Result, err
+		return r.Tune(spec)
 	}
 	return r.Run(spec)
 }

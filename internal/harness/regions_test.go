@@ -49,7 +49,7 @@ func TestTuneRegionCounts(t *testing.T) {
 // perCallTune is Tune with a fresh memo for every trial and for the
 // re-measure, so no region is shared. It also returns how many regions
 // those runs simulated between them.
-func perCallTune(t *testing.T, spec RunSpec) (TuneResult, int) {
+func perCallTune(t *testing.T, spec RunSpec) (Result, int) {
 	t.Helper()
 	n := 0
 	run := func(s RunSpec) Result {
@@ -62,7 +62,7 @@ func perCallTune(t *testing.T, spec RunSpec) (TuneResult, int) {
 		return res
 	}
 	spec = spec.withDefaults()
-	candidates := tuneCandidates(spec)
+	candidates := TuneGrid(spec)
 	best, bestSpeed := -1, 0.0
 	for i, c := range candidates {
 		if res := run(c); res.Speedup > bestSpeed {
@@ -71,8 +71,7 @@ func perCallTune(t *testing.T, spec RunSpec) (TuneResult, int) {
 	}
 	win := candidates[best]
 	win.Repeats = spec.Repeats
-	final := run(win)
-	return TuneResult{Policy: *win.Policy, Mode: win.Mode, Chunk: win.ChunkStep1, Result: final}, n
+	return run(win), n
 }
 
 // TestRegionFailureReleasesWaiters: a region that errors or panics wakes

@@ -29,16 +29,8 @@ func STMComparison(opts Options) (Table, error) {
 			threads int
 			useSTM  bool
 		}{{1, false}, {1, true}, {4, false}, {4, true}} {
-			spec := RunSpec{
-				Platform:  platform.ZEC12,
-				Benchmark: bench,
-				Threads:   cfg.threads,
-				Scale:     opts.Scale,
-				Seed:      opts.Seed,
-				CostScale: opts.CostScale,
-				Repeats:   opts.Repeats,
-				UseSTM:    cfg.useSTM,
-			}
+			spec := opts.Point(platform.ZEC12, bench, cfg.threads, stamp.Modified)
+			spec.UseSTM = cfg.useSTM
 			res, err := opts.Exec.Measure(spec, false)
 			if err != nil {
 				return t, err
@@ -76,16 +68,8 @@ func CapacitySweep(opts Options, bench string) (Table, error) {
 		Header: []string{"TMCAM entries", "capacity", "speedup t=12", "abort%", "capacity-abort%", "serial%"},
 	}
 	for _, entries := range []int{64, 128, 256, 512, 1024} {
-		spec := RunSpec{
-			Platform:     platform.POWER8,
-			Benchmark:    bench,
-			Threads:      12,
-			Scale:        opts.Scale,
-			Seed:         opts.Seed,
-			CostScale:    opts.CostScale,
-			Repeats:      opts.Repeats,
-			TMCAMEntries: entries,
-		}
+		spec := opts.Point(platform.POWER8, bench, 12, stamp.Modified)
+		spec.TMCAMEntries = entries
 		res, err := opts.Exec.Measure(spec, false)
 		if err != nil {
 			return t, err

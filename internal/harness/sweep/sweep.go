@@ -47,7 +47,7 @@ type Kind int
 const (
 	// Measure is one harness.Run of the cell's RunSpec.
 	Measure Kind = iota
-	// TuneMeasure is a harness.Tune search over the cell's RunSpec
+	// TuneMeasure is a harness.Regions.Tune search over the cell's RunSpec
 	// followed by a re-measured Run of the winner.
 	TuneMeasure
 	// Footprint is one trace.Collect footprint pass.

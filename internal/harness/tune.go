@@ -5,14 +5,6 @@ import (
 	"htmcmp/internal/tm"
 )
 
-// TuneResult records the winning configuration of a tuning search.
-type TuneResult struct {
-	Policy tm.Policy
-	Mode   platform.BGQMode
-	Chunk  int // genome CHUNK_STEP_1 (0 when not applicable)
-	Result Result
-}
-
 // policyGrid is the retry-count search space for zEC12, Intel and POWER8 —
 // a compact version of the paper's per-test-case optimisation ("we optimized
 // the parameter values for each test case", Section 5.1). The persistent
@@ -43,49 +35,45 @@ var bgqGrid = []struct {
 // Gene/Q and 2 for the other processors (Section 4).
 var genomeChunks = []int{2, 9}
 
-// Tune searches spec's retry-policy space through a memo of its own (see
-// Regions.Tune).
-func Tune(spec RunSpec) (TuneResult, error) { return NewRegions().Tune(spec) }
+// Retry-count clamps for Neighbours' moves. The grids stay well inside
+// them; they only stop runaway doubling.
+const (
+	maxLockRetry      = 64
+	maxPersistRetry   = 32
+	maxTransientRetry = 128
+)
 
-// Tune searches the retry-policy space for spec (single-repeat trials) and
-// returns the best configuration together with its re-measured result at the
-// requested repeat count. It is the scaled-down analogue of the paper's
-// exhaustive per-test-case optimisation. The trials and the re-measure are
-// folds over regions obtained through r, so the trials share their
-// sequential baseline and the re-measure's first repeat is the winning
-// trial.
-func (r *Regions) Tune(spec RunSpec) (TuneResult, error) {
+// Tune searches the retry-policy space for spec (single-repeat trials of
+// TuneGrid) and returns the winner re-measured at the requested repeat
+// count; its Spec carries the winning Policy, Mode and ChunkStep1. It is the
+// scaled-down analogue of the paper's exhaustive per-test-case optimisation.
+// The trials and the re-measure are folds over regions obtained through r,
+// so the trials share their sequential baseline and the re-measure's first
+// repeat is the winning trial.
+func (r *Regions) Tune(spec RunSpec) (Result, error) {
 	spec = spec.withDefaults()
-	candidates := tuneCandidates(spec)
-	best := -1
-	bestSpeed := 0.0
-	for i, c := range candidates {
-		res, err := r.Run(c)
-		if err != nil {
-			return TuneResult{}, err
+	win, _, err := Search(TuneGrid(spec), 0, func(trials []RunSpec) ([]Result, error) {
+		out := make([]Result, len(trials))
+		for i, c := range trials {
+			res, err := r.Run(c)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = res
 		}
-		if res.Speedup > bestSpeed {
-			bestSpeed = res.Speedup
-			best = i
-		}
-	}
-	win := candidates[best]
-	win.Repeats = spec.Repeats
-	final, err := r.Run(win)
+		return out, nil
+	}, nil)
 	if err != nil {
-		return TuneResult{}, err
+		return Result{}, err
 	}
-	return TuneResult{
-		Policy: *win.Policy,
-		Mode:   win.Mode,
-		Chunk:  win.ChunkStep1,
-		Result: final,
-	}, nil
+	win.Repeats = spec.Repeats
+	return r.Run(win)
 }
 
-// tuneCandidates lists the single-repeat trials of the search for spec
-// (already defaulted).
-func tuneCandidates(spec RunSpec) []RunSpec {
+// TuneGrid lists the single-repeat trials of the paper-grid search for spec:
+// policyGrid (Blue Gene/Q: bgqGrid's counter × mode), each crossed with
+// genomeChunks for a genome spec that does not fix its chunk.
+func TuneGrid(spec RunSpec) []RunSpec {
 	trial := spec
 	trial.Repeats = 1
 
@@ -120,4 +108,93 @@ func tuneCandidates(spec RunSpec) []RunSpec {
 		candidates = expanded
 	}
 	return candidates
+}
+
+// Neighbours returns the refinement moves around trial: each retry counter
+// halved and doubled within the clamps, in lock, persistent, transient
+// order. On Blue Gene/Q only the system (transient) counter moves, and the
+// running mode flips together with LazySubscription. The chunk is kept: a
+// grid already separates the chunk values.
+func Neighbours(trial RunSpec) []RunSpec {
+	p := trial.policy()
+	var out []RunSpec
+	move := func(v, max int, set func(*tm.Policy, int)) {
+		for _, nv := range []int{v / 2, v * 2} {
+			if nv < 1 || nv > max || nv == v {
+				continue
+			}
+			n, np := trial, p
+			set(&np, nv)
+			n.Policy = &np
+			out = append(out, n)
+		}
+	}
+	transient := func(q *tm.Policy, v int) { q.TransientRetry = v }
+	if trial.Platform == platform.BlueGeneQ {
+		move(p.TransientRetry, maxTransientRetry, transient)
+		flip, fp := trial, p
+		flip.Mode = platform.ShortRunning
+		if trial.Mode == platform.ShortRunning {
+			flip.Mode = platform.LongRunning
+		}
+		fp.LazySubscription = flip.Mode == platform.LongRunning
+		flip.Policy = &fp
+		return append(out, flip)
+	}
+	move(p.LockRetry, maxLockRetry, func(q *tm.Policy, v int) { q.LockRetry = v })
+	move(p.PersistentRetry, maxPersistRetry, func(q *tm.Policy, v int) { q.PersistentRetry = v })
+	move(p.TransientRetry, maxTransientRetry, transient)
+	return out
+}
+
+// trialKey is what separates two search points: the resolved policy, the
+// running mode and genome's chunk.
+type trialKey struct {
+	policy tm.Policy
+	mode   platform.BGQMode
+	chunk  int
+}
+
+// Search measures grid as one batch through eval, then up to rounds batches
+// of the incumbent's Neighbours that it has not measured yet, and returns
+// the fastest trial with its result; the first of equal trials wins. eval
+// returns one result per spec, in order. logf, when non-nil, sees every
+// measured trial with its round and whether it became the incumbent.
+func Search(grid []RunSpec, rounds int, eval func([]RunSpec) ([]Result, error),
+	logf func(round int, trial RunSpec, res Result, best bool)) (RunSpec, Result, error) {
+	seen := map[trialKey]bool{}
+	var best RunSpec
+	var bestRes Result
+	have := false
+	batch := grid
+	for round := 0; ; round++ {
+		var fresh []RunSpec
+		for _, s := range batch {
+			if k := (trialKey{s.policy(), s.Mode, s.ChunkStep1}); !seen[k] {
+				seen[k] = true
+				fresh = append(fresh, s)
+			}
+		}
+		if len(fresh) == 0 {
+			break
+		}
+		results, err := eval(fresh)
+		if err != nil {
+			return best, bestRes, err
+		}
+		for i, s := range fresh {
+			improved := !have || results[i].Speedup > bestRes.Speedup
+			if improved {
+				best, bestRes, have = s, results[i], true
+			}
+			if logf != nil {
+				logf(round, s, results[i], improved)
+			}
+		}
+		if round >= rounds {
+			break
+		}
+		batch = Neighbours(best)
+	}
+	return best, bestRes, nil
 }

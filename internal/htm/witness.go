@@ -114,7 +114,6 @@ type Witness struct {
 	ver     []uint64
 	initial []byte
 	recs    [][]TxRecord // per thread slot, owner-appended
-	started bool
 }
 
 // NewWitness returns an empty witness; htm.New sizes it to the engine it is
@@ -131,7 +130,6 @@ func (w *Witness) attach(e *Engine) {
 	w.recs = make([][]TxRecord, e.cfg.Threads)
 	w.seq = 0
 	w.initial = nil
-	w.started = false
 }
 
 // Start snapshots the arena as the replay's initial state and resets the
@@ -145,11 +143,7 @@ func (w *Witness) Start() {
 	clear(w.ver)
 	clear(w.recs)
 	w.seq = 0
-	w.started = true
 }
-
-// Started reports whether Start has been called.
-func (w *Witness) Started() bool { return w.started }
 
 // WitnessLog is the extracted, replayable log: the initial and final arena
 // snapshots bracketing the records, sorted by commit sequence. Space is the

@@ -74,9 +74,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -84,9 +81,6 @@ func (r *Rand) Intn(n int) int {
 	}
 	return int(r.Uint64() % uint64(n)) // modulo bias is irrelevant here
 }
-
-// Int63 returns a non-negative 63-bit value.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (r *Rand) Float64() float64 {

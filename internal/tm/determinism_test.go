@@ -15,14 +15,20 @@ package tm_test
 //
 // Golden values were captured from the pre-optimization engine (the PR 1
 // tree) and must survive the map-free access sets, virtual-mode lock
-// elision and the heap-based scheduler handoff unchanged. If a future PR
-// changes virtual-time semantics *on purpose*, regenerate with:
+// elision and the heap-based scheduler handoff unchanged. They live in
+// testdata/golden.txt. If a future change moves virtual-time semantics *on
+// purpose*, print the new rows with
 //
 //	go test ./internal/tm -run TestGoldenDeterminism -v -golden-print
+//
+// and replace the file's lines with them; sweep.ResultsVersion then needs a
+// bump (cmd/htmbench's TestResultsVersionPinsGolden says so).
 
 import (
 	"flag"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"htmcmp/internal/adapt"
@@ -104,24 +110,39 @@ func goldenRun(kind platform.Kind, threads int, tracer *obs.Tracer, wit *htm.Wit
 	}, st
 }
 
-// golden holds the values measured on the seed engine (see file comment).
-var golden = []goldenRow{
-	{kind: platform.BlueGeneQ, threads: 1, maxClock: 64992, begins: 200, commits: 200, aborts: 0, txLoads: 1332, txStores: 612},
-	{kind: platform.BlueGeneQ, threads: 2, maxClock: 76735, begins: 430, commits: 398, aborts: 32, txLoads: 2843, txStores: 1319},
-	{kind: platform.BlueGeneQ, threads: 4, maxClock: 124663, begins: 1134, commits: 775, aborts: 359, txLoads: 7092, txStores: 3398},
-	{kind: platform.BlueGeneQ, threads: 8, maxClock: 209758, begins: 2986, commits: 1506, aborts: 1480, txLoads: 19080, txStores: 8281},
-	{kind: platform.ZEC12, threads: 1, maxClock: 17698, begins: 201, commits: 200, aborts: 1, txLoads: 1385, txStores: 664},
-	{kind: platform.ZEC12, threads: 2, maxClock: 19950, begins: 434, commits: 399, aborts: 35, txLoads: 2949, txStores: 1389},
-	{kind: platform.ZEC12, threads: 4, maxClock: 28538, begins: 1058, commits: 784, aborts: 274, txLoads: 6946, txStores: 3283},
-	{kind: platform.ZEC12, threads: 8, maxClock: 48816, begins: 2986, commits: 1528, aborts: 1458, txLoads: 21067, txStores: 8279},
-	{kind: platform.IntelCore, threads: 1, maxClock: 16560, begins: 200, commits: 200, aborts: 0, txLoads: 1355, txStores: 635},
-	{kind: platform.IntelCore, threads: 2, maxClock: 23304, begins: 508, commits: 394, aborts: 114, txLoads: 3352, txStores: 1584},
-	{kind: platform.IntelCore, threads: 4, maxClock: 33996, begins: 1309, commits: 769, aborts: 540, txLoads: 8281, txStores: 3895},
-	{kind: platform.IntelCore, threads: 8, maxClock: 59800, begins: 4144, commits: 1444, aborts: 2700, txLoads: 25777, txStores: 11310},
-	{kind: platform.POWER8, threads: 1, maxClock: 17976, begins: 200, commits: 200, aborts: 0, txLoads: 1332, txStores: 612},
-	{kind: platform.POWER8, threads: 2, maxClock: 20050, begins: 424, commits: 399, aborts: 25, txLoads: 2838, txStores: 1316},
-	{kind: platform.POWER8, threads: 4, maxClock: 32078, begins: 1146, commits: 782, aborts: 364, txLoads: 7315, txStores: 3453},
-	{kind: platform.POWER8, threads: 8, maxClock: 58432, begins: 3190, commits: 1485, aborts: 1705, txLoads: 21236, txStores: 8573},
+// goldenFile holds the values measured on the seed engine (see file
+// comment), one row per line in -golden-print's format. It is part of the
+// digest cmd/htmbench's TestResultsVersionPinsGolden ties to
+// sweep.ResultsVersion.
+const goldenFile = "testdata/golden.txt"
+
+var golden = loadGolden()
+
+// loadGolden parses goldenFile; a malformed row fails every test here.
+func loadGolden() []goldenRow {
+	data, err := os.ReadFile(goldenFile)
+	if err != nil {
+		panic(err)
+	}
+	kinds := map[string]platform.Kind{}
+	for _, k := range platform.Kinds() {
+		kinds[kindName(k)] = k
+	}
+	var rows []goldenRow
+	unpunct := strings.NewReplacer("{", " ", "}", " ", ",", " ")
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var g goldenRow
+		var kind string
+		_, err := fmt.Sscanf(unpunct.Replace(line),
+			" kind: platform.%s threads: %d maxClock: %d begins: %d commits: %d aborts: %d txLoads: %d txStores: %d",
+			&kind, &g.threads, &g.maxClock, &g.begins, &g.commits, &g.aborts, &g.txLoads, &g.txStores)
+		var ok bool
+		if g.kind, ok = kinds[kind]; err != nil || !ok {
+			panic(fmt.Sprintf("%s: malformed row %q (%v)", goldenFile, line, err))
+		}
+		rows = append(rows, g)
+	}
+	return rows
 }
 
 func TestGoldenDeterminism(t *testing.T) {
@@ -132,7 +153,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		for _, kind := range []platform.Kind{platform.BlueGeneQ, platform.ZEC12, platform.IntelCore, platform.POWER8} {
 			for _, n := range []int{1, 2, 4, 8} {
 				g, _ := goldenRun(kind, n, nil, nil)
-				fmt.Printf("\t{kind: platform.%v, threads: %d, maxClock: %d, begins: %d, commits: %d, aborts: %d, txLoads: %d, txStores: %d},\n",
+				fmt.Printf("{kind: platform.%v, threads: %d, maxClock: %d, begins: %d, commits: %d, aborts: %d, txLoads: %d, txStores: %d},\n",
 					kindName(g.kind), g.threads, g.maxClock, g.begins, g.commits, g.aborts, g.txLoads, g.txStores)
 			}
 		}

@@ -33,12 +33,6 @@ func NewBitmap(t *htm.Thread, nBits int) Bitmap {
 	return Bitmap{base: h}
 }
 
-// Handle returns the bitmap's base address; BitmapAt reverses it.
-func (b Bitmap) Handle() mem.Addr { return b.base }
-
-// BitmapAt reinterprets a stored handle as a Bitmap.
-func BitmapAt(a mem.Addr) Bitmap { return Bitmap{base: a} }
-
 // Bits returns the bitmap's size in bits.
 func (b Bitmap) Bits(t *htm.Thread) int { return int(loadField(t, b.base, bmBits)) }
 

@@ -46,12 +46,6 @@ func NewHashtable(t *htm.Thread, nBuckets int) Hashtable {
 	return Hashtable{base: h}
 }
 
-// Handle returns the table's base address; HashtableAt reverses it.
-func (h Hashtable) Handle() mem.Addr { return h.base }
-
-// HashtableAt reinterprets a stored handle as a Hashtable.
-func HashtableAt(a mem.Addr) Hashtable { return Hashtable{base: a} }
-
 func (h Hashtable) bucketAddr(t *htm.Thread, key int64) mem.Addr {
 	n := loadField(t, h.base, htNBuckets)
 	arr := loadField(t, h.base, htBuckets)

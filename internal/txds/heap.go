@@ -42,12 +42,6 @@ func NewHeap(t *htm.Thread, capacity int) Heap {
 	return Heap{base: h}
 }
 
-// Handle returns the heap's base address; HeapAt reverses it.
-func (h Heap) Handle() mem.Addr { return h.base }
-
-// HeapAt reinterprets a stored handle as a Heap.
-func HeapAt(a mem.Addr) Heap { return Heap{base: a} }
-
 // Len returns the number of elements.
 func (h Heap) Len(t *htm.Thread) int { return int(loadField(t, h.base, hpSize)) }
 

@@ -47,12 +47,6 @@ func NewQueue(t *htm.Thread, capacity int) Queue {
 	return Queue{base: h}
 }
 
-// Handle returns the queue's base address; QueueAt reverses it.
-func (q Queue) Handle() mem.Addr { return q.base }
-
-// QueueAt reinterprets a stored handle as a Queue.
-func QueueAt(a mem.Addr) Queue { return Queue{base: a} }
-
 // Empty reports whether the queue has no elements.
 func (q Queue) Empty(t *htm.Thread) bool {
 	pop := loadField(t, q.base, qPop)

@@ -7,8 +7,9 @@
 // accessed through an htm.Thread, so the same code runs transactionally
 // inside a transaction and plainly outside one — mirroring STAMP's TMxxx /
 // Pxxx accessor split without duplicating the logic. Handles (List,
-// Hashtable, …) are plain values wrapping the structure's base address and
-// can themselves be stored in simulated memory as pointers.
+// Hashtable, …) are plain values wrapping the structure's base address; a
+// List's or an RBTree's can itself be stored in simulated memory as a
+// pointer (Handle, and ListAt/RBTreeAt to reverse it).
 //
 // Keys are int64 and values are opaque 64-bit words (usually simulated
 // addresses), matching STAMP's (comparator, void*) pairs.

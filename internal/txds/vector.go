@@ -34,12 +34,6 @@ func NewVector(t *htm.Thread, capacity int) Vector {
 	return Vector{base: h}
 }
 
-// Handle returns the vector's base address; VectorAt reverses it.
-func (v Vector) Handle() mem.Addr { return v.base }
-
-// VectorAt reinterprets a stored handle as a Vector.
-func VectorAt(a mem.Addr) Vector { return Vector{base: a} }
-
 // Len returns the number of elements.
 func (v Vector) Len(t *htm.Thread) int { return int(loadField(t, v.base, vecSize)) }
 
