@@ -13,11 +13,15 @@ GATE    ?= 200
 # FUZZTIME is the per-target budget for fuzz-smoke.
 FUZZTIME ?= 30s
 
-.PHONY: build test race lint bench-smoke bench-e2e bench-test bench-hotpath bench-hotpath-smoke profile trace-smoke fuzz-smoke chaos-smoke cover results-sim results-sim-diff clean
+.PHONY: build test race lint bench-smoke bench-e2e bench-test bench-hotpath bench-hotpath-smoke profile pgo trace-smoke fuzz-smoke chaos-smoke cover results-sim results-sim-diff clean
 
+# htmbench must pick up the checked-in profile cmd/htmbench/default.pgo
+# (-pgo=auto); `go version -m` lists the profile a binary was built with.
 build:
 	$(GO) build ./...
 	$(GO) build -o $(BIN)/htmbench ./cmd/htmbench
+	@$(GO) version -m $(BIN)/htmbench | grep -q -- '-pgo=.*default.pgo' || { \
+		echo "htmbench was built without cmd/htmbench/default.pgo"; exit 1; }
 	$(GO) build -o $(BIN)/htmtrace ./cmd/htmtrace
 	$(GO) build -o $(BIN)/htmtune ./cmd/htmtune
 
@@ -153,6 +157,26 @@ profile: build
 	@test -s $(SMOKE)/sweep.cpu.pprof || { echo "empty CPU profile"; exit 1; }
 	@test -s $(SMOKE)/sweep.heap.pprof || { echo "empty heap profile"; exit 1; }
 	@echo "profile ok: wrote $(SMOKE)/sweep.cpu.pprof and $(SMOKE)/sweep.heap.pprof"
+
+# pgo regenerates cmd/htmbench/default.pgo, the CPU profile that `go build`,
+# `go run` and `go test` of htmbench compile with by default (-pgo=auto). It
+# profiles what users and the repository benchmark run — every experiment at
+# test scale, uncached, on one worker — over seeds 1-6 from a build that
+# ignores the old profile, and merges the six profiles into one. -trimpath
+# keeps the checkout's location out of the profile: the compiler matches
+# samples by function name and line offset, not by file path. Refresh it
+# when the engine's hot path changes.
+pgo:
+	rm -rf $(SMOKE)/pgo
+	mkdir -p $(SMOKE)/pgo
+	$(GO) build -pgo=off -trimpath -o $(SMOKE)/pgo/htmbench ./cmd/htmbench
+	@for seed in 1 2 3 4 5 6; do \
+		$(SMOKE)/pgo/htmbench -exp all -scale test -repeats 2 -jobs 1 -no-cache -progress=false \
+			-seed $$seed -cpuprofile $(SMOKE)/pgo/cpu$$seed.pprof >/dev/null 2>$(SMOKE)/pgo/run$$seed.log || { \
+			cat $(SMOKE)/pgo/run$$seed.log; exit 1; }; \
+	done
+	$(GO) tool pprof -proto $(SMOKE)/pgo/cpu*.pprof >cmd/htmbench/default.pgo
+	@echo "pgo: rewrote cmd/htmbench/default.pgo"
 
 # trace-smoke records an event-traced run of a small benchmark and validates
 # both export formats, then exercises the sweep-level tracing/metrics flags:

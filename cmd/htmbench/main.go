@@ -85,6 +85,10 @@ func main() {
 	if *cellTimeout < 0 {
 		usageError(fmt.Errorf("-cell-timeout must be 0 or more, got %s", *cellTimeout))
 	}
+	if *seed == 0 {
+		// Every layer reads a zero seed as unset and runs seed 42.
+		usageError(fmt.Errorf("-seed must be 1 or more: seed 0 would run seed 42"))
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -151,7 +151,8 @@ func runMain(t *testing.T, args ...string) (dir, stdout, stderr string, err erro
 // TestUsageErrorsExitBeforeSideEffects: a flag value htmbench cannot use is
 // one line on stderr and exit status 2, with nothing printed to stdout and
 // no cache directory created. -repeats and -jobs below 1 and a negative
-// -cell-timeout used to run as if the default had been given. A
+// -cell-timeout used to run as if the default had been given, and -seed 0
+// printed seed 42's tables. A
 // flag that no longer exists (-http, with the live-telemetry stack) gets the
 // flag package's own message and usage text, to the same standard.
 func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
@@ -164,6 +165,7 @@ func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 		{"-jobs", "0"},
 		{"-jobs", "-3"},
 		{"-cell-timeout", "-5s"},
+		{"-seed", "0"},
 		{"-http", ":0"},
 	} {
 		dir, stdout, msg, err := runMain(t, args...)

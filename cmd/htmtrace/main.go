@@ -54,6 +54,10 @@ func main() {
 	if err == nil {
 		err = checkFlags(*threads, *top)
 	}
+	if err == nil && *seed == 0 {
+		// Every layer reads a zero seed as unset and runs seed 42.
+		err = fmt.Errorf("-seed must be 1 or more: seed 0 would run seed 42")
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "htmtrace:", err)
 		os.Exit(2)

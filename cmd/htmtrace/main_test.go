@@ -145,7 +145,7 @@ func TestMain(m *testing.M) {
 
 // TestUsageErrorsExitBeforeSideEffects: a flag value htmtrace cannot use is
 // one htmtrace: line on stderr and exit status 2 with nothing on stdout,
-// before any engine is built.
+// before any engine is built. -seed 0 used to run seed 42.
 func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 	for _, args := range [][]string{
 		{"-threads", "300", "-events"},
@@ -156,6 +156,8 @@ func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 		{"-bench", "nosuch", "-events"},
 		{"-platform", "sparc"},
 		{"-scale", "huge"},
+		{"-seed", "0"},
+		{"-seed", "0", "-events"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "HTMTRACE_TEST_MAIN=1")

@@ -146,6 +146,10 @@ func main() {
 	if err == nil {
 		err = checkCounts(*repeats, *jobs, *threads, *rounds)
 	}
+	if err == nil && *seed == 0 {
+		// Every layer reads a zero seed as unset and runs seed 42.
+		err = fmt.Errorf("-seed must be 1 or more: seed 0 would run seed 42")
+	}
 	if err != nil {
 		exit(2, err)
 	}

@@ -94,7 +94,8 @@ func TestMain(m *testing.M) {
 // TestUsageErrorsExitBeforeSideEffects: a flag value htmtune cannot use is
 // one htmtune: line on stderr and exit status 2, with nothing on stdout and
 // no cache directory created. -threads 300 used to panic inside a sweep
-// cell, -threads 0 to print "with 0 threads" and measure 4.
+// cell, -threads 0 to print "with 0 threads" and measure 4, -seed 0 to run
+// seed 42.
 func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 	for _, args := range [][]string{
 		{"-threads", "0"},
@@ -105,6 +106,7 @@ func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 		{"-bench", "nosuch"},
 		{"-platform", "sparc"},
 		{"-scale", "huge"},
+		{"-seed", "0"},
 	} {
 		dir := t.TempDir()
 		cmd := exec.Command(os.Args[0], args...)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"htmcmp/internal/platform"
+	"htmcmp/internal/prng"
 )
 
 func TestAccessTabFastPathBasics(t *testing.T) {
@@ -110,6 +111,71 @@ func TestAccessTabSpillPreservesEntries(t *testing.T) {
 		if v, ok := tab.get(i << 40); !ok || v != fmt.Sprint(i) {
 			t.Fatalf("get(%d) = %q,%v", i, v, ok)
 		}
+	}
+}
+
+// TestAccessTabMatchesMap drives random put/get/has/reset sequences against
+// a Go map, for both key widths, across the fast-path/spill boundary and the
+// table's growth. Most of the key pool hashes to four neighbouring home
+// slots of the initial table, so lookups walk long probe chains that wrap
+// past the table's end and mix live entries with stale earlier-epoch ones.
+func TestAccessTabMatchesMap(t *testing.T) {
+	t.Run("uint32", func(t *testing.T) {
+		checkAccessTabAgainstMap(t, collidingKeys(func(i uint64) uint32 { return uint32(i) }))
+	})
+	t.Run("uint64", func(t *testing.T) {
+		// 8-aligned word addresses, the STM write buffer's keys.
+		checkAccessTabAgainstMap(t, collidingKeys(func(i uint64) uint64 { return 1<<33 + i*8 }))
+	})
+}
+
+// collidingKeys returns key(0..15) followed by the later keys whose home
+// slot in a minTabSlots table is one of the last four, 96 keys in all.
+func collidingKeys[K tabKey](key func(uint64) K) []K {
+	probe := accessTab[K, int]{mask: minTabSlots - 1}
+	var keys []K
+	for i := uint64(0); len(keys) < 96; i++ {
+		k := key(i)
+		if i < 16 || probe.hash(k) >= minTabSlots-4 {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+func checkAccessTabAgainstMap[K tabKey](t *testing.T, pool []K) {
+	t.Helper()
+	var tab accessTab[K, int]
+	tab.init()
+	want := map[K]int{}
+	rng := prng.New(7)
+	maxSize := 0
+	for op := 0; op < 200000; op++ {
+		k := pool[rng.Intn(len(pool))]
+		switch r := rng.Intn(1000); {
+		case r < 2: // resets are rare enough for sets to outgrow the table
+			tab.reset()
+			clear(want)
+		case r < 500:
+			tab.put(k, op)
+			want[k] = op
+		case r < 750:
+			v, ok := tab.get(k)
+			if w, wok := want[k]; ok != wok || v != w {
+				t.Fatalf("op %d: get(%#x) = %d,%v, want %d,%v", op, k, v, ok, w, wok)
+			}
+		default:
+			if _, wok := want[k]; tab.has(k) != wok {
+				t.Fatalf("op %d: has(%#x) = %v, want %v", op, k, !wok, wok)
+			}
+		}
+		if tab.size() != len(want) {
+			t.Fatalf("op %d: size %d, want %d", op, tab.size(), len(want))
+		}
+		maxSize = max(maxSize, len(want))
+	}
+	if maxSize <= minTabSlots*3/4 {
+		t.Fatalf("largest set held %d keys: the sequence never grew the spill table", maxSize)
 	}
 }
 

@@ -28,8 +28,9 @@
 //     software begin/end overhead, zEC12's spurious cache-fetch aborts,
 //     Intel's adjacent-line prefetches joining the read set.
 //
-// Aborts unwind to the transaction begin via panic/recover, mirroring the
-// hardware register-state rollback.
+// Aborts raised in the transaction body unwind to the transaction begin via
+// panic/recover, mirroring the hardware register-state rollback; an abort
+// found at commit, after the body has returned, returns instead.
 package htm
 
 import (
@@ -150,8 +151,8 @@ type Config struct {
 	// contract as Tracer/Witness: nil costs one pointer check per
 	// hook and never advances virtual time, so runs with chaos off are
 	// cycle-identical to runs built before the injector existed. Injected
-	// aborts unwind through the ordinary abort path (rollback, stats,
-	// witness), so chaos runs remain serializable.
+	// aborts take the ordinary abort path (rollback, stats, witness), so
+	// chaos runs remain serializable.
 	Faults *chaos.Injector
 	// Deprecated: Virtual is ignored. The engine always runs in virtual
 	// time; the field survives, like adapter.go, only because bench/ (which

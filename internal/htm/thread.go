@@ -343,7 +343,10 @@ func (t *Thread) TryTx(kind TxKind, fn func()) (committed bool, abort Abort) {
 		}
 	}()
 	fn()
-	t.commit()
+	if !t.commit() {
+		t.rollback()
+		return false, t.pendingAbort
+	}
 	return true, Abort{}
 }
 
@@ -410,7 +413,10 @@ func (t *Thread) begin(kind TxKind) {
 
 // commit publishes buffered stores and releases ownership. A committing
 // transaction is immune to dooming: conflicting requesters abort instead.
-func (t *Thread) commit() {
+// An abort found here, after the body has returned, is recorded with pend
+// and reported by returning false: there is no body left to unwind, so the
+// caller rolls back directly.
+func (t *Thread) commit() bool {
 	// Injected interrupt: the transaction dies at the commit boundary the
 	// way BG/Q and zEC12 transactions die when an external interrupt lands.
 	// Raised before the commit sequence number is drawn and before the
@@ -418,7 +424,8 @@ func (t *Thread) commit() {
 	// path (rollback, retry) handles it. Hardened (constrained) transactions
 	// are immune, as on real zEC12.
 	if t.faults != nil && !t.hardened && t.faults.Roll(chaos.SpuriousAbort) {
-		t.abortNow(ReasonInterrupt, false)
+		t.pend(ReasonInterrupt, false, obs.NoLine, obs.NoThread)
+		return false
 	}
 	// The commit sequence number is taken before the transaction becomes
 	// visibly committing: any access that observes the committing status
@@ -444,7 +451,8 @@ func (t *Thread) commit() {
 		if fenced {
 			t.hybridSeqRelease()
 		}
-		t.abortDoomed(t.doomReason)
+		t.pendDoomed(t.doomReason)
+		return false
 	}
 	t.status = statusCommitting
 	// Publish the written lines. Eager dooming guarantees no live
@@ -505,6 +513,7 @@ func (t *Thread) commit() {
 	t.allocs = t.allocs[:0]
 	t.status = statusIdle
 	t.work(t.commitCost)
+	return true
 }
 
 // rollback discards buffered state after an abort.
@@ -599,18 +608,24 @@ func (t *Thread) abortNow(reason Reason, persistent bool) {
 // abortAt is abortNow carrying the conflicting line and the dooming thread
 // for abort attribution (obs.NoLine / obs.NoThread when inapplicable).
 func (t *Thread) abortAt(reason Reason, persistent bool, line uint32, by int16) {
-	t.pendingAbort = Abort{Reason: reason, Persistent: persistent}
-	t.pendingLine, t.pendingBy = line, by
+	t.pend(reason, persistent, line, by)
 	panic(abortSignal{})
 }
 
-// abortDoomed takes the abort for a transaction another thread doomed,
+// pend records the abort rollback reports, without unwinding.
+func (t *Thread) pend(reason Reason, persistent bool, line uint32, by int16) {
+	t.pendingAbort = Abort{Reason: reason, Persistent: persistent}
+	t.pendingLine, t.pendingBy = line, by
+}
+
+// pendDoomed records the abort of a transaction another thread doomed,
 // picking up the attribution tags that thread left via doomTagged.
-func (t *Thread) abortDoomed(reason Reason) {
+func (t *Thread) pendDoomed(reason Reason) {
 	if t.trace != nil {
-		t.abortAt(reason, false, t.doomLine, t.doomBy)
+		t.pend(reason, false, t.doomLine, t.doomBy)
+		return
 	}
-	t.abortNow(reason, false)
+	t.pend(reason, false, obs.NoLine, obs.NoThread)
 }
 
 // Abort explicitly aborts the current transaction — the tabort instruction
@@ -631,7 +646,8 @@ func (t *Thread) checkDoomed() {
 		if r == ReasonNone {
 			r = ReasonConflict
 		}
-		t.abortDoomed(r)
+		t.pendDoomed(r)
+		panic(abortSignal{})
 	}
 }
 
