@@ -9,13 +9,9 @@ import (
 
 // chaosEngine builds a cost-free engine with the given chaos op-rates (every
 // cell-level affliction decision is bypassed: the injector rolls directly).
-func chaosEngine(t *testing.T, k platform.Kind, threads int, rates map[chaos.Class]float64) (*Engine, *chaos.Injector) {
+func chaosEngine(t *testing.T, k platform.Kind, threads int, rates [chaos.NumClasses]float64) (*Engine, *chaos.Injector) {
 	t.Helper()
-	cfg := chaos.Config{Seed: 99}
-	for c, p := range rates { //htmlint:allow determinism -- keyed copy into OpRates, order-insensitive
-		cfg.OpRates[c] = p
-	}
-	in := chaos.New(cfg)
+	in := chaos.New(chaos.Config{Seed: 99, OpRates: rates})
 	e := New(platform.New(k), Config{
 		Threads:                 threads,
 		SpaceSize:               1 << 20,
@@ -31,7 +27,7 @@ func chaosEngine(t *testing.T, k platform.Kind, threads int, rates map[chaos.Cla
 func TestChaosSpuriousAbortAtCommit(t *testing.T) {
 	// With a certain roll, the first commit attempt dies with the injected
 	// interrupt reason, transient, and the stores roll back.
-	e, in := chaosEngine(t, platform.IntelCore, 1, map[chaos.Class]float64{chaos.SpuriousAbort: 1})
+	e, in := chaosEngine(t, platform.IntelCore, 1, [chaos.NumClasses]float64{chaos.SpuriousAbort: 1})
 	th := e.Thread(0)
 	a := th.Alloc(64)
 	th.Store64(a, 7)
@@ -53,7 +49,7 @@ func TestChaosSpuriousAbortAtCommit(t *testing.T) {
 func TestChaosSpuriousAbortRecoversByRetry(t *testing.T) {
 	// At p=0.5 a bounded retry loop recovers every execution: injected
 	// interrupts are transient, exactly like the platform aborts they model.
-	e, in := chaosEngine(t, platform.IntelCore, 1, map[chaos.Class]float64{chaos.SpuriousAbort: 0.5})
+	e, in := chaosEngine(t, platform.IntelCore, 1, [chaos.NumClasses]float64{chaos.SpuriousAbort: 0.5})
 	th := e.Thread(0)
 	a := th.Alloc(64)
 	committed := 0
@@ -86,7 +82,7 @@ func TestChaosSpuriousAbortRecoversByRetry(t *testing.T) {
 }
 
 func TestChaosCapacityFaultIsPersistent(t *testing.T) {
-	e, in := chaosEngine(t, platform.POWER8, 1, map[chaos.Class]float64{chaos.CapacityFault: 1})
+	e, in := chaosEngine(t, platform.POWER8, 1, [chaos.NumClasses]float64{chaos.CapacityFault: 1})
 	th := e.Thread(0)
 	a := th.Alloc(64)
 	ok, ab := th.TryTx(TxNormal, func() { _ = th.Load64(a) })
@@ -102,7 +98,7 @@ func TestChaosCapacityFaultIsPersistent(t *testing.T) {
 }
 
 func TestChaosSTMContentionForcesRevalidation(t *testing.T) {
-	e, in := chaosEngine(t, platform.IntelCore, 1, map[chaos.Class]float64{chaos.STMContention: 1})
+	e, in := chaosEngine(t, platform.IntelCore, 1, [chaos.NumClasses]float64{chaos.STMContention: 1})
 	th := e.Thread(0)
 	a := th.Alloc(64)
 	th.Store64(a, 5)
@@ -131,7 +127,7 @@ func TestChaosSTMContentionForcesRevalidation(t *testing.T) {
 func TestChaosHardenedConstrainedImmune(t *testing.T) {
 	// zEC12 constrained transactions are guaranteed to commit; the injector
 	// must respect the arbiter's hardening rather than livelock it.
-	e, _ := chaosEngine(t, platform.ZEC12, 1, map[chaos.Class]float64{
+	e, _ := chaosEngine(t, platform.ZEC12, 1, [chaos.NumClasses]float64{
 		chaos.SpuriousAbort: 1, chaos.CapacityFault: 1,
 	})
 	th := e.Thread(0)

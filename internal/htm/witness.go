@@ -206,7 +206,7 @@ func (t *Thread) witnessRead(line uint32) {
 		return
 	}
 	t.witSeen.put(line, true)
-	v := t.wit.ver[line] //htmlint:allow nilgate -- recording hooks run only when the thread has a witness (see section header)
+	v := t.wit.ver[line]
 	sum := LineSum(t.eng.space.Data(), line, t.eng.lineSize)
 	t.witReads = append(t.witReads, WitnessRead{Line: line, Ver: v, Sum: sum})
 }

@@ -1,7 +1,9 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -46,9 +48,14 @@ var bannedFuncs = map[string]map[string]bool{
 // core's only sanctioned generator is internal/prng, whose sequences
 // are part of the pinned golden results), os.Getenv and friends, and
 // range statements over maps that bind the iteration variables.
-func determinism(pkg *Package, report reporter) {
+func determinism(pkg *Package) []Finding {
 	if !inCore(pkg.Path) {
-		return
+		return nil
+	}
+	var out []Finding
+	report := func(pos token.Pos, format string, args ...any) {
+		p := pkg.Fset.Position(pos)
+		out = append(out, Finding{File: p.Filename, Line: p.Line, Col: p.Column, Message: fmt.Sprintf(format, args...)})
 	}
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -87,6 +94,7 @@ func determinism(pkg *Package, report reporter) {
 			return true
 		})
 	}
+	return out
 }
 
 func bindsVariable(e ast.Expr) bool {
@@ -106,4 +114,15 @@ func inCore(path string) bool {
 		}
 	}
 	return false
+}
+
+// pathHasSuffix reports whether import path p is exactly suffix or ends
+// with "/"+suffix — matching on whole path segments so that
+// "htmcmp/internal/harness" matches "internal/harness" but
+// "x/qinternal/harness" and "htmcmp/internal/harness/sweep" do not.
+func pathHasSuffix(p, suffix string) bool {
+	if p == suffix {
+		return true
+	}
+	return len(p) > len(suffix) && p[len(p)-len(suffix)-1] == '/' && p[len(p)-len(suffix):] == suffix
 }

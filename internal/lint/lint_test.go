@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/ast"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -13,82 +12,61 @@ import (
 // path — `go list -export` plus export-data importing — is exactly what
 // the tests exercise. Expectations are trailing comments of the form
 //
-//	// want determinism:"regex" nilgate:"another regex"
+//	// want "regex"
 //
 // on the line the finding is reported at.
 var fixtureDir = filepath.Join("testdata", "src")
 
-var wantRe = regexp.MustCompile(`([a-z]+):"((?:[^"\\]|\\.)*)"`)
+var wantRe = regexp.MustCompile(`^// want "((?:[^"\\]|\\.)*)"$`)
 
-type want struct {
-	check   string
-	re      *regexp.Regexp
-	matched bool
-}
-
-// checkFixture runs every check over the fixture packages and compares the
-// findings against their `// want` comments: every finding must match a
-// want on its line, and every want must be matched by a finding.
+// checkFixture runs the check over the fixture packages, tagged view
+// included, and compares the findings against their `// want` comments:
+// every finding must match the want on its line, and every want must be
+// matched by a finding.
 func checkFixture(t *testing.T, patterns ...string) {
 	t.Helper()
-	pkgs, err := load(fixtureDir, patterns...)
+	pkgs, err := loadAll(fixtureDir, patterns...)
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
 	wants := collectWants(t, pkgs)
 	for _, f := range run(pkgs) {
-		matched := false
-		for _, w := range wants[f.File+":"+strconv.Itoa(f.Line)] {
-			if w.check == f.Check && w.re.MatchString(f.Message) {
-				w.matched = true
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		key := f.File + ":" + strconv.Itoa(f.Line)
+		re, ok := wants[key]
+		if !ok || !re.MatchString(f.Message) {
 			t.Errorf("unexpected finding: %s", f)
+			continue
 		}
+		delete(wants, key)
 	}
-	for key, ws := range wants {
-		for _, w := range ws {
-			if !w.matched {
-				t.Errorf("%s: expected %s finding matching %q, got none", key, w.check, w.re)
-			}
-		}
+	for key, re := range wants {
+		t.Errorf("%s: expected a finding matching %q, got none", key, re)
 	}
 }
 
-// collectWants scans every parsed file of the fixture — including
-// build-tag-excluded ones, where tagpair findings land — for want
-// comments, keyed by file:line.
-func collectWants(t *testing.T, pkgs []*Package) map[string][]*want {
+// collectWants scans every loaded file for want comments, keyed by
+// file:line. A file both views build is scanned twice to the same effect.
+func collectWants(t *testing.T, pkgs []*Package) map[string]*regexp.Regexp {
 	t.Helper()
-	wants := map[string][]*want{}
+	wants := map[string]*regexp.Regexp{}
 	for _, pkg := range pkgs {
-		for _, f := range append(append([]*ast.File{}, pkg.Files...), pkg.Ignored...) {
+		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					body, ok := strings.CutPrefix(c.Text, "// want ")
-					if !ok {
+					if !strings.HasPrefix(c.Text, "// want ") {
 						continue
 					}
 					pos := pkg.Fset.Position(c.Pos())
 					key := pos.Filename + ":" + strconv.Itoa(pos.Line)
-					matches := wantRe.FindAllStringSubmatch(body, -1)
-					if len(matches) == 0 {
+					m := wantRe.FindStringSubmatch(c.Text)
+					if m == nil {
 						t.Fatalf("%s: malformed want comment %q", key, c.Text)
 					}
-					for _, m := range matches {
-						unq, err := strconv.Unquote(`"` + m[2] + `"`)
-						if err != nil {
-							t.Fatalf("%s: bad want pattern %q: %v", key, m[2], err)
-						}
-						re, err := regexp.Compile(unq)
-						if err != nil {
-							t.Fatalf("%s: bad want regexp %q: %v", key, unq, err)
-						}
-						wants[key] = append(wants[key], &want{check: m[1], re: re})
+					unq, err := strconv.Unquote(`"` + m[1] + `"`)
+					if err != nil {
+						t.Fatalf("%s: bad want pattern %q: %v", key, m[1], err)
 					}
+					wants[key] = regexp.MustCompile(unq)
 				}
 			}
 		}
@@ -96,17 +74,8 @@ func collectWants(t *testing.T, pkgs []*Package) map[string][]*want {
 	return wants
 }
 
-func fixtureFindings(t *testing.T, patterns ...string) []Finding {
-	t.Helper()
-	fs, err := Check(fixtureDir, patterns...)
-	if err != nil {
-		t.Fatalf("checking fixture: %v", err)
-	}
-	return fs
-}
-
-// TestSuiteOnFixtures runs the suite over all the check fixtures, proving
-// the checks do not cross-fire: each want in the tree must be matched.
+// TestSuiteOnFixtures runs the check over every core fixture at once:
+// each want in the tree must be matched, and nothing else may fire.
 func TestSuiteOnFixtures(t *testing.T) {
 	checkFixture(t, "./internal/...")
 }
@@ -116,80 +85,54 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestDeterminismSkipsHostPackages proves the core-path scoping: the
-// host fixture reads the wall clock freely and must yield nothing
-// (the directive findings it also hosts are exercised separately).
+// host fixture reads the wall clock freely and must yield nothing.
 func TestDeterminismSkipsHostPackages(t *testing.T) {
-	for _, f := range fixtureFindings(t, "./host") {
-		if f.Check == "determinism" {
-			t.Errorf("determinism fired outside the core: %s", f)
-		}
-	}
-}
-
-func TestNilgate(t *testing.T) {
-	checkFixture(t, "./internal/mem")
-}
-
-// TestNilgateExemptsProviders: the packages that implement the hooks
-// dereference them freely without findings.
-func TestNilgateExemptsProviders(t *testing.T) {
-	for _, f := range fixtureFindings(t, "./internal/obs", "./internal/chaos") {
-		t.Errorf("nilgate fired in a provider package: %s", f)
-	}
-}
-
-func TestTagpair(t *testing.T) {
-	checkFixture(t, "./internal/adapt")
-}
-
-// TestDirectiveFindings runs the suite over the host fixture, which
-// deliberately carries one unused allow and three malformed directives;
-// each must surface as a "directive" finding and nothing else may fire.
-func TestDirectiveFindings(t *testing.T) {
-	fs := fixtureFindings(t, "./host")
-	wantSubstrings := []string{
-		"suppresses no finding",
-		"needs a justification",
-		"unknown check \"nosuchcheck\"",
-		"unknown htmlint directive \"frobnicate\"",
-	}
-	var all strings.Builder
-	for _, f := range fs {
-		all.WriteString("  " + f.String() + "\n")
-		if f.Check != "directive" {
-			t.Errorf("non-directive finding in host fixture: %s", f)
-		}
-	}
-	if len(fs) != len(wantSubstrings) {
-		t.Fatalf("got %d findings, want %d:\n%s", len(fs), len(wantSubstrings), all.String())
-	}
-	for _, want := range wantSubstrings {
-		if !strings.Contains(all.String(), want) {
-			t.Errorf("no finding mentions %q:\n%s", want, all.String())
-		}
-	}
-}
-
-// TestLoadShapes sanity-checks the loader on the fixture module: the
-// tag-excluded twin must be parsed into Ignored, and import paths must
-// be the real module paths.
-func TestLoadShapes(t *testing.T) {
-	pkgs, err := load(fixtureDir, "./internal/adapt")
+	fs, err := Check(fixtureDir, "./host")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("got %d packages, want 1", len(pkgs))
+	for _, f := range fs {
+		t.Errorf("determinism fired outside the core: %s", f)
 	}
-	p := pkgs[0]
-	if p.Path != "fixmod/internal/adapt" {
-		t.Errorf("Path = %q", p.Path)
+}
+
+// TestTaggedView covers the files only a build tag compiles: a tagged
+// twin that does not type-check is an error naming the file, and a
+// tagged-only core file is held to the determinism rules.
+func TestTaggedView(t *testing.T) {
+	t.Run("type error", func(t *testing.T) {
+		_, err := Check(fixtureDir, "./broken")
+		if err == nil || !strings.Contains(err.Error(), "on.go") {
+			t.Fatalf("Check = %v, want an error naming broken/on.go", err)
+		}
+	})
+	t.Run("determinism", func(t *testing.T) {
+		checkFixture(t, "./internal/adapt")
+	})
+}
+
+// TestLoadShapes sanity-checks the loader on the fixture module: the
+// default view builds the untagged twin, the tagged view the other one,
+// and import paths are the real module paths.
+func TestLoadShapes(t *testing.T) {
+	pkgs, err := loadAll(fixtureDir, "./internal/adapt")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(p.Files) != 1 || len(p.Ignored) != 1 {
-		t.Errorf("Files/Ignored = %d/%d, want 1/1", len(p.Files), len(p.Ignored))
+	if len(pkgs) != 2 {
+		t.Fatalf("got %d packages, want the default and the tagged view", len(pkgs))
 	}
-	if p.Types == nil || p.Types.Scope().Lookup("auditLeak") == nil {
-		t.Error("type info missing for built file")
+	for i, want := range []string{"pair_off.go", "pair_on.go"} {
+		p := pkgs[i]
+		if p.Path != "fixmod/internal/adapt" {
+			t.Errorf("view %d: Path = %q", i, p.Path)
+		}
+		if len(p.Files) != 1 || filepath.Base(p.Fset.Position(p.Files[0].Package).Filename) != want {
+			t.Errorf("view %d: want exactly %s", i, want)
+		}
+		if len(p.Info.Uses) == 0 {
+			t.Errorf("view %d: type info missing", i)
+		}
 	}
 }
 

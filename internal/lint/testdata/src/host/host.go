@@ -1,20 +1,7 @@
 // Package host is outside the deterministic core: wall-clock reads are
-// unrestricted here, and the package doubles as the fixture for the
-// directive checks (malformed and unused annotations are findings).
+// unrestricted here.
 package host
 
 import "time"
 
 func stamp() int64 { return time.Now().UnixNano() }
-
-//htmlint:allow determinism -- nothing on the next line violates anything
-func stale() int { return 1 }
-
-//htmlint:allow determinism
-func missingReason() int { return 2 }
-
-//htmlint:allow nosuchcheck -- the check name is wrong
-func unknownCheck() int { return 3 }
-
-//htmlint:frobnicate
-func unknownVerb() int { return 4 }

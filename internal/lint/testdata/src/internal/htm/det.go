@@ -9,30 +9,29 @@ import (
 )
 
 func wallClock() int64 {
-	return time.Now().UnixNano() // want determinism:"time.Now in deterministic core"
+	return time.Now().UnixNano() // want "time.Now in deterministic core"
 }
 
 func elapsed(t0 time.Time) time.Duration {
-	return time.Since(t0) // want determinism:"time.Since in deterministic core"
+	return time.Since(t0) // want "time.Since in deterministic core"
 }
 
 func hostRandom() int {
-	return rand.Int() // want determinism:"math/rand.Int in deterministic core"
+	return rand.Int() // want "math/rand.Int in deterministic core"
 }
 
 func envProbe() string {
-	v, _ := os.LookupEnv("HTM_MODE") // want determinism:"os.LookupEnv in deterministic core"
+	v, _ := os.LookupEnv("HTM_MODE") // want "os.LookupEnv in deterministic core"
 	return v
 }
 
 func tuneFromEnv() string {
-	//htmlint:allow determinism -- debug-only escape hatch, never read in golden runs
-	return os.Getenv("HTM_DEBUG")
+	return os.Getenv("HTM_DEBUG") // want "os.Getenv in deterministic core"
 }
 
 func sumCounts(m map[string]int) int {
 	total := 0
-	for _, v := range m { // want determinism:"map iteration order is unordered"
+	for _, v := range m { // want "map iteration order is unordered"
 		total += v
 	}
 	return total

@@ -99,15 +99,17 @@ func TestFeatureFlags(t *testing.T) {
 }
 
 func TestStringsAndShorts(t *testing.T) {
-	want := map[Kind][2]string{
-		BlueGeneQ: {"Blue Gene/Q", "BG"},
-		ZEC12:     {"zEC12", "z12"},
-		IntelCore: {"Intel Core", "IC"},
-		POWER8:    {"POWER8", "P8"},
-	}
-	for k, w := range want { //htmlint:allow determinism -- keyed test table, each entry checked on its own
-		if k.String() != w[0] || k.Short() != w[1] {
-			t.Errorf("%d: %q/%q, want %q/%q", int(k), k.String(), k.Short(), w[0], w[1])
+	for _, c := range []struct {
+		k           Kind
+		name, short string
+	}{
+		{BlueGeneQ, "Blue Gene/Q", "BG"},
+		{ZEC12, "zEC12", "z12"},
+		{IntelCore, "Intel Core", "IC"},
+		{POWER8, "POWER8", "P8"},
+	} {
+		if c.k.String() != c.name || c.k.Short() != c.short {
+			t.Errorf("%d: %q/%q, want %q/%q", int(c.k), c.k.String(), c.k.Short(), c.name, c.short)
 		}
 	}
 	if ShortRunning.String() != "short-running" || LongRunning.String() != "long-running" {
@@ -135,14 +137,17 @@ func TestAllAndKindsOrder(t *testing.T) {
 // each platform's lower-cased Short does too, and the error names the
 // canonical four.
 func TestParseKind(t *testing.T) {
-	for name, want := range map[string]Kind{ //htmlint:allow determinism -- keyed test table, each entry checked on its own
-		"bgq": BlueGeneQ, "bg": BlueGeneQ, "bluegene": BlueGeneQ, "bluegeneq": BlueGeneQ,
-		"zec12": ZEC12, "z12": ZEC12, "z": ZEC12,
-		"intel": IntelCore, "ic": IntelCore, "core": IntelCore,
-		"power8": POWER8, "p8": POWER8,
+	for _, c := range []struct {
+		name string
+		want Kind
+	}{
+		{"bgq", BlueGeneQ}, {"bg", BlueGeneQ}, {"bluegene", BlueGeneQ}, {"bluegeneq", BlueGeneQ},
+		{"zec12", ZEC12}, {"z12", ZEC12}, {"z", ZEC12},
+		{"intel", IntelCore}, {"ic", IntelCore}, {"core", IntelCore},
+		{"power8", POWER8}, {"p8", POWER8},
 	} {
-		if got, err := ParseKind(name); err != nil || got != want {
-			t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, want)
+		if got, err := ParseKind(c.name); err != nil || got != c.want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", c.name, got, err, c.want)
 		}
 	}
 	for _, k := range Kinds() {

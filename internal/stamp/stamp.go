@@ -20,7 +20,6 @@ package stamp
 
 import (
 	"fmt"
-	"sort"
 
 	"htmcmp/internal/htm"
 	"htmcmp/internal/tm"
@@ -208,34 +207,13 @@ func New(name string, cfg Config) (Benchmark, error) {
 	return f(cfg), nil
 }
 
-// Names returns all registered benchmark names in the paper's figure order.
+// Names returns every registered benchmark name in the paper's figure
+// order: the registry holds exactly the paper's ten.
 func Names() []string {
-	order := []string{
+	return []string{
 		"bayes", "genome", "intruder", "kmeans-high", "kmeans-low",
 		"labyrinth", "ssca2", "vacation-high", "vacation-low", "yada",
 	}
-	var names []string
-	for _, n := range order {
-		if _, ok := registry[n]; ok {
-			names = append(names, n)
-		}
-	}
-	// Append any extras deterministically (future benchmarks).
-	var extra []string
-	for n := range registry { //htmlint:allow determinism -- iteration order is normalised by the sort.Strings below
-		found := false
-		for _, o := range order {
-			if n == o {
-				found = true
-				break
-			}
-		}
-		if !found {
-			extra = append(extra, n)
-		}
-	}
-	sort.Strings(extra)
-	return append(names, extra...)
 }
 
 // ModifiedNames returns the benchmarks the paper's Section 4 modified

@@ -123,6 +123,14 @@ func TestNamesOrderAndRegistry(t *testing.T) {
 	if names[0] != "bayes" || names[len(names)-1] != "yada" {
 		t.Errorf("paper order violated: %v", names)
 	}
+	if len(registry) != len(names) {
+		t.Errorf("registry has %d benchmarks, Names lists %d", len(registry), len(names))
+	}
+	for _, n := range names {
+		if _, ok := registry[n]; !ok {
+			t.Errorf("Names lists %s, which is not registered", n)
+		}
+	}
 	if _, err := New("nonexistent", Config{}); err == nil {
 		t.Error("New of unknown benchmark did not error")
 	}

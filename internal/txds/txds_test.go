@@ -2,6 +2,7 @@ package txds
 
 import (
 	"container/heap"
+	"maps"
 	"sort"
 	"testing"
 
@@ -170,10 +171,8 @@ func TestHashtableRandomOracle(t *testing.T) {
 	if len(got) != len(oracle) {
 		t.Fatalf("Each visited %d entries, oracle %d", len(got), len(oracle))
 	}
-	for k, v := range oracle { //htmlint:allow determinism -- map-vs-map comparison, order-insensitive
-		if got[k] != v {
-			t.Fatalf("Each mismatch at %d: %d vs %d", k, got[k], v)
-		}
+	if !maps.Equal(got, oracle) {
+		t.Fatal("Each visited different entries than the oracle holds")
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 )
 
 // TestInvariants checks the contracts that make the tables comparable as
-// numbers, on the real tree: the internal/lint suite (a deterministic core,
-// nil-gated instrumentation hooks, symmetric build-tag twins, and every
-// //htmlint:allow justified and load-bearing) and the cache-key rules below.
+// numbers, on the real tree: internal/lint's deterministic core, over the
+// default build and the build-tagged files alike (a tagged file that does
+// not type-check fails here too), and the cache-key rules below.
 func TestInvariants(t *testing.T) {
 	findings, err := lint.Check(".", "./...")
 	if err != nil {
