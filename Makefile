@@ -56,9 +56,11 @@ lint:
 # cells, report a 100% cache hit (all cells skipped — Figures 6 and 9
 # included, so it simulates nothing), emit byte-identical tables and leave
 # every file under the cache as it found it. A flag value htmbench cannot
-# use must exit 2 in one line, creating no cache. Last, htmtune on the same
-# cache adds one record per search trial plus its winner: its default and
-# adaptive runs are the -exp all cells.
+# use must exit 2 in one line, creating no cache. A cold -exp capacity, whose
+# TMCAM sizes that never bind share one simulation, must simulate as many
+# regions at -jobs 1 as at -jobs 4. Last, htmtune on the same cache adds one
+# record per search trial plus its winner: its default and adaptive runs are
+# the -exp all cells.
 bench-smoke: build
 	rm -rf $(SMOKE)
 	mkdir -p $(SMOKE)
@@ -87,6 +89,10 @@ bench-smoke: build
 			echo "htmbench $$bad: want exit 2, one stderr line and no cache directory:"; \
 			cat $(SMOKE)/bad.log; exit 1; }; \
 	done
+	@r1=$$(./$(BIN)/htmbench -exp capacity -scale test -jobs 1 -no-cache -progress=false 2>&1 >/dev/null | grep -o ' regions=[0-9]*'); \
+	r4=$$(./$(BIN)/htmbench -exp capacity -scale test -jobs 4 -no-cache -progress=false 2>&1 >/dev/null | grep -o ' regions=[0-9]*'); \
+	[ -n "$$r1" ] && [ "$$r1" = "$$r4" ] || { \
+		echo "cold -exp capacity simulated$$r1 at -jobs 1 and$$r4 at -jobs 4"; exit 1; }
 	@before=$$(find $(SMOKE)/cache -type f | wc -l); \
 	./$(BIN)/htmtune -platform bgq -bench labyrinth -scale test -rounds 0 -jobs $(JOBS) \
 		-cache-dir $(SMOKE)/cache >$(SMOKE)/tune.txt || exit 1; \

@@ -268,7 +268,9 @@ func TestResultsGolden(t *testing.T) {
 	}
 	const golden = "testdata/results_test.golden"
 	const cells = 379
-	const regions = 667 // 1,324 if every cell simulated all of its own
+	// 667 without budget families, 1,324 if every cell simulated all of its
+	// own; a family member answers the other 34.
+	const regions, served = 633, 34
 	names := mustExpand(t, "all")
 	opts := harness.Options{Scale: stamp.ScaleTest, Repeats: 2, Seed: 42}
 	store, err := cache.Open(t.TempDir())
@@ -285,8 +287,8 @@ func TestResultsGolden(t *testing.T) {
 		if sum.Failed != 0 || sum.Cells != cells {
 			t.Fatalf("%s sweep: %s, want %d cells and none failed", pass, sum, cells)
 		}
-		if pass == "cold" && (sum.Computed != cells || sum.Regions != regions) ||
-			pass == "warm" && (sum.Computed != 0 || sum.Cached != cells || sum.Regions != 0) {
+		if pass == "cold" && (sum.Computed != cells || sum.Regions != regions || sum.Served != served) ||
+			pass == "warm" && (sum.Computed != 0 || sum.Cached != cells || sum.Regions != 0 || sum.Served != 0) {
 			t.Fatalf("%s sweep: %s", pass, sum)
 		}
 		var got bytes.Buffer
@@ -324,35 +326,44 @@ func TestResultsGolden(t *testing.T) {
 
 // TestSweepRegionCounts pins how many engine regions a sweep simulates: each
 // distinct sequential baseline and parallel repeat once, however many cells
-// share it, and none on a warm pass. adaptive's default, tuned and adaptive
-// cells share baselines, and its default cells are tuning trials off BG/Q
-// (344 regions if every cell simulated its own). fig2+3's 80 parallel
-// repeats are distinct, and its 80 sequential baselines are 22, one per
-// workload (benchmark, repeat seed and genome chunk) whatever the platform.
+// share it, one per budget family class (harness.Regions), and none on a
+// warm pass — at one worker and at four; served= counts the family members
+// answered instead. adaptive's default, tuned and adaptive cells share
+// baselines, its default cells are tuning trials off BG/Q, and trials whose
+// persistent budget never ran out are served by one run (344 regions if
+// every cell simulated its own, 151 without families). capacity's TMCAM
+// sizes that never bind are one run per repeat (36 without families).
+// fig2+3's 80 parallel repeats are distinct, and its 80 sequential
+// baselines are 22, one per workload (benchmark, repeat seed and genome
+// chunk) whatever the platform.
 func TestSweepRegionCounts(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two test-scale sweeps")
+		t.Skip("runs test-scale sweeps")
 	}
 	opts := harness.Options{Scale: stamp.ScaleTest, Repeats: 2, Seed: 42}
 	for _, tc := range []struct {
-		exp     string
-		regions int
-	}{{"adaptive", 151}, {"fig2+3", 102}} {
+		exp             string
+		regions, served int
+		jobs            []int
+	}{{"adaptive", 138, 13, []int{1, 4}}, {"capacity", 15, 21, []int{1, 4}}, {"fig2+3", 102, 0, []int{0}}} {
 		plan, err := planCells(mustExpand(t, tc.exp), opts, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		store, err := cache.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pass := range []struct {
-			name    string
-			regions int
-		}{{"cold", tc.regions}, {"warm", 0}} {
-			sum := sweep.New(sweep.Config{Cache: store, Resume: true}).Prewarm(plan.Cells())
-			if sum.Failed != 0 || sum.Regions != pass.regions {
-				t.Errorf("-exp %s, %s pass: %s, want regions=%d and none failed", tc.exp, pass.name, sum, pass.regions)
+		for _, jobs := range tc.jobs {
+			store, err := cache.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pass := range []struct {
+				name            string
+				regions, served int
+			}{{"cold", tc.regions, tc.served}, {"warm", 0, 0}} {
+				sum := sweep.New(sweep.Config{Jobs: jobs, Cache: store, Resume: true}).Prewarm(plan.Cells())
+				if sum.Failed != 0 || sum.Regions != pass.regions || sum.Served != pass.served {
+					t.Errorf("-exp %s -jobs %d, %s pass: %s, want regions=%d served=%d and none failed",
+						tc.exp, jobs, pass.name, sum, pass.regions, pass.served)
+				}
 			}
 		}
 	}

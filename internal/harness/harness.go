@@ -278,17 +278,19 @@ func (s RunSpec) runParOnce(seed uint64) (region, error) {
 			s.Benchmark, s.Platform, s.Threads, err)
 	}
 	var agg tm.Stats
+	var use tm.RetryUse
 	for _, x := range execs {
 		agg.Add(&x.Stats)
+		use.Merge(x.RetryUse())
 	}
 	if tracer := cfg.Tracer; tracer != nil {
 		if err := obs.WriteJSONLFile(filepath.Join(s.TraceDir, s.traceName(seed)), tracer.Events()); err != nil {
 			return region{}, err
 		}
 	}
-	engStats := e.Stats()
+	engStats, need := e.Stats(), e.CapacityNeed()
 	e.Release()
-	return region{cycles: elapsed, tm: agg, engine: engStats}, nil
+	return region{cycles: elapsed, tm: agg, engine: engStats, use: use, need: need}, nil
 }
 
 // Run measures spec through a memo of its own (see Regions.Run).

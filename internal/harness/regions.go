@@ -18,29 +18,41 @@ import (
 // baseline per benchmark workload serves every platform, mode and thread
 // count, a tuning search's trials share their baseline, the re-measure of
 // the winner starts with the winning trial, and a default cell whose policy
-// is in the grid is one of the trials. Concurrent requests for a region that
-// is being simulated wait for it, so how many regions are simulated depends
-// on the requests alone, not on how many goroutines make them. A region that
-// errors or panics wakes its waiters with the error and is forgotten, so the
-// next request simulates it afresh. Regions never request regions, so
-// waiting cannot deadlock.
+// is in the grid is one of the trials.
+//
+// Parallel regions that differ only in their retry budgets and TMCAM size
+// form a budget family, and a simulated member answers any other member
+// whose budgets it never reached (flight.serves): that member would replay
+// it event for event. An exact key is the trivial case. A request waits
+// for every member of its family in flight before it decides, so how many
+// regions are simulated depends on the requests alone, not on how many
+// goroutines make them or in what order. A region that errors or panics
+// wakes its waiters with the error and is forgotten, so the next request
+// simulates it afresh. Regions never request regions, so waiting cannot
+// deadlock.
 //
 // A Regions lives as long as its owner (a sweep scheduler, or one experiment
 // call) and is safe for concurrent use. Nothing in it is persisted.
 type Regions struct {
 	mu        sync.Mutex
-	flights   map[regionKey]*flight
+	families  map[regionKey][]*flight // by regionKey.family
 	simulated atomic.Int64
+	served    atomic.Int64
 }
 
 // NewRegions returns an empty memo.
 func NewRegions() *Regions {
-	return &Regions{flights: map[regionKey]*flight{}}
+	return &Regions{families: map[regionKey][]*flight{}}
 }
 
-// Simulated reports how many regions r has simulated: one per distinct
-// region requested, plus one per retry of a region that failed.
+// Simulated reports how many regions r has simulated: one per class of
+// requested regions that serve each other, plus one per retry of a region
+// that failed.
 func (r *Regions) Simulated() int { return int(r.simulated.Load()) }
+
+// Served reports how many distinct regions r answered from another member
+// of their budget family instead of simulating them.
+func (r *Regions) Served() int { return int(r.served.Load()) }
 
 // Measure implements Exec by running the cell on the spot, through r.
 func (r *Regions) Measure(spec RunSpec, tune bool) (Result, error) {
@@ -92,19 +104,69 @@ type regionKey struct {
 }
 
 // region is one simulated region's answer: its duration in virtual cycles
-// and, for a parallel region, the runtime and engine counters.
+// and, for a parallel region, the runtime and engine counters, plus what it
+// spent of its retry budgets and the capacity it needed (flight.serves).
 type region struct {
 	cycles float64
 	tm     tm.Stats
 	engine htm.Stats
+	use    tm.RetryUse
+	need   int
 }
 
-// flight is one region, in progress until done is closed.
+// flight is one member of a budget family: a region in progress until done
+// is closed, or one answered by another member.
 type flight struct {
+	key     regionKey
 	done    chan struct{}
 	waiters int // requests that found it in flight or memoised (guarded by Regions.mu)
 	region
 	err error
+}
+
+// family is the budget family of k: k without its retry budgets and TMCAM
+// size. A faulted or traced region is a family of its own, served to its
+// exact key only.
+func (k regionKey) family() regionKey {
+	if k.Faults != nil || k.TraceDir != "" {
+		return k
+	}
+	k.Policy.LockRetry, k.Policy.PersistentRetry, k.Policy.TransientRetry = 0, 0, 0
+	k.TMCAMEntries = 0
+	return k
+}
+
+// capLines is the capacity, in lines, that k's capacity checks compare
+// against: TMCAMEntries on POWER8, the platform's own elsewhere.
+func (k regionKey) capLines() int {
+	spec := RunSpec{Platform: k.Platform, TMCAMEntries: k.TMCAMEntries}.platformSpec()
+	return min(spec.LoadCapacityLines(), spec.StoreCapacityLines())
+}
+
+// serves reports whether f's landed region is the one want, a member of its
+// family, would simulate: every retry counter whose budget differs stayed
+// below both budgets, and a capacity that differs covers what every
+// capacity check needed under both.
+func (f *flight) serves(want regionKey) bool {
+	have := f.key
+	if have == want {
+		return true
+	}
+	if !f.use.Fits(have.Policy, want.Policy) {
+		return false
+	}
+	hc, wc := have.capLines(), want.capLines()
+	return hc == wc || f.need <= hc && f.need <= wc
+}
+
+// landed reports whether f's region is done.
+func (f *flight) landed() bool {
+	select {
+	case <-f.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // seqKey is the key of spec's sequential baseline under seed: the workload
@@ -134,22 +196,46 @@ func (s RunSpec) parKey(seed uint64) regionKey {
 }
 
 // do returns the region under k: memoised, awaited from the request already
-// simulating it, or simulated here by sim. A panic in sim is re-raised to
-// this caller after the waiters have been woken with it as an error.
+// simulating it, served by another member of its budget family, or
+// simulated here by sim. A panic in sim is re-raised to this caller after
+// the waiters have been woken with it as an error.
 func (r *Regions) do(k regionKey, sim func() (region, error)) (region, error) {
+	fam := k.family()
 	r.mu.Lock()
-	f, ok := r.flights[k]
-	if ok {
-		f.waiters++
-	} else {
-		f = &flight{done: make(chan struct{})}
-		r.flights[k] = f
+	for {
+		var busy *flight
+		for _, f := range r.families[fam] {
+			if f.key == k {
+				f.waiters++
+				r.mu.Unlock()
+				<-f.done
+				return f.region, f.err
+			}
+			if busy == nil && !f.landed() {
+				busy = f
+			}
+		}
+		if busy == nil {
+			break
+		}
+		// Decide only once the family has landed: a member in flight may
+		// serve k.
+		r.mu.Unlock()
+		<-busy.done
+		r.mu.Lock()
 	}
+	for _, f := range r.families[fam] {
+		if f.serves(k) {
+			// Memoise k itself, so a repeat of k is an exact hit.
+			r.families[fam] = append(r.families[fam], &flight{key: k, done: f.done, region: f.region})
+			r.mu.Unlock()
+			r.served.Add(1)
+			return f.region, nil
+		}
+	}
+	f := &flight{key: k, done: make(chan struct{})}
+	r.families[fam] = append(r.families[fam], f)
 	r.mu.Unlock()
-	if ok {
-		<-f.done
-		return f.region, f.err
-	}
 	r.simulated.Add(1)
 	defer func() {
 		p := recover()
@@ -158,7 +244,7 @@ func (r *Regions) do(k regionKey, sim func() (region, error)) (region, error) {
 		}
 		if f.err != nil {
 			r.mu.Lock()
-			delete(r.flights, k)
+			r.forget(fam, f)
 			r.mu.Unlock()
 		}
 		close(f.done)
@@ -168,6 +254,20 @@ func (r *Regions) do(k regionKey, sim func() (region, error)) (region, error) {
 	}()
 	f.region, f.err = sim()
 	return f.region, f.err
+}
+
+// forget drops the failed flight f from its family; callers hold mu.
+func (r *Regions) forget(fam regionKey, f *flight) {
+	members := r.families[fam]
+	for i, m := range members {
+		if m == f {
+			r.families[fam] = append(members[:i:i], members[i+1:]...)
+			break
+		}
+	}
+	if len(r.families[fam]) == 0 {
+		delete(r.families, fam)
+	}
 }
 
 // seq returns spec's sequential baseline under seed, in virtual cycles.

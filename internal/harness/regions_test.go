@@ -14,8 +14,9 @@ import (
 // TestTuneRegionCounts pins the regions one Tune call simulates through one
 // memo against the per-call fold, in which every trial and the re-measure
 // simulated their own: the trials share their sequential baseline (one for
-// both BG/Q running modes, one per genome chunk), and the re-measure's first
-// repeat is the winning trial. Sharing moves no result.
+// both BG/Q running modes, one per genome chunk), trials whose differing
+// budgets never ran out are one budget-family run, and the re-measure's
+// first repeat is the winning trial. Sharing moves no result.
 func TestTuneRegionCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tuning in -short mode")
@@ -24,9 +25,9 @@ func TestTuneRegionCounts(t *testing.T) {
 		spec            RunSpec
 		perCall, shared int
 	}{
-		{RunSpec{Platform: platform.POWER8, Benchmark: "ssca2"}, 14, 8},
+		{RunSpec{Platform: platform.POWER8, Benchmark: "ssca2"}, 14, 4},
 		{RunSpec{Platform: platform.BlueGeneQ, Benchmark: "kmeans-high"}, 12, 7},
-		{RunSpec{Platform: platform.ZEC12, Benchmark: "genome"}, 24, 14},
+		{RunSpec{Platform: platform.ZEC12, Benchmark: "genome"}, 24, 12},
 	} {
 		spec := tc.spec
 		spec.Threads, spec.Scale, spec.Repeats = 2, stamp.ScaleTest, 2
@@ -133,8 +134,10 @@ func TestRegionFailureReleasesWaiters(t *testing.T) {
 func joined(r *Regions, k regionKey) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f := r.flights[k]; f != nil {
-		return f.waiters
+	for _, f := range r.families[k.family()] {
+		if f.key == k {
+			return f.waiters
+		}
 	}
 	return 0
 }

@@ -196,6 +196,10 @@ type Summary struct {
 	// it, plus the parallel repeats of fault-afflicted runs. It depends on
 	// the plan and the cache, not on Jobs; an all-hit pass simulates none.
 	Regions int
+	// Served counts the parallel regions the pass answered from another
+	// member of their budget family (harness.Regions) instead of
+	// simulating them. Like Regions, it does not depend on Jobs.
+	Served  int
 	Elapsed time.Duration
 }
 
@@ -212,6 +216,9 @@ func (s Summary) String() string {
 		s.Cells, s.Computed, s.Cached, s.Failed, s.HitRatio(), s.Regions, s.Elapsed.Round(time.Millisecond))
 	if s.Evicted > 0 {
 		out += fmt.Sprintf(" evicted=%d", s.Evicted)
+	}
+	if s.Served > 0 {
+		out += fmt.Sprintf(" served=%d", s.Served)
 	}
 	return out
 }
@@ -253,6 +260,16 @@ type Scheduler struct {
 	totalWeight float64
 	doneWeight  float64
 	regionsBase int // regions.Simulated() at the top of the pass
+	servedBase  int // regions.Served() at the top of the pass
+	// writes is the pass's record writer (Prewarm): the pool hands it every
+	// record to store. Set before the workers start, nil outside a pass.
+	writes chan<- put
+}
+
+// put is one computed cell's record on its way to the cache.
+type put struct {
+	j   job
+	rec record
 }
 
 // tally names one of the scheduler's outcome counters.
@@ -420,9 +437,7 @@ func (s *Scheduler) obtain(j job, fromPool bool) outcome {
 	if o.err != nil {
 		return s.account(j, o, fromPool, cellsComputed, cellsFailed)
 	}
-	if s.landed(j, o, seconds) {
-		s.afflictRecord(j)
-	}
+	s.landed(j, o, seconds, fromPool)
 	return s.account(j, o, fromPool, cellsComputed)
 }
 
@@ -479,9 +494,9 @@ func (s *Scheduler) account(j job, o outcome, fromPool bool, route tally, ended 
 // landed banks a successfully computed cell: the registry receives its
 // engine and runtime counts — here and nowhere else, so a cache hit
 // publishes nothing and a warm sweep does not look like an abort storm —
-// and the record goes to the cache. It reports whether a cache record was
-// written.
-func (s *Scheduler) landed(j job, o outcome, seconds float64) (stored bool) {
+// and the record goes to the cache: through the pass's writer for a pool
+// worker, on the spot for a render-pass request.
+func (s *Scheduler) landed(j job, o outcome, seconds float64, fromPool bool) {
 	rec := record{Cell: j.Cell, Seconds: seconds}
 	if j.Kind == Footprint {
 		rec.Footprint = &o.fp
@@ -491,15 +506,24 @@ func (s *Scheduler) landed(j job, o outcome, seconds float64) (stored bool) {
 		s.engine.Publish(eng.Begins, eng.Commits, eng.Aborts, eng.AbortsByReason[:], tm.ModeSwitchesTo[:])
 	}
 	if s.cfg.Cache == nil {
-		return false
+		return
 	}
-	// A failed Put (e.g. unencodable value) only costs a recompute next run;
-	// it must not fail the sweep.
-	if err := s.cfg.Cache.Put(j.key, rec); err != nil {
+	if fromPool {
+		s.writes <- put{j, rec}
+		return
+	}
+	s.store(put{j, rec})
+}
+
+// store writes one record, then lets the chaos injector tear it
+// (afflictRecord). A failed Put (e.g. unencodable value) only costs a
+// recompute next run; it must not fail the sweep.
+func (s *Scheduler) store(p put) {
+	if err := s.cfg.Cache.Put(p.j.key, p.rec); err != nil {
 		s.progressf("sweep: warning: %v", err)
-		return false
+		return
 	}
-	return true
+	s.afflictRecord(p.j)
 }
 
 // etaLocked estimates the rest of the current Prewarm pass (callers hold
@@ -561,7 +585,8 @@ func (s *Scheduler) progressf(format string, args ...any) {
 // empty — and memoises every outcome for the render pass. Failed cells are
 // recorded (the render pass surfaces their errors) but do not stop the
 // sweep, so an interrupted or partially failing run still banks every
-// completed cell in the cache.
+// completed cell in the cache. It returns once every record the pool
+// computed is written.
 func (s *Scheduler) Prewarm(cells []Cell) Summary {
 	unique := make([]job, 0, len(cells))
 	seen := map[string]bool{}
@@ -603,9 +628,22 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 		s.base[t] = s.count[t].Value()
 	}
 	s.totalWeight, s.doneWeight = weight, 0
-	s.regionsBase = s.regions.Simulated()
+	s.regionsBase, s.servedBase = s.regions.Simulated(), s.regions.Served()
 	s.start = time.Now()
 	s.mu.Unlock()
+
+	// One goroutine writes every record the pool computes. Creating a file
+	// costs far more kernel time than the rest of a Put, and it costs more
+	// still from several goroutines at once. The channel's jobs slots bound
+	// the records held in memory, and so what a kill can lose.
+	writes, written := make(chan put, jobs), make(chan struct{})
+	go func() {
+		defer close(written)
+		for p := range writes {
+			s.store(p)
+		}
+	}()
+	s.writes = writes
 
 	var wg sync.WaitGroup
 	for i := 0; i < jobs; i++ {
@@ -618,6 +656,9 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 		}()
 	}
 	wg.Wait()
+	close(writes)
+	<-written
+	s.writes = nil
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -628,6 +669,7 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 		Failed:   s.inPass(cellsFailed),
 		Evicted:  s.inPass(cacheEvictions),
 		Regions:  s.regions.Simulated() - s.regionsBase,
+		Served:   s.regions.Served() - s.servedBase,
 		Elapsed:  time.Since(s.start),
 	}
 }

@@ -644,3 +644,40 @@ func TestFeatureCellWithoutPoint(t *testing.T) {
 		}
 	}
 }
+
+// TestPrewarmWritesEveryRecord: the pass's one record writer has drained
+// when Prewarm returns, so the store holds exactly one record per computed
+// cell and no temporary file, at one worker and at four.
+func TestPrewarmWritesEveryRecord(t *testing.T) {
+	for _, jobs := range []int{1, 4} {
+		dir := t.TempDir()
+		store, err := cache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := New(Config{Jobs: jobs, Cache: store, Resume: true}).Prewarm(testCells())
+		if sum.Computed != len(testCells()) || sum.Failed != 0 {
+			t.Fatalf("-jobs %d: summary = %s", jobs, sum)
+		}
+		var files []string
+		err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				files = append(files, filepath.Base(path))
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != sum.Computed {
+			t.Errorf("-jobs %d: %d cells computed, the store holds %v", jobs, sum.Computed, files)
+		}
+		for _, c := range testCells() {
+			key, _ := c.Key()
+			var rec record
+			if found, err := store.Get(key, &rec); !found || err != nil || rec.Result == nil {
+				t.Errorf("-jobs %d: cell %s has no record (found %v, err %v)", jobs, c.Label(), found, err)
+			}
+		}
+	}
+}

@@ -361,6 +361,21 @@ func (e *Engine) Stats() Stats {
 	return total
 }
 
+// CapacityNeed returns the smallest capacity, in lines, under which every
+// capacity check this engine has made would have passed: the largest
+// (occupied+1)·smtDivisor over the load and store checks that had a line
+// occupied. The capacity decides nothing but these checks, so a run whose
+// need fits two capacities takes the same path under either; with no
+// capacity abort it fits the engine's own. It spans the engine's life
+// (ResetStats leaves it).
+func (e *Engine) CapacityNeed() int {
+	need := 0
+	for _, t := range e.threads {
+		need = max(need, t.capNeed)
+	}
+	return need
+}
+
 // ResetStats zeroes all per-thread statistics. Call between the warm-up and
 // measured phases of an experiment, never while transactions are running.
 func (e *Engine) ResetStats() {

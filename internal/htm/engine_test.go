@@ -351,6 +351,41 @@ func TestSMTSharingHalvesCapacity(t *testing.T) {
 	}
 }
 
+// TestCapacityNeed: CapacityNeed is the smallest capacity, in lines, under
+// which every capacity check passed. A one-line transaction needs nothing,
+// 64 lines fill the TMCAM exactly, and with an SMT sibling in a transaction
+// each line counts twice: 40 lines overflow the halved TMCAM at the 33rd,
+// which needed 66 entries.
+func TestCapacityNeed(t *testing.T) {
+	e := New(platform.New(platform.POWER8), Config{
+		Threads: 12, SpaceSize: 1 << 20, Seed: 1, CostScale: 0, DisablePrefetch: true,
+	})
+	t0, t6 := e.Thread(0), e.Thread(6) // same core
+	a := t0.Alloc(128 * e.LineSize())
+	read := func(n int) bool {
+		ok, _ := t0.TryTx(TxNormal, func() {
+			for i := 0; i < n; i++ {
+				_ = t0.Load64(a + uint64(i*e.LineSize()))
+			}
+		})
+		return ok
+	}
+	if !read(1) || e.CapacityNeed() != 0 {
+		t.Fatalf("one-line tx: need %d, want 0", e.CapacityNeed())
+	}
+	if !read(64) || e.CapacityNeed() != 64 {
+		t.Fatalf("64-line tx: need %d, want 64", e.CapacityNeed())
+	}
+	var ok bool
+	t6.TryTx(TxNormal, func() {
+		_ = t6.Load64(a + uint64(100*e.LineSize()))
+		ok = read(40)
+	})
+	if ok || e.CapacityNeed() != 66 {
+		t.Errorf("40 lines beside an SMT sibling: committed %v, need %d; want an abort and 66", ok, e.CapacityNeed())
+	}
+}
+
 func TestSpecIDExhaustionBGQ(t *testing.T) {
 	e := newTestEngine(t, platform.BlueGeneQ, 1)
 	th := e.Thread(0)

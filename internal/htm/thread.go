@@ -156,6 +156,10 @@ type Thread struct {
 	spinTry func() bool
 	spinN   int
 	resume  func()
+
+	// capNeed is the smallest capacity, in lines, under which every
+	// capacity check of this thread would have passed (Engine.CapacityNeed).
+	capNeed int
 }
 
 func newThread(e *Engine, slot int) *Thread {
@@ -812,12 +816,23 @@ func (t *Thread) capacityCheckLoad() {
 	} else {
 		occupied = t.readsCounted
 	}
+	t.noteCapNeed(occupied, div)
 	if occupied+1 > cap {
 		reason := ReasonCapacityLoad
 		if div > 1 && occupied+1 <= t.eng.loadCapLines {
 			reason = ReasonCapacitySMT
 		}
 		t.abortNow(reason, true)
+	}
+}
+
+// noteCapNeed records what a capacity check with occupied lines in use
+// under SMT divisor div needs to pass: (occupied+1)·div lines, since the
+// check passes exactly when occupied+1 <= capacity/div. A check with nothing
+// occupied passes under any capacity (the per-thread share is at least one).
+func (t *Thread) noteCapNeed(occupied, div int) {
+	if need := (occupied + 1) * div; occupied > 0 && need > t.capNeed {
+		t.capNeed = need
 	}
 }
 
@@ -844,6 +859,7 @@ func (t *Thread) capacityCheckStore(line uint32) {
 	} else {
 		occupied = t.ws.size()
 	}
+	t.noteCapNeed(occupied, div)
 	if occupied+1 > cap {
 		reason := ReasonCapacityStore
 		if div > 1 && occupied+1 <= t.eng.storeCapLines {

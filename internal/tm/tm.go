@@ -233,6 +233,56 @@ type Executor struct {
 
 	isBGQ    bool
 	bgqState bgqAdaptState
+	use      RetryUse
+}
+
+// RetryUse is the most retries of each counter that any one critical
+// section spent under the static mechanism. Off Blue Gene/Q a counter's use
+// is its budget minus what remained when the section committed or fell
+// back (Figure 1); on Blue Gene/Q it is the most failed attempts of one
+// section against the system counter's TransientRetry+1 attempts. A use
+// below its budget means the counter never ran out, so any other budget
+// above that use runs the same sections the same way. The adaptive, STM
+// and HLE paths read no budget and record nothing.
+type RetryUse struct {
+	lock, persistent, transient int
+	bgq                         bool // only transient is read, in attempts
+}
+
+// Merge folds o, another executor's use in the same run, into u.
+func (u *RetryUse) Merge(o RetryUse) {
+	u.lock = max(u.lock, o.lock)
+	u.persistent = max(u.persistent, o.persistent)
+	u.transient = max(u.transient, o.transient)
+	u.bgq = u.bgq || o.bgq
+}
+
+// Fits reports whether a run under policy have that spent u runs the same
+// under want, which differs from have at most in its retry budgets: every
+// counter whose budget differs stayed below both budgets.
+func (u RetryUse) Fits(have, want Policy) bool {
+	fits := func(used, a, b int) bool { return a == b || used < a && used < b }
+	if u.bgq {
+		return fits(u.transient, have.TransientRetry+1, want.TransientRetry+1)
+	}
+	return fits(u.lock, have.LockRetry, want.LockRetry) &&
+		fits(u.persistent, have.PersistentRetry, want.PersistentRetry) &&
+		fits(u.transient, have.TransientRetry, want.TransientRetry)
+}
+
+// RetryUse returns what the executor's critical sections have spent of its
+// policy's retry budgets.
+func (x *Executor) RetryUse() RetryUse {
+	u := x.use
+	u.bgq = x.isBGQ
+	return u
+}
+
+// noteUse records one critical section's spending of the three counters.
+func (x *Executor) noteUse(lock, persistent, transient int) {
+	x.use.lock = max(x.use.lock, x.Policy.LockRetry-lock)
+	x.use.persistent = max(x.use.persistent, x.Policy.PersistentRetry-persistent)
+	x.use.transient = max(x.use.transient, x.Policy.TransientRetry-transient)
 }
 
 // NewExecutor pairs a hardware thread with the global lock and policy.
@@ -273,6 +323,7 @@ func (x *Executor) Run(body func(t *htm.Thread)) {
 		})
 		if committed {
 			x.Stats.TxCommits++
+			x.noteUse(lockRetry, persistentRetry, transientRetry)
 			return
 		}
 		x.Stats.Aborts++
@@ -299,6 +350,7 @@ func (x *Executor) Run(body func(t *htm.Thread)) {
 		}
 		break
 	}
+	x.noteUse(lockRetry, persistentRetry, transientRetry)
 	x.runIrrevocable(body) // line 25
 }
 
@@ -330,6 +382,7 @@ func (x *Executor) runBGQ(body func(t *htm.Thread)) {
 		}
 		x.Stats.Aborts++
 		x.Stats.AbortsByCategory[htm.CategoryOther]++ // BG/Q exposes no reason
+		x.use.transient = max(x.use.transient, attempt+1)
 	}
 	x.runIrrevocable(body)
 	if x.Policy.Adaptation {

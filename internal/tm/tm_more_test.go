@@ -163,3 +163,59 @@ func TestPersistentVsTransientCounters(t *testing.T) {
 		t.Errorf("capacity-category aborts = %d, want 3", got)
 	}
 }
+
+// TestRetryUse: an executor records the most retries one critical section
+// spent of each counter, and Fits answers a differing budget only when that
+// use stays below both budgets. Blue Gene/Q counts failed attempts against
+// TransientRetry+1 and ignores the two counters it never reads.
+func TestRetryUse(t *testing.T) {
+	with := func(p Policy, set func(*Policy)) Policy { set(&p); return p }
+	abortTwice := func(x *Executor) {
+		tries := 0
+		x.Run(func(th *htm.Thread) {
+			if tries++; tries <= 2 && th.InTx() {
+				th.Abort()
+			}
+		})
+	}
+
+	e := newEngine(t, platform.IntelCore, 1)
+	pol := Policy{LockRetry: 8, PersistentRetry: 2, TransientRetry: 4}
+	x := NewExecutor(e.Thread(0), NewGlobalLock(e), pol)
+	abortTwice(x) // two explicit (transient) aborts, then a commit
+	u := x.RetryUse()
+	for _, tc := range []struct {
+		want Policy
+		fits bool
+	}{
+		{with(pol, func(p *Policy) { p.TransientRetry = 3 }), true},
+		{with(pol, func(p *Policy) { p.TransientRetry = 2 }), false},
+		{with(pol, func(p *Policy) { p.LockRetry, p.PersistentRetry = 1, 1 }), true},
+		{with(pol, func(p *Policy) { p.PersistentRetry = 0 }), false},
+	} {
+		if got := u.Fits(pol, tc.want); got != tc.fits {
+			t.Errorf("after 2 transient retries under %+v: Fits(%+v) = %v, want %v", pol, tc.want, got, tc.fits)
+		}
+	}
+	x.Run(func(th *htm.Thread) {
+		if th.InTx() {
+			th.Abort() // exhausts the transient budget, then falls back
+		}
+	})
+	if u := x.RetryUse(); u.Fits(pol, with(pol, func(p *Policy) { p.TransientRetry = 16 })) {
+		t.Error("a section that ran the transient counter out serves a larger budget")
+	}
+
+	e = newEngine(t, platform.BlueGeneQ, 1)
+	pol = Policy{LockRetry: 8, PersistentRetry: 8, TransientRetry: 4}
+	x = NewExecutor(e.Thread(0), NewGlobalLock(e), pol)
+	abortTwice(x)
+	u = x.RetryUse()
+	if !u.Fits(pol, with(pol, func(p *Policy) { p.TransientRetry = 2 })) ||
+		u.Fits(pol, with(pol, func(p *Policy) { p.TransientRetry = 1 })) {
+		t.Errorf("BG/Q after 2 failed attempts: want TransientRetry 2 (3 attempts) served and 1 not")
+	}
+	if !u.Fits(pol, with(pol, func(p *Policy) { p.LockRetry, p.PersistentRetry = 0, 0 })) {
+		t.Error("BG/Q: the lock and persistent budgets it never reads must not matter")
+	}
+}
