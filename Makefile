@@ -153,17 +153,33 @@ bench-hotpath-smoke:
 		-o $(SMOKE)/BENCH_gate.json <$(SMOKE)/bench-gate.txt
 	@echo "bench-hotpath-smoke ok (gate: no per-op benchmark regressed >$(GATE)% or grew allocs/op)"
 
-# profile captures CPU and heap pprof profiles of one sweep cell (a single
-# uncached fig2+3 sweep at test scale) into $(SMOKE) for artifact upload.
-# Inspect with `go tool pprof $(SMOKE)/sweep.cpu.pprof`.
+# profile captures CPU and heap pprof profiles of a cold test-scale sweep of
+# every experiment into a fresh cache, then a CPU profile of warm passes
+# over that cache, into $(SMOKE) for artifact upload. A warm pass takes a few
+# ms, under a handful of profiler samples, so ten of them are merged (as
+# pgo merges its runs). profile.log gets the run logs and the profiles'
+# pprof-label splits: the cold pass by cell kind and benchmark, the warm
+# passes by phase (plan, prewarm, render). Inspect with
+# `go tool pprof $(SMOKE)/sweep.cpu.pprof`.
 profile: build
-	mkdir -p $(SMOKE)
-	./$(BIN)/htmbench -exp fig2+3 -scale test -jobs $(JOBS) -no-cache \
+	rm -rf $(SMOKE)/profile
+	mkdir -p $(SMOKE)/profile
+	./$(BIN)/htmbench -exp all -scale test -jobs $(JOBS) -cache-dir $(SMOKE)/profile/cache -progress=false \
 		-cpuprofile $(SMOKE)/sweep.cpu.pprof -memprofile $(SMOKE)/sweep.heap.pprof \
 		>/dev/null 2>$(SMOKE)/profile.log
+	@for i in 1 2 3 4 5 6 7 8 9 10; do \
+		./$(BIN)/htmbench -exp all -scale test -jobs $(JOBS) -cache-dir $(SMOKE)/profile/cache -progress=false \
+			-cpuprofile $(SMOKE)/profile/warm$$i.pprof >/dev/null 2>>$(SMOKE)/profile.log || exit 1; \
+	done
+	$(GO) tool pprof -proto $(SMOKE)/profile/warm*.pprof >$(SMOKE)/sweep.warm.cpu.pprof
 	@test -s $(SMOKE)/sweep.cpu.pprof || { echo "empty CPU profile"; exit 1; }
 	@test -s $(SMOKE)/sweep.heap.pprof || { echo "empty heap profile"; exit 1; }
-	@echo "profile ok: wrote $(SMOKE)/sweep.cpu.pprof and $(SMOKE)/sweep.heap.pprof"
+	@test $$(grep -c 'computed=0 .*hit=100.0%' $(SMOKE)/profile.log) -eq 10 || { echo "the warm passes were not all hits"; exit 1; }
+	@{ echo "== cold pass, by kind and benchmark"; \
+		$(GO) tool pprof -tags -tagshow='^(kind|bench)$$' $(SMOKE)/sweep.cpu.pprof; \
+		echo "== 10 warm passes, by phase"; \
+		$(GO) tool pprof -tags -tagshow='^phase$$' $(SMOKE)/sweep.warm.cpu.pprof; } >>$(SMOKE)/profile.log 2>&1
+	@echo "profile ok: wrote $(SMOKE)/sweep.cpu.pprof, $(SMOKE)/sweep.heap.pprof and $(SMOKE)/sweep.warm.cpu.pprof; splits in $(SMOKE)/profile.log"
 
 # pgo regenerates cmd/htmbench/default.pgo, the CPU profile that `go build`,
 # `go run` and `go test` of htmbench compile with by default (-pgo=auto). It

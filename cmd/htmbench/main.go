@@ -23,10 +23,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -89,32 +92,17 @@ func main() {
 		// Every layer reads a zero seed as unset and runs seed 42.
 		usageError(fmt.Errorf("-seed must be 1 or more: seed 0 would run seed 42"))
 	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "htmbench: cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "htmbench: cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+	if *chaosReport != "" && !*chaosOn {
+		usageError(fmt.Errorf("-chaos-report needs -chaos: without it nothing is injected to report"))
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "htmbench: memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // flush transient garbage so the profile shows retained memory
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "htmbench: memprofile: %v\n", err)
-			}
-		}()
+
+	// Every output is created before any work, so a path that cannot be
+	// written fails here in one line; from here on every exit goes through
+	// exit, which writes them all.
+	outs, err := createOutputs(*cpuProfile, *memProfile, *metricsPath, *chaosReport, *traceDir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "htmbench: %v\n", err)
+		os.Exit(1)
 	}
 
 	opts := harness.Options{
@@ -122,13 +110,6 @@ func main() {
 		Repeats: *repeats,
 		Tune:    *tune,
 		Seed:    *seed,
-	}
-
-	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "htmbench: %v\n", err)
-			os.Exit(1)
-		}
 	}
 	*resume = reconcileTraceResume(*traceDir, *resume, os.Stderr)
 
@@ -159,10 +140,22 @@ func main() {
 		Faults:   faults,
 	})
 
-	plan, err := planCells(names, opts, *csv)
+	var sum sweep.Summary
+	exit := func(code int) {
+		if !outs.finish(sched, faults, sum) && code == 0 {
+			code = 1
+		}
+		os.Exit(code)
+	}
+
+	// Each phase carries a pprof label, so `go tool pprof -tags` splits a
+	// -cpuprofile by phase; the cells the pool computes carry their own
+	// labels (sweep.Scheduler).
+	var plan *sweep.Plan
+	phase("plan", func() { plan, err = planCells(names, opts, *csv) })
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "htmbench: %v\n", err)
-		os.Exit(1)
+		exit(1)
 	}
 
 	// Verification pass (optional): every distinct measured configuration
@@ -171,28 +164,135 @@ func main() {
 	if *verify {
 		if n, err := verifyCells(plan.Cells(), os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "htmbench: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		} else {
 			fmt.Fprintf(os.Stderr, "htmbench: verified %d cells\n", n)
 		}
 	}
 
 	// Execution pass: the worker pool computes (or loads) every cell.
-	sum := sched.Prewarm(plan.Cells())
+	phase("prewarm", func() { sum = sched.Prewarm(plan.Cells()) })
 
 	if *verbose {
 		opts.Log = os.Stderr
 	}
-	err = renderTables(names, opts, sched, os.Stdout, *csv)
+	phase("render", func() { err = renderTables(names, opts, sched, os.Stdout, *csv) })
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "htmbench: %v\n", err)
 	}
 	fmt.Fprintf(os.Stderr, "sweep summary: %s\n", sum)
-	writeMetrics(*metricsPath, sched)
-	writeChaosReport(*chaosReport, faults, sum)
 	if err != nil {
-		os.Exit(1)
+		exit(1)
 	}
+	exit(0)
+}
+
+// phase runs f under the pprof label phase=name.
+func phase(name string, f func()) {
+	pprof.Do(context.Background(), pprof.Labels("phase", name), func(context.Context) { f() })
+}
+
+// outputs are the files a run writes besides its tables, each created
+// before any work so that a path that cannot be written costs nothing.
+// finish writes them; a nil field is an output not asked for.
+type outputs struct {
+	cpu, heap, metrics, chaos *os.File
+}
+
+// createOutputs opens every output file and creates the trace directory,
+// then starts the CPU profile. The first that fails is the error, and a
+// failure leaves nothing behind: files this call created are removed again,
+// and a file that already existed is truncated only once every output has
+// opened.
+func createOutputs(cpuPath, heapPath, metricsPath, chaosPath, traceDir string) (o *outputs, err error) {
+	o = &outputs{}
+	var opened []*os.File
+	var made []string
+	defer func() {
+		if err != nil {
+			for _, f := range opened {
+				f.Close()
+			}
+			for _, path := range made {
+				os.Remove(path)
+			}
+		}
+	}()
+	for _, f := range []struct {
+		flag, path string
+		file       **os.File
+	}{
+		{"cpuprofile", cpuPath, &o.cpu}, {"memprofile", heapPath, &o.heap},
+		{"metrics", metricsPath, &o.metrics}, {"chaos-report", chaosPath, &o.chaos},
+	} {
+		if f.path == "" {
+			continue
+		}
+		file, created, err := openOutput(f.path)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", f.flag, err)
+		}
+		opened = append(opened, file)
+		if created {
+			made = append(made, f.path)
+		}
+		*f.file = file
+	}
+	if traceDir != "" {
+		if err := os.MkdirAll(traceDir, 0o755); err != nil {
+			return nil, fmt.Errorf("trace-dir: %w", err)
+		}
+	}
+	for _, f := range opened {
+		if err := f.Truncate(0); err != nil {
+			return nil, err
+		}
+	}
+	if o.cpu != nil {
+		if err := pprof.StartCPUProfile(o.cpu); err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	return o, nil
+}
+
+// openOutput opens path for writing without truncating it, creating it if
+// it does not exist; created reports whether it did.
+func openOutput(path string) (f *os.File, created bool, err error) {
+	f, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+	if errors.Is(err, fs.ErrExist) {
+		f, err = os.OpenFile(path, os.O_WRONLY, 0)
+		return f, false, err
+	}
+	return f, err == nil, err
+}
+
+// finish stops the CPU profile and writes the heap profile, the metrics and
+// the chaos report, whatever state the run ended in, so a failed sweep is
+// as observable as a good one. It reports whether every write succeeded.
+func (o *outputs) finish(sched *sweep.Scheduler, faults *chaos.Injector, sum sweep.Summary) bool {
+	ok := true
+	write := func(flag string, f *os.File, w func(io.Writer) error) {
+		if f == nil {
+			return
+		}
+		err := w(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "htmbench: %s: %v\n", flag, err)
+			ok = false
+		}
+	}
+	write("cpuprofile", o.cpu, func(io.Writer) error { pprof.StopCPUProfile(); return nil })
+	write("memprofile", o.heap, func(w io.Writer) error {
+		runtime.GC() // flush transient garbage so the profile shows retained memory
+		return pprof.WriteHeapProfile(w)
+	})
+	write("metrics", o.metrics, sched.Registry().WriteCountersJSON)
+	write("chaos-report", o.chaos, func(w io.Writer) error { return writeChaosReport(w, faults, sum) })
+	return ok
 }
 
 // usageError reports a bad flag value in one line and exits 2.
@@ -297,36 +397,10 @@ func reconcileTraceResume(traceDir string, resume bool, w io.Writer) bool {
 	return false
 }
 
-// writeMetrics dumps the counters of the scheduler's registry to path (no-op
-// when empty). Written even on render failure so a partial sweep is
-// observable.
-func writeMetrics(path string, sched *sweep.Scheduler) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "htmbench: metrics: %v\n", err)
-		return
-	}
-	defer f.Close()
-	if err := sched.Registry().WriteCountersJSON(f); err != nil {
-		fmt.Fprintf(os.Stderr, "htmbench: metrics: %v\n", err)
-	}
-}
-
-// writeChaosReport dumps the injected-fault counters and the sweep's failed
-// and evicted cells to path as JSON (no-op when path is empty). CI uploads
-// it as an artifact so a chaos-smoke run leaves an inspectable record of
-// what was injected.
-func writeChaosReport(path string, faults *chaos.Injector, sum sweep.Summary) {
-	if path == "" {
-		return
-	}
-	if faults == nil {
-		fmt.Fprintln(os.Stderr, "htmbench: chaos-report: nothing to report without -chaos")
-		return
-	}
+// writeChaosReport writes the injected-fault counters and the sweep's failed
+// and evicted cells to w as JSON. CI uploads it as an artifact so a
+// chaos-smoke run leaves an inspectable record of what was injected.
+func writeChaosReport(w io.Writer, faults *chaos.Injector, sum sweep.Summary) error {
 	report := struct {
 		Seed       uint64            `json:"seed"`
 		Injected   map[string]uint64 `json:"injected"`
@@ -339,12 +413,11 @@ func writeChaosReport(path string, faults *chaos.Injector, sum sweep.Summary) {
 		Cells: sum.Cells, Evicted: sum.Evicted, Failed: sum.Failed,
 	}
 	data, err := json.MarshalIndent(report, "", " ")
-	if err == nil {
-		err = os.WriteFile(path, append(data, '\n'), 0o644)
-	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "htmbench: chaos-report: %v\n", err)
+		return err
 	}
+	_, err = w.Write(append(data, '\n'))
+	return err
 }
 
 // cellSource is how an experiment's cells are satisfied: a *sweep.Plan

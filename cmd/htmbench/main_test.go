@@ -2,12 +2,18 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -151,27 +157,41 @@ func runMain(t *testing.T, args ...string) (dir, stdout, stderr string, err erro
 // TestUsageErrorsExitBeforeSideEffects: a flag value htmbench cannot use is
 // one line on stderr and exit status 2, with nothing printed to stdout and
 // no cache directory created. -repeats and -jobs below 1 and a negative
-// -cell-timeout used to run as if the default had been given, and -seed 0
-// printed seed 42's tables. A
+// -cell-timeout used to run as if the default had been given, -seed 0
+// printed seed 42's tables, and -chaos-report without -chaos ran the whole
+// sweep to report nothing. An output file that cannot be created is exit
+// status 1, to the same standard: -metrics and -memprofile used to run the
+// whole sweep, then print the error and exit 0, and an output that failed
+// after another was created left the first behind, empty. A
 // flag that no longer exists (-http, with the live-telemetry stack) gets the
 // flag package's own message and usage text, to the same standard.
 func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 	const undefined = "flag provided but not defined: "
-	for _, args := range [][]string{
-		{"-exp", "bogus"},
-		{"-scale", "tiny"},
-		{"-repeats", "0"},
-		{"-repeats", "-1"},
-		{"-jobs", "0"},
-		{"-jobs", "-3"},
-		{"-cell-timeout", "-5s"},
-		{"-seed", "0"},
-		{"-http", ":0"},
+	for _, tc := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-exp", "bogus"}, 2},
+		{[]string{"-scale", "tiny"}, 2},
+		{[]string{"-repeats", "0"}, 2},
+		{[]string{"-repeats", "-1"}, 2},
+		{[]string{"-jobs", "0"}, 2},
+		{[]string{"-jobs", "-3"}, 2},
+		{[]string{"-cell-timeout", "-5s"}, 2},
+		{[]string{"-seed", "0"}, 2},
+		{[]string{"-chaos-report", "report.json"}, 2},
+		{[]string{"-http", ":0"}, 2},
+		{[]string{"-metrics", "no-such-dir/metrics.json"}, 1},
+		{[]string{"-memprofile", "no-such-dir/heap.pprof"}, 1},
+		{[]string{"-cpuprofile", "no-such-dir/cpu.pprof"}, 1},
+		{[]string{"-chaos", "-chaos-report", "no-such-dir/report.json"}, 1},
+		{[]string{"-cpuprofile", "cpu.pprof", "-metrics", "no-such-dir/metrics.json"}, 1},
 	} {
+		args := tc.args
 		dir, stdout, msg, err := runMain(t, args...)
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("htmbench %v: %v, want exit status 2\nstderr: %s", args, err, msg)
+		if !errors.As(err, &exit) || exit.ExitCode() != tc.code {
+			t.Errorf("htmbench %v: %v, want exit status %d\nstderr: %s", args, err, tc.code, msg)
 		}
 		if args[0] == "-http" {
 			if !strings.HasPrefix(msg, undefined+"-http\n") {
@@ -186,6 +206,66 @@ func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 		if left, _ := os.ReadDir(dir); len(left) != 0 {
 			t.Errorf("htmbench %v left %d entries behind, first %s", args, len(left), left[0].Name())
 		}
+	}
+}
+
+// TestUnwritableOutputKeepsExistingFiles: when one output cannot be
+// created, a file already at another output's path keeps its contents.
+func TestUnwritableOutputKeepsExistingFiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.pprof")
+	if err := os.WriteFile(cpu, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-cpuprofile", "cpu.pprof", "-memprofile", "no-such-dir/heap.pprof")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "HTMBENCH_TEST_MAIN=1")
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("an unwritable -memprofile: %v, want exit status 1", err)
+	}
+	if got, err := os.ReadFile(cpu); err != nil || string(got) != "keep" {
+		t.Errorf("existing cpu.pprof now holds %q (%v), want %q", got, err, "keep")
+	}
+}
+
+// TestFailedSweepWritesOutputs: a sweep whose cells fail exits 1 through the
+// same path as a good one, so its CPU profile is complete, its heap profile
+// written and its metrics count the failures. os.Exit used to skip the
+// deferred profile writers, leaving a truncated CPU profile and no heap
+// profile.
+func TestFailedSweepWritesOutputs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a test-scale sweep")
+	}
+	dir, _, msg, err := runMain(t, "-exp", "fig2+3", "-scale", "test", "-no-cache", "-progress=false",
+		"-cell-timeout", "1ns", "-cpuprofile", "cpu.pprof", "-memprofile", "heap.pprof", "-metrics", "metrics.json")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(msg, "timed out") {
+		t.Fatalf("a sweep of timed-out cells: %v, want exit status 1 naming a timeout\nstderr: %s", err, msg)
+	}
+	for _, name := range []string{"cpu.pprof", "heap.pprof"} {
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		// A pprof profile is one gzip stream; a truncated one ends early.
+		zr, err := gzip.NewReader(f)
+		if err == nil {
+			_, err = io.Copy(io.Discard, zr)
+		}
+		if err != nil {
+			t.Errorf("%s is not a complete profile: %v", name, err)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "metrics.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counters map[string]float64
+	if err := json.Unmarshal(data, &counters); err != nil || counters["sweep_cells_failed_total"] == 0 {
+		t.Errorf("metrics.json: sweep_cells_failed_total = %v (err %v), want the failures counted", counters["sweep_cells_failed_total"], err)
 	}
 }
 
@@ -260,7 +340,9 @@ func TestREADMECommands(t *testing.T) {
 // changed table layout), never noise; fig6 and fig9 are pinned nowhere else.
 // It runs twice over one cache directory: the cold pass computes every cell,
 // the warm pass must render the same bytes having simulated nothing — every
-// number the CLI prints comes from a cell, and a cell from its record.
+// number the CLI prints comes from a cell, and a cell from its record. A
+// third pass re-indents every record first, the form binaries wrote before
+// records were compact: each must still hit, none be evicted.
 // After an intended change, rerun with -update and review the diff.
 func TestResultsGolden(t *testing.T) {
 	if testing.Short() {
@@ -277,7 +359,10 @@ func TestResultsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pass := range []string{"cold", "warm"} {
+	for _, pass := range []string{"cold", "warm", "indented"} {
+		if pass == "indented" {
+			indentRecords(t, store.Dir())
+		}
 		plan, err := planCells(names, opts, false)
 		if err != nil {
 			t.Fatal(err)
@@ -287,8 +372,9 @@ func TestResultsGolden(t *testing.T) {
 		if sum.Failed != 0 || sum.Cells != cells {
 			t.Fatalf("%s sweep: %s, want %d cells and none failed", pass, sum, cells)
 		}
-		if pass == "cold" && (sum.Computed != cells || sum.Regions != regions || sum.Served != served) ||
-			pass == "warm" && (sum.Computed != 0 || sum.Cached != cells || sum.Regions != 0 || sum.Served != 0) {
+		cold := pass == "cold"
+		if cold && (sum.Computed != cells || sum.Regions != regions || sum.Served != served) ||
+			!cold && (sum.Computed != 0 || sum.Cached != cells || sum.Evicted != 0 || sum.Regions != 0 || sum.Served != 0) {
 			t.Fatalf("%s sweep: %s", pass, sum)
 		}
 		var got bytes.Buffer
@@ -299,7 +385,7 @@ func TestResultsGolden(t *testing.T) {
 		// computed inline by it.
 		computed := sched.Registry().Counter("sweep_cells_computed_total").Value()
 		begins := sched.Registry().Counter("htm_tx_begins_total").Value()
-		if pass == "cold" && (computed != cells || begins == 0) || pass == "warm" && (computed != 0 || begins != 0) {
+		if cold && (computed != cells || begins == 0) || !cold && (computed != 0 || begins != 0) {
 			t.Errorf("%s pass, prewarm and render: %d cells computed, %d transactions begun", pass, computed, begins)
 		}
 		if *update {
@@ -321,6 +407,31 @@ func TestResultsGolden(t *testing.T) {
 			}
 			t.Fatalf("%s pass: rendered tables differ from %s in length: %d lines, want %d", pass, golden, len(gl), len(wl))
 		}
+	}
+}
+
+// indentRecords rewrites every record under dir as json.Indent with a
+// one-space indent, byte for byte what Put wrote before it wrote compact JSON.
+func indentRecords(t *testing.T, dir string) {
+	t.Helper()
+	n := 0
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, data, "", " "); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		n++
+		return os.WriteFile(path, indented.Bytes(), 0o644)
+	})
+	if err != nil || n == 0 {
+		t.Fatalf("re-indenting the records under %s: %d records, err %v", dir, n, err)
 	}
 }
 

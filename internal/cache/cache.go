@@ -25,11 +25,18 @@ func Key(version string, v any) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("cache: key inputs: %w", err)
 	}
+	return KeyOf(version, data), nil
+}
+
+// KeyOf is Key over inputs already in their canonical encoding, the bytes
+// json.Marshal returns for them. A caller that keeps those bytes can later
+// prove a record is the one they address by comparing bytes, not hashes.
+func KeyOf(version string, canon []byte) string {
 	h := sha256.New()
 	h.Write([]byte(version))
 	h.Write([]byte{0})
-	h.Write(data)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	h.Write(canon)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Store is an on-disk result store rooted at a directory.
@@ -99,11 +106,12 @@ func (s *Store) Evict(key string, reason error) {
 	}
 }
 
-// Put stores v under key, atomically: the record is written to a temporary
-// file in the same directory and renamed into place, so concurrent readers
-// never observe a partial write.
+// Put stores v under key as compact JSON (`jq . <file>` reads one),
+// atomically: the record is written to a temporary file in the same
+// directory and renamed into place, so concurrent readers never observe a
+// partial write.
 func (s *Store) Put(key string, v any) error {
-	data, err := json.MarshalIndent(v, "", " ")
+	data, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("cache: encode %s: %w", key, err)
 	}

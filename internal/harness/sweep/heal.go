@@ -73,9 +73,9 @@ func firedList(eng *chaos.Injector) string {
 
 // afflictRecord tears the just-written cache record when the cell is
 // afflicted by CacheCorrupt: truncation (a torn write), garbage bytes (rot),
-// or a stale record whose content no longer hashes to its key. All three
+// or a stale record that holds another cell's canonical bytes. All three
 // must be detected on the next resume pass — the first two by Get itself,
-// the stale one by obtain's identity check — then evicted and recomputed.
+// the stale one by lookup's identity check — then evicted and recomputed.
 func (s *Scheduler) afflictRecord(j job) {
 	inj := s.cfg.Faults
 	if inj == nil || s.cfg.Cache == nil || !inj.Afflicts(chaos.CacheCorrupt, j.key) {
@@ -96,7 +96,10 @@ func (s *Scheduler) afflictRecord(j job) {
 		stale := j.Cell
 		stale.Seed ^= 0x5a5a
 		stale.Spec.Seed ^= 0x5a5a
-		torn, err = json.Marshal(record{Cell: stale, Result: &harness.Result{}, Seconds: 0.001})
+		var canon []byte
+		if canon, err = json.Marshal(stale); err == nil {
+			torn, err = json.Marshal(record{Cell: canon, Result: &harness.Result{}, Seconds: 0.001})
+		}
 		if err != nil {
 			torn = data[:len(data)/2]
 		}

@@ -22,7 +22,7 @@ type Plan struct {
 	requests
 	mu    sync.Mutex
 	cells []Cell
-	seen  map[string]bool
+	seen  map[string]bool // by canonical bytes (Cell.canonical)
 }
 
 // NewPlan returns an empty Plan.
@@ -35,11 +35,11 @@ func NewPlan() *Plan {
 func (p *Plan) add(c Cell) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if key, err := c.Key(); err == nil {
-		if p.seen[key] {
+	if canon, err := c.canonical(); err == nil {
+		if p.seen[string(canon)] {
 			return
 		}
-		p.seen[key] = true
+		p.seen[string(canon)] = true
 	}
 	p.cells = append(p.cells, c)
 }

@@ -4,14 +4,22 @@ import (
 	"sort"
 	"sync"
 
+	"htmcmp/internal/cache"
 	"htmcmp/internal/features"
 )
 
-// job is one pooled cell together with the cache key Prewarm's dedupe
-// computed for it, so nothing downstream hashes the cell again.
+// job is one cell together with its canonical bytes (Cell.canonical) and
+// the cache key they hash to, so nothing downstream encodes or hashes the
+// cell again.
 type job struct {
 	Cell
-	key string
+	key   string
+	canon []byte
+}
+
+// newJob keys the cell by its canonical bytes.
+func newJob(c Cell, canon []byte) job {
+	return job{c, cache.KeyOf(ResultsVersion, canon), canon}
 }
 
 // queue is a Prewarm pass's work list: every job, longest expected first,

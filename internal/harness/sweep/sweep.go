@@ -15,10 +15,15 @@
 package sweep
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,7 +107,25 @@ type Cell struct {
 
 // Key returns the cell's content address under ResultsVersion.
 func (c Cell) Key() (string, error) {
-	return cache.Key(ResultsVersion, c)
+	canon, err := c.canonical()
+	if err != nil {
+		return "", err
+	}
+	return cache.KeyOf(ResultsVersion, canon), nil
+}
+
+// canonical returns the cell's canonical encoding, the bytes its key hashes.
+// Within a process those bytes identify the cell as well as the key does:
+// the plan, Prewarm and the memo match cells by them, and only a cache
+// lookup needs the key. A record stores them too, so a lookup proves the
+// record is this cell's by comparing bytes instead of decoding, re-encoding
+// and re-hashing the cell it holds.
+func (c Cell) canonical() ([]byte, error) {
+	canon, err := json.Marshal(c)
+	if err != nil {
+		return nil, fmt.Errorf("cache: key inputs: %w", err)
+	}
+	return canon, nil
 }
 
 // Label is a short identifier for progress and error reporting.
@@ -124,12 +147,14 @@ func (c Cell) Label() string {
 	return l
 }
 
-// record is the on-disk cache payload: the cell (for human debugging of the
-// cache directory) plus its result. Seconds is the wall-clock compute time
-// of the cell when it was produced, the only per-cell host-time record; the
-// sweep itself never reads it back.
+// record is the on-disk cache payload: the cell's canonical encoding, the
+// exact bytes its key hashes, plus its result. The cell is kept as raw bytes
+// so that a lookup proves identity by byte equality and never decodes it;
+// it still reads as the cell's JSON in the cache directory. Seconds is the
+// wall-clock compute time of the cell when it was produced, the only
+// per-cell host-time record; the sweep itself never reads it back.
 type record struct {
-	Cell      Cell             `json:"cell"`
+	Cell      json.RawMessage  `json:"cell"`
 	Result    *harness.Result  `json:"result,omitempty"`
 	Footprint *trace.Footprint `json:"footprint,omitempty"`
 	Seconds   float64          `json:"seconds,omitempty"`
@@ -247,7 +272,7 @@ type Scheduler struct {
 	engine *obs.EngineMetrics
 
 	mu       sync.Mutex
-	memo     map[string]outcome
+	memo     map[string]outcome // by canonical bytes (Cell.canonical)
 	lastLine time.Time
 
 	// The current Prewarm pass (guarded by mu). The counters run for the
@@ -389,7 +414,7 @@ func (s *Scheduler) execCell(c Cell) outcome {
 				ch <- outcome{err: fmt.Errorf("sweep: cell %s panicked: %v\n%s", c.Label(), r, debug.Stack())}
 			}
 		}()
-		ch <- runCell(s.regions, c)
+		pprof.Do(context.Background(), c.profLabels(), func(context.Context) { ch <- runCell(s.regions, c) })
 	}()
 	if s.cfg.Timeout <= 0 {
 		return <-ch
@@ -402,15 +427,51 @@ func (s *Scheduler) execCell(c Cell) outcome {
 	}
 }
 
+// profLabels are the pprof labels a computed cell's samples carry — kind,
+// benchmark, platform, threads and mode — so that `go tool pprof -tags`
+// splits a -cpuprofile by them. The engine's coroutines inherit them.
+func (c Cell) profLabels() pprof.LabelSet {
+	kind := c.Kind.String()
+	switch {
+	case c.Kind.HasSpec():
+		mode := "htm"
+		switch {
+		case c.Spec.UseHLE:
+			mode = "hle"
+		case c.Spec.UseSTM:
+			mode = "stm"
+		case c.Spec.Adaptive:
+			mode = "adapt"
+		}
+		return pprof.Labels("kind", kind, "bench", c.Spec.Benchmark, "platform", c.Spec.Platform.Short(),
+			"threads", strconv.Itoa(c.Spec.Threads), "mode", mode)
+	case c.Kind == Footprint:
+		// trace.Collect runs its benchmark on one thread.
+		return pprof.Labels("kind", kind, "bench", c.Bench, "platform", c.Platform.Short(),
+			"threads", "1", "mode", "trace")
+	case c.Kind == CLQRun && c.CLQ != nil:
+		return pprof.Labels("kind", kind, "bench", "clq", "platform", platform.ZEC12.Short(),
+			"threads", strconv.Itoa(c.CLQ.Threads), "mode", c.CLQ.Mode.String())
+	case c.Kind == TLSRun && c.TLS != nil:
+		mode := "tls"
+		if c.TLS.SuspendResume {
+			mode = "tls-suspend"
+		}
+		return pprof.Labels("kind", kind, "bench", c.TLS.Kernel.String(), "platform", platform.POWER8.Short(),
+			"threads", strconv.Itoa(c.TLS.Threads), "mode", mode)
+	}
+	return pprof.Labels("kind", kind)
+}
+
 // request serves one render-pass request: key the cell, then obtain it. A
 // prewarmed cell is a memo hit; one that was never prewarmed (plan drift) is
 // looked up or computed here.
 func (s *Scheduler) request(c Cell) outcome {
-	key, err := c.Key()
+	canon, err := c.canonical()
 	if err != nil {
 		return outcome{err: fmt.Errorf("sweep: cell %s: %w", c.Label(), err)}
 	}
-	return s.obtain(job{c, key}, false)
+	return s.obtain(newJob(c, canon), false)
 }
 
 // obtain returns the job's outcome: memo hit, cache hit, or computed now.
@@ -418,7 +479,7 @@ func (s *Scheduler) request(c Cell) outcome {
 // line and the ETA).
 func (s *Scheduler) obtain(j job, fromPool bool) outcome {
 	s.mu.Lock()
-	o, ok := s.memo[j.key]
+	o, ok := s.memo[string(j.canon)]
 	s.mu.Unlock()
 	if ok {
 		return o
@@ -451,12 +512,12 @@ func (s *Scheduler) lookup(j job) (o outcome, ok bool) {
 	if found, err := s.cfg.Cache.Get(j.key, &rec); err != nil || !found {
 		return outcome{}, false
 	}
-	// Identity check: the record parsed, but does its content still hash to
-	// the key it was stored under? A stale record — a writer that keyed one
+	// Identity check: the record parsed, but is the cell it holds the one
+	// its key addresses (sameCell)? A stale record — a writer that keyed one
 	// cell and stored another, or a record rewritten in place — fails here
 	// and is evicted. (Torn and garbage records never reach this point; Get
 	// evicts those itself.) An evicted cell is recomputed, not failed.
-	if k2, err := rec.Cell.Key(); err != nil || k2 != j.key {
+	if !sameCell(rec.Cell, j.canon) {
 		s.cfg.Cache.Evict(j.key, fmt.Errorf("record content does not match its key (stale or corrupt)"))
 		return outcome{}, false
 	}
@@ -471,6 +532,21 @@ func (s *Scheduler) lookup(j job) (o outcome, ok bool) {
 	return o, true
 }
 
+// sameCell is the identity rule of a cache record: the cell bytes it
+// stores are the canonical bytes of the cell its key addresses once
+// insignificant whitespace is removed. Compact is what lets a record
+// written indented (before records were compact) hit too, since
+// Compact(Indent(x)) == x; canon is itself compact, so stored bytes equal
+// to it need no Compact.
+func sameCell(stored, canon []byte) bool {
+	if bytes.Equal(stored, canon) {
+		return true
+	}
+	var compact bytes.Buffer
+	compact.Grow(len(stored))
+	return json.Compact(&compact, stored) == nil && bytes.Equal(compact.Bytes(), canon)
+}
+
 // account memoises the job's outcome and counts it: as done, by the route
 // that produced it (cellsCached or cellsComputed) and, if it did not end
 // well, by how it ended. All of it happens under mu, so the progress line
@@ -478,7 +554,7 @@ func (s *Scheduler) lookup(j job) (o outcome, ok bool) {
 func (s *Scheduler) account(j job, o outcome, fromPool bool, route tally, ended ...tally) outcome {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.memo[j.key] = o
+	s.memo[string(j.canon)] = o
 	s.count[cellsDone].Inc()
 	s.count[route].Inc()
 	for _, t := range ended {
@@ -497,7 +573,7 @@ func (s *Scheduler) account(j job, o outcome, fromPool bool, route tally, ended 
 // and the record goes to the cache: through the pass's writer for a pool
 // worker, on the spot for a render-pass request.
 func (s *Scheduler) landed(j job, o outcome, seconds float64, fromPool bool) {
-	rec := record{Cell: j.Cell, Seconds: seconds}
+	rec := record{Cell: j.canon, Seconds: seconds}
 	if j.Kind == Footprint {
 		rec.Footprint = &o.fp
 	} else {
@@ -580,7 +656,7 @@ func (s *Scheduler) progressf(format string, args ...any) {
 	}
 }
 
-// Prewarm executes cells through the worker pool — dedupe by cache key,
+// Prewarm executes cells through the worker pool — dedupe by canonical bytes,
 // queue longest-first, and let every worker pop and obtain until the queue is
 // empty — and memoises every outcome for the render pass. Failed cells are
 // recorded (the render pass surfaces their errors) but do not stop the
@@ -591,16 +667,16 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 	unique := make([]job, 0, len(cells))
 	seen := map[string]bool{}
 	for _, c := range cells {
-		key, err := c.Key()
+		canon, err := c.canonical()
 		if err != nil {
 			// A cell without a key can be neither deduplicated nor cached;
 			// the render pass reports the error when the cell is requested.
 			s.progressf("sweep: cell %s not scheduled: %v", c.Label(), err)
 			continue
 		}
-		if !seen[key] {
-			seen[key] = true
-			unique = append(unique, job{c, key})
+		if !seen[string(canon)] {
+			seen[string(canon)] = true
+			unique = append(unique, newJob(c, canon))
 		}
 	}
 

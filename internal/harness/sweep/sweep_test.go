@@ -1,10 +1,14 @@
 package sweep
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -221,6 +225,84 @@ func TestWarmPassWritesNothing(t *testing.T) {
 	}
 	if len(after) != len(before) {
 		t.Errorf("the warm pass changed the file count: %d before, %d after", len(before), len(after))
+	}
+}
+
+// TestLookupIdentity pins the identity rule of lookup: a record is its key's
+// cell's when the cell bytes it stores, after json.Compact, are the bytes the
+// key hashes. One cell's record is rewritten in each form a cache can hold
+// it in, then a fresh pass loads the cell. The compact record Put writes and
+// the indented one older binaries wrote are hits that decode to the stored
+// result; another cell's canonical bytes under this key, a torn record and
+// garbage are each evicted once and the cell recomputed.
+func TestLookupIdentity(t *testing.T) {
+	setRunCellHook(t, func(Cell) (harness.Result, trace.Footprint, error) {
+		return harness.Result{ParSeconds: 2.5}, trace.Footprint{}, nil
+	})
+	store, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := testCells()
+	cell, other := cells[0], cells[1]
+	canon, err := cell.canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := newJob(cell, canon).key
+	otherCanon, err := other.canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := harness.Result{ParSeconds: 1.5}
+	if err := store.Put(key, record{Cell: canon, Result: &stored}); err != nil {
+		t.Fatal(err)
+	}
+	compact, err := os.ReadFile(store.Path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, compact); err != nil || !bytes.Equal(buf.Bytes(), compact) {
+		t.Fatalf("Put wrote a record that is not compact JSON (err %v):\n%s", err, compact)
+	}
+	buf.Reset()
+	if err := json.Indent(&buf, compact, "", " "); err != nil {
+		t.Fatal(err)
+	}
+	indented := buf.Bytes()
+	misfiled, err := json.Marshal(record{Cell: otherCanon, Result: &stored})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		form string
+		data []byte
+		hit  bool
+	}{
+		{"compact, as Put writes it", compact, true},
+		{"indented, as older binaries wrote it", indented, true},
+		{"another cell's canonical bytes under this key", misfiled, false},
+		{"torn", compact[:len(compact)/2], false},
+		{"garbage", []byte("\x00\xffnot json at all"), false},
+	} {
+		if err := os.WriteFile(store.Path(key), tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := New(Config{Jobs: 1, Cache: store, Resume: true})
+		sum := s.Prewarm([]Cell{cell})
+		res, err := s.Measure(cell.Spec, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantSum := stored, Summary{Cells: 1, Cached: 1}
+		if !tc.hit {
+			want, wantSum = harness.Result{ParSeconds: 2.5}, Summary{Cells: 1, Computed: 1, Evicted: 1}
+		}
+		sum.Elapsed = 0
+		if sum != wantSum || res.ParSeconds != want.ParSeconds {
+			t.Errorf("%s: %s, ParSeconds %v; want %s, ParSeconds %v", tc.form, sum, res.ParSeconds, wantSum, want.ParSeconds)
+		}
 	}
 }
 
@@ -641,6 +723,33 @@ func TestFeatureCellWithoutPoint(t *testing.T) {
 		}
 		if o := s.request(c); o.err == nil || !strings.Contains(o.err.Error(), "carries no point") {
 			t.Errorf("%s: err = %v, want a missing-point error", c.Label(), o.err)
+		}
+	}
+}
+
+// TestProfLabels: a computed cell of every kind carries all five pprof
+// labels, so a profile's -tags split leaves no cell's samples out of a key.
+func TestProfLabels(t *testing.T) {
+	spec := testCells()[0].Spec
+	stm := spec
+	stm.UseSTM = true
+	for _, tc := range []struct {
+		cell Cell
+		want map[string]string
+	}{
+		{Cell{Kind: Measure, Spec: stm}, map[string]string{"kind": "measure", "bench": "ssca2", "platform": "z12", "threads": "2", "mode": "stm"}},
+		{Cell{Kind: TuneMeasure, Spec: spec}, map[string]string{"kind": "tune", "bench": "ssca2", "platform": "z12", "threads": "2", "mode": "htm"}},
+		{Cell{Kind: Footprint, Bench: "yada", Platform: platform.POWER8}, map[string]string{"kind": "footprint", "bench": "yada", "platform": "P8", "threads": "1", "mode": "trace"}},
+		{Cell{Kind: CLQRun, CLQ: &features.CLQPoint{Mode: features.CLQConstrainedTM, Threads: 4}}, map[string]string{"kind": "clq", "bench": "clq", "platform": "z12", "threads": "4", "mode": features.CLQConstrainedTM.String()}},
+		{Cell{Kind: TLSRun, TLS: &features.TLSPoint{Threads: 8, SuspendResume: true}}, map[string]string{"kind": "tls", "bench": features.TLSPoint{}.Kernel.String(), "platform": "P8", "threads": "8", "mode": "tls-suspend"}},
+	} {
+		got := map[string]string{}
+		pprof.ForLabels(pprof.WithLabels(context.Background(), tc.cell.profLabels()), func(k, v string) bool {
+			got[k] = v
+			return true
+		})
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: labels %v, want %v", tc.cell.Label(), got, tc.want)
 		}
 	}
 }
