@@ -267,17 +267,18 @@ chaos-smoke: build
 		echo "chaos report names a deleted fault class:"; cat $(SMOKE)/chaos/report.json; exit 1; }
 	@echo "chaos-smoke ok: every afflicted run validated, tables byte-identical to the fault-free run"
 
-# cover gates statement coverage of the engine and its verification oracle
-# against the checked-in floors. Each line of COVERAGE.floor is a whole
-# percent and the packages it holds to it: htm and verify together, and htm
-# on its own. The tm and harness suites run too because they drive much of
-# internal/htm. A block's statements count once however many test binaries
-# report it, as in `go tool cover -func`.
+# cover gates statement coverage of the engine and its verification oracle,
+# the sweep scheduler and the result cache against the checked-in floors.
+# Each line of COVERAGE.floor is a whole percent and the packages it holds
+# to it: htm and verify together, htm on its own, sweep, and cache. The tm
+# suite runs too because it drives much of internal/htm. A block's
+# statements count once however many test binaries report it, as in
+# `go tool cover -func`.
 cover:
 	mkdir -p $(SMOKE)
 	$(GO) test -count=1 -coverprofile=$(SMOKE)/cover.out \
-		-coverpkg=./internal/htm,./internal/verify \
-		./internal/htm ./internal/verify ./internal/tm
+		-coverpkg=./internal/htm,./internal/verify,./internal/harness/sweep,./internal/cache \
+		./internal/htm ./internal/verify ./internal/tm ./internal/harness/sweep ./internal/cache
 	@while read -r floor pkgs; do \
 		total=$$(awk -v pkgs="$$pkgs" 'BEGIN { n = split(pkgs, p, " ") } \
 			NR > 1 { for (i = 1; i <= n; i++) if (index($$1, p[i] "/") == 1) { s[$$1] = $$2; if ($$3 > 0) c[$$1] = 1 } } \

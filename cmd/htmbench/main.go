@@ -62,7 +62,7 @@ func main() {
 	progress := flag.Bool("progress", true, "print live sweep progress/ETA to stderr")
 	traceDir := flag.String("trace-dir", "", "write one JSONL transaction-event file per simulated engine region into this directory (implies -resume=false: cached cells execute nothing)")
 	verify := flag.Bool("verify", false, "cross-check every planned cell under {HTM, NOrec STM, global lock} before measuring; exit non-zero on divergence")
-	metricsPath := flag.String("metrics", "", "write the sweep's registry counters (sweep_*, htm_tx_*, tm_mode_switches_total) as JSON to this file")
+	metricsPath := flag.String("metrics", "", "write the sweep's counters (sweep_*, htm_tx_*, tm_mode_switches_total) as JSON to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
 	chaosOn := flag.Bool("chaos", false, "inject deterministic faults into the sweep (engine aborts and torn cache records, default mix); an afflicted cell must validate and only its clean rerun is kept, so rendered tables are unchanged")
@@ -290,7 +290,11 @@ func (o *outputs) finish(sched *sweep.Scheduler, faults *chaos.Injector, sum swe
 		runtime.GC() // flush transient garbage so the profile shows retained memory
 		return pprof.WriteHeapProfile(w)
 	})
-	write("metrics", o.metrics, sched.Registry().WriteCountersJSON)
+	write("metrics", o.metrics, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(sched.Metrics())
+	})
 	write("chaos-report", o.chaos, func(w io.Writer) error { return writeChaosReport(w, faults, sum) })
 	return ok
 }

@@ -162,8 +162,9 @@ func runMain(t *testing.T, args ...string) (dir, stdout, stderr string, err erro
 // sweep to report nothing. An output file that cannot be created is exit
 // status 1, to the same standard: -metrics and -memprofile used to run the
 // whole sweep, then print the error and exit 0, and an output that failed
-// after another was created left the first behind, empty. A
-// flag that no longer exists (-http, with the live-telemetry stack) gets the
+// after another was created left the first behind, empty. So is a
+// -trace-dir that cannot be made, before the cache directory is. A flag
+// that no longer exists (-http, with the live-telemetry stack) gets the
 // flag package's own message and usage text, to the same standard.
 func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 	const undefined = "flag provided but not defined: "
@@ -186,6 +187,7 @@ func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 		{[]string{"-cpuprofile", "no-such-dir/cpu.pprof"}, 1},
 		{[]string{"-chaos", "-chaos-report", "no-such-dir/report.json"}, 1},
 		{[]string{"-cpuprofile", "cpu.pprof", "-metrics", "no-such-dir/metrics.json"}, 1},
+		{[]string{"-trace-dir", "/dev/null/traces"}, 1},
 	} {
 		args := tc.args
 		dir, stdout, msg, err := runMain(t, args...)
@@ -266,6 +268,50 @@ func TestFailedSweepWritesOutputs(t *testing.T) {
 	var counters map[string]float64
 	if err := json.Unmarshal(data, &counters); err != nil || counters["sweep_cells_failed_total"] == 0 {
 		t.Errorf("metrics.json: sweep_cells_failed_total = %v (err %v), want the failures counted", counters["sweep_cells_failed_total"], err)
+	}
+}
+
+// TestMetricsGolden pins the -metrics file byte for byte: `htmbench -exp
+// fig2+3 -scale test -no-cache -metrics F` must write
+// testdata/metrics_fig2+3.json, every series name, label, value and the
+// two-space indent. Every `#   "name": value` line of README's -metrics
+// walkthrough must be one of its lines.
+func TestMetricsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a test-scale sweep")
+	}
+	const golden = "testdata/metrics_fig2+3.json"
+	dir, _, msg, err := runMain(t, "-exp", "fig2+3", "-scale", "test", "-no-cache", "-progress=false", "-metrics", "metrics.json")
+	if err != nil {
+		t.Fatalf("htmbench: %v\nstderr: %s", err, msg)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "metrics.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("-metrics file differs from %s:\n got %s\nwant %s", golden, got, want)
+	}
+	lines := map[string]bool{}
+	for _, l := range strings.Split(string(want), "\n") {
+		lines[strings.TrimSuffix(strings.TrimSpace(l), ",")] = true
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted := regexp.MustCompile(`(?m)^#\s+(".*": \d+),?$`).FindAllStringSubmatch(string(readme), -1)
+	if len(quoted) == 0 {
+		t.Fatal("README.md quotes no -metrics line: the pattern has rotted")
+	}
+	for _, m := range quoted {
+		if !lines[m[1]] {
+			t.Errorf("README.md quotes %s, which %s does not hold", m[1], golden)
+		}
 	}
 }
 
@@ -383,8 +429,8 @@ func TestResultsGolden(t *testing.T) {
 		}
 		// Read after the render pass: a cell the plan missed would have been
 		// computed inline by it.
-		computed := sched.Registry().Counter("sweep_cells_computed_total").Value()
-		begins := sched.Registry().Counter("htm_tx_begins_total").Value()
+		m := sched.Metrics()
+		computed, begins := m["sweep_cells_computed_total"], m["htm_tx_begins_total"]
 		if cold && (computed != cells || begins == 0) || !cold && (computed != 0 || begins != 0) {
 			t.Errorf("%s pass, prewarm and render: %d cells computed, %d transactions begun", pass, computed, begins)
 		}

@@ -14,15 +14,19 @@
 // prints an abort-attribution report: abort-reason × retry-depth histogram,
 // commit-latency percentiles in virtual cycles, and the hottest conflicting
 // cache lines with their symbolic region names. -jsonl and -perfetto
-// additionally export the raw events; the Perfetto file loads in
+// additionally export the raw events (a path that cannot be written fails
+// before the run, exit status 1); the Perfetto file loads in
 // https://ui.perfetto.dev or chrome://tracing with one track per simulated
 // thread and virtual clocks as timestamps.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"slices"
 	"strings"
@@ -156,8 +160,40 @@ func runChecks(eventsPath, tracePath string, out, errw *os.File) int {
 
 // runEvents runs the benchmark with an event tracer attached and prints the
 // abort-attribution report; jsonlPath/perfettoPath additionally export the
-// raw events.
-func runEvents(kind platform.Kind, bench string, scale stamp.Scale, seed uint64, threads, top int, jsonlPath, perfettoPath string) error {
+// raw events. The export files are opened before any engine exists, so a
+// path that cannot be written fails before anything runs or prints. A file
+// is truncated only when its events are written, and one this call created
+// is removed again if the call fails.
+func runEvents(kind platform.Kind, bench string, scale stamp.Scale, seed uint64, threads, top int, jsonlPath, perfettoPath string) (err error) {
+	exports := []struct {
+		flag, path string
+		write      func(io.Writer, []obs.Event) error
+		f          *os.File
+		created    bool
+	}{{flag: "-jsonl", path: jsonlPath, write: obs.WriteJSONL}, {flag: "-perfetto", path: perfettoPath, write: obs.WriteChromeTrace}}
+	defer func() {
+		for _, x := range exports {
+			if x.f == nil {
+				continue
+			}
+			if cerr := x.f.Close(); err == nil && cerr != nil {
+				err = fmt.Errorf("%s: %w", x.flag, cerr)
+			}
+			if err != nil && x.created {
+				os.Remove(x.path)
+			}
+		}
+	}()
+	for i := range exports {
+		x := &exports[i]
+		if x.path == "" {
+			continue
+		}
+		if x.f, x.created, err = openOutput(x.path); err != nil {
+			return fmt.Errorf("%s: %w", x.flag, err)
+		}
+	}
+
 	tracer := obs.NewTracer()
 	e := htm.New(platform.New(kind), htm.Config{
 		Threads: threads, SpaceSize: 96 << 20, Seed: seed, CostScale: 1,
@@ -188,17 +224,29 @@ func runEvents(kind platform.Kind, bench string, scale stamp.Scale, seed uint64,
 		bench, kind, threads, e.MaxClock(), e.SchedHandoffs(), e.SchedSwitches())
 	rep.Fprint(os.Stdout)
 
-	if jsonlPath != "" {
-		if err := obs.WriteJSONLFile(jsonlPath, evs); err != nil {
-			return err
+	for _, x := range exports {
+		if x.f == nil {
+			continue
 		}
-		fmt.Fprintf(os.Stderr, "htmtrace: wrote %d events to %s\n", len(evs), jsonlPath)
-	}
-	if perfettoPath != "" {
-		if err := obs.WriteChromeTraceFile(perfettoPath, evs); err != nil {
-			return err
+		err := x.f.Truncate(0)
+		if err == nil {
+			err = x.write(x.f, evs)
 		}
-		fmt.Fprintf(os.Stderr, "htmtrace: wrote Chrome trace to %s (load in ui.perfetto.dev)\n", perfettoPath)
+		if err != nil {
+			return fmt.Errorf("%s: %w", x.flag, err)
+		}
+		fmt.Fprintf(os.Stderr, "htmtrace: wrote %d events to %s\n", len(evs), x.path)
 	}
 	return nil
+}
+
+// openOutput opens path for writing without truncating it, creating it if
+// it does not exist; created reports whether it did.
+func openOutput(path string) (f *os.File, created bool, err error) {
+	f, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+	if errors.Is(err, fs.ErrExist) {
+		f, err = os.OpenFile(path, os.O_WRONLY, 0)
+		return f, false, err
+	}
+	return f, err == nil, err
 }

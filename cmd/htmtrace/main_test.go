@@ -144,35 +144,50 @@ func TestMain(m *testing.M) {
 }
 
 // TestUsageErrorsExitBeforeSideEffects: a flag value htmtrace cannot use is
-// one htmtrace: line on stderr and exit status 2 with nothing on stdout,
-// before any engine is built. -seed 0 used to run seed 42.
+// one htmtrace: line on stderr naming the flag and exit status 2 with
+// nothing on stdout, before any engine is built. -seed 0 used to run seed
+// 42. An export file that cannot be created is exit status 1 to the same
+// standard, with no file left behind: -jsonl and -perfetto used to simulate
+// the whole run and print its report first, and a -perfetto that failed
+// after -jsonl opened would have left the -jsonl file.
 func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
-	for _, args := range [][]string{
-		{"-threads", "300", "-events"},
-		{"-threads", "-2"},
-		{"-top", "-1", "-events"},
-		{"-top", "0"},
-		{"-bench", "nosuch"},
-		{"-bench", "nosuch", "-events"},
-		{"-platform", "sparc"},
-		{"-scale", "huge"},
-		{"-seed", "0"},
-		{"-seed", "0", "-events"},
+	for _, tc := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-threads", "300", "-events"}, 2},
+		{[]string{"-threads", "-2"}, 2},
+		{[]string{"-top", "-1", "-events"}, 2},
+		{[]string{"-top", "0"}, 2},
+		{[]string{"-bench", "nosuch"}, 2},
+		{[]string{"-bench", "nosuch", "-events"}, 2},
+		{[]string{"-platform", "sparc"}, 2},
+		{[]string{"-scale", "huge"}, 2},
+		{[]string{"-seed", "0"}, 2},
+		{[]string{"-seed", "0", "-events"}, 2},
+		{[]string{"-jsonl", "no-such-dir/x.jsonl", "-events", "-scale", "test"}, 1},
+		{[]string{"-perfetto", "no-such-dir/x.trace.json", "-jsonl", "x.jsonl", "-events", "-scale", "test"}, 1},
 	} {
+		args := tc.args
+		dir := t.TempDir()
 		cmd := exec.Command(os.Args[0], args...)
+		cmd.Dir = dir
 		cmd.Env = append(os.Environ(), "HTMTRACE_TEST_MAIN=1")
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("htmtrace %v: %v, want exit status 2\nstderr: %s", args, err, stderr.String())
+		if !errors.As(err, &exit) || exit.ExitCode() != tc.code {
+			t.Errorf("htmtrace %v: %v, want exit status %d\nstderr: %s", args, err, tc.code, stderr.String())
 		}
 		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "htmtrace: "+args[0]) {
 			t.Errorf("htmtrace %v: stderr %q, want one htmtrace: line naming %s", args, msg, args[0])
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("htmtrace %v printed to stdout: %q", args, stdout.String())
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("htmtrace %v left %d entries behind, first %s", args, len(left), left[0].Name())
 		}
 	}
 }

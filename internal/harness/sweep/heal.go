@@ -119,5 +119,7 @@ func (s *Scheduler) noteEviction(key string, reason error) {
 		short = short[:12]
 	}
 	s.progressf("sweep: cache: evicted record %s: %v (will recompute)", short, reason)
-	s.count[cacheEvictions].Inc()
+	s.mu.Lock()
+	s.count[cacheEvictions]++
+	s.mu.Unlock()
 }

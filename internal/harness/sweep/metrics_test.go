@@ -1,29 +1,27 @@
 package sweep
 
-// One counter set from thread to -metrics: the scheduler counts every cell
-// outcome once, into registry counters, and everything that reports — the
-// Summary a Prewarm pass returns and the -metrics JSON — reads those counters
-// back. These tests pin that the two views agree under every fault class,
-// that the engine series are exactly the computed cells' Result.Engine, and
-// that cache hits publish nothing.
+// One count set from thread to -metrics: the scheduler counts every cell
+// outcome once and sums each computed cell's htm.Stats and tm.Stats, and
+// everything that reports — the Summary a Prewarm pass returns and Metrics,
+// the -metrics content — reads those counts. These tests pin that the two
+// views agree under every fault class, that the engine series are exactly
+// the computed cells' Result.Engine (a fault-afflicted run adds nothing),
+// and that cache hits add nothing.
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"htmcmp/internal/adapt"
 	"htmcmp/internal/cache"
 	"htmcmp/internal/chaos"
 	"htmcmp/internal/htm"
-	"htmcmp/internal/obs"
 	"htmcmp/internal/tm"
 )
 
-// registryCells is testCells plus the same four cells under the adaptive
+// metricsCells is testCells plus the same four cells under the adaptive
 // runtime on a two-entry TMCAM: the POWER8 ones overflow it and are demoted
 // to STM, so the mode-switch series has something to carry.
-func registryCells() []Cell {
+func metricsCells() []Cell {
 	cells := testCells()
 	for _, c := range testCells() {
 		c.Spec.Adaptive = true
@@ -31,21 +29,6 @@ func registryCells() []Cell {
 		cells = append(cells, c)
 	}
 	return cells
-}
-
-// metricsJSON returns the registry's counters as the -metrics JSON reports
-// them.
-func metricsJSON(t *testing.T, reg *obs.Registry) map[string]uint64 {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := reg.WriteCountersJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fromJSON := map[string]uint64{}
-	if err := json.Unmarshal(buf.Bytes(), &fromJSON); err != nil {
-		t.Fatalf("-metrics JSON: %v\n%s", err, buf.Bytes())
-	}
-	return fromJSON
 }
 
 // summaryCounters maps a Summary's counts to the counter names that carry
@@ -100,7 +83,7 @@ func TestRegistryAgreesWithSummaryAndEngineStats(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cells := registryCells()
+			cells := metricsCells()
 			store, err := cache.Open(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
@@ -116,7 +99,7 @@ func TestRegistryAgreesWithSummaryAndEngineStats(t *testing.T) {
 			s := New(Config{Jobs: 2, Cache: store, Resume: true, Faults: chaos.New(faults)})
 
 			// Two passes on one scheduler, half the cells each: every pass
-			// reports its own cells, the registry their sum.
+			// reports its own cells, Metrics their sum.
 			half := len(cells) / 2
 			want := map[string]uint64{}
 			for i, pass := range [][]Cell{cells[:half], cells[half:]} {
@@ -151,13 +134,13 @@ func TestRegistryAgreesWithSummaryAndEngineStats(t *testing.T) {
 				want[name] = v
 			}
 
-			got := metricsJSON(t, s.Registry())
+			got := s.Metrics()
 			if len(got) != len(want) {
-				t.Errorf("-metrics JSON has %d counters, want the %d the summary and the engine stats name", len(got), len(want))
+				t.Errorf("Metrics has %d series, want the %d the summary and the engine stats name", len(got), len(want))
 			}
 			for name, v := range want {
 				if gv, ok := got[name]; !ok || gv != v {
-					t.Errorf("%s = %d in the registry (present %v), want %d", name, gv, ok, v)
+					t.Errorf("%s = %d in Metrics (present %v), want %d", name, gv, ok, v)
 				}
 			}
 
@@ -173,7 +156,7 @@ func TestRegistryAgreesWithSummaryAndEngineStats(t *testing.T) {
 			for name := range engineCounters(htm.Stats{}, tm.Stats{}) {
 				want[name] = 0
 			}
-			after := metricsJSON(t, warm.Registry())
+			after := warm.Metrics()
 			for name, v := range want {
 				if av, ok := after[name]; !ok || av != v {
 					t.Errorf("after the warm pass %s = %d (present %v), want %d", name, av, ok, v)

@@ -34,9 +34,9 @@ import (
 	"htmcmp/internal/features"
 	"htmcmp/internal/harness"
 	"htmcmp/internal/htm"
-	"htmcmp/internal/obs"
 	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
+	"htmcmp/internal/tm"
 	"htmcmp/internal/trace"
 )
 
@@ -258,30 +258,30 @@ type Scheduler struct {
 	requests // served by obtain
 
 	cfg Config
-	reg *obs.Registry
 	// regions is what every computed Measure and TuneMeasure cell takes its
 	// engine regions from, for the scheduler's lifetime: cells that share a
 	// sequential baseline or a tuning trial simulate it once.
 	regions *harness.Regions
 
-	// The scheduler's registry handles. Every cell outcome is counted by one
-	// statement into count; Summary, the progress line and the ETA read the
-	// same counters back. engine receives each computed cell's engine and
-	// runtime counts.
-	count  [numTallies]*obs.Counter
-	engine *obs.EngineMetrics
-
 	mu       sync.Mutex
 	memo     map[string]outcome // by canonical bytes (Cell.canonical)
 	lastLine time.Time
 
-	// The current Prewarm pass (guarded by mu). The counters run for the
-	// scheduler's lifetime; base is their reading at the top of the pass,
-	// and a per-pass figure is the advance since then (inPass). The weights
-	// are cellPrior sums over the pass's pooled cells, for the ETA.
+	// The scheduler's counts, for its lifetime (guarded by mu): count holds
+	// the cell outcomes, one statement per outcome; engine and runtime sum
+	// the htm.Stats and tm.Stats of every cell computed here. Summary, the
+	// progress line, the ETA and Metrics read them.
+	count   [numTallies]int
+	engine  htm.Stats
+	runtime tm.Stats
+
+	// The current Prewarm pass (guarded by mu). base is count at the top of
+	// the pass, and a per-pass figure is the advance since then (inPass).
+	// The weights are cellPrior sums over the pass's pooled cells, for the
+	// ETA.
 	total       int
 	start       time.Time
-	base        [numTallies]uint64
+	base        [numTallies]int
 	totalWeight float64
 	doneWeight  float64
 	regionsBase int // regions.Simulated() at the top of the pass
@@ -297,7 +297,7 @@ type put struct {
 	rec record
 }
 
-// tally names one of the scheduler's outcome counters.
+// tally names one of the scheduler's outcome counts.
 type tally int
 
 const (
@@ -323,14 +323,10 @@ func New(cfg Config) *Scheduler {
 		cfg.Jobs = runtime.GOMAXPROCS(0)
 	}
 	s := &Scheduler{
-		cfg: cfg, memo: map[string]outcome{}, reg: obs.NewRegistry(),
+		cfg: cfg, memo: map[string]outcome{},
 		regions: harness.NewRegions(),
 	}
 	s.requests.get = s.request
-	for t, name := range tallyNames {
-		s.count[t] = s.reg.Counter(name)
-	}
-	s.engine = obs.NewEngineMetrics(s.reg, htm.NumReasons, adapt.NumModes)
 	if cfg.Cache != nil {
 		// Evictions — Get detecting a torn record, or the identity check in
 		// lookup catching a stale one — are logged and counted; the cell is
@@ -346,15 +342,34 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
-// Registry returns the registry the scheduler counts into: the sweep_*
-// outcome counters and the htm_tx_* / by-reason / tm_mode_switches_total
-// counts of every cell computed here.
-func (s *Scheduler) Registry() *obs.Registry { return s.reg }
+// Metrics returns the scheduler's counts by series name, every series
+// present whether zero or not: the sweep_* cell outcomes, and the htm_tx_*,
+// by-reason and tm_mode_switches_total sums of every cell computed here (a
+// cache hit adds to none of these). It is the content of htmbench -metrics.
+func (s *Scheduler) Metrics() map[string]uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m := map[string]uint64{
+		"htm_tx_begins_total":  s.engine.Begins,
+		"htm_tx_commits_total": s.engine.Commits,
+		"htm_tx_aborts_total":  s.engine.Aborts,
+	}
+	for t, name := range tallyNames {
+		m[name] = uint64(s.count[t])
+	}
+	for r, n := range s.engine.AbortsByReason {
+		m[`htm_tx_aborts_by_reason_total{reason="`+htm.Reason(r).String()+`"}`] = n
+	}
+	for to, n := range s.runtime.ModeSwitchesTo {
+		m[`tm_mode_switches_total{to="`+adapt.Mode(to).String()+`"}`] = n
+	}
+	return m
+}
 
-// inPass returns how far counter t has advanced in the current Prewarm pass;
+// inPass returns how far count t has advanced in the current Prewarm pass;
 // callers hold mu.
 func (s *Scheduler) inPass(t tally) int {
-	return int(s.count[t].Value() - s.base[t])
+	return s.count[t] - s.base[t]
 }
 
 // cellRunner is the signature of the runCellHook test seam.
@@ -555,10 +570,10 @@ func (s *Scheduler) account(j job, o outcome, fromPool bool, route tally, ended 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.memo[string(j.canon)] = o
-	s.count[cellsDone].Inc()
-	s.count[route].Inc()
+	s.count[cellsDone]++
+	s.count[route]++
 	for _, t := range ended {
-		s.count[t].Inc()
+		s.count[t]++
 	}
 	if fromPool {
 		s.doneWeight += cellPrior(j.Cell)
@@ -567,19 +582,21 @@ func (s *Scheduler) account(j job, o outcome, fromPool bool, route tally, ended 
 	return o
 }
 
-// landed banks a successfully computed cell: the registry receives its
-// engine and runtime counts — here and nowhere else, so a cache hit
-// publishes nothing and a warm sweep does not look like an abort storm —
-// and the record goes to the cache: through the pass's writer for a pool
-// worker, on the spot for a render-pass request.
+// landed banks a successfully computed cell: its engine and runtime counts
+// join the scheduler's sums — here and nowhere else, so a cache hit adds
+// nothing and a warm sweep does not look like an abort storm — and the
+// record goes to the cache: through the pass's writer for a pool worker, on
+// the spot for a render-pass request.
 func (s *Scheduler) landed(j job, o outcome, seconds float64, fromPool bool) {
 	rec := record{Cell: j.canon, Seconds: seconds}
 	if j.Kind == Footprint {
 		rec.Footprint = &o.fp
 	} else {
 		rec.Result = &o.res
-		eng, tm := &o.res.Engine, &o.res.TM
-		s.engine.Publish(eng.Begins, eng.Commits, eng.Aborts, eng.AbortsByReason[:], tm.ModeSwitchesTo[:])
+		s.mu.Lock()
+		s.engine.Add(&o.res.Engine)
+		s.runtime.Add(&o.res.TM)
+		s.mu.Unlock()
 	}
 	if s.cfg.Cache == nil {
 		return
@@ -638,10 +655,10 @@ func (s *Scheduler) emitProgressLocked(c Cell, cached bool) {
 	if eta, ok := s.etaLocked(now); ok {
 		line += fmt.Sprintf(" eta=%s", eta.Round(time.Second))
 	}
-	// The engine counters also feed the line, so a watcher sees the
-	// simulated abort volume of the cells computed so far.
-	if aborts := s.engine.Aborts.Value(); aborts > 0 {
-		line += fmt.Sprintf(" aborts=%d", aborts)
+	// The engine sums also feed the line, so a watcher sees the simulated
+	// abort volume of the cells computed so far.
+	if s.engine.Aborts > 0 {
+		line += fmt.Sprintf(" aborts=%d", s.engine.Aborts)
 	}
 	line += " last=" + c.Label()
 	if cached {
@@ -700,9 +717,7 @@ func (s *Scheduler) Prewarm(cells []Cell) Summary {
 
 	s.mu.Lock()
 	s.total = len(unique)
-	for t := range s.base {
-		s.base[t] = s.count[t].Value()
-	}
+	s.base = s.count
 	s.totalWeight, s.doneWeight = weight, 0
 	s.regionsBase, s.servedBase = s.regions.Simulated(), s.regions.Served()
 	s.start = time.Now()

@@ -525,7 +525,7 @@ func TestPlanTune(t *testing.T) {
 }
 
 // TestMetricsAndTraceDir exercises the observability hooks: the scheduler
-// counts cells and their transactions in its registry, writes per-cell event
+// counts cells and their transactions in Metrics, writes per-cell event
 // files when TraceDir is set, and cells served from cache leave no files.
 func TestMetricsAndTraceDir(t *testing.T) {
 	cells := testCells()
@@ -540,7 +540,7 @@ func TestMetricsAndTraceDir(t *testing.T) {
 		t.Fatalf("summary = %s", sum)
 	}
 
-	m := s.Registry().CounterValues()
+	m := s.Metrics()
 	if got := m["sweep_cells_done_total"]; got != uint64(len(cells)) {
 		t.Errorf("sweep_cells_done_total = %d, want %d", got, len(cells))
 	}
@@ -566,7 +566,7 @@ func TestMetricsAndTraceDir(t *testing.T) {
 	if sum2 := s2.Prewarm(cells); sum2.Cached != len(cells) {
 		t.Fatalf("resumed summary = %s", sum2)
 	}
-	if got := s2.Registry().Counter("sweep_cells_cached_total").Value(); got != uint64(len(cells)) {
+	if got := s2.Metrics()["sweep_cells_cached_total"]; got != uint64(len(cells)) {
 		t.Errorf("sweep_cells_cached_total = %d, want %d", got, len(cells))
 	}
 	if names2, _ := os.ReadDir(dir2); len(names2) != 0 {
@@ -669,7 +669,7 @@ func TestFeatureCellsDistinct(t *testing.T) {
 // TestFeatureCellsMatchInline runs a small Figure 6 + Figure 9 plan through
 // the pool and a cache: the tables rendered from the scheduler — computed,
 // then from the records alone — equal the inline ones, and the cells'
-// transactions reach the registry when computed and not when loaded.
+// transactions reach Metrics when computed and not when loaded.
 func TestFeatureCellsMatchInline(t *testing.T) {
 	clq := features.CLQOptions{OpsPerThread: 100, Threads: []int{1, 2}}
 	tls := features.TLSOptions{Iterations: 64, Threads: []int{1, 2}}
@@ -689,7 +689,7 @@ func TestFeatureCellsMatchInline(t *testing.T) {
 	for _, pass := range []string{"cold", "warm"} {
 		s := New(Config{Jobs: 2, Cache: store, Resume: true})
 		sum := s.Prewarm(cells)
-		begins := s.Registry().Counter("htm_tx_begins_total").Value()
+		begins := s.Metrics()["htm_tx_begins_total"]
 		if pass == "cold" && (sum.Computed != len(cells) || sum.Failed != 0 || begins == 0) {
 			t.Fatalf("cold summary = %s with %d begins published", sum, begins)
 		}
@@ -703,7 +703,7 @@ func TestFeatureCellsMatchInline(t *testing.T) {
 		if got, err := features.RunTLS(tls); err != nil || !reflect.DeepEqual(got, wantTLS) {
 			t.Errorf("%s: RunTLS through the scheduler differs from inline (err %v)", pass, err)
 		}
-		if done := s.Registry().Counter("sweep_cells_done_total").Value(); done != uint64(len(cells)) {
+		if done := s.Metrics()["sweep_cells_done_total"]; done != uint64(len(cells)) {
 			t.Errorf("%s: rendering obtained cells the plan did not hold: done = %d, want %d", pass, done, len(cells))
 		}
 	}

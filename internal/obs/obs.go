@@ -1,5 +1,7 @@
-// Package obs is the engine's observability layer: transaction event tracing,
-// abort attribution, and the sweep's counters (registry.go).
+// Package obs is the engine's event stream: transaction event tracing and
+// abort attribution. Counts are not kept here: each thread counts into its
+// own htm.Stats, and a sweep sums the Stats its cells carry
+// (sweep.Scheduler.Metrics).
 //
 // The paper's contribution is *explaining* HTM behaviour — abort-ratio
 // breakdowns by cause (Figure 3), footprint-vs-capacity plots (Figures
@@ -22,6 +24,8 @@
 // it; abort reasons travel as raw uint8 codes and are named through the
 // namer internal/htm registers at init.
 package obs
+
+import "strconv"
 
 // Kind discriminates transaction-boundary events.
 type Kind uint8
@@ -98,7 +102,7 @@ type Event struct {
 // registers the real namer from its init, so any program linking the engine
 // gets symbolic reasons; the fallback keeps this package self-contained.
 var reasonNamer = func(code uint8) string {
-	return "reason-" + itoa(int(code))
+	return "reason-" + strconv.Itoa(int(code))
 }
 
 // SetReasonNamer installs the abort-reason naming function. Called from
@@ -116,7 +120,7 @@ func ReasonName(code uint8) string { return reasonNamer(code) }
 // internal/adapt registers the real namer from its init (mirroring the
 // abort-reason namer: this package must not import the controller).
 var modeNamer = func(code uint8) string {
-	return "mode-" + itoa(int(code))
+	return "mode-" + strconv.Itoa(int(code))
 }
 
 // SetModeNamer installs the execution-mode naming function. Called from
@@ -129,19 +133,3 @@ func SetModeNamer(f func(code uint8) string) {
 
 // ModeName returns the symbolic name of an execution-mode code.
 func ModeName(code uint8) string { return modeNamer(code) }
-
-// itoa is a tiny strconv.Itoa for the namer fallback (avoids importing
-// strconv into every Event user — the engine — for a cold path).
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 && i > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}

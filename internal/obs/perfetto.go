@@ -3,7 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"os"
+	"strconv"
 )
 
 // Chrome trace_event JSON, the format Perfetto and chrome://tracing load.
@@ -50,7 +50,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			Phase: "M",
 			PID:   0,
 			TID:   tid,
-			Args:  map[string]any{"name": "sim-thread " + itoa(tid)},
+			Args:  map[string]any{"name": "sim-thread " + strconv.Itoa(tid)},
 		})
 	}
 
@@ -105,18 +105,4 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
-}
-
-// WriteChromeTraceFile writes the Chrome trace to path, creating or
-// truncating it.
-func WriteChromeTraceFile(path string, events []Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteChromeTrace(f, events); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
