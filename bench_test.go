@@ -1,129 +1,12 @@
 package htmcmp
 
 import (
-	"fmt"
-	"io"
 	"testing"
 
-	"htmcmp/internal/features"
 	"htmcmp/internal/harness"
 	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
-	"htmcmp/internal/trace"
 )
-
-// One testing.B per table/figure of the paper. Each benchmark iteration
-// regenerates the experiment at test scale (cmd/htmbench runs the full sim
-// scale); the headline number of each figure is exposed via b.ReportMetric.
-
-func benchOpts() harness.Options {
-	return harness.Options{Scale: stamp.ScaleTest, Repeats: 1, Seed: 42}
-}
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := harness.Table1()
-		t.Fprint(io.Discard)
-	}
-}
-
-func BenchmarkFig2SpeedupsAndFig3Aborts(b *testing.B) {
-	var geomean float64
-	for i := 0; i < b.N; i++ {
-		fig2, _, err := harness.Fig2And3(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The geomean row's zEC12 column is the figure's headline.
-		last := fig2.Rows[len(fig2.Rows)-1]
-		geomean = parseF(b, last[3])
-	}
-	b.ReportMetric(geomean, "zEC12-geomean-speedup")
-}
-
-func BenchmarkFig4OriginalVsModified(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Fig4(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5Scalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Fig5(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig6ConstrainedCLQ(b *testing.B) {
-	var constrained1 float64
-	for i := 0; i < b.N; i++ {
-		results, err := features.RunCLQ(features.CLQOptions{
-			OpsPerThread: 500, Threads: []int{1, 4}, Seed: 42,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range results {
-			if r.Mode == features.CLQConstrainedTM && r.Threads == 1 {
-				constrained1 = r.Relative
-			}
-		}
-	}
-	b.ReportMetric(constrained1, "constrained-rel-time-1t")
-}
-
-func BenchmarkFig7HLEvsRTM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Fig7(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig9TLSSuspendResume(b *testing.B) {
-	var sphinxWith float64
-	for i := 0; i < b.N; i++ {
-		results, err := features.RunTLS(features.TLSOptions{
-			Iterations: 512, Threads: []int{1, 4}, Seed: 42,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range results {
-			if r.Kernel == features.KernelSphinx3 && r.SuspendResume && r.Threads == 4 {
-				sphinxWith = r.Speedup
-			}
-		}
-	}
-	b.ReportMetric(sphinxWith, "sphinx3-with-sr-speedup")
-}
-
-func BenchmarkFig10LoadFootprints(b *testing.B) {
-	var p90 float64
-	for i := 0; i < b.N; i++ {
-		fp, err := trace.Collect("labyrinth", platform.POWER8, trace.Options{Scale: stamp.ScaleTest, Seed: 42})
-		if err != nil {
-			b.Fatal(err)
-		}
-		p90 = fp.P90LoadKB
-	}
-	b.ReportMetric(p90, "labyrinth-P8-p90-load-KB")
-}
-
-func BenchmarkFig11StoreFootprints(b *testing.B) {
-	var p90 float64
-	for i := 0; i < b.N; i++ {
-		fp, err := trace.Collect("yada", platform.ZEC12, trace.Options{Scale: stamp.ScaleTest, Seed: 42})
-		if err != nil {
-			b.Fatal(err)
-		}
-		p90 = fp.P90StoreKB
-	}
-	b.ReportMetric(p90, "yada-z12-p90-store-KB")
-}
 
 // Ablation benches for the design choices DESIGN.md calls out.
 
@@ -211,27 +94,4 @@ func BenchmarkAblationBGQMode(b *testing.B) {
 		delta = long.Speedup - short.Speedup
 	}
 	b.ReportMetric(delta, "labyrinth-long-vs-short-gain")
-}
-
-// BenchmarkEngineOverhead measures the simulator's raw per-access cost (not
-// a paper figure; engineering telemetry for the engine itself).
-func BenchmarkEngineOverhead(b *testing.B) {
-	e := NewEngine(IntelCore, EngineConfig{Threads: 1, SpaceSize: 1 << 20, CostScale: 0})
-	th := e.Thread(0)
-	a := th.Alloc(64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		th.TryTx(TxNormal, func() {
-			th.Store64(a, th.Load64(a)+1)
-		})
-	}
-}
-
-func parseF(b *testing.B, s string) float64 {
-	b.Helper()
-	var v float64
-	if _, err := fmt.Sscan(s, &v); err != nil {
-		b.Fatalf("parse %q: %v", s, err)
-	}
-	return v
 }

@@ -15,7 +15,8 @@
 // commit-latency percentiles in virtual cycles, and the hottest conflicting
 // cache lines with their symbolic region names. -jsonl and -perfetto
 // additionally export the raw events (a path that cannot be written fails
-// before the run, exit status 1); the Perfetto file loads in
+// before the run, exit status 1; without -events they, like -top, are a
+// usage error, exit status 2); the Perfetto file loads in
 // https://ui.perfetto.dev or chrome://tracing with one track per simulated
 // thread and virtual clocks as timestamps.
 package main
@@ -57,6 +58,9 @@ func main() {
 	kind, scale, err := parseTarget(*platName, *scaleName, *bench)
 	if err == nil {
 		err = checkFlags(*threads, *top)
+	}
+	if err == nil && !*events {
+		err = eventsOnly()
 	}
 	if err == nil && *seed == 0 {
 		// Every layer reads a zero seed as unset and runs seed 42.
@@ -103,6 +107,19 @@ func checkFlags(threads, top int) error {
 		return fmt.Errorf("-top must be 1 or more, got %d", top)
 	}
 	return nil
+}
+
+// eventsOnly rejects a flag that only -events reads (-jsonl, -perfetto,
+// -top) on a run without -events: the footprint report would ignore it and
+// write no file.
+func eventsOnly() error {
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		if err == nil && (f.Name == "jsonl" || f.Name == "perfetto" || f.Name == "top") {
+			err = fmt.Errorf("-%s needs -events", f.Name)
+		}
+	})
+	return err
 }
 
 // parseTarget parses -platform, -scale and -bench; an error starts with the

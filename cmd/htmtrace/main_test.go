@@ -146,7 +146,8 @@ func TestMain(m *testing.M) {
 // TestUsageErrorsExitBeforeSideEffects: a flag value htmtrace cannot use is
 // one htmtrace: line on stderr naming the flag and exit status 2 with
 // nothing on stdout, before any engine is built. -seed 0 used to run seed
-// 42. An export file that cannot be created is exit status 1 to the same
+// 42; -jsonl, -perfetto or -top without -events used to print the footprint
+// report and write no file. An export file that cannot be created is exit status 1 to the same
 // standard, with no file left behind: -jsonl and -perfetto used to simulate
 // the whole run and print its report first, and a -perfetto that failed
 // after -jsonl opened would have left the -jsonl file.
@@ -167,6 +168,10 @@ func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 		{[]string{"-seed", "0", "-events"}, 2},
 		{[]string{"-jsonl", "no-such-dir/x.jsonl", "-events", "-scale", "test"}, 1},
 		{[]string{"-perfetto", "no-such-dir/x.trace.json", "-jsonl", "x.jsonl", "-events", "-scale", "test"}, 1},
+		{[]string{"-jsonl", "x.jsonl", "-perfetto", "no-such-dir/y", "-bench", "ssca2", "-scale", "test"}, 2},
+		{[]string{"-perfetto", "x.trace.json", "-scale", "test"}, 2},
+		{[]string{"-top", "5", "-scale", "test"}, 2},
+		{[]string{"-jsonl", "x.jsonl", "-check-events", "x.jsonl"}, 2},
 	} {
 		args := tc.args
 		dir := t.TempDir()

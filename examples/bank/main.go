@@ -10,7 +10,9 @@ package main
 import (
 	"fmt"
 
-	"htmcmp"
+	"htmcmp/internal/htm"
+	"htmcmp/internal/platform"
+	"htmcmp/internal/tm"
 )
 
 const (
@@ -20,8 +22,8 @@ const (
 	initialBal = 1000
 )
 
-func run(kind htmcmp.PlatformKind, padded bool) (aborts float64, ok bool) {
-	eng := htmcmp.NewEngine(kind, htmcmp.EngineConfig{Threads: nThreads})
+func run(kind platform.Kind, padded bool) (aborts float64, ok bool) {
+	eng := htm.New(platform.New(kind), htm.Config{Threads: nThreads})
 	t0 := eng.Thread(0)
 
 	accounts := make([]uint64, nAccounts)
@@ -34,15 +36,15 @@ func run(kind htmcmp.PlatformKind, padded bool) (aborts float64, ok bool) {
 		t0.Store64(accounts[i], initialBal)
 	}
 
-	lock := htmcmp.NewGlobalLock(eng)
-	eng.Run(nThreads, func(_ int, t *htmcmp.Thread) {
-		x := htmcmp.NewExecutor(t, lock, htmcmp.DefaultPolicy(kind))
+	lock := tm.NewGlobalLock(eng)
+	eng.Run(nThreads, func(_ int, t *htm.Thread) {
+		x := tm.NewExecutor(t, lock, tm.DefaultPolicy(kind))
 		rng := t.Rand()
 		for j := 0; j < transfers; j++ {
 			from := accounts[rng.Intn(nAccounts)]
 			to := accounts[rng.Intn(nAccounts)]
 			amount := uint64(rng.Intn(20))
-			x.Run(func(t *htmcmp.Thread) {
+			x.Run(func(t *htm.Thread) {
 				balance := t.Load64(from)
 				if balance < amount {
 					return
@@ -64,14 +66,14 @@ func run(kind htmcmp.PlatformKind, padded bool) (aborts float64, ok bool) {
 func main() {
 	fmt.Println("bank transfers: abort ratio by platform and account layout")
 	fmt.Printf("%-12s  %-14s  %-14s\n", "platform", "packed abort%", "padded abort%")
-	for _, spec := range htmcmp.AllPlatforms() {
-		packed, okP := run(spec.Kind, false)
-		padded, okA := run(spec.Kind, true)
+	for _, kind := range platform.Kinds() {
+		packed, okP := run(kind, false)
+		padded, okA := run(kind, true)
 		status := ""
 		if !okP || !okA {
 			status = "  BALANCE VIOLATION!"
 		}
-		fmt.Printf("%-12s  %-14.1f  %-14.1f%s\n", spec.Kind, packed, padded, status)
+		fmt.Printf("%-12s  %-14.1f  %-14.1f%s\n", kind, packed, padded, status)
 	}
 	fmt.Println("\nLarger conflict-detection lines (zEC12: 256 B) suffer more from")
 	fmt.Println("packed accounts — the false-conflict effect behind the paper's")

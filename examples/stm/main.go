@@ -10,7 +10,9 @@ import (
 	"fmt"
 	"os"
 
-	"htmcmp"
+	"htmcmp/internal/harness"
+	"htmcmp/internal/platform"
+	"htmcmp/internal/stamp"
 )
 
 func main() {
@@ -22,13 +24,13 @@ func main() {
 	fmt.Printf("%s on the zEC12 model: HTM vs NOrec STM (sim scale)\n\n", bench)
 	fmt.Printf("%-8s %-10s %-10s %-10s %-10s\n", "threads", "HTM", "STM", "HTM abort%", "STM abort%")
 	for _, threads := range []int{1, 2, 4, 8} {
-		row := [2]htmcmp.RunResult{}
+		row := [2]harness.Result{}
 		for i, useSTM := range []bool{false, true} {
-			res, err := htmcmp.Measure(htmcmp.RunSpec{
-				Platform:  htmcmp.ZEC12,
+			res, err := harness.Run(harness.RunSpec{
+				Platform:  platform.ZEC12,
 				Benchmark: bench,
 				Threads:   threads,
-				Scale:     htmcmp.ScaleSim,
+				Scale:     stamp.ScaleSim,
 				Repeats:   1,
 				UseSTM:    useSTM,
 			})
