@@ -95,11 +95,17 @@ func main() {
 	if *chaosReport != "" && !*chaosOn {
 		usageError(fmt.Errorf("-chaos-report needs -chaos: without it nothing is injected to report"))
 	}
+	if *cacheDir == "" && !*noCache {
+		usageError(fmt.Errorf("-cache-dir is empty: name a directory, or give -no-cache"))
+	}
+	if *noCache {
+		*cacheDir = ""
+	}
 
-	// Every output is created before any work, so a path that cannot be
-	// written fails here in one line; from here on every exit goes through
-	// exit, which writes them all.
-	outs, err := createOutputs(*cpuProfile, *memProfile, *metricsPath, *chaosReport, *traceDir)
+	// Every output, the cache directory included, is created before any
+	// work, so a path that cannot be written fails here in one line; from
+	// here on every exit goes through exit, which writes them all.
+	outs, err := createOutputs(*cpuProfile, *memProfile, *metricsPath, *chaosReport, *traceDir, *cacheDir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "htmbench: %v\n", err)
 		os.Exit(1)
@@ -113,14 +119,6 @@ func main() {
 	}
 	*resume = reconcileTraceResume(*traceDir, *resume, os.Stderr)
 
-	var store *cache.Store
-	if !*noCache {
-		var err error
-		store, err = cache.Open(*cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "htmbench: %v (continuing without cache)\n", err)
-		}
-	}
 	var progressW io.Writer
 	if *progress {
 		progressW = os.Stderr
@@ -132,7 +130,7 @@ func main() {
 	}
 	sched := sweep.New(sweep.Config{
 		Jobs:     *jobs,
-		Cache:    store,
+		Cache:    outs.store,
 		Resume:   *resume,
 		Timeout:  *cellTimeout,
 		Progress: progressW,
@@ -192,19 +190,21 @@ func phase(name string, f func()) {
 	pprof.Do(context.Background(), pprof.Labels("phase", name), func(context.Context) { f() })
 }
 
-// outputs are the files a run writes besides its tables, each created
-// before any work so that a path that cannot be written costs nothing.
-// finish writes them; a nil field is an output not asked for.
+// outputs are the files a run writes besides its tables, and the cache it
+// fills, each created before any work so that a path that cannot be written
+// costs nothing. finish writes the files; a nil field is an output not asked
+// for.
 type outputs struct {
 	cpu, heap, metrics, chaos *os.File
+	store                     *cache.Store
 }
 
-// createOutputs opens every output file and creates the trace directory,
-// then starts the CPU profile. The first that fails is the error, and a
-// failure leaves nothing behind: files this call created are removed again,
-// and a file that already existed is truncated only once every output has
-// opened.
-func createOutputs(cpuPath, heapPath, metricsPath, chaosPath, traceDir string) (o *outputs, err error) {
+// createOutputs opens every output file, creates the trace directory and
+// opens the cache in cacheDir ("" for none), then starts the CPU profile.
+// The first that fails is the error, and a failure leaves no file behind:
+// files this call created are removed again, and a file that already
+// existed is truncated only once every output has opened.
+func createOutputs(cpuPath, heapPath, metricsPath, chaosPath, traceDir, cacheDir string) (o *outputs, err error) {
 	o = &outputs{}
 	var opened []*os.File
 	var made []string
@@ -241,6 +241,11 @@ func createOutputs(cpuPath, heapPath, metricsPath, chaosPath, traceDir string) (
 	if traceDir != "" {
 		if err := os.MkdirAll(traceDir, 0o755); err != nil {
 			return nil, fmt.Errorf("trace-dir: %w", err)
+		}
+	}
+	if cacheDir != "" {
+		if o.store, err = cache.Open(cacheDir); err != nil {
+			return nil, fmt.Errorf("cache-dir: %w", err)
 		}
 	}
 	for _, f := range opened {

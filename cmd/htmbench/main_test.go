@@ -163,7 +163,8 @@ func runMain(t *testing.T, args ...string) (dir, stdout, stderr string, err erro
 // status 1, to the same standard: -metrics and -memprofile used to run the
 // whole sweep, then print the error and exit 0, and an output that failed
 // after another was created left the first behind, empty. So is a
-// -trace-dir that cannot be made, before the cache directory is. A flag
+// -trace-dir that cannot be made, before the cache directory is, and a
+// -cache-dir that cannot be: it used to run the whole sweep uncached. A flag
 // that no longer exists (-http, with the live-telemetry stack) gets the
 // flag package's own message and usage text, to the same standard.
 func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
@@ -188,6 +189,9 @@ func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 		{[]string{"-chaos", "-chaos-report", "no-such-dir/report.json"}, 1},
 		{[]string{"-cpuprofile", "cpu.pprof", "-metrics", "no-such-dir/metrics.json"}, 1},
 		{[]string{"-trace-dir", "/dev/null/traces"}, 1},
+		{[]string{"-cache-dir", ""}, 2},
+		{[]string{"-cache-dir", "/dev/null/x", "-exp", "fig6", "-scale", "test"}, 1},
+		{[]string{"-metrics", "metrics.json", "-cache-dir", "/dev/null/x"}, 1},
 	} {
 		args := tc.args
 		dir, stdout, msg, err := runMain(t, args...)

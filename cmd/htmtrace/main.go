@@ -109,13 +109,13 @@ func checkFlags(threads, top int) error {
 	return nil
 }
 
-// eventsOnly rejects a flag that only -events reads (-jsonl, -perfetto,
-// -top) on a run without -events: the footprint report would ignore it and
-// write no file.
+// eventsOnly rejects a flag that only -events reads (-threads, -jsonl,
+// -perfetto, -top) on a run without -events: the single-threaded footprint
+// report would ignore it.
 func eventsOnly() error {
 	var err error
 	flag.Visit(func(f *flag.Flag) {
-		if err == nil && (f.Name == "jsonl" || f.Name == "perfetto" || f.Name == "top") {
+		if err == nil && (f.Name == "threads" || f.Name == "jsonl" || f.Name == "perfetto" || f.Name == "top") {
 			err = fmt.Errorf("-%s needs -events", f.Name)
 		}
 	})

@@ -150,15 +150,17 @@ func main() {
 		// Every layer reads a zero seed as unset and runs seed 42.
 		err = fmt.Errorf("-seed must be 1 or more: seed 0 would run seed 42")
 	}
+	if err == nil && *cacheDir == "" && !*noCache {
+		err = fmt.Errorf("-cache-dir is empty: name a directory, or give -no-cache")
+	}
 	if err != nil {
 		exit(2, err)
 	}
 
 	var store *cache.Store
 	if !*noCache {
-		store, err = cache.Open(*cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "htmtune: %v (continuing without cache)\n", err)
+		if store, err = cache.Open(*cacheDir); err != nil {
+			exit(1, fmt.Errorf("-cache-dir: %w", err))
 		}
 	}
 	eval := schedulerEval(sweep.New(sweep.Config{

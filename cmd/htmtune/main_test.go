@@ -95,19 +95,26 @@ func TestMain(m *testing.M) {
 // one htmtune: line on stderr and exit status 2, with nothing on stdout and
 // no cache directory created. -threads 300 used to panic inside a sweep
 // cell, -threads 0 to print "with 0 threads" and measure 4, -seed 0 to run
-// seed 42.
+// seed 42. A -cache-dir that cannot be created is exit status 1 to the same
+// standard: it used to run the whole search uncached.
 func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
-	for _, args := range [][]string{
-		{"-threads", "0"},
-		{"-threads", "300"},
-		{"-rounds", "-1"},
-		{"-repeats", "0"},
-		{"-jobs", "0"},
-		{"-bench", "nosuch"},
-		{"-platform", "sparc"},
-		{"-scale", "huge"},
-		{"-seed", "0"},
+	for _, tc := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-threads", "0"}, 2},
+		{[]string{"-threads", "300"}, 2},
+		{[]string{"-rounds", "-1"}, 2},
+		{[]string{"-repeats", "0"}, 2},
+		{[]string{"-jobs", "0"}, 2},
+		{[]string{"-bench", "nosuch"}, 2},
+		{[]string{"-platform", "sparc"}, 2},
+		{[]string{"-scale", "huge"}, 2},
+		{[]string{"-seed", "0"}, 2},
+		{[]string{"-cache-dir", ""}, 2},
+		{[]string{"-cache-dir", "/dev/null/x", "-scale", "test", "-rounds", "0"}, 1},
 	} {
+		args := tc.args
 		dir := t.TempDir()
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Dir = dir
@@ -116,8 +123,8 @@ func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("htmtune %v: %v, want exit status 2\nstderr: %s", args, err, stderr.String())
+		if !errors.As(err, &exit) || exit.ExitCode() != tc.code {
+			t.Errorf("htmtune %v: %v, want exit status %d\nstderr: %s", args, err, tc.code, stderr.String())
 		}
 		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "htmtune: "+args[0]) {
 			t.Errorf("htmtune %v: stderr %q, want one htmtune: line naming %s", args, msg, args[0])

@@ -37,8 +37,6 @@ package adapt
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"htmcmp/internal/chaos"
 	"htmcmp/internal/obs"
@@ -250,17 +248,15 @@ type Transition struct {
 }
 
 // Controller owns the per-site state. One controller serves all executors of
-// a run; it is safe for concurrent use (per-site locking — under the
-// virtual-time scheduler only one thread runs at a time, so decisions are
-// deterministic for a fixed seed).
+// a run, which the virtual-time scheduler runs one at a time on one
+// goroutine, so decisions are deterministic for a fixed seed.
 type Controller struct {
 	cfg Config
 
-	mu    sync.RWMutex
 	sites map[uintptr]*Site
 	order []*Site
 
-	switches atomic.Uint64
+	switches uint64
 }
 
 // NewController builds a controller with cfg (zero Config = defaults).
@@ -273,24 +269,16 @@ func (c *Controller) Config() Config { return c.cfg }
 
 // Switches returns the total number of steady-mode transitions across all
 // sites.
-func (c *Controller) Switches() uint64 { return c.switches.Load() }
+func (c *Controller) Switches() uint64 { return c.switches }
 
 // SiteFor returns the site state for a transaction-site key, creating it in
 // ModeHTM on first use. Keys are opaque; internal/tm uses the body's code
 // pointer, which identifies the static call site.
 func (c *Controller) SiteFor(key uintptr) *Site {
-	c.mu.RLock()
-	s := c.sites[key]
-	c.mu.RUnlock()
-	if s != nil {
+	if s := c.sites[key]; s != nil {
 		return s
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s = c.sites[key]; s != nil {
-		return s
-	}
-	s = &Site{ctl: c, id: uint32(len(c.order)), win: make([]entry, c.cfg.Window)}
+	s := &Site{ctl: c, id: uint32(len(c.order)), win: make([]entry, c.cfg.Window)}
 	if c.cfg.Faults != nil {
 		s.faults = c.cfg.Faults.Stream(int(s.id))
 	}
@@ -311,17 +299,12 @@ type SiteSnapshot struct {
 
 // Sites returns a snapshot of every site in creation order.
 func (c *Controller) Sites() []SiteSnapshot {
-	c.mu.RLock()
-	order := append([]*Site(nil), c.order...)
-	c.mu.RUnlock()
-	out := make([]SiteSnapshot, 0, len(order))
-	for _, s := range order {
-		s.mu.Lock()
+	out := make([]SiteSnapshot, 0, len(c.order))
+	for _, s := range c.order {
 		out = append(out, SiteSnapshot{
 			ID: s.id, Mode: s.mode, Probing: s.probing,
 			Transitions: s.transitions, Commits: s.commits, Aborts: s.aborts,
 		})
-		s.mu.Unlock()
 	}
 	return out
 }
@@ -335,7 +318,6 @@ type Site struct {
 	// injection stay reproducible.
 	faults *chaos.Stream
 
-	mu   sync.Mutex
 	mode Mode // steady mode
 
 	// window ring of recent outcomes with per-entry counts.
@@ -360,11 +342,7 @@ type Site struct {
 func (s *Site) ID() uint32 { return s.id }
 
 // Mode returns the site's current steady mode.
-func (s *Site) Mode() Mode {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mode
-}
+func (s *Site) Mode() Mode { return s.mode }
 
 func (s *Site) record(e entry) {
 	if s.winLen == len(s.win) {
@@ -389,15 +367,15 @@ func (s *Site) resetWindow() {
 	}
 }
 
-// transitionLocked switches the steady mode; callers hold s.mu.
-func (s *Site) transitionLocked(to Mode) Transition {
+// transition switches the steady mode.
+func (s *Site) transition(to Mode) Transition {
 	from := s.mode
 	if from == to {
 		return Transition{}
 	}
 	s.mode = to
 	s.transitions++
-	s.ctl.switches.Add(1)
+	s.ctl.switches++
 	if to == ModeHTM {
 		// Promotion: fresh history and base probation for the next demotion.
 		s.resetWindow()
@@ -415,8 +393,6 @@ func (s *Site) transitionLocked(to Mode) Transition {
 // per-execution cursor.
 func (s *Site) Begin() Txn {
 	cfg := &s.ctl.cfg
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.mode != ModeHTM && !s.probing {
 		due := s.probation
 		if due == 0 {
@@ -424,7 +400,7 @@ func (s *Site) Begin() Txn {
 		}
 		if s.commitsSinceDemote >= due {
 			s.probing = true
-			s.probeTarget = s.probeTargetLocked()
+			s.probeTarget = s.probeMode()
 			s.probeWins = 0
 		}
 	}
@@ -437,10 +413,10 @@ func (s *Site) Begin() Txn {
 	return Txn{site: s, mode: mode, probe: probe}
 }
 
-// probeTargetLocked picks where a demoted site probes: normally HTM, but a
+// probeMode picks where a demoted site probes: normally HTM, but a
 // lock-mode site whose window is capacity-dominated probes STM instead —
 // hardware will just overflow again, software has no capacity limit.
-func (s *Site) probeTargetLocked() Mode {
+func (s *Site) probeMode() Mode {
 	if s.mode == ModeLock && s.counts[entryAbortCapacity] > s.counts[entryAbortConflict] {
 		return ModeSTM
 	}
@@ -489,13 +465,11 @@ func (t *Txn) Backoff(intn func(n int) int) int {
 func (t *Txn) Abort(c Class) Transition {
 	s := t.site
 	cfg := &s.ctl.cfg
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.aborts++
 	t.attempts++
 
 	if t.probe {
-		return t.abortProbeLocked(c)
+		return t.abortProbe(c)
 	}
 
 	switch t.mode {
@@ -513,7 +487,7 @@ func (t *Txn) Abort(c Class) Transition {
 				if s.counts[entryAbortConflict] >= cfg.LockDemote {
 					to = ModeLock
 				}
-				tr := s.transitionLocked(to)
+				tr := s.transition(to)
 				t.mode = to
 				t.probe = false
 				return tr
@@ -557,7 +531,7 @@ func (t *Txn) Abort(c Class) Transition {
 		}
 		s.record(entryAbortSTM)
 		if s.counts[entryAbortSTM] >= cfg.STMDemote {
-			tr := s.transitionLocked(ModeLock)
+			tr := s.transition(ModeLock)
 			t.mode = ModeLock
 			return tr
 		}
@@ -573,11 +547,11 @@ func (t *Txn) Abort(c Class) Transition {
 	return Transition{}
 }
 
-// abortProbeLocked handles an abort during a probation probe: capacity
+// abortProbe handles an abort during a probation probe: capacity
 // aborts fail the probe immediately (the demotion cause persists), anything
 // else gets ProbeRetry attempts. A failed probe returns the execution to the
 // steady demoted mode and lengthens the probation.
-func (t *Txn) abortProbeLocked(c Class) Transition {
+func (t *Txn) abortProbe(c Class) Transition {
 	s := t.site
 	cfg := &s.ctl.cfg
 	failed := c == ClassCapacity || c == ClassSTMConflict || t.attempts >= cfg.ProbeRetry
@@ -622,8 +596,6 @@ func (t *Txn) abortProbeLocked(c Class) Transition {
 func (t *Txn) Commit() Transition {
 	s := t.site
 	cfg := &s.ctl.cfg
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.commits[t.mode]++
 	switch t.mode {
 	case ModeHTM:
@@ -637,7 +609,7 @@ func (t *Txn) Commit() Transition {
 	if t.probe {
 		s.probeWins++
 		if s.probeWins >= cfg.ProbeWins {
-			return s.transitionLocked(t.mode)
+			return s.transition(t.mode)
 		}
 		return Transition{}
 	}
@@ -647,7 +619,7 @@ func (t *Txn) Commit() Transition {
 	// the probation machinery eventually climbs back — the cost is wasted
 	// transitions, which is exactly what the chaos suite measures.
 	if s.faults != nil && s.faults.Roll(chaos.ModeThrash) {
-		return s.transitionLocked(Mode((uint8(s.mode) + 1) % uint8(numModes)))
+		return s.transition(Mode((uint8(s.mode) + 1) % uint8(numModes)))
 	}
 
 	switch {
@@ -657,7 +629,7 @@ func (t *Txn) Commit() Transition {
 		// One-shot fallback commits: enough of them demote the site — it is
 		// serialising anyway, so stop paying for the failed speculation.
 		if s.counts[entryCommitLock] >= cfg.LockDemote {
-			return s.transitionLocked(ModeLock)
+			return s.transition(ModeLock)
 		}
 	}
 	return Transition{}

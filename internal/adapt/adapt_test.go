@@ -393,7 +393,7 @@ func TestPromotionResetsHistory(t *testing.T) {
 }
 
 // TestControllerBookkeeping covers site identity, switch counting and
-// snapshots — the bits the harness report consumes.
+// snapshots — the oracles tm's TestAdaptiveHybridCorrectness reads.
 func TestControllerBookkeeping(t *testing.T) {
 	ctl := NewController(Config{Window: 8, CapacityDemote: 2})
 	a, b := ctl.SiteFor(100), ctl.SiteFor(200)

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"htmcmp/internal/chaos"
 	"htmcmp/internal/htm"
@@ -36,8 +35,8 @@ import (
 type Regions struct {
 	mu        sync.Mutex
 	families  map[regionKey][]*flight // by regionKey.family
-	simulated atomic.Int64
-	served    atomic.Int64
+	simulated int                     // guarded by mu, as served is
+	served    int
 }
 
 // NewRegions returns an empty memo.
@@ -48,11 +47,19 @@ func NewRegions() *Regions {
 // Simulated reports how many regions r has simulated: one per class of
 // requested regions that serve each other, plus one per retry of a region
 // that failed.
-func (r *Regions) Simulated() int { return int(r.simulated.Load()) }
+func (r *Regions) Simulated() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.simulated
+}
 
 // Served reports how many distinct regions r answered from another member
 // of their budget family instead of simulating them.
-func (r *Regions) Served() int { return int(r.served.Load()) }
+func (r *Regions) Served() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.served
+}
 
 // Measure implements Exec by running the cell on the spot, through r.
 func (r *Regions) Measure(spec RunSpec, tune bool) (Result, error) {
@@ -228,15 +235,15 @@ func (r *Regions) do(k regionKey, sim func() (region, error)) (region, error) {
 		if f.serves(k) {
 			// Memoise k itself, so a repeat of k is an exact hit.
 			r.families[fam] = append(r.families[fam], &flight{key: k, done: f.done, region: f.region})
+			r.served++
 			r.mu.Unlock()
-			r.served.Add(1)
 			return f.region, nil
 		}
 	}
 	f := &flight{key: k, done: make(chan struct{})}
 	r.families[fam] = append(r.families[fam], f)
+	r.simulated++
 	r.mu.Unlock()
-	r.simulated.Add(1)
 	defer func() {
 		p := recover()
 		if p != nil {

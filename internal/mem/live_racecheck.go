@@ -2,10 +2,7 @@
 
 package mem
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // debugChecks enables the shadow allocation tracker: an exact live map that
 // cross-checks the classTab side table on every alloc and free. Catches
@@ -14,7 +11,6 @@ import (
 const debugChecks = true
 
 type liveTracker struct {
-	mu   sync.Mutex
 	live map[uint64]int
 }
 
@@ -23,14 +19,10 @@ func (l *liveTracker) init() {
 }
 
 func (l *liveTracker) reset() {
-	l.mu.Lock()
 	clear(l.live)
-	l.mu.Unlock()
 }
 
 func (l *liveTracker) alloc(a uint64, n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if old, ok := l.live[a]; ok {
 		panic(fmt.Sprintf("mem: racecheck: alloc at %#x overlaps live %d-byte block", a, old))
 	}
@@ -38,8 +30,6 @@ func (l *liveTracker) alloc(a uint64, n int) {
 }
 
 func (l *liveTracker) free(a uint64, n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	got, ok := l.live[a]
 	if !ok {
 		panic(fmt.Sprintf("mem: racecheck: free of non-live address %#x", a))

@@ -12,20 +12,21 @@
 // detection and store buffering on top of the same arena.
 //
 // The allocator is allocation-free on the host side: blocks come from
-// per-arena size-class free lists (owner-thread-only, no locks) backed by a
-// lock-free global bump pointer, and block metadata lives in a flat
-// class-index side table (one byte per 8-byte granule) instead of a map.
-// Allocation order — and therefore every simulated address, and therefore
-// every conflict line — is identical to the previous mutex+map
-// implementation, which the full-sweep golden byte-identity test pins.
+// per-arena size-class free lists backed by a global bump pointer, and block
+// metadata lives in a flat class-index side table (one byte per 8-byte
+// granule) instead of a map. Allocation order — and therefore every
+// simulated address, and therefore every conflict line — is pinned by the
+// full-sweep golden byte-identity test.
+//
+// One goroutine drives a Space at a time: an engine region runs all its
+// threads on one goroutine (htm.Engine.Run), and a pooled Space passes
+// whole from one owner to the next. Nothing here locks.
 package mem
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Addr is a simulated memory address: a byte offset into a Space's arena.
@@ -51,23 +52,19 @@ const (
 )
 
 // Space is a simulated flat memory arena with per-arena size-class free
-// lists over a lock-free bump allocator. The zero value is not usable;
-// construct with NewSpace.
-//
-// Concurrency contract: the global bump pointer and the used counter are
-// atomics, so concurrent AllocArena/FreeArena calls on *different* arena IDs
-// are safe without locks; each arena ID must be driven by at most one
-// goroutine at a time (the engine maps arena ID to hardware-thread slot).
-// Arena 0 — the Alloc/Free default — is for single-threaded setup/teardown.
+// lists over a bump allocator. The zero value is not usable; construct with
+// NewSpace. One goroutine drives a Space at a time (see the package comment).
+// The engine maps arena ID to hardware-thread slot; arena 0 — the
+// Alloc/Free default — is for setup and teardown.
 //
 // Raw accessors (Load*/Store*) perform no conflict tracking and must only be
-// used during single-threaded setup/teardown or for provably thread-private
-// data; concurrent phases go through the HTM engine.
+// used during setup/teardown or for provably thread-private data; the
+// simulated threads' shared accesses go through the HTM engine.
 type Space struct {
 	data []byte
 
-	next atomic.Uint64 // global bump pointer (always 8-byte aligned)
-	used atomic.Uint64 // bytes currently allocated
+	next uint64 // global bump pointer (always 8-byte aligned)
+	used uint64 // bytes currently allocated
 
 	// classTab holds, for every 8-byte granule that starts a live block,
 	// the block's size-class index + 1 (0 = not a block start). It replaces
@@ -84,15 +81,13 @@ type Space struct {
 	// way per-thread malloc arenas (and STAMP's thread-local pools) keep
 	// concurrently allocating threads off each other's cache lines.
 	// Without this, transactions that allocate get adjacent blocks and
-	// conflict falsely on every allocation. Each arena is owner-only, so
-	// the array needs no lock.
+	// conflict falsely on every allocation.
 	arenas []arena
 
 	// regions are the labelled address ranges (Label/RegionAt), sorted by
 	// start address on first lookup (regionsDirty). Setup-time only;
 	// observability tooling reads them to name abort-attribution hot spots
 	// symbolically.
-	regionMu     sync.Mutex
 	regions      []region
 	regionsDirty bool
 }
@@ -108,7 +103,7 @@ type region struct {
 // space at a time. It is line-aligned (256 is the largest modelled line).
 const arenaChunk = 8 << 10
 
-// arena is one thread-private allocation context. All fields are owner-only.
+// arena is one thread-private allocation context.
 type arena struct {
 	cur, end uint64
 	// free holds one LIFO free list per size class, allocated on first
@@ -130,7 +125,7 @@ func NewSpace(size int) *Space {
 		arenas:   make([]arena, maxArenas),
 	}
 	s.live.init()
-	s.next.Store(WordSize) // reserve address 0 as nil
+	s.next = WordSize // reserve address 0 as nil
 	return s
 }
 
@@ -143,11 +138,11 @@ func NewSpace(size int) *Space {
 // tests and the sweep golden output). Call only while no thread is using
 // the Space.
 func (s *Space) Reset() {
-	hi := s.next.Load()
+	hi := s.next
 	clear(s.data[:hi])
 	clear(s.classTab[:(hi+WordSize-1)/WordSize])
-	s.next.Store(WordSize)
-	s.used.Store(0)
+	s.next = WordSize
+	s.used = 0
 	for i := range s.arenas {
 		ar := &s.arenas[i]
 		ar.cur, ar.end = 0, 0
@@ -155,10 +150,8 @@ func (s *Space) Reset() {
 			ar.free[c] = ar.free[c][:0]
 		}
 	}
-	s.regionMu.Lock()
 	s.regions = s.regions[:0]
 	s.regionsDirty = false
-	s.regionMu.Unlock()
 	s.live.reset()
 }
 
@@ -166,7 +159,7 @@ func (s *Space) Reset() {
 func (s *Space) Size() int { return len(s.data) }
 
 // Used returns the number of bytes currently allocated.
-func (s *Space) Used() uint64 { return s.used.Load() }
+func (s *Space) Used() uint64 { return s.used }
 
 // Data exposes the raw arena. It is intended for the HTM engine's commit
 // write-back and for tests; workloads should not touch it directly.
@@ -224,8 +217,8 @@ func (s *Space) AllocAligned(size int, align int) Addr {
 	return s.AllocArena(size, align, 0)
 }
 
-// AllocArena allocates from the given thread arena. Concurrent allocators on
-// different arenas never receive blocks in the same chunk.
+// AllocArena allocates from the given thread arena. Different arenas never
+// receive blocks in the same chunk.
 func (s *Space) AllocArena(size, align, arenaID int) Addr {
 	if align < WordSize {
 		align = WordSize
@@ -267,7 +260,7 @@ func (s *Space) AllocArena(size, align, arenaID int) Addr {
 		// spaces), in which case the block is served from the global
 		// region directly.
 		start, ok := uint64(0), false
-		if s.next.Load()+arenaChunk+256 <= uint64(len(s.data)) {
+		if s.next+arenaChunk+256 <= uint64(len(s.data)) {
 			start, ok = s.bumpTry(arenaChunk, 256)
 		}
 		if !ok {
@@ -286,24 +279,19 @@ func (s *Space) AllocArena(size, align, arenaID int) Addr {
 // mark records a fresh allocation in the side table and counters.
 func (s *Space) mark(a uint64, ci, cls int) {
 	s.classTab[a/WordSize] = uint8(ci + 1)
-	s.used.Add(uint64(cls))
+	s.used += uint64(cls)
 	s.live.alloc(a, cls)
 }
 
-// bumpTry advances the global bump pointer by a lock-free CAS, returning
-// ok=false when the space cannot satisfy the request.
+// bumpTry advances the global bump pointer, returning ok=false when the
+// space cannot satisfy the request.
 func (s *Space) bumpTry(n, align uint64) (uint64, bool) {
-	for {
-		cur := s.next.Load()
-		a := (cur + align - 1) &^ (align - 1)
-		end := a + n
-		if end > uint64(len(s.data)) {
-			return 0, false
-		}
-		if s.next.CompareAndSwap(cur, end) {
-			return a, true
-		}
+	a := (s.next + align - 1) &^ (align - 1)
+	if a+n > uint64(len(s.data)) {
+		return 0, false
 	}
+	s.next = a + n
+	return a, true
 }
 
 // bump is bumpTry with the exhaustion panic.
@@ -311,7 +299,7 @@ func (s *Space) bump(n, align uint64) uint64 {
 	a, ok := s.bumpTry(n, align)
 	if !ok {
 		panic(fmt.Sprintf("mem: space exhausted: need %d bytes, size %d (used %d)",
-			n, len(s.data), s.used.Load()))
+			n, len(s.data), s.used))
 	}
 	return a
 }
@@ -344,7 +332,7 @@ func (s *Space) FreeArena(a Addr, arenaID int) {
 	cls := classSize(ci)
 	s.live.free(a, cls)
 	s.classTab[a/WordSize] = 0
-	s.used.Add(^uint64(cls - 1)) // atomic subtract
+	s.used -= uint64(cls)
 	ar := &s.arenas[arenaID]
 	if ar.free == nil {
 		ar.free = make([][]uint64, numClasses)
@@ -359,22 +347,18 @@ func (s *Space) FreeArena(a Addr, arenaID int) {
 // address. Labels are informational only: they do not affect allocation or
 // conflict detection. Overlapping labels resolve to the innermost one (the
 // covering region with the greatest start address; ties go to the most
-// recently added). Call during single-threaded setup.
+// recently added). Call during setup.
 func (s *Space) Label(a Addr, size int, name string) {
 	if size <= 0 || name == "" {
 		return
 	}
-	s.regionMu.Lock()
-	defer s.regionMu.Unlock()
 	s.regions = append(s.regions, region{start: a, size: uint64(size), name: name})
 	s.regionsDirty = true
 }
 
 // RegionAt returns the label covering address a, or "" when a falls in no
-// labelled region. Safe for concurrent use once setup is done.
+// labelled region.
 func (s *Space) RegionAt(a Addr) string {
-	s.regionMu.Lock()
-	defer s.regionMu.Unlock()
 	if s.regionsDirty {
 		sort.SliceStable(s.regions, func(i, j int) bool {
 			return s.regions[i].start < s.regions[j].start

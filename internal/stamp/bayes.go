@@ -2,7 +2,6 @@ package stamp
 
 import (
 	"fmt"
-	"sync"
 
 	"htmcmp/internal/htm"
 	"htmcmp/internal/mem"
@@ -39,7 +38,6 @@ type bayes struct {
 	vars  []mem.Addr
 	tasks txds.Heap
 
-	mu        sync.Mutex
 	processed int
 	inserted  int
 }
@@ -155,12 +153,10 @@ func (b *bayes) Run(runners []Runner) {
 				}
 			})
 			r.Thread().Work(80) // score evaluation arithmetic
-			b.mu.Lock()
 			b.processed++
 			if didInsert {
 				b.inserted++
 			}
-			b.mu.Unlock()
 		}
 	})
 }
@@ -239,8 +235,4 @@ func (b *bayes) Validate(t *htm.Thread) error {
 	return nil
 }
 
-func (b *bayes) Units() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.processed
-}
+func (b *bayes) Units() int { return b.processed }

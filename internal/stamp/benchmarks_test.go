@@ -52,8 +52,8 @@ func TestIntruderCountsInjectedAttacks(t *testing.T) {
 	if in.nAttacks == 0 {
 		t.Fatal("no attacks were injected; the detector is untested")
 	}
-	if got := int(in.found.Load()); got != in.nAttacks {
-		t.Errorf("found %d attacks, injected %d", got, in.nAttacks)
+	if in.found != in.nAttacks {
+		t.Errorf("found %d attacks, injected %d", in.found, in.nAttacks)
 	}
 }
 

@@ -2,7 +2,6 @@ package stamp
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"htmcmp/internal/htm"
 	"htmcmp/internal/mem"
@@ -40,8 +39,8 @@ type intruder struct {
 	decoder  dict
 	nAttacks int // injected ground truth
 
-	found     atomic.Int64
-	done      atomic.Int64
+	found     int
+	done      int
 	units     int
 	fragTotal int
 }
@@ -133,8 +132,7 @@ func (b *intruder) Setup(t *htm.Thread) {
 		b.queue.Push(t, p.rec)
 	}
 	b.decoder = newDict(t, b.cfg.Variant, 4*b.nFlows)
-	b.found.Store(0)
-	b.done.Store(0)
+	b.found, b.done = 0, 0
 }
 
 func sortInts(xs []int) {
@@ -238,9 +236,9 @@ func (b *intruder) Run(runners []Runner) {
 			// Detection phase: private scan, outside any transaction.
 			if assembled != 0 {
 				if scanForSignature(r.Thread(), assembled, assembledLen) {
-					b.found.Add(1)
+					b.found++
 				}
-				b.done.Add(1)
+				b.done++
 			}
 		}
 	})
@@ -269,11 +267,11 @@ func scanForSignature(t *htm.Thread, buf mem.Addr, n int) bool {
 }
 
 func (b *intruder) Validate(t *htm.Thread) error {
-	if got := int(b.done.Load()); got != b.nFlows {
-		return fmt.Errorf("intruder: %d flows reassembled, want %d", got, b.nFlows)
+	if b.done != b.nFlows {
+		return fmt.Errorf("intruder: %d flows reassembled, want %d", b.done, b.nFlows)
 	}
-	if got := int(b.found.Load()); got != b.nAttacks {
-		return fmt.Errorf("intruder: %d attacks detected, want %d", got, b.nAttacks)
+	if b.found != b.nAttacks {
+		return fmt.Errorf("intruder: %d attacks detected, want %d", b.found, b.nAttacks)
 	}
 	if !b.queue.Empty(t) {
 		return fmt.Errorf("intruder: packet queue not drained")

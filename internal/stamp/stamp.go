@@ -164,7 +164,7 @@ type Benchmark interface {
 	// Setup builds the input state in simulated memory using t (non-tx).
 	Setup(t *htm.Thread)
 	// Run executes the benchmark's region of interest on the given
-	// runners, one worker goroutine per runner, and blocks until done.
+	// runners, one simulated thread per runner, and returns when done.
 	// With a single SeqRunner it is the sequential baseline.
 	Run(runners []Runner)
 	// Validate checks output consistency after Run.

@@ -2,7 +2,6 @@ package stamp
 
 import (
 	"fmt"
-	"sync"
 
 	"htmcmp/internal/htm"
 	"htmcmp/internal/mem"
@@ -40,7 +39,6 @@ type yada struct {
 
 	heap txds.Heap
 
-	mu        sync.Mutex
 	triangles []mem.Addr // all ever-created triangles (for validation)
 
 	refinements int // bad triangles actually refined
@@ -271,14 +269,12 @@ func (y *yada) Run(runners []Runner) {
 				continue // raced with a cavity kill: take the next item
 			}
 			r.Thread().Work(150) // geometry arithmetic of one refinement
-			y.mu.Lock()
 			y.triangles = append(y.triangles, created...)
 			y.refinements++
 			y.preempted += preempted
 			if spawnedOne {
 				y.spawned++
 			}
-			y.mu.Unlock()
 		}
 	})
 }
@@ -334,11 +330,7 @@ func (y *yada) Validate(t *htm.Thread) error {
 	return nil
 }
 
-func (y *yada) Units() int {
-	y.mu.Lock()
-	defer y.mu.Unlock()
-	return y.refinements
-}
+func (y *yada) Units() int { return y.refinements }
 
 // UnitsDynamic marks yada's work count as interleaving-dependent: refining
 // one cavity can spawn new bad triangles, and whether a neighbouring cavity

@@ -29,8 +29,8 @@ import (
 // RunIrrevocable entry points.
 type Config struct {
 	Policy Policy
-	// Adapt, when non-nil, enables adaptive mode selection. Controllers may
-	// be shared by all executors of a run (per-site state is locked).
+	// Adapt, when non-nil, enables adaptive mode selection. One controller
+	// is shared by all executors of a run.
 	Adapt *adapt.Controller
 }
 

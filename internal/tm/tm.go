@@ -7,8 +7,6 @@
 package tm
 
 import (
-	"sync/atomic"
-
 	"htmcmp/internal/adapt"
 	"htmcmp/internal/htm"
 	"htmcmp/internal/mem"
@@ -22,9 +20,9 @@ import (
 // falling-back thread writes it — exactly the hardware mechanism the paper
 // relies on.
 type GlobalLock struct {
-	addr  mem.Addr
-	state atomic.Int32 // mirrors the simulated word for cheap spinning
-	// SpinUntil predicates over state, built once.
+	addr mem.Addr
+	held bool // mirrors the simulated word for cheap spinning
+	// SpinUntil predicates over held, built once.
 	tryAcquire, isFree func() bool
 }
 
@@ -35,8 +33,14 @@ func NewGlobalLock(e *htm.Engine) *GlobalLock {
 	a := e.Space().AllocAligned(e.LineSize(), e.LineSize())
 	e.Space().Label(a, e.LineSize(), "tm/global-lock")
 	l := &GlobalLock{addr: a}
-	l.tryAcquire = func() bool { return l.state.CompareAndSwap(0, 1) }
-	l.isFree = func() bool { return l.state.Load() == 0 }
+	l.tryAcquire = func() bool {
+		if l.held {
+			return false
+		}
+		l.held = true
+		return true
+	}
+	l.isFree = func() bool { return !l.held }
 	return l
 }
 
@@ -45,7 +49,7 @@ func (l *GlobalLock) Addr() mem.Addr { return l.addr }
 
 // Held reports whether the lock is currently held (Go-side fast check, used
 // by the retry mechanism's post-abort classification, Figure 1 line 13).
-func (l *GlobalLock) Held() bool { return l.state.Load() != 0 }
+func (l *GlobalLock) Held() bool { return l.held }
 
 // SubscribedHeld reads the lock word transactionally, putting it into the
 // transaction's read set (Figure 1 line 26: "the global lock is first
@@ -57,7 +61,7 @@ func (l *GlobalLock) SubscribedHeld(t *htm.Thread) bool {
 // Acquire takes the lock, spinning until free, then writes the simulated
 // lock word non-transactionally — which dooms every subscribed transaction.
 func (l *GlobalLock) Acquire(t *htm.Thread) {
-	if !l.state.CompareAndSwap(0, 1) { // a free lock never enters the scheduler
+	if !l.tryAcquire() { // a free lock never enters the scheduler
 		t.SpinUntil(4, l.tryAcquire)
 	}
 	t.Store64(l.addr, 1)
@@ -66,14 +70,14 @@ func (l *GlobalLock) Acquire(t *htm.Thread) {
 // Release frees the lock.
 func (l *GlobalLock) Release(t *htm.Thread) {
 	t.Store64(l.addr, 0)
-	l.state.Store(0)
+	l.held = false
 }
 
 // WaitUntilFree spins until the lock is released (Figure 1 line 9, avoiding
 // the lemming effect: do not start a transaction that is doomed to abort on
 // the held lock).
 func (l *GlobalLock) WaitUntilFree(t *htm.Thread) {
-	if l.state.Load() != 0 {
+	if l.held {
 		t.SpinUntil(4, l.isFree)
 	}
 }
@@ -220,7 +224,7 @@ func (b *bgqAdaptState) suppressed() bool {
 
 // Executor runs critical sections for one thread: transactionally with the
 // platform's retry mechanism, falling back to the global lock. Create one
-// per worker goroutine with NewExecutor.
+// per simulated thread with NewExecutor.
 type Executor struct {
 	T      *htm.Thread
 	Lock   *GlobalLock

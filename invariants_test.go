@@ -2,8 +2,13 @@ package htmcmp
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -29,6 +34,61 @@ func TestInvariants(t *testing.T) {
 	for _, c := range cacheKeyStructs {
 		for _, msg := range cacheKeyFindings(c) {
 			t.Error(msg)
+		}
+	}
+}
+
+// syncAllowed lists the non-test files under internal/ and cmd/ that may
+// import sync or sync/atomic, each with the goroutines that meet there. An
+// engine region runs all its threads on one goroutine (DESIGN.md §3), so
+// nothing it touches may lock: the only host concurrency is between the
+// sweep's workers.
+var syncAllowed = map[string]string{
+	"internal/htm/pool.go":            "sweep workers Get and Put pooled line tables and Spaces",
+	"internal/htm/adapter.go":         "the Register/BeginWork adapter's member goroutines and its driver (bench/unit.go)",
+	"internal/chaos/chaos.go":         "every sweep worker counts its fired faults in one shared Injector",
+	"internal/harness/regions.go":     "sweep workers share one region memo and wait on each other's flights",
+	"internal/harness/sweep/sweep.go": "sweep workers, each cell's goroutine (abandoned on a timeout) and the cache writer meet in the Scheduler",
+	"internal/harness/sweep/queue.go": "sweep workers pop cells from one longest-first queue",
+	"internal/harness/sweep/plan.go":  "none today: the planning pass runs on htmbench's main goroutine",
+}
+
+// TestSyncImports pins where sync and sync/atomic may be imported: exactly
+// the files syncAllowed names, build-tagged files included.
+func TestSyncImports(t *testing.T) {
+	importing := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() && d.Name() == "testdata" {
+				return err
+			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "sync" || p == "sync/atomic" {
+					importing[filepath.ToSlash(path)] = true
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for path := range importing {
+		if _, ok := syncAllowed[path]; !ok {
+			t.Errorf("%s imports sync or sync/atomic but is not in syncAllowed: nothing inside an engine region may lock", path)
+		}
+	}
+	for path := range syncAllowed {
+		if !importing[path] {
+			t.Errorf("syncAllowed lists %s, which no longer imports sync or sync/atomic: drop it", path)
 		}
 	}
 }
