@@ -1,8 +1,6 @@
 package sweep
 
 import (
-	"sync"
-
 	"htmcmp/internal/features"
 	"htmcmp/internal/harness"
 	"htmcmp/internal/platform"
@@ -17,10 +15,10 @@ import (
 // for. Requests receive zero-valued results, so the tables of the planning
 // pass hold 0/0 ratios and are discarded.
 //
-// Plan is safe for concurrent use, though experiments plan serially today.
+// Plan is not safe for concurrent use: experiments plan serially, on one
+// goroutine.
 type Plan struct {
 	requests
-	mu    sync.Mutex
 	cells []Cell
 	seen  map[string]bool // by canonical bytes (Cell.canonical)
 }
@@ -33,8 +31,6 @@ func NewPlan() *Plan {
 }
 
 func (p *Plan) add(c Cell) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if canon, err := c.canonical(); err == nil {
 		if p.seen[string(canon)] {
 			return
@@ -46,8 +42,6 @@ func (p *Plan) add(c Cell) {
 
 // Cells returns the recorded cells, deduplicated, in first-request order.
 func (p *Plan) Cells() []Cell {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	out := make([]Cell, len(p.cells))
 	copy(out, p.cells)
 	return out

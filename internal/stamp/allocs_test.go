@@ -1,0 +1,72 @@
+package stamp
+
+import (
+	"runtime"
+	"testing"
+
+	"htmcmp/internal/htm"
+	"htmcmp/internal/platform"
+	"htmcmp/internal/tm"
+)
+
+// regionAllocs sets up name at test scale on an Intel engine and returns the
+// Go heap allocations made by one Run on threads workers: a SeqRunner
+// region when threads is 0, else a TMRunner region.
+func regionAllocs(t *testing.T, name string, threads int) uint64 {
+	t.Helper()
+	n := max(threads, 1)
+	e := htm.New(platform.New(platform.IntelCore), htm.Config{Threads: n, SpaceSize: 96 << 20, Seed: 43})
+	defer e.Release()
+	b, err := New(name, Config{Scale: ScaleTest, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Setup(e.Thread(0))
+	runners := []Runner{SeqRunner{T: e.Thread(0)}}
+	if threads > 0 {
+		lock := tm.NewGlobalLock(e)
+		runners = make([]Runner, threads)
+		for i := range runners {
+			runners[i] = TMRunner{X: tm.NewExecutor(e.Thread(i), lock, tm.DefaultPolicy(platform.IntelCore))}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.Run(runners)
+	runtime.ReadMemStats(&after)
+	if err := b.Validate(e.Thread(0)); err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs
+}
+
+// regionAllocCeilings pins, per benchmark, the Go heap allocations of one
+// test-scale region: {sequential, 4 threads}. Each is the count measured
+// when transaction bodies moved their bookkeeping into per-worker scratch,
+// plus a small margin. What remains is per transaction (the body closures,
+// vacation's per-action RNG), per worker, or growth of a list a worker
+// keeps; a body that allocates on every attempt multiplies its count by the
+// attempts and fails here.
+var regionAllocCeilings = map[string][2]uint64{
+	"bayes":         {700, 850},
+	"genome":        {450, 590},
+	"intruder":      {3200, 3480},
+	"kmeans-high":   {830, 910},
+	"kmeans-low":    {830, 910},
+	"labyrinth":     {90, 280},
+	"ssca2":         {560, 650},
+	"vacation-high": {870, 1070},
+	"vacation-low":  {870, 1020},
+	"yada":          {215, 600},
+}
+
+func TestRegionAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, name := range Names() {
+		seq, par := regionAllocs(t, name, 0), regionAllocs(t, name, 4)
+		c := regionAllocCeilings[name]
+		if seq > c[0] || par > c[1] {
+			t.Errorf("%s: %d allocations sequential, %d on 4 threads; ceilings %d, %d", name, seq, par, c[0], c[1])
+		}
+	}
+}

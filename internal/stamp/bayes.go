@@ -86,17 +86,27 @@ func unpackTask(x uint64) (u, v, gen int) {
 	return int(x >> 32), int(x >> 16 & 0xffff), int(x & 0xffff)
 }
 
+// walk is one thread's scratch for reaches: the visited set and the DFS
+// stack, reused by every walk the thread makes.
+type walk struct {
+	seen  visited
+	stack []int
+}
+
+func (b *bayes) newWalk() *walk { return &walk{seen: newVisited(b.nVars)} }
+
 // reaches reports whether dst is reachable from src via child links,
 // reading the traversed adjacency transactionally.
-func (b *bayes) reaches(t *htm.Thread, src, dst int) bool {
+func (b *bayes) reaches(t *htm.Thread, w *walk, src, dst int) bool {
 	if src == dst {
 		return true
 	}
-	seen := map[int]bool{src: true}
-	stack := []int{src}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	w.seen.reset()
+	w.seen.add(src)
+	w.stack = append(w.stack[:0], src)
+	for len(w.stack) > 0 {
+		cur := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
 		rec := b.varAddr(cur)
 		n := t.Load64(rec)
 		for i := uint64(0); i < n; i++ {
@@ -104,9 +114,9 @@ func (b *bayes) reaches(t *htm.Thread, src, dst int) bool {
 			if c == dst {
 				return true
 			}
-			if !seen[c] {
-				seen[c] = true
-				stack = append(stack, c)
+			if !w.seen.has(c) {
+				w.seen.add(c)
+				w.stack = append(w.stack, c)
 			}
 		}
 	}
@@ -115,6 +125,7 @@ func (b *bayes) reaches(t *htm.Thread, src, dst int) bool {
 
 func (b *bayes) Run(runners []Runner) {
 	runWorkers(runners, func(tid int, r Runner) {
+		w := b.newWalk()
 		for {
 			// Transaction 1: pop the best pending task.
 			var task uint64
@@ -139,7 +150,7 @@ func (b *bayes) Run(runners []Runner) {
 					nChildren < uint64(b.childCap) &&
 					nParents < uint64(b.maxParent) &&
 					!b.hasChild(t, u, v) &&
-					!b.reaches(t, v, u) { // would close a cycle
+					!b.reaches(t, w, v, u) { // would close a cycle
 					t.Store64(uRec+8+nChildren*8, uint64(v))
 					t.Store64(uRec, nChildren+1)
 					t.Store64(vRec+8+uint64(b.childCap)*8, nParents+1)

@@ -1,6 +1,8 @@
 package stamp
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"htmcmp/internal/htm"
@@ -153,6 +155,69 @@ func TestBayesLearnsSomeEdges(t *testing.T) {
 	}
 	if by.processed != by.nVars*by.maxRounds {
 		t.Errorf("processed %d tasks, want %d", by.processed, by.nVars*by.maxRounds)
+	}
+}
+
+// worn returns a visited set over [0, n) on the brink of an epoch wrap,
+// with stale marks at each epoch its next resets can land on (0, 1, 2).
+func worn(n int) visited {
+	s := visited{marks: make([]uint32, n), epoch: math.MaxUint32}
+	for v := range s.marks {
+		s.marks[v] = uint32(v % 3)
+	}
+	return s
+}
+
+// TestScratchEpochWrap: a bayes walk and a labyrinth router whose epoch is
+// math.MaxUint32 must answer two queries across the wrap exactly as fresh
+// scratch does.
+func TestScratchEpochWrap(t *testing.T) {
+	b, e := seqRun(t, "bayes", Config{Scale: ScaleTest, Seed: 13}, platform.IntelCore)
+	by, th := b.(*bayes), e.Thread(0)
+	multiHop := 0
+	for src := 0; src < by.nVars; src++ {
+		for dst := 0; dst < by.nVars; dst++ {
+			want := by.reaches(th, by.newWalk(), src, dst)
+			if want && src != dst && !by.hasChild(th, src, dst) {
+				multiHop++
+			}
+			w := &walk{seen: worn(by.nVars)}
+			for i := 0; i < 2; i++ {
+				if got := by.reaches(th, w, src, dst); got != want {
+					t.Fatalf("bayes %d→%d, walk %d after the wrap: reaches %v, fresh walk %v", src, dst, i, got, want)
+				}
+			}
+		}
+	}
+	if multiHop == 0 {
+		t.Fatal("no pair is reachable over two or more edges: the walks never read their marks")
+	}
+
+	b, e = seqRun(t, "labyrinth", Config{Scale: ScaleTest, Seed: 9}, platform.IntelCore)
+	l, th := b.(*labyrinth), e.Thread(0)
+	var free []int
+	for i := 0; i < l.cells(); i++ {
+		if th.Load64(l.cellAddr(i)) == 0 {
+			free = append(free, i)
+		}
+	}
+	routed := 0
+	for i := 0; i < len(free); i += 7 {
+		src, dst := free[i], free[len(free)-1-i]
+		want := slices.Clone(l.route(th, l.newRouter(), src, dst))
+		if want != nil {
+			routed++
+		}
+		rt := l.newRouter()
+		rt.seen = worn(l.cells())
+		for j := 0; j < 2; j++ {
+			if got := l.route(th, rt, src, dst); !slices.Equal(got, want) {
+				t.Fatalf("labyrinth %d→%d, route %d after the wrap: %v, fresh router %v", src, dst, j, got, want)
+			}
+		}
+	}
+	if routed == 0 {
+		t.Fatal("no free pair was routable")
 	}
 }
 

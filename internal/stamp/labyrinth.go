@@ -2,6 +2,7 @@ package stamp
 
 import (
 	"fmt"
+	"slices"
 
 	"htmcmp/internal/htm"
 	"htmcmp/internal/mem"
@@ -125,61 +126,64 @@ func (l *labyrinth) neighbors(i int, out []int) []int {
 	return out
 }
 
-// route BFSes from src to dst over free cells, reading the grid
-// transactionally, and returns the path (src..dst) or nil.
-func (l *labyrinth) route(t *htm.Thread, src, dst int) []int {
+// router is one thread's scratch for route, sized to the grid once. A
+// cell's prev entry is meaningful only while seen holds the cell, so an
+// attempt starts with an epoch bump instead of clearing the grid.
+type router struct {
+	seen  visited
+	prev  []int32
+	queue []int
+	path  []int
+}
+
+func (l *labyrinth) newRouter() *router {
 	n := l.cells()
-	prev := make([]int32, n)
-	for i := range prev {
-		prev[i] = -1
-	}
-	prev[src] = int32(src)
-	queue := make([]int, 0, n)
-	queue = append(queue, src)
+	return &router{seen: newVisited(n), prev: make([]int32, n), queue: make([]int, 0, n)}
+}
+
+// route BFSes from src to dst over free cells, reading the grid
+// transactionally, and returns the path (src..dst) or nil. The path lives
+// in rt and is overwritten by its next call.
+func (l *labyrinth) route(t *htm.Thread, rt *router, src, dst int) []int {
+	rt.seen.reset()
+	rt.seen.add(src)
+	rt.queue = append(rt.queue[:0], src)
 	var nbuf [6]int
-	for qi := 0; qi < len(queue); qi++ {
-		cur := queue[qi]
+	for qi := 0; qi < len(rt.queue); qi++ {
+		cur := rt.queue[qi]
 		if cur == dst {
 			// Reconstruct.
-			var path []int
-			for c := dst; ; c = int(prev[c]) {
+			path := rt.path[:0]
+			for c := dst; ; c = int(rt.prev[c]) {
 				path = append(path, c)
 				if c == src {
 					break
 				}
 			}
-			// Reverse to src..dst order.
-			for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-				path[i], path[j] = path[j], path[i]
-			}
+			slices.Reverse(path) // src..dst order
+			rt.path = path
 			return path
 		}
 		for _, nb := range l.neighbors(cur, nbuf[:0]) {
-			if prev[nb] != -1 {
+			if rt.seen.has(nb) {
 				continue
 			}
 			v := t.Load64(l.cellAddr(nb)) // transactional grid read
 			if v != 0 && nb != dst {      // own terminals are passable
 				continue
 			}
-			prev[nb] = int32(cur)
-			queue = append(queue, nb)
+			rt.seen.add(nb)
+			rt.prev[nb] = int32(cur)
+			rt.queue = append(rt.queue, nb)
 		}
 	}
 	return nil
 }
 
 func (l *labyrinth) Run(runners []Runner) {
-	type result struct {
-		id   int
-		path []int
-	}
-	resCh := make(chan result, l.nRoutes)
-	routeID := 1
-	var idMu = make(chan int, 1)
-	idMu <- routeID
-
+	nextID := 1
 	runWorkers(runners, func(tid int, r Runner) {
+		rt := l.newRouter()
 		for {
 			var work uint64
 			var ok bool
@@ -192,28 +196,23 @@ func (l *labyrinth) Run(runners []Runner) {
 			src := int(work >> 32)
 			dst := int(work & 0xffffffff)
 			r.Thread().Work(100) // router bookkeeping per work item
-			id := <-idMu
-			myID := id
-			idMu <- id + 1
+			myID := nextID
+			nextID++
 
 			var path []int
 			r.Atomic(func(t *htm.Thread) {
-				path = l.route(t, src, dst)
+				path = l.route(t, rt, src, dst)
 				for _, c := range path {
 					t.Store64(l.cellAddr(c), uint64(myID))
 				}
 			})
-			resCh <- result{id: myID, path: path}
+			if path == nil {
+				l.fails++
+			} else {
+				l.paths[myID] = slices.Clone(path)
+			}
 		}
 	})
-	close(resCh)
-	for res := range resCh {
-		if res.path == nil {
-			l.fails++
-		} else {
-			l.paths[res.id] = res.path
-		}
-	}
 	l.units = l.nRoutes
 }
 

@@ -100,7 +100,7 @@ func (s *ssca2) Run(runners []Runner) {
 }
 
 func (s *ssca2) Validate(t *htm.Thread) error {
-	want := make(map[int]int, s.nVertices)
+	want := make([]int, s.nVertices)
 	for i := 0; i < s.nEdges; i++ {
 		want[s.edgesU[i]]++
 	}

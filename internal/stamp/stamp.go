@@ -229,8 +229,34 @@ func NewBarrier(runners []Runner) *htm.Barrier {
 	return runners[0].Thread().Engine().NewBarrier(len(runners))
 }
 
+// visited is a set over [0, n) that empties in O(1): v is a member when
+// marks[v] == epoch, and reset moves to a fresh epoch. Transaction bodies
+// reset one at the top of every attempt instead of building a map.
+type visited struct {
+	marks []uint32
+	epoch uint32
+}
+
+func newVisited(n int) visited { return visited{marks: make([]uint32, n)} }
+
+// reset empties the set.
+func (s *visited) reset() {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: any epoch may be stale in marks
+		clear(s.marks)
+		s.epoch = 1
+	}
+}
+
+func (s *visited) has(v int) bool { return s.marks[v] == s.epoch }
+
+func (s *visited) add(v int) { s.marks[v] = s.epoch }
+
 // runWorkers runs fn(tid, runner) for every runner as one scheduled region
 // of their engine and waits. Runner i must execute on the engine's thread i.
+// Each fn keeps its transaction bodies' Go-side scratch in its own locals:
+// bodies yield mid-walk to the region's other threads, so scratch shared
+// between threads would be overwritten under them.
 func runWorkers(runners []Runner, fn func(tid int, r Runner)) {
 	runners[0].Thread().Engine().Run(len(runners), func(tid int, t *htm.Thread) {
 		if runners[tid].Thread() != t {

@@ -159,9 +159,9 @@ func (v *vacation) makeReservation(t *htm.Thread, rng *prng.Rand, queryRange int
 	}
 	customer := int64(rng.Intn(queryRange))
 	// Choose query targets outside the transaction (like STAMP's client,
-	// which draws them from its thread-local RNG first).
-	types := make([]int, v.numQuery)
-	ids := make([]int, v.numQuery)
+	// which draws them from its thread-local RNG first). numQuery is at
+	// most 4.
+	var types, ids [4]int
 	for q := 0; q < v.numQuery; q++ {
 		types[q] = rng.Intn(3)
 		ids[q] = rng.Intn(queryRange)

@@ -2,6 +2,7 @@ package stamp
 
 import (
 	"fmt"
+	"slices"
 
 	"htmcmp/internal/htm"
 	"htmcmp/internal/mem"
@@ -157,7 +158,9 @@ func (y *yada) cavityTarget(seed uint64) int {
 func (y *yada) Run(runners []Runner) {
 	runWorkers(runners, func(tid int, r Runner) {
 		rng := prng.Derive(y.cfg.Seed^0x726566, tid) // "ref"
-		var created []mem.Addr
+		// Per-attempt scratch, reused: the cavity, its boundary in
+		// discovery order, and the new triangles (kept once committed).
+		var cavity, bl, created []mem.Addr
 		for {
 			didWork := false
 			preempted := 0
@@ -199,32 +202,29 @@ func (y *yada) Run(runners []Runner) {
 
 				// Cavity expansion: BFS over alive neighbours.
 				target := y.cavityTarget(seed)
-				cavity := []mem.Addr{tri}
-				inCavity := map[mem.Addr]bool{tri: true}
+				cavity = append(cavity[:0], tri)
 				for qi := 0; qi < len(cavity) && len(cavity) < target; qi++ {
 					cur := cavity[qi]
 					n := t.Load64(cur + triNNbr*8)
 					for i := uint64(0); i < n && len(cavity) < target; i++ {
 						nb := mem.Addr(t.Load64(cur + triNbr0*8 + i*8))
-						if inCavity[nb] || t.Load64(nb+triAlive*8) == 0 {
+						if slices.Contains(cavity, nb) || t.Load64(nb+triAlive*8) == 0 {
 							continue
 						}
-						inCavity[nb] = true
 						cavity = append(cavity, nb)
 					}
 				}
 
 				// Boundary: alive neighbours of cavity members outside it,
-				// in deterministic discovery order (bl), with a set (seen)
-				// for membership.
-				seen := map[mem.Addr]bool{}
-				var bl []mem.Addr
+				// in deterministic discovery order. Both lists are short
+				// (at most cavityMax triangles and their neighbours), so
+				// membership is a scan.
+				bl = bl[:0]
 				for _, c := range cavity {
 					n := t.Load64(c + triNNbr*8)
 					for i := uint64(0); i < n; i++ {
 						nb := mem.Addr(t.Load64(c + triNbr0*8 + i*8))
-						if !inCavity[nb] && !seen[nb] && t.Load64(nb+triAlive*8) != 0 {
-							seen[nb] = true
+						if !slices.Contains(cavity, nb) && !slices.Contains(bl, nb) && t.Load64(nb+triAlive*8) != 0 {
 							bl = append(bl, nb)
 						}
 					}
@@ -246,10 +246,10 @@ func (y *yada) Run(runners []Runner) {
 				// Retriangulate: |cavity|+2 new triangles in a ring, wired
 				// round-robin into the boundary.
 				nNew := len(cavity) + 2
-				newTris := make([]mem.Addr, nNew)
-				for i := range newTris {
-					newTris[i] = y.newTriangle(t, gen+1, seed^uint64(i+1)*0x9e3779b97f4a7c15)
+				for i := 0; i < nNew; i++ {
+					created = append(created, y.newTriangle(t, gen+1, seed^uint64(i+1)*0x9e3779b97f4a7c15))
 				}
+				newTris := created
 				for i := range newTris {
 					y.link(t, newTris[i], newTris[(i+1)%nNew])
 				}
@@ -263,7 +263,6 @@ func (y *yada) Run(runners []Runner) {
 					y.heap.Push(t, int64(rng.Intn(1<<30)), uint64(newTris[0]))
 					spawnedOne = true
 				}
-				created = append(created, newTris...)
 			})
 			if !didWork {
 				continue // raced with a cavity kill: take the next item

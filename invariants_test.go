@@ -2,6 +2,7 @@ package htmcmp
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -50,7 +51,6 @@ var syncAllowed = map[string]string{
 	"internal/harness/regions.go":     "sweep workers share one region memo and wait on each other's flights",
 	"internal/harness/sweep/sweep.go": "sweep workers, each cell's goroutine (abandoned on a timeout) and the cache writer meet in the Scheduler",
 	"internal/harness/sweep/queue.go": "sweep workers pop cells from one longest-first queue",
-	"internal/harness/sweep/plan.go":  "none today: the planning pass runs on htmbench's main goroutine",
 }
 
 // TestSyncImports pins where sync and sync/atomic may be imported: exactly
@@ -89,6 +89,35 @@ func TestSyncImports(t *testing.T) {
 	for path := range syncAllowed {
 		if !importing[path] {
 			t.Errorf("syncAllowed lists %s, which no longer imports sync or sync/atomic: drop it", path)
+		}
+	}
+}
+
+// TestNoChannelsInRegions: the packages an engine region runs through
+// declare no channel type, in any non-test file. One goroutine runs all of
+// a region's threads, so a channel there is a lock or a queue with no
+// second goroutine to meet.
+func TestNoChannelsInRegions(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"internal/stamp", "internal/txds", "internal/tm", "internal/adapt", "internal/mem"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if _, ok := n.(*ast.ChanType); ok {
+					t.Errorf("%s: channel type inside an engine region's packages", fset.Position(n.Pos()))
+				}
+				return true
+			})
 		}
 	}
 }
