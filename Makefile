@@ -268,20 +268,21 @@ chaos-smoke: build
 	@echo "chaos-smoke ok: every afflicted run validated, tables byte-identical to the fault-free run"
 
 # cover gates statement coverage of the engine and its verification oracle,
-# the experiment harness, the sweep scheduler, the result cache and the
-# layers a region drives (mem, adapt, tm, stamp) against the checked-in
-# floors. Each line of COVERAGE.floor is a whole percent and the packages it
-# holds to it: htm and verify together, htm on its own, then harness, sweep,
-# cache, mem, adapt, tm and stamp one by one. A block counts toward a package only if its file sits in that
+# the experiment harness, the sweep scheduler, the result cache, the
+# layers a region drives (mem, adapt, tm, stamp) and the event stream (obs)
+# against the checked-in floors. Each line of COVERAGE.floor is a whole
+# percent and the packages it holds to it: htm and verify together, htm on
+# its own, then harness, sweep, cache, mem, adapt, tm, stamp and obs one by
+# one. A block counts toward a package only if its file sits in that
 # package's own directory (harness does not take in harness/sweep), and its
 # statements count once however many test binaries report it, as in
 # `go tool cover -func`.
 cover:
 	mkdir -p $(SMOKE)
 	$(GO) test -count=1 -coverprofile=$(SMOKE)/cover.out \
-		-coverpkg=./internal/htm,./internal/verify,./internal/harness,./internal/harness/sweep,./internal/cache,./internal/mem,./internal/adapt,./internal/tm,./internal/stamp \
+		-coverpkg=./internal/htm,./internal/verify,./internal/harness,./internal/harness/sweep,./internal/cache,./internal/mem,./internal/adapt,./internal/tm,./internal/stamp,./internal/obs \
 		./internal/htm ./internal/verify ./internal/tm ./internal/harness ./internal/harness/sweep ./internal/cache \
-		./internal/mem ./internal/adapt ./internal/stamp
+		./internal/mem ./internal/adapt ./internal/stamp ./internal/obs
 	@while read -r floor pkgs; do \
 		total=$$(awk -v pkgs="$$pkgs" 'BEGIN { n = split(pkgs, p, " ") } \
 			NR > 1 { d = $$1; sub(/\/[^\/]*$$/, "", d); for (i = 1; i <= n; i++) if (d == p[i]) { s[$$1] = $$2; if ($$3 > 0) c[$$1] = 1 } } \

@@ -5,9 +5,9 @@
 //
 // The paper tunes retry parameters offline "for each test case" (Section
 // 5.1) and finds that the winning mechanism differs per platform and per
-// workload; related work (capacity-stretching fallbacks on POWER, hybrid
-// NOrec) argues the decision belongs at runtime. This controller makes that
-// decision per transaction site:
+// workload; hybrid NOrec argues the decision belongs at runtime. This
+// controller makes that decision per transaction site, under one fixed
+// policy whose thresholds are the package constants below:
 //
 //   - Capacity and way aborts are self-inflicted and mostly persistent, so
 //     retrying them burns cycles: a site whose window shows repeated
@@ -17,8 +17,8 @@
 //     backoff with jitter, falling back to the lock only for the one
 //     offending execution (not the whole site).
 //   - Demoted sites re-enter HTM through a probation window: only after
-//     `Probation` commits in the demoted mode does the site probe HTM
-//     again, and only `ProbeWins` consecutive probe commits promote it
+//     `probation` commits in the demoted mode does the site probe HTM
+//     again, and only `probeWins` consecutive probe commits promote it
 //     back (hysteresis). A failed probe multiplies the probation length,
 //     so a site that keeps failing probes stops flapping — the lemming
 //     effect the paper's Figure 1 line 9 guards against, applied to mode
@@ -31,15 +31,15 @@
 // per-thread) PRNG through Txn.Backoff.
 //
 // This package deliberately knows nothing about the engine: internal/tm
-// maps htm abort reasons onto the Class vocabulary and applies the
-// decisions; mode-transition events flow through internal/obs.
+// maps htm abort reasons onto the Class vocabulary, applies the decisions,
+// counts them in tm.Stats and emits each transition as an internal/obs
+// event.
 package adapt
 
 import (
 	"fmt"
 
 	"htmcmp/internal/chaos"
-	"htmcmp/internal/obs"
 )
 
 // Mode is an execution mode the controller can select for a site.
@@ -71,13 +71,6 @@ func (m Mode) String() string {
 		return "lock"
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
-}
-
-// obs carries mode-transition events with raw uint8 mode codes (it cannot
-// import this package); registering the namer here gives every program
-// linking the controller symbolic mode names in event sinks.
-func init() {
-	obs.SetModeNamer(func(code uint8) string { return Mode(code).String() })
 }
 
 // Class is the controller's abort vocabulary: the Figure 3 categories plus
@@ -118,129 +111,65 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", int(c))
 }
 
-// window entries: per-execution outcomes. Commits record the mode they
-// landed in; aborts record their class. The demotion rules below are counts
-// over this ring.
+// The controller's thresholds: one fixed policy, all counts per
+// transaction site.
+const (
+	// window is the per-site history length in recorded outcomes.
+	window = 64
+	// capacityDemote demotes an HTM site to STM once this many capacity
+	// aborts sit in its window. Capacity aborts are mostly persistent: the
+	// footprint will not shrink on retry.
+	capacityDemote = 4
+	// lockDemote (a quarter of the window) demotes an HTM site to the lock
+	// once this many of its windowed executions committed under the lock:
+	// the site is effectively serialising anyway, so stop paying for the
+	// failed speculation first. A capacity demotion also picks the lock over
+	// STM once this many conflict aborts sit in the window.
+	lockDemote = 16
+	// stmDemote (half the window) demotes an STM site to the lock once this
+	// many NOrec validation conflicts sit in its window: value validation
+	// that keeps failing means the site is serialisation-bound.
+	stmDemote = 32
+	// htmRetry bounds hardware attempts per execution before the one-shot
+	// lock fallback (the paper's untuned transient budget).
+	htmRetry = 8
+	// capacityRetry bounds hardware attempts after a capacity abort within
+	// one execution (the paper finds a small persistent budget wins).
+	capacityRetry = 1
+	// probeRetry bounds hardware attempts of a probe execution; a probe
+	// that cannot commit within it fails the probe.
+	probeRetry = 2
+	// backoffBase is the first conflict backoff in cost cycles;
+	// backoffMaxShift caps the exponential doubling at backoffBase<<6.
+	backoffBase     = 16
+	backoffMaxShift = 6
+	// probation is how many commits a demoted site must complete in its
+	// demoted mode before probing HTM again. A failed probe multiplies the
+	// site's probation by probationGrowth, up to probationMax.
+	probation       = 64
+	probationGrowth = 2
+	probationMax    = 4096
+	// probeWins is how many consecutive probe commits promote the site
+	// back: the hysteresis that prevents flapping.
+	probeWins = 4
+)
+
+// entry is one window slot: the outcome of an attempt, reduced to what the
+// demotion rules count.
 type entry uint8
 
 const (
-	entryCommitHTM entry = iota
-	entryCommitSTM
-	entryCommitLock // one-shot fallback to the lock after exhausted retries
-	entryAbortConflict
-	entryAbortCapacity
-	entryAbortLock
-	entryAbortOther
-	entryAbortSTM
+	entryOther         entry = iota // a commit in HTM or STM, a lock or other abort
+	entryCommitLock                 // a commit under the lock
+	entryAbortConflict              // hardware data conflict
+	entryAbortCapacity              // hardware capacity overflow
+	entryAbortSTM                   // NOrec validation conflict
 
 	numEntries
 )
 
-// Config holds the controller's thresholds. The zero value selects the
-// defaults; all counts are per transaction site.
-type Config struct {
-	// Window is the per-site history length in recorded outcomes
-	// (default 64).
-	Window int
-	// CapacityDemote demotes an HTM site to STM once this many capacity
-	// aborts sit in its window (default 4). Capacity aborts are mostly
-	// persistent: the footprint will not shrink on retry.
-	CapacityDemote int
-	// LockDemote demotes an HTM site to the lock once this many of its
-	// windowed executions ended in the one-shot lock fallback
-	// (default Window/4): the site is effectively serialising anyway, so
-	// stop paying for the failed speculation first.
-	LockDemote int
-	// STMDemote demotes an STM site to the lock once this many NOrec
-	// validation conflicts sit in its window (default Window/2): value
-	// validation that keeps failing means the site is serialisation-bound.
-	STMDemote int
-	// HTMRetry bounds hardware attempts per execution before the one-shot
-	// lock fallback (default 8, the paper's untuned transient budget).
-	HTMRetry int
-	// CapacityRetry bounds hardware attempts after a capacity abort within
-	// one execution (default 1, mirroring the paper's finding that a small
-	// persistent budget wins).
-	CapacityRetry int
-	// ProbeRetry bounds hardware attempts of a probe execution (default 2);
-	// a probe that cannot commit within it fails the probe.
-	ProbeRetry int
-	// BackoffBase is the first conflict backoff in cost cycles (default 16).
-	BackoffBase int
-	// BackoffMaxShift caps the exponential backoff doubling (default 6:
-	// at most BackoffBase<<6 cycles).
-	BackoffMaxShift int
-	// Probation is how many commits a demoted site must complete in its
-	// demoted mode before probing HTM again (default 64).
-	Probation int
-	// ProbationGrowth multiplies the probation length on a failed probe
-	// (default 2), ProbationMax caps it (default 4096).
-	ProbationGrowth int
-	ProbationMax    int
-	// ProbeWins is how many consecutive probe commits promote the site
-	// back (default 4) — the hysteresis that prevents flapping.
-	ProbeWins int
-	// Faults, when set, injects controller mode thrash (internal/chaos):
-	// on a committing execution the site's deterministic per-site stream
-	// may force a spurious steady-mode rotation, modelling a flapping or
-	// mis-tuned controller. Nil costs one pointer check per commit; the
-	// forced transitions flow through the ordinary transition path, so
-	// every mode the site lands in remains correct — thrash costs
-	// performance, never consistency.
-	Faults *chaos.Injector
-}
-
-// DefaultConfig returns the default thresholds.
-func DefaultConfig() Config { return Config{}.withDefaults() }
-
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 64
-	}
-	if c.Window > 1024 {
-		c.Window = 1024
-	}
-	if c.CapacityDemote <= 0 {
-		c.CapacityDemote = 4
-	}
-	if c.LockDemote <= 0 {
-		c.LockDemote = c.Window / 4
-	}
-	if c.STMDemote <= 0 {
-		c.STMDemote = c.Window / 2
-	}
-	if c.HTMRetry <= 0 {
-		c.HTMRetry = 8
-	}
-	if c.CapacityRetry <= 0 {
-		c.CapacityRetry = 1
-	}
-	if c.ProbeRetry <= 0 {
-		c.ProbeRetry = 2
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 16
-	}
-	if c.BackoffMaxShift <= 0 {
-		c.BackoffMaxShift = 6
-	}
-	if c.Probation <= 0 {
-		c.Probation = 64
-	}
-	if c.ProbationGrowth <= 1 {
-		c.ProbationGrowth = 2
-	}
-	if c.ProbationMax <= 0 {
-		c.ProbationMax = 4096
-	}
-	if c.ProbeWins <= 0 {
-		c.ProbeWins = 4
-	}
-	return c
-}
-
 // Transition reports a steady-mode change of one site. The zero value means
-// "no transition" (None is false).
+// "no transition" (Changed is false).
 type Transition struct {
 	Site     uint32
 	From, To Mode
@@ -251,25 +180,20 @@ type Transition struct {
 // a run, which the virtual-time scheduler runs one at a time on one
 // goroutine, so decisions are deterministic for a fixed seed.
 type Controller struct {
-	cfg Config
-
-	sites map[uintptr]*Site
-	order []*Site
-
-	switches uint64
+	sites  map[uintptr]*Site
+	faults *chaos.Injector
 }
 
-// NewController builds a controller with cfg (zero Config = defaults).
-func NewController(cfg Config) *Controller {
-	return &Controller{cfg: cfg.withDefaults(), sites: map[uintptr]*Site{}}
+// NewController builds a controller. faults, when non-nil, injects
+// controller mode thrash (internal/chaos): on a committing execution the
+// site's deterministic per-site stream may force a spurious steady-mode
+// rotation, modelling a flapping or mis-tuned controller. Nil costs one
+// pointer check per commit; the forced transitions flow through the
+// ordinary transition path, so every mode the site lands in remains
+// correct — thrash costs performance, never consistency.
+func NewController(faults *chaos.Injector) *Controller {
+	return &Controller{sites: map[uintptr]*Site{}, faults: faults}
 }
-
-// Config returns the controller's effective (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
-// Switches returns the total number of steady-mode transitions across all
-// sites.
-func (c *Controller) Switches() uint64 { return c.switches }
 
 // SiteFor returns the site state for a transaction-site key, creating it in
 // ModeHTM on first use. Keys are opaque; internal/tm uses the body's code
@@ -278,41 +202,17 @@ func (c *Controller) SiteFor(key uintptr) *Site {
 	if s := c.sites[key]; s != nil {
 		return s
 	}
-	s := &Site{ctl: c, id: uint32(len(c.order)), win: make([]entry, c.cfg.Window)}
-	if c.cfg.Faults != nil {
-		s.faults = c.cfg.Faults.Stream(int(s.id))
+	s := &Site{id: uint32(len(c.sites))}
+	if c.faults != nil {
+		s.faults = c.faults.Stream(int(s.id))
 	}
 	c.sites[key] = s
-	c.order = append(c.order, s)
 	return s
-}
-
-// SiteSnapshot is one site's state for reporting.
-type SiteSnapshot struct {
-	ID          uint32
-	Mode        Mode
-	Probing     bool
-	Transitions uint64
-	Commits     [NumModes]uint64
-	Aborts      uint64
-}
-
-// Sites returns a snapshot of every site in creation order.
-func (c *Controller) Sites() []SiteSnapshot {
-	out := make([]SiteSnapshot, 0, len(c.order))
-	for _, s := range c.order {
-		out = append(out, SiteSnapshot{
-			ID: s.id, Mode: s.mode, Probing: s.probing,
-			Transitions: s.transitions, Commits: s.commits, Aborts: s.aborts,
-		})
-	}
-	return out
 }
 
 // Site is the controller state of one transaction site.
 type Site struct {
-	ctl *Controller
-	id  uint32
+	id uint32 // dense, in first-use order
 	// faults is the site's chaos roll stream (nil = injection off);
 	// deterministic per site id, so virtual-time runs with thrash
 	// injection stay reproducible.
@@ -320,8 +220,8 @@ type Site struct {
 
 	mode Mode // steady mode
 
-	// window ring of recent outcomes with per-entry counts.
-	win    []entry
+	// win is the ring of recent outcomes, counts its per-kind totals.
+	win    [window]entry
 	winLen int
 	winPos int
 	counts [numEntries]int
@@ -332,20 +232,13 @@ type Site struct {
 	probing            bool
 	probeTarget        Mode
 	probeWins          int
-
-	transitions uint64
-	commits     [NumModes]uint64
-	aborts      uint64
 }
-
-// ID returns the site's dense identifier (assigned in first-use order).
-func (s *Site) ID() uint32 { return s.id }
 
 // Mode returns the site's current steady mode.
 func (s *Site) Mode() Mode { return s.mode }
 
 func (s *Site) record(e entry) {
-	if s.winLen == len(s.win) {
+	if s.winLen == window {
 		s.counts[s.win[s.winPos]]--
 	} else {
 		s.winLen++
@@ -353,7 +246,7 @@ func (s *Site) record(e entry) {
 	s.win[s.winPos] = e
 	s.counts[e]++
 	s.winPos++
-	if s.winPos == len(s.win) {
+	if s.winPos == window {
 		s.winPos = 0
 	}
 }
@@ -362,9 +255,7 @@ func (s *Site) record(e entry) {
 // mode's record does not immediately re-demote the site.
 func (s *Site) resetWindow() {
 	s.winLen, s.winPos = 0, 0
-	for i := range s.counts {
-		s.counts[i] = 0
-	}
+	s.counts = [numEntries]int{}
 }
 
 // transition switches the steady mode.
@@ -374,8 +265,6 @@ func (s *Site) transition(to Mode) Transition {
 		return Transition{}
 	}
 	s.mode = to
-	s.transitions++
-	s.ctl.switches++
 	if to == ModeHTM {
 		// Promotion: fresh history and base probation for the next demotion.
 		s.resetWindow()
@@ -392,11 +281,10 @@ func (s *Site) transition(to Mode) Transition {
 // (entering a probe when the site's probation has elapsed) and returns the
 // per-execution cursor.
 func (s *Site) Begin() Txn {
-	cfg := &s.ctl.cfg
 	if s.mode != ModeHTM && !s.probing {
 		due := s.probation
 		if due == 0 {
-			due = cfg.Probation
+			due = probation
 		}
 		if s.commitsSinceDemote >= due {
 			s.probing = true
@@ -404,18 +292,18 @@ func (s *Site) Begin() Txn {
 			s.probeWins = 0
 		}
 	}
-	mode := s.mode
-	probe := false
 	if s.probing {
-		mode = s.probeTarget
-		probe = true
+		return Txn{site: s, mode: s.probeTarget, probe: true}
 	}
-	return Txn{site: s, mode: mode, probe: probe}
+	return Txn{site: s, mode: s.mode}
 }
 
 // probeMode picks where a demoted site probes: normally HTM, but a
-// lock-mode site whose window is capacity-dominated probes STM instead —
-// hardware will just overflow again, software has no capacity limit.
+// lock-mode site whose window holds more capacity than conflict aborts
+// probes STM instead — hardware will just overflow again, software has no
+// capacity limit. A lock-mode site records only lock commits, so those
+// aborts come from hardware attempts that began before the demotion and
+// aborted after it.
 func (s *Site) probeMode() Mode {
 	if s.mode == ModeLock && s.counts[entryAbortCapacity] > s.counts[entryAbortConflict] {
 		return ModeSTM
@@ -442,9 +330,6 @@ type Txn struct {
 // Mode returns the mode the next attempt must run in.
 func (t *Txn) Mode() Mode { return t.mode }
 
-// Probing reports whether this execution is a probation probe.
-func (t *Txn) Probing() bool { return t.probe }
-
 // Backoff returns the jittered pre-attempt pause in cost cycles (0 when no
 // backoff is pending). intn must return a uniform value in [0,n); callers
 // pass their deterministic per-thread PRNG so virtual-time runs stay
@@ -458,14 +343,19 @@ func (t *Txn) Backoff(intn func(n int) int) int {
 	return t.backoff/2 + intn((t.backoff+1)/2)
 }
 
+// conflictBackoff doubles the pending backoff envelope for the next
+// consecutive conflict, up to backoffBase<<backoffMaxShift.
+func (t *Txn) conflictBackoff() {
+	t.conflicts++
+	t.backoff = backoffBase << min(t.conflicts-1, backoffMaxShift)
+}
+
 // Abort records one aborted attempt of class c and decides how to continue:
 // the returned transition is non-zero when the site's steady mode changed
 // (the caller emits it as an event), and t.Mode() reflects the mode of the
 // next attempt.
 func (t *Txn) Abort(c Class) Transition {
 	s := t.site
-	cfg := &s.ctl.cfg
-	s.aborts++
 	t.attempts++
 
 	if t.probe {
@@ -479,82 +369,60 @@ func (t *Txn) Abort(c Class) Transition {
 			s.record(entryAbortCapacity)
 			t.capAborts++
 			t.backoff = 0
-			if s.counts[entryAbortCapacity] >= cfg.CapacityDemote {
+			if s.counts[entryAbortCapacity] >= capacityDemote {
 				// The window shows persistent overflow: demote the site.
 				// Straight to the lock when conflicts dominate too — STM
 				// would only convert capacity aborts into validation aborts.
 				to := ModeSTM
-				if s.counts[entryAbortConflict] >= cfg.LockDemote {
+				if s.counts[entryAbortConflict] >= lockDemote {
 					to = ModeLock
 				}
-				tr := s.transition(to)
 				t.mode = to
-				t.probe = false
-				return tr
+				return s.transition(to)
 			}
-			if t.capAborts > cfg.CapacityRetry {
+			if t.capAborts > capacityRetry {
 				// Execution-local fallback: this execution will not fit.
 				t.mode = ModeSTM
 			}
+			return Transition{}
 		case ClassConflict:
 			s.record(entryAbortConflict)
-			t.conflicts++
-			shift := t.conflicts - 1
-			if shift > cfg.BackoffMaxShift {
-				shift = cfg.BackoffMaxShift
-			}
-			t.backoff = cfg.BackoffBase << shift
-			if t.attempts >= cfg.HTMRetry {
-				t.mode = ModeLock // one-shot serialisation, not a demotion
-			}
-		case ClassLockConflict:
-			s.record(entryAbortLock)
-			t.backoff = 0
-			if t.attempts >= cfg.HTMRetry {
-				t.mode = ModeLock
-			}
+			t.conflictBackoff()
 		default:
-			s.record(entryAbortOther)
+			s.record(entryOther)
 			t.backoff = 0
-			if t.attempts >= cfg.HTMRetry {
-				t.mode = ModeLock
-			}
+		}
+		if t.attempts >= htmRetry {
+			t.mode = ModeLock // one-shot serialisation, not a demotion
 		}
 	case ModeSTM:
 		if c == ClassLockConflict {
 			// The held lock aborted the (lock-word-subscribed) software
 			// transaction; the caller's WaitUntilFree is the right wait and
 			// the abort says nothing about STM suitability.
-			s.record(entryAbortLock)
+			s.record(entryOther)
 			t.backoff = 0
 			return Transition{}
 		}
 		s.record(entryAbortSTM)
-		if s.counts[entryAbortSTM] >= cfg.STMDemote {
-			tr := s.transition(ModeLock)
+		if s.counts[entryAbortSTM] >= stmDemote {
 			t.mode = ModeLock
-			return tr
+			return s.transition(ModeLock)
 		}
-		t.conflicts++
-		shift := t.conflicts - 1
-		if shift > cfg.BackoffMaxShift {
-			shift = cfg.BackoffMaxShift
-		}
-		t.backoff = cfg.BackoffBase << shift
+		t.conflictBackoff()
 	case ModeLock:
 		// Irrevocable executions cannot abort; nothing to decide.
 	}
 	return Transition{}
 }
 
-// abortProbe handles an abort during a probation probe: capacity
-// aborts fail the probe immediately (the demotion cause persists), anything
-// else gets ProbeRetry attempts. A failed probe returns the execution to the
-// steady demoted mode and lengthens the probation.
+// abortProbe handles an abort during a probation probe: a capacity abort or
+// an STM validation conflict fails the probe immediately (the demotion
+// cause persists), anything else gets probeRetry attempts. A failed probe
+// returns the execution to the steady demoted mode and lengthens the
+// probation.
 func (t *Txn) abortProbe(c Class) Transition {
 	s := t.site
-	cfg := &s.ctl.cfg
-	failed := c == ClassCapacity || c == ClassSTMConflict || t.attempts >= cfg.ProbeRetry
 	switch c {
 	case ClassCapacity:
 		s.record(entryAbortCapacity)
@@ -562,14 +430,11 @@ func (t *Txn) abortProbe(c Class) Transition {
 		s.record(entryAbortConflict)
 	case ClassSTMConflict:
 		s.record(entryAbortSTM)
-	case ClassLockConflict:
-		s.record(entryAbortLock)
 	default:
-		s.record(entryAbortOther)
+		s.record(entryOther)
 	}
-	if !failed {
-		t.conflicts++
-		t.backoff = cfg.BackoffBase << (t.conflicts - 1)
+	if c != ClassCapacity && c != ClassSTMConflict && t.attempts < probeRetry {
+		t.conflictBackoff()
 		return Transition{}
 	}
 	s.probing = false
@@ -577,13 +442,9 @@ func (t *Txn) abortProbe(c Class) Transition {
 	s.commitsSinceDemote = 0
 	base := s.probation
 	if base == 0 {
-		base = cfg.Probation
+		base = probation
 	}
-	base *= cfg.ProbationGrowth
-	if base > cfg.ProbationMax {
-		base = cfg.ProbationMax
-	}
-	s.probation = base
+	s.probation = min(base*probationGrowth, probationMax)
 	t.probe = false
 	t.mode = s.mode
 	t.backoff = 0
@@ -595,20 +456,15 @@ func (t *Txn) abortProbe(c Class) Transition {
 // satisfied).
 func (t *Txn) Commit() Transition {
 	s := t.site
-	cfg := &s.ctl.cfg
-	s.commits[t.mode]++
-	switch t.mode {
-	case ModeHTM:
-		s.record(entryCommitHTM)
-	case ModeSTM:
-		s.record(entryCommitSTM)
-	case ModeLock:
+	if t.mode == ModeLock {
 		s.record(entryCommitLock)
+	} else {
+		s.record(entryOther)
 	}
 
 	if t.probe {
 		s.probeWins++
-		if s.probeWins >= cfg.ProbeWins {
+		if s.probeWins >= probeWins {
 			return s.transition(t.mode)
 		}
 		return Transition{}
@@ -628,7 +484,7 @@ func (t *Txn) Commit() Transition {
 	case s.mode == ModeHTM && t.mode == ModeLock:
 		// One-shot fallback commits: enough of them demote the site — it is
 		// serialising anyway, so stop paying for the failed speculation.
-		if s.counts[entryCommitLock] >= cfg.LockDemote {
+		if s.counts[entryCommitLock] >= lockDemote {
 			return s.transition(ModeLock)
 		}
 	}

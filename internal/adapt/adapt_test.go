@@ -5,6 +5,10 @@ import (
 	"testing"
 )
 
+// The tests below pin the fixed policy by behaviour: each rule is driven to
+// its boundary with literal counts, so n−1 events leave the site alone and n
+// fire the rule. Moving any threshold constant by one fails one of them.
+
 // fixedIntn is a deterministic stand-in for the per-thread PRNG.
 func fixedIntn(v int) func(int) int {
 	return func(n int) int {
@@ -15,410 +19,419 @@ func fixedIntn(v int) func(int) int {
 	}
 }
 
-// step drives one whole execution of a site to a fixed outcome and returns
-// any steady-mode transition it produced.
-func commitOnce(s *Site) Transition {
-	tx := s.Begin()
-	return tx.Commit()
-}
-
-// TestSiteTransitions is the table-driven transition matrix the controller
-// satellite requires: each case drives a fresh site through a scripted
-// outcome sequence and asserts the resulting steady mode and probe state.
-func TestSiteTransitions(t *testing.T) {
-	cfg := Config{
-		Window: 16, CapacityDemote: 3, LockDemote: 4, STMDemote: 4,
-		HTMRetry: 4, CapacityRetry: 1, ProbeRetry: 2,
-		BackoffBase: 16, BackoffMaxShift: 3,
-		Probation: 4, ProbationGrowth: 2, ProbationMax: 64, ProbeWins: 2,
-	}
-	cases := []struct {
-		name  string
-		drive func(t *testing.T, s *Site)
-		want  Mode
-	}{
-		{
-			// Repeated capacity aborts in the window demote the site to STM:
-			// the footprint will not shrink on retry.
-			name: "capacity demotes to STM",
-			drive: func(t *testing.T, s *Site) {
-				var tr Transition
-				for i := 0; i < cfg.CapacityDemote; i++ {
-					tx := s.Begin()
-					if got := tx.Mode(); got != ModeHTM {
-						t.Fatalf("attempt %d started in %v, want htm", i, got)
-					}
-					tr = tx.Abort(ClassCapacity)
-					if i < cfg.CapacityDemote-1 {
-						if tr.Changed {
-							t.Fatalf("demoted after only %d capacity aborts", i+1)
-						}
-						// Execution-local fallback: the second capacity abort
-						// of one execution moves just this execution to STM.
-						tx.Abort(ClassCapacity)
-						if tx.Mode() != ModeSTM {
-							t.Fatalf("execution not locally demoted to STM after exhausting CapacityRetry")
-						}
-						return // single-execution sub-behaviour verified
-					}
-				}
-				if !tr.Changed || tr.From != ModeHTM || tr.To != ModeSTM {
-					t.Fatalf("want HTM->STM transition, got %+v", tr)
-				}
-			},
-			want: ModeHTM, // the early return above leaves the site steady
-		},
-		{
-			name: "window capacity aborts demote site to STM",
-			drive: func(t *testing.T, s *Site) {
-				for i := 0; i < cfg.CapacityDemote; i++ {
-					tx := s.Begin()
-					if tr := tx.Abort(ClassCapacity); tr.Changed {
-						if i != cfg.CapacityDemote-1 {
-							t.Fatalf("demoted early at abort %d", i+1)
-						}
-						if tr.From != ModeHTM || tr.To != ModeSTM {
-							t.Fatalf("want HTM->STM, got %+v", tr)
-						}
-						return
-					}
-				}
-				t.Fatal("no demotion after CapacityDemote capacity aborts")
-			},
-			want: ModeSTM,
-		},
-		{
-			// Capacity aborts with a conflict-heavy window skip STM and go
-			// straight to the lock.
-			name: "capacity with conflict-heavy window demotes to lock",
-			drive: func(t *testing.T, s *Site) {
-				for i := 0; i < cfg.LockDemote; i++ {
-					tx := s.Begin()
-					tx.Abort(ClassConflict)
-					tx.Commit()
-				}
-				for i := 0; i < cfg.CapacityDemote; i++ {
-					tx := s.Begin()
-					if tr := tx.Abort(ClassCapacity); tr.Changed {
-						if tr.To != ModeLock {
-							t.Fatalf("want demotion to lock, got %+v", tr)
-						}
-						return
-					}
-				}
-				t.Fatal("no demotion")
-			},
-			want: ModeLock,
-		},
-		{
-			// Enough one-shot lock fallbacks demote the site: it is
-			// serialising anyway.
-			name: "repeated lock fallback commits demote to lock",
-			drive: func(t *testing.T, s *Site) {
-				for i := 0; i < cfg.LockDemote; i++ {
-					tx := s.Begin()
-					for tx.Mode() == ModeHTM {
-						tx.Abort(ClassConflict)
-					}
-					if tx.Mode() != ModeLock {
-						t.Fatalf("exhausted HTM retries should fall back to lock, got %v", tx.Mode())
-					}
-					if tr := tx.Commit(); tr.Changed {
-						if tr.To != ModeLock || i != cfg.LockDemote-1 {
-							t.Fatalf("unexpected transition %+v at fallback %d", tr, i+1)
-						}
-						return
-					}
-				}
-				t.Fatal("no demotion after LockDemote fallback commits")
-			},
-			want: ModeLock,
-		},
-		{
-			// STM validation conflicts piling up demote an STM site to lock.
-			name: "stm conflicts demote to lock",
-			drive: func(t *testing.T, s *Site) {
-				// First demote to STM via capacity.
-				for s.Mode() == ModeHTM {
-					tx := s.Begin()
-					tx.Abort(ClassCapacity)
-				}
-				for i := 0; i < cfg.STMDemote; i++ {
-					tx := s.Begin()
-					if got := tx.Mode(); got != ModeSTM {
-						t.Fatalf("want STM attempts, got %v", got)
-					}
-					if tr := tx.Abort(ClassSTMConflict); tr.Changed {
-						if tr.From != ModeSTM || tr.To != ModeLock {
-							t.Fatalf("want STM->lock, got %+v", tr)
-						}
-						return
-					}
-				}
-				t.Fatal("no demotion after STMDemote validation conflicts")
-			},
-			want: ModeLock,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ctl := NewController(cfg)
-			s := ctl.SiteFor(1)
-			tc.drive(t, s)
-			if got := s.Mode(); got != tc.want {
-				t.Fatalf("steady mode = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
-// TestConflictBackoff pins the exponential-backoff-with-jitter contract:
-// conflict aborts double the envelope up to the cap, the jittered pause
-// stays in [envelope/2, envelope), and non-conflict aborts reset it.
-func TestConflictBackoff(t *testing.T) {
-	cfg := Config{BackoffBase: 16, BackoffMaxShift: 3, HTMRetry: 100}
-	ctl := NewController(cfg)
-	tx := ctl.SiteFor(1).Begin()
-
-	if got := tx.Backoff(fixedIntn(0)); got != 0 {
-		t.Fatalf("backoff before any abort = %d, want 0", got)
-	}
-	wantEnvelope := []int{16, 32, 64, 128, 128, 128} // doubles, then caps at base<<3
-	for i, env := range wantEnvelope {
-		tx.Abort(ClassConflict)
-		lo := tx.Backoff(fixedIntn(0))
-		hi := tx.Backoff(fixedIntn(1 << 30))
-		if lo != env/2 {
-			t.Fatalf("abort %d: min backoff = %d, want %d", i+1, lo, env/2)
-		}
-		if hi != env/2+(env+1)/2-1 {
-			t.Fatalf("abort %d: max backoff = %d, want %d", i+1, hi, env-1)
-		}
-	}
-	// A lock-conflict abort clears the pending backoff (WaitUntilFree is the
-	// right wait, not a timed pause).
-	tx.Abort(ClassLockConflict)
-	if got := tx.Backoff(fixedIntn(0)); got != 0 {
-		t.Fatalf("backoff after lock abort = %d, want 0", got)
-	}
-}
-
-// TestProbationReentry walks a demoted site through the full probation
-// cycle: commits in the demoted mode accumulate, a probe starts only after
-// the probation elapses, and ProbeWins consecutive probe commits promote
-// the site back to HTM.
-func TestProbationReentry(t *testing.T) {
-	cfg := Config{
-		Window: 16, CapacityDemote: 2, Probation: 3, ProbationGrowth: 2,
-		ProbationMax: 24, ProbeWins: 2, ProbeRetry: 2,
-	}
-	ctl := NewController(cfg)
-	s := ctl.SiteFor(1)
-
-	// Demote to STM.
-	for s.Mode() == ModeHTM {
+// commitN runs n executions of s that commit at once, in whatever mode
+// Begin picks, and fails on any transition or probe they produce.
+func commitN(t *testing.T, s *Site, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
 		tx := s.Begin()
-		tx.Abort(ClassCapacity)
+		if tx.probe {
+			t.Fatalf("commit %d of %d started a probe", i+1, n)
+		}
+		if tr := tx.Commit(); tr.Changed {
+			t.Fatalf("commit %d of %d transitioned: %+v", i+1, n, tr)
+		}
+	}
+}
+
+// capacityAbortThenCommit runs one execution that takes a single capacity
+// abort and then commits, returning the abort's transition.
+func capacityAbortThenCommit(s *Site) Transition {
+	tx := s.Begin()
+	tr := tx.Abort(ClassCapacity)
+	tx.Commit()
+	return tr
+}
+
+// demoteToSTM drives a fresh site to STM with four capacity aborts.
+func demoteToSTM(t *testing.T, s *Site) {
+	t.Helper()
+	for i := 0; i < 4; i++ {
+		capacityAbortThenCommit(s)
 	}
 	if s.Mode() != ModeSTM {
 		t.Fatalf("setup: mode = %v, want stm", s.Mode())
 	}
-
-	// During probation every execution stays in STM.
-	for i := 0; i < cfg.Probation; i++ {
-		tx := s.Begin()
-		if tx.Probing() || tx.Mode() != ModeSTM {
-			t.Fatalf("execution %d during probation: mode=%v probing=%v", i, tx.Mode(), tx.Probing())
-		}
-		tx.Commit()
-	}
-
-	// Probation has elapsed: the next executions probe HTM; ProbeWins
-	// consecutive commits promote.
-	for i := 0; i < cfg.ProbeWins; i++ {
-		tx := s.Begin()
-		if !tx.Probing() || tx.Mode() != ModeHTM {
-			t.Fatalf("probe %d: mode=%v probing=%v, want probing htm", i, tx.Mode(), tx.Probing())
-		}
-		tr := tx.Commit()
-		if i < cfg.ProbeWins-1 {
-			if tr.Changed {
-				t.Fatalf("promoted after only %d probe wins", i+1)
-			}
-		} else if !tr.Changed || tr.From != ModeSTM || tr.To != ModeHTM {
-			t.Fatalf("want STM->HTM promotion, got %+v", tr)
-		}
-	}
-	if s.Mode() != ModeHTM {
-		t.Fatalf("mode after promotion = %v, want htm", s.Mode())
-	}
 }
 
-// TestProbeHysteresis pins the anti-flapping behaviour: a failed probe
-// returns the site to its demoted mode and grows the probation window
-// geometrically up to the cap, so a site that keeps failing probes probes
-// geometrically less often.
-func TestProbeHysteresis(t *testing.T) {
-	cfg := Config{
-		Window: 16, CapacityDemote: 2, Probation: 2, ProbationGrowth: 2,
-		ProbationMax: 8, ProbeWins: 2, ProbeRetry: 2,
-	}
-	ctl := NewController(cfg)
-	s := ctl.SiteFor(1)
-	for s.Mode() == ModeHTM {
-		tx := s.Begin()
-		tx.Abort(ClassCapacity)
-	}
-
-	// Each round: serve the probation commits, then fail the probe with a
-	// capacity abort (immediate probe failure). The probation must double:
-	// 2, 4, 8, then stay capped at 8.
-	served := 0 // STM commits already credited to the current probation
-	for round, wantProbation := range []int{2, 4, 8, 8} {
-		n := served
-		var tx Txn
-		for {
-			tx = s.Begin()
-			if tx.Probing() {
-				break
-			}
-			tx.Commit()
-			n++
-			if n > wantProbation {
-				t.Fatalf("round %d: no probe after %d probation commits, want %d", round, n, wantProbation)
-			}
-		}
-		if n != wantProbation {
-			t.Fatalf("round %d: probe started after %d probation commits, want %d", round, n, wantProbation)
-		}
-		if tr := tx.Abort(ClassCapacity); tr.Changed {
-			t.Fatalf("round %d: probe failure must not transition, got %+v", round, tr)
-		}
-		if tx.Probing() || tx.Mode() != ModeSTM {
-			t.Fatalf("round %d: failed probe should return execution to STM, got mode=%v probing=%v",
-				round, tx.Mode(), tx.Probing())
-		}
-		tx.Commit()
-		served = 1 // the post-failure commit counts toward the next window
-	}
-}
-
-// TestProbeConflictRetries verifies a probe survives transient conflicts up
-// to ProbeRetry before failing — conflicts during a probe do not prove the
-// demotion cause persists.
-func TestProbeConflictRetries(t *testing.T) {
-	cfg := Config{
-		Window: 16, CapacityDemote: 2, Probation: 1, ProbeWins: 1, ProbeRetry: 3,
-	}
-	ctl := NewController(cfg)
-	s := ctl.SiteFor(1)
-	for s.Mode() == ModeHTM {
-		tx := s.Begin()
-		tx.Abort(ClassCapacity)
-	}
-	commitOnce(s) // serve probation
-
-	tx := s.Begin()
-	if !tx.Probing() {
-		t.Fatal("want probe")
-	}
-	tx.Abort(ClassConflict)
-	if !tx.Probing() || tx.Mode() != ModeHTM {
-		t.Fatalf("probe gave up on first conflict: mode=%v probing=%v", tx.Mode(), tx.Probing())
-	}
-	if tx.Backoff(fixedIntn(0)) == 0 {
-		t.Fatal("probe conflict should set a backoff")
-	}
-	if tr := tx.Commit(); !tr.Changed || tr.To != ModeHTM {
-		t.Fatalf("probe commit with ProbeWins=1 should promote, got %+v", tr)
-	}
-}
-
-// TestLockSiteProbesSTMWhenCapacityBound: a lock-mode site whose window is
-// dominated by capacity aborts probes STM, not HTM — hardware would just
-// overflow again.
-func TestLockSiteProbesSTMWhenCapacityBound(t *testing.T) {
-	cfg := Config{
-		Window: 16, CapacityDemote: 3, LockDemote: 2, STMDemote: 16,
-		Probation: 1, ProbeWins: 1, HTMRetry: 8,
-	}
-	ctl := NewController(cfg)
-	s := ctl.SiteFor(1)
-	// Two conflict aborts in the window so the capacity demotion below picks
-	// the lock, then three capacity aborts (dominating the abort record).
-	for i := 0; i < cfg.LockDemote; i++ {
+// lockSiteDueToProbe drives a fresh site to the lock with hardware
+// attempts in flight: sixteen conflict aborts turn its capacity demotion
+// into a lock demotion, and the attempts begun before it abort with late
+// after 63 lock commits have evicted every abort of the demotion. One more
+// lock commit then serves the probation, so the site's next Begin probes.
+func lockSiteDueToProbe(t *testing.T, late ...Class) *Site {
+	t.Helper()
+	s := NewController(nil).SiteFor(1)
+	for i := 0; i < 16; i++ {
 		tx := s.Begin()
 		tx.Abort(ClassConflict)
 		tx.Commit()
 	}
-	for s.Mode() == ModeHTM {
-		tx := s.Begin()
-		tx.Abort(ClassCapacity)
+	inFlight := make([]Txn, len(late))
+	for i := range inFlight {
+		inFlight[i] = s.Begin()
+	}
+	for i := 0; i < 4; i++ {
+		capacityAbortThenCommit(s)
 	}
 	if s.Mode() != ModeLock {
 		t.Fatalf("setup: mode = %v, want lock", s.Mode())
 	}
-	commitOnce(s) // serve probation
+	commitN(t, s, 62)
+	for i, c := range late {
+		if tr := inFlight[i].Abort(c); tr.Changed {
+			t.Fatalf("late %v abort transitioned: %+v", c, tr)
+		}
+	}
+	commitN(t, s, 1)
+	return s
+}
+
+// TestSiteTransitions drives each demotion rule to its boundary.
+func TestSiteTransitions(t *testing.T) {
+	t.Run("capacity demotes to STM", checkCapacityRetry)
+	t.Run("window capacity aborts demote site to STM", checkCapacityDemote)
+	t.Run("capacity with conflict-heavy window demotes to lock", checkCapacityDemoteToLock)
+	t.Run("repeated lock fallback commits demote to lock", checkLockDemote)
+	t.Run("stm conflicts demote to lock", checkSTMDemote)
+}
+
+// checkCapacityDemote: the fourth windowed capacity abort demotes an HTM
+// site to STM; three do not.
+func checkCapacityDemote(t *testing.T) {
+	s := NewController(nil).SiteFor(1)
+	for i := 1; i <= 3; i++ {
+		if tr := capacityAbortThenCommit(s); tr.Changed {
+			t.Fatalf("capacity abort %d demoted the site: %+v", i, tr)
+		}
+	}
 	tx := s.Begin()
-	if !tx.Probing() || tx.Mode() != ModeSTM {
-		t.Fatalf("capacity-bound lock site should probe STM, got mode=%v probing=%v",
-			tx.Mode(), tx.Probing())
+	tr := tx.Abort(ClassCapacity)
+	if !tr.Changed || tr.From != ModeHTM || tr.To != ModeSTM || tx.Mode() != ModeSTM {
+		t.Fatalf("capacity abort 4: %+v, execution in %v; want htm->stm", tr, tx.Mode())
+	}
+	if s.Mode() != ModeSTM {
+		t.Fatalf("steady mode = %v, want stm", s.Mode())
+	}
+}
+
+// checkCapacityRetry: within one execution the first capacity abort retries
+// in HTM and the second moves just that execution to STM.
+func checkCapacityRetry(t *testing.T) {
+	s := NewController(nil).SiteFor(1)
+	tx := s.Begin()
+	tx.Abort(ClassCapacity)
+	if tx.Mode() != ModeHTM {
+		t.Fatalf("after one capacity abort the execution runs %v, want htm", tx.Mode())
+	}
+	if tr := tx.Abort(ClassCapacity); tr.Changed {
+		t.Fatalf("two capacity aborts demoted the site: %+v", tr)
+	}
+	if tx.Mode() != ModeSTM || s.Mode() != ModeHTM {
+		t.Fatalf("after two capacity aborts: execution %v, site %v; want stm, htm", tx.Mode(), s.Mode())
+	}
+}
+
+// checkCapacityDemoteToLock: a capacity demotion goes to the lock instead of
+// STM once sixteen conflict aborts sit in the window; fifteen leave it at
+// STM.
+func checkCapacityDemoteToLock(t *testing.T) {
+	for _, tc := range []struct {
+		conflicts int
+		want      Mode
+	}{{15, ModeSTM}, {16, ModeLock}} {
+		s := NewController(nil).SiteFor(1)
+		for i := 0; i < tc.conflicts; i++ {
+			tx := s.Begin()
+			tx.Abort(ClassConflict)
+			tx.Commit()
+		}
+		for i := 0; i < 4; i++ {
+			capacityAbortThenCommit(s)
+		}
+		if s.Mode() != tc.want {
+			t.Errorf("%d conflicts then a capacity demotion: mode = %v, want %v", tc.conflicts, s.Mode(), tc.want)
+		}
+	}
+}
+
+// TestWindowEviction: the window holds the last 64 outcomes. Three
+// capacity-abort executions (six entries), k commits and a fourth capacity
+// abort demote the site while all four aborts fit (k = 57) and not once
+// the oldest has been evicted (k = 58).
+func TestWindowEviction(t *testing.T) {
+	for _, tc := range []struct {
+		commits int
+		demote  bool
+	}{{57, true}, {58, false}} {
+		s := NewController(nil).SiteFor(1)
+		for i := 0; i < 3; i++ {
+			capacityAbortThenCommit(s)
+		}
+		commitN(t, s, tc.commits)
+		tx := s.Begin()
+		if tr := tx.Abort(ClassCapacity); tr.Changed != tc.demote {
+			t.Errorf("%d commits between the aborts: demoted = %v, want %v", tc.commits, tr.Changed, tc.demote)
+		}
+	}
+}
+
+// TestHTMRetry: an execution makes eight hardware attempts before its
+// one-shot fallback to the lock; every abort class counts toward them, and
+// the fallback leaves the site's steady mode alone.
+func TestHTMRetry(t *testing.T) {
+	for _, c := range []Class{ClassConflict, ClassLockConflict, ClassOther} {
+		s := NewController(nil).SiteFor(1)
+		tx := s.Begin()
+		for i := 1; i <= 7; i++ {
+			tx.Abort(c)
+			if tx.Mode() != ModeHTM {
+				t.Fatalf("%v: execution left htm after %d aborts", c, i)
+			}
+		}
+		if tr := tx.Abort(c); tr.Changed || tx.Mode() != ModeLock || s.Mode() != ModeHTM {
+			t.Fatalf("%v: eighth abort gave %+v, execution %v, site %v; want a one-shot lock fallback",
+				c, tr, tx.Mode(), s.Mode())
+		}
+		if tr := tx.Commit(); tr.Changed {
+			t.Fatalf("%v: one fallback commit demoted the site: %+v", c, tr)
+		}
+	}
+}
+
+// checkLockDemote: commits under the lock demote an HTM site to the lock
+// once sixteen sit in the window. Each one-shot fallback brings eight
+// aborts of its own, so the rule fires on a convoy: executions that
+// exhausted their retries while the lock was taken, then commit under it
+// one after another.
+func checkLockDemote(t *testing.T) {
+	s := NewController(nil).SiteFor(1)
+	convoy := make([]Txn, 16)
+	for i := range convoy {
+		convoy[i] = s.Begin()
+		for convoy[i].Mode() == ModeHTM {
+			convoy[i].Abort(ClassConflict)
+		}
+	}
+	for i := 0; i < 15; i++ {
+		if tr := convoy[i].Commit(); tr.Changed {
+			t.Fatalf("lock commit %d demoted the site: %+v", i+1, tr)
+		}
+	}
+	if tr := convoy[15].Commit(); !tr.Changed || tr.From != ModeHTM || tr.To != ModeLock {
+		t.Fatalf("lock commit 16: %+v, want htm->lock", tr)
+	}
+}
+
+// checkSTMDemote: the thirty-second windowed NOrec validation conflict
+// demotes an STM site to the lock; a lock-word abort of an STM attempt
+// says nothing about STM and is not counted.
+func checkSTMDemote(t *testing.T) {
+	s := NewController(nil).SiteFor(1)
+	demoteToSTM(t, s)
+	tx := s.Begin()
+	for i := 1; i <= 31; i++ {
+		if tr := tx.Abort(ClassSTMConflict); tr.Changed {
+			t.Fatalf("stm conflict %d demoted the site: %+v", i, tr)
+		}
+		if tr := tx.Abort(ClassLockConflict); tr.Changed || tx.Backoff(fixedIntn(0)) != 0 {
+			t.Fatalf("lock abort after stm conflict %d: %+v, backoff %d", i, tr, tx.Backoff(fixedIntn(0)))
+		}
+	}
+	tr := tx.Abort(ClassSTMConflict)
+	if !tr.Changed || tr.From != ModeSTM || tr.To != ModeLock || tx.Mode() != ModeLock {
+		t.Fatalf("stm conflict 32: %+v, execution %v; want stm->lock", tr, tx.Mode())
+	}
+}
+
+// TestConflictBackoff pins the exponential-backoff-with-jitter contract:
+// conflict aborts double the envelope from 16 cycles up to its cap of
+// 16<<6, the jittered pause stays in [envelope/2, envelope), and a
+// non-conflict abort clears it. STM conflicts back off on the same
+// envelope.
+func TestConflictBackoff(t *testing.T) {
+	want := []int{16, 32, 64, 128, 256, 512, 1024, 1024}
+	check := func(name string, tx *Txn, abort func()) {
+		t.Helper()
+		if got := tx.Backoff(fixedIntn(0)); got != 0 {
+			t.Fatalf("%s: backoff before any abort = %d, want 0", name, got)
+		}
+		for i, env := range want {
+			abort()
+			lo := tx.Backoff(fixedIntn(0))
+			hi := tx.Backoff(fixedIntn(1 << 30))
+			if lo != env/2 || hi != env/2+(env+1)/2-1 {
+				t.Fatalf("%s: abort %d: backoff in [%d, %d], want envelope %d", name, i+1, lo, hi, env)
+			}
+		}
+	}
+	htmTx := NewController(nil).SiteFor(1).Begin()
+	check("htm", &htmTx, func() { htmTx.Abort(ClassConflict) })
+
+	// The lock word is the right wait after a lock-conflict abort, not a
+	// timed pause.
+	tx := NewController(nil).SiteFor(1).Begin()
+	tx.Abort(ClassConflict)
+	tx.Abort(ClassLockConflict)
+	if got := tx.Backoff(fixedIntn(0)); got != 0 {
+		t.Fatalf("backoff after a lock abort = %d, want 0", got)
+	}
+
+	s := NewController(nil).SiteFor(1)
+	demoteToSTM(t, s)
+	stmTx := s.Begin()
+	check("stm", &stmTx, func() { stmTx.Abort(ClassSTMConflict) })
+}
+
+// TestProbationReentry walks a demoted site through the probation cycle:
+// the first 64 commits in the demoted mode stay there, the next execution
+// probes HTM, and the fourth consecutive probe commit promotes the site.
+func TestProbationReentry(t *testing.T) {
+	s := NewController(nil).SiteFor(1)
+	demoteToSTM(t, s)
+	// The execution whose capacity abort demoted the site committed in STM
+	// and counts toward the probation.
+	commitN(t, s, 63)
+	for i := 1; i <= 4; i++ {
+		tx := s.Begin()
+		if !tx.probe || tx.Mode() != ModeHTM {
+			t.Fatalf("probe %d: mode=%v probing=%v, want a probe of htm", i, tx.Mode(), tx.probe)
+		}
+		tr := tx.Commit()
+		if i < 4 && tr.Changed {
+			t.Fatalf("promoted after only %d probe wins", i)
+		}
+		if i == 4 && (!tr.Changed || tr.From != ModeSTM || tr.To != ModeHTM) {
+			t.Fatalf("fourth probe win: %+v, want stm->htm", tr)
+		}
+	}
+}
+
+// TestLockSiteProbesSTMWhenCapacityBound: a lock-mode site records only
+// lock commits, so its window holds aborts at probe time only from hardware
+// attempts that began before the demotion and aborted after it. When those
+// hold more capacity than conflict aborts the site probes STM, and four
+// STM probe wins promote it there; a tie probes HTM. A validation conflict
+// fails an STM probe at once.
+func TestLockSiteProbesSTMWhenCapacityBound(t *testing.T) {
+	s := lockSiteDueToProbe(t, ClassCapacity, ClassConflict)
+	if tx := s.Begin(); !tx.probe || tx.Mode() != ModeHTM {
+		t.Fatalf("capacity/conflict tie: probe of %v (probing=%v), want htm", tx.Mode(), tx.probe)
+	}
+
+	s = lockSiteDueToProbe(t, ClassCapacity)
+	tx := s.Begin()
+	if !tx.probe || tx.Mode() != ModeSTM {
+		t.Fatalf("capacity-bound lock site: probe of %v (probing=%v), want stm", tx.Mode(), tx.probe)
+	}
+	tx.Abort(ClassSTMConflict)
+	if tx.probe || tx.Mode() != ModeLock || s.probation != 128 {
+		t.Fatalf("stm probe conflict: mode=%v probing=%v probation=%d; want a failed probe",
+			tx.Mode(), tx.probe, s.probation)
+	}
+
+	s = lockSiteDueToProbe(t, ClassCapacity)
+	for i := 1; i <= 4; i++ {
+		tx := s.Begin()
+		if tx.Mode() != ModeSTM {
+			t.Fatalf("probe %d runs %v, want stm", i, tx.Mode())
+		}
+		if tr := tx.Commit(); tr.Changed != (i == 4) || (i == 4 && tr.To != ModeSTM) {
+			t.Fatalf("probe win %d: %+v", i, tr)
+		}
+	}
+}
+
+// TestProbeHysteresis pins the anti-flapping behaviour: a probe failed by a
+// capacity abort returns the execution to the demoted mode and doubles the
+// site's probation, 64 → 128 → … → 4096, where it stays.
+func TestProbeHysteresis(t *testing.T) {
+	s := NewController(nil).SiteFor(1)
+	demoteToSTM(t, s)
+	served := 1 // the demoting execution's STM commit
+	for round, due := range []int{64, 128, 256, 512, 1024, 2048, 4096, 4096} {
+		commitN(t, s, due-served)
+		tx := s.Begin()
+		if !tx.probe {
+			t.Fatalf("round %d: no probe after %d probation commits", round, due)
+		}
+		if tr := tx.Abort(ClassCapacity); tr.Changed {
+			t.Fatalf("round %d: probe failure transitioned: %+v", round, tr)
+		}
+		if tx.probe || tx.Mode() != ModeSTM {
+			t.Fatalf("round %d: failed probe left the execution probing=%v in %v", round, tx.probe, tx.Mode())
+		}
+		tx.Commit()
+		served = 1 // the failed probe's STM commit opens the next probation
+	}
+}
+
+// TestProbeConflictRetries: a probe survives one transient conflict (with a backoff)
+// and fails on the second attempt's abort, of any class, lengthening the
+// probation.
+func TestProbeConflictRetries(t *testing.T) {
+	s := NewController(nil).SiteFor(1)
+	demoteToSTM(t, s)
+	commitN(t, s, 63)
+	tx := s.Begin()
+	tx.Abort(ClassConflict)
+	if !tx.probe || tx.Mode() != ModeHTM {
+		t.Fatalf("probe gave up on its first conflict: mode=%v probing=%v", tx.Mode(), tx.probe)
+	}
+	if got := tx.Backoff(fixedIntn(0)); got != 8 {
+		t.Fatalf("probe conflict backoff = %d, want 8 (envelope 16)", got)
+	}
+	tx.Abort(ClassLockConflict) // any class spends an attempt
+	if tx.probe || tx.Mode() != ModeSTM || tx.Backoff(fixedIntn(0)) != 0 {
+		t.Fatalf("second probe abort: mode=%v probing=%v; want the probe failed back to stm", tx.Mode(), tx.probe)
+	}
+	if s.probation != 128 {
+		t.Fatalf("probation after a failed probe = %d, want 128", s.probation)
 	}
 }
 
 // TestPromotionResetsHistory: after a promotion the window is cleared, so
-// the pre-demotion abort record cannot instantly re-demote the site.
+// the pre-demotion capacity aborts cannot re-demote the site: it takes
+// four fresh ones.
 func TestPromotionResetsHistory(t *testing.T) {
-	cfg := Config{Window: 16, CapacityDemote: 2, Probation: 1, ProbeWins: 1}
-	ctl := NewController(cfg)
-	s := ctl.SiteFor(1)
-	for s.Mode() == ModeHTM {
+	s := NewController(nil).SiteFor(1)
+	demoteToSTM(t, s)
+	commitN(t, s, 63)
+	for i := 0; i < 4; i++ {
 		tx := s.Begin()
-		tx.Abort(ClassCapacity)
+		tx.Commit()
 	}
-	commitOnce(s) // probation
-	probe := s.Begin()
-	probe.Commit() // winning probe → promotion
 	if s.Mode() != ModeHTM {
 		t.Fatalf("mode = %v, want htm after promotion", s.Mode())
 	}
-	// One capacity abort must NOT re-demote (window was reset; threshold 2).
-	tx := s.Begin()
-	if tr := tx.Abort(ClassCapacity); tr.Changed {
-		t.Fatalf("stale history re-demoted the site: %+v", tr)
+	for i := 1; i <= 3; i++ {
+		if tr := capacityAbortThenCommit(s); tr.Changed {
+			t.Fatalf("stale history re-demoted the site at capacity abort %d: %+v", i, tr)
+		}
 	}
-	if s.Mode() != ModeHTM {
-		t.Fatalf("mode = %v, want htm", s.Mode())
+	if tr := capacityAbortThenCommit(s); !tr.Changed || tr.To != ModeSTM {
+		t.Fatalf("fourth fresh capacity abort: %+v, want a demotion to stm", tr)
 	}
 }
 
-// TestControllerBookkeeping covers site identity, switch counting and
-// snapshots — the oracles tm's TestAdaptiveHybridCorrectness reads.
+// TestControllerBookkeeping: sites are keyed by the caller's key and numbered in
+// first-use order (the number mode-switch events carry).
 func TestControllerBookkeeping(t *testing.T) {
-	ctl := NewController(Config{Window: 8, CapacityDemote: 2})
+	ctl := NewController(nil)
 	a, b := ctl.SiteFor(100), ctl.SiteFor(200)
-	if a == b || a.ID() == b.ID() {
-		t.Fatal("distinct keys must get distinct sites")
+	if a == b || a.id != 0 || b.id != 1 {
+		t.Fatalf("distinct keys: ids %d and %d, want 0 and 1", a.id, b.id)
 	}
 	if ctl.SiteFor(100) != a {
 		t.Fatal("same key must return the same site")
 	}
-	for a.Mode() == ModeHTM {
-		tx := a.Begin()
-		tx.Abort(ClassCapacity)
+	demoteToSTM(t, b)
+	tx := b.Begin()
+	for b.Mode() == ModeSTM {
+		tx.Abort(ClassSTMConflict)
 	}
-	if got := ctl.Switches(); got != 1 {
-		t.Fatalf("Switches() = %d, want 1", got)
-	}
-	snaps := ctl.Sites()
-	if len(snaps) != 2 {
-		t.Fatalf("Sites() returned %d snapshots, want 2", len(snaps))
-	}
-	if snaps[0].ID != a.ID() || snaps[0].Mode != ModeSTM || snaps[0].Transitions != 1 {
-		t.Fatalf("snapshot 0 = %+v", snaps[0])
-	}
-	if snaps[0].Aborts == 0 {
-		t.Fatal("snapshot should count aborts")
+	if a.Mode() != ModeHTM {
+		t.Fatalf("site a moved to %v with site b's history", a.Mode())
 	}
 }
 
@@ -452,36 +465,17 @@ func TestModeAndClassNames(t *testing.T) {
 	}
 }
 
-// TestDefaultsAreSane pins the documented defaults.
-func TestDefaultsAreSane(t *testing.T) {
-	d := DefaultConfig()
-	checks := []struct {
-		name string
-		got  int
-		want int
-	}{
-		{"Window", d.Window, 64},
-		{"CapacityDemote", d.CapacityDemote, 4},
-		{"LockDemote", d.LockDemote, 16},
-		{"STMDemote", d.STMDemote, 32},
-		{"HTMRetry", d.HTMRetry, 8},
-		{"ProbeWins", d.ProbeWins, 4},
-		{"Probation", d.Probation, 64},
-	}
-	for _, c := range checks {
-		if c.got != c.want {
-			t.Errorf("default %s = %d, want %d", c.name, c.got, c.want)
-		}
-	}
-}
-
 func ExampleSite_Begin() {
-	ctl := NewController(Config{CapacityDemote: 2})
-	site := ctl.SiteFor(1)
-	for i := 0; i < 2; i++ {
+	site := NewController(nil).SiteFor(1)
+	for i := 1; i <= 4; i++ {
 		tx := site.Begin()
 		tx.Abort(ClassCapacity)
+		tx.Commit()
+		fmt.Println(i, site.Mode())
 	}
-	fmt.Println(site.Mode())
-	// Output: stm
+	// Output:
+	// 1 htm
+	// 2 htm
+	// 3 htm
+	// 4 stm
 }

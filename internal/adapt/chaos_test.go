@@ -8,14 +8,13 @@ import (
 
 // TestChaosModeThrash drives a healthy, always-committing site under a
 // certain thrash injection: every commit forces a steady-mode rotation, the
-// transitions flow through the ordinary transition path (counted, emitted),
+// transitions flow through the ordinary transition path,
 // and the site keeps executing in whatever mode the thrash lands it in.
 func TestChaosModeThrash(t *testing.T) {
 	cfg := chaos.Config{Seed: 3}
 	cfg.OpRates[chaos.ModeThrash] = 1
 	in := chaos.New(cfg)
-	ctl := NewController(Config{Faults: in})
-	site := ctl.SiteFor(0xbeef)
+	site := NewController(in).SiteFor(0xbeef)
 
 	modes := map[Mode]bool{}
 	var transitions uint64
@@ -32,9 +31,6 @@ func TestChaosModeThrash(t *testing.T) {
 	if transitions == 0 {
 		t.Fatal("certain thrash never forced a transition")
 	}
-	if ctl.Switches() != transitions {
-		t.Fatalf("controller counted %d switches, observed %d", ctl.Switches(), transitions)
-	}
 	if in.Fired(chaos.ModeThrash) != transitions {
 		t.Fatalf("injector fired %d, transitions %d", in.Fired(chaos.ModeThrash), transitions)
 	}
@@ -50,8 +46,7 @@ func TestChaosThrashDeterministic(t *testing.T) {
 	run := func() []Mode {
 		cfg := chaos.Config{Seed: 17}
 		cfg.OpRates[chaos.ModeThrash] = 0.5
-		ctl := NewController(Config{Faults: chaos.New(cfg)})
-		site := ctl.SiteFor(1)
+		site := NewController(chaos.New(cfg)).SiteFor(1)
 		var seq []Mode
 		for i := 0; i < 50; i++ {
 			txn := site.Begin()

@@ -254,7 +254,7 @@ func (s RunSpec) runParOnce(seed uint64) (region, error) {
 	if s.Adaptive {
 		// One controller per run: every thread's executor feeds the same
 		// per-site windows, so demotion decisions reflect run-wide history.
-		ctl = adapt.NewController(adapt.Config{Faults: s.Faults})
+		ctl = adapt.NewController(s.Faults)
 	}
 	runners := make([]stamp.Runner, s.Threads)
 	execs := make([]*tm.Executor, s.Threads)

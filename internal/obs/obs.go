@@ -22,10 +22,15 @@
 //
 // This package is imported by internal/htm and therefore must not import
 // it; abort reasons travel as raw uint8 codes and are named through the
-// namer internal/htm registers at init.
+// namer internal/htm registers at init. Execution modes are named by
+// internal/adapt, which imports nothing of the engine.
 package obs
 
-import "strconv"
+import (
+	"strconv"
+
+	"htmcmp/internal/adapt"
+)
 
 // Kind discriminates transaction-boundary events.
 type Kind uint8
@@ -116,20 +121,6 @@ func SetReasonNamer(f func(code uint8) string) {
 // ReasonName returns the symbolic name of an abort-reason code.
 func ReasonName(code uint8) string { return reasonNamer(code) }
 
-// modeNamer maps adaptive-runtime execution-mode codes to names.
-// internal/adapt registers the real namer from its init (mirroring the
-// abort-reason namer: this package must not import the controller).
-var modeNamer = func(code uint8) string {
-	return "mode-" + strconv.Itoa(int(code))
-}
-
-// SetModeNamer installs the execution-mode naming function. Called from
-// internal/adapt's init; not safe for use after goroutines start tracing.
-func SetModeNamer(f func(code uint8) string) {
-	if f != nil {
-		modeNamer = f
-	}
-}
-
-// ModeName returns the symbolic name of an execution-mode code.
-func ModeName(code uint8) string { return modeNamer(code) }
+// ModeName returns the symbolic name of an adaptive-runtime execution-mode
+// code (the internal/adapt Mode a KindModeSwitch event carries).
+func ModeName(code uint8) string { return adapt.Mode(code).String() }

@@ -171,68 +171,74 @@ func (b *intruder) collEach(t *htm.Thread, h uint64, fn func(k int64, v uint64) 
 func (b *intruder) Run(runners []Runner) {
 	runWorkers(runners, func(tid int, r Runner) {
 		rng := prng.Derive(b.cfg.Seed^0x776f726b, tid) // per-item work jitter
+		// Both transaction bodies, and the variables they hand back, are
+		// declared once per worker; decode clears its results on every
+		// attempt.
+		var pkt uint64
+		var ok bool
+		grab := func(t *htm.Thread) {
+			pkt, ok = b.queue.Pop(t)
+		}
+		var assembled mem.Addr
+		var assembledLen int
+		// decode: if this fragment completes its flow, assemble the payload
+		// inside the transaction (STAMP's decoder_process + getComplete
+		// path).
+		decode := func(t *htm.Thread) {
+			assembled, assembledLen = 0, 0
+			flow := int64(t.Load64(pkt + pktFlow*8))
+			fragID := int64(t.Load64(pkt + pktFrag*8))
+			nFrag := t.Load64(pkt + pktNFrag*8)
+
+			stateH, ok := b.decoder.get(t, flow)
+			if !ok {
+				state := t.Alloc(flowWords * 8)
+				t.Store64(state+flowRecv*8, 0)
+				t.Store64(state+flowNFrag*8, nFrag)
+				t.Store64(state+flowColl*8, b.newCollection(t))
+				b.decoder.insert(t, flow, state)
+				stateH = state
+			}
+			coll := t.Load64(stateH + flowColl*8)
+			b.collInsert(t, coll, fragID, pkt)
+			recv := t.Load64(stateH+flowRecv*8) + 1
+			t.Store64(stateH+flowRecv*8, recv)
+			if recv < nFrag {
+				return
+			}
+			// Flow complete: remove from the dictionary and assemble.
+			b.decoder.remove(t, flow)
+			total := 0
+			b.collEach(t, coll, func(_ int64, frag uint64) bool {
+				total += int(t.Load64(frag + pktLen*8))
+				return true
+			})
+			buf := t.Alloc(total)
+			off := uint64(0)
+			b.collEach(t, coll, func(_ int64, frag uint64) bool {
+				l := t.Load64(frag + pktLen*8)
+				src := t.Load64(frag + pktData*8)
+				for i := uint64(0); i < l; i += 8 {
+					// Payload reads are transactional: hardware
+					// tracks them, and on POWER8 they occupy TMCAM
+					// entries — the capacity pressure behind the
+					// paper's intruder findings.
+					t.Store64(buf+off+i, t.Load64(src+i))
+				}
+				off += l
+				return true
+			})
+			assembled, assembledLen = buf, total
+		}
 		for {
 			// Transaction 1: grab a packet.
-			var pkt uint64
-			var ok bool
-			r.Atomic(func(t *htm.Thread) {
-				pkt, ok = b.queue.Pop(t)
-			})
+			r.Atomic(grab)
 			if !ok {
 				return
 			}
 			r.Thread().Work(200 + rng.Intn(160)) // variable decode work per packet
-			// Transaction 2: decode. If this fragment completes its flow,
-			// assemble the payload inside the transaction (STAMP's
-			// decoder_process + getComplete path).
-			var assembled mem.Addr
-			var assembledLen int
-			r.Atomic(func(t *htm.Thread) {
-				assembled, assembledLen = 0, 0
-				flow := int64(t.Load64(pkt + pktFlow*8))
-				fragID := int64(t.Load64(pkt + pktFrag*8))
-				nFrag := t.Load64(pkt + pktNFrag*8)
-
-				stateH, ok := b.decoder.get(t, flow)
-				if !ok {
-					state := t.Alloc(flowWords * 8)
-					t.Store64(state+flowRecv*8, 0)
-					t.Store64(state+flowNFrag*8, nFrag)
-					t.Store64(state+flowColl*8, b.newCollection(t))
-					b.decoder.insert(t, flow, state)
-					stateH = state
-				}
-				coll := t.Load64(stateH + flowColl*8)
-				b.collInsert(t, coll, fragID, pkt)
-				recv := t.Load64(stateH+flowRecv*8) + 1
-				t.Store64(stateH+flowRecv*8, recv)
-				if recv < nFrag {
-					return
-				}
-				// Flow complete: remove from the dictionary and assemble.
-				b.decoder.remove(t, flow)
-				total := 0
-				b.collEach(t, coll, func(_ int64, frag uint64) bool {
-					total += int(t.Load64(frag + pktLen*8))
-					return true
-				})
-				buf := t.Alloc(total)
-				off := uint64(0)
-				b.collEach(t, coll, func(_ int64, frag uint64) bool {
-					l := t.Load64(frag + pktLen*8)
-					src := t.Load64(frag + pktData*8)
-					for i := uint64(0); i < l; i += 8 {
-						// Payload reads are transactional: hardware
-						// tracks them, and on POWER8 they occupy TMCAM
-						// entries — the capacity pressure behind the
-						// paper's intruder findings.
-						t.Store64(buf+off+i, t.Load64(src+i))
-					}
-					off += l
-					return true
-				})
-				assembled, assembledLen = buf, total
-			})
+			// Transaction 2: decode.
+			r.Atomic(decode)
 			// Detection phase: private scan, outside any transaction.
 			if assembled != 0 {
 				if scanForSignature(r.Thread(), assembled, assembledLen) {

@@ -147,19 +147,22 @@ func (k *kmeans) Run(runners []Runner) {
 	runWorkers(runners, func(tid int, r Runner) {
 		lo := tid * k.nPoints / n
 		hi := (tid + 1) * k.nPoints / n
+		// The body is declared once per worker; each point sets the
+		// accumulator and feature offset it adds.
+		var rec mem.Addr
+		var po int
+		add := func(t *htm.Thread) {
+			t.Store64(rec, t.Load64(rec)+1)
+			for f := 0; f < k.nFeatures; f++ {
+				a := rec + uint64((1+f)*8)
+				t.StoreFloat64(a, t.LoadFloat64(a)+k.points[po+f])
+			}
+		}
 		for iter := 0; iter < k.nIters; iter++ {
 			for p := lo; p < hi; p++ {
 				r.Thread().Work(3 * k.nClusters * k.nFeatures) // distance arithmetic (sub, mul, add per feature)
-				c := k.nearest(p)
-				rec := k.accum[c]
-				po := p * k.nFeatures
-				r.Atomic(func(t *htm.Thread) {
-					t.Store64(rec, t.Load64(rec)+1)
-					for f := 0; f < k.nFeatures; f++ {
-						a := rec + uint64((1+f)*8)
-						t.StoreFloat64(a, t.LoadFloat64(a)+k.points[po+f])
-					}
-				})
+				rec, po = k.accum[k.nearest(p)], p*k.nFeatures
+				r.Atomic(add)
 			}
 			bar.Wait(r.Thread())
 			if tid == 0 {

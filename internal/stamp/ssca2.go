@@ -85,15 +85,19 @@ func (s *ssca2) Run(runners []Runner) {
 	runWorkers(runners, func(tid int, r Runner) {
 		lo := tid * s.nEdges / n
 		hi := (tid + 1) * s.nEdges / n
+		// The body is declared once per worker; each edge sets the
+		// adjacency record and endpoint it appends.
+		var rec mem.Addr
+		var v int
+		insert := func(t *htm.Thread) {
+			cnt := t.Load64(rec)
+			t.Store64(rec+8+cnt*8, uint64(v)+1)
+			t.Store64(rec, cnt+1)
+		}
 		for i := lo; i < hi; i++ {
-			u, v := s.edgesU[i], s.edgesV[i]
-			rec := s.vtx[u]
+			rec, v = s.vtx[s.edgesU[i]], s.edgesV[i]
 			r.Thread().Work(260) // R-MAT edge generation and permutation arithmetic
-			r.Atomic(func(t *htm.Thread) {
-				cnt := t.Load64(rec)
-				t.Store64(rec+8+cnt*8, uint64(v)+1)
-				t.Store64(rec, cnt+1)
-			})
+			r.Atomic(insert)
 		}
 	})
 	s.units = s.nEdges

@@ -273,28 +273,34 @@ func (v *vacation) Run(runners []Runner) {
 		rng := prng.Derive(v.cfg.Seed^0x636c69656e74, tid) // "client"
 		lo := tid * v.nTxs / n
 		hi := (tid + 1) * v.nTxs / n
+		// The three action bodies are declared once per worker. Each
+		// attempt copies actionRng, the RNG snapshot its transaction set, so
+		// every transactional retry replays the same action
+		// deterministically.
+		var actionRng prng.Rand
+		reserve := func(t *htm.Thread) {
+			rr := actionRng
+			v.makeReservation(t, &rr, queryRange)
+		}
+		deleteCustomer := func(t *htm.Thread) {
+			rr := actionRng
+			v.deleteCustomer(t, &rr, queryRange)
+		}
+		updateTables := func(t *htm.Thread) {
+			rr := actionRng
+			v.updateTables(t, &rr, queryRange)
+		}
 		for i := lo; i < hi; i++ {
 			r.Thread().Work(60) // client-side action selection and RNG
 			action := rng.Intn(100)
-			// Snapshot the RNG so every transactional retry replays the
-			// same action deterministically.
-			actionRng := prng.Derive(v.cfg.Seed^0x616374, tid*1000003+i)
+			actionRng = *prng.Derive(v.cfg.Seed^0x616374, tid*1000003+i)
 			switch {
 			case action < v.userPct:
-				r.Atomic(func(t *htm.Thread) {
-					rr := *actionRng
-					v.makeReservation(t, &rr, queryRange)
-				})
+				r.Atomic(reserve)
 			case action < v.userPct+(100-v.userPct)/2:
-				r.Atomic(func(t *htm.Thread) {
-					rr := *actionRng
-					v.deleteCustomer(t, &rr, queryRange)
-				})
+				r.Atomic(deleteCustomer)
 			default:
-				r.Atomic(func(t *htm.Thread) {
-					rr := *actionRng
-					v.updateTables(t, &rr, queryRange)
-				})
+				r.Atomic(updateTables)
 			}
 		}
 	})

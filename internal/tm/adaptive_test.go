@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"htmcmp/internal/adapt"
+	"htmcmp/internal/chaos"
 	"htmcmp/internal/htm"
 	"htmcmp/internal/obs"
 	"htmcmp/internal/platform"
@@ -23,10 +24,10 @@ import (
 	"htmcmp/internal/verify"
 )
 
-// adaptiveRun executes the mixed workload and returns the engine, summed
-// runtime stats and the controller.
+// adaptiveRun executes the mixed workload under the controller's fixed
+// policy and returns the engine and the summed runtime stats.
 func adaptiveRun(t *testing.T, kind platform.Kind, threads, iters int,
-	tracer *obs.Tracer, wit *htm.Witness) (*htm.Engine, tm.Stats, *adapt.Controller) {
+	tracer *obs.Tracer, wit *htm.Witness) (*htm.Engine, tm.Stats) {
 	t.Helper()
 	spec := platform.New(kind)
 	e := htm.New(spec, htm.Config{
@@ -34,9 +35,7 @@ func adaptiveRun(t *testing.T, kind platform.Kind, threads, iters int,
 		CostScale: 1, Tracer: tracer, Witness: wit,
 	})
 	lock := tm.NewGlobalLock(e)
-	ctl := adapt.NewController(adapt.Config{
-		Window: 32, CapacityDemote: 3, Probation: 16, ProbeWins: 2,
-	})
+	ctl := adapt.NewController(nil)
 	setup := e.Thread(0)
 	line := uint64(e.LineSize())
 	const hotLines = 8
@@ -106,14 +105,14 @@ func adaptiveRun(t *testing.T, kind platform.Kind, threads, iters int,
 	if sum.Commits() != want {
 		t.Fatalf("commit accounting: Commits() = %d, want %d", sum.Commits(), want)
 	}
-	return e, sum, ctl
+	return e, sum
 }
 
 func TestAdaptiveHybridCorrectness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adaptive workload is not short")
 	}
-	_, sum, ctl := adaptiveRun(t, platform.POWER8, 4, 160, nil, nil)
+	_, sum := adaptiveRun(t, platform.POWER8, 4, 160, nil, nil)
 	if sum.STMCommits == 0 {
 		t.Error("capacity-bound site never ran as STM; the demotion path was not exercised")
 	}
@@ -123,27 +122,14 @@ func TestAdaptiveHybridCorrectness(t *testing.T) {
 	if sum.ModeSwitches == 0 {
 		t.Error("controller recorded no mode switches")
 	}
-	if sum.ModeSwitches != ctl.Switches() {
-		t.Errorf("executor counted %d switches, controller %d", sum.ModeSwitches, ctl.Switches())
-	}
 	// The per-target split is the same count: it sums to the total, and the
-	// capacity demotion shows up under STM.
+	// capacity-bound site's demotion away from HTM shows up under STM.
 	var split uint64
 	for _, n := range sum.ModeSwitchesTo {
 		split += n
 	}
 	if split != sum.ModeSwitches || sum.ModeSwitchesTo[adapt.ModeSTM] == 0 {
 		t.Errorf("ModeSwitchesTo = %v, want a sum of %d with STM demotions", sum.ModeSwitchesTo, sum.ModeSwitches)
-	}
-	// The capacity-bound site must have demoted away from HTM.
-	demoted := false
-	for _, s := range ctl.Sites() {
-		if s.Mode != adapt.ModeHTM && s.Transitions > 0 {
-			demoted = true
-		}
-	}
-	if !demoted {
-		t.Error("no site left HTM despite persistent capacity aborts")
 	}
 }
 
@@ -159,7 +145,7 @@ func TestAdaptiveDeterminism(t *testing.T) {
 		commits, aborts, stmC, htmC, sw uint64
 	}
 	run := func() row {
-		e, sum, _ := adaptiveRun(t, platform.POWER8, 4, 120, nil, nil)
+		e, sum := adaptiveRun(t, platform.POWER8, 4, 120, nil, nil)
 		return row{
 			maxClock: e.MaxClock(), commits: sum.Commits(), aborts: sum.Aborts,
 			stmC: sum.STMCommits, htmC: sum.HTMCommits, sw: sum.ModeSwitches,
@@ -180,7 +166,7 @@ func TestAdaptiveWitnessSerializable(t *testing.T) {
 		t.Skip("adaptive workload is not short")
 	}
 	wit := htm.NewWitness()
-	_, _, _ = adaptiveRun(t, platform.POWER8, 4, 120, nil, wit)
+	_, _ = adaptiveRun(t, platform.POWER8, 4, 120, nil, wit)
 	if v := verify.Replay(wit.Log()); v != nil {
 		t.Fatalf("hybrid run does not replay serializably: %v", v)
 	}
@@ -195,7 +181,7 @@ func TestAdaptiveModeSwitchEvents(t *testing.T) {
 	}
 	const threads = 4
 	tracer := obs.NewTracer()
-	_, sum, _ := adaptiveRun(t, platform.POWER8, threads, 120, tracer, nil)
+	_, sum := adaptiveRun(t, platform.POWER8, threads, 120, tracer, nil)
 	events := tracer.Events()
 	var switches uint64
 	for _, ev := range events {
@@ -232,18 +218,18 @@ func TestAdaptiveModeSwitchEvents(t *testing.T) {
 	}
 }
 
-// TestAdaptiveLockMode drives one site straight into lock mode (conflicts
-// plus capacity in the same window) and checks executions stay correct and
-// accounted as irrevocable.
+// TestAdaptiveLockMode drives one site through every steady mode, the lock
+// included: certain mode thrash (internal/chaos) rotates the site htm → stm
+// → lock on every commit. Executions stay correct and the lock-mode ones
+// are accounted as irrevocable.
 func TestAdaptiveLockMode(t *testing.T) {
 	e := htm.New(platform.New(platform.ZEC12), htm.Config{
 		Threads: 1, SpaceSize: 1 << 20, Seed: 7, CostScale: 1,
 	})
 	lock := tm.NewGlobalLock(e)
-	// A controller whose thresholds demote to lock almost immediately.
-	ctl := adapt.NewController(adapt.Config{
-		Window: 8, CapacityDemote: 1, LockDemote: 1, STMDemote: 1, Probation: 1024,
-	})
+	cfg := chaos.Config{Seed: 7}
+	cfg.OpRates[chaos.ModeThrash] = 1
+	ctl := adapt.NewController(chaos.New(cfg))
 	th := e.Thread(0)
 	c := th.Alloc(8)
 	var stats tm.Stats
@@ -263,6 +249,10 @@ func TestAdaptiveLockMode(t *testing.T) {
 	if stats.Commits() != 50 {
 		t.Fatalf("Commits() = %d, want 50", stats.Commits())
 	}
+	if stats.IrrevocableCommits == 0 || stats.ModeSwitchesTo[adapt.ModeLock] == 0 {
+		t.Fatalf("site never ran in lock mode: irrevocable=%d switches=%v",
+			stats.IrrevocableCommits, stats.ModeSwitchesTo)
+	}
 }
 
 func ExampleConfig() {
@@ -270,7 +260,7 @@ func ExampleConfig() {
 		Threads: 1, SpaceSize: 1 << 20,
 	})
 	lock := tm.NewGlobalLock(e)
-	ctl := adapt.NewController(adapt.Config{})
+	ctl := adapt.NewController(nil)
 	a := e.Thread(0).Alloc(8)
 	e.Run(1, func(_ int, th *htm.Thread) {
 		x := tm.NewExecutorConfig(th, lock, tm.Config{
