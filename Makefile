@@ -207,7 +207,7 @@ pgo:
 # computed cells.
 trace-smoke: build
 	mkdir -p $(SMOKE)
-	./$(BIN)/htmtrace -events -bench intruder -scale test -threads 4 \
+	./$(BIN)/htmtrace -bench intruder -scale test -threads 4 \
 		-jsonl $(SMOKE)/intruder.jsonl -perfetto $(SMOKE)/intruder.trace.json \
 		>$(SMOKE)/intruder-report.txt 2>$(SMOKE)/intruder-report.log
 	grep -q 'top conflicting lines' $(SMOKE)/intruder-report.txt
@@ -269,20 +269,23 @@ chaos-smoke: build
 
 # cover gates statement coverage of the engine and its verification oracle,
 # the experiment harness, the sweep scheduler, the result cache, the
-# layers a region drives (mem, adapt, tm, stamp) and the event stream (obs)
-# against the checked-in floors. Each line of COVERAGE.floor is a whole
-# percent and the packages it holds to it: htm and verify together, htm on
-# its own, then harness, sweep, cache, mem, adapt, tm, stamp and obs one by
-# one. A block counts toward a package only if its file sits in that
-# package's own directory (harness does not take in harness/sweep), and its
-# statements count once however many test binaries report it, as in
-# `go tool cover -func`.
+# layers a region drives (mem, adapt, tm, stamp, txds), the event stream
+# (obs), the Fig. 6/9 and Fig. 10/11 experiments (features, trace) and the
+# leaf packages (platform, stats, prng, chaos) against the checked-in
+# floors. Each line of COVERAGE.floor is a whole percent and the packages it
+# holds to it: htm and verify together, htm on its own, then harness, sweep,
+# cache, mem, adapt, tm, stamp, obs, features, trace, txds, platform, stats,
+# prng and chaos one by one. A block counts toward a package only if its
+# file sits in that package's own directory (harness does not take in
+# harness/sweep), and its statements count once however many test binaries
+# report it, as in `go tool cover -func`.
 cover:
 	mkdir -p $(SMOKE)
 	$(GO) test -count=1 -coverprofile=$(SMOKE)/cover.out \
-		-coverpkg=./internal/htm,./internal/verify,./internal/harness,./internal/harness/sweep,./internal/cache,./internal/mem,./internal/adapt,./internal/tm,./internal/stamp,./internal/obs \
+		-coverpkg=./internal/htm,./internal/verify,./internal/harness,./internal/harness/sweep,./internal/cache,./internal/mem,./internal/adapt,./internal/tm,./internal/stamp,./internal/obs,./internal/features,./internal/trace,./internal/txds,./internal/platform,./internal/stats,./internal/prng,./internal/chaos \
 		./internal/htm ./internal/verify ./internal/tm ./internal/harness ./internal/harness/sweep ./internal/cache \
-		./internal/mem ./internal/adapt ./internal/stamp ./internal/obs
+		./internal/mem ./internal/adapt ./internal/stamp ./internal/obs ./internal/features ./internal/trace \
+		./internal/txds ./internal/platform ./internal/stats ./internal/prng ./internal/chaos
 	@while read -r floor pkgs; do \
 		total=$$(awk -v pkgs="$$pkgs" 'BEGIN { n = split(pkgs, p, " ") } \
 			NR > 1 { d = $$1; sub(/\/[^\/]*$$/, "", d); for (i = 1; i <= n; i++) if (d == p[i]) { s[$$1] = $$2; if ($$3 > 0) c[$$1] = 1 } } \

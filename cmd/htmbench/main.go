@@ -38,16 +38,13 @@ import (
 
 	"htmcmp/internal/cache"
 	"htmcmp/internal/chaos"
-	"htmcmp/internal/features"
 	"htmcmp/internal/harness"
 	"htmcmp/internal/harness/sweep"
-	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
-	"htmcmp/internal/trace"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment, one of: "+strings.Join(expNames(), ", "))
+	exp := flag.String("exp", "all", "experiment, one of: "+strings.Join(harness.ExperimentNames(), ", "))
 	scaleName := flag.String("scale", "sim", "workload scale: test, sim, full")
 	repeats := flag.Int("repeats", 2, "measured runs per point (paper: 4)")
 	tune := flag.Bool("tune", false, "search retry counts per test case as the paper does (slow)")
@@ -71,7 +68,7 @@ func main() {
 	flag.Parse()
 
 	// Usage errors exit 2 here, before anything is created or bound.
-	names, err := expandExp(*exp)
+	exps, err := harness.SelectExperiments(*exp)
 	if err != nil {
 		usageError(err)
 	}
@@ -150,7 +147,7 @@ func main() {
 	// -cpuprofile by phase; the cells the pool computes carry their own
 	// labels (sweep.Scheduler).
 	var plan *sweep.Plan
-	phase("plan", func() { plan, err = planCells(names, opts, *csv) })
+	phase("plan", func() { plan, err = planCells(exps, opts) })
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "htmbench: %v\n", err)
 		exit(1)
@@ -174,7 +171,7 @@ func main() {
 	if *verbose {
 		opts.Log = os.Stderr
 	}
-	phase("render", func() { err = renderTables(names, opts, sched, os.Stdout, *csv) })
+	phase("render", func() { err = renderTables(exps, opts, sched, os.Stdout, *csv) })
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "htmbench: %v\n", err)
 	}
@@ -310,49 +307,13 @@ func usageError(err error) {
 	os.Exit(2)
 }
 
-// experiments is every name -exp takes besides "all", in table order. inAll
-// marks the ones "all" runs: it takes fig2+3, which renders both figures
-// from one pass over their shared cells, in place of fig2 and fig3.
-var experiments = []struct {
-	name  string
-	inAll bool
-}{
-	{"table1", true}, {"fig2", false}, {"fig3", false}, {"fig2+3", true},
-	{"fig4", true}, {"fig5", true}, {"fig6", true}, {"fig7", true}, {"fig9", true},
-	{"fig10", true}, {"fig11", true}, {"prefetch", true}, {"stm", true},
-	{"capacity", true}, {"adaptive", true},
-}
-
-// expNames lists what -exp accepts.
-func expNames() []string {
-	names := make([]string, 0, len(experiments)+1)
-	for _, e := range experiments {
-		names = append(names, e.name)
-	}
-	return append(names, "all")
-}
-
-// expandExp turns the -exp value into the experiments to run, in table order.
-func expandExp(exp string) ([]string, error) {
-	var names []string
-	for _, e := range experiments {
-		if exp == e.name || exp == "all" && e.inAll {
-			names = append(names, e.name)
-		}
-	}
-	if names == nil {
-		return nil, fmt.Errorf("unknown experiment %q (one of: %s)", exp, strings.Join(expNames(), ", "))
-	}
-	return names, nil
-}
-
 // planCells is the planning pass: it records every cell the experiments will
 // request. Tables are rendered against zero results and discarded.
-func planCells(names []string, opts harness.Options, csv bool) (*sweep.Plan, error) {
+func planCells(exps []harness.Experiment, opts harness.Options) (*sweep.Plan, error) {
 	plan := sweep.NewPlan()
-	for _, n := range names {
-		if err := runExperiment(n, opts, plan, io.Discard, csv); err != nil {
-			return nil, fmt.Errorf("planning %s: %w", n, err)
+	for _, e := range exps {
+		if _, err := e.Tables(opts, plan); err != nil {
+			return nil, fmt.Errorf("planning %s: %w", e.Name, err)
 		}
 	}
 	return plan, nil
@@ -361,10 +322,18 @@ func planCells(names []string, opts harness.Options, csv bool) (*sweep.Plan, err
 // renderTables is the render pass: the experiments re-run serially, now
 // satisfied from the results sched has precomputed, so tables come out
 // byte-identical to a fully serial run.
-func renderTables(names []string, opts harness.Options, sched *sweep.Scheduler, out io.Writer, csv bool) error {
-	for _, n := range names {
-		if err := runExperiment(n, opts, sched, out, csv); err != nil {
-			return fmt.Errorf("%s: %w", n, err)
+func renderTables(exps []harness.Experiment, opts harness.Options, sched *sweep.Scheduler, out io.Writer, csv bool) error {
+	for _, e := range exps {
+		tables, err := e.Tables(opts, sched)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+		for i := range tables {
+			if csv {
+				tables[i].CSV(out)
+			} else {
+				tables[i].Fprint(out)
+			}
 		}
 	}
 	return nil
@@ -427,214 +396,4 @@ func writeChaosReport(w io.Writer, faults *chaos.Injector, sum sweep.Summary) er
 	}
 	_, err = w.Write(append(data, '\n'))
 	return err
-}
-
-// cellSource is how an experiment's cells are satisfied: a *sweep.Plan
-// records them, a *sweep.Scheduler serves them precomputed. Everything the
-// CLI simulates is requested through one.
-type cellSource interface {
-	harness.Exec
-	trace.Collector
-	features.Exec
-}
-
-// runExperiment renders one experiment to out, requesting every cell from
-// cells (table1 is static and requests none).
-func runExperiment(name string, opts harness.Options, cells cellSource, out io.Writer, csv bool) error {
-	opts.Exec = cells
-	emit := func(t harness.Table) {
-		if csv {
-			t.CSV(out)
-		} else {
-			t.Fprint(out)
-		}
-	}
-	switch name {
-	case "table1":
-		emit(harness.Table1())
-	case "fig2", "fig3":
-		f2, f3, err := harness.Fig2And3(opts)
-		if err != nil {
-			return err
-		}
-		if name == "fig2" {
-			emit(f2)
-		} else {
-			emit(f3)
-		}
-	case "fig2+3":
-		f2, f3, err := harness.Fig2And3(opts)
-		if err != nil {
-			return err
-		}
-		emit(f2)
-		emit(f3)
-	case "fig4":
-		t, err := harness.Fig4(opts)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "fig5":
-		t, err := harness.Fig5(opts)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "fig6":
-		t, err := fig6Table(opts, cells)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "fig7":
-		t, err := harness.Fig7(opts)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "fig9":
-		t, err := fig9Table(opts, cells)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "fig10", "fig11":
-		t10, t11, err := figFootprintTables(opts, cells)
-		if err != nil {
-			return err
-		}
-		if name == "fig10" {
-			emit(t10)
-		} else {
-			emit(t11)
-		}
-	case "prefetch":
-		t, err := harness.PrefetchAblation(opts)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "stm":
-		t, err := harness.STMComparison(opts)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "capacity":
-		for _, bench := range []string{"intruder", "vacation-high", "yada"} {
-			t, err := harness.CapacitySweep(opts, bench)
-			if err != nil {
-				return err
-			}
-			emit(t)
-		}
-	case "adaptive":
-		t, err := harness.AdaptiveComparison(opts)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
-	}
-	return nil
-}
-
-// fig6Table renders the Figure 6 CLQ experiment; exec answers its engine runs.
-func fig6Table(opts harness.Options, exec features.Exec) (harness.Table, error) {
-	logf(opts.Log, "fig6: zEC12 constrained transactions on ConcurrentLinkedQueue")
-	results, err := features.RunCLQ(features.CLQOptions{Seed: opts.Seed, Exec: exec})
-	if err != nil {
-		return harness.Table{}, err
-	}
-	t := harness.Table{
-		Title:  "Figure 6: relative execution time vs lock-free ConcurrentLinkedQueue (zEC12)",
-		Note:   "lower is better; baseline is the lock-free CAS implementation at each thread count",
-		Header: []string{"threads", "LockFree", "NoRetryTM", "OptRetryTM", "ConstrainedTM"},
-	}
-	byThreads := map[int]map[features.CLQMode]float64{}
-	var order []int
-	for _, r := range results {
-		if _, ok := byThreads[r.Threads]; !ok {
-			byThreads[r.Threads] = map[features.CLQMode]float64{}
-			order = append(order, r.Threads)
-		}
-		byThreads[r.Threads][r.Mode] = r.Relative
-	}
-	for _, n := range order {
-		m := byThreads[n]
-		t.AddRow(fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.2f", m[features.CLQLockFree]),
-			fmt.Sprintf("%.2f", m[features.CLQNoRetryTM]),
-			fmt.Sprintf("%.2f", m[features.CLQOptRetryTM]),
-			fmt.Sprintf("%.2f", m[features.CLQConstrainedTM]))
-	}
-	return t, nil
-}
-
-// fig9Table renders the Figure 9 TLS experiment; exec answers its engine runs.
-func fig9Table(opts harness.Options, exec features.Exec) (harness.Table, error) {
-	logf(opts.Log, "fig9: POWER8 TLS with and without suspend/resume")
-	results, err := features.RunTLS(features.TLSOptions{Seed: opts.Seed, Exec: exec})
-	if err != nil {
-		return harness.Table{}, err
-	}
-	t := harness.Table{
-		Title:  "Figure 9: TLS speed-up over sequential on POWER8",
-		Header: []string{"kernel", "suspend/resume", "threads", "speedup", "abort%"},
-	}
-	for _, r := range results {
-		sr := "without"
-		if r.SuspendResume {
-			sr = "with"
-		}
-		t.AddRow(r.Kernel.String(), sr, fmt.Sprintf("%d", r.Threads),
-			fmt.Sprintf("%.2f", r.Speedup), fmt.Sprintf("%.1f", r.AbortRatio))
-	}
-	return t, nil
-}
-
-// figFootprintTables renders Figures 10 and 11; coll routes the footprint
-// collections through the sweep.
-func figFootprintTables(opts harness.Options, coll trace.Collector) (t10, t11 harness.Table, err error) {
-	logf(opts.Log, "fig10/11: transaction footprint traces")
-	fps, err := trace.CollectAll(trace.Options{Scale: opts.Scale, Seed: opts.Seed, Exec: coll})
-	if err != nil {
-		return t10, t11, err
-	}
-	t10 = harness.Table{
-		Title:  "Figure 10: 90-percentile transactional-load size vs capacity",
-		Note:   "abort ratios for the same pairs appear in Figure 3; '>' marks sizes exceeding the platform's capacity",
-		Header: []string{"benchmark", "platform", "P90 load KB", "max KB", "capacity KB", "over?"},
-	}
-	t11 = harness.Table{
-		Title:  "Figure 11: 90-percentile transactional-store size vs capacity",
-		Header: []string{"benchmark", "platform", "P90 store KB", "max KB", "capacity KB", "over?"},
-	}
-	for _, fp := range fps {
-		spec := platform.New(fp.Platform)
-		mark := func(over bool) string {
-			if over {
-				return ">"
-			}
-			return ""
-		}
-		t10.AddRow(fp.Benchmark, fp.Platform.Short(),
-			fmt.Sprintf("%.2f", fp.P90LoadKB), fmt.Sprintf("%.2f", fp.MaxLoadKB),
-			fmt.Sprintf("%.0f", float64(spec.LoadCapacity)/1024), mark(fp.ExceedsLoadCap))
-		t11.AddRow(fp.Benchmark, fp.Platform.Short(),
-			fmt.Sprintf("%.2f", fp.P90StoreKB), fmt.Sprintf("%.2f", fp.MaxStoreKB),
-			fmt.Sprintf("%.0f", float64(spec.StoreCapacity)/1024), mark(fp.ExceedsStoreCap))
-	}
-	return t10, t11, nil
-}
-
-func logf(w io.Writer, format string, args ...interface{}) {
-	if w != nil {
-		if !strings.HasSuffix(format, "\n") {
-			format += "\n"
-		}
-		fmt.Fprintf(w, format, args...)
-	}
 }

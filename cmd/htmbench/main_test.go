@@ -94,25 +94,30 @@ func TestVerifyCells(t *testing.T) {
 
 var update = flag.Bool("update", false, "rewrite testdata/results_test.golden from this tree's output")
 
-// mustExpand is expandExp for names the test knows are valid.
-func mustExpand(t *testing.T, exp string) []string {
+// mustSelect is harness.SelectExperiments for names the test knows are valid.
+func mustSelect(t *testing.T, exp string) []harness.Experiment {
 	t.Helper()
-	names, err := expandExp(exp)
+	exps, err := harness.SelectExperiments(exp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return names
+	return exps
 }
 
-// TestPlanCellCounts: every name in experiments plans, so the list and
-// runExperiment agree, and every one but the static table1 decomposes into
-// cells — Figure 6 into its 20 points, Figure 9 into 26. "all" plans the
-// inAll experiments, whose shared cells deduplicate to 379.
+// TestPlanCellCounts: every row of harness.Experiments plans, and every one
+// but the static table1 decomposes into cells — Figure 6 into its 20
+// points, Figure 9 into 26. "all" plans the InAll experiments, whose shared
+// cells deduplicate to 379. -exp's help and its error for an unknown name
+// list the same 16 names (the 15 rows, then all) in table order.
 func TestPlanCellCounts(t *testing.T) {
 	opts := harness.Options{Scale: stamp.ScaleTest, Repeats: 2, Seed: 42}
 	want := map[string]int{"table1": 0, "fig6": 20, "fig9": 26, "fig2+3": 40, "all": 379}
-	for _, exp := range expNames() {
-		plan, err := planCells(mustExpand(t, exp), opts, false)
+	names := harness.ExperimentNames()
+	if len(names) != 16 || names[len(names)-1] != "all" {
+		t.Errorf("-exp takes %d names %v, want the 15 experiments, then all", len(names), names)
+	}
+	for _, exp := range names {
+		plan, err := planCells(mustSelect(t, exp), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,8 +129,16 @@ func TestPlanCellCounts(t *testing.T) {
 			t.Errorf("-exp %s plans no cells", exp)
 		}
 	}
-	if _, err := expandExp("fig2,fig3"); err == nil || !strings.Contains(err.Error(), "one of: table1, fig2, ") {
-		t.Errorf("expandExp of a comma list: err = %v, want the valid names listed", err)
+	list := strings.Join(names, ", ")
+	if _, err := harness.SelectExperiments("fig2,fig3"); err == nil || !strings.Contains(err.Error(), "(one of: "+list+")") {
+		t.Errorf("-exp of a comma list: err = %v, want the valid names listed", err)
+	}
+	_, _, usage, err := runMain(t, "-h")
+	if err != nil {
+		t.Fatalf("htmbench -h: %v", err)
+	}
+	if !strings.Contains(strings.Join(strings.Fields(usage), " "), "experiment, one of: "+list+" ") {
+		t.Errorf("htmbench -h does not list %s:\n%s", list, usage)
 	}
 }
 
@@ -370,7 +383,7 @@ func TestREADMECommands(t *testing.T) {
 				case "scale":
 					_, bad = stamp.ParseScale(value)
 				case "exp":
-					_, bad = expandExp(value)
+					_, bad = harness.SelectExperiments(value)
 				}
 				if bad != nil {
 					t.Errorf("%s: `%s`: %v", file, line, bad)
@@ -403,7 +416,7 @@ func TestResultsGolden(t *testing.T) {
 	// 667 without budget families, 1,324 if every cell simulated all of its
 	// own; a family member answers the other 34.
 	const regions, served = 633, 34
-	names := mustExpand(t, "all")
+	names := mustSelect(t, "all")
 	opts := harness.Options{Scale: stamp.ScaleTest, Repeats: 2, Seed: 42}
 	store, err := cache.Open(t.TempDir())
 	if err != nil {
@@ -413,7 +426,7 @@ func TestResultsGolden(t *testing.T) {
 		if pass == "indented" {
 			indentRecords(t, store.Dir())
 		}
-		plan, err := planCells(names, opts, false)
+		plan, err := planCells(names, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -507,7 +520,7 @@ func TestSweepRegionCounts(t *testing.T) {
 		regions, served int
 		jobs            []int
 	}{{"adaptive", 138, 13, []int{1, 4}}, {"capacity", 15, 21, []int{1, 4}}, {"fig2+3", 102, 0, []int{0}}} {
-		plan, err := planCells(mustExpand(t, tc.exp), opts, false)
+		plan, err := planCells(mustSelect(t, tc.exp), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,24 +1,20 @@
-// Command htmtrace analyses transaction behaviour: per-transaction footprint
-// distributions (the data behind Figures 10 and 11), and full event traces
-// of parallel runs with abort attribution.
+// Command htmtrace runs one STAMP benchmark with an event tracer attached
+// and prints an abort-attribution report: abort-reason × retry-depth
+// histogram, commit-latency percentiles in virtual cycles, and the hottest
+// conflicting cache lines with their symbolic region names. Per-transaction
+// footprints (Figures 10 and 11) are htmbench -exp fig10 / fig11.
 //
 // Usage:
 //
-//	htmtrace -bench yada -platform zec12             # footprint distribution
-//	htmtrace -bench intruder -platform zec12 -events # traced 4-thread run
-//	htmtrace -events -bench yada -jsonl yada.jsonl -perfetto yada.trace.json
+//	htmtrace -bench intruder -platform zec12         # traced 4-thread run
+//	htmtrace -bench yada -jsonl yada.jsonl -perfetto yada.trace.json
 //	htmtrace -check-events yada.jsonl                # validate a JSONL trace
 //	htmtrace -check-trace yada.trace.json            # validate a Chrome trace
 //
-// The -events mode runs the benchmark with an event tracer attached and
-// prints an abort-attribution report: abort-reason × retry-depth histogram,
-// commit-latency percentiles in virtual cycles, and the hottest conflicting
-// cache lines with their symbolic region names. -jsonl and -perfetto
-// additionally export the raw events (a path that cannot be written fails
-// before the run, exit status 1; without -events they, like -top, are a
-// usage error, exit status 2); the Perfetto file loads in
-// https://ui.perfetto.dev or chrome://tracing with one track per simulated
-// thread and virtual clocks as timestamps.
+// -jsonl and -perfetto additionally export the raw events (a path that
+// cannot be written fails before the run, exit status 1); the Perfetto file
+// loads in https://ui.perfetto.dev or chrome://tracing with one track per
+// simulated thread and virtual clocks as timestamps.
 package main
 
 import (
@@ -37,19 +33,17 @@ import (
 	"htmcmp/internal/platform"
 	"htmcmp/internal/stamp"
 	"htmcmp/internal/tm"
-	"htmcmp/internal/trace"
 )
 
 func main() {
 	platName := flag.String("platform", "zec12", "platform: bgq, zec12, intel, power8")
 	bench := flag.String("bench", "vacation-low", "STAMP benchmark name")
 	scaleName := flag.String("scale", "sim", "workload scale: test, sim, full")
-	events := flag.Bool("events", false, "run -threads threads with an event tracer and report abort attribution")
-	threads := flag.Int("threads", 4, "thread count for -events runs")
+	threads := flag.Int("threads", 4, "thread count")
 	seed := flag.Uint64("seed", 42, "workload seed")
-	jsonlPath := flag.String("jsonl", "", "with -events: also write the raw events as JSONL to this file")
-	perfettoPath := flag.String("perfetto", "", "with -events: also write a Chrome/Perfetto trace to this file")
-	top := flag.Int("top", 10, "with -events: number of hot conflicting lines to print")
+	jsonlPath := flag.String("jsonl", "", "also write the raw events as JSONL to this file")
+	perfettoPath := flag.String("perfetto", "", "also write a Chrome/Perfetto trace to this file")
+	top := flag.Int("top", 10, "number of hot conflicting lines to print")
 	checkEvents := flag.String("check-events", "", "validate a JSONL event file and exit (CI hook)")
 	checkTrace := flag.String("check-trace", "", "validate a Chrome trace file and exit (CI hook)")
 	flag.Parse()
@@ -58,9 +52,6 @@ func main() {
 	kind, scale, err := parseTarget(*platName, *scaleName, *bench)
 	if err == nil {
 		err = checkFlags(*threads, *top)
-	}
-	if err == nil && !*events {
-		err = eventsOnly()
 	}
 	if err == nil && *seed == 0 {
 		// Every layer reads a zero seed as unset and runs seed 42.
@@ -74,27 +65,10 @@ func main() {
 		os.Exit(runChecks(*checkEvents, *checkTrace, os.Stdout, os.Stderr))
 	}
 
-	if *events {
-		if err := runEvents(kind, *bench, scale, *seed, *threads, *top, *jsonlPath, *perfettoPath); err != nil {
-			fmt.Fprintln(os.Stderr, "htmtrace:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	fp, err := trace.Collect(*bench, kind, trace.Options{Scale: scale, Seed: *seed})
-	if err != nil {
+	if err := runEvents(kind, *bench, scale, *seed, *threads, *top, *jsonlPath, *perfettoPath); err != nil {
 		fmt.Fprintln(os.Stderr, "htmtrace:", err)
 		os.Exit(1)
 	}
-	spec := platform.New(kind)
-	fmt.Printf("%s on %s: %d committed transactions\n\n", *bench, kind, fp.Transactions)
-	fmt.Printf("  90-pct load footprint:  %8.2f KB (capacity %d KB)%s\n",
-		fp.P90LoadKB, spec.LoadCapacity/1024, overMark(fp.ExceedsLoadCap))
-	fmt.Printf("  90-pct store footprint: %8.2f KB (capacity %d KB)%s\n",
-		fp.P90StoreKB, spec.StoreCapacity/1024, overMark(fp.ExceedsStoreCap))
-	fmt.Printf("  max load footprint:     %8.2f KB\n", fp.MaxLoadKB)
-	fmt.Printf("  max store footprint:    %8.2f KB\n", fp.MaxStoreKB)
 }
 
 // checkFlags rejects a -threads the engine cannot provision (below 1 used to
@@ -107,19 +81,6 @@ func checkFlags(threads, top int) error {
 		return fmt.Errorf("-top must be 1 or more, got %d", top)
 	}
 	return nil
-}
-
-// eventsOnly rejects a flag that only -events reads (-threads, -jsonl,
-// -perfetto, -top) on a run without -events: the single-threaded footprint
-// report would ignore it.
-func eventsOnly() error {
-	var err error
-	flag.Visit(func(f *flag.Flag) {
-		if err == nil && (f.Name == "threads" || f.Name == "jsonl" || f.Name == "perfetto" || f.Name == "top") {
-			err = fmt.Errorf("-%s needs -events", f.Name)
-		}
-	})
-	return err
 }
 
 // parseTarget parses -platform, -scale and -bench; an error starts with the
@@ -137,13 +98,6 @@ func parseTarget(plat, scale, bench string) (platform.Kind, stamp.Scale, error) 
 		return 0, 0, fmt.Errorf("-bench: unknown benchmark %q (%s)", bench, strings.Join(stamp.Names(), ", "))
 	}
 	return kind, sc, nil
-}
-
-func overMark(over bool) string {
-	if over {
-		return "  << EXCEEDS CAPACITY"
-	}
-	return ""
 }
 
 // runChecks validates previously exported artefacts (the CI hooks behind

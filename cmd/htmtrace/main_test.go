@@ -146,33 +146,29 @@ func TestMain(m *testing.M) {
 // TestUsageErrorsExitBeforeSideEffects: a flag value htmtrace cannot use is
 // one htmtrace: line on stderr naming the flag and exit status 2 with
 // nothing on stdout, before any engine is built. -seed 0 used to run seed
-// 42; -threads, -jsonl, -perfetto or -top without -events used to print the
-// single-threaded footprint report (and write no file). An export file that cannot be created is exit status 1 to the same
+// 42. An export file that cannot be created is exit status 1 to the same
 // standard, with no file left behind: -jsonl and -perfetto used to simulate
 // the whole run and print its report first, and a -perfetto that failed
-// after -jsonl opened would have left the -jsonl file.
+// after -jsonl opened would have left the -jsonl file. -events, the flag
+// of the traced run when htmtrace also printed footprints, no longer
+// exists: it gets the flag package's own message and usage text.
 func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
+	const undefined = "flag provided but not defined: "
 	for _, tc := range []struct {
 		args []string
 		code int
 	}{
-		{[]string{"-threads", "300", "-events"}, 2},
+		{[]string{"-threads", "300"}, 2},
 		{[]string{"-threads", "-2"}, 2},
-		{[]string{"-top", "-1", "-events"}, 2},
+		{[]string{"-top", "-1"}, 2},
 		{[]string{"-top", "0"}, 2},
 		{[]string{"-bench", "nosuch"}, 2},
-		{[]string{"-bench", "nosuch", "-events"}, 2},
 		{[]string{"-platform", "sparc"}, 2},
 		{[]string{"-scale", "huge"}, 2},
 		{[]string{"-seed", "0"}, 2},
-		{[]string{"-seed", "0", "-events"}, 2},
-		{[]string{"-jsonl", "no-such-dir/x.jsonl", "-events", "-scale", "test"}, 1},
-		{[]string{"-perfetto", "no-such-dir/x.trace.json", "-jsonl", "x.jsonl", "-events", "-scale", "test"}, 1},
-		{[]string{"-jsonl", "x.jsonl", "-perfetto", "no-such-dir/y", "-bench", "ssca2", "-scale", "test"}, 2},
-		{[]string{"-perfetto", "x.trace.json", "-scale", "test"}, 2},
-		{[]string{"-top", "5", "-scale", "test"}, 2},
-		{[]string{"-threads", "8", "-bench", "ssca2", "-scale", "test"}, 2},
-		{[]string{"-jsonl", "x.jsonl", "-check-events", "x.jsonl"}, 2},
+		{[]string{"-events"}, 2},
+		{[]string{"-jsonl", "no-such-dir/x.jsonl", "-scale", "test"}, 1},
+		{[]string{"-perfetto", "no-such-dir/x.trace.json", "-jsonl", "x.jsonl", "-scale", "test"}, 1},
 	} {
 		args := tc.args
 		dir := t.TempDir()
@@ -186,7 +182,11 @@ func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != tc.code {
 			t.Errorf("htmtrace %v: %v, want exit status %d\nstderr: %s", args, err, tc.code, stderr.String())
 		}
-		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "htmtrace: "+args[0]) {
+		if msg := stderr.String(); args[0] == "-events" {
+			if !strings.HasPrefix(msg, undefined+"-events\n") {
+				t.Errorf("htmtrace %v: stderr %q, want %q first", args, msg, undefined+"-events")
+			}
+		} else if strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "htmtrace: "+args[0]) {
 			t.Errorf("htmtrace %v: stderr %q, want one htmtrace: line naming %s", args, msg, args[0])
 		}
 		if stdout.Len() != 0 {
@@ -195,5 +195,29 @@ func TestUsageErrorsExitBeforeSideEffects(t *testing.T) {
 		if left, _ := os.ReadDir(dir); len(left) != 0 {
 			t.Errorf("htmtrace %v left %d entries behind, first %s", args, len(left), left[0].Name())
 		}
+	}
+}
+
+// TestFlagSurface pins htmtrace's ten flags: the traced run's eight and the
+// check modes' two. The footprint mode and its -events switch are gone
+// (htmbench -exp fig10 / fig11 print those footprints).
+func TestFlagSurface(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-h")
+	cmd.Env = append(os.Environ(), "HTMTRACE_TEST_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("htmtrace -h: %v", err)
+	}
+	var flags []string
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		// The test binary that stands in for htmtrace adds the test.* flags.
+		if name, ok := strings.CutPrefix(line, "  -"); ok && !strings.HasPrefix(name, "test.") {
+			flags = append(flags, strings.Fields(name)[0])
+		}
+	}
+	want := "bench check-events check-trace jsonl perfetto platform scale seed threads top"
+	if got := strings.Join(flags, " "); got != want {
+		t.Errorf("htmtrace -h lists %q, want %q", got, want)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"htmcmp/internal/harness"
 )
 
 // roadmapRef is a reference to a numbered ROADMAP.md item ("ROADMAP item N",
@@ -93,4 +95,77 @@ func TestDesignRefs(t *testing.T) {
 	if refs == 0 {
 		t.Error("found no DESIGN.md §N reference at all: the pattern has rotted")
 	}
+}
+
+// TestDesignExperimentIndex: DESIGN.md §11's table is harness.Experiments
+// as a reader sees it. Its `htmbench -exp NAME` rows name the same
+// experiments in the same order with the same paper content, and every
+// entry of its Code column exists: a path under internal/, a package there,
+// or pkg.Name declared in that package's non-test files. The index once
+// named a features/hle module that never existed.
+func TestDesignExperimentIndex(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(design), "\n## 11. ")
+	section, _, _ = strings.Cut(section, "\n## ")
+	row := regexp.MustCompile(`^\| ` + "`" + `htmbench -exp ([^` + "`" + `]+)` + "`" + ` \| ([^|]+) \| [^|]+ \| ([^|]+) \|$`)
+	var names []string
+	for _, line := range strings.Split(section, "\n") {
+		m := row.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		names = append(names, m[1])
+		for _, e := range harness.Experiments {
+			if e.Name == m[1] && e.Paper != strings.TrimSpace(m[2]) {
+				t.Errorf("DESIGN.md §11 -exp %s reproduces %q, harness.Experiments says %q", m[1], strings.TrimSpace(m[2]), e.Paper)
+			}
+		}
+		for _, ref := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(m[3], -1) {
+			if err := codeRefExists(ref[1]); err != nil {
+				t.Errorf("DESIGN.md §11 -exp %s: %v", m[1], err)
+			}
+		}
+	}
+	var want []string
+	for _, e := range harness.Experiments {
+		want = append(want, e.Name)
+	}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("DESIGN.md §11 indexes -exp %v, harness.Experiments is %v", names, want)
+	}
+}
+
+// codeRefExists resolves one Code entry of DESIGN.md §11: "pkg/file.go" or
+// "pkg/dir" under internal/, a bare package "pkg", or "pkg.Name" declared
+// (as a func, method, type, var or const) in pkg's non-test Go files.
+func codeRefExists(ref string) error {
+	if strings.Contains(ref, "/") {
+		_, err := os.Stat(filepath.Join("internal", ref))
+		return err
+	}
+	pkg, name, qualified := strings.Cut(ref, ".")
+	files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+	if err != nil || len(files) == 0 {
+		return &fs.PathError{Op: "find package", Path: filepath.Join("internal", pkg), Err: fs.ErrNotExist}
+	}
+	if !qualified {
+		return nil
+	}
+	decl := regexp.MustCompile(`(?m)^(func (\([^)]*\) )?|type |var |const )` + regexp.QuoteMeta(name) + `\b`)
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			return err
+		}
+		if decl.Match(src) {
+			return nil
+		}
+	}
+	return &fs.PathError{Op: "find declaration " + name, Path: filepath.Join("internal", pkg), Err: fs.ErrNotExist}
 }

@@ -224,7 +224,7 @@ func TestPrefetchedLinePromotion(t *testing.T) {
 			if counted, _ := th.rs.get(line0 + 1); counted {
 				t.Fatal("prefetched line charged against capacity")
 			}
-			if r, _ := th.FootprintLines(); r != 1 {
+			if r := th.readsCounted; r != 1 {
 				t.Fatalf("readsCounted = %d before promotion, want 1", r)
 			}
 			// Explicit load of the prefetched line: promote, charge once.
@@ -232,12 +232,12 @@ func TestPrefetchedLinePromotion(t *testing.T) {
 			if counted, ok := th.rs.get(line0 + 1); !ok || !counted {
 				t.Fatal("explicit load did not promote the prefetched line")
 			}
-			if r, _ := th.FootprintLines(); r != 2 {
+			if r := th.readsCounted; r != 2 {
 				t.Fatalf("readsCounted = %d after promotion, want 2", r)
 			}
 			// Loading it again must not double-charge.
 			_ = th.Load64(a + uint64(e.lineSize))
-			if r, _ := th.FootprintLines(); r != 2 {
+			if r := th.readsCounted; r != 2 {
 				t.Fatalf("readsCounted = %d after re-load, want 2", r)
 			}
 		})

@@ -64,12 +64,6 @@ func (e *Engine) EnableHybridSTM() mem.Addr {
 	return a
 }
 
-// HybridEnabled reports whether EnableHybridSTM has been called.
-func (e *Engine) HybridEnabled() bool { return e.hybrid }
-
-// HybridGate returns the gate line address (mem.Nil before EnableHybridSTM).
-func (e *Engine) HybridGate() mem.Addr { return e.hybridGate }
-
 // SubscribeHybridGate puts the hybrid gate line into the current hardware
 // transaction's read set. The adaptive runtime calls it in every hardware
 // transaction's prologue; a committing STM writer dooms all subscribers.

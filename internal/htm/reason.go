@@ -131,6 +131,3 @@ type Abort struct {
 	Reason     Reason
 	Persistent bool
 }
-
-// IsCapacity reports whether the abort was any flavour of capacity overflow.
-func (a Abort) IsCapacity() bool { return a.Reason.Category() == CategoryCapacity }

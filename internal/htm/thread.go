@@ -233,13 +233,6 @@ func (t *Thread) Stats() Stats { return t.stats }
 // Clock returns the thread's virtual clock in cost units.
 func (t *Thread) Clock() uint64 { return t.vclock }
 
-// FootprintLines reports the current transaction's footprint in distinct
-// conflict-detection lines (reads excluding prefetches, writes). Outside a
-// transaction both are zero. Intended for analysis tooling.
-func (t *Thread) FootprintLines() (readLines, writeLines int) {
-	return t.readsCounted, t.ws.size()
-}
-
 // ---------------------------------------------------------------------------
 // Virtual-time participation
 
@@ -707,9 +700,6 @@ func (t *Thread) Resume() {
 		t.checkDoomed()
 	}
 }
-
-// Suspended reports whether the thread is in the suspended state.
-func (t *Thread) Suspended() bool { return t.inTx && t.suspendCnt > 0 }
 
 // ---------------------------------------------------------------------------
 // Line registration and conflict resolution
@@ -1265,11 +1255,6 @@ func (t *Thread) LoadRO8(a mem.Addr) byte {
 	t.tickRO()
 	t.boundsCheck(a, 1)
 	return t.data[a]
-}
-
-// LoadROFloat64 is LoadRO64 for a float64.
-func (t *Thread) LoadROFloat64(a mem.Addr) float64 {
-	return math.Float64frombits(t.LoadRO64(a))
 }
 
 // LoadInt64 reads the word at a as a signed integer.

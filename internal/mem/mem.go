@@ -499,19 +499,3 @@ func (s *Space) ReadBytes(a Addr, n int) []byte {
 	copy(out, s.data[a:])
 	return out
 }
-
-// WriteString stores the string v as a length-prefixed byte sequence in a
-// freshly allocated block and returns its address. ReadString reverses it.
-// STAMP's genome stores nucleotide segment strings in shared memory.
-func (s *Space) WriteString(v string) Addr {
-	a := s.Alloc(8 + len(v))
-	s.Store64(a, uint64(len(v)))
-	s.WriteBytes(a+8, []byte(v))
-	return a
-}
-
-// ReadString reads a string previously stored with WriteString.
-func (s *Space) ReadString(a Addr) string {
-	n := int(s.Load64(a))
-	return string(s.ReadBytes(a+8, n))
-}

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestAllocZeroesAndAligns(t *testing.T) {
@@ -121,20 +120,6 @@ func TestRoundtripAccessors(t *testing.T) {
 	s.WriteBytes(a+32, []byte("hello"))
 	if got := string(s.ReadBytes(a+32, 5)); got != "hello" {
 		t.Errorf("ReadBytes = %q", got)
-	}
-}
-
-func TestStringRoundtrip(t *testing.T) {
-	s := NewSpace(1 << 14)
-	check := func(v string) bool {
-		if len(v) > 1000 {
-			v = v[:1000]
-		}
-		a := s.WriteString(v)
-		return s.ReadString(a) == v
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -164,7 +164,7 @@ func Aggregate(events []Event, opt ReportOptions) *Report {
 	return r
 }
 
-// Fprint renders the report as the abort-attribution tables htmtrace -events
+// Fprint renders the report as the abort-attribution tables htmtrace
 // prints.
 func (r *Report) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "events: %d (begins %d, commits %d, aborts %d", r.Events, r.Begins, r.Commits, r.Aborts)

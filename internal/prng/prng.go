@@ -31,7 +31,7 @@ func (s *SplitMix64) Next() uint64 {
 }
 
 // Rand is a xoshiro256** generator. The zero value is not usable; construct
-// with New or Derive.
+// with New or Derive, or Reseed one in place.
 type Rand struct {
 	s [4]uint64
 }
@@ -39,8 +39,27 @@ type Rand struct {
 // New returns a generator seeded from seed via SplitMix64, per the xoshiro
 // authors' recommendation.
 func New(seed uint64) *Rand {
-	sm := NewSplitMix64(seed)
-	var r Rand
+	r := new(Rand)
+	r.seed(seed)
+	return r
+}
+
+// Derive returns an independent generator for stream id derived from seed.
+// Two Derive calls with different ids yield streams that do not overlap in
+// practice (distinct splitmix seeds).
+func Derive(seed uint64, id int) *Rand {
+	r := new(Rand)
+	r.Reseed(seed, id)
+	return r
+}
+
+// Reseed restarts r, in place, as the stream Derive(seed, id) returns.
+func (r *Rand) Reseed(seed uint64, id int) {
+	r.seed(seed ^ (0x9e3779b97f4a7c15 * uint64(id+1)))
+}
+
+func (r *Rand) seed(seed uint64) {
+	sm := SplitMix64{state: seed}
 	for i := range r.s {
 		r.s[i] = sm.Next()
 	}
@@ -49,14 +68,6 @@ func New(seed uint64) *Rand {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &r
-}
-
-// Derive returns an independent generator for stream id derived from seed.
-// Two Derive calls with different ids yield streams that do not overlap in
-// practice (distinct splitmix seeds).
-func Derive(seed uint64, id int) *Rand {
-	return New(seed ^ (0x9e3779b97f4a7c15 * uint64(id+1)))
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -109,20 +120,4 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Geometric returns a sample from a geometric distribution with success
-// probability p (number of failures before the first success).
-func (r *Rand) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	n := 0
-	for !r.Bernoulli(p) {
-		n++
-		if n > 1<<20 { // defensive bound for tiny p
-			break
-		}
-	}
-	return n
 }

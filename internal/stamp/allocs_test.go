@@ -41,25 +41,23 @@ func regionAllocs(t *testing.T, name string, threads int) uint64 {
 }
 
 // regionAllocCeilings pins, per benchmark, the Go heap allocations of one
-// test-scale region: {sequential, 4 threads}. Each is the count measured
-// when transaction bodies moved their bookkeeping into per-worker scratch
-// (intruder, kmeans, ssca2 and vacation: when their body closures moved
-// there too), plus a small margin. What remains is per transaction (the
-// body closures of bayes, genome, labyrinth and yada, vacation's per-action
-// RNG), per worker, or growth of a list a worker keeps; a body that
-// allocates on every attempt multiplies its count by the attempts and fails
-// here.
+// test-scale region: {sequential, 4 threads}. Each is the largest count
+// measured once every transaction body, with the variables it captures,
+// moved into per-worker state (under -race -tags racecheck too), plus a
+// small margin. What remains is per worker or growth of a list a worker
+// keeps; a body that allocates on every transaction or attempt multiplies
+// its count by them and fails here.
 var regionAllocCeilings = map[string][2]uint64{
-	"bayes":         {700, 850},
-	"genome":        {450, 590},
+	"bayes":         {36, 215},
+	"genome":        {108, 270},
 	"intruder":      {40, 340},
 	"kmeans-high":   {25, 115},
 	"kmeans-low":    {25, 115},
-	"labyrinth":     {90, 280},
+	"labyrinth":     {50, 265},
 	"ssca2":         {24, 125},
-	"vacation-high": {460, 690},
-	"vacation-low":  {460, 630},
-	"yada":          {215, 600},
+	"vacation-high": {37, 275},
+	"vacation-low":  {26, 195},
+	"yada":          {53, 390},
 }
 
 func TestRegionAllocs(t *testing.T) {

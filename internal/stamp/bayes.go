@@ -126,43 +126,46 @@ func (b *bayes) reaches(t *htm.Thread, w *walk, src, dst int) bool {
 func (b *bayes) Run(runners []Runner) {
 	runWorkers(runners, func(tid int, r Runner) {
 		w := b.newWalk()
+		// Both transaction bodies, and the variables they share with the
+		// loop, are declared once per worker.
+		var task uint64
+		var have, didInsert bool
+		// Transaction 1: pop the best pending task.
+		pop := func(t *htm.Thread) {
+			_, task, have = b.tasks.Pop(t)
+		}
+		// Transaction 2: validate and apply the edge insertion.
+		insert := func(t *htm.Thread) {
+			didInsert = false
+			u, v, gen := unpackTask(task)
+
+			uRec := b.varAddr(u)
+			vRec := b.varAddr(v)
+			nChildren := t.Load64(uRec)
+			nParents := t.Load64(vRec + 8 + uint64(b.childCap)*8)
+			if u != v &&
+				nChildren < uint64(b.childCap) &&
+				nParents < uint64(b.maxParent) &&
+				!b.hasChild(t, u, v) &&
+				!b.reaches(t, w, v, u) { // would close a cycle
+				t.Store64(uRec+8+nChildren*8, uint64(v))
+				t.Store64(uRec, nChildren+1)
+				t.Store64(vRec+8+uint64(b.childCap)*8, nParents+1)
+				didInsert = true
+			}
+			// Hill climbing: propose the next candidate for this chain.
+			if gen+1 < b.maxRounds {
+				nu := int(txds.Hash64(task^0x5bd1e995) % uint64(b.nVars))
+				nv := int(txds.Hash64(task^0xdeadbeef) % uint64(b.nVars))
+				b.tasks.Push(t, b.score(nu, nv, gen+1), packTask(nu, nv, gen+1))
+			}
+		}
 		for {
-			// Transaction 1: pop the best pending task.
-			var task uint64
-			var have bool
-			r.Atomic(func(t *htm.Thread) {
-				_, task, have = b.tasks.Pop(t)
-			})
+			r.Atomic(pop)
 			if !have {
 				return
 			}
-			didInsert := false
-			// Transaction 2: validate and apply the edge insertion.
-			r.Atomic(func(t *htm.Thread) {
-				didInsert = false
-				u, v, gen := unpackTask(task)
-
-				uRec := b.varAddr(u)
-				vRec := b.varAddr(v)
-				nChildren := t.Load64(uRec)
-				nParents := t.Load64(vRec + 8 + uint64(b.childCap)*8)
-				if u != v &&
-					nChildren < uint64(b.childCap) &&
-					nParents < uint64(b.maxParent) &&
-					!b.hasChild(t, u, v) &&
-					!b.reaches(t, w, v, u) { // would close a cycle
-					t.Store64(uRec+8+nChildren*8, uint64(v))
-					t.Store64(uRec, nChildren+1)
-					t.Store64(vRec+8+uint64(b.childCap)*8, nParents+1)
-					didInsert = true
-				}
-				// Hill climbing: propose the next candidate for this chain.
-				if gen+1 < b.maxRounds {
-					nu := int(txds.Hash64(task^0x5bd1e995) % uint64(b.nVars))
-					nv := int(txds.Hash64(task^0xdeadbeef) % uint64(b.nVars))
-					b.tasks.Push(t, b.score(nu, nv, gen+1), packTask(nu, nv, gen+1))
-				}
-			})
+			r.Atomic(insert)
 			r.Thread().Work(80) // score evaluation arithmetic
 			b.processed++
 			if didInsert {

@@ -136,21 +136,45 @@ func (g *genome) Run(runners []Runner) {
 	o := g.overlap() // 24 bytes: bytes [0,24) prefix, [stride,segLen) suffix
 
 	runWorkers(runners, func(tid int, r Runner) {
+		// The three transaction bodies are declared once per worker; each
+		// reads the chunk [base, end) or the record cur the loop sets.
+		var base, end int
+		var cur mem.Addr
+		dedup := func(t *htm.Thread) {
+			for i := base; i < end; i++ {
+				str := g.segs[i]
+				g.uniqSet.Insert(t, contentHash(t, str, g.segLen), str)
+			}
+		}
+		register := func(t *htm.Thread) {
+			for i := base; i < end; i++ {
+				rec := g.records[i]
+				g.starts.Insert(t, int64(t.Load64(rec+segPrefix*8)), rec)
+			}
+		}
+		link := func(t *htm.Thread) {
+			suffix := int64(t.Load64(cur + segSuffix*8))
+			cand, ok := g.starts.Get(t, suffix)
+			if !ok || cand == cur {
+				return
+			}
+			if t.Load64(cand+segLinked*8) != 0 {
+				return
+			}
+			if t.Load64(cur+segNext*8) != mem.Nil {
+				return
+			}
+			t.Store64(cur+segNext*8, cand)
+			t.Store64(cand+segLinked*8, 1)
+		}
+
 		// --- Phase 1: transactional de-duplication, chunked.
 		lo := tid * len(g.segs) / n
 		hi := (tid + 1) * len(g.segs) / n
-		for base := lo; base < hi; base += g.chunk {
-			end := base + g.chunk
-			if end > hi {
-				end = hi
-			}
+		for base = lo; base < hi; base += g.chunk {
+			end = min(base+g.chunk, hi)
 			r.Thread().Work(12 * (end - base)) // segment staging
-			r.Atomic(func(t *htm.Thread) {
-				for i := base; i < end; i++ {
-					str := g.segs[i]
-					g.uniqSet.Insert(t, contentHash(t, str, g.segLen), str)
-				}
-			})
+			r.Atomic(dedup)
 		}
 		bar.Wait(r.Thread())
 
@@ -175,38 +199,16 @@ func (g *genome) Run(runners []Runner) {
 		// --- Phase 2a: register unique segments by prefix hash.
 		lo = tid * len(g.records) / n
 		hi = (tid + 1) * len(g.records) / n
-		for base := lo; base < hi; base += g.chunk {
-			end := base + g.chunk
-			if end > hi {
-				end = hi
-			}
-			r.Atomic(func(t *htm.Thread) {
-				for i := base; i < end; i++ {
-					rec := g.records[i]
-					g.starts.Insert(t, int64(t.Load64(rec+segPrefix*8)), rec)
-				}
-			})
+		for base = lo; base < hi; base += g.chunk {
+			end = min(base+g.chunk, hi)
+			r.Atomic(register)
 		}
 		bar.Wait(r.Thread())
 
 		// --- Phase 2b: link each segment to its successor, claiming it.
 		for i := lo; i < hi; i++ {
-			rec := g.records[i]
-			r.Atomic(func(t *htm.Thread) {
-				suffix := int64(t.Load64(rec + segSuffix*8))
-				cand, ok := g.starts.Get(t, suffix)
-				if !ok || cand == rec {
-					return
-				}
-				if t.Load64(cand+segLinked*8) != 0 {
-					return
-				}
-				if t.Load64(rec+segNext*8) != mem.Nil {
-					return
-				}
-				t.Store64(rec+segNext*8, cand)
-				t.Store64(cand+segLinked*8, 1)
-			})
+			cur = g.records[i]
+			r.Atomic(link)
 		}
 		bar.Wait(r.Thread())
 

@@ -184,28 +184,32 @@ func (l *labyrinth) Run(runners []Runner) {
 	nextID := 1
 	runWorkers(runners, func(tid int, r Runner) {
 		rt := l.newRouter()
+		// Both transaction bodies, and the variables they share with the
+		// loop, are declared once per worker.
+		var work uint64
+		var ok bool
+		var src, dst, myID int
+		var path []int
+		pop := func(t *htm.Thread) {
+			work, ok = l.works.Pop(t)
+		}
+		lay := func(t *htm.Thread) {
+			path = l.route(t, rt, src, dst)
+			for _, c := range path {
+				t.Store64(l.cellAddr(c), uint64(myID))
+			}
+		}
 		for {
-			var work uint64
-			var ok bool
-			r.Atomic(func(t *htm.Thread) {
-				work, ok = l.works.Pop(t)
-			})
+			r.Atomic(pop)
 			if !ok {
 				return
 			}
-			src := int(work >> 32)
-			dst := int(work & 0xffffffff)
+			src = int(work >> 32)
+			dst = int(work & 0xffffffff)
 			r.Thread().Work(100) // router bookkeeping per work item
-			myID := nextID
+			myID = nextID
 			nextID++
-
-			var path []int
-			r.Atomic(func(t *htm.Thread) {
-				path = l.route(t, rt, src, dst)
-				for _, c := range path {
-					t.Store64(l.cellAddr(c), uint64(myID))
-				}
-			})
+			r.Atomic(lay)
 			if path == nil {
 				l.fails++
 			} else {

@@ -293,7 +293,7 @@ func (v *vacation) Run(runners []Runner) {
 		for i := lo; i < hi; i++ {
 			r.Thread().Work(60) // client-side action selection and RNG
 			action := rng.Intn(100)
-			actionRng = *prng.Derive(v.cfg.Seed^0x616374, tid*1000003+i)
+			actionRng.Reseed(v.cfg.Seed^0x616374, tid*1000003+i)
 			switch {
 			case action < v.userPct:
 				r.Atomic(reserve)

@@ -161,109 +161,112 @@ func (y *yada) Run(runners []Runner) {
 		// Per-attempt scratch, reused: the cavity, its boundary in
 		// discovery order, and the new triangles (kept once committed).
 		var cavity, bl, created []mem.Addr
-		for {
-			didWork := false
-			preempted := 0
-			spawnedOne := false
-			// Transaction 1 (STAMP: TM_BEGIN; heap_remove; TM_END): grab a
-			// bad triangle. Stale entries for already-killed triangles are
-			// skipped here; their chains were accounted by their killers.
-			var tri mem.Addr
-			empty := false
-			r.Atomic(func(t *htm.Thread) {
-				tri, empty = 0, false
-				for {
-					_, v, ok := y.heap.Pop(t)
-					if !ok {
-						empty = true
-						return
+		// Both transaction bodies, and the variables they share with the
+		// loop, are declared once per worker; each resets its results on
+		// every attempt.
+		var tri mem.Addr
+		var empty, didWork, spawnedOne bool
+		var preempted int
+		// Transaction 1 (STAMP: TM_BEGIN; heap_remove; TM_END): grab a bad
+		// triangle. Stale entries for already-killed triangles are skipped
+		// here; their chains were accounted by their killers.
+		grab := func(t *htm.Thread) {
+			tri, empty = 0, false
+			for {
+				_, v, ok := y.heap.Pop(t)
+				if !ok {
+					empty = true
+					return
+				}
+				if t.Load64(mem.Addr(v)+triAlive*8) != 0 {
+					tri = mem.Addr(v)
+					return
+				}
+			}
+		}
+		// Transaction 2: the refinement itself.
+		refine := func(t *htm.Thread) {
+			created = created[:0]
+			didWork, preempted, spawnedOne = false, 0, false
+			if t.Load64(tri+triAlive*8) == 0 {
+				// Killed by a neighbouring cavity between the two
+				// transactions; its killer counted the preemption.
+				return
+			}
+			didWork = true
+			gen := int(t.Load64(tri + triGen*8))
+			seed := t.Load64(tri + triSeed*8)
+
+			// Cavity expansion: BFS over alive neighbours.
+			target := y.cavityTarget(seed)
+			cavity = append(cavity[:0], tri)
+			for qi := 0; qi < len(cavity) && len(cavity) < target; qi++ {
+				cur := cavity[qi]
+				n := t.Load64(cur + triNNbr*8)
+				for i := uint64(0); i < n && len(cavity) < target; i++ {
+					nb := mem.Addr(t.Load64(cur + triNbr0*8 + i*8))
+					if slices.Contains(cavity, nb) || t.Load64(nb+triAlive*8) == 0 {
+						continue
 					}
-					if t.Load64(mem.Addr(v)+triAlive*8) != 0 {
-						tri = mem.Addr(v)
-						return
+					cavity = append(cavity, nb)
+				}
+			}
+
+			// Boundary: alive neighbours of cavity members outside it,
+			// in deterministic discovery order. Both lists are short
+			// (at most cavityMax triangles and their neighbours), so
+			// membership is a scan.
+			bl = bl[:0]
+			for _, c := range cavity {
+				n := t.Load64(c + triNNbr*8)
+				for i := uint64(0); i < n; i++ {
+					nb := mem.Addr(t.Load64(c + triNbr0*8 + i*8))
+					if !slices.Contains(cavity, nb) && !slices.Contains(bl, nb) && t.Load64(nb+triAlive*8) != 0 {
+						bl = append(bl, nb)
 					}
 				}
-			})
+			}
+
+			// Kill the cavity; pending bad members die unrefined.
+			for _, c := range cavity {
+				if c != tri && t.Load64(c+triBad*8) != 0 {
+					preempted++
+				}
+				t.Store64(c+triAlive*8, 0)
+			}
+			for _, b := range bl {
+				for _, c := range cavity {
+					y.unlink(t, b, c)
+				}
+			}
+
+			// Retriangulate: |cavity|+2 new triangles in a ring, wired
+			// round-robin into the boundary.
+			nNew := len(cavity) + 2
+			for i := 0; i < nNew; i++ {
+				created = append(created, y.newTriangle(t, gen+1, seed^uint64(i+1)*0x9e3779b97f4a7c15))
+			}
+			newTris := created
+			for i := range newTris {
+				y.link(t, newTris[i], newTris[(i+1)%nNew])
+			}
+			for i, b := range bl {
+				y.link(t, newTris[i%nNew], b)
+			}
+			// Cascade: one new bad triangle per refinement until the
+			// generation bound.
+			if gen+1 < y.maxGen {
+				t.Store64(newTris[0]+triBad*8, 1)
+				y.heap.Push(t, int64(rng.Intn(1<<30)), uint64(newTris[0]))
+				spawnedOne = true
+			}
+		}
+		for {
+			r.Atomic(grab)
 			if empty {
 				return
 			}
-			// Transaction 2: the refinement itself.
-			r.Atomic(func(t *htm.Thread) {
-				created = created[:0]
-				didWork, preempted, spawnedOne = false, 0, false
-				if t.Load64(tri+triAlive*8) == 0 {
-					// Killed by a neighbouring cavity between the two
-					// transactions; its killer counted the preemption.
-					return
-				}
-				didWork = true
-				gen := int(t.Load64(tri + triGen*8))
-				seed := t.Load64(tri + triSeed*8)
-
-				// Cavity expansion: BFS over alive neighbours.
-				target := y.cavityTarget(seed)
-				cavity = append(cavity[:0], tri)
-				for qi := 0; qi < len(cavity) && len(cavity) < target; qi++ {
-					cur := cavity[qi]
-					n := t.Load64(cur + triNNbr*8)
-					for i := uint64(0); i < n && len(cavity) < target; i++ {
-						nb := mem.Addr(t.Load64(cur + triNbr0*8 + i*8))
-						if slices.Contains(cavity, nb) || t.Load64(nb+triAlive*8) == 0 {
-							continue
-						}
-						cavity = append(cavity, nb)
-					}
-				}
-
-				// Boundary: alive neighbours of cavity members outside it,
-				// in deterministic discovery order. Both lists are short
-				// (at most cavityMax triangles and their neighbours), so
-				// membership is a scan.
-				bl = bl[:0]
-				for _, c := range cavity {
-					n := t.Load64(c + triNNbr*8)
-					for i := uint64(0); i < n; i++ {
-						nb := mem.Addr(t.Load64(c + triNbr0*8 + i*8))
-						if !slices.Contains(cavity, nb) && !slices.Contains(bl, nb) && t.Load64(nb+triAlive*8) != 0 {
-							bl = append(bl, nb)
-						}
-					}
-				}
-
-				// Kill the cavity; pending bad members die unrefined.
-				for _, c := range cavity {
-					if c != tri && t.Load64(c+triBad*8) != 0 {
-						preempted++
-					}
-					t.Store64(c+triAlive*8, 0)
-				}
-				for _, b := range bl {
-					for _, c := range cavity {
-						y.unlink(t, b, c)
-					}
-				}
-
-				// Retriangulate: |cavity|+2 new triangles in a ring, wired
-				// round-robin into the boundary.
-				nNew := len(cavity) + 2
-				for i := 0; i < nNew; i++ {
-					created = append(created, y.newTriangle(t, gen+1, seed^uint64(i+1)*0x9e3779b97f4a7c15))
-				}
-				newTris := created
-				for i := range newTris {
-					y.link(t, newTris[i], newTris[(i+1)%nNew])
-				}
-				for i, b := range bl {
-					y.link(t, newTris[i%nNew], b)
-				}
-				// Cascade: one new bad triangle per refinement until the
-				// generation bound.
-				if gen+1 < y.maxGen {
-					t.Store64(newTris[0]+triBad*8, 1)
-					y.heap.Push(t, int64(rng.Intn(1<<30)), uint64(newTris[0]))
-					spawnedOne = true
-				}
-			})
+			r.Atomic(refine)
 			if !didWork {
 				continue // raced with a cavity kill: take the next item
 			}

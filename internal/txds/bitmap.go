@@ -69,16 +69,6 @@ func (b Bitmap) Test(t *htm.Thread, i int) bool {
 	return t.Load64(a)&mask != 0
 }
 
-// ClearAll clears every bit.
-func (b Bitmap) ClearAll(t *htm.Thread) {
-	n := int(loadField(t, b.base, bmBits))
-	data := loadField(t, b.base, bmData)
-	words := (n + 63) / 64
-	for i := 0; i < words; i++ {
-		t.Store64(data+uint64(i)*w, 0)
-	}
-}
-
 // Count returns the number of set bits.
 func (b Bitmap) Count(t *htm.Thread) int {
 	n := int(loadField(t, b.base, bmBits))

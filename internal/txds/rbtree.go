@@ -254,25 +254,6 @@ func (r RBTree) Min(t *htm.Thread) (int64, uint64, bool) {
 	return key(t, n), loadField(t, n, rbVal), true
 }
 
-// Successor returns the smallest key strictly greater than k, if any.
-func (r RBTree) Successor(t *htm.Thread, k int64) (int64, uint64, bool) {
-	nilN := r.nilN(t)
-	x := r.root(t)
-	best := nilN
-	for x != nilN {
-		if key(t, x) > k {
-			best = x
-			x = left(t, x)
-		} else {
-			x = right(t, x)
-		}
-	}
-	if best == nilN {
-		return 0, 0, false
-	}
-	return key(t, best), loadField(t, best, rbVal), true
-}
-
 func (r RBTree) transplant(t *htm.Thread, u, v mem.Addr) {
 	nilN := r.nilN(t)
 	up := parent(t, u)

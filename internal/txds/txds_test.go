@@ -235,12 +235,6 @@ func TestRBTreeBasic(t *testing.T) {
 	if k, v, ok := r.Min(th); !ok || k != 1 || v != 10 {
 		t.Errorf("Min = %d,%d,%v", k, v, ok)
 	}
-	if k, _, ok := r.Successor(th, 5); !ok || k != 6 {
-		t.Errorf("Successor(5) = %d,%v", k, ok)
-	}
-	if _, _, ok := r.Successor(th, 9); ok {
-		t.Error("Successor(max) should not exist")
-	}
 	if !r.Set(th, 3, 333) {
 		t.Error("Set(3) failed")
 	}
@@ -489,19 +483,9 @@ func TestVectorBasic(t *testing.T) {
 			t.Fatalf("At(%d) = %d", i, got)
 		}
 	}
-	v.SetAt(th, 10, 999)
-	if v.At(th, 10) != 999 {
-		t.Error("SetAt failed")
-	}
-	if x, ok := v.PopBack(th); !ok || x != 49*3 {
-		t.Errorf("PopBack = %d,%v", x, ok)
-	}
 	v.Clear(th)
 	if v.Len(th) != 0 {
 		t.Error("Clear failed")
-	}
-	if _, ok := v.PopBack(th); ok {
-		t.Error("PopBack of empty succeeded")
 	}
 }
 
@@ -541,10 +525,6 @@ func TestBitmapBasic(t *testing.T) {
 	b.Clear(th, 64)
 	if b.Test(th, 64) {
 		t.Error("Clear failed")
-	}
-	b.ClearAll(th)
-	if b.Count(th) != 0 {
-		t.Error("ClearAll failed")
 	}
 }
 

@@ -57,18 +57,6 @@ func (v Vector) PushBack(t *htm.Thread, x uint64) {
 	storeField(t, v.base, vecSize, size+1)
 }
 
-// PopBack removes and returns the last element.
-func (v Vector) PopBack(t *htm.Thread) (uint64, bool) {
-	size := loadField(t, v.base, vecSize)
-	if size == 0 {
-		return 0, false
-	}
-	arr := loadField(t, v.base, vecArray)
-	x := t.Load64(arr + (size-1)*w)
-	storeField(t, v.base, vecSize, size-1)
-	return x, true
-}
-
 // At returns element i; it panics on out-of-range access (a workload bug).
 func (v Vector) At(t *htm.Thread, i int) uint64 {
 	size := int(loadField(t, v.base, vecSize))
@@ -77,16 +65,6 @@ func (v Vector) At(t *htm.Thread, i int) uint64 {
 	}
 	arr := loadField(t, v.base, vecArray)
 	return t.Load64(arr + uint64(i)*w)
-}
-
-// SetAt replaces element i.
-func (v Vector) SetAt(t *htm.Thread, i int, x uint64) {
-	size := int(loadField(t, v.base, vecSize))
-	if i < 0 || i >= size {
-		panic("txds: vector index out of range")
-	}
-	arr := loadField(t, v.base, vecArray)
-	t.Store64(arr+uint64(i)*w, x)
 }
 
 // Clear resets the vector to length zero without shrinking.
