@@ -40,12 +40,17 @@ race:
 	$(GO) test -race -tags racecheck ./internal/...
 	$(GO) test -race -count=10 -run 'Run|SpinUntil|Livelock|Deadlock|Adapter' ./internal/htm
 
-# lint runs go vet and the gofmt gate. The repo's own invariant checks
-# (internal/lint's determinism check over the default and the build-tagged
-# files, plus the cache-key rules) run in `go test ./...` as the root
-# package's TestInvariants.
+# lint runs go vet and the gofmt gate. go vet runs untagged over the module,
+# then once per build tag over the packages that tag compiles differently
+# (mutate_isolation: htm/mutate_on.go and verify/mutation_test.go; racecheck:
+# mem/live_racecheck.go), which race and fuzz-smoke only compile. The repo's
+# own invariant checks (internal/lint's determinism check over the default
+# and the build-tagged files, plus the cache-key rules) run in `go test ./...`
+# as the root package's TestInvariants.
 lint:
 	$(GO) vet ./...
+	$(GO) vet -tags mutate_isolation ./internal/htm ./internal/verify
+	$(GO) vet -tags racecheck ./internal/mem
 	@fmt_out=$$(gofmt -l .); \
 	if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \

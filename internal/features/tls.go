@@ -22,11 +22,14 @@ import (
 //     (Figure 8's light-grey code); only genuine data conflicts remain.
 //
 // Two loop kernels stand in for the paper's SPEC CPU2006 loops (see
-// DESIGN.md): "milc" iterations write 72-byte blocks that straddle 128-byte
-// conflict-detection lines, so neighbouring iterations share lines and some
-// false conflicts survive suspend/resume (the paper's residual 10% abort
-// ratio on 433.milc); "sphinx3" iterations write line-aligned private slots
-// and become conflict-free with suspend/resume (0.1% in the paper).
+// DESIGN.md). Both write a 72-byte block into a private, line-aligned slot
+// per iteration. "sphinx3" does nothing else and becomes conflict-free with
+// suspend/resume (0.1% in the paper). About one "milc" iteration in five
+// also read-modify-writes a gauge-link word shared by a group of eight
+// iterations: true conflicts, which survive suspend/resume. The paper
+// attributes 433.milc's residual 10% abort ratio to false conflicts; the
+// model produces its residue from true conflicts on shared words instead
+// (a known deviation, EXPERIMENTS.md).
 
 // TLSKernel selects the loop kernel.
 type TLSKernel int
@@ -119,9 +122,10 @@ func newTLSState(t *htm.Thread, kernel TLSKernel, iters int) *tlsState {
 	s.blockSize = line
 	s.out = t.AllocAligned(iters*s.blockSize, line)
 	if kernel == KernelMilc {
-		// milc iterations occasionally update gauge-link cells shared by
-		// groups of eight iterations: the false conflicts that survive
-		// suspend/resume in the paper (abort ratio 83% -> 10%).
+		// milc iterations occasionally update a gauge-link word shared by
+		// a group of eight iterations: true conflicts, which stand in for
+		// the residual aborts that survive suspend/resume in the paper
+		// (abort ratio 83% -> 10%, there attributed to false conflicts).
 		s.links = t.AllocAligned((iters/8+1)*line, line)
 	}
 	s.in = t.Alloc(iters * 8)

@@ -3,7 +3,6 @@ package htm
 import (
 	"testing"
 
-	"htmcmp/internal/mem"
 	"htmcmp/internal/platform"
 )
 
@@ -736,21 +735,85 @@ func TestStrongIsolationSequentialFastPath(t *testing.T) {
 	if got := th.Load64(a); got != 5 {
 		t.Errorf("non-tx roundtrip = %d, want 5", got)
 	}
-	var addr mem.Addr = a + 4
-	th.Store32(addr, 9)
-	if got := th.Load32(addr); got != 9 {
-		t.Errorf("32-bit roundtrip = %d, want 9", got)
-	}
-	th.Store8(a+1, 200)
-	if got := th.Load8(a + 1); got != 200 {
-		t.Errorf("8-bit roundtrip = %d, want 200", got)
+	th.StorePtr(a+8, a)
+	if got := th.LoadPtr(a + 8); got != a {
+		t.Errorf("pointer roundtrip = %#x, want %#x", got, a)
 	}
 	th.StoreFloat64(a+16, 3.25)
 	if got := th.LoadFloat64(a + 16); got != 3.25 {
 		t.Errorf("float roundtrip = %v, want 3.25", got)
 	}
-	th.StoreInt64(a+24, -7)
-	if got := th.LoadInt64(a + 24); got != -7 {
-		t.Errorf("int64 roundtrip = %v, want -7", got)
+	// Each store wrote its own word and nothing else: the untracked view of
+	// the arena agrees, and the word after them is still zero.
+	sp := e.Space()
+	if sp.Load64(a) != 5 || sp.Load64(a+8) != a || sp.Load64(a+24) != 0 {
+		t.Errorf("arena words = %#x %#x %#x, want 5 %#x 0", sp.Load64(a), sp.Load64(a+8), sp.Load64(a+24), a)
+	}
+}
+
+// TestUnalignedWordAccess pins the one access width: a tracked access is an
+// aligned 8-byte word. A word access at an address that is 4 mod 8 (here the
+// last four bytes of one conflict-detection line and the first four of the
+// next) aborts an HTM or STM attempt with ReasonConflict, as a nil address
+// does, and leaves both neighbouring words as they were; outside a
+// transaction it panics. The last aligned word of a line is one line of
+// footprint.
+func TestUnalignedWordAccess(t *testing.T) {
+	const lo, hi, v = 0x1111111111111111, 0x2222222222222222, 0x3333333333333333
+	attempts := []struct {
+		name string
+		new  func(*testing.T) *Engine
+		try  func(th *Thread, fn func()) (bool, Abort)
+	}{
+		{"htm", func(t *testing.T) *Engine { return newTestEngine(t, platform.IntelCore, 1) },
+			func(th *Thread, fn func()) (bool, Abort) { return th.TryTx(TxNormal, fn) }},
+		{"stm", func(t *testing.T) *Engine { return stmEngine(t, 1) }, (*Thread).TrySTM},
+	}
+	for _, at := range attempts {
+		e := at.new(t)
+		th := e.Thread(0)
+		line := th.lineSize
+		a := th.AllocAligned(int(2*line), int(line)) + line - 8 // a line's last word
+		th.Store64(a, lo)
+		th.Store64(a+8, hi)
+		var read uint64
+		accesses := []struct {
+			op string
+			do func()
+		}{
+			{"Load64", func() { read = th.Load64(a + 4) }},
+			{"Store64", func() { th.Store64(a+4, v) }},
+		}
+		for _, acc := range accesses {
+			read = 0
+			if ok, ab := at.try(th, acc.do); ok || ab.Reason != ReasonConflict {
+				t.Errorf("%s %s(a+4): committed=%v reason=%v read=%#x, want a ReasonConflict abort",
+					at.name, acc.op, ok, ab.Reason, read)
+			}
+			if w0, w1 := th.Load64(a), th.Load64(a+8); w0 != lo || w1 != hi {
+				t.Errorf("%s %s(a+4): words = %#x %#x, want %#x %#x", at.name, acc.op, w0, w1, uint64(lo), uint64(hi))
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: non-transactional %s(a+4) did not panic", at.name, acc.op)
+					}
+				}()
+				acc.do()
+			}()
+		}
+	}
+
+	e := newTestEngine(t, platform.IntelCore, 1)
+	th := e.Thread(0)
+	a := th.AllocAligned(128, 64) + 56
+	ok, _ := th.TryTx(TxNormal, func() {
+		th.Load64(a)
+		if n := th.rs.size(); n != 1 {
+			t.Errorf("read set after a load at line offset 56 = %d lines, want 1", n)
+		}
+	})
+	if !ok {
+		t.Error("load of a line's last aligned word aborted")
 	}
 }

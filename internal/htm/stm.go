@@ -226,39 +226,3 @@ func (t *Thread) stmCommit() {
 	t.allocs = t.allocs[:0]
 	t.maybeYield()
 }
-
-// stmLoad/stmStore adapt sub-word accesses to the word-granularity logs.
-
-func (t *Thread) stmLoadBytes(a mem.Addr, n int) uint64 {
-	word := a &^ 7
-	shift := (a - word) * 8
-	v := t.stmLoadWord(word) >> shift
-	switch n {
-	case 1:
-		return v & 0xff
-	case 4:
-		return v & 0xffffffff
-	default:
-		return v
-	}
-}
-
-func (t *Thread) stmStoreBytes(a mem.Addr, n int, v uint64) {
-	word := a &^ 7
-	if a == word && n == 8 {
-		t.stmStoreWord(word, v)
-		return
-	}
-	shift := (a - word) * 8
-	var mask uint64
-	switch n {
-	case 1:
-		mask = 0xff
-	case 4:
-		mask = 0xffffffff
-	default:
-		mask = ^uint64(0)
-	}
-	old := t.stmLoadWord(word)
-	t.stmStoreWord(word, (old&^(mask<<shift))|((v&mask)<<shift))
-}

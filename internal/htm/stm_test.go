@@ -52,30 +52,6 @@ func TestSTMCommitAndRollback(t *testing.T) {
 	}
 }
 
-func TestSTMSubWordAccesses(t *testing.T) {
-	e := stmEngine(t, 1)
-	th := e.Thread(0)
-	a := th.Alloc(64)
-	ok, _ := th.TrySTM(func() {
-		th.Store8(a+3, 0xAB)
-		th.Store32(a+12, 0xDEADBEEF)
-		th.StoreFloat64(a+16, 2.5)
-		if th.Load8(a+3) != 0xAB || th.Load32(a+12) != 0xDEADBEEF || th.LoadFloat64(a+16) != 2.5 {
-			t.Error("sub-word read-own-write mismatch")
-		}
-	})
-	if !ok {
-		t.Fatal("tx aborted")
-	}
-	if th.Load8(a+3) != 0xAB || th.Load32(a+12) != 0xDEADBEEF || th.LoadFloat64(a+16) != 2.5 {
-		t.Error("sub-word values lost after commit")
-	}
-	// Neighbouring bytes untouched.
-	if th.Load8(a+2) != 0 || th.Load8(a+4) != 0 {
-		t.Error("sub-word store clobbered neighbours")
-	}
-}
-
 func TestSTMValidationDetectsConflict(t *testing.T) {
 	e := stmEngine(t, 2)
 	t0, t1 := e.Thread(0), e.Thread(1)

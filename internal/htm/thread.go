@@ -932,19 +932,18 @@ func (t *Thread) constrainedCheck(line uint32) {
 	}
 }
 
-// txLoad performs a transactional load of n bytes at a, returning the slice
-// to read from (the write buffer if the line is buffered, else the arena).
-func (t *Thread) txLoad(a mem.Addr, n int) []byte {
+// txLoad performs a transactional load of the word at a, from the write
+// buffer if its line is buffered, else from the arena.
+func (t *Thread) txLoad(a mem.Addr) uint64 {
 	t.checkDoomed()
-	t.boundsCheck(a, n)
+	t.wordCheck(a)
 	line := t.lineOf(a)
 	t.constrainedCheck(line)
 	t.maybeCacheFetchAbort()
 	t.stats.TxLoads++
 	t.tickOp(t.loadCostPerOp)
 	if buf, ok := t.ws.get(line); ok {
-		off := a & (t.lineSize - 1)
-		return buf[off : off+uint64(n)]
+		return le64(buf[a&(t.lineSize-1):])
 	}
 	if counted, ok := t.rs.get(line); ok {
 		if !counted && t.kind != TxRollbackOnly {
@@ -963,14 +962,14 @@ func (t *Thread) txLoad(a mem.Addr, n int) []byte {
 		// their reads carry no consistency guarantee to witness.
 		t.witnessRead(line)
 	}
-	return t.data[a : a+uint64(n)]
+	return le64(t.data[a:])
 }
 
-// txStore performs a transactional store, returning the buffered slice to
-// write into.
-func (t *Thread) txStore(a mem.Addr, n int) []byte {
+// txStore performs a transactional store of the word v at a into its line's
+// private buffer.
+func (t *Thread) txStore(a mem.Addr, v uint64) {
 	t.checkDoomed()
-	t.boundsCheck(a, n)
+	t.wordCheck(a)
 	line := t.lineOf(a)
 	t.constrainedCheck(line)
 	t.maybeCacheFetchAbort()
@@ -994,13 +993,13 @@ func (t *Thread) txStore(a mem.Addr, n int) []byte {
 	}
 	if mutateWriteThrough {
 		// Seeded write-set-isolation bug (build tag mutate_isolation, see
-		// mutate_off.go): hand back the shared arena instead of the private
+		// mutate_off.go): write the shared arena instead of the private
 		// buffer, leaking speculative stores to other threads and reverting
 		// them at commit when the stale buffer is published.
-		return t.data[a : a+uint64(n)]
+		putLE64(t.data[a:], v)
+		return
 	}
-	off := a & (t.lineSize - 1)
-	return buf[off : off+uint64(n)]
+	putLE64(buf[a&(t.lineSize-1):], v)
 }
 
 func (t *Thread) getLineBuf() []byte {
@@ -1012,35 +1011,40 @@ func (t *Thread) getLineBuf() []byte {
 	return make([]byte, t.lineSize)
 }
 
-func (t *Thread) boundsCheck(a mem.Addr, n int) {
+// wordCheck admits the aligned 8-byte word at a, the one width a tracked
+// access has: an aligned word never straddles a conflict-detection line
+// (every modelled line is a multiple of 8 bytes) or two entries of NOrec's
+// word log.
+func (t *Thread) wordCheck(a mem.Addr) {
+	if a == mem.Nil || a&7 != 0 || a+8 > uint64(len(t.data)) {
+		t.badAccess(a)
+	}
+}
+
+// badAccess is the out-of-line slow path of wordCheck and LoadRO8: a nil,
+// misaligned or out-of-range address. Inside a transaction (hardware or
+// software) it is almost always computed from torn or doomed state, so it
+// aborts as a conflict rather than crashing, as hardware would simply have
+// aborted before the dependent access. Outside one it is a workload bug.
+func (t *Thread) badAccess(a mem.Addr) {
+	if t.transactional() || t.stm.active {
+		t.abortNow(ReasonConflict, false)
+	}
 	if a == mem.Nil {
-		// A nil dereference inside a transaction is almost always the
-		// result of reading torn/doomed state; treat it as a conflict
-		// abort rather than crashing, as hardware would simply have
-		// aborted before the dependent access.
-		if (t.inTx && t.suspendCnt == 0) || t.stm.active {
-			t.abortNow(ReasonConflict, false)
-		}
 		panic("htm: access through nil simulated pointer")
 	}
-	if a+uint64(n) > uint64(t.eng.space.Size()) {
-		if (t.inTx && t.suspendCnt == 0) || t.stm.active {
-			t.abortNow(ReasonConflict, false)
-		}
-		panic(fmt.Sprintf("htm: access [%#x,%#x) out of arena bounds", a, a+uint64(n)))
-	}
+	panic(fmt.Sprintf("htm: access at %#x is misaligned or out of arena bounds %d", a, len(t.data)))
 }
 
 // nonTxLoad is a strongly-isolated non-transactional load: it dooms a
 // conflicting transactional writer (requester always wins for
 // non-transactional accesses) and reads committed memory. A hardened
 // constrained writer is immune, so the access waits for it to commit.
-func (t *Thread) nonTxLoad(a mem.Addr, n int) []byte {
+func (t *Thread) nonTxLoad(a mem.Addr) uint64 {
 	t.tickOp(0)
-	t.boundsCheck(a, n)
-	data := t.data
+	t.wordCheck(a)
 	if t.eng.activeTx == 0 {
-		return data[a : a+uint64(n)]
+		return le64(t.data[a:])
 	}
 	line := t.lineOf(a)
 	for {
@@ -1052,32 +1056,24 @@ func (t *Thread) nonTxLoad(a mem.Addr, n int) []byte {
 			}
 			rec.writer = -1
 		}
-		// Single runner: the arena cannot change under the caller before it
-		// consumes the slice.
-		return data[a : a+uint64(n)]
+		return le64(t.data[a:])
 	}
 }
 
 // nonTxStore is a strongly-isolated non-transactional store: it dooms all
 // conflicting transactional owners of the line and writes memory directly.
-func (t *Thread) nonTxStore(a mem.Addr, n int, src []byte) {
+func (t *Thread) nonTxStore(a mem.Addr, v uint64) {
 	t.tickOp(0)
-	t.boundsCheck(a, n)
-	data := t.data
-	if t.eng.activeTx == 0 {
-		copy(data[a:a+uint64(n)], src)
-		if t.wit != nil {
-			t.witnessNonTx(a, n)
+	t.wordCheck(a)
+	if t.eng.activeTx != 0 {
+		line := t.lineOf(a)
+		for !t.evictOwners(line) {
+			t.Pause(2) // an owner is immune; wait it out
 		}
-		return
 	}
-	line := t.lineOf(a)
-	for !t.evictOwners(line) {
-		t.Pause(2) // an owner is immune; wait it out
-	}
-	copy(data[a:a+uint64(n)], src)
+	putLE64(t.data[a:], v)
 	if t.wit != nil {
-		t.witnessNonTx(a, n)
+		t.witnessNonTx(a)
 	}
 }
 
@@ -1117,10 +1113,10 @@ func (t *Thread) transactional() bool { return t.inTx && t.suspendCnt == 0 }
 // ---------------------------------------------------------------------------
 // Typed accessors (the workload-facing API)
 
-// le64/putLE64/le32/putLE32 decode and encode little-endian words with
-// direct byte arithmetic: the explicit re-slice gives the compiler a single
-// bounds check and lets it collapse the combine into one load/store on
-// little-endian hosts, without an encoding/binary call in the hot path.
+// le64/putLE64 decode and encode little-endian words with direct byte
+// arithmetic: the explicit re-slice gives the compiler a single bounds check
+// and lets it collapse the combine into one load/store on little-endian
+// hosts, without an encoding/binary call in the hot path.
 
 func le64(b []byte) uint64 {
 	b = b[:8]
@@ -1140,101 +1136,32 @@ func putLE64(b []byte, v uint64) {
 	b[7] = byte(v >> 56)
 }
 
-func le32(b []byte) uint32 {
-	b = b[:4]
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putLE32(b []byte, v uint32) {
-	b = b[:4]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-// Load64 reads the 8-byte word at a, transactionally when in a transaction
-// (hardware or software).
+// Load64 reads the aligned 8-byte word at a, transactionally when in a
+// transaction (hardware or software).
 func (t *Thread) Load64(a mem.Addr) uint64 {
 	if t.stm.active {
-		t.boundsCheck(a, 8)
-		return t.stmLoadBytes(a, 8)
+		t.wordCheck(a)
+		return t.stmLoadWord(a)
 	}
 	if t.transactional() {
-		return le64(t.txLoad(a, 8))
+		return t.txLoad(a)
 	}
-	return le64(t.nonTxLoad(a, 8))
+	return t.nonTxLoad(a)
 }
 
-// Store64 writes the 8-byte word v at a, transactionally when in a
+// Store64 writes the aligned 8-byte word v at a, transactionally when in a
 // transaction (hardware or software).
 func (t *Thread) Store64(a mem.Addr, v uint64) {
 	if t.stm.active {
-		t.boundsCheck(a, 8)
-		t.stmStoreBytes(a, 8, v)
+		t.wordCheck(a)
+		t.stmStoreWord(a, v)
 		return
 	}
 	if t.transactional() {
-		putLE64(t.txStore(a, 8), v)
+		t.txStore(a, v)
 		return
 	}
-	var b [8]byte
-	putLE64(b[:], v)
-	t.nonTxStore(a, 8, b[:])
-}
-
-// Load32 reads the 4-byte word at a.
-func (t *Thread) Load32(a mem.Addr) uint32 {
-	if t.stm.active {
-		t.boundsCheck(a, 4)
-		return uint32(t.stmLoadBytes(a, 4))
-	}
-	if t.transactional() {
-		return le32(t.txLoad(a, 4))
-	}
-	return le32(t.nonTxLoad(a, 4))
-}
-
-// Store32 writes the 4-byte word v at a.
-func (t *Thread) Store32(a mem.Addr, v uint32) {
-	if t.stm.active {
-		t.boundsCheck(a, 4)
-		t.stmStoreBytes(a, 4, uint64(v))
-		return
-	}
-	if t.transactional() {
-		putLE32(t.txStore(a, 4), v)
-		return
-	}
-	var b [4]byte
-	putLE32(b[:], v)
-	t.nonTxStore(a, 4, b[:])
-}
-
-// Load8 reads the byte at a.
-func (t *Thread) Load8(a mem.Addr) byte {
-	if t.stm.active {
-		t.boundsCheck(a, 1)
-		return byte(t.stmLoadBytes(a, 1))
-	}
-	if t.transactional() {
-		return t.txLoad(a, 1)[0]
-	}
-	return t.nonTxLoad(a, 1)[0]
-}
-
-// Store8 writes the byte v at a.
-func (t *Thread) Store8(a mem.Addr, v byte) {
-	if t.stm.active {
-		t.boundsCheck(a, 1)
-		t.stmStoreBytes(a, 1, uint64(v))
-		return
-	}
-	if t.transactional() {
-		t.txStore(a, 1)[0] = v
-		return
-	}
-	t.nonTxStore(a, 1, []byte{v})
+	t.nonTxStore(a, v)
 }
 
 // LoadRO64 reads the word at a without any conflict tracking. It is only
@@ -1246,22 +1173,18 @@ func (t *Thread) Store8(a mem.Addr, v byte) {
 // isolation.
 func (t *Thread) LoadRO64(a mem.Addr) uint64 {
 	t.tickRO()
-	t.boundsCheck(a, 8)
+	t.wordCheck(a)
 	return le64(t.data[a:])
 }
 
-// LoadRO8 is LoadRO64 for a single byte.
+// LoadRO8 is LoadRO64 for a single byte, at any address.
 func (t *Thread) LoadRO8(a mem.Addr) byte {
 	t.tickRO()
-	t.boundsCheck(a, 1)
+	if a == mem.Nil || a >= uint64(len(t.data)) {
+		t.badAccess(a)
+	}
 	return t.data[a]
 }
-
-// LoadInt64 reads the word at a as a signed integer.
-func (t *Thread) LoadInt64(a mem.Addr) int64 { return int64(t.Load64(a)) }
-
-// StoreInt64 writes the signed integer v at a.
-func (t *Thread) StoreInt64(a mem.Addr, v int64) { t.Store64(a, uint64(v)) }
 
 // LoadFloat64 reads the float64 at a.
 func (t *Thread) LoadFloat64(a mem.Addr) float64 {
@@ -1294,7 +1217,7 @@ func (t *Thread) CompareAndSwap64(a mem.Addr, old, new uint64) bool {
 	// A CAS is a serialising instruction, far more expensive than a plain
 	// load — the path-length cost the paper's Figure 6 transactions elide.
 	t.tickOp(t.eng.scaledCost(t.eng.plat.Costs.CAS))
-	t.boundsCheck(a, 8)
+	t.wordCheck(a)
 	line := t.lineOf(a)
 	for !t.evictOwners(line) {
 		t.Pause(2) // an owner is immune; wait it out
@@ -1304,7 +1227,7 @@ func (t *Thread) CompareAndSwap64(a mem.Addr, old, new uint64) bool {
 	if ok {
 		putLE64(data[a:], new)
 		if t.wit != nil {
-			t.witnessNonTx(a, 8)
+			t.witnessNonTx(a)
 		}
 	}
 	return ok

@@ -79,8 +79,7 @@ type WitnessRead struct {
 }
 
 // WitnessWrite is one published write: a full line image for hardware
-// commits, the stored bytes for non-transactional stores, one word for STM
-// commits.
+// commits, one word for non-transactional stores and STM commits.
 type WitnessWrite struct {
 	Addr mem.Addr
 	Line uint32
@@ -228,17 +227,17 @@ func (t *Thread) witnessCommitRecord(seq uint64) {
 	w.recs[t.slot] = append(w.recs[t.slot], rec)
 }
 
-// witnessNonTx records one strongly-isolated non-transactional store of n
-// bytes at a, reading the stored bytes back from the arena. Its caller has
+// witnessNonTx records one strongly-isolated non-transactional store of the
+// word at a, reading the stored bytes back from the arena. Its caller has
 // no scheduling point between the store and this call, so the sequence number
 // is consistent with the store's visibility order.
-func (t *Thread) witnessNonTx(a mem.Addr, n int) {
+func (t *Thread) witnessNonTx(a mem.Addr) {
 	w := t.wit
 	line := t.lineOf(a)
 	w.seq++
 	seq := w.seq
 	w.ver[line]++
-	data := append([]byte(nil), t.eng.space.Data()[a:a+uint64(n)]...)
+	data := append([]byte(nil), t.data[a:a+8]...)
 	w.recs[t.slot] = append(w.recs[t.slot], TxRecord{
 		Seq: seq, Thread: t.slot, VClock: t.vclock, Kind: WitnessNonTx,
 		Writes: []WitnessWrite{{Addr: a, Line: line, Data: data}},

@@ -429,43 +429,6 @@ func (s *Space) Store64(a Addr, v uint64) {
 	b[7] = byte(v >> 56)
 }
 
-// Load32 reads the 4-byte word at address a (untracked).
-func (s *Space) Load32(a Addr) uint32 {
-	if a == Nil || a+4 > uint64(len(s.data)) {
-		s.accessPanic(a, 4)
-	}
-	b := s.data[a : a+4]
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-// Store32 writes the 4-byte word v at address a (untracked).
-func (s *Space) Store32(a Addr, v uint32) {
-	if a == Nil || a+4 > uint64(len(s.data)) {
-		s.accessPanic(a, 4)
-	}
-	b := s.data[a : a+4]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-// Load8 reads the byte at address a (untracked).
-func (s *Space) Load8(a Addr) byte {
-	if a == Nil || a >= uint64(len(s.data)) {
-		s.accessPanic(a, 1)
-	}
-	return s.data[a]
-}
-
-// Store8 writes the byte v at address a (untracked).
-func (s *Space) Store8(a Addr, v byte) {
-	if a == Nil || a >= uint64(len(s.data)) {
-		s.accessPanic(a, 1)
-	}
-	s.data[a] = v
-}
-
 // LoadFloat64 reads the float64 at address a (untracked).
 func (s *Space) LoadFloat64(a Addr) float64 {
 	return math.Float64frombits(s.Load64(a))
@@ -475,12 +438,6 @@ func (s *Space) LoadFloat64(a Addr) float64 {
 func (s *Space) StoreFloat64(a Addr, v float64) {
 	s.Store64(a, math.Float64bits(v))
 }
-
-// LoadInt64 reads the word at a as a signed integer (untracked).
-func (s *Space) LoadInt64(a Addr) int64 { return int64(s.Load64(a)) }
-
-// StoreInt64 writes the signed integer v at address a (untracked).
-func (s *Space) StoreInt64(a Addr, v int64) { s.Store64(a, uint64(v)) }
 
 // WriteBytes copies b into the arena at address a (untracked).
 func (s *Space) WriteBytes(a Addr, b []byte) {
