@@ -13,7 +13,7 @@ GATE    ?= 200
 # FUZZTIME is the per-target budget for fuzz-smoke.
 FUZZTIME ?= 30s
 
-.PHONY: build test race lint bench-smoke bench-e2e bench-test bench-hotpath bench-hotpath-smoke profile pgo trace-smoke fuzz-smoke chaos-smoke cover results-sim results-sim-diff clean
+.PHONY: build test race lint sweep-cover bench-smoke bench-e2e bench-test bench-hotpath bench-hotpath-smoke profile pgo trace-smoke fuzz-smoke chaos-smoke cover results-sim results-sim-diff clean
 
 # htmbench must pick up the checked-in profile cmd/htmbench/default.pgo
 # (-pgo=auto); `go version -m` lists the profile a binary was built with.
@@ -27,6 +27,16 @@ build:
 
 test:
 	$(GO) test ./...
+
+# sweep-cover rewrites the rows of cmd/htmbench/testdata/sweep_cover.txt,
+# the census of every function a cold then warm `-exp all -scale test` sweep
+# never runs, from a coverage build of htmbench. Run it when TestSweepCover
+# (part of `make test`) fails because a function was added, deleted, or
+# started or stopped running in the sweep: written tags are kept, and a new
+# row is tagged none, which keeps the test failing until its customer is
+# named (or the function is deleted).
+sweep-cover:
+	$(GO) test -count=1 -run '^TestSweepCover$$' ./cmd/htmbench -update
 
 # racecheck also compiles in internal/mem's shadow allocation tracker. The
 # engine is lock-free because one goroutine drives all of an engine's threads

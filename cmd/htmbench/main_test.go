@@ -92,7 +92,7 @@ func TestVerifyCells(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/results_test.golden from this tree's output")
+var update = flag.Bool("update", false, "rewrite testdata/results_test.golden and the rows of testdata/sweep_cover.txt from this tree")
 
 // mustSelect is harness.SelectExperiments for names the test knows are valid.
 func mustSelect(t *testing.T, exp string) []harness.Experiment {
@@ -418,13 +418,14 @@ func TestResultsGolden(t *testing.T) {
 	const regions, served = 633, 34
 	names := mustSelect(t, "all")
 	opts := harness.Options{Scale: stamp.ScaleTest, Repeats: 2, Seed: 42}
-	store, err := cache.Open(t.TempDir())
+	dir := t.TempDir()
+	store, err := cache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pass := range []string{"cold", "warm", "indented"} {
 		if pass == "indented" {
-			indentRecords(t, store.Dir())
+			indentRecords(t, dir)
 		}
 		plan, err := planCells(names, opts)
 		if err != nil {

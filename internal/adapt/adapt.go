@@ -94,23 +94,6 @@ const (
 	numClasses
 )
 
-// String returns a short identifier for the class.
-func (c Class) String() string {
-	switch c {
-	case ClassConflict:
-		return "conflict"
-	case ClassCapacity:
-		return "capacity"
-	case ClassLockConflict:
-		return "lock"
-	case ClassOther:
-		return "other"
-	case ClassSTMConflict:
-		return "stm-conflict"
-	}
-	return fmt.Sprintf("class(%d)", int(c))
-}
-
 // The controller's thresholds: one fixed policy, all counts per
 // transaction site.
 const (
@@ -233,9 +216,6 @@ type Site struct {
 	probeTarget        Mode
 	probeWins          int
 }
-
-// Mode returns the site's current steady mode.
-func (s *Site) Mode() Mode { return s.mode }
 
 func (s *Site) record(e entry) {
 	if s.winLen == window {

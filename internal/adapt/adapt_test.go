@@ -49,8 +49,8 @@ func demoteToSTM(t *testing.T, s *Site) {
 	for i := 0; i < 4; i++ {
 		capacityAbortThenCommit(s)
 	}
-	if s.Mode() != ModeSTM {
-		t.Fatalf("setup: mode = %v, want stm", s.Mode())
+	if s.mode != ModeSTM {
+		t.Fatalf("setup: mode = %v, want stm", s.mode)
 	}
 }
 
@@ -74,8 +74,8 @@ func lockSiteDueToProbe(t *testing.T, late ...Class) *Site {
 	for i := 0; i < 4; i++ {
 		capacityAbortThenCommit(s)
 	}
-	if s.Mode() != ModeLock {
-		t.Fatalf("setup: mode = %v, want lock", s.Mode())
+	if s.mode != ModeLock {
+		t.Fatalf("setup: mode = %v, want lock", s.mode)
 	}
 	commitN(t, s, 62)
 	for i, c := range late {
@@ -110,8 +110,8 @@ func checkCapacityDemote(t *testing.T) {
 	if !tr.Changed || tr.From != ModeHTM || tr.To != ModeSTM || tx.Mode() != ModeSTM {
 		t.Fatalf("capacity abort 4: %+v, execution in %v; want htm->stm", tr, tx.Mode())
 	}
-	if s.Mode() != ModeSTM {
-		t.Fatalf("steady mode = %v, want stm", s.Mode())
+	if s.mode != ModeSTM {
+		t.Fatalf("steady mode = %v, want stm", s.mode)
 	}
 }
 
@@ -127,8 +127,8 @@ func checkCapacityRetry(t *testing.T) {
 	if tr := tx.Abort(ClassCapacity); tr.Changed {
 		t.Fatalf("two capacity aborts demoted the site: %+v", tr)
 	}
-	if tx.Mode() != ModeSTM || s.Mode() != ModeHTM {
-		t.Fatalf("after two capacity aborts: execution %v, site %v; want stm, htm", tx.Mode(), s.Mode())
+	if tx.Mode() != ModeSTM || s.mode != ModeHTM {
+		t.Fatalf("after two capacity aborts: execution %v, site %v; want stm, htm", tx.Mode(), s.mode)
 	}
 }
 
@@ -149,8 +149,8 @@ func checkCapacityDemoteToLock(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			capacityAbortThenCommit(s)
 		}
-		if s.Mode() != tc.want {
-			t.Errorf("%d conflicts then a capacity demotion: mode = %v, want %v", tc.conflicts, s.Mode(), tc.want)
+		if s.mode != tc.want {
+			t.Errorf("%d conflicts then a capacity demotion: mode = %v, want %v", tc.conflicts, s.mode, tc.want)
 		}
 	}
 }
@@ -189,9 +189,9 @@ func TestHTMRetry(t *testing.T) {
 				t.Fatalf("%v: execution left htm after %d aborts", c, i)
 			}
 		}
-		if tr := tx.Abort(c); tr.Changed || tx.Mode() != ModeLock || s.Mode() != ModeHTM {
+		if tr := tx.Abort(c); tr.Changed || tx.Mode() != ModeLock || s.mode != ModeHTM {
 			t.Fatalf("%v: eighth abort gave %+v, execution %v, site %v; want a one-shot lock fallback",
-				c, tr, tx.Mode(), s.Mode())
+				c, tr, tx.Mode(), s.mode)
 		}
 		if tr := tx.Commit(); tr.Changed {
 			t.Fatalf("%v: one fallback commit demoted the site: %+v", c, tr)
@@ -209,7 +209,7 @@ func checkLockDemote(t *testing.T) {
 	convoy := make([]Txn, 16)
 	for i := range convoy {
 		convoy[i] = s.Begin()
-		for convoy[i].Mode() == ModeHTM {
+		for convoy[i].mode == ModeHTM {
 			convoy[i].Abort(ClassConflict)
 		}
 	}
@@ -401,8 +401,8 @@ func TestPromotionResetsHistory(t *testing.T) {
 		tx := s.Begin()
 		tx.Commit()
 	}
-	if s.Mode() != ModeHTM {
-		t.Fatalf("mode = %v, want htm after promotion", s.Mode())
+	if s.mode != ModeHTM {
+		t.Fatalf("mode = %v, want htm after promotion", s.mode)
 	}
 	for i := 1; i <= 3; i++ {
 		if tr := capacityAbortThenCommit(s); tr.Changed {
@@ -427,11 +427,11 @@ func TestControllerBookkeeping(t *testing.T) {
 	}
 	demoteToSTM(t, b)
 	tx := b.Begin()
-	for b.Mode() == ModeSTM {
+	for b.mode == ModeSTM {
 		tx.Abort(ClassSTMConflict)
 	}
-	if a.Mode() != ModeHTM {
-		t.Fatalf("site a moved to %v with site b's history", a.Mode())
+	if a.mode != ModeHTM {
+		t.Fatalf("site a moved to %v with site b's history", a.mode)
 	}
 }
 
@@ -449,20 +449,6 @@ func TestModeAndClassNames(t *testing.T) {
 	if got := Mode(9).String(); got != "mode(9)" {
 		t.Errorf("out-of-range mode name = %q", got)
 	}
-	for _, tc := range []struct {
-		c    Class
-		want string
-	}{
-		{ClassConflict, "conflict"}, {ClassCapacity, "capacity"},
-		{ClassLockConflict, "lock"}, {ClassOther, "other"}, {ClassSTMConflict, "stm-conflict"},
-	} {
-		if got := tc.c.String(); got != tc.want {
-			t.Errorf("Class(%d).String() = %q, want %q", tc.c, got, tc.want)
-		}
-	}
-	if got := Class(9).String(); got != "class(9)" {
-		t.Errorf("out-of-range class name = %q", got)
-	}
 }
 
 func ExampleSite_Begin() {
@@ -471,7 +457,7 @@ func ExampleSite_Begin() {
 		tx := site.Begin()
 		tx.Abort(ClassCapacity)
 		tx.Commit()
-		fmt.Println(i, site.Mode())
+		fmt.Println(i, site.mode)
 	}
 	// Output:
 	// 1 htm

@@ -64,9 +64,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Path returns the file that key is stored at. Records are fanned out into
 // 256 subdirectories by the first key byte to keep directories small.
 func (s *Store) Path(key string) string {
@@ -134,19 +131,4 @@ func (s *Store) Put(key string, v any) error {
 		return fmt.Errorf("cache: %w", err)
 	}
 	return nil
-}
-
-// Len counts the stored records (for reporting; walks the directory).
-func (s *Store) Len() (int, error) {
-	n := 0
-	err := filepath.Walk(s.dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if !info.IsDir() && filepath.Ext(path) == ".json" {
-			n++
-		}
-		return nil
-	})
-	return n, err
 }

@@ -61,8 +61,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if out.Name != in.Name || out.Score != in.Score || len(out.Raw) != 3 {
 		t.Errorf("round trip mismatch: %+v", out)
 	}
-	if n, err := s.Len(); err != nil || n != 1 {
-		t.Errorf("Len = %d, %v; want 1", n, err)
+	if _, err := os.Stat(s.Path(key)); err != nil {
+		t.Errorf("Put wrote no record at %s: %v", s.Path(key), err)
 	}
 }
 
@@ -204,7 +204,43 @@ func TestPathFanout(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := s.Path("abcdef")
-	if filepath.Dir(p) != filepath.Join(s.Dir(), "ab") {
+	if filepath.Dir(p) != filepath.Join(s.dir, "ab") {
 		t.Errorf("path %s not fanned out by prefix", p)
+	}
+}
+
+// TestFilesystemErrorsSurface: a store whose files cannot be made or read
+// returns an error naming the step instead of a miss or a silent success,
+// and a value JSON cannot encode is refused before anything is written.
+// Each obstacle is a file or directory where the store needs the other.
+func TestFilesystemErrorsSurface(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "ab"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(filepath.Join(dir, "ab", "sub")); err == nil {
+		t.Error("Open under a regular file succeeded")
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("abcd", payload{}); err == nil {
+		t.Error("Put whose fan-out directory is a file succeeded")
+	}
+	if err := s.Put("cdef", make(chan int)); err == nil {
+		t.Error("Put of an unencodable value succeeded")
+	}
+	if err := os.MkdirAll(filepath.Join(s.Path("efgh"), "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("efgh", payload{}); err == nil {
+		t.Error("Put over a directory succeeded")
+	}
+	if ok, err := s.Get("efgh", &payload{}); ok || err == nil {
+		t.Errorf("Get of a directory = %v, %v; want an error", ok, err)
+	}
+	if got, want := s.Path("a"), filepath.Join(dir, "a.json"); got != want {
+		t.Errorf("Path of a one-byte key = %s, want %s", got, want)
 	}
 }

@@ -76,10 +76,6 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", int(c))
 }
 
-// EngineLevel reports whether the class is injected inside the simulated
-// engine/runtime (as opposed to the sweep harness around it).
-func (c Class) EngineLevel() bool { return c <= ModeThrash }
-
 // Config parameterises an Injector. The zero value injects nothing; use
 // DefaultConfig for a test-scale mix of every class.
 type Config struct {
@@ -122,9 +118,6 @@ func New(cfg Config) *Injector {
 
 // Seed returns the injector's seed.
 func (in *Injector) Seed() uint64 { return in.cfg.Seed }
-
-// Config returns the effective configuration.
-func (in *Injector) Config() Config { return in.cfg }
 
 // fnv64 is FNV-1a over s — a stable, dependency-free string hash for
 // deriving per-cell streams.

@@ -63,7 +63,7 @@ func TestEngineForOnlyEngineClasses(t *testing.T) {
 	if child == nil {
 		t.Fatal("every class afflicted, expected a child injector")
 	}
-	ccfg := child.Config()
+	ccfg := child.cfg
 	for c := SpuriousAbort; c <= ModeThrash; c++ {
 		if ccfg.OpRates[c] != cfg.OpRates[c] {
 			t.Errorf("engine class %s op-rate = %v, want %v", c, ccfg.OpRates[c], cfg.OpRates[c])
@@ -125,13 +125,5 @@ func TestClassStringsAndLevels(t *testing.T) {
 	}
 	if Class(250).String() == "" {
 		t.Fatal("out-of-range class has empty name")
-	}
-	for c := SpuriousAbort; c <= ModeThrash; c++ {
-		if !c.EngineLevel() {
-			t.Errorf("%s should be engine-level", c)
-		}
-	}
-	if CacheCorrupt.EngineLevel() {
-		t.Errorf("%s should be harness-level", CacheCorrupt)
 	}
 }

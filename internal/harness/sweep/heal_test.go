@@ -143,7 +143,7 @@ func TestChaosSoakPerClassRecovery(t *testing.T) {
 			for _, c := range cells {
 				rc := runs()[c.Label()]
 				wantRuns := runCount{afflicted: 1, fired: rc.fired, clean: rc.fired}
-				if !tc.class.EngineLevel() {
+				if tc.class == chaos.CacheCorrupt {
 					wantRuns = runCount{clean: 1}
 				}
 				if rc != wantRuns {

@@ -8,34 +8,28 @@ import (
 )
 
 // TestEngineAndThreadAccessors pins the small read-only surface the harness
-// and telemetry layers depend on: configuration echo, stats reset, scheduler
-// counters, slot/stats getters, and the read-only load family.
+// and telemetry layers depend on: stats reset, scheduler counters and the
+// read-only load family.
 func TestEngineAndThreadAccessors(t *testing.T) {
 	e := stmEngine(t, 2)
 	th := e.Thread(0)
 
-	if got := e.Config().Threads; got != 2 {
-		t.Errorf("Config().Threads = %d, want 2", got)
-	}
 	if got := e.SchedHandoffs(); got != 0 {
 		t.Errorf("SchedHandoffs before any region = %d, want 0", got)
 	}
 	if got := e.SchedSwitches(); got != 0 {
 		t.Errorf("SchedSwitches before any region = %d, want 0", got)
 	}
-	if got := th.Slot(); got != 0 {
-		t.Errorf("Slot = %d, want 0", got)
-	}
 
 	a := th.Alloc(64)
 	if ok, _ := th.TryTx(TxNormal, func() { th.Store64(a, 0x41) }); !ok {
 		t.Fatal("tx aborted")
 	}
-	if got := th.Stats().Commits; got != 1 {
-		t.Errorf("thread Stats().Commits = %d, want 1", got)
+	if got := e.Stats().Commits; got != 1 {
+		t.Errorf("Stats().Commits = %d, want 1", got)
 	}
 	e.ResetStats()
-	if got := th.Stats().Commits; got != 0 {
+	if got := e.Stats().Commits; got != 0 {
 		t.Errorf("Commits after ResetStats = %d", got)
 	}
 

@@ -54,7 +54,7 @@ func attemptXY(e *Engine, tr *obs.Tracer, body func(t0 *Thread, x, y mem.Addr)) 
 	t0.Store64(y, 2)
 	o := abortOutcome{}
 	o.ok, o.abort = t0.TryTx(TxNormal, func() { body(t0, x, y) })
-	o.stats, o.clock, o.inTx, o.stmSeq = t0.Stats(), t0.Clock(), t0.InTx(), e.stmSeq
+	o.stats, o.clock, o.inTx, o.stmSeq = t0.stats, t0.vclock, t0.InTx(), e.stmSeq
 	o.recs = [2]lineRec{*t0.rec(t0.lineOf(x)), *t0.rec(t0.lineOf(y))}
 	for _, ev := range tr.Events() {
 		if ev.Kind == obs.KindAbort && ev.Thread == 0 {

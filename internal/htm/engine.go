@@ -306,15 +306,9 @@ func (e *Engine) Space() *mem.Space { return e.space }
 // (mode-dependent on Blue Gene/Q).
 func (e *Engine) LineSize() int { return e.lineSize }
 
-// Threads returns the number of provisioned thread contexts.
-func (e *Engine) Threads() int { return len(e.threads) }
-
 // Thread returns thread context i. All contexts of an engine are driven from
 // one goroutine at a time: inside Run, or one after another by the caller.
 func (e *Engine) Thread(i int) *Thread { return e.threads[i] }
-
-// Config returns the engine configuration (with defaults applied).
-func (e *Engine) Config() Config { return e.cfg }
 
 // scaledCost applies Config.CostScale to a platform cost.
 func (e *Engine) scaledCost(c int) int {
@@ -465,20 +459,6 @@ func (s *Stats) AbortRatio() float64 {
 		return 0
 	}
 	return 100 * float64(s.Aborts) / float64(s.Begins)
-}
-
-// CategoryBreakdown splits the abort ratio into Figure 3's categories, as
-// percentage points of all begins. Lock-conflict reclassification is done by
-// internal/tm; here lock conflicts appear under their raw reason.
-func (s *Stats) CategoryBreakdown() [NumCategories]float64 {
-	var out [NumCategories]float64
-	if s.Begins == 0 {
-		return out
-	}
-	for r := 0; r < NumReasons; r++ {
-		out[Reason(r).Category()] += 100 * float64(s.AbortsByReason[r]) / float64(s.Begins)
-	}
-	return out
 }
 
 // rngFor derives a deterministic per-thread generator.

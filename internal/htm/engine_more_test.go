@@ -32,11 +32,6 @@ func TestReasonCategories(t *testing.T) {
 			t.Errorf("reason %d has no name", r)
 		}
 	}
-	for c := Category(0); c < NumCategories; c++ {
-		if c.String() == "Unclassified" {
-			t.Errorf("category %d has no label", c)
-		}
-	}
 }
 
 func TestStatsAggregationAndRatios(t *testing.T) {
@@ -55,10 +50,6 @@ func TestStatsAggregationAndRatios(t *testing.T) {
 	}
 	if got := a.AbortRatio(); got != 15 {
 		t.Errorf("AbortRatio = %v, want 15", got)
-	}
-	br := a.CategoryBreakdown()
-	if br[CategoryDataConflict] != 15 {
-		t.Errorf("conflict breakdown = %v", br[CategoryDataConflict])
 	}
 	var empty Stats
 	if empty.AbortRatio() != 0 {
@@ -117,8 +108,8 @@ func TestUnboundedCapacityDisablesAborts(t *testing.T) {
 
 func TestEngineConfigDefaults(t *testing.T) {
 	e := New(platform.New(platform.ZEC12), Config{})
-	if e.Threads() != 1 {
-		t.Errorf("default threads = %d", e.Threads())
+	if len(e.threads) != 1 {
+		t.Errorf("default threads = %d", len(e.threads))
 	}
 	if e.Space().Size() != 64<<20 {
 		t.Errorf("default space = %d", e.Space().Size())

@@ -89,20 +89,21 @@ func TestTxFreeDeferredToCommit(t *testing.T) {
 	e := newTestEngine(t, platform.IntelCore, 1)
 	th := e.Thread(0)
 	a := th.Alloc(64)
+	used := e.Space().Used()
 	th.TryTx(TxNormal, func() {
 		th.Free(a)
 		th.Abort()
 	})
 	// The free must not have happened: a is still a live allocation.
-	if e.Space().BlockSize(a) == 0 {
+	if e.Space().Used() != used {
 		t.Fatal("transactional Free applied despite abort")
 	}
 	ok, _ := th.TryTx(TxNormal, func() { th.Free(a) })
 	if !ok {
 		t.Fatal("tx aborted unexpectedly")
 	}
-	if e.Space().BlockSize(a) != 0 {
-		t.Fatal("transactional Free not applied at commit")
+	if got := e.Space().Used(); got != used-64 {
+		t.Fatalf("transactional Free not applied at commit: %d bytes in use, want %d", got, used-64)
 	}
 }
 
@@ -326,8 +327,8 @@ func TestSMTSharingHalvesCapacity(t *testing.T) {
 		Threads: 12, SpaceSize: 1 << 20, Seed: 1, CostScale: 0, DisablePrefetch: true,
 	})
 	t0, t6 := e.Thread(0), e.Thread(6) // same core (6 % 6 == 0)
-	if t0.Core() != t6.Core() {
-		t.Fatalf("threads 0 and 6 should share core: %d vs %d", t0.Core(), t6.Core())
+	if t0.core != t6.core {
+		t.Fatalf("threads 0 and 6 should share core: %d vs %d", t0.core, t6.core)
 	}
 	a := t0.Alloc(128 * e.LineSize())
 
@@ -479,8 +480,8 @@ func TestConstrainedTxEnforcesLimits(t *testing.T) {
 	a := th.Alloc(16 * e.LineSize())
 	defer func() {
 		r := recover()
-		if _, ok := r.(*ErrConstrained); !ok {
-			t.Errorf("recover() = %v, want *ErrConstrained", r)
+		if err, ok := r.(*ErrConstrained); !ok || err.Error() != "htm: constrained transaction: footprint exceeds 4 lines / 256 bytes" {
+			t.Errorf("recover() = %v, want the 4-line *ErrConstrained", r)
 		}
 	}()
 	th.RunConstrained(func() {

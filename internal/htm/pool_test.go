@@ -38,7 +38,7 @@ func lifecycleConfig(threads int, contended bool) Config {
 // depends on every conflict decision the line table makes.
 func lifecycleRun(e *Engine) lifecycleRow {
 	const perThread, privLines, sharedLines = 200, 16, 8
-	n, line := e.Threads(), e.LineSize()
+	n, line := len(e.threads), e.LineSize()
 	contended := e.cfg.CostScale != 0
 	t0 := e.Thread(0)
 	shared := t0.AllocAligned(sharedLines*line, line)

@@ -95,21 +95,6 @@ const (
 	NumCategories
 )
 
-// String returns the figure label for the category.
-func (c Category) String() string {
-	switch c {
-	case CategoryCapacity:
-		return "Capacity overflow"
-	case CategoryDataConflict:
-		return "Data conflict"
-	case CategoryOther:
-		return "Other"
-	case CategoryLockConflict:
-		return "Lock conflict"
-	}
-	return "Unclassified"
-}
-
 // Category maps the engine-level reason to Figure 3's bucket (before the
 // retry mechanism reclassifies lock-word conflicts).
 func (r Reason) Category() Category {

@@ -153,7 +153,7 @@ func provokeCapacityWay(t *testing.T, e *Engine) Abort {
 func provokeCapacitySMT(sibling int) func(*testing.T, *Engine) Abort {
 	return func(t *testing.T, e *Engine) Abort {
 		a, b := e.Thread(0), e.Thread(sibling)
-		if a.Core() != b.Core() {
+		if a.core != b.core {
 			t.Fatalf("threads 0 and %d are not SMT siblings", sibling)
 		}
 		n := loadBudgetLines(e)/2 + 1

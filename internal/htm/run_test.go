@@ -86,7 +86,7 @@ func TestRunBodiesGetTheirThreads(t *testing.T) {
 	passed := 0
 	e.Run(3, func(tid int, th *Thread) {
 		if th != e.Thread(tid) {
-			t.Errorf("body %d got thread %d", tid, th.Slot())
+			t.Errorf("body %d got thread %d", tid, th.slot)
 		}
 		bar.Wait(th)
 		passed++

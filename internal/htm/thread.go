@@ -215,20 +215,11 @@ func newThread(e *Engine, slot int) *Thread {
 // Engine returns the owning engine.
 func (t *Thread) Engine() *Engine { return t.eng }
 
-// Slot returns this thread's hardware-thread index.
-func (t *Thread) Slot() int { return t.slot }
-
-// Core returns the physical core this thread runs on.
-func (t *Thread) Core() int { return t.core }
-
 // Rand returns the thread's deterministic PRNG (for workload use).
 func (t *Thread) Rand() *prng.Rand { return t.rng }
 
 // InTx reports whether a transaction is active on this thread.
 func (t *Thread) InTx() bool { return t.inTx }
-
-// Stats returns a copy of this thread's counters.
-func (t *Thread) Stats() Stats { return t.stats }
 
 // Clock returns the thread's virtual clock in cost units.
 func (t *Thread) Clock() uint64 { return t.vclock }

@@ -90,7 +90,7 @@ func TestVirtualBarrierSynchronisesClocks(t *testing.T) {
 	e.Run(3, func(tid int, th *Thread) {
 		th.Work(100 * (tid + 1))
 		bar.Wait(th)
-		after[tid] = th.Clock()
+		after[tid] = th.vclock
 	})
 	if after[0] != after[1] || after[1] != after[2] {
 		t.Errorf("clocks after barrier diverge: %v", after)
@@ -179,8 +179,8 @@ func TestSpinUntilOutsideScheduledRegion(t *testing.T) {
 	})
 	th, calls := e.Thread(0), 0
 	th.SpinUntil(4, func() bool { calls++; return true })
-	if calls != 1 || th.Clock() != 0 {
-		t.Errorf("a true predicate ran %d times and charged %d units, want 1 and 0", calls, th.Clock())
+	if calls != 1 || th.vclock != 0 {
+		t.Errorf("a true predicate ran %d times and charged %d units, want 1 and 0", calls, th.vclock)
 	}
 	mustPanic := func(want string, f func()) {
 		t.Helper()
@@ -262,7 +262,7 @@ func spinScenario(launch func(*Engine, int, func(int, *Thread)), quantum, thread
 	})
 	out := spinOutcome{MaxClock: e.MaxClock(), Stats: e.Stats(), Handoffs: e.SchedHandoffs(), Order: order}
 	for i := 0; i < threads; i++ {
-		out.Clocks = append(out.Clocks, e.Thread(i).Clock())
+		out.Clocks = append(out.Clocks, e.Thread(i).vclock)
 	}
 	return out, e.SchedSwitches()
 }
@@ -362,7 +362,7 @@ func waitersScenario(quantum, hold, off int, inline bool) spinOutcome {
 	})
 	out := spinOutcome{MaxClock: e.MaxClock(), Stats: e.Stats(), Handoffs: e.SchedHandoffs(), Order: order}
 	for i := 0; i < 4; i++ {
-		out.Clocks = append(out.Clocks, e.Thread(i).Clock())
+		out.Clocks = append(out.Clocks, e.Thread(i).vclock)
 	}
 	return out
 }
@@ -374,7 +374,7 @@ func TestVirtualSMTDivisorStillApplies(t *testing.T) {
 		Threads: 12, SpaceSize: 4 << 20, Seed: 1, CostScale: 0,
 	})
 	t0, t6 := e.Thread(0), e.Thread(6)
-	if t0.Core() != t6.Core() {
+	if t0.core != t6.core {
 		t.Fatal("threads 0 and 6 should share a core")
 	}
 	a := t0.Alloc(64 * e.LineSize())

@@ -14,13 +14,13 @@ func TestRacecheckDoubleFreePanics(t *testing.T) {
 	}
 	s := NewSpace(1 << 12)
 	a := s.Alloc(32)
-	s.Free(a)
+	s.FreeArena(a, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("double free did not panic under racecheck")
 		}
 	}()
-	s.Free(a)
+	s.FreeArena(a, 0)
 }
 
 func TestRacecheckShadowSurvivesReset(t *testing.T) {
@@ -33,5 +33,5 @@ func TestRacecheckShadowSurvivesReset(t *testing.T) {
 	if b != a {
 		t.Fatalf("post-Reset alloc at %#x, want %#x", b, a)
 	}
-	s.Free(b)
+	s.FreeArena(b, 0)
 }

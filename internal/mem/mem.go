@@ -304,13 +304,6 @@ func (s *Space) bump(n, align uint64) uint64 {
 	return a
 }
 
-// Free returns the block at a to a size-class free list. Freeing Nil is a
-// no-op. Freeing an address that is not a live allocation panics (it is
-// always a workload bug).
-func (s *Space) Free(a Addr) {
-	s.FreeArena(a, 0)
-}
-
 // FreeArena returns the block to the given arena's free list (usually the
 // freeing thread's, for reuse locality).
 func (s *Space) FreeArena(a Addr, arenaID int) {
@@ -376,19 +369,6 @@ func (s *Space) RegionAt(a Addr) string {
 	return ""
 }
 
-// BlockSize returns the rounded size of the live allocation at a, or 0 if a
-// is not a live allocation.
-func (s *Space) BlockSize(a Addr) int {
-	if a%WordSize != 0 || a >= uint64(len(s.data)) {
-		return 0
-	}
-	ci := int(s.classTab[a/WordSize])
-	if ci == 0 {
-		return 0
-	}
-	return classSize(ci - 1)
-}
-
 // accessPanic reports a bad raw access; out of line so the accessors stay
 // leaf-inlinable.
 func (s *Space) accessPanic(a Addr, n int) {
@@ -427,11 +407,6 @@ func (s *Space) Store64(a Addr, v uint64) {
 	b[5] = byte(v >> 40)
 	b[6] = byte(v >> 48)
 	b[7] = byte(v >> 56)
-}
-
-// LoadFloat64 reads the float64 at address a (untracked).
-func (s *Space) LoadFloat64(a Addr) float64 {
-	return math.Float64frombits(s.Load64(a))
 }
 
 // StoreFloat64 writes the float64 v at address a (untracked).

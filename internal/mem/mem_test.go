@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math"
 	"testing"
 )
 
@@ -44,7 +45,7 @@ func TestFreeReuse(t *testing.T) {
 	s := NewSpace(1 << 16)
 	a := s.Alloc(64)
 	s.Store64(a, 0xdeadbeef)
-	s.Free(a)
+	s.FreeArena(a, 0)
 	b := s.Alloc(64) // same size class: must reuse the freed block
 	if b != a {
 		t.Errorf("free block not reused: %#x then %#x", a, b)
@@ -57,18 +58,18 @@ func TestFreeReuse(t *testing.T) {
 func TestDoubleFreePanics(t *testing.T) {
 	s := NewSpace(1 << 12)
 	a := s.Alloc(8)
-	s.Free(a)
+	s.FreeArena(a, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("double free did not panic")
 		}
 	}()
-	s.Free(a)
+	s.FreeArena(a, 0)
 }
 
 func TestFreeNilIsNoop(t *testing.T) {
 	s := NewSpace(1 << 12)
-	s.Free(Nil) // must not panic
+	s.FreeArena(Nil, 0) // must not panic
 }
 
 func TestUsedAccounting(t *testing.T) {
@@ -80,7 +81,7 @@ func TestUsedAccounting(t *testing.T) {
 	if s.Used() == 0 {
 		t.Error("Used did not grow after Alloc")
 	}
-	s.Free(a)
+	s.FreeArena(a, 0)
 	if s.Used() != 0 {
 		t.Errorf("Used = %d after freeing everything", s.Used())
 	}
@@ -110,8 +111,8 @@ func TestRoundtripAccessors(t *testing.T) {
 		t.Errorf("Load64 of little-endian bytes = %#x", got)
 	}
 	s.StoreFloat64(a+16, -2.5)
-	if got := s.LoadFloat64(a + 16); got != -2.5 {
-		t.Errorf("LoadFloat64 = %v", got)
+	if got := math.Float64frombits(s.Load64(a + 16)); got != -2.5 {
+		t.Errorf("StoreFloat64 stored %v", got)
 	}
 	s.WriteBytes(a+32, []byte("hello"))
 	if got := string(s.ReadBytes(a+32, 5)); got != "hello" {

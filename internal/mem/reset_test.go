@@ -77,7 +77,7 @@ func TestResetDropsFreeLists(t *testing.T) {
 	s := NewSpace(1 << 16)
 	a := s.Alloc(64)
 	b := s.Alloc(64)
-	s.Free(b)
+	s.FreeArena(b, 0)
 	s.Reset()
 	c := s.Alloc(64)
 	if c != a {
@@ -155,18 +155,17 @@ func TestInterleavedAllocThenReset(t *testing.T) {
 	}
 }
 
+// TestBlockSize: an allocation occupies its size class, and freeing it
+// returns exactly that.
 func TestBlockSize(t *testing.T) {
 	s := NewSpace(1 << 16)
 	a := s.Alloc(100)
-	if got := s.BlockSize(a); got != 104 {
-		t.Fatalf("BlockSize = %d, want 104", got)
+	if got := s.Used(); got != 104 {
+		t.Fatalf("Used after a 100-byte Alloc = %d, want 104", got)
 	}
-	if got := s.BlockSize(a + 8); got != 0 {
-		t.Fatalf("BlockSize of interior pointer = %d, want 0", got)
-	}
-	s.Free(a)
-	if got := s.BlockSize(a); got != 0 {
-		t.Fatalf("BlockSize after free = %d, want 0", got)
+	s.FreeArena(a, 0)
+	if got := s.Used(); got != 0 {
+		t.Fatalf("Used after free = %d, want 0", got)
 	}
 }
 
@@ -180,5 +179,5 @@ func TestInteriorFreePanics(t *testing.T) {
 			t.Error("interior free did not panic")
 		}
 	}()
-	s.Free(a + 16)
+	s.FreeArena(a+16, 0)
 }

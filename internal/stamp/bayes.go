@@ -55,8 +55,6 @@ func newBayes(cfg Config) *bayes {
 	return b
 }
 
-func (b *bayes) Name() string { return "bayes" }
-
 func (b *bayes) varAddr(v int) mem.Addr { return b.vars[v] }
 
 func (b *bayes) Setup(t *htm.Thread) {

@@ -82,8 +82,6 @@ func newGenome(cfg Config) *genome {
 	return g
 }
 
-func (g *genome) Name() string { return "genome" }
-
 func (g *genome) overlap() int { return g.segLen - g.stride }
 
 func (g *genome) Setup(t *htm.Thread) {

@@ -73,8 +73,6 @@ func newIntruder(cfg Config) *intruder {
 	return b
 }
 
-func (b *intruder) Name() string { return "intruder" }
-
 func (b *intruder) Setup(t *htm.Thread) {
 	rng := prng.New(b.cfg.Seed ^ 0x696e7472) // "intr"
 	type pkt struct{ rec mem.Addr }

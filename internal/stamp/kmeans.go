@@ -31,7 +31,6 @@ func init() {
 // adjacently so the engine's prefetch model can reproduce that.
 type kmeans struct {
 	cfg       Config
-	name      string
 	nPoints   int
 	nFeatures int
 	nClusters int
@@ -55,11 +54,6 @@ type kmeans struct {
 
 func newKMeans(cfg Config, high bool) *kmeans {
 	k := &kmeans{cfg: cfg}
-	if high {
-		k.name = "kmeans-high"
-	} else {
-		k.name = "kmeans-low"
-	}
 	switch cfg.Scale {
 	case ScaleTest:
 		k.nPoints, k.nFeatures, k.nIters = 256, 4, 3
@@ -76,8 +70,6 @@ func newKMeans(cfg Config, high bool) *kmeans {
 	}
 	return k
 }
-
-func (k *kmeans) Name() string { return k.name }
 
 func (k *kmeans) recordBytes() int { return (1 + k.nFeatures) * 8 }
 

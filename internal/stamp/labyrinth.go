@@ -58,11 +58,7 @@ func newLabyrinth(cfg Config) *labyrinth {
 	return l
 }
 
-func (l *labyrinth) Name() string { return "labyrinth" }
-
 func (l *labyrinth) cells() int { return l.w * l.h * l.d }
-
-func (l *labyrinth) idx(x, y, z int) int { return (z*l.h+y)*l.w + x }
 
 func (l *labyrinth) cellAddr(i int) mem.Addr { return l.grid + uint64(i)*8 }
 

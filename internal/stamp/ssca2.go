@@ -48,8 +48,6 @@ func newSSCA2(cfg Config) *ssca2 {
 	return s
 }
 
-func (s *ssca2) Name() string { return "ssca2" }
-
 func (s *ssca2) Setup(t *htm.Thread) {
 	rng := prng.New(s.cfg.Seed ^ 0x7373636132) // "ssca2"
 	// R-MAT-ish skew: a quarter of the endpoints land in a small hot set,

@@ -136,14 +136,6 @@ const (
 	Original
 )
 
-// String returns the variant name.
-func (v Variant) String() string {
-	if v == Original {
-		return "original"
-	}
-	return "modified"
-}
-
 // Config parameterises one benchmark instance.
 type Config struct {
 	Scale   Scale
@@ -159,8 +151,6 @@ type Config struct {
 // Setup (single-threaded, untimed) → Run (parallel, the timed region of
 // interest) → Validate (single-threaded consistency check).
 type Benchmark interface {
-	// Name returns the benchmark's registry name.
-	Name() string
 	// Setup builds the input state in simulated memory using t (non-tx).
 	Setup(t *htm.Thread)
 	// Run executes the benchmark's region of interest on the given

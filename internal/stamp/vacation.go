@@ -69,8 +69,7 @@ func (d dict) each(t *htm.Thread, fn func(k int64, v uint64) bool) {
 // Customer record: a txds.List handle of reservations
 // (key = resourceType*relations + id, value = price at booking).
 type vacation struct {
-	cfg  Config
-	name string
+	cfg Config
 
 	relations int
 	nTxs      int
@@ -96,11 +95,9 @@ func newVacation(cfg Config, high bool) *vacation {
 	v := &vacation{cfg: cfg}
 	if high {
 		// STAMP vacation-high: -n4 -q60 -u90.
-		v.name = "vacation-high"
 		v.numQuery, v.queryPct, v.userPct = 4, 60, 90
 	} else {
 		// STAMP vacation-low: -n2 -q90 -u98.
-		v.name = "vacation-low"
 		v.numQuery, v.queryPct, v.userPct = 2, 90, 98
 	}
 	// The paper runs STAMP's non-simulator -r16384: contention scales
@@ -116,8 +113,6 @@ func newVacation(cfg Config, high bool) *vacation {
 	}
 	return v
 }
-
-func (v *vacation) Name() string { return v.name }
 
 func (v *vacation) Setup(t *htm.Thread) {
 	rng := prng.New(v.cfg.Seed ^ 0x766163) // "vac"

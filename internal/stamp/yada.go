@@ -71,8 +71,6 @@ func newYada(cfg Config) *yada {
 	return y
 }
 
-func (y *yada) Name() string { return "yada" }
-
 func (y *yada) newTriangle(t *htm.Thread, gen int, seed uint64) mem.Addr {
 	// STAMP's element_t carries coordinates, circumcenter and quality
 	// doubles — ~256 bytes per element; reproduce that footprint so the

@@ -44,9 +44,6 @@ func NewGlobalLock(e *htm.Engine) *GlobalLock {
 	return l
 }
 
-// Addr returns the simulated address of the lock word.
-func (l *GlobalLock) Addr() mem.Addr { return l.addr }
-
 // Held reports whether the lock is currently held (Go-side fast check, used
 // by the retry mechanism's post-abort classification, Figure 1 line 13).
 func (l *GlobalLock) Held() bool { return l.held }

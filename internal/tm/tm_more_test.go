@@ -94,7 +94,7 @@ func TestCategoryReclassification(t *testing.T) {
 			if first && th.InTx() {
 				first = false
 				th.Work(100)
-				_ = th.Load64(lock.Addr()) // observe the doom
+				_ = th.Load64(lock.addr) // observe the doom
 			}
 		})
 	})

@@ -111,7 +111,7 @@ func TestLockWriteDoomsSubscribers(t *testing.T) {
 			t0.Abort()
 		}
 		lock.Acquire(t1)
-		_ = t0.Load64(lock.Addr()) // touch anything: must observe doom
+		_ = t0.Load64(lock.addr) // touch anything: must observe doom
 	})
 	lock.Release(t1)
 	if ok {

@@ -43,17 +43,9 @@ type Footprint struct {
 // Collector abstracts how footprint collections are executed. CollectAll
 // requests every (benchmark, platform) pair through it, which lets a sweep
 // scheduler record the pairs as cells and later serve them from a
-// concurrently precomputed, cached result set. A nil Collector collects
-// on the spot via Collect.
+// concurrently precomputed, cached result set.
 type Collector interface {
 	Collect(bench string, k platform.Kind, opts Options) (Footprint, error)
-}
-
-// inline is the default Collector: it runs every collection on the spot.
-type inline struct{}
-
-func (inline) Collect(bench string, k platform.Kind, opts Options) (Footprint, error) {
-	return Collect(bench, k, opts)
 }
 
 // Options configure a trace collection. The JSON encoding feeds sweep
@@ -64,8 +56,8 @@ func (inline) Collect(bench string, k platform.Kind, opts Options) (Footprint, e
 type Options struct {
 	Scale stamp.Scale
 	Seed  uint64
-	// Exec executes collections (sweep scheduling / caching); nil collects
-	// on the spot via Collect.
+	// Exec executes CollectAll's collections (sweep scheduling / caching);
+	// Collect ignores it.
 	Exec Collector `json:"-"`
 	// TraceDir, when non-empty, writes the run's event log as a per-pair
 	// JSONL event file <bench>-<platform>.jsonl into it.
@@ -76,9 +68,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 42
-	}
-	if o.Exec == nil {
-		o.Exec = inline{}
 	}
 	return o
 }

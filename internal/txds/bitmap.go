@@ -33,9 +33,6 @@ func NewBitmap(t *htm.Thread, nBits int) Bitmap {
 	return Bitmap{base: h}
 }
 
-// Bits returns the bitmap's size in bits.
-func (b Bitmap) Bits(t *htm.Thread) int { return int(loadField(t, b.base, bmBits)) }
-
 func (b Bitmap) wordAddr(t *htm.Thread, i int) (mem.Addr, uint64) {
 	n := int(loadField(t, b.base, bmBits))
 	if i < 0 || i >= n {
@@ -55,32 +52,4 @@ func (b Bitmap) Set(t *htm.Thread, i int) bool {
 	}
 	t.Store64(a, word|mask)
 	return true
-}
-
-// Clear clears bit i.
-func (b Bitmap) Clear(t *htm.Thread, i int) {
-	a, mask := b.wordAddr(t, i)
-	t.Store64(a, t.Load64(a)&^mask)
-}
-
-// Test reports whether bit i is set.
-func (b Bitmap) Test(t *htm.Thread, i int) bool {
-	a, mask := b.wordAddr(t, i)
-	return t.Load64(a)&mask != 0
-}
-
-// Count returns the number of set bits.
-func (b Bitmap) Count(t *htm.Thread) int {
-	n := int(loadField(t, b.base, bmBits))
-	data := loadField(t, b.base, bmData)
-	words := (n + 63) / 64
-	total := 0
-	for i := 0; i < words; i++ {
-		x := t.Load64(data + uint64(i)*w)
-		for x != 0 {
-			x &= x - 1
-			total++
-		}
-	}
-	return total
 }

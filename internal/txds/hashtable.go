@@ -70,24 +70,6 @@ func (h Hashtable) Insert(t *htm.Thread, key int64, val uint64) bool {
 	return true
 }
 
-// Put adds or replaces key→val, returning true if the key was new.
-func (h Hashtable) Put(t *htm.Thread, key int64, val uint64) bool {
-	b := h.bucketAddr(t, key)
-	head := t.LoadPtr(b)
-	for cur := head; cur != mem.Nil; cur = t.LoadPtr(fieldAddr(cur, listNext)) {
-		if int64(loadField(t, cur, listKey)) == key {
-			storeField(t, cur, listVal, val)
-			return false
-		}
-	}
-	n := t.Alloc(listNodeWords * w)
-	storeField(t, n, listKey, uint64(key))
-	storeField(t, n, listVal, val)
-	storeField(t, n, listNext, head)
-	t.StorePtr(b, n)
-	return true
-}
-
 // Get returns the value stored under key.
 func (h Hashtable) Get(t *htm.Thread, key int64) (uint64, bool) {
 	b := h.bucketAddr(t, key)
@@ -97,12 +79,6 @@ func (h Hashtable) Get(t *htm.Thread, key int64) (uint64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Contains reports whether key is present.
-func (h Hashtable) Contains(t *htm.Thread, key int64) bool {
-	_, ok := h.Get(t, key)
-	return ok
 }
 
 // Remove deletes key, returning its value and whether it was present.
@@ -121,19 +97,6 @@ func (h Hashtable) Remove(t *htm.Thread, key int64) (uint64, bool) {
 		cur = next
 	}
 	return 0, false
-}
-
-// Len walks all chains and returns the number of entries.
-func (h Hashtable) Len(t *htm.Thread) int {
-	n := int(loadField(t, h.base, htNBuckets))
-	arr := loadField(t, h.base, htBuckets)
-	total := 0
-	for i := 0; i < n; i++ {
-		for cur := t.LoadPtr(arr + uint64(i)*w); cur != mem.Nil; cur = t.LoadPtr(fieldAddr(cur, listNext)) {
-			total++
-		}
-	}
-	return total
 }
 
 // Each calls fn for every (key, value); iteration order is unspecified. fn

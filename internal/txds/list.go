@@ -68,36 +68,6 @@ func (l List) Insert(t *htm.Thread, key int64, val uint64) bool {
 	return true
 }
 
-// Get returns the value stored under key.
-func (l List) Get(t *htm.Thread, key int64) (uint64, bool) {
-	prev := l.findPrev(t, key)
-	cur := t.LoadPtr(fieldAddr(prev, listNext))
-	if cur != mem.Nil && int64(loadField(t, cur, listKey)) == key {
-		return loadField(t, cur, listVal), true
-	}
-	return 0, false
-}
-
-// Contains reports whether key is present.
-func (l List) Contains(t *htm.Thread, key int64) bool {
-	_, ok := l.Get(t, key)
-	return ok
-}
-
-// Remove deletes key, returning its value and whether it was present. The
-// node is freed (deferred to commit inside a transaction).
-func (l List) Remove(t *htm.Thread, key int64) (uint64, bool) {
-	prev := l.findPrev(t, key)
-	cur := t.LoadPtr(fieldAddr(prev, listNext))
-	if cur == mem.Nil || int64(loadField(t, cur, listKey)) != key {
-		return 0, false
-	}
-	v := loadField(t, cur, listVal)
-	storeField(t, prev, listNext, loadField(t, cur, listNext))
-	t.Free(cur)
-	return v, true
-}
-
 // RemoveFirst pops the smallest key, if any.
 func (l List) RemoveFirst(t *htm.Thread) (key int64, val uint64, ok bool) {
 	first := t.LoadPtr(fieldAddr(l.base, listNext))
@@ -109,15 +79,6 @@ func (l List) RemoveFirst(t *htm.Thread) (key int64, val uint64, ok bool) {
 	storeField(t, l.base, listNext, loadField(t, first, listNext))
 	t.Free(first)
 	return key, val, true
-}
-
-// Len walks the list and returns its length.
-func (l List) Len(t *htm.Thread) int {
-	n := 0
-	for cur := t.LoadPtr(fieldAddr(l.base, listNext)); cur != mem.Nil; cur = t.LoadPtr(fieldAddr(cur, listNext)) {
-		n++
-	}
-	return n
 }
 
 // Each calls fn for every (key, value) in ascending key order; fn returning

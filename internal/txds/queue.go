@@ -55,14 +55,6 @@ func (q Queue) Empty(t *htm.Thread) bool {
 	return push == (pop+1)%cap
 }
 
-// Len returns the number of queued elements.
-func (q Queue) Len(t *htm.Thread) int {
-	pop := loadField(t, q.base, qPop)
-	push := loadField(t, q.base, qPush)
-	cap := loadField(t, q.base, qCapacity)
-	return int((push + cap - (pop+1)%cap) % cap)
-}
-
 // Push appends v, doubling the backing array when full (STAMP's
 // queue_push). The old array is freed.
 func (q Queue) Push(t *htm.Thread, v uint64) {

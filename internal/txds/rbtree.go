@@ -220,38 +220,12 @@ func (r RBTree) Get(t *htm.Thread, k int64) (uint64, bool) {
 	return loadField(t, n, rbVal), true
 }
 
-// Contains reports whether k is present.
-func (r RBTree) Contains(t *htm.Thread, k int64) bool {
-	return r.lookup(t, k) != r.nilN(t)
-}
-
-// Set updates the value under k, returning false if k is absent.
-func (r RBTree) Set(t *htm.Thread, k int64, val uint64) bool {
-	n := r.lookup(t, k)
-	if n == r.nilN(t) {
-		return false
-	}
-	storeField(t, n, rbVal, val)
-	return true
-}
-
 func (r RBTree) minimum(t *htm.Thread, x mem.Addr) mem.Addr {
 	nilN := r.nilN(t)
 	for left(t, x) != nilN {
 		x = left(t, x)
 	}
 	return x
-}
-
-// Min returns the smallest key, if the tree is non-empty.
-func (r RBTree) Min(t *htm.Thread) (int64, uint64, bool) {
-	nilN := r.nilN(t)
-	root := r.root(t)
-	if root == nilN {
-		return 0, 0, false
-	}
-	n := r.minimum(t, root)
-	return key(t, n), loadField(t, n, rbVal), true
 }
 
 func (r RBTree) transplant(t *htm.Thread, u, v mem.Addr) {
@@ -367,13 +341,6 @@ func (r RBTree) deleteFixup(t *htm.Thread, x mem.Addr) {
 		}
 	}
 	setColor(t, x, black)
-}
-
-// Len returns the number of keys (O(n) walk).
-func (r RBTree) Len(t *htm.Thread) int {
-	n := 0
-	r.Each(t, func(int64, uint64) bool { n++; return true })
-	return n
 }
 
 // Each calls fn for every (key, value) in ascending order; fn returning

@@ -20,14 +20,32 @@ func testThread(t *testing.T) *htm.Thread {
 	return e.Thread(0)
 }
 
+// contents is every (key, value) an Each walk visits.
+func contents(th *htm.Thread, each func(*htm.Thread, func(int64, uint64) bool)) map[int64]uint64 {
+	m := map[int64]uint64{}
+	each(th, func(k int64, v uint64) bool { m[k] = v; return true })
+	return m
+}
+
+// minKey is the smallest key of a non-empty map whose keys lie in
+// [-128, 256), the range the list oracles draw from.
+func minKey(m map[int64]uint64) int64 {
+	for k := int64(-128); k < 256; k++ {
+		if _, ok := m[k]; ok {
+			return k
+		}
+	}
+	panic("minKey: no key in [-128, 256)")
+}
+
 // ---------------------------------------------------------------------------
 // List
 
 func TestListBasic(t *testing.T) {
 	th := testThread(t)
 	l := NewList(th)
-	if n := l.Len(th); n != 0 {
-		t.Fatalf("fresh list Len = %d", n)
+	if _, _, ok := l.RemoveFirst(th); ok {
+		t.Fatal("RemoveFirst of a fresh list succeeded")
 	}
 	if !l.Insert(th, 5, 50) || !l.Insert(th, 1, 10) || !l.Insert(th, 3, 30) {
 		t.Fatal("insert of fresh keys failed")
@@ -35,33 +53,31 @@ func TestListBasic(t *testing.T) {
 	if l.Insert(th, 3, 99) {
 		t.Error("duplicate insert succeeded")
 	}
-	if v, ok := l.Get(th, 3); !ok || v != 30 {
-		t.Errorf("Get(3) = %d,%v", v, ok)
-	}
-	if l.Contains(th, 2) {
-		t.Error("Contains(2) true")
-	}
-	// Sorted iteration.
+	// Sorted iteration, stopped early when fn says so.
 	var keys []int64
 	l.Each(th, func(k int64, v uint64) bool { keys = append(keys, k); return true })
 	if len(keys) != 3 || keys[0] != 1 || keys[1] != 3 || keys[2] != 5 {
 		t.Errorf("Each order = %v", keys)
 	}
-	if v, ok := l.Remove(th, 3); !ok || v != 30 {
-		t.Errorf("Remove(3) = %d,%v", v, ok)
-	}
-	if _, ok := l.Remove(th, 3); ok {
-		t.Error("double remove succeeded")
+	visited := 0
+	l.Each(th, func(int64, uint64) bool { visited++; return false })
+	if visited != 1 {
+		t.Errorf("Each visited %d entries after fn returned false", visited)
 	}
 	if k, v, ok := l.RemoveFirst(th); !ok || k != 1 || v != 10 {
 		t.Errorf("RemoveFirst = %d,%d,%v", k, v, ok)
 	}
+	if got := ListAt(l.Handle()); got != l {
+		t.Errorf("ListAt(Handle()) = %v, want %v", got, l)
+	}
 	l.Clear(th)
-	if n := l.Len(th); n != 0 {
-		t.Errorf("after Clear Len = %d", n)
+	if n := len(contents(th, l.Each)); n != 0 {
+		t.Errorf("after Clear the list holds %d entries", n)
 	}
 }
 
+// TestListRandomOracle runs random inserts and smallest-first removals, as
+// the STAMP ports use the list, against a Go map.
 func TestListRandomOracle(t *testing.T) {
 	th := testThread(t)
 	l := NewList(th)
@@ -69,8 +85,7 @@ func TestListRandomOracle(t *testing.T) {
 	rng := prng.New(99)
 	for i := 0; i < 3000; i++ {
 		k := int64(rng.Intn(200))
-		switch rng.Intn(3) {
-		case 0:
+		if rng.Intn(3) != 0 {
 			ins := l.Insert(th, k, uint64(i))
 			_, had := oracle[k]
 			if ins == had {
@@ -79,23 +94,16 @@ func TestListRandomOracle(t *testing.T) {
 			if ins {
 				oracle[k] = uint64(i)
 			}
-		case 1:
-			v, ok := l.Get(th, k)
-			ov, ook := oracle[k]
-			if ok != ook || (ok && v != ov) {
-				t.Fatalf("step %d: Get(%d)=(%d,%v) oracle (%d,%v)", i, k, v, ok, ov, ook)
-			}
-		default:
-			v, ok := l.Remove(th, k)
-			ov, ook := oracle[k]
-			if ok != ook || (ok && v != ov) {
-				t.Fatalf("step %d: Remove(%d)=(%d,%v) oracle (%d,%v)", i, k, v, ok, ov, ook)
+		} else {
+			k, v, ok := l.RemoveFirst(th)
+			if ok != (len(oracle) > 0) || ok && (k != minKey(oracle) || v != oracle[k]) {
+				t.Fatalf("step %d: RemoveFirst=(%d,%d,%v) oracle %v", i, k, v, ok, oracle)
 			}
 			delete(oracle, k)
 		}
 	}
-	if l.Len(th) != len(oracle) {
-		t.Fatalf("final Len=%d oracle=%d", l.Len(th), len(oracle))
+	if got := contents(th, l.Each); !maps.Equal(got, oracle) {
+		t.Fatalf("list holds %d entries, oracle %d", len(got), len(oracle))
 	}
 }
 
@@ -114,17 +122,11 @@ func TestHashtableBasic(t *testing.T) {
 	if v, ok := h.Get(th, 42); !ok || v != 1 {
 		t.Errorf("Get = %d,%v", v, ok)
 	}
-	if isNew := h.Put(th, 42, 5); isNew {
-		t.Error("Put of existing key reported new")
-	}
-	if v, _ := h.Get(th, 42); v != 5 {
-		t.Errorf("after Put Get = %d", v)
-	}
-	if v, ok := h.Remove(th, 42); !ok || v != 5 {
+	if v, ok := h.Remove(th, 42); !ok || v != 1 {
 		t.Errorf("Remove = %d,%v", v, ok)
 	}
-	if h.Contains(th, 42) {
-		t.Error("Contains after Remove")
+	if _, ok := h.Get(th, 42); ok {
+		t.Error("Get after Remove found the key")
 	}
 }
 
@@ -135,7 +137,7 @@ func TestHashtableRandomOracle(t *testing.T) {
 	rng := prng.New(123)
 	for i := 0; i < 5000; i++ {
 		k := int64(rng.Intn(300)) - 150 // include negatives
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			ins := h.Insert(th, k, uint64(i))
 			_, had := oracle[k]
@@ -146,9 +148,6 @@ func TestHashtableRandomOracle(t *testing.T) {
 				oracle[k] = uint64(i)
 			}
 		case 1:
-			h.Put(th, k, uint64(i))
-			oracle[k] = uint64(i)
-		case 2:
 			v, ok := h.Get(th, k)
 			ov, ook := oracle[k]
 			if ok != ook || (ok && v != ov) {
@@ -162,17 +161,18 @@ func TestHashtableRandomOracle(t *testing.T) {
 			}
 			delete(oracle, k)
 		}
-		if i%1000 == 0 && h.Len(th) != len(oracle) {
-			t.Fatalf("step %d: Len=%d oracle=%d", i, h.Len(th), len(oracle))
-		}
 	}
-	got := map[int64]uint64{}
-	h.Each(th, func(k int64, v uint64) bool { got[k] = v; return true })
+	got := contents(th, h.Each)
 	if len(got) != len(oracle) {
 		t.Fatalf("Each visited %d entries, oracle %d", len(got), len(oracle))
 	}
 	if !maps.Equal(got, oracle) {
 		t.Fatal("Each visited different entries than the oracle holds")
+	}
+	visited := 0
+	h.Each(th, func(int64, uint64) bool { visited++; return false })
+	if visited != 1 {
+		t.Errorf("Each visited %d entries after fn returned false", visited)
 	}
 }
 
@@ -206,7 +206,7 @@ func TestHashtableConcurrentInserts(t *testing.T) {
 				retryTx(th, func() { h.Insert(th, k, uint64(k)) })
 			}
 		})
-		if n := h.Len(e.Thread(0)); n != 4*perThread {
+		if n := len(contents(e.Thread(0), h.Each)); n != 4*perThread {
 			t.Fatalf("quantum %d: concurrent inserts lost entries: Len=%d want %d", quantum, n, 4*perThread)
 		}
 	}
@@ -232,14 +232,8 @@ func TestRBTreeBasic(t *testing.T) {
 	if v, ok := r.Get(th, 7); !ok || v != 70 {
 		t.Errorf("Get(7) = %d,%v", v, ok)
 	}
-	if k, v, ok := r.Min(th); !ok || k != 1 || v != 10 {
-		t.Errorf("Min = %d,%d,%v", k, v, ok)
-	}
-	if !r.Set(th, 3, 333) {
-		t.Error("Set(3) failed")
-	}
-	if v, _ := r.Get(th, 3); v != 333 {
-		t.Errorf("after Set Get(3) = %d", v)
+	if _, ok := r.Get(th, 10); ok {
+		t.Error("Get(10) found an absent key")
 	}
 	var keys []int64
 	r.Each(th, func(k int64, v uint64) bool { keys = append(keys, k); return true })
@@ -257,8 +251,11 @@ func TestRBTreeBasic(t *testing.T) {
 			t.Fatalf("invariants after Remove(%d): %v", k, err)
 		}
 	}
-	if r.Len(th) != 0 {
-		t.Errorf("Len after removing all = %d", r.Len(th))
+	if n := len(contents(th, r.Each)); n != 0 {
+		t.Errorf("%d keys left after removing all", n)
+	}
+	if got := RBTreeAt(r.Handle()); got != r {
+		t.Errorf("RBTreeAt(Handle()) = %v, want %v", got, r)
 	}
 }
 
@@ -300,8 +297,8 @@ func TestRBTreeRandomOracle(t *testing.T) {
 			if err := r.CheckInvariants(th); err != nil {
 				t.Fatalf("step %d: %v", i, err)
 			}
-			if r.Len(th) != len(oracle) {
-				t.Fatalf("step %d: Len=%d oracle=%d", i, r.Len(th), len(oracle))
+			if got := contents(th, r.Each); !maps.Equal(got, oracle) {
+				t.Fatalf("step %d: tree holds %d keys, oracle %d", i, len(got), len(oracle))
 			}
 		}
 	}
@@ -325,8 +322,8 @@ func TestRBTreeAscendingDescendingInserts(t *testing.T) {
 	if err := r.CheckInvariants(th); err != nil {
 		t.Fatalf("descending: %v", err)
 	}
-	if r.Len(th) != 400 {
-		t.Errorf("Len = %d, want 400", r.Len(th))
+	if n := len(contents(th, r.Each)); n != 400 {
+		t.Errorf("tree holds %d keys, want 400", n)
 	}
 }
 
@@ -353,17 +350,18 @@ func TestRBTreeConcurrentMixed(t *testing.T) {
 		if err := r.CheckInvariants(th); err != nil {
 			t.Fatalf("quantum %d: invariants after concurrent inserts: %v", quantum, err)
 		}
+		got := contents(th, r.Each)
 		total := 0
 		for tid := range inserted {
 			total += len(inserted[tid])
 			for _, k := range inserted[tid] {
-				if !r.Contains(th, k) {
+				if _, ok := got[k]; !ok {
 					t.Fatalf("quantum %d: lost key %d", quantum, k)
 				}
 			}
 		}
-		if r.Len(th) != total {
-			t.Fatalf("quantum %d: Len=%d, want %d", quantum, r.Len(th), total)
+		if len(got) != total {
+			t.Fatalf("quantum %d: tree holds %d keys, want %d", quantum, len(got), total)
 		}
 	}
 }
@@ -379,9 +377,6 @@ func TestQueueFIFOAndGrowth(t *testing.T) {
 	}
 	for i := uint64(0); i < 100; i++ {
 		q.Push(th, i)
-	}
-	if q.Len(th) != 100 {
-		t.Fatalf("Len = %d, want 100", q.Len(th))
 	}
 	for i := uint64(0); i < 100; i++ {
 		v, ok := q.Pop(th)
@@ -411,8 +406,8 @@ func TestQueueInterleavedOracle(t *testing.T) {
 			}
 			oracle = oracle[1:]
 		}
-		if q.Len(th) != len(oracle) {
-			t.Fatalf("step %d: Len=%d oracle=%d", i, q.Len(th), len(oracle))
+		if q.Empty(th) != (len(oracle) == 0) {
+			t.Fatalf("step %d: Empty=%v with %d queued", i, q.Empty(th), len(oracle))
 		}
 	}
 }
@@ -469,36 +464,23 @@ func TestHeapPopEmpty(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Vector
 
+// TestVectorBasic reads the vector's header and array back from simulated
+// memory: PushBack doubles a full array and keeps every element.
 func TestVectorBasic(t *testing.T) {
 	th := testThread(t)
-	v := NewVector(th, 1)
+	v := NewVector(th, 0)
 	for i := uint64(0); i < 50; i++ {
 		v.PushBack(th, i*3)
 	}
-	if v.Len(th) != 50 {
-		t.Fatalf("Len = %d", v.Len(th))
+	if size, capacity := loadField(th, v.base, vecSize), loadField(th, v.base, vecCapacity); size != 50 || capacity != 64 {
+		t.Fatalf("size %d, capacity %d; want 50 and 64", size, capacity)
 	}
-	for i := 0; i < 50; i++ {
-		if got := v.At(th, i); got != uint64(i*3) {
-			t.Fatalf("At(%d) = %d", i, got)
+	arr := loadField(th, v.base, vecArray)
+	for i := uint64(0); i < 50; i++ {
+		if got := th.Load64(arr + i*w); got != i*3 {
+			t.Fatalf("element %d = %d, want %d", i, got, i*3)
 		}
 	}
-	v.Clear(th)
-	if v.Len(th) != 0 {
-		t.Error("Clear failed")
-	}
-}
-
-func TestVectorAtOutOfRangePanics(t *testing.T) {
-	th := testThread(t)
-	v := NewVector(th, 1)
-	v.PushBack(th, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range At did not panic")
-		}
-	}()
-	v.At(th, 1)
 }
 
 // ---------------------------------------------------------------------------
@@ -507,24 +489,18 @@ func TestVectorAtOutOfRangePanics(t *testing.T) {
 func TestBitmapBasic(t *testing.T) {
 	th := testThread(t)
 	b := NewBitmap(th, 200)
-	if b.Bits(th) != 200 {
-		t.Fatalf("Bits = %d", b.Bits(th))
-	}
 	if !b.Set(th, 63) || !b.Set(th, 64) || !b.Set(th, 199) {
 		t.Fatal("Set of clear bits failed")
 	}
-	if b.Set(th, 63) {
-		t.Error("Set of set bit returned true")
+	if b.Set(th, 63) || b.Set(th, 64) || b.Set(th, 199) {
+		t.Error("Set of a set bit returned true")
 	}
-	if !b.Test(th, 63) || !b.Test(th, 64) || !b.Test(th, 199) || b.Test(th, 0) {
-		t.Error("Test mismatch")
+	data := loadField(th, b.base, bmData)
+	if w0, w1, w3 := th.Load64(data), th.Load64(data+w), th.Load64(data+3*w); w0 != 1<<63 || w1 != 1 || w3 != 1<<7 {
+		t.Errorf("bitmap words %#x %#x %#x, want bits 63, 64 and 199 alone", w0, w1, w3)
 	}
-	if b.Count(th) != 3 {
-		t.Errorf("Count = %d", b.Count(th))
-	}
-	b.Clear(th, 64)
-	if b.Test(th, 64) {
-		t.Error("Clear failed")
+	if NewBitmap(th, 0).Set(th, 0) != true {
+		t.Error("a bitmap asked for no bits holds no bit 0")
 	}
 }
 
@@ -558,7 +534,7 @@ func TestStructuresAbortSafety(t *testing.T) {
 		r.Remove(th, 5)
 		r.Insert(th, 100, 1)
 		h.Remove(th, 5)
-		l.Remove(th, 5)
+		l.RemoveFirst(th)
 		q.Pop(th)
 		q.Push(th, 999)
 		th.Abort()
@@ -566,22 +542,28 @@ func TestStructuresAbortSafety(t *testing.T) {
 	if ok {
 		t.Fatal("tx with explicit abort committed")
 	}
-	if r.Len(th) != 20 || !r.Contains(th, 5) || r.Contains(th, 100) {
+	want := map[int64]uint64{}
+	for i := int64(0); i < 20; i++ {
+		want[i] = uint64(i)
+	}
+	if !maps.Equal(contents(th, r.Each), want) {
 		t.Error("rbtree mutated by aborted tx")
 	}
 	if err := r.CheckInvariants(th); err != nil {
 		t.Errorf("rbtree invariants after abort: %v", err)
 	}
-	if h.Len(th) != 20 || !h.Contains(th, 5) {
+	if !maps.Equal(contents(th, h.Each), want) {
 		t.Error("hashtable mutated by aborted tx")
 	}
-	if l.Len(th) != 20 || !l.Contains(th, 5) {
+	if !maps.Equal(contents(th, l.Each), want) {
 		t.Error("list mutated by aborted tx")
 	}
-	if q.Len(th) != 20 {
-		t.Error("queue mutated by aborted tx")
+	for i := uint64(0); i < 20; i++ {
+		if v, ok := q.Pop(th); !ok || v != i {
+			t.Fatalf("queue pop %d = %d,%v: mutated by aborted tx", i, v, ok)
+		}
 	}
-	if v, _ := q.Pop(th); v != 0 {
-		t.Errorf("queue head = %d, want 0", v)
+	if !q.Empty(th) {
+		t.Error("queue grew in aborted tx")
 	}
 }

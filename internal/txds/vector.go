@@ -34,9 +34,6 @@ func NewVector(t *htm.Thread, capacity int) Vector {
 	return Vector{base: h}
 }
 
-// Len returns the number of elements.
-func (v Vector) Len(t *htm.Thread) int { return int(loadField(t, v.base, vecSize)) }
-
 // PushBack appends x, doubling the array when full.
 func (v Vector) PushBack(t *htm.Thread, x uint64) {
 	size := loadField(t, v.base, vecSize)
@@ -56,16 +53,3 @@ func (v Vector) PushBack(t *htm.Thread, x uint64) {
 	t.Store64(arr+size*w, x)
 	storeField(t, v.base, vecSize, size+1)
 }
-
-// At returns element i; it panics on out-of-range access (a workload bug).
-func (v Vector) At(t *htm.Thread, i int) uint64 {
-	size := int(loadField(t, v.base, vecSize))
-	if i < 0 || i >= size {
-		panic("txds: vector index out of range")
-	}
-	arr := loadField(t, v.base, vecArray)
-	return t.Load64(arr + uint64(i)*w)
-}
-
-// Clear resets the vector to length zero without shrinking.
-func (v Vector) Clear(t *htm.Thread) { storeField(t, v.base, vecSize, 0) }
